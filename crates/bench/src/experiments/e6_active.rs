@@ -31,8 +31,8 @@ pub fn run() -> String {
     );
     let _ = writeln!(
         out,
-        "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>10} {:>11}",
-        "crimes", "told", "fills", "corefs", "rules", "reclass", "der/told", "µs/assert"
+        "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>8} {:>10} {:>11}",
+        "crimes", "told", "fills", "corefs", "rules", "reclass", "steps", "der/told", "µs/assert"
     );
     for crimes in [100usize, 400, 1_600, 6_400] {
         let cfg = CrimeConfig {
@@ -44,16 +44,18 @@ pub fn run() -> String {
         let corefs: u64 = ckb.reports.iter().map(|r| r.corefs_derived).sum();
         let rules: u64 = ckb.reports.iter().map(|r| r.rules_fired).sum();
         let reclass: u64 = ckb.reports.iter().map(|r| r.reclassified).sum();
+        let steps: u64 = ckb.reports.iter().map(|r| r.steps).sum();
         let derived = fills + corefs + rules + reclass;
         let _ = writeln!(
             out,
-            "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>10.2} {:>11.1}",
+            "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>8} {:>10.2} {:>11.1}",
             crimes,
             ckb.told_assertions,
             fills,
             corefs,
             rules,
             reclass,
+            steps,
             derived as f64 / ckb.told_assertions as f64,
             ns_per(elapsed, ckb.told_assertions as u64) / 1000.0,
         );

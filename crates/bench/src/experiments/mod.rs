@@ -121,7 +121,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "e15",
-            "sharded propagation engine: throughput vs the sequential oracle",
+            "one propagation step at 1/2/4 planning threads: same state, same steps, wall time",
             e15_shard::run,
         ),
         (

@@ -5,11 +5,12 @@
 //! contextual conjunction only — and then runs **one** propagation
 //! fixpoint for the whole chunk, instead of one per assertion. Rule
 //! firing, `ALL`/`SAME-AS` propagation, and realization all happen once,
-//! over the union of the chunk's facts, through the same engine
-//! (`Propagation::run`) the incremental path uses — including the
-//! sharded execution mode when `Kb::set_propagation_threads` enables it.
+//! over the union of the chunk's facts, through the same loop
+//! (`Propagation::run`) every per-op write uses: a chunk is simply a
+//! fixpoint with many roots, and its wide first epochs are the ones
+//! `Kb::set_propagation_threads` plans on worker threads.
 //!
-//! ## Equivalence with the sequential oracle
+//! ## Equivalence with row-by-row replay
 //!
 //! The contract (pinned by the proptest oracle in
 //! `tests/bulk_oracle.rs`): for any row sequence, the final state and
@@ -42,18 +43,18 @@
 //! empty individual, could never change any other row's outcome, so
 //! dropping it cannot perturb accept/reject parity.)
 
-use crate::deps::{Support, SupportKind};
 use crate::individual::IndId;
 use crate::kb::{AssertReport, Journal, Kb};
 use crate::propagate::Propagation;
 use classic_core::desc::Concept;
-use classic_core::normal::{conjoin_expression, NormalForm};
+use classic_core::error::ClassicError;
+use classic_core::normal::NormalForm;
 use classic_core::schema::Schema;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Default rows per batched fixpoint. Large enough to amortize the
-/// propagation setup (and clear the sharded engine's min-batch
-/// threshold), small enough that a clash-triggered sequential replay
+/// propagation setup (and for its epochs to be planned on worker
+/// threads), small enough that a clash-triggered row-by-row replay
 /// stays cheap.
 pub const DEFAULT_BULK_CHUNK: usize = 512;
 
@@ -260,34 +261,16 @@ impl Kb {
         report.chunks += 1;
         let mut journal = Journal::default();
         let mut work: VecDeque<IndId> = VecDeque::new();
-        let mut enqueued: BTreeSet<IndId> = BTreeSet::new();
-        let mut staged_ok = true;
-        for row in chunk {
+        let staged = chunk.iter().try_for_each(|row| {
             let iname = self.schema.symbols.individual(&row.name);
-            let id = self.ensure_ind(iname, &mut journal);
-            journal.touch(self, id);
-            self.ensure_referenced_inds_pub(&row.desc, &mut journal);
-            let told_index = self.inds[id.index()].told.len();
-            self.inds[id.index()].told.push(row.desc.clone());
-            journal.note_support(Support {
-                target: id,
-                source: id,
-                kind: SupportKind::Told { index: told_index },
-            });
-            let mut derived = std::mem::take(&mut self.inds[id.index()].derived);
-            let res = conjoin_expression(&row.desc, &mut self.schema, &mut derived);
-            self.inds[id.index()].derived = derived;
-            if res.is_err() {
-                staged_ok = false;
-                break;
-            }
-            if enqueued.insert(id) {
-                work.push_back(id);
-            }
-        }
+            let id = self.ensure_ind(iname, &mut journal)?;
+            self.stage_told(id, &row.desc, &mut journal)?;
+            work.push_back(id);
+            Ok::<(), ClassicError>(())
+        });
         let mut chunk_report = AssertReport::default();
-        let ok =
-            staged_ok && Propagation::run(self, &mut work, &mut journal, &mut chunk_report).is_ok();
+        let ok = staged.is_ok()
+            && Propagation::run(self, &mut work, &mut journal, &mut chunk_report).is_ok();
         if ok {
             report.inds_created += journal.created_count() as u64;
             self.stats.assertions.add(chunk.len() as u64);
@@ -315,8 +298,10 @@ impl Kb {
     fn bulk_row_sequential(&mut self, row_ix: usize, row: &BulkRow, report: &mut BulkReport) {
         let iname = self.schema.symbols.individual(&row.name);
         let mut journal = Journal::default();
-        let id = self.ensure_ind(iname, &mut journal);
-        match self.assert_txn(id, &row.desc, &mut journal) {
+        let outcome = self
+            .ensure_ind(iname, &mut journal)
+            .and_then(|id| self.assert_txn(id, &row.desc, &mut journal));
+        match outcome {
             Ok(r) => {
                 report.inds_created += journal.created_count() as u64;
                 self.stats.assertions.bump();

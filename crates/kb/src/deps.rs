@@ -29,15 +29,11 @@
 //! is confluent — while keeping the journal small and maintenance O(1)
 //! per propagation step.
 //!
-//! The sharded propagation engine (`crate::shard`) preserves this
-//! fixed-point characterization across threads: workers never write the
-//! journal from inside the parallel planning phase. `ALL` and rule
-//! supports travel as cross-shard effect messages and are recorded
-//! during the sequential drain, *unconditionally* (like here, whenever
-//! the mechanism applies), while `SAME-AS` supports are recorded only
-//! when the co-reference changed something — both matching the
-//! sequential engine's policy exactly, so the journal after a sharded
-//! fixpoint equals the journal after a sequential one.
+//! Propagation keeps this fixed-point characterization whoever plans an
+//! epoch: planning never writes the journal. `ALL` and rule supports
+//! travel as effects and are recorded as they are applied,
+//! *unconditionally* (whenever the mechanism applies), while `SAME-AS`
+//! supports are recorded only when the co-reference changed something.
 
 use crate::individual::IndId;
 use classic_core::symbol::RoleId;

@@ -14,6 +14,7 @@
 
 use crate::deps::{DependencyJournal, RetractReport, Support, SupportKind};
 use crate::individual::{IndId, Individual};
+use crate::plan::Effect;
 use crate::propagate::Propagation;
 use classic_core::desc::{Concept, IndRef};
 use classic_core::error::{ClassicError, Result};
@@ -139,7 +140,9 @@ impl KbStats {
 /// derived-facts-per-asserted-fact metric).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AssertReport {
-    /// Worklist steps the propagation took.
+    /// Propagation steps taken: individuals planned, summed over the
+    /// fixpoint's epochs (an individual re-planned in a later epoch
+    /// counts again).
     pub steps: u64,
     /// `ALL` restrictions propagated onto fillers.
     pub fills_propagated: u64,
@@ -253,19 +256,10 @@ pub struct Kb {
     assert_ns: Histogram,
     retract_ns: Histogram,
     pub(crate) propagate_ns: Histogram,
-    /// Propagation worker threads. `0` = auto (one per available core).
-    /// See [`Kb::set_propagation_threads`].
-    pub(crate) propagation_threads: usize,
-    /// Epochs with fewer worklist items than this run on the sequential
-    /// path even when sharding is enabled; see
-    /// [`Kb::set_propagation_min_batch`].
-    pub(crate) propagation_min_batch: usize,
+    /// Propagation planning threads. `0` = auto (one per available
+    /// core). See [`Kb::set_propagation_threads`].
+    propagation_threads: usize,
 }
-
-/// Default [`Kb::set_propagation_min_batch`] threshold: below this many
-/// worklist items an epoch runs sequentially — thread fan-out costs more
-/// than it saves on small fixpoints.
-pub const DEFAULT_PROPAGATION_MIN_BATCH: usize = 64;
 
 impl Default for Kb {
     fn default() -> Self {
@@ -300,7 +294,6 @@ impl Clone for Kb {
             retract_ns: self.retract_ns.clone(),
             propagate_ns: self.propagate_ns.clone(),
             propagation_threads: self.propagation_threads,
-            propagation_min_batch: self.propagation_min_batch,
         }
     }
 }
@@ -348,26 +341,22 @@ impl Kb {
             assert_ns,
             retract_ns,
             propagate_ns,
-            propagation_threads: std::env::var("CLASSIC_PROPAGATION_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            propagation_min_batch: DEFAULT_PROPAGATION_MIN_BATCH,
+            propagation_threads: 0,
         }
     }
 
     // ---- propagation threading --------------------------------------------
 
-    /// Set the number of worker threads the propagation fixpoint may use.
-    /// `0` (the default) means auto: one shard per available core. `1`
-    /// pins the sequential engine — the oracle the sharded engine is
-    /// differential-tested against. The default can also be set
-    /// process-wide with the `CLASSIC_PROPAGATION_THREADS` environment
-    /// variable (read at [`Kb::new`]).
+    /// Set the number of threads the propagation fixpoint may plan wide
+    /// epochs on. `0` (the default) means auto: one per available core;
+    /// `1` plans everything on the calling thread.
     ///
-    /// Results are identical either way: shards exchange cross-shard
-    /// effects through a deterministic per-epoch message barrier (see
-    /// `propagate.rs`), so thread count affects wall time only.
+    /// This changes wall time and nothing else. Planning is read-only
+    /// and its effects are applied sequentially in an order that does
+    /// not depend on who planned them (see `propagate.rs`), so the
+    /// resulting state, the arena layout, accept/reject outcomes and
+    /// every [`AssertReport`] count — `steps` included — are identical
+    /// at any setting.
     pub fn set_propagation_threads(&mut self, n: usize) {
         self.propagation_threads = n;
     }
@@ -379,15 +368,6 @@ impl Kb {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         }
-    }
-
-    /// Set the minimum epoch size (worklist items) for parallel
-    /// processing; smaller epochs always run sequentially. Tuning knob
-    /// for benchmarks and tests (lowering it forces small fixpoints onto
-    /// the sharded path); the default is
-    /// [`DEFAULT_PROPAGATION_MIN_BATCH`].
-    pub fn set_propagation_min_batch(&mut self, n: usize) {
-        self.propagation_min_batch = n.max(1);
     }
 
     // ---- accessors -------------------------------------------------------
@@ -523,7 +503,7 @@ impl Kb {
             None => self.ind_ids().collect(),
         };
         for id in candidates {
-            self.realize(id);
+            self.realize(id)?;
         }
         Ok(cname)
     }
@@ -538,29 +518,34 @@ impl Kb {
         if self.by_name.contains_key(&iname) {
             return Err(ClassicError::IndividualExists(iname));
         }
-        Ok(self.create_ind_unchecked(iname))
+        self.create_ind_unchecked(iname)
     }
 
-    pub(crate) fn create_ind_unchecked(&mut self, iname: IndName) -> IndId {
+    /// Push a fresh individual and recognize it. If a `TEST` recognizer
+    /// panics on it the individual is removed again, so a failed
+    /// creation leaves no trace.
+    fn create_ind_unchecked(&mut self, iname: IndName) -> Result<IndId> {
         let id = IndId::from_index(self.inds.len());
         self.inds.push(Individual::new(iname));
         self.by_name.insert(iname, id);
-        self.realize(id);
-        id
+        if let Err(e) = self.realize(id) {
+            self.inds.pop();
+            self.by_name.remove(&iname);
+            return Err(e);
+        }
+        Ok(id)
     }
 
     /// Get the individual named `name`, creating it if referenced for the
     /// first time (the paper's examples assert facts about `Volvo-17`
     /// without a prior `create-ind`).
-    pub(crate) fn ensure_ind(&mut self, iname: IndName, journal: &mut Journal) -> IndId {
-        match self.by_name.get(&iname) {
-            Some(&id) => id,
-            None => {
-                let id = self.create_ind_unchecked(iname);
-                journal.created.push(id);
-                id
-            }
+    pub(crate) fn ensure_ind(&mut self, iname: IndName, journal: &mut Journal) -> Result<IndId> {
+        if let Some(&id) = self.by_name.get(&iname) {
+            return Ok(id);
         }
+        let id = self.create_ind_unchecked(iname)?;
+        journal.created.push(id);
+        Ok(id)
     }
 
     /// `assert-ind[name, desc]` (§3.2): incrementally add (possibly
@@ -621,10 +606,26 @@ impl Kb {
         desc: &Concept,
         journal: &mut Journal,
     ) -> Result<AssertReport> {
+        self.stage_told(id, desc, journal)?;
+        let mut report = AssertReport::default();
+        let mut work: VecDeque<IndId> = VecDeque::from([id]);
+        Propagation::run(self, &mut work, journal, &mut report)?;
+        Ok(report)
+    }
+
+    /// The told half of an assertion, before any propagation: record
+    /// `desc` as told on `id` and conjoin it into the derived
+    /// description.
+    pub(crate) fn stage_told(
+        &mut self,
+        id: IndId,
+        desc: &Concept,
+        journal: &mut Journal,
+    ) -> Result<()> {
         journal.touch(self, id);
         // Auto-create any individuals the description references, so
         // FILLS/ONE-OF targets exist (paper examples rely on this).
-        self.ensure_referenced_inds(desc, journal);
+        self.ensure_referenced_inds(desc, journal)?;
         let told_index = self.inds[id.index()].told.len();
         self.inds[id.index()].told.push(desc.clone());
         journal.note_support(Support {
@@ -637,33 +638,34 @@ impl Kb {
         let mut derived = std::mem::take(&mut self.inds[id.index()].derived);
         let res = conjoin_expression(desc, &mut self.schema, &mut derived);
         self.inds[id.index()].derived = derived;
-        res?;
-        let mut report = AssertReport::default();
-        let mut work: VecDeque<IndId> = VecDeque::from([id]);
-        Propagation::run(self, &mut work, journal, &mut report)?;
-        Ok(report)
+        res
     }
 
-    fn ensure_referenced_inds(&mut self, desc: &Concept, journal: &mut Journal) {
+    pub(crate) fn ensure_referenced_inds(
+        &mut self,
+        desc: &Concept,
+        journal: &mut Journal,
+    ) -> Result<()> {
         match desc {
             Concept::OneOf(inds) | Concept::Fills(_, inds) => {
                 for i in inds {
                     if let IndRef::Classic(n) = i {
-                        self.ensure_ind(*n, journal);
+                        self.ensure_ind(*n, journal)?;
                     }
                 }
             }
-            Concept::All(_, inner) => self.ensure_referenced_inds(inner, journal),
+            Concept::All(_, inner) => self.ensure_referenced_inds(inner, journal)?,
             Concept::And(parts) => {
                 for p in parts {
-                    self.ensure_referenced_inds(p, journal);
+                    self.ensure_referenced_inds(p, journal)?;
                 }
             }
             Concept::Primitive { parent, .. } | Concept::DisjointPrimitive { parent, .. } => {
-                self.ensure_referenced_inds(parent, journal)
+                self.ensure_referenced_inds(parent, journal)?
             }
             _ => {}
         }
+        Ok(())
     }
 
     /// Hypothetical assertion: would `desc` be accepted, and what would it
@@ -1060,7 +1062,13 @@ impl Kb {
     /// 2. the extension index and per-individual realizations agree in
     ///    both directions;
     /// 3. every individual's `msc` is an antichain whose upward closure
-    ///    is exactly `instance_nodes`.
+    ///    is exactly `instance_nodes`;
+    /// 4. *closure*: the committed state is a fixed point of the
+    ///    propagation step — planning any individual calls for no change
+    ///    (only support records, which restate the fixed point). A
+    ///    scheduler that drops a needed re-enqueue leaves the state open
+    ///    and fails this; one that plans too much cannot be wrong, the
+    ///    step being monotone.
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |msg: String| {
             Err(ClassicError::Malformed(format!(
@@ -1113,6 +1121,20 @@ impl Kb {
                         node.index()
                     ));
                 }
+            }
+        }
+        let mut effects = Vec::new();
+        for id in self.ind_ids() {
+            self.plan_guarded(id, &mut effects);
+            let open = effects
+                .drain(..)
+                .find(|e| !matches!(e, Effect::Support { .. }));
+            if let Some(effect) = open {
+                return fail(format!(
+                    "state is not closed under the propagation step: planning {:?} \
+                     still calls for {effect:?}",
+                    self.schema.symbols.individual_name(self.ind(id).name)
+                ));
             }
         }
         Ok(())
@@ -1271,6 +1293,38 @@ mod tests {
             kb.retract_rule_by_id(rule_id),
             Err(ClassicError::NoSuchRule { .. })
         ));
+    }
+
+    #[test]
+    fn check_invariants_rejects_a_state_not_closed_under_the_step() {
+        let mut kb = kb_with_person();
+        let r = kb.schema().symbols.find_role("r").unwrap();
+        let person = kb.schema().symbols.find_concept("PERSON").unwrap();
+        let hub = kb.create_ind("Hub").unwrap();
+        let spoke = IndRef::Classic(kb.schema_mut().symbols.individual("Spoke"));
+        kb.assert_ind("Hub", &Concept::Fills(r, vec![spoke]))
+            .unwrap();
+        kb.check_invariants().unwrap();
+        // Write (ALL r PERSON) straight into Hub's derived description,
+        // bypassing propagation: Spoke never hears that it is a PERSON.
+        let all = kb
+            .normalize(&Concept::all(r, Concept::Name(person)))
+            .unwrap();
+        let mut derived = kb.inds[hub.index()].derived.clone();
+        derived.conjoin(&all, &kb.schema);
+        kb.inds[hub.index()].derived = derived;
+        let msg = kb.check_invariants().unwrap_err().to_string();
+        assert!(
+            msg.contains("not closed under the propagation step"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("\"Hub\""),
+            "must name the open individual: {msg}"
+        );
+        // Running the step closes it again.
+        kb.assert_ind("Hub", &Concept::thing()).unwrap();
+        kb.check_invariants().unwrap();
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub mod deps;
 pub mod explain;
 pub mod individual;
 pub mod kb;
+mod plan;
 mod propagate;
-mod shard;
 
 pub use aspect::ConceptPlacement;
 pub use bulk::{BulkRejection, BulkReport, BulkRow, DEFAULT_BULK_CHUNK};

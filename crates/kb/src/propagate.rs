@@ -34,11 +34,11 @@
 use crate::deps::{Support, SupportKind};
 use crate::individual::IndId;
 use crate::kb::{AssertReport, Journal, Kb};
-use crate::shard::{Effect, MessageBus, Partition, Tagged, TargetRef};
+use crate::plan::{Effect, TargetRef};
 use classic_core::desc::{IndRef, Path};
-use classic_core::error::{Clash, ClassicError, Result};
+use classic_core::error::{ClassicError, Result};
 use classic_core::host::HostValue;
-use classic_core::normal::{conjoin_expression, NormalForm, RoleRestriction};
+use classic_core::normal::{conjoin_expression, NormalForm};
 use classic_core::schema::TestArg;
 use classic_core::subsume::subsumes;
 use classic_core::symbol::RoleId;
@@ -57,6 +57,30 @@ pub(crate) enum PathResolution {
     Unresolved,
 }
 
+/// Epochs narrower than this are planned on the calling thread: fan-out
+/// costs more than it saves. Per-op writes run 1–2 wide epochs, bulk
+/// chunks 512 wide ones, so the benchmark has a workload on each side.
+const PARALLEL_MIN_BATCH: usize = 64;
+
+/// Run `f`, which may call user-registered `TEST` recognizers, turning
+/// a panic in one into [`ClassicError::RecognizerPanicked`].
+///
+/// `AssertUnwindSafe` is sound here: `f` only reads the KB, and the
+/// interior mutability it touches (per-individual test-hit caches, the
+/// kernel memo) is behind mutexes whose guards are dropped *before* a
+/// recognizer runs — a panicking recognizer cannot poison them or leave
+/// them mid-update.
+pub(crate) fn guard_recognizers<T>(f: impl FnOnce() -> T) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_owned());
+        ClassicError::RecognizerPanicked(msg)
+    })
+}
+
 /// Namespace for the worklist driver.
 pub(crate) struct Propagation;
 
@@ -64,12 +88,16 @@ impl Propagation {
     /// Drain the worklist to a fixed point. On error the caller rolls the
     /// journal back.
     ///
-    /// Dispatches on [`Kb::propagation_threads`]: `1` runs the classic
-    /// sequential worklist; above that, wide epochs are planned in
-    /// parallel across arena shards and their effects applied at a
-    /// deterministic barrier (see [`Propagation::run_sharded`]). Both
-    /// paths reach the same fixed point — the sequential engine is the
-    /// oracle the sharded one is differential-tested against.
+    /// Every epoch is plan → effects → apply: the worklist drains into a
+    /// sorted, deduplicated batch; each item is *planned* read-only
+    /// against the epoch-start state ([`Kb::plan_one`]); the effects are
+    /// applied sequentially, in batch order, through the journal-tracked
+    /// mutations of [`Kb::apply_effect`], which re-fill the worklist.
+    /// The closure being computed is a least fixed point of a monotone
+    /// step, so the schedule cannot change it — and since the apply
+    /// order is `(source id, emission index)` whoever planned, the
+    /// thread count cannot even change the schedule: state, journal,
+    /// arena layout and step counts are identical at any setting.
     pub(crate) fn run(
         kb: &mut Kb,
         work: &mut VecDeque<IndId>,
@@ -77,21 +105,37 @@ impl Propagation {
         report: &mut AssertReport,
     ) -> Result<()> {
         let _span = classic_obs::span_timed(&kb.recorder, "propagate.fixpoint", &kb.propagate_ns);
-        let threads = kb.propagation_threads();
-        if threads > 1 {
-            Self::run_sharded(kb, work, journal, report, threads)
-        } else {
-            Self::run_sequential(kb, work, journal, report)
+        let mut steps = 0u64;
+        let mut effects: Vec<Effect> = Vec::new();
+        loop {
+            let mut batch: Vec<IndId> = work.drain(..).collect();
+            batch.sort_unstable();
+            batch.dedup();
+            if batch.is_empty() {
+                break;
+            }
+            steps += batch.len() as u64;
+            report.steps += batch.len() as u64;
+            kb.stats.propagation_steps.add(batch.len() as u64);
+            // Recomputed every epoch: rule firings and `ALL` propagation
+            // create individuals mid-fixpoint, so a bound frozen at entry
+            // can go stale against the count that justifies it.
+            let limit = Self::step_limit(kb);
+            if steps > limit {
+                return Err(Self::fixpoint_overrun(kb, steps, limit, batch[0]));
+            }
+            Self::plan_batch(kb, &batch, &mut effects);
+            for effect in effects.drain(..) {
+                kb.apply_effect(effect, journal, work, report)?;
+            }
         }
+        classic_obs::event("steps", steps);
+        Ok(())
     }
 
     /// Generous safety bound far above the paper's #classes ×
     /// #individuals argument (each enqueue follows an actual monotone
-    /// change; re-processing without change never re-enqueues).
-    /// Recomputed as the fixpoint runs: rule firings and `ALL`
-    /// propagation create individuals mid-fixpoint (and `define`-style
-    /// surface scripts interleave DDL), so a bound frozen at entry can go
-    /// stale against the count that actually justifies it.
+    /// change; re-planning without change never re-enqueues).
     fn step_limit(kb: &Kb) -> u64 {
         1_000_000u64.max(
             (kb.ind_count() as u64 + 16)
@@ -101,7 +145,7 @@ impl Propagation {
     }
 
     /// The non-termination diagnosis: names the step count, the bound it
-    /// overran, and the individual being processed when it did.
+    /// overran, and the first individual of the epoch that overran it.
     fn fixpoint_overrun(kb: &Kb, steps: u64, limit: u64, at: IndId) -> ClassicError {
         let name = kb.schema.symbols.individual_name(kb.inds[at.index()].name);
         ClassicError::Malformed(format!(
@@ -110,299 +154,180 @@ impl Propagation {
         ))
     }
 
-    /// The classic single-threaded worklist loop.
-    fn run_sequential(
-        kb: &mut Kb,
-        work: &mut VecDeque<IndId>,
-        journal: &mut Journal,
-        report: &mut AssertReport,
-    ) -> Result<()> {
-        let mut steps = 0u64;
-        while let Some(id) = work.pop_front() {
-            steps += 1;
-            report.steps += 1;
-            kb.stats.propagation_steps.bump();
-            if steps > Self::step_limit(kb) {
-                return Err(Self::fixpoint_overrun(kb, steps, Self::step_limit(kb), id));
+    /// Plan every item of a sorted batch into `out`, in batch order.
+    /// Wide batches are cut into one contiguous slice per configured
+    /// thread and planned on scoped workers; concatenating the workers'
+    /// effects in slice order is exactly the order inline planning
+    /// emits, which is what makes [`Kb::set_propagation_threads`] a
+    /// wall-time setting and nothing else.
+    fn plan_batch(kb: &Kb, batch: &[IndId], out: &mut Vec<Effect>) {
+        // Width first: resolving the auto thread count asks the OS, which
+        // costs more than planning a narrow epoch does.
+        let threads = if batch.len() < PARALLEL_MIN_BATCH {
+            1
+        } else {
+            kb.propagation_threads()
+        };
+        if threads == 1 {
+            for &id in batch {
+                kb.plan_guarded(id, out);
             }
-            kb.process_one(id, work, journal, report)?;
+            return;
         }
-        classic_obs::event("steps", steps);
-        Ok(())
-    }
-
-    /// The sharded fixpoint: bulk-synchronous epochs over the individual
-    /// arena.
-    ///
-    /// Each epoch drains the worklist into a sorted, deduplicated batch.
-    /// Small batches (below [`Kb::set_propagation_min_batch`]) run
-    /// through the sequential step directly — fan-out costs more than it
-    /// saves. Wide batches are split by contiguous-range ownership
-    /// ([`Partition`]) and *planned* in parallel on scoped threads: each
-    /// shard runs the read-only [`Kb::plan_one`] over its items against
-    /// the shared epoch-start state and emits [`Effect`] messages onto a
-    /// [`MessageBus`]. At the barrier the coordinator drains the bus in
-    /// canonical `(queue, src, seq)` order and applies the effects
-    /// sequentially through the same journal-tracked mutations the
-    /// sequential engine uses — so rollback, provenance, and the final
-    /// state are identical, and the parallelism is confined to the
-    /// expensive read side (recognition sweeps, subsumption checks).
-    ///
-    /// A conjunction that changes its target re-enqueues both the target
-    /// *and* the planning source: within one sequential `process_one`
-    /// pass, later phases see earlier phases' writes, and re-planning the
-    /// source against the post-apply state reproduces exactly that
-    /// visibility one epoch later (a no-op once nothing changes —
-    /// monotone, so the fixed points coincide).
-    fn run_sharded(
-        kb: &mut Kb,
-        work: &mut VecDeque<IndId>,
-        journal: &mut Journal,
-        report: &mut AssertReport,
-        shards: usize,
-    ) -> Result<()> {
-        let mut steps = 0u64;
-        loop {
-            let mut batch: Vec<IndId> = work.drain(..).collect();
-            batch.sort_unstable();
-            batch.dedup();
-            if batch.is_empty() {
-                break;
-            }
-            if batch.len() < kb.propagation_min_batch {
-                for id in batch {
-                    steps += 1;
-                    report.steps += 1;
-                    kb.stats.propagation_steps.bump();
-                    if steps > Self::step_limit(kb) {
-                        return Err(Self::fixpoint_overrun(kb, steps, Self::step_limit(kb), id));
-                    }
-                    kb.process_one(id, work, journal, report)?;
-                }
-                continue;
-            }
-
-            steps += batch.len() as u64;
-            report.steps += batch.len() as u64;
-            kb.stats.propagation_steps.add(batch.len() as u64);
-            let limit = Self::step_limit(kb);
-            if steps > limit {
-                return Err(Self::fixpoint_overrun(kb, steps, limit, batch[0]));
-            }
-
-            // ---- parallel compute phase ---------------------------------
-            let part = Partition::new(kb.inds.len(), shards);
-            let bus: MessageBus<Effect> = MessageBus::new(part.queues());
-            let mut lists: Vec<Vec<IndId>> = vec![Vec::new(); shards];
-            for id in batch {
-                lists[part.owner(id)].push(id);
-            }
-            {
-                let kb_ref: &Kb = kb;
-                let bus_ref = &bus;
-                let part_ref = &part;
-                std::thread::scope(|scope| {
-                    for (six, list) in lists.iter().enumerate() {
-                        if list.is_empty() {
-                            continue;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = batch
+                .chunks(batch.len().div_ceil(threads))
+                .map(|slice| {
+                    scope.spawn(move || {
+                        let _span = classic_obs::span(&kb.recorder, "propagate.shard");
+                        let mut effects = Vec::new();
+                        for &id in slice {
+                            kb.plan_guarded(id, &mut effects);
                         }
-                        scope.spawn(move || {
-                            let _span = classic_obs::span(&kb_ref.recorder, "propagate.shard");
-                            let mut seq = 0u32;
-                            for &id in list {
-                                kb_ref.plan_one(id, &mut |effect| {
-                                    let dest = part_ref.dest(&effect);
-                                    bus_ref.push(
-                                        dest,
-                                        Tagged {
-                                            src: six as u32,
-                                            seq,
-                                            payload: effect,
-                                        },
-                                    );
-                                    seq += 1;
-                                });
-                            }
-                            classic_obs::event("planned", list.len() as u64);
-                        });
-                    }
-                });
+                        classic_obs::event("planned", slice.len() as u64);
+                        effects
+                    })
+                })
+                .collect();
+            for worker in workers {
+                // `plan_guarded` catches recognizer panics, and nothing
+                // else in planning unwinds.
+                out.extend(worker.join().expect("planning worker panicked"));
             }
-
-            // ---- epoch barrier: gauges, canonical drain, apply ----------
-            for (qix, depth) in bus.depths().into_iter().enumerate() {
-                if let Ok(g) = kb.obs.get_or_gauge(
-                    &format!("classic_propagate_shard_queue_depth_{qix}"),
-                    "cross-shard effect queue depth at the epoch barrier",
-                ) {
-                    g.set(depth as u64);
-                }
-            }
-            for msg in bus.drain_sorted() {
-                kb.apply_effect(msg.payload, journal, work, report)?;
-            }
-        }
-        classic_obs::event("steps", steps);
-        Ok(())
+        });
     }
 }
 
 impl Kb {
-    /// One worklist step for one individual: check coherence, push
-    /// consequences outward, re-recognize, fire rules.
-    fn process_one(
+    /// [`Kb::plan_one`] with the panic boundary: a `TEST` recognizer
+    /// that panics while `id` is planned becomes an [`Effect::Abort`], so
+    /// the update is rejected and rolled back like any other.
+    pub(crate) fn plan_guarded(&self, id: IndId, out: &mut Vec<Effect>) {
+        if let Err(error) = guard_recognizers(|| self.plan_one(id, out)) {
+            out.push(Effect::Abort { error });
+        }
+    }
+
+    /// Resolve an effect target to an arena id, creating a
+    /// referenced-but-missing individual.
+    fn resolve_target(&mut self, target: TargetRef, journal: &mut Journal) -> Result<IndId> {
+        match target {
+            TargetRef::Id(id) => Ok(id),
+            TargetRef::Name(name) => self.ensure_ind(name, journal),
+        }
+    }
+
+    /// Apply one planned effect. All mutation of the fixpoint happens
+    /// here, through the journal, so rollback and provenance see it.
+    pub(crate) fn apply_effect(
         &mut self,
-        id: IndId,
-        work: &mut VecDeque<IndId>,
+        effect: Effect,
         journal: &mut Journal,
+        work: &mut VecDeque<IndId>,
         report: &mut AssertReport,
     ) -> Result<()> {
-        journal.touch(self, id);
-        if let Some(clash) = self.inds[id.index()].derived.clash() {
-            return Err(ClassicError::Inconsistent {
-                individual: Some(self.inds[id.index()].name),
-                reason: clash.clone(),
-            });
-        }
-
-        // ---- phase 1: ALL-propagation to fillers --------------------------
-        let role_plan: Vec<(RoleId, Option<NormalForm>, Vec<IndRef>)> = self.inds[id.index()]
-            .derived
-            .roles
-            .iter()
-            .map(|(&r, rr)| {
-                (
-                    r,
-                    rr.all.as_deref().cloned(),
-                    rr.fillers.iter().cloned().collect(),
-                )
-            })
-            .collect();
-        for (r, all, fillers) in role_plan {
-            for f in fillers {
-                match f {
-                    IndRef::Classic(name) => {
-                        let fid = self.ensure_ind(name, journal);
-                        if self.reverse_fillers.entry(fid).or_default().insert(id) {
-                            journal.note_reverse_edge(fid, id);
-                        }
-                        if let Some(d) = &all {
-                            if self.conjoin_nf(fid, d, journal, work, report)? {
-                                self.stats.fills_propagations.bump();
-                                report.fills_propagated += 1;
-                            }
-                            // Recorded whether or not the conjunction
-                            // changed anything: the support set must be a
-                            // function of the fixed point, not of arrival
-                            // order, or provenance would not survive
-                            // retraction (see tests/retract.rs).
-                            journal.note_support(Support {
-                                target: fid,
-                                source: id,
-                                kind: SupportKind::All { role: r },
-                            });
-                        }
-                    }
-                    IndRef::Host(v) => {
-                        if let Some(d) = &all {
-                            if !self.host_satisfies(&v, d) {
-                                return Err(ClassicError::Inconsistent {
-                                    individual: Some(self.inds[id.index()].name),
-                                    reason: Clash::FillerViolation { role: r },
-                                });
-                            }
-                        }
-                    }
+        match effect {
+            Effect::Abort { error } => Err(error),
+            Effect::ReverseEdge { filler, host } => {
+                let fid = self.resolve_target(filler, journal)?;
+                if self.reverse_fillers.entry(fid).or_default().insert(host) {
+                    journal.push_reverse(fid, host);
                 }
+                Ok(())
             }
-        }
-
-        // ---- phase 2: SAME-AS co-reference ---------------------------------
-        let classes = self.inds[id.index()].derived.same_as.classes();
-        for class in classes {
-            if class.len() < 2 {
-                continue;
+            Effect::Support {
+                target,
+                source,
+                kind,
+            } => {
+                let fid = self.resolve_target(target, journal)?;
+                journal.note_support(Support {
+                    target: fid,
+                    source,
+                    kind,
+                });
+                Ok(())
             }
-            let mut value: Option<IndRef> = None;
-            let mut pending: Vec<(IndId, RoleId)> = Vec::new();
-            for path in &class {
-                match self.resolve_path(id, path) {
-                    PathResolution::Complete(v) => match &value {
-                        None => value = Some(v),
-                        Some(prev) if *prev != v => {
-                            // Two chains reach provably distinct
-                            // individuals (UNA) — the co-reference cannot
-                            // hold.
-                            let role = *path.last().expect("non-empty");
-                            return Err(ClassicError::Inconsistent {
-                                individual: Some(self.inds[id.index()].name),
-                                reason: Clash::CoreferenceClash { role },
-                            });
+            Effect::Conjoin {
+                target,
+                nf,
+                source,
+                kind,
+            } => {
+                let fid = self.resolve_target(target, journal)?;
+                let changed = self.conjoin_nf(fid, &nf, journal, work)?;
+                match kind {
+                    SupportKind::All { .. } => {
+                        if changed {
+                            self.stats.fills_propagations.bump();
+                            report.fills_propagated += 1;
                         }
-                        Some(_) => {}
-                    },
-                    PathResolution::AtLastStep { holder, last } => {
-                        pending.push((holder, last));
-                    }
-                    PathResolution::Unresolved => {}
-                }
-            }
-            if let Some(v) = value {
-                for (holder, last) in pending {
-                    let mut fills = NormalForm::top();
-                    fills.roles.insert(
-                        last,
-                        RoleRestriction {
-                            fillers: BTreeSet::from([v.clone()]),
-                            ..RoleRestriction::default()
-                        },
-                    );
-                    fills.renormalize(&self.schema);
-                    if self.conjoin_nf(holder, &fills, journal, work, report)? {
-                        self.stats.coref_propagations.bump();
-                        report.corefs_derived += 1;
+                        // Recorded whether or not the conjunction changed
+                        // anything: the support set must be a function of
+                        // the fixed point, not of arrival order, or
+                        // provenance would not survive retraction (see
+                        // tests/retract.rs).
                         journal.note_support(Support {
-                            target: holder,
-                            source: id,
-                            kind: SupportKind::Coref { role: last },
+                            target: fid,
+                            source,
+                            kind,
                         });
                     }
+                    SupportKind::Coref { .. } => {
+                        if changed {
+                            self.stats.coref_propagations.bump();
+                            report.corefs_derived += 1;
+                            journal.note_support(Support {
+                                target: fid,
+                                source,
+                                kind,
+                            });
+                        }
+                    }
+                    // Told/Rule supports never travel as Conjoin effects.
+                    SupportKind::Told { .. } | SupportKind::Rule { .. } => {}
                 }
+                // The source was planned against the state before this
+                // write; its later phases (a `SAME-AS` chain through the
+                // target, a closed-role instance check) may depend on
+                // it. Re-planning it next epoch is a no-op once nothing
+                // changes, so the fixed point is the same.
+                if changed {
+                    work.push_back(source);
+                }
+                Ok(())
+            }
+            Effect::Install {
+                ind,
+                qualifying,
+                msc,
+            } => {
+                // Stale installs are possible (an earlier effect of this
+                // epoch may have grown `ind` further); recognition is
+                // monotone, so installing the plan-time subset and
+                // letting the re-enqueued target correct itself next
+                // epoch converges.
+                if self.inds[ind.index()].instance_nodes == qualifying {
+                    return Ok(());
+                }
+                journal.touch(self, ind);
+                self.install_recognition(ind, qualifying, msc);
+                report.reclassified += 1;
+                // Individuals holding `ind` as a filler may now pass
+                // instance checks that enumerate closed-role fillers.
+                if let Some(parents) = self.reverse_fillers.get(&ind) {
+                    work.extend(parents.iter().copied());
+                }
+                Ok(())
+            }
+            Effect::FireRule { ind, rule_ix } => {
+                self.apply_rule_firing(ind, rule_ix, journal, work, report)
             }
         }
-
-        // ---- phase 3: recognition + rules -----------------------------------
-        let (changed, _newly) = self.realize(id);
-        if changed {
-            report.reclassified += 1;
-            // Individuals holding `id` as a filler may now pass instance
-            // checks that enumerate closed-role fillers.
-            if let Some(parents) = self.reverse_fillers.get(&id) {
-                work.extend(parents.iter().copied());
-            }
-        }
-        // Fire any unfired rules attached to concepts this individual is
-        // now recognized under.
-        let due: Vec<usize> = {
-            let ind = &self.inds[id.index()];
-            ind.instance_nodes
-                .iter()
-                .filter_map(|n| self.rules_by_node.get(n))
-                .flatten()
-                .copied()
-                .filter(|ix| !ind.fired_rules.contains(ix))
-                .collect()
-        };
-        for rule_ix in due {
-            self.apply_rule_firing(id, rule_ix, journal, work, report)?;
-        }
-        Ok(())
     }
 
     /// Fire one due rule on `id`: mark it fired, conjoin the consequent,
-    /// record the support, and enqueue the consequences. Shared verbatim
-    /// between the sequential pass and the sharded apply phase so the two
-    /// engines cannot drift.
+    /// record the support, and enqueue the consequences.
     fn apply_rule_firing(
         &mut self,
         id: IndId,
@@ -417,7 +342,7 @@ impl Kb {
         journal.touch(self, id);
         self.inds[id.index()].fired_rules.insert(rule_ix);
         let consequent = self.rules[rule_ix].consequent.clone();
-        self.ensure_referenced_inds_pub(&consequent, journal);
+        self.ensure_referenced_inds(&consequent, journal)?;
         let mut derived = std::mem::take(&mut self.inds[id.index()].derived);
         let before = derived.clone();
         let res = conjoin_expression(&consequent, &mut self.schema, &mut derived);
@@ -444,161 +369,6 @@ impl Kb {
         Ok(())
     }
 
-    // ---- sharded apply phase ---------------------------------------------
-
-    /// Resolve an effect target to an arena id, creating
-    /// referenced-but-missing individuals (in canonical drain order, so
-    /// creation order — and therefore arena layout — is deterministic).
-    fn resolve_target(&mut self, target: TargetRef, journal: &mut Journal) -> IndId {
-        match target {
-            TargetRef::Id(id) => id,
-            TargetRef::Name(name) => self.ensure_ind(name, journal),
-        }
-    }
-
-    /// Apply one cross-shard effect at the epoch barrier. Every mutation
-    /// goes through the same journal-tracked helpers as the sequential
-    /// engine, so rollback and provenance are shared.
-    pub(crate) fn apply_effect(
-        &mut self,
-        effect: Effect,
-        journal: &mut Journal,
-        work: &mut VecDeque<IndId>,
-        report: &mut AssertReport,
-    ) -> Result<()> {
-        match effect {
-            Effect::Abort { error, .. } => Err(error),
-            Effect::ReverseEdge { filler, host } => {
-                let fid = self.resolve_target(filler, journal);
-                if self.reverse_fillers.entry(fid).or_default().insert(host) {
-                    journal.note_reverse_edge(fid, host);
-                }
-                Ok(())
-            }
-            Effect::Support {
-                target,
-                source,
-                kind,
-            } => {
-                let fid = self.resolve_target(target, journal);
-                journal.note_support(Support {
-                    target: fid,
-                    source,
-                    kind,
-                });
-                Ok(())
-            }
-            Effect::Conjoin {
-                target,
-                nf,
-                source,
-                kind,
-            } => {
-                let fid = self.resolve_target(target, journal);
-                let changed = self.conjoin_nf(fid, &nf, journal, work, report)?;
-                match kind {
-                    SupportKind::All { .. } => {
-                        if changed {
-                            self.stats.fills_propagations.bump();
-                            report.fills_propagated += 1;
-                        }
-                        // Unconditional, like the sequential engine: the
-                        // support set is a function of the fixed point,
-                        // not of arrival order.
-                        journal.note_support(Support {
-                            target: fid,
-                            source,
-                            kind,
-                        });
-                    }
-                    SupportKind::Coref { .. } => {
-                        if changed {
-                            self.stats.coref_propagations.bump();
-                            report.corefs_derived += 1;
-                            journal.note_support(Support {
-                                target: fid,
-                                source,
-                                kind,
-                            });
-                        }
-                    }
-                    // Told/Rule supports never travel as Conjoin effects.
-                    SupportKind::Told { .. } | SupportKind::Rule { .. } => {}
-                }
-                // Re-plan the source so it sees the post-apply state —
-                // the sharded stand-in for later phases of a sequential
-                // pass observing earlier phases' writes.
-                if changed {
-                    work.push_back(source);
-                }
-                Ok(())
-            }
-            Effect::Install {
-                ind,
-                qualifying,
-                msc,
-            } => {
-                // Stale installs are possible (an earlier effect in this
-                // same barrier may have grown `ind` further); recognition
-                // is monotone, so installing the plan-time superset and
-                // letting the re-enqueued target correct itself next
-                // epoch converges.
-                if self.inds[ind.index()].instance_nodes == qualifying {
-                    return Ok(());
-                }
-                journal.touch(self, ind);
-                self.stats.realizations.bump();
-                let old_msc: Vec<NodeId> = self.inds[ind.index()].msc.iter().copied().collect();
-                for n in old_msc {
-                    self.extensions[n.index()].remove(&ind);
-                }
-                for n in &msc {
-                    self.extensions[n.index()].insert(ind);
-                }
-                let slot = &mut self.inds[ind.index()];
-                slot.instance_nodes = qualifying;
-                slot.msc = msc;
-                report.reclassified += 1;
-                // Individuals holding `ind` as a filler may now pass
-                // instance checks that enumerate closed-role fillers.
-                if let Some(parents) = self.reverse_fillers.get(&ind) {
-                    work.extend(parents.iter().copied());
-                }
-                Ok(())
-            }
-            Effect::FireRule { ind, rule_ix } => {
-                self.apply_rule_firing(ind, rule_ix, journal, work, report)
-            }
-        }
-    }
-
-    pub(crate) fn ensure_referenced_inds_pub(
-        &mut self,
-        desc: &classic_core::Concept,
-        journal: &mut Journal,
-    ) {
-        use classic_core::Concept;
-        match desc {
-            Concept::OneOf(inds) | Concept::Fills(_, inds) => {
-                for i in inds {
-                    if let IndRef::Classic(n) = i {
-                        self.ensure_ind(*n, journal);
-                    }
-                }
-            }
-            Concept::All(_, inner) => self.ensure_referenced_inds_pub(inner, journal),
-            Concept::And(parts) => {
-                for p in parts {
-                    self.ensure_referenced_inds_pub(p, journal);
-                }
-            }
-            Concept::Primitive { parent, .. } | Concept::DisjointPrimitive { parent, .. } => {
-                self.ensure_referenced_inds_pub(parent, journal)
-            }
-            _ => {}
-        }
-    }
-
     /// Conjoin an already-canonical normal form into an individual's
     /// derived description. Returns whether anything changed; enqueues the
     /// target (and its dependents) when it did.
@@ -608,7 +378,6 @@ impl Kb {
         nf: &NormalForm,
         journal: &mut Journal,
         work: &mut VecDeque<IndId>,
-        _report: &mut AssertReport,
     ) -> Result<bool> {
         // Cheap monotone short-circuit: nothing to add if the target is
         // already at least as specific.
@@ -675,28 +444,35 @@ impl Kb {
 
     // ---- recognition ----------------------------------------------------
 
-    /// Re-realize one individual: recompute the set of schema concepts it
-    /// provably belongs to, its most-specific frontier, and the extension
-    /// index. Returns (changed, newly entered nodes).
-    pub(crate) fn realize(&mut self, id: IndId) -> (bool, BTreeSet<NodeId>) {
+    /// Re-realize one individual outside a fixpoint (a new definition
+    /// or a new individual): recompute the schema concepts it provably
+    /// belongs to and install them.
+    pub(crate) fn realize(&mut self, id: IndId) -> Result<()> {
         self.stats.realizations.bump();
-        let (qualifying, msc) = self.compute_recognition(id);
-        let old = &self.inds[id.index()].instance_nodes;
-        if *old == qualifying {
-            return (false, BTreeSet::new());
+        let (qualifying, msc) = guard_recognizers(|| self.compute_recognition(id))?;
+        if self.inds[id.index()].instance_nodes != qualifying {
+            self.install_recognition(id, qualifying, msc);
         }
-        let newly: BTreeSet<NodeId> = qualifying.difference(old).copied().collect();
-        let old_msc: Vec<NodeId> = self.inds[id.index()].msc.iter().copied().collect();
-        for n in old_msc {
+        Ok(())
+    }
+
+    /// Replace `id`'s recognized concepts and most-specific frontier,
+    /// keeping the extension index in step.
+    fn install_recognition(
+        &mut self,
+        id: IndId,
+        qualifying: BTreeSet<NodeId>,
+        msc: BTreeSet<NodeId>,
+    ) {
+        let ind = &mut self.inds[id.index()];
+        for n in &ind.msc {
             self.extensions[n.index()].remove(&id);
         }
         for n in &msc {
             self.extensions[n.index()].insert(id);
         }
-        let ind = &mut self.inds[id.index()];
         ind.instance_nodes = qualifying;
         ind.msc = msc;
-        (true, newly)
     }
 
     /// Pruned top-down recognition sweep: a node's children are only
@@ -704,9 +480,8 @@ impl Kb {
     /// monotone along subsumption, so nothing below a failed node can
     /// succeed).
     ///
-    /// Read-only (`&self`) by construction — the sharded engine runs this
-    /// concurrently from shard workers, which is where the parallel
-    /// speedup comes from (instance tests dominate wide fixpoints).
+    /// Read-only (`&self`) by construction — planning workers run this
+    /// concurrently (instance tests dominate wide fixpoints).
     pub(crate) fn compute_recognition(&self, id: IndId) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
         let mut qualifying: BTreeSet<NodeId> = BTreeSet::new();
         let mut failed: BTreeSet<NodeId> = BTreeSet::new();
@@ -974,11 +749,5 @@ impl Kb {
             return false;
         }
         true
-    }
-}
-
-impl Journal {
-    pub(crate) fn note_reverse_edge(&mut self, filler: IndId, host: IndId) {
-        self.push_reverse(filler, host);
     }
 }

@@ -186,6 +186,8 @@ proptest! {
             "final states diverge (chunk={})",
             chunk
         );
+        kb.check_invariants().expect("bulk-loaded state");
+        oracle.check_invariants().expect("replayed state");
     }
 
     /// Rejected rows leave no trace even when the row itself introduced

@@ -1,26 +1,32 @@
-//! Differential tests: the sharded propagation engine against the
-//! sequential oracle.
+//! Thread-count invariance of the propagation fixpoint.
 //!
-//! Every scenario builds two KBs with identical schemas, pins one to the
-//! sequential engine (`set_propagation_threads(1)`) and the other to the
-//! sharded engine (4 shards, with the parallel threshold forced down so
-//! even modest fixpoints exercise the epoch/barrier machinery), applies
-//! the identical operation sequence to both, and asserts the resulting
-//! *logical states* are equal: same individuals by name, same derived
-//! normal forms, same recognized concepts and most-specific frontiers,
-//! same fired rules. Step counts and arena internals may differ between
-//! engines; the state may not.
+//! `Kb::set_propagation_threads` is documented as changing wall time and
+//! nothing else. Every scenario builds two KBs with identical schemas,
+//! one planning on 1 thread and one on 4, applies the identical
+//! operation sequence to both, and asserts that each operation is
+//! accepted or rejected alike, reports the same `steps`, and leaves equal
+//! *logical states*: same individuals by name, same derived normal
+//! forms, same recognized concepts and most-specific frontiers, same
+//! fired rules. There is no second engine to compare against: what pins
+//! the result itself is `check_invariants` (closure under the step
+//! included) here, the hand-written expectations in `paper_scenarios.rs`
+//! and `cascades.rs`, and rebuild-from-told in `retract.rs`.
 //!
-//! These tests run under the CI ThreadSanitizer leg (`-p classic-kb`),
-//! which is what actually exercises the scoped shard workers for data
-//! races — on a single-core runner the sharded code path still runs, just
-//! with little true overlap.
+//! The cascades are 70–120 individuals wide, past the engine's
+//! 64-item inline threshold, so the scoped planning workers really run
+//! — which is what the CI ThreadSanitizer leg (`-p classic-kb`) is here
+//! to watch.
 
 use classic_core::desc::{Concept, IndRef};
 use classic_kb::Kb;
 
 /// Clone-free logical-state equality, keyed by individual name.
 fn assert_same_state(seq: &Kb, shd: &Kb, context: &str) {
+    assert_eq!(
+        seq.stats.propagation_steps.get(),
+        shd.stats.propagation_steps.get(),
+        "{context}: step counts differ"
+    );
     assert_eq!(
         seq.ind_count(),
         shd.ind_count(),
@@ -50,18 +56,17 @@ fn assert_same_state(seq: &Kb, shd: &Kb, context: &str) {
         );
         assert_eq!(a.told, b.told, "{context}: told facts differ for {name}");
     }
-    seq.check_invariants().expect("sequential invariants");
-    shd.check_invariants().expect("sharded invariants");
+    seq.check_invariants().expect("1-thread invariants");
+    shd.check_invariants().expect("4-thread invariants");
 }
 
-/// A pair of KBs built by the same schema closure, one per engine.
+/// A pair of KBs built by the same schema closure: 1 and 4 threads.
 fn engine_pair(schema: impl Fn(&mut Kb)) -> (Kb, Kb) {
     let mut seq = Kb::new();
     seq.set_propagation_threads(1);
     schema(&mut seq);
     let mut shd = Kb::new();
     shd.set_propagation_threads(4);
-    shd.set_propagation_min_batch(2);
     schema(&mut shd);
     (seq, shd)
 }
@@ -79,7 +84,8 @@ fn wide_schema(kb: &mut Kb) {
 #[test]
 fn wide_all_cascade_matches_sequential() {
     let (mut seq, mut shd) = engine_pair(wide_schema);
-    for kb in [&mut seq, &mut shd] {
+    let steps = [&mut seq, &mut shd].map(|kb| {
+        let mut steps: Vec<u64> = Vec::new();
         let member = kb.schema().symbols.find_role("member").unwrap();
         let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
         kb.create_ind("Hub").unwrap();
@@ -87,15 +93,23 @@ fn wide_all_cascade_matches_sequential() {
         let fillers: Vec<IndRef> = (0..120)
             .map(|i| IndRef::Classic(kb.schema_mut().symbols.individual(&format!("m{i}"))))
             .collect();
-        kb.assert_ind("Hub", &Concept::Fills(member, fillers))
-            .unwrap();
+        steps.push(
+            kb.assert_ind("Hub", &Concept::Fills(member, fillers))
+                .unwrap()
+                .steps,
+        );
         // The ALL restriction now propagates TRACKED onto all 120.
-        kb.assert_ind(
-            "Hub",
-            &Concept::All(member, Box::new(Concept::Name(tracked))),
-        )
-        .unwrap();
-    }
+        steps.push(
+            kb.assert_ind(
+                "Hub",
+                &Concept::All(member, Box::new(Concept::Name(tracked))),
+            )
+            .unwrap()
+            .steps,
+        );
+        steps
+    });
+    assert_eq!(steps[0], steps[1], "per-op step counts differ");
     assert_same_state(&seq, &shd, "wide ALL cascade");
     let tracked = seq.schema().symbols.find_concept("TRACKED").unwrap();
     assert_eq!(seq.instances_of(tracked).unwrap().len(), 120);
@@ -111,21 +125,30 @@ fn rule_cascade_matches_sequential() {
         // Every TRACKED individual becomes a VIP via forward chaining.
         kb.assert_rule("TRACKED", Concept::Name(vip)).unwrap();
     });
-    for kb in [&mut seq, &mut shd] {
+    let steps = [&mut seq, &mut shd].map(|kb| {
+        let mut steps: Vec<u64> = Vec::new();
         let member = kb.schema().symbols.find_role("member").unwrap();
         let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
         kb.create_ind("Hub").unwrap();
         let fillers: Vec<IndRef> = (0..80)
             .map(|i| IndRef::Classic(kb.schema_mut().symbols.individual(&format!("w{i}"))))
             .collect();
-        kb.assert_ind("Hub", &Concept::Fills(member, fillers))
-            .unwrap();
-        kb.assert_ind(
-            "Hub",
-            &Concept::All(member, Box::new(Concept::Name(tracked))),
-        )
-        .unwrap();
-    }
+        steps.push(
+            kb.assert_ind("Hub", &Concept::Fills(member, fillers))
+                .unwrap()
+                .steps,
+        );
+        steps.push(
+            kb.assert_ind(
+                "Hub",
+                &Concept::All(member, Box::new(Concept::Name(tracked))),
+            )
+            .unwrap()
+            .steps,
+        );
+        steps
+    });
+    assert_eq!(steps[0], steps[1], "per-op step counts differ");
     assert_same_state(&seq, &shd, "rule cascade");
     let vip = seq.schema().symbols.find_concept("VIP").unwrap();
     assert_eq!(seq.instances_of(vip).unwrap().len(), 80);
@@ -138,28 +161,44 @@ fn same_as_derivations_match_sequential() {
         kb.define_attribute("driver").unwrap();
         kb.define_role("member").unwrap();
     });
-    for kb in [&mut seq, &mut shd] {
+    let steps = [&mut seq, &mut shd].map(|kb| {
+        let mut steps: Vec<u64> = Vec::new();
         let owner = kb.schema().symbols.find_role("owner").unwrap();
         let driver = kb.schema().symbols.find_role("driver").unwrap();
         let member = kb.schema().symbols.find_role("member").unwrap();
-        // Widen the worklist with unrelated individuals so the SAME-AS
-        // epoch itself crosses the parallel threshold.
-        kb.create_ind("Pad").unwrap();
-        let pad: Vec<IndRef> = (0..40)
-            .map(|i| IndRef::Classic(kb.schema_mut().symbols.individual(&format!("p{i}"))))
-            .collect();
-        kb.assert_ind("Pad", &Concept::Fills(member, pad)).unwrap();
-        for i in 0..20 {
+        let mut cars: Vec<IndRef> = Vec::new();
+        for i in 0..70 {
             let name = format!("car{i}");
             kb.create_ind(&name).unwrap();
             let olga = kb.schema_mut().symbols.individual(&format!("olga{i}"));
-            kb.assert_ind(&name, &Concept::Fills(owner, vec![IndRef::Classic(olga)]))
-                .unwrap();
-            // SAME-AS((owner)(driver)): the driver must be the owner.
-            kb.assert_ind(&name, &Concept::SameAs(vec![owner], vec![driver]))
-                .unwrap();
+            steps.push(
+                kb.assert_ind(&name, &Concept::Fills(owner, vec![IndRef::Classic(olga)]))
+                    .unwrap()
+                    .steps,
+            );
+            cars.push(IndRef::Classic(kb.schema_mut().symbols.individual(&name)));
         }
-    }
+        // SAME-AS((owner)(driver)) — the driver must be the owner —
+        // pushed onto all 70 cars at once through an ALL, so the epoch
+        // that derives the drivers is wide enough to be planned on
+        // workers.
+        kb.create_ind("Fleet").unwrap();
+        steps.push(
+            kb.assert_ind("Fleet", &Concept::Fills(member, cars))
+                .unwrap()
+                .steps,
+        );
+        steps.push(
+            kb.assert_ind(
+                "Fleet",
+                &Concept::All(member, Box::new(Concept::SameAs(vec![owner], vec![driver]))),
+            )
+            .unwrap()
+            .steps,
+        );
+        steps
+    });
+    assert_eq!(steps[0], steps[1], "per-op step counts differ");
     assert_same_state(&seq, &shd, "SAME-AS derivation");
     // Spot-check the derivation actually happened.
     let driver = seq.schema().symbols.find_role("driver").unwrap();
@@ -176,45 +215,61 @@ fn rejected_updates_roll_back_identically() {
         kb.define_concept("LONER", Concept::primitive(Concept::thing(), "loner"))
             .unwrap();
     });
-    for kb in [&mut seq, &mut shd] {
+    let steps = [&mut seq, &mut shd].map(|kb| {
+        let mut steps: Vec<u64> = Vec::new();
         let member = kb.schema().symbols.find_role("member").unwrap();
         kb.create_ind("Hub").unwrap();
-        let fillers: Vec<IndRef> = (0..50)
+        let fillers: Vec<IndRef> = (0..80)
             .map(|i| IndRef::Classic(kb.schema_mut().symbols.individual(&format!("x{i}"))))
             .collect();
-        kb.assert_ind("Hub", &Concept::Fills(member, fillers))
-            .unwrap();
+        steps.push(
+            kb.assert_ind("Hub", &Concept::Fills(member, fillers))
+                .unwrap()
+                .steps,
+        );
         // x0 already needs ≥2 members, so the ALL cascade below — which
         // pushes (AT-MOST 1 member) onto every filler — must clash on it
         // partway through a wide epoch and roll the whole update back.
-        kb.assert_ind("x0", &Concept::AtLeast(2, member)).unwrap();
+        steps.push(
+            kb.assert_ind("x0", &Concept::AtLeast(2, member))
+                .unwrap()
+                .steps,
+        );
         let err = kb.assert_ind(
             "Hub",
             &Concept::All(member, Box::new(Concept::AtMost(1, member))),
         );
         assert!(err.is_err(), "cascade onto x0 must clash");
-    }
+        steps
+    });
+    assert_eq!(steps[0], steps[1], "per-op step counts differ");
     assert_same_state(&seq, &shd, "rejected update rollback");
 }
 
 #[test]
 fn retraction_rederivation_matches_sequential() {
     let (mut seq, mut shd) = engine_pair(wide_schema);
-    for kb in [&mut seq, &mut shd] {
+    let steps = [&mut seq, &mut shd].map(|kb| {
+        let mut steps: Vec<u64> = Vec::new();
         let member = kb.schema().symbols.find_role("member").unwrap();
         let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
         kb.create_ind("Hub").unwrap();
-        let fillers: Vec<IndRef> = (0..60)
+        let fillers: Vec<IndRef> = (0..80)
             .map(|i| IndRef::Classic(kb.schema_mut().symbols.individual(&format!("r{i}"))))
             .collect();
-        kb.assert_ind("Hub", &Concept::Fills(member, fillers))
-            .unwrap();
+        steps.push(
+            kb.assert_ind("Hub", &Concept::Fills(member, fillers))
+                .unwrap()
+                .steps,
+        );
         let all = Concept::All(member, Box::new(Concept::Name(tracked)));
-        kb.assert_ind("Hub", &all).unwrap();
+        steps.push(kb.assert_ind("Hub", &all).unwrap().steps);
         // Retract the ALL: every filler loses TRACKED via re-derivation,
         // which seeds the widest worklist in the engine.
-        kb.retract_ind("Hub", &all).unwrap();
-    }
+        steps.push(kb.retract_ind("Hub", &all).unwrap().steps);
+        steps
+    });
+    assert_eq!(steps[0], steps[1], "per-op step counts differ");
     assert_same_state(&seq, &shd, "retraction re-derivation");
     let tracked = seq.schema().symbols.find_concept("TRACKED").unwrap();
     assert_eq!(seq.instances_of(tracked).unwrap().len(), 0);
@@ -225,7 +280,6 @@ fn sharded_runs_are_deterministic_across_repeats() {
     let build = || {
         let mut kb = Kb::new();
         kb.set_propagation_threads(4);
-        kb.set_propagation_min_batch(2);
         wide_schema(&mut kb);
         let member = kb.schema().symbols.find_role("member").unwrap();
         let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
@@ -247,7 +301,7 @@ fn sharded_runs_are_deterministic_across_repeats() {
         let again = build();
         // Determinism is stronger than logical equality: the arena
         // creation order must match run to run, because effects apply in
-        // canonical drain order, never scheduling order.
+        // batch order, never scheduling order.
         let names_first: Vec<String> = first
             .ind_ids()
             .map(|i| {

@@ -627,20 +627,6 @@ pub fn parse_one(input: &str) -> Result<Command> {
     }
 }
 
-/// Deprecated shim from before the parse/resolve split: parsing no longer
-/// needs (or touches) a KB.
-#[deprecated(note = "parsing is pure now — use `parse(input)`; names resolve at `eval` time")]
-pub fn parse_commands(input: &str, _kb: &mut Kb) -> Result<Vec<Command>> {
-    parse(input)
-}
-
-/// Deprecated shim from before the parse/resolve split: parsing no longer
-/// needs (or touches) a KB.
-#[deprecated(note = "parsing is pure now — use `parse_one(input)`; names resolve at `eval` time")]
-pub fn parse_command(input: &str, _kb: &mut Kb) -> Result<Command> {
-    parse_one(input)
-}
-
 /// Parse one command from a balanced token window. Pure.
 pub(crate) fn parse_command_tokens(tokens: &[Token]) -> Result<Command> {
     let mut w = TokenWindow { tokens, ix: 0 };

@@ -51,8 +51,6 @@ pub use command::{
     eval, eval_monitored, mark_individual_dirty, parse, parse_one, resolve_bulk_rows, run_script,
     AspectValue, BulkRowSpec, BulkSpec, Command, LintDiagnostic, LintReport, Outcome, Session,
 };
-#[allow(deprecated)]
-pub use command::{parse_command, parse_commands};
 pub use macros::MacroTable;
 pub use parser::{parse_concept, parse_expr, parse_query, parse_query_expr, Parser};
 

@@ -3,7 +3,7 @@
 //! Query processing for the CLASSIC reproduction (paper §3.5):
 //!
 //! * **Concepts as queries** — any concept expression asks for the
-//!   individuals satisfying it ([`retrieve`]); answered with the §5
+//!   individuals satisfying it ([`Query::concept`]); answered with the §5
 //!   technique: "first, the query concept is itself classified with
 //!   respect to the concepts in the schema; then the instances of the
 //!   parent concepts are tested individually … all instances of schema
@@ -12,19 +12,18 @@
 //!   [`retrieve_naive`] is the unpruned baseline (experiments E3/E8).
 //! * **Open-world answer modes** — "sets of individuals that are *known*
 //!   to satisfy the query, sets of individuals that *might* satisfy the
-//!   query" ([`possible`]), and
+//!   query" ([`Query::possible`]), and
 //! * **intensional answers** — "a most-specific description of the
 //!   necessary properties of the objects, known or unknown, that might
-//!   satisfy the query" ([`ask_description`]), including information
+//!   satisfy the query" ([`Query::description`]), including information
 //!   contributed by forward-chaining rules (the JUNK-FOOD example).
 //! * **Marked queries** — the `?:` marker distinguishing the subexpression
-//!   whose instances are wanted ([`MarkedQuery`], [`ask_necessary_set`]).
+//!   whose instances are wanted ([`MarkedQuery`], [`Query::marked`]).
 //!
 //! All four answer forms are fronted by one builder, [`Query`], whose
-//! [`Query::run`] returns a structured [`Answer`]; the free functions are
-//! retained as thin entry points over the same machinery. Candidate
-//! instance tests inside [`retrieve_nf`] fan out across scoped threads
-//! when the candidate set is large.
+//! [`Query::run`] returns a structured [`Answer`]. Candidate instance
+//! tests inside [`retrieve_nf`] fan out across scoped threads when the
+//! candidate set is large.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,9 +108,7 @@ enum QueryMode {
 
 /// A query under construction: one concept expression, an optional `?:`
 /// marker path, and the answer form wanted. This is the single front door
-/// to the §3.5 query facilities; the free functions ([`retrieve`],
-/// [`possible`], [`ask_necessary_set`], [`ask_description`]) remain as
-/// thin entry points over the same machinery.
+/// to the §3.5 query facilities.
 ///
 /// ```
 /// use classic_core::Concept;
@@ -139,7 +136,29 @@ pub struct Query {
 
 impl Query {
     /// Start a query from a concept expression; defaults to the *known*
-    /// answer set (`retrieve`).
+    /// answer set, evaluated via classification (§5).
+    ///
+    /// ```
+    /// use classic_core::Concept;
+    /// use classic_kb::Kb;
+    ///
+    /// let mut kb = Kb::new();
+    /// let wheels = kb.define_role("wheel")?;
+    /// kb.define_concept("VEHICLE", Concept::primitive(Concept::thing(), "v"))?;
+    /// let vehicle = kb.schema().symbols.find_concept("VEHICLE").unwrap();
+    /// for (name, n) in [("Bike", 2), ("Trike", 3), ("Car", 4)] {
+    ///     kb.create_ind(name)?;
+    ///     kb.assert_ind(name, &Concept::Name(vehicle))?;
+    ///     kb.assert_ind(name, &Concept::AtLeast(n, wheels))?;
+    /// }
+    /// let q = Concept::and([Concept::Name(vehicle), Concept::AtLeast(3, wheels)]);
+    /// let answers = classic_query::Query::concept(q)
+    ///     .run(&mut kb)?
+    ///     .into_known()
+    ///     .unwrap();
+    /// assert_eq!(answers.known.len(), 2); // Trike and Car
+    /// # Ok::<(), classic_core::ClassicError>(())
+    /// ```
     pub fn concept(concept: Concept) -> Query {
         Query {
             concept,
@@ -171,19 +190,32 @@ impl Query {
         self
     }
 
-    /// Ask for the individuals that *might* satisfy the query (open world).
+    /// Ask for the individuals that *might* satisfy the query under the
+    /// open-world assumption (§3.5.3): everything whose derived
+    /// description is not provably disjoint from the query. Always a
+    /// superset of the known answers.
     pub fn possible(mut self) -> Query {
         self.mode = QueryMode::Possible;
         self
     }
 
-    /// Ask for the fillers at the marker across all known answers.
+    /// `ask-necessary-set`: the fillers at the marker position across all
+    /// known answers (§3.5.3). Fillers may be host values.
     pub fn necessary_set(mut self) -> Query {
         self.mode = QueryMode::NecessarySet;
         self
     }
 
-    /// Ask for the most-specific description of the marked objects.
+    /// `ask-description`: the most specific description that
+    /// *necessarily* holds of every possible object at the marker
+    /// position — "independent of the known examples" (§3.5.3).
+    ///
+    /// The description is assembled from the query's value restrictions
+    /// along the marker path, then repeatedly augmented with the
+    /// consequents of every rule attached to a schema concept that
+    /// subsumes it ("the description of this set, in light of the
+    /// forward-chaining rules in effect at that time, might include
+    /// JUNK-FOOD"), to a fixed point.
     pub fn description(mut self) -> Query {
         self.mode = QueryMode::Description;
         self
@@ -260,34 +292,6 @@ impl Answer {
             _ => None,
         }
     }
-}
-
-/// Evaluate a concept-as-query via classification (§5).
-///
-/// ```
-/// use classic_core::Concept;
-/// use classic_kb::Kb;
-///
-/// let mut kb = Kb::new();
-/// let wheels = kb.define_role("wheel")?;
-/// kb.define_concept("VEHICLE", Concept::primitive(Concept::thing(), "v"))?;
-/// let vehicle = kb.schema().symbols.find_concept("VEHICLE").unwrap();
-/// for (name, n) in [("Bike", 2), ("Trike", 3), ("Car", 4)] {
-///     kb.create_ind(name)?;
-///     kb.assert_ind(name, &Concept::Name(vehicle))?;
-///     kb.assert_ind(name, &Concept::AtLeast(n, wheels))?;
-/// }
-/// let q = Concept::and([Concept::Name(vehicle), Concept::AtLeast(3, wheels)]);
-/// let answers = classic_query::Query::concept(q)
-///     .run(&mut kb)?
-///     .into_known()
-///     .unwrap();
-/// assert_eq!(answers.known.len(), 2); // Trike and Car
-/// # Ok::<(), classic_core::ClassicError>(())
-/// ```
-#[deprecated(note = "use the `Query` builder: `Query::concept(c).run(kb)?.into_known()`")]
-pub fn retrieve(kb: &mut Kb, query: &Concept) -> Result<Answers> {
-    retrieve_impl(kb, query)
 }
 
 fn retrieve_impl(kb: &mut Kb, query: &Concept) -> Result<Answers> {
@@ -535,17 +539,6 @@ pub fn retrieve_naive_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
     Ok(Answers { known, stats })
 }
 
-/// The individuals that *might* satisfy the query under the open-world
-/// assumption (§3.5.3): everything whose derived description is not
-/// provably disjoint from the query. Always a superset of the known
-/// answers.
-#[deprecated(
-    note = "use the `Query` builder: `Query::concept(c).possible().run(kb)?.into_possible()`"
-)]
-pub fn possible(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
-    possible_impl(kb, query)
-}
-
 fn possible_impl(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
     let nf = kb.normalize(query)?;
     let ids: Vec<IndId> = kb.ind_ids().collect();
@@ -554,14 +547,6 @@ fn possible_impl(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
             .filter(|&id| kb.possible_instance(id, &nf))
             .collect()
     })
-}
-
-/// `ask-necessary-set`: evaluate a marked query and return the fillers at
-/// the marker position across all known answers (§3.5.3). Fillers may be
-/// host values.
-#[deprecated(note = "use the `Query` builder: `Query::marked(q).run(kb)?.into_necessary_set()`")]
-pub fn ask_necessary_set(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
-    ask_necessary_set_impl(kb, q)
 }
 
 fn ask_necessary_set_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
@@ -582,22 +567,6 @@ fn ask_necessary_set_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
         frontier = next;
     }
     Ok(frontier.into_iter().collect())
-}
-
-/// `ask-description`: the most specific description that *necessarily*
-/// holds of every possible object at the marker position — "independent of
-/// the known examples" (§3.5.3).
-///
-/// The description is assembled from the query's value restrictions along
-/// the marker path, then repeatedly augmented with the consequents of
-/// every rule attached to a schema concept that subsumes it ("the
-/// description of this set, in light of the forward-chaining rules in
-/// effect at that time, might include JUNK-FOOD"), to a fixed point.
-#[deprecated(
-    note = "use the `Query` builder: `Query::marked(q).description().run(kb)?.into_description()`"
-)]
-pub fn ask_description(kb: &mut Kb, q: &MarkedQuery) -> Result<NormalForm> {
-    ask_description_impl(kb, q)
 }
 
 fn ask_description_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<NormalForm> {
@@ -676,12 +645,17 @@ pub fn describe(kb: &Kb, id: IndId) -> Concept {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated free functions stay under test until they are
-    // removed: the builder-parity tests below are exactly what keeps the
-    // shims honest.
-    #![allow(deprecated)]
     use super::*;
     use classic_core::desc::Concept;
+
+    fn retrieve(kb: &mut Kb, q: &Concept) -> Result<Answers> {
+        Ok(Query::concept(q.clone()).run(kb)?.into_known().unwrap())
+    }
+
+    fn possible(kb: &mut Kb, q: &Concept) -> Result<Vec<IndId>> {
+        let ans = Query::concept(q.clone()).possible().run(kb)?;
+        Ok(ans.into_possible().unwrap())
+    }
 
     fn kb_with_schema() -> Kb {
         let mut kb = Kb::new();
@@ -783,8 +757,8 @@ mod tests {
             concept: Concept::Name(person),
             marker: vec![eat],
         };
-        let fillers = ask_necessary_set(&mut kb, &q).unwrap();
-        assert_eq!(fillers, vec![pizza]);
+        let fillers = Query::marked(q).run(&mut kb).unwrap();
+        assert_eq!(fillers.into_necessary_set().unwrap(), vec![pizza]);
     }
 
     #[test]
@@ -805,7 +779,12 @@ mod tests {
             concept: Concept::Name(student),
             marker: vec![eat],
         };
-        let desc = ask_description(&mut kb, &q).unwrap();
+        let desc = Query::marked(q)
+            .description()
+            .run(&mut kb)
+            .unwrap()
+            .into_description()
+            .unwrap();
         let junk_nf = kb.schema().concept_nf(junk).unwrap();
         assert!(classic_core::subsumes(junk_nf, &desc));
     }
@@ -840,32 +819,29 @@ mod tests {
             .unwrap();
         kb.create_ind("Maybe").unwrap();
 
+        // Known answers: the builder, the normalized entry point it
+        // fronts, and the unpruned baseline agree.
         let q = Concept::Name(person);
-        let known = Query::concept(q.clone())
-            .run(&mut kb)
-            .unwrap()
-            .into_known()
-            .unwrap();
-        assert_eq!(known.known, retrieve(&mut kb, &q).unwrap().known);
+        let known = retrieve(&mut kb, &q).unwrap().known;
+        let nf = kb.normalize(&q).unwrap();
+        assert_eq!(known, retrieve_nf(&kb, &nf).unwrap().known);
+        assert_eq!(known, retrieve_naive(&mut kb, &q).unwrap().known);
+        assert_eq!(possible(&mut kb, &q).unwrap().len(), 3);
 
-        let poss = Query::concept(q.clone())
-            .possible()
-            .run(&mut kb)
-            .unwrap()
-            .into_possible()
-            .unwrap();
-        assert_eq!(poss, possible(&mut kb, &q).unwrap());
-
+        // Marked answers: `concept(..).marker(..)` and `marked(..)` are
+        // two routes to the same query.
         let mq = MarkedQuery {
             concept: q.clone(),
             marker: vec![eat],
         };
-        let set = Query::marked(mq.clone())
+        let set = Query::marked(mq.clone()).run(&mut kb).unwrap();
+        let set = set.into_necessary_set().unwrap();
+        let routed = Query::concept(q.clone())
+            .marker([eat])
+            .necessary_set()
             .run(&mut kb)
-            .unwrap()
-            .into_necessary_set()
             .unwrap();
-        assert_eq!(set, ask_necessary_set(&mut kb, &mq).unwrap());
+        assert_eq!(set, routed.into_necessary_set().unwrap());
         assert_eq!(set, vec![pizza]);
 
         let desc = Query::concept(q)
@@ -875,7 +851,8 @@ mod tests {
             .unwrap()
             .into_description()
             .unwrap();
-        assert_eq!(desc, ask_description(&mut kb, &mq).unwrap());
+        let marked = Query::marked(mq).description().run(&mut kb).unwrap();
+        assert_eq!(desc, marked.into_description().unwrap());
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub enum CrashPoint {
     /// fsync and any cleanup: the new generation is (probably) current
     /// but stale fold logs and unreferenced segments linger.
     AfterManifestRename,
-    /// Die after the manifest is fully durable but before stale logs,
-    /// stale segments, and legacy files are deleted.
+    /// Die after the manifest is fully durable but before stale logs
+    /// and stale segments are deleted.
     BeforeCleanup,
 }
 
@@ -211,7 +211,6 @@ struct CompactionPlan {
     manifest_file: PathBuf,
     stale_logs: Vec<PathBuf>,
     stale_segments: Vec<PathBuf>,
-    legacy_files: Vec<PathBuf>,
     report: CompactionReport,
     /// Flight recorder of the owning KB — the publish pipeline opens its
     /// own root trace on the compactor thread.
@@ -339,8 +338,7 @@ pub struct DurableKb {
     ops_since_compact: u64,
     /// Generation stamped in the active log's header.
     log_gen: u64,
-    /// Generation of the last durably published snapshot (manifest or
-    /// legacy monolithic).
+    /// Generation of the last durably published manifest.
     published_gen: u64,
     /// The manifest the published generation corresponds to, if the
     /// store is in the segmented format.
@@ -452,20 +450,18 @@ impl DurableKb {
             // already folded in, segments no longer referenced.
             sweep_stale(&dir, &stem, m);
         } else {
-            // Legacy monolithic format (pre-segmented stores): one
-            // `.snapshot` script holding everything. Replay it; the next
-            // compaction migrates the store to the segmented format.
-            let snap_path = legacy_snapshot_path(&log_path);
-            if snap_path.exists() {
-                let script = read_file(&snap_path)?;
-                published_gen = parse_gen(&script);
-                replay(&mut kb, &script).map_err(|e| {
-                    storage_err(
-                        &snap_path,
-                        Some(published_gen),
-                        format!("replaying legacy snapshot: {e}"),
-                    )
-                })?;
+            // The monolithic `<stem>.snapshot` of stores written before
+            // the segmented format is no longer read. Opening past one
+            // would replay the log suffix over an empty KB, so refuse.
+            let monolithic = log_path.with_extension("snapshot");
+            if monolithic.exists() {
+                return Err(storage_err(
+                    &monolithic,
+                    None,
+                    "monolithic snapshot from before the segmented format (PR 4) and no \
+                     manifest; this release no longer migrates it — open and compact the \
+                     store once with a PR 4–11 build, then reopen",
+                ));
             }
         }
 
@@ -708,11 +704,11 @@ impl DurableKb {
         if self.log_path.exists() {
             let log_gen = parse_gen(&read_file(&self.log_path)?);
             if log_gen < self.published_gen {
-                // The active log predates the snapshot: a crash hit
-                // between snapshot publication and log truncation (the
-                // legacy monolithic pipeline). Every operation in it is
-                // already folded into the snapshot; replaying would
-                // double-apply. Reset it durably.
+                // The active log predates the published generation.
+                // Rotation happens before publication, so the segmented
+                // pipeline never leaves this behind; if it is found
+                // anyway, every operation in it is already folded in
+                // and replaying would double-apply. Reset it durably.
                 reset_log(&self.log_path, self.published_gen)?;
                 self.log_gen = self.published_gen;
             } else {
@@ -1329,9 +1325,8 @@ impl DurableKb {
         };
 
         // Stale state superseded once the new manifest publishes: every
-        // fold log on disk plus the active log we are about to park, old
-        // segments the new manifest no longer references, and the legacy
-        // monolithic snapshot if this store was just migrated.
+        // fold log on disk plus the active log we are about to park, and
+        // old segments the new manifest no longer references.
         let mut stale_logs: Vec<PathBuf> = Vec::new();
         if let Ok(dir_entries) = std::fs::read_dir(&self.dir) {
             for entry in dir_entries.flatten() {
@@ -1353,11 +1348,6 @@ impl DurableKb {
                     .collect()
             })
             .unwrap_or_default();
-        let mut legacy_files = Vec::new();
-        let legacy = legacy_snapshot_path(&self.log_path);
-        if legacy.exists() {
-            legacy_files.push(legacy);
-        }
 
         // Rotate the log: park the active log as a sealed fold log and
         // start the next generation. A crash right after this leaves
@@ -1396,7 +1386,6 @@ impl DurableKb {
             manifest_file: manifest_path(&self.log_path),
             stale_logs,
             stale_segments,
-            legacy_files,
             report,
             recorder: Arc::clone(self.kb.flight_recorder()),
             publish_ns: self.obs.publish_ns.clone(),
@@ -1421,8 +1410,8 @@ impl Drop for DurableKb {
 /// 2. directory fsync (segments durable before anything references them);
 /// 3. manifest: tmp write → fsync → rename (**the publication point**);
 /// 4. directory fsync (the new generation is now crash-durable);
-/// 5. cleanup: delete stale fold logs, unreferenced segments, legacy
-///    snapshot; directory fsync.
+/// 5. cleanup: delete stale fold logs and unreferenced segments;
+///    directory fsync.
 fn publish_plan(plan: &CompactionPlan, crash: Option<CrashPoint>) -> Result<()> {
     debug_assert!(crash != Some(CrashPoint::AfterLogRotation));
     // Root trace on whichever thread runs the pipeline (the compactor
@@ -1466,12 +1455,7 @@ fn publish_plan(plan: &CompactionPlan, crash: Option<CrashPoint>) -> Result<()> 
     }
     {
         let _phase = classic_obs::span(&plan.recorder, "store.publish.cleanup");
-        for path in plan
-            .stale_logs
-            .iter()
-            .chain(&plan.stale_segments)
-            .chain(&plan.legacy_files)
-        {
+        for path in plan.stale_logs.iter().chain(&plan.stale_segments) {
             match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -1534,8 +1518,8 @@ fn sweep_tmp_files(dir: &Path, stem: &str) {
 }
 
 /// Best-effort sweep of state superseded by `manifest`: fold logs whose
-/// generation the manifest already folds in, segment files it does not
-/// reference, and the legacy monolithic snapshot.
+/// generation the manifest already folds in, and segment files it does
+/// not reference.
 fn sweep_stale(dir: &Path, stem: &str, manifest: &Manifest) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -1546,9 +1530,7 @@ fn sweep_stale(dir: &Path, stem: &str, manifest: &Manifest) {
             if gen < manifest.generation {
                 let _ = std::fs::remove_file(entry.path());
             }
-        } else if (is_segment_file(&name, stem) && !manifest.entries.iter().any(|e| e.file == name))
-            || name == format!("{stem}.snapshot")
-        {
+        } else if is_segment_file(&name, stem) && !manifest.entries.iter().any(|e| e.file == name) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
@@ -1561,11 +1543,6 @@ fn create_ind_target(line: &str) -> Option<&str> {
         .strip_prefix("(create-ind ")?
         .strip_suffix(')')
         .map(str::trim)
-}
-
-/// The pre-segmented, monolithic snapshot path (`kb.log` → `kb.snapshot`).
-fn legacy_snapshot_path(log: &Path) -> PathBuf {
-    log.with_extension("snapshot")
 }
 
 /// A throwaway file handle used to build the struct before the real
@@ -2141,40 +2118,87 @@ mod tests {
     }
 
     #[test]
-    fn legacy_monolithic_store_is_opened_and_migrated() {
-        let dir = tmpdir("legacy");
+    fn panicking_recognizer_rejects_the_write_without_logging_or_poisoning() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Mutex;
+        let dir = tmpdir("fragile");
         let path = dir.join("kb.log");
-        // Fabricate the pre-segmented layout: `kb.snapshot` (gen header +
-        // monolithic script) plus a fresh-generation log with a suffix.
-        let mut oracle = DurableKb::open(dir.join("oracle.log"), |_| {}).unwrap();
-        populate(&mut oracle);
-        let script = snapshot_to_string(oracle.kb().unwrap());
-        std::fs::write(
-            legacy_snapshot_path(&path),
-            format!("{GEN_PREFIX} 3\n{script}"),
-        )
-        .unwrap();
-        std::fs::write(&path, format!("{GEN_PREFIX} 3\n(create-ind Bullwinkle)\n")).unwrap();
-
-        let mut store = DurableKb::open(&path, |_| {}).unwrap();
-        assert_eq!(store.generation(), 3);
-        assert!(store
-            .kb()
-            .unwrap()
-            .schema()
-            .symbols
-            .find_individual("Bullwinkle")
-            .is_some());
-        // Compaction migrates to the segmented format and removes the
-        // legacy snapshot.
-        store.compact().unwrap();
-        assert_eq!(store.generation(), 4);
-        assert!(!legacy_snapshot_path(&path).exists());
-        assert!(manifest_path(&path).exists());
-        let before = snapshot_to_string(store.kb().unwrap());
+        let armed = Arc::new(AtomicBool::new(false));
+        let register = |kb: &mut Kb| {
+            let armed = Arc::clone(&armed);
+            kb.register_test("fragile", move |_| {
+                if armed.load(Ordering::SeqCst) {
+                    panic!("fragile recognizer blew up");
+                }
+                false
+            });
+        };
+        // An embedded tenant: the store behind a mutex.
+        let tenant = Mutex::new(DurableKb::open(&path, register).unwrap());
+        {
+            let mut store = tenant.lock().unwrap();
+            populate(&mut store);
+            let fragile = store.kb().unwrap().schema().symbols.find_test("fragile");
+            let student = store.kb().unwrap().schema().symbols.find_concept("STUDENT");
+            store
+                .define_concept(
+                    "SUSPECT",
+                    Concept::and([
+                        Concept::Name(student.unwrap()),
+                        Concept::Test(fragile.unwrap()),
+                    ]),
+                )
+                .unwrap();
+        }
+        let before = tenant.lock().unwrap().kb().unwrap().clone();
+        let log_before = std::fs::read_to_string(&path).unwrap();
+        armed.store(true, Ordering::SeqCst);
+        // Rocky is a STUDENT, so any write that re-plans him runs the
+        // recognizer.
+        let enrolled = before.schema().symbols.find_role("enrolled-at").unwrap();
+        let told = Concept::AtLeast(2, enrolled);
+        let err = tenant.lock().unwrap().assert_ind("Rocky", &told);
+        assert!(
+            matches!(err, Err(ClassicError::RecognizerPanicked(_))),
+            "{err:?}"
+        );
+        let store = tenant.lock().expect("the unwind must not reach the lock");
+        assert!(same_state(&before, store.kb().unwrap()));
+        assert_eq!(log_before, std::fs::read_to_string(&path).unwrap());
         drop(store);
-        let reopened = DurableKb::open(&path, |_| {}).unwrap();
-        assert_eq!(before, snapshot_to_string(reopened.kb().unwrap()));
+        drop(tenant);
+        armed.store(false, Ordering::SeqCst);
+        let reopened = DurableKb::open(&path, register).unwrap();
+        assert!(same_state(&before, reopened.kb().unwrap()));
+    }
+
+    #[test]
+    fn monolithic_snapshot_without_manifest_is_refused_not_opened_empty() {
+        let dir = tmpdir("monolithic");
+        let path = dir.join("kb.log");
+        // The pre-segmented layout: `kb.snapshot` holding everything,
+        // plus a log suffix. Replaying only the suffix would hand back a
+        // database missing all of it.
+        let snapshot = dir.join("kb.snapshot");
+        std::fs::write(&snapshot, format!("{GEN_PREFIX} 3\n(create-ind Rocky)\n")).unwrap();
+        std::fs::write(&path, format!("{GEN_PREFIX} 3\n(create-ind Bullwinkle)\n")).unwrap();
+        let err = match DurableKb::open(&path, |_| {}) {
+            Err(e) => e,
+            Ok(_) => panic!("a monolithic store must not open as if it were empty"),
+        };
+        assert!(matches!(err, ClassicError::Storage { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("kb.snapshot"),
+            "error must name the file: {msg}"
+        );
+        assert!(
+            msg.contains("PR 4–11"),
+            "error must say what migrates it: {msg}"
+        );
+        // Refusing touched nothing.
+        assert!(snapshot.exists());
+        assert!(!manifest_path(&path).exists());
     }
 
     #[test]

@@ -71,6 +71,4 @@ pub use classic_core::{
     Clash, ClassicError, Concept, HostValue, IndRef, Layer, NormalForm, Result,
 };
 pub use classic_kb::{AssertReport, IndId, Kb};
-#[allow(deprecated)]
-pub use classic_query::{ask_description, ask_necessary_set, possible, retrieve};
 pub use classic_query::{Answer, MarkedQuery, Query};

@@ -1,0 +1,283 @@
+//! One history, three ways, one fixed point.
+//!
+//! The paper's completion is a least fixed point ("rules continue
+//! propagating until a fixed point is reached", §5), so the route an
+//! accepted history took to it must not show. A seeded history over the
+//! §4 crime schema (the heuristic rule, the `SAME-AS` domicile
+//! derivation), including refused updates and retractions, is taken
+//!
+//! 1. operation by operation through `assert_ind` / `retract_ind`,
+//! 2. as one `bulk_assert` of the told facts that survived it, and
+//! 3. through a `DurableKb` that is then dropped and reopened from its log,
+//!
+//! each at 1 and at 4 propagation threads. All six databases must be
+//! pairwise `same_state` and pass `check_invariants` (closure under the
+//! propagation step included), and the two thread counts must report
+//! the same `steps` for every operation.
+
+use classic::kb::BulkRow;
+use classic::lang::{eval, parse, parse_concept, Outcome};
+use classic::store::{same_state, DurableKb};
+use classic::{ClassicError, Concept, Kb};
+
+const CRIMES: usize = 48;
+const OPS: usize = 600;
+
+const SCHEMA: &str = r#"
+    (define-role perpetrator)
+    (define-role victim)
+    (define-attribute site)
+    (define-attribute domicile)
+    (define-role jobs)
+    (define-role typical-suspect)
+    (define-concept PERSON (PRIMITIVE THING person))
+    (define-concept ADULT (PRIMITIVE PERSON adult))
+    (define-concept CRIME
+        (PRIMITIVE (AND (AT-LEAST 1 perpetrator) (ALL perpetrator PERSON)
+                        (AT-LEAST 1 victim) (AT-LEAST 1 site) (AT-MOST 1 site))
+                   crime))
+    (define-concept DOMESTIC-CRIME
+        (AND CRIME (AT-MOST 1 perpetrator) (SAME-AS (site) (perpetrator domicile))))
+    (assert-rule DOMESTIC-CRIME
+        (ALL typical-suspect (AND ADULT (AT-MOST 0 jobs))))
+"#;
+
+/// Knuth's MMIX linear congruential generator; the high bits are the
+/// good ones.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+}
+
+/// One operation of the history, in surface syntax.
+struct Op {
+    retract: bool,
+    target: String,
+    desc: String,
+}
+
+/// Crimes gather evidence in no particular order. Some of it cannot be
+/// accepted (a second site, a crime without victims, two perpetrators of
+/// a domestic crime), some is taken back, and some is taken back without
+/// ever having been told.
+fn history(seed: u64) -> Vec<Op> {
+    let mut rng = Lcg(seed);
+    (0..OPS)
+        .map(|_| {
+            let i = rng.below(CRIMES);
+            let crime = format!("crime-{i}");
+            let (retract, target, desc) = match rng.below(12) {
+                0 => (false, crime, "CRIME".to_owned()),
+                1 => (false, crime, format!("(FILLS victim victim-{i})")),
+                2 => (false, crime, format!("(FILLS perpetrator suspect-{i})")),
+                3 => (false, format!("suspect-{i}"), "PERSON".to_owned()),
+                4 => (false, crime, format!("(FILLS site home-{i})")),
+                5 => (false, crime, "DOMESTIC-CRIME".to_owned()),
+                6 => {
+                    let n = 1 + rng.below(2);
+                    (false, crime, format!("(AT-LEAST {n} perpetrator)"))
+                }
+                7 => (false, crime, format!("(FILLS site elsewhere-{i})")),
+                8 => (false, crime, "(AT-MOST 0 victim)".to_owned()),
+                9 => (true, crime, "DOMESTIC-CRIME".to_owned()),
+                10 => (true, crime, "(AT-LEAST 2 perpetrator)".to_owned()),
+                _ => (true, format!("suspect-{i}"), "PERSON".to_owned()),
+            };
+            Op {
+                retract,
+                target,
+                desc,
+            }
+        })
+        .collect()
+}
+
+/// The schema plus every crime and suspect as a bare individual; victims
+/// and sites come into being by being referenced.
+fn prepare(run: &mut dyn FnMut(&str)) {
+    run(SCHEMA);
+    for i in 0..CRIMES {
+        run(&format!("(create-ind crime-{i}) (create-ind suspect-{i})"));
+    }
+}
+
+fn fresh_kb(threads: usize) -> Kb {
+    let mut kb = Kb::new();
+    kb.set_propagation_threads(threads);
+    prepare(&mut |script| {
+        for cmd in parse(script).expect("parses") {
+            eval(&mut kb, &cmd).expect("setup is accepted");
+        }
+    });
+    kb
+}
+
+/// What one way of taking the history reports: per operation, the steps
+/// it took, or `None` if it was refused.
+type Trace = Vec<Option<u64>>;
+
+fn concept(kb: &mut Kb, text: &str) -> Concept {
+    parse_concept(text, kb.schema_mut()).expect("parses")
+}
+
+/// Way 1. Also returns the told facts that survive the history, in the
+/// order they were accepted — what way 2 loads.
+fn per_op(threads: usize, ops: &[Op]) -> (Kb, Trace, Vec<&Op>) {
+    let mut kb = fresh_kb(threads);
+    let mut surviving: Vec<&Op> = Vec::new();
+    let mut trace = Trace::new();
+    for op in ops {
+        let desc = concept(&mut kb, &op.desc);
+        if op.retract {
+            let outcome = kb.retract_ind(&op.target, &desc);
+            if outcome.is_ok() {
+                // `retract-ind` removes the most recent matching told fact.
+                let told = surviving
+                    .iter()
+                    .rposition(|told| told.target == op.target && told.desc == op.desc)
+                    .expect("an accepted retraction was told");
+                surviving.remove(told);
+            } else {
+                assert!(
+                    matches!(outcome, Err(ClassicError::NotAsserted(_))),
+                    "monotone told facts always re-derive: {outcome:?}"
+                );
+            }
+            trace.push(outcome.ok().map(|report| report.steps));
+        } else {
+            let outcome = kb.assert_ind(&op.target, &desc);
+            if outcome.is_ok() {
+                surviving.push(op);
+            }
+            trace.push(outcome.ok().map(|report| report.steps));
+        }
+    }
+    (kb, trace, surviving)
+}
+
+/// Way 2.
+fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64) {
+    let mut kb = fresh_kb(threads);
+    let rows: Vec<BulkRow> = told
+        .iter()
+        .map(|op| BulkRow {
+            name: op.target.clone(),
+            desc: concept(&mut kb, &op.desc),
+        })
+        .collect();
+    let report = kb.bulk_assert(&rows);
+    assert_eq!(report.accepted, rows.len(), "{:?}", report.rejections);
+    assert_eq!(
+        report.sequential_fallbacks, 0,
+        "surviving facts are consistent"
+    );
+    (kb, report.steps)
+}
+
+/// Way 3.
+fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Trace) {
+    let dir = std::env::temp_dir().join(format!(
+        "classic-same-fixpoint-{tag}-{threads}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("kb.log");
+    let configure = |kb: &mut Kb| kb.set_propagation_threads(threads);
+    let mut store = DurableKb::open(&path, configure).expect("fresh store");
+    prepare(&mut |script| {
+        for cmd in parse(script).expect("parses") {
+            store.eval_durable(&cmd).expect("setup is accepted");
+        }
+    });
+    let trace = ops
+        .iter()
+        .map(|op| {
+            let verb = if op.retract {
+                "retract-ind"
+            } else {
+                "assert-ind"
+            };
+            let form = format!("({verb} {} {})", op.target, op.desc);
+            let cmd = parse(&form).expect("parses").pop().expect("one form");
+            match store.eval_durable(&cmd) {
+                Ok(Outcome::Asserted(report)) => Some(report.steps),
+                Ok(Outcome::Retracted(report)) => Some(report.steps),
+                Ok(other) => panic!("{form}: unexpected outcome {other:?}"),
+                Err(_) => None,
+            }
+        })
+        .collect();
+    drop(store);
+    let reopened = DurableKb::open(&path, configure).expect("log replays");
+    let kb = reopened.kb().expect("eagerly opened").clone();
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+    (kb, trace)
+}
+
+#[test]
+fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
+    let ops = history(0x5EED_C1A5);
+
+    let (op1, op_trace1, surviving) = per_op(1, &ops);
+    let (op4, op_trace4, _) = per_op(4, &ops);
+    assert_eq!(
+        op_trace1, op_trace4,
+        "per-op: outcome or steps depend on threads"
+    );
+
+    // The history is the one the file promises.
+    let count = |retract: bool, accepted: bool| {
+        ops.iter()
+            .zip(&op_trace1)
+            .filter(|(op, outcome)| op.retract == retract && outcome.is_some() == accepted)
+            .count()
+    };
+    assert!(count(false, false) > 10, "too few refused updates");
+    assert!(count(true, false) > 10, "too few refused retractions");
+    assert!(count(true, true) > 10, "too few accepted retractions");
+    assert!(surviving.len() > 64, "the bulk load must plan a wide epoch");
+    assert!(op1.stats.rules_fired.get() > 0, "the rule never fired");
+    assert!(
+        op1.stats.coref_propagations.get() > 0,
+        "SAME-AS derived nothing"
+    );
+
+    let (bulk1, bulk_steps1) = bulk(1, &surviving);
+    let (bulk4, bulk_steps4) = bulk(4, &surviving);
+    assert_eq!(bulk_steps1, bulk_steps4, "bulk: steps depend on threads");
+
+    let (log1, log_trace1) = durable_then_reopened(1, &ops, "a");
+    let (log4, log_trace4) = durable_then_reopened(4, &ops, "b");
+    assert_eq!(log_trace1, op_trace1, "durable: differs from in-memory");
+    assert_eq!(
+        log_trace4, op_trace1,
+        "durable: outcome or steps depend on threads"
+    );
+
+    let ways = [
+        ("per-op, 1 thread", &op1),
+        ("per-op, 4 threads", &op4),
+        ("bulk, 1 thread", &bulk1),
+        ("bulk, 4 threads", &bulk4),
+        ("reopened log, 1 thread", &log1),
+        ("reopened log, 4 threads", &log4),
+    ];
+    for (name, kb) in ways {
+        kb.check_invariants()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    for (i, (a_name, a)) in ways.iter().enumerate() {
+        for (b_name, b) in &ways[i + 1..] {
+            assert!(same_state(a, b), "{a_name} and {b_name} differ");
+        }
+    }
+}
