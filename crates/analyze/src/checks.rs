@@ -49,7 +49,9 @@ pub(crate) fn concept_diagnostics(kb: &mut Kb, name: ConceptName) -> Vec<Diagnos
     if nf.is_incoherent() {
         let mut prov = vec![format!(
             "normal form is ⊥: {}",
-            nf.clash().expect("incoherent form carries a clash")
+            nf.clash()
+                .expect("incoherent form carries a clash")
+                .display(&kb.schema().symbols)
         )];
         if let Concept::And(parts) = &told {
             for k in 0..parts.len() {

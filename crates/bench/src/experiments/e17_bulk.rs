@@ -150,9 +150,8 @@ pub fn run() -> String {
                 for cmd in &ingest_plan.ddl {
                     store.eval_durable(cmd).unwrap();
                 }
-                let resolved =
-                    classic_lang::resolve_bulk_rows(store.kb_mut_for_queries(), &ingest_plan.spec)
-                        .unwrap();
+                let kb = store.kb_mut_for_queries().unwrap();
+                let resolved = classic_lang::resolve_bulk_rows(kb, &ingest_plan.spec).unwrap();
                 for row in &resolved {
                     store.create_ind(&row.name).unwrap();
                     store.assert_ind(&row.name, &row.desc).unwrap();
@@ -179,7 +178,7 @@ pub fn run() -> String {
         );
 
         // The inferred TBox passes the CLI's `--deny errors` predicate.
-        let report = analyze(bulk_store.kb_mut_for_queries());
+        let report = analyze(bulk_store.kb_mut_for_queries().unwrap());
         assert!(
             report.passes(Severity::Error),
             "inferred TBox has error-level diagnostics at {rows} rows: {report:?}"

@@ -21,7 +21,7 @@
 //! [`ClassicError::RecursiveDefinition`].
 
 use crate::desc::Path;
-use crate::symbol::{ConceptName, IndName, PrimId, RoleId, TestId};
+use crate::symbol::{ConceptName, IndName, PrimId, RoleId, SymbolTable, TestId};
 use std::fmt;
 
 /// Any error the CLASSIC engine can report.
@@ -174,38 +174,108 @@ pub enum Clash {
     Incoherent,
 }
 
+/// How an error prints the ids it carries: by name when the symbol table
+/// of the KB it came from is at hand (and knows the id — a stranger's id
+/// must not panic the error path), as arena indices otherwise.
+#[derive(Clone, Copy)]
+struct Names<'a>(Option<&'a SymbolTable>);
+
+impl Names<'_> {
+    fn or_index(name: Option<&str>, index: usize) -> String {
+        name.map_or_else(|| format!("#{index}"), str::to_owned)
+    }
+
+    fn role(self, r: RoleId) -> String {
+        let name = self.0.and_then(|s| s.roles.lookup(r.0));
+        name.map_or_else(|| r.to_string(), str::to_owned)
+    }
+
+    fn concept(self, c: ConceptName) -> String {
+        Self::or_index(self.0.and_then(|s| s.concepts.lookup(c.0)), c.index())
+    }
+
+    fn individual(self, i: IndName) -> String {
+        Self::or_index(self.0.and_then(|s| s.individuals.lookup(i.0)), i.index())
+    }
+
+    fn prim(self, p: PrimId) -> String {
+        Self::or_index(self.0.and_then(|s| s.prims.lookup(p.0)), p.index())
+    }
+
+    fn test(self, t: TestId) -> String {
+        Self::or_index(self.0.and_then(|s| s.tests.lookup(t.0)), t.index())
+    }
+}
+
+/// An error or clash paired with how to print its ids.
+struct Shown<'a, T>(&'a T, Names<'a>);
+
+impl ClassicError {
+    /// This error as text that *names* the roles, concepts, individuals,
+    /// primitives and tests it is about, looked up in `symbols` — the
+    /// table of the KB the error came from. Plain [`Display`](fmt::Display)
+    /// has no table and prints arena indices (`undefined concept #12`);
+    /// this prints `undefined concept SPORTS-CAR`, with the same leading
+    /// phrases. Use it wherever an error leaves the process as text.
+    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> impl fmt::Display + 'a {
+        Shown(self, Names(Some(symbols)))
+    }
+}
+
+impl Clash {
+    /// This clash as text naming its roles and primitives from `symbols`;
+    /// see [`ClassicError::display`].
+    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> impl fmt::Display + 'a {
+        Shown(self, Names(Some(symbols)))
+    }
+}
+
 impl fmt::Display for ClassicError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClassicError::UndefinedRole(r) => write!(f, "undefined role {r}"),
+        Shown(self, Names(None)).fmt(f)
+    }
+}
+
+impl fmt::Display for Clash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Shown(self, Names(None)).fmt(f)
+    }
+}
+
+impl fmt::Display for Shown<'_, ClassicError> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Shown(error, names) = *self;
+        match error {
+            ClassicError::UndefinedRole(r) => write!(f, "undefined role {}", names.role(*r)),
             ClassicError::UndefinedConcept(c) => {
-                write!(f, "undefined concept #{}", c.index())
+                write!(f, "undefined concept {}", names.concept(*c))
             }
             ClassicError::ConceptRedefined(c) => {
-                write!(f, "concept #{} already defined", c.index())
+                write!(f, "concept {} already defined", names.concept(*c))
             }
             ClassicError::PrimitiveReparented(p) => {
                 write!(
                     f,
-                    "primitive #{} re-registered with a different parent",
-                    p.index()
+                    "primitive {} re-registered with a different parent",
+                    names.prim(*p)
                 )
             }
-            ClassicError::UndefinedTest(t) => write!(f, "undefined test #{}", t.index()),
+            ClassicError::UndefinedTest(t) => write!(f, "undefined test {}", names.test(*t)),
             ClassicError::EmptySameAsPath => write!(f, "SAME-AS path is empty"),
             ClassicError::UnknownIndividual(i) => {
-                write!(f, "unknown individual #{}", i.index())
+                write!(f, "unknown individual {}", names.individual(*i))
             }
             ClassicError::IndividualExists(i) => {
-                write!(f, "individual #{} already exists", i.index())
+                write!(f, "individual {} already exists", names.individual(*i))
             }
             ClassicError::Inconsistent { individual, reason } => match individual {
                 Some(i) => write!(
                     f,
-                    "inconsistent update at individual #{}: {reason}",
-                    i.index()
+                    "inconsistent update at individual {}: {}",
+                    names.individual(*i),
+                    Shown(reason, names)
                 ),
-                None => write!(f, "inconsistent description: {reason}"),
+                None => write!(f, "inconsistent description: {}", Shown(reason, names)),
             },
             ClassicError::DestructiveUpdate => {
                 write!(
@@ -216,8 +286,8 @@ impl fmt::Display for ClassicError {
             ClassicError::NotAsserted(i) => {
                 write!(
                     f,
-                    "nothing to retract: the description was never told of individual #{}",
-                    i.index()
+                    "nothing to retract: the description was never told of individual {}",
+                    names.individual(*i)
                 )
             }
             ClassicError::NoSuchRule {
@@ -241,7 +311,11 @@ impl fmt::Display for ClassicError {
                 write!(f, "a TEST recognizer panicked during retrieval: {msg}")
             }
             ClassicError::RuleOnUndefinedConcept(c) => {
-                write!(f, "rule attached to undefined concept #{}", c.index())
+                write!(
+                    f,
+                    "rule attached to undefined concept {}",
+                    names.concept(*c)
+                )
             }
             ClassicError::Malformed(m) => write!(f, "malformed expression: {m}"),
             ClassicError::NotHydrated { lo, hi, segments } => {
@@ -267,30 +341,47 @@ impl fmt::Display for ClassicError {
     }
 }
 
-impl fmt::Display for Clash {
+impl fmt::Display for Shown<'_, Clash> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        let Shown(clash, names) = *self;
+        match clash {
             Clash::Cardinality {
                 role,
                 at_least,
                 at_most,
-            } => write!(f, "AT-LEAST {at_least} exceeds AT-MOST {at_most} on {role}"),
+            } => write!(
+                f,
+                "AT-LEAST {at_least} exceeds AT-MOST {at_most} on {}",
+                names.role(*role)
+            ),
             Clash::DisjointPrimitives(a, b) => write!(
                 f,
-                "disjoint primitives #{} and #{} conjoined",
-                a.index(),
-                b.index()
+                "disjoint primitives {} and {} conjoined",
+                names.prim(*a),
+                names.prim(*b)
             ),
             Clash::EmptyEnumeration => write!(f, "empty ONE-OF enumeration"),
             Clash::LayerClash => write!(f, "CLASSIC-THING/HOST-THING layer clash"),
             Clash::FillerViolation { role } => {
-                write!(f, "known filler violates value restriction on {role}")
+                write!(
+                    f,
+                    "known filler violates value restriction on {}",
+                    names.role(*role)
+                )
             }
             Clash::ClosedRoleCardinality { role } => {
-                write!(f, "closed role {role} violates its cardinality bounds")
+                write!(
+                    f,
+                    "closed role {} violates its cardinality bounds",
+                    names.role(*role)
+                )
             }
             Clash::CoreferenceClash { role } => {
-                write!(f, "SAME-AS equates distinct individuals via {role}")
+                write!(
+                    f,
+                    "SAME-AS equates distinct individuals via {}",
+                    names.role(*role)
+                )
             }
             Clash::RecursiveCoreference { path } => {
                 if path.is_empty() {
@@ -301,7 +392,7 @@ impl fmt::Display for Clash {
                         if i > 0 {
                             write!(f, " ")?;
                         }
-                        write!(f, "{r}")?;
+                        write!(f, "{}", names.role(*r))?;
                     }
                     write!(f, ") with an extension of itself")
                 }
@@ -353,6 +444,42 @@ mod tests {
             detail: "unreadable".into(),
         };
         assert!(!without.to_string().contains("generation"));
+    }
+
+    #[test]
+    fn named_display_looks_ids_up_and_survives_strangers() {
+        let mut symbols = SymbolTable::new();
+        let wheel = symbols.role("wheel");
+        let rocky = symbols.individual("Rocky");
+        let car = symbols.concept("SPORTS-CAR");
+        let e = ClassicError::Inconsistent {
+            individual: Some(rocky),
+            reason: Clash::Cardinality {
+                role: wheel,
+                at_least: 3,
+                at_most: 1,
+            },
+        };
+        assert_eq!(
+            e.display(&symbols).to_string(),
+            "inconsistent update at individual Rocky: AT-LEAST 3 exceeds AT-MOST 1 on wheel"
+        );
+        // Plain Display has no table and keeps printing indices.
+        assert_eq!(
+            e.to_string(),
+            "inconsistent update at individual #0: AT-LEAST 3 exceeds AT-MOST 1 on role#0"
+        );
+        let undefined = ClassicError::UndefinedConcept(car);
+        assert_eq!(
+            undefined.display(&symbols).to_string(),
+            "undefined concept SPORTS-CAR"
+        );
+        // An id this table never issued prints as an index, not a panic.
+        let stranger = ClassicError::IndividualExists(IndName::from_index(99));
+        assert_eq!(
+            stranger.display(&symbols).to_string(),
+            "individual #99 already exists"
+        );
     }
 
     #[test]

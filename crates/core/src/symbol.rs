@@ -71,7 +71,7 @@ impl fmt::Display for RoleId {
 
 /// One namespace of interned strings.
 #[derive(Debug, Default, Clone)]
-struct Interner {
+pub(crate) struct Interner {
     names: Vec<String>,
     by_name: HashMap<String, u32>,
 }
@@ -95,6 +95,12 @@ impl Interner {
         &self.names[id as usize]
     }
 
+    /// [`resolve`](Interner::resolve) for an id that may come from another
+    /// table: `None` rather than a panic when it is out of range.
+    pub(crate) fn lookup(&self, id: u32) -> Option<&str> {
+        self.names.get(id as usize).map(String::as_str)
+    }
+
     fn len(&self) -> usize {
         self.names.len()
     }
@@ -108,11 +114,11 @@ impl Interner {
 /// spelling may denote a role and a concept without collision.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    roles: Interner,
-    concepts: Interner,
-    individuals: Interner,
-    prims: Interner,
-    tests: Interner,
+    pub(crate) roles: Interner,
+    pub(crate) concepts: Interner,
+    pub(crate) individuals: Interner,
+    pub(crate) prims: Interner,
+    pub(crate) tests: Interner,
 }
 
 impl SymbolTable {

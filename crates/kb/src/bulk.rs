@@ -317,7 +317,7 @@ impl Kb {
                     report.rejections.push(BulkRejection {
                         row: row_ix,
                         name: row.name.clone(),
-                        error: e.to_string(),
+                        error: e.display(&self.schema().symbols).to_string(),
                     });
                 }
             }

@@ -1,5 +1,5 @@
-//! The unresolved surface AST: what [`crate::parser::Parser`] produces
-//! *before* any knowledge base is in scope.
+//! The unresolved surface AST: what the reader ([`crate::parse`] and its
+//! siblings) produces *before* any knowledge base is in scope.
 //!
 //! Parsing used to intern names directly into a `Schema`'s symbol tables,
 //! which made `parse_command` take `&mut Kb` — so parsing could not run

@@ -41,18 +41,22 @@
 #![deny(missing_docs)]
 
 pub mod ast;
-pub mod command;
-pub mod lexer;
-pub mod macros;
-pub mod parser;
+mod command;
+mod eval;
+mod lexer;
+mod macros;
+mod outcome;
+mod parser;
+mod session;
 
 pub use ast::{Expr, IndLit, QueryExpr};
-pub use command::{
-    eval, eval_monitored, mark_individual_dirty, parse, parse_one, resolve_bulk_rows, run_script,
-    AspectValue, BulkRowSpec, BulkSpec, Command, LintDiagnostic, LintReport, Outcome, Session,
+pub use command::{BulkRowSpec, BulkSpec, Command};
+pub use eval::{
+    eval, eval_monitored, eval_monitored_in, mark_individual_dirty, resolve_bulk_rows, run_script,
 };
-pub use macros::MacroTable;
-pub use parser::{parse_concept, parse_expr, parse_query, parse_query_expr, Parser};
+pub use outcome::{AspectValue, LintDiagnostic, LintReport, Outcome};
+pub use parser::{parse, parse_concept, parse_expr, parse_one, parse_query, parse_query_expr};
+pub use session::Session;
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,9 @@
 //! than looping.
 
 use crate::lexer::{Token, TokenKind};
+use crate::parser::Parser;
 use classic_core::error::{ClassicError, Result};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// One macro definition: parameter names and the body token template.
@@ -41,179 +43,111 @@ pub struct MacroTable {
 const MAX_DEPTH: usize = 32;
 
 impl MacroTable {
-    /// An empty macro table.
-    pub fn new() -> MacroTable {
-        MacroTable::default()
-    }
-
-    /// Have any macros been defined?
-    pub fn is_empty(&self) -> bool {
-        self.defs.is_empty()
-    }
-
-    /// Is `name` a defined macro?
-    pub fn contains(&self, name: &str) -> bool {
-        self.defs.contains_key(name)
-    }
-
     /// The defined macro names, in arbitrary order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.defs.keys().map(String::as_str)
     }
 
-    /// Register a macro from its `define-macro` form tokens:
-    /// `( define-macro NAME ( params… ) body… )`.
-    pub fn define_from_tokens(&mut self, tokens: &[Token]) -> Result<String> {
-        let mut ix = 0usize;
-        expect(tokens, &mut ix, &TokenKind::LParen)?;
-        let head = symbol(tokens, &mut ix)?;
-        if head != "define-macro" {
-            return Err(ClassicError::Malformed("not a define-macro form".into()));
-        }
-        let name = symbol(tokens, &mut ix)?;
-        if is_reserved(&name) {
+    /// Read one `(define-macro NAME (params…) body…)` form off `p` and
+    /// register it.
+    pub fn define(&mut self, p: &mut Parser<'_>) -> Result<()> {
+        p.open()?;
+        p.symbol("define-macro")?;
+        let name = p.symbol("a macro name")?;
+        if is_reserved(name) {
             return Err(ClassicError::Malformed(format!(
                 "macro name {name:?} shadows a built-in constructor"
             )));
         }
-        expect(tokens, &mut ix, &TokenKind::LParen)?;
+        p.open()?;
         let mut params = Vec::new();
-        loop {
-            match tokens.get(ix).map(|t| &t.kind) {
-                Some(TokenKind::RParen) => {
-                    ix += 1;
-                    break;
-                }
-                Some(TokenKind::Symbol(_)) => params.push(symbol(tokens, &mut ix)?),
-                other => {
-                    return Err(ClassicError::Malformed(format!(
-                        "macro parameter list: expected symbol or ')', found {other:?}"
-                    )))
-                }
-            }
+        while !p.at_close() {
+            params.push(p.symbol("a macro parameter")?.to_owned());
         }
-        // The body is everything up to the final closing paren.
-        if tokens.last().map(|t| &t.kind) != Some(&TokenKind::RParen) {
-            return Err(ClassicError::Malformed("unterminated define-macro".into()));
+        p.close()?;
+        // The body is every group up to the form's closing paren.
+        let mut body = Vec::new();
+        while !p.at_close() {
+            body.extend_from_slice(p.group()?);
         }
-        let body: Vec<Token> = tokens[ix..tokens.len() - 1].to_vec();
+        p.close()?;
         if body.is_empty() {
             return Err(ClassicError::Malformed(format!(
                 "macro {name:?} has an empty body"
             )));
         }
-        self.defs.insert(name.clone(), MacroDef { params, body });
-        Ok(name)
+        self.defs.insert(name.to_owned(), MacroDef { params, body });
+        Ok(())
     }
 
-    /// Expand every macro call in `tokens`, to a fixed point.
-    pub fn expand(&self, tokens: Vec<Token>) -> Result<Vec<Token>> {
+    /// Expand every macro call in `tokens`, to a fixed point. Borrows the
+    /// input back when it holds no call.
+    pub fn expand<'t>(&self, tokens: &'t [Token]) -> Result<Cow<'t, [Token]>> {
+        let mut current = Cow::Borrowed(tokens);
         if self.defs.is_empty() {
-            return Ok(tokens);
+            return Ok(current);
         }
-        let mut current = tokens;
         for _ in 0..MAX_DEPTH {
-            let (expanded, changed) = self.expand_once(&current)?;
-            if !changed {
-                return Ok(expanded);
+            match self.expand_once(&current)? {
+                Some(expanded) => current = Cow::Owned(expanded),
+                None => return Ok(current),
             }
-            current = expanded;
         }
         Err(ClassicError::Malformed(format!(
             "macro expansion exceeded depth {MAX_DEPTH} (recursive macro?)"
         )))
     }
 
-    fn expand_once(&self, tokens: &[Token]) -> Result<(Vec<Token>, bool)> {
+    /// One pass over `tokens`, replacing each outermost macro call with
+    /// its substituted body; `None` when there was no call to replace.
+    fn expand_once(&self, tokens: &[Token]) -> Result<Option<Vec<Token>>> {
+        let mut p = Parser::new(tokens);
         let mut out = Vec::with_capacity(tokens.len());
         let mut changed = false;
-        let mut ix = 0usize;
-        while ix < tokens.len() {
+        while let Some(t) = p.peek_at(0) {
             // A macro call site: '(' SYMBOL(name in table) …
-            let is_call = matches!(tokens[ix].kind, TokenKind::LParen)
-                && matches!(
-                    tokens.get(ix + 1).map(|t| &t.kind),
-                    Some(TokenKind::Symbol(s)) if self.defs.contains_key(s)
-                );
-            if !is_call {
-                out.push(tokens[ix].clone());
-                ix += 1;
-                continue;
-            }
-            let call_pos = tokens[ix].pos;
-            let name = match &tokens[ix + 1].kind {
-                TokenKind::Symbol(s) => s.clone(),
-                _ => unreachable!("checked above"),
+            let call = match (&t.kind, p.peek_at(1).map(|t| &t.kind)) {
+                (TokenKind::LParen, Some(TokenKind::Symbol(s))) => self.defs.get_key_value(s),
+                _ => None,
             };
-            let def = &self.defs[&name];
-            // Collect one balanced group per parameter.
-            let mut cursor = ix + 2;
+            let Some((name, def)) = call else {
+                out.push(p.next()?.clone());
+                continue;
+            };
+            let arity = || {
+                ClassicError::Malformed(format!(
+                    "{}: macro {name:?} takes exactly {} arguments",
+                    t.pos,
+                    def.params.len()
+                ))
+            };
+            p.open()?;
+            p.symbol("a macro name")?;
+            // One balanced group per parameter.
             let mut args: Vec<&[Token]> = Vec::with_capacity(def.params.len());
             for _ in &def.params {
-                let (start, end) = group(tokens, cursor).ok_or_else(|| {
-                    ClassicError::Malformed(format!(
-                        "{call_pos}: macro {name:?} expects {} arguments",
-                        def.params.len()
-                    ))
-                })?;
-                args.push(&tokens[start..end]);
-                cursor = end;
-            }
-            match tokens.get(cursor).map(|t| &t.kind) {
-                Some(TokenKind::RParen) => cursor += 1,
-                _ => {
-                    return Err(ClassicError::Malformed(format!(
-                        "{call_pos}: macro {name:?} takes exactly {} arguments",
-                        def.params.len()
-                    )))
+                if p.at_close() {
+                    return Err(arity());
                 }
+                args.push(p.group()?);
             }
+            if !p.at_close() {
+                return Err(arity());
+            }
+            p.close()?;
             // Substitute parameters into the body.
             for t in &def.body {
                 match &t.kind {
-                    TokenKind::Symbol(s) => {
-                        if let Some(k) = def.params.iter().position(|p| p == s) {
-                            out.extend(args[k].iter().cloned());
-                        } else {
-                            out.push(t.clone());
-                        }
-                    }
+                    TokenKind::Symbol(s) => match def.params.iter().position(|p| p == s) {
+                        Some(k) => out.extend_from_slice(args[k]),
+                        None => out.push(t.clone()),
+                    },
                     _ => out.push(t.clone()),
                 }
             }
             changed = true;
-            ix = cursor;
         }
-        Ok((out, changed))
-    }
-}
-
-/// The span `[start, end)` of one balanced token group at `ix`.
-fn group(tokens: &[Token], ix: usize) -> Option<(usize, usize)> {
-    match tokens.get(ix).map(|t| &t.kind)? {
-        TokenKind::LParen => {
-            let mut depth = 0usize;
-            for (off, t) in tokens[ix..].iter().enumerate() {
-                match t.kind {
-                    TokenKind::LParen => depth += 1,
-                    TokenKind::RParen => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some((ix, ix + off + 1));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            None
-        }
-        TokenKind::RParen => None,
-        TokenKind::Marker => {
-            // A marker prefixes the following group.
-            let (_, end) = group(tokens, ix + 1)?;
-            Some((ix, end))
-        }
-        _ => Some((ix, ix + 1)),
+        Ok(changed.then_some(out))
     }
 }
 
@@ -238,48 +172,25 @@ fn is_reserved(name: &str) -> bool {
     )
 }
 
-fn expect(tokens: &[Token], ix: &mut usize, kind: &TokenKind) -> Result<()> {
-    match tokens.get(*ix) {
-        Some(t) if t.kind == *kind => {
-            *ix += 1;
-            Ok(())
-        }
-        other => Err(ClassicError::Malformed(format!(
-            "expected {kind:?}, found {other:?}"
-        ))),
-    }
-}
-
-fn symbol(tokens: &[Token], ix: &mut usize) -> Result<String> {
-    match tokens.get(*ix) {
-        Some(Token {
-            kind: TokenKind::Symbol(s),
-            ..
-        }) => {
-            *ix += 1;
-            Ok(s.clone())
-        }
-        other => Err(ClassicError::Malformed(format!(
-            "expected a symbol, found {other:?}"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::tokenize;
 
+    fn define(table: &mut MacroTable, def: &str) -> Result<()> {
+        table.define(&mut Parser::new(&tokenize(def).unwrap()))
+    }
+
     fn table_with(def: &str) -> MacroTable {
-        let mut t = MacroTable::new();
-        t.define_from_tokens(&tokenize(def).unwrap()).unwrap();
+        let mut t = MacroTable::default();
+        define(&mut t, def).unwrap();
         t
     }
 
     fn expand_to_text(table: &MacroTable, input: &str) -> String {
-        let tokens = table.expand(tokenize(input).unwrap()).unwrap();
+        let tokens = tokenize(input).unwrap();
         let mut out = String::new();
-        for t in tokens {
+        for t in table.expand(&tokens).unwrap().into_owned() {
             match t.kind {
                 TokenKind::LParen => out.push('('),
                 TokenKind::RParen => {
@@ -325,8 +236,9 @@ mod tests {
     #[test]
     fn nested_macro_calls_expand_to_fixpoint() {
         let mut t = table_with("(define-macro SOME (r) (AT-LEAST 1 r))");
-        t.define_from_tokens(
-            &tokenize("(define-macro SOME-BOTH (r s) (AND (SOME r) (SOME s)))").unwrap(),
+        define(
+            &mut t,
+            "(define-macro SOME-BOTH (r s) (AND (SOME r) (SOME s)))",
         )
         .unwrap();
         assert_eq!(
@@ -338,23 +250,20 @@ mod tests {
     #[test]
     fn recursive_macros_are_rejected() {
         let t = table_with("(define-macro LOOP (r) (AND (LOOP r)))");
-        let err = t.expand(tokenize("(LOOP x)").unwrap()).unwrap_err();
+        let err = t.expand(&tokenize("(LOOP x)").unwrap()).unwrap_err();
         assert!(err.to_string().contains("depth"));
     }
 
     #[test]
     fn wrong_arity_is_an_error() {
         let t = table_with("(define-macro PAIR (a b) (AND a b))");
-        assert!(t.expand(tokenize("(PAIR x)").unwrap()).is_err());
-        assert!(t.expand(tokenize("(PAIR x y z)").unwrap()).is_err());
+        assert!(t.expand(&tokenize("(PAIR x)").unwrap()).is_err());
+        assert!(t.expand(&tokenize("(PAIR x y z)").unwrap()).is_err());
     }
 
     #[test]
     fn reserved_names_cannot_be_shadowed() {
-        let mut t = MacroTable::new();
-        let err = t
-            .define_from_tokens(&tokenize("(define-macro AND (a) a)").unwrap())
-            .unwrap_err();
+        let err = define(&mut MacroTable::default(), "(define-macro AND (a) a)").unwrap_err();
         assert!(err.to_string().contains("shadows"));
     }
 

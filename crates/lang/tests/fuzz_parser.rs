@@ -1,7 +1,8 @@
-//! Parser robustness: arbitrary input must never panic — every outcome is
-//! either a parsed expression or a positioned `Malformed` error. (The
-//! paper's `define-role`-catches-typos promise, §3.1 footnote 3, only
-//! works if the front end survives the typo.)
+//! Reader robustness: arbitrary input — expressions, queries, whole command
+//! scripts, macro definitions and their expansions — must never panic and
+//! never overflow the stack; every outcome is either a parse or a
+//! `Malformed` error. (The paper's `define-role`-catches-typos promise,
+//! §3.1 footnote 3, only works if the front end survives the typo.)
 
 use classic_core::schema::Schema;
 use classic_lang::{parse_concept, parse_query};
@@ -99,6 +100,143 @@ proptest! {
         let mut s = schema();
         let _ = parse_concept(&mutated, &mut s);
     }
+}
+
+/// Every operator, clause keyword and token shape the command reader
+/// knows, plus a few it does not.
+fn script_part() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("("),
+        Just(")"),
+        Just("("),
+        Just(")"),
+        Just("define-role"),
+        Just("define-attribute"),
+        Just("define-concept"),
+        Just("define-macro"),
+        Just("create-ind"),
+        Just("assert-ind"),
+        Just("assert-rule"),
+        Just("retract-ind"),
+        Just("retract-rule"),
+        Just("list-rules"),
+        Just("obs-stats"),
+        Just("obs-level"),
+        Just("obs-sample"),
+        Just("obs-slowlog"),
+        Just("retrieve"),
+        Just("possible"),
+        Just("ask-description"),
+        Just("ask-necessary-set"),
+        Just("subsumes?"),
+        Just("concept-aspect"),
+        Just("ind-aspect"),
+        Just("why?"),
+        Just("what-if?"),
+        Just("classify"),
+        Just("lint-kb"),
+        Just("bulk-load"),
+        Just("into"),
+        Just("roles"),
+        Just("row"),
+        Just("_"),
+        Just("cone"),
+        Just("json"),
+        Just("AND"),
+        Just("ALL"),
+        Just("AT-LEAST"),
+        Just("EXACTLY"),
+        Just("FILLS"),
+        Just("ONE-OF"),
+        Just("SAME-AS"),
+        Just("PRIMITIVE"),
+        Just("M"),
+        Just("x"),
+        Just("X"),
+        Just("r"),
+        Just("?:"),
+        Just("2"),
+        Just("-1"),
+        Just("0.5"),
+        Just("'sym"),
+        Just("\"str ( \""),
+        Just("; comment\n"),
+        Just("frobnicate"),
+    ]
+    .prop_map(str::to_owned)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Command-shaped soup through every way in: the pure reader, and a
+    /// session (form splitting, `define-macro`, expansion, evaluation).
+    #[test]
+    fn script_soup_never_panics(
+        parts in proptest::collection::vec(script_part(), 0..40)
+    ) {
+        let input = parts.join(" ");
+        let _ = classic_lang::parse(&input);
+        let _ = classic_lang::parse_one(&input);
+        let _ = classic_lang::Session::new().run(&input);
+    }
+
+    /// A valid script — macro definitions included — with one random
+    /// character deleted, doubled, or turned into a paren.
+    #[test]
+    fn mutated_scripts_never_panic(
+        pos in 0usize..400,
+        mutation in 0u8..4,
+    ) {
+        let base = "(define-macro SOME (r) (AT-LEAST 1 r))\n\
+                    (define-macro BOTH (a b) (AND a b))\n\
+                    (define-role r) (define-concept C (PRIMITIVE THING c))\n\
+                    (define-concept D (BOTH C (SOME r))) ; uses both\n\
+                    (create-ind X) (assert-ind X (BOTH D (FILLS r Y 7 \"s\" 'q)))\n\
+                    (bulk-load (into C) (roles r) (row Z Y) (row W _))\n\
+                    (retrieve (AND C (ALL r ?:THING))) (subsumes? C (SOME r))\n\
+                    (what-if? X (AT-MOST 0 r)) (retract-rule 0) (lint-kb cone)";
+        let mut chars: Vec<char> = base.chars().collect();
+        let pos = pos % chars.len();
+        match mutation {
+            0 => {
+                chars.remove(pos);
+            }
+            1 => chars.insert(pos, chars[pos]),
+            2 => chars[pos] = '(',
+            _ => chars[pos] = ')',
+        }
+        let mutated: String = chars.into_iter().collect();
+        let _ = classic_lang::parse(&mutated);
+        let _ = classic_lang::Session::new().run(&mutated);
+    }
+}
+
+/// Nesting that exists only *after* macro expansion meets the same bound
+/// as nesting that was typed: 30 nested calls of a macro twenty levels
+/// deep is 600 levels of `ALL` from a form written 31 deep. On a thread
+/// with a server worker's stack (std's 2 MiB default) that must be an
+/// error, not an overflow — and just under the bound must still load.
+#[test]
+fn macro_built_nesting_meets_the_same_bound() {
+    let run = |calls: usize| {
+        let script = format!(
+            "(define-role r) (define-macro DEEPEN (x) {}x{})\n(classify {}THING{})",
+            "(ALL r ".repeat(20),
+            ")".repeat(20),
+            "(DEEPEN ".repeat(calls),
+            ")".repeat(calls)
+        );
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || classic_lang::Session::new().run(&script))
+            .unwrap()
+            .join()
+            .expect("no panic, no overflow")
+    };
+    let msg = run(30).unwrap_err().to_string();
+    assert!(msg.contains("512-paren limit"), "{msg}");
+    assert_eq!(run(3).expect("60 levels load").len(), 3);
 }
 
 proptest! {

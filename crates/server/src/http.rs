@@ -46,7 +46,6 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Instant;
 
 use classic_obs::{json_string, RequestCtx, TraceId};
 
@@ -339,10 +338,9 @@ fn lint_tenant(shared: &Arc<Shared>, tenant_name: &str, cone: bool) -> Result<St
 /// Execute the forms in `body` against `tenant_name`, in order,
 /// stopping at the first failure (which becomes the final element).
 ///
-/// The whole request evaluates under one `server.request` root span
-/// (kind `http.eval`) on the tenant's recorder, and its wall time feeds
-/// the request histogram, exemplar store, and slowlog — same pipeline
-/// as a line-protocol form.
+/// The whole request is one `server.request` (kind `http.eval`), served
+/// and accounted for by [`Shared::request`] — the same pipeline as a
+/// line-protocol form, because it is the same function.
 fn eval_body(
     shared: &Arc<Shared>,
     tenant_name: &str,
@@ -357,34 +355,24 @@ fn eval_body(
         session: classic_obs::next_session_id(),
         kind: "http.eval",
     };
-    let started = Instant::now();
-    let guard = classic_obs::request_span(tenant.recorder(), "server.request", ctx.clone());
-    let mut results = Vec::with_capacity(commands.len());
-    for cmd in &commands {
-        shared.metrics.requests.bump();
-        tenant.count_request();
-        match tenant.execute(cmd) {
-            Ok(o) => results.push(format!("{{\"ok\":true,\"result\":{}}}", o.render_json())),
-            Err(e) => {
-                shared.metrics.errors.bump();
-                results.push(format!(
-                    "{{\"ok\":false,\"error\":{}}}",
-                    json_string(&e.to_string())
-                ));
-                break;
+    let results = shared.request(tenant.recorder(), ctx, || {
+        let mut results = Vec::with_capacity(commands.len());
+        for cmd in &commands {
+            shared.metrics.requests.bump();
+            tenant.count_request();
+            match tenant.execute(cmd) {
+                Ok(o) => results.push(format!("{{\"ok\":true,\"result\":{}}}", o.render_json())),
+                Err(e) => {
+                    results.push(format!(
+                        "{{\"ok\":false,\"error\":{}}}",
+                        json_string(&e.message)
+                    ));
+                    return (results, true);
+                }
             }
         }
-    }
-    let dur_ns = started.elapsed().as_nanos() as u64;
-    let trace = guard.finish();
-    shared.metrics.request_ns.record(dur_ns);
-    if classic_obs::counters_enabled() {
-        shared
-            .metrics
-            .exemplars
-            .observe(dur_ns, &ctx.trace_id.to_string());
-        classic_obs::global_slowlog().record(ctx, dur_ns, trace);
-    }
+        (results, false)
+    });
     Ok(format!("[{}]\n", results.join(",")))
 }
 

@@ -94,4 +94,4 @@ pub mod tenant;
 pub use classic_obs::{Json, JsonError};
 pub use server::{start, ServerConfig, ServerHandle, ServerMetrics, Shared};
 pub use session::{Control, WireSession};
-pub use tenant::{Snapshot, Tenant, TenantStats};
+pub use tenant::{NamedError, Snapshot, Tenant, TenantStats};

@@ -20,10 +20,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use classic_core::{ClassicError, Result};
-use classic_obs::{Counter, ExemplarStore, Histogram, ObsLevel, Registry};
+use classic_obs::{
+    Counter, ExemplarStore, FlightRecorder, Histogram, ObsLevel, Registry, RequestCtx,
+};
 
 use crate::http;
 use crate::session::{Control, WireSession};
@@ -150,6 +152,36 @@ impl Shared {
             obs_floor: config.obs_floor,
             sample_floor: config.sample_floor,
         }
+    }
+
+    /// Run one wire request — a line-protocol form or an HTTP eval body —
+    /// under its `server.request` root span on the tenant's `recorder`,
+    /// and account for it: the wall time lands in
+    /// `classic_server_request_ns` (with the trace id as an exemplar) and
+    /// the process slowlog, and a failed request bumps the error counter.
+    /// `serve` returns its reply and whether that reply is an error.
+    pub(crate) fn request<T>(
+        &self,
+        recorder: &Arc<FlightRecorder>,
+        ctx: RequestCtx,
+        serve: impl FnOnce() -> (T, bool),
+    ) -> T {
+        let started = Instant::now();
+        let guard = classic_obs::request_span(recorder, "server.request", ctx.clone());
+        let (reply, failed) = serve();
+        let dur_ns = started.elapsed().as_nanos() as u64;
+        let trace = guard.finish();
+        self.metrics.request_ns.record(dur_ns);
+        if classic_obs::counters_enabled() {
+            self.metrics
+                .exemplars
+                .observe(dur_ns, &ctx.trace_id.to_string());
+            classic_obs::global_slowlog().record(ctx, dur_ns, trace);
+        }
+        if failed {
+            self.metrics.errors.bump();
+        }
+        reply
     }
 
     /// Look up a tenant, opening (and creating on disk) on first use.
@@ -502,11 +534,11 @@ pub(crate) fn timed_out(e: &std::io::Error) -> bool {
     )
 }
 
-/// Deepest paren nesting the framing layer will buffer. The surface
-/// parser is recursive descent, so unbounded nesting straight off the
-/// wire would overflow the worker's stack — and a stack overflow is an
-/// abort of the whole process, not a catchable panic. 512 is orders of
-/// magnitude beyond any legitimate form.
+/// Deepest paren nesting the framing layer will buffer: the surface
+/// language's own nesting limit (docs/PROTOCOL.md §2.1), which its
+/// reader enforces on every form however it arrives. The framer only
+/// stops buffering a form that reader is certain to refuse — and, since
+/// a line stream cannot be resynced past one, closes the connection.
 const MAX_FORM_DEPTH: usize = 512;
 
 /// Largest single frame (a form, or an unterminated string/comment/
@@ -647,7 +679,7 @@ mod tests {
 
     #[test]
     fn hostile_frames_are_rejected_not_buffered() {
-        // Nesting past the cap would stack-overflow the recursive parser.
+        // Nesting past the language's limit: refused, not buffered.
         let deep = "(".repeat(MAX_FORM_DEPTH + 1);
         assert!(next_form(deep.as_bytes()).is_err());
         // A frame that outgrows the byte cap without ever completing —

@@ -43,7 +43,6 @@
 //! sandbox) and reports how many landed.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use classic_lang::Command;
 use classic_obs::{json_string, RequestCtx, TraceId};
@@ -127,10 +126,8 @@ impl WireSession {
     /// trailing newline) and whether to keep the connection open.
     ///
     /// This is the tracing front: the form is classified first (so the
-    /// root span knows the command kind), evaluated under a
-    /// `server.request` root span carrying the request context, and the
-    /// wall time lands in `classic_server_request_ns` (with the trace
-    /// id as an exemplar) and the process slowlog.
+    /// root span knows the command kind), then served and accounted for
+    /// by `Shared::request`, the one accounting block both fronts share.
     pub fn handle_form(&mut self, form: &str) -> (String, Control) {
         self.shared.metrics.requests.bump();
         self.tenant.count_request();
@@ -146,24 +143,13 @@ impl WireSession {
             session: self.session_id,
             kind,
         };
+        let shared = Arc::clone(&self.shared);
         let recorder = Arc::clone(self.tenant.recorder());
-        let started = Instant::now();
-        let guard = classic_obs::request_span(&recorder, "server.request", ctx.clone());
-        let (reply, control) = self.dispatch(parsed);
-        let dur_ns = started.elapsed().as_nanos() as u64;
-        let trace = guard.finish();
-        self.shared.metrics.request_ns.record(dur_ns);
-        if classic_obs::counters_enabled() {
-            self.shared
-                .metrics
-                .exemplars
-                .observe(dur_ns, &ctx.trace_id.to_string());
-            classic_obs::global_slowlog().record(ctx, dur_ns, trace);
-        }
-        if reply.starts_with("{\"ok\":false") {
-            self.shared.metrics.errors.bump();
-        }
-        (reply, control)
+        shared.request(&recorder, ctx, || {
+            let (reply, control) = self.dispatch(parsed);
+            let failed = reply.starts_with("{\"ok\":false");
+            ((reply, control), failed)
+        })
     }
 
     fn dispatch(&mut self, parsed: Parsed) -> (String, Control) {
@@ -185,8 +171,9 @@ impl WireSession {
                     sandbox.recorded.push(cmd);
                 }
                 r.map(|o| (o, None))
+                    .map_err(|e| e.display(&sandbox.kb.schema().symbols).to_string())
             }
-            None => self.tenant.execute_with_lint(&cmd),
+            None => self.tenant.execute_with_lint(&cmd).map_err(|e| e.message),
         };
         match outcome {
             Ok((o, None)) => (ok(&o.render_json()), Control::Continue),
@@ -200,7 +187,7 @@ impl WireSession {
                     Control::Continue,
                 )
             }
-            Err(e) => (err(&e.to_string()), Control::Continue),
+            Err(message) => (err(&message), Control::Continue),
         }
     }
 

@@ -49,6 +49,52 @@ fn poisoned(what: &str, tenant: &str) -> ClassicError {
     }
 }
 
+/// A failed request: the engine's error, and its text with every role,
+/// concept, individual, primitive and test *named*. A [`ClassicError`]
+/// carries arena indices, which mean something only next to the symbol
+/// table of the KB that raised it — the primary, or one particular
+/// snapshot — so the tenant renders the text while it still holds that
+/// KB, and the wire sends `message`, never `error.to_string()`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NamedError {
+    /// The error as the engine raised it.
+    pub error: ClassicError,
+    /// `error`, rendered with names ([`ClassicError::display`]).
+    pub message: String,
+}
+
+impl NamedError {
+    fn new(error: ClassicError, kb: &Kb) -> NamedError {
+        let message = error.display(&kb.schema().symbols).to_string();
+        NamedError { error, message }
+    }
+}
+
+/// For errors that carry no ids to name (lock poisoning, storage).
+impl From<ClassicError> for NamedError {
+    fn from(error: ClassicError) -> NamedError {
+        let message = error.to_string();
+        NamedError { error, message }
+    }
+}
+
+impl std::fmt::Display for NamedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for NamedError {}
+
+/// Name `error` against the store's KB. A tenant's store is opened
+/// eagerly, so the KB is whole; were it not, indices are still the truth.
+fn named_in(store: &DurableKb, error: ClassicError) -> NamedError {
+    match store.kb() {
+        Ok(kb) => NamedError::new(error, kb),
+        Err(_) => error.into(),
+    }
+}
+
 /// An immutable-by-convention copy of a tenant KB at one version.
 ///
 /// The inner `Mutex<Kb>` exists because query evaluation takes
@@ -77,8 +123,8 @@ impl Snapshot {
     }
 
     /// Evaluate a read-only command against this snapshot.
-    pub fn eval(&self, cmd: &Command) -> Result<Outcome> {
-        self.with_kb(|kb| classic_lang::eval(kb, cmd))?
+    pub fn eval(&self, cmd: &Command) -> std::result::Result<Outcome, NamedError> {
+        self.with_kb(|kb| classic_lang::eval(kb, cmd).map_err(|e| NamedError::new(e, kb)))?
     }
 }
 
@@ -146,9 +192,9 @@ impl Tenant {
             generation: None,
             detail: format!("creating tenant directory: {e}"),
         })?;
-        let mut store = DurableKb::open(dir.join("kb.log"), |_| {})?;
+        let store = DurableKb::open(dir.join("kb.log"), |_| {})?;
         let (registry, recorder) = {
-            let kb = store.kb_mut_for_queries();
+            let kb = store.kb()?;
             (Arc::clone(kb.metrics()), Arc::clone(kb.flight_recorder()))
         };
         let requests = registry
@@ -228,68 +274,61 @@ impl Tenant {
 
     /// Evaluate one command, routing by [`Command::is_mutation`]:
     /// writes through the durable log, reads against a shared snapshot.
-    pub fn execute(&self, cmd: &Command) -> Result<Outcome> {
+    pub fn execute(&self, cmd: &Command) -> std::result::Result<Outcome, NamedError> {
         self.execute_with_lint(cmd).map(|(outcome, _)| outcome)
     }
 
     /// [`Self::execute`], additionally returning the cone diagnostics
     /// the write re-derived when lint-on-write is enabled.
     ///
-    /// Two commands leave the plain read/write split:
+    /// Two kinds of command leave the plain read path, and both run
+    /// through [`classic_lang::eval_monitored_in`] under the store lock,
+    /// so the tenant's incremental [`AnalysisState`] — which tracks the
+    /// *primary* KB — is kept by the same discipline as anywhere else:
     ///
-    /// * `(lint-kb [cone])` is a read, but it is answered from the
-    ///   tenant's incremental [`AnalysisState`], which tracks the
-    ///   *primary* KB — so it refreshes under the store lock (O(cone),
-    ///   not O(KB)) instead of evaluating against a snapshot.
-    /// * Mutations mark their analysis cone as they land (retraction
-    ///   cones before the journal shrinks, assertion cones after it
-    ///   grows); with lint-on-write on they also refresh and return the
-    ///   cone's diagnostics.
-    pub fn execute_with_lint(&self, cmd: &Command) -> Result<(Outcome, Option<LintReport>)> {
-        if matches!(cmd, Command::LintKb { .. }) {
+    /// * `(lint-kb [cone])` is a read, but it is answered from that
+    ///   state, refreshed in O(cone), not O(KB), instead of evaluating
+    ///   against a snapshot.
+    /// * Mutations mark their analysis cone as they land; with
+    ///   lint-on-write on they also refresh and return the cone's
+    ///   diagnostics.
+    pub fn execute_with_lint(
+        &self,
+        cmd: &Command,
+    ) -> std::result::Result<(Outcome, Option<LintReport>), NamedError> {
+        let mutation = cmd.is_mutation();
+        if !mutation && !matches!(cmd, Command::LintKb { .. }) {
+            return Ok((self.snapshot()?.eval(cmd)?, None));
+        }
+        let result = {
             let mut store = self.lock_primary()?;
             let mut analysis = self.lock_analysis()?;
-            let outcome =
-                classic_lang::eval_monitored(store.kb_mut_for_queries(), cmd, &mut analysis)?;
-            return Ok((outcome, None));
-        }
-        if cmd.is_mutation() {
-            let result = {
-                let mut store = self.lock_primary()?;
-                let mut analysis = self.lock_analysis()?;
-                if let Command::RetractInd(name, _) = cmd {
-                    classic_lang::mark_individual_dirty(
-                        store.kb_mut_for_queries(),
-                        &mut analysis,
-                        name,
-                    );
-                }
-                let outcome = store.eval_durable(cmd)?;
-                if let Command::AssertInd(name, _) = cmd {
-                    classic_lang::mark_individual_dirty(
-                        store.kb_mut_for_queries(),
-                        &mut analysis,
-                        name,
-                    );
-                }
-                let lint = if self.lint_on_write() {
-                    let refresh = analysis.refresh(store.kb_mut_for_queries());
-                    Some(LintReport::from_refresh(&refresh))
-                } else {
-                    None
-                };
-                self.version.fetch_add(1, Ordering::AcqRel);
-                (outcome, lint)
+            let outcome = classic_lang::eval_monitored_in(
+                &mut *store,
+                cmd,
+                &mut analysis,
+                DurableKb::kb_mut_for_queries,
+                DurableKb::eval_durable,
+            )
+            .map_err(|e| named_in(&store, e))?;
+            if !mutation {
+                return Ok((outcome, None));
+            }
+            let lint = if self.lint_on_write() {
+                let refresh = analysis.refresh(store.kb_mut_for_queries()?);
+                Some(LintReport::from_refresh(&refresh))
+            } else {
+                None
             };
-            // Invalidate after releasing the store lock; a racing
-            // reader that re-caches the old version loses only
-            // freshness until the *next* version check, never
-            // consistency (the stale snapshot is still one version).
-            self.lock_snap()?.take();
-            Ok(result)
-        } else {
-            Ok((self.snapshot()?.eval(cmd)?, None))
-        }
+            self.version.fetch_add(1, Ordering::AcqRel);
+            (outcome, lint)
+        };
+        // Invalidate after releasing the store lock; a racing reader
+        // that re-caches the old version loses only freshness until the
+        // *next* version check, never consistency (the stale snapshot is
+        // still one version).
+        self.lock_snap()?.take();
+        Ok(result)
     }
 
     /// Bulk-load a prepared ingest plan through the store's segment
@@ -306,11 +345,12 @@ impl Tenant {
     pub fn ingest(
         &self,
         plan: &classic_ingest::IngestPlan,
-    ) -> Result<classic_store::BulkLoadReport> {
+    ) -> std::result::Result<classic_store::BulkLoadReport, NamedError> {
         let out = {
             let mut store = self.lock_primary()?;
             let mut analysis = self.lock_analysis()?;
-            let out = classic_ingest::run_durable(&mut store, plan)?;
+            let out =
+                classic_ingest::run_durable(&mut store, plan).map_err(|e| named_in(&store, e))?;
             *analysis = AnalysisState::new();
             self.version.fetch_add(1, Ordering::AcqRel);
             out
@@ -336,7 +376,7 @@ impl Tenant {
         let snapshot = Arc::new(Snapshot {
             generation: store.generation(),
             version,
-            kb: Mutex::new(store.kb_mut_for_queries().clone()),
+            kb: Mutex::new(store.kb_mut_for_queries()?.clone()),
         });
         *cache = Some(Arc::clone(&snapshot));
         Ok(snapshot)
@@ -365,7 +405,7 @@ impl Tenant {
         let mut store = self.lock_primary()?;
         let generation = store.generation();
         let pending_ops = store.pending_ops();
-        let kb = store.kb_mut_for_queries();
+        let kb = store.kb_mut_for_queries()?;
         Ok(TenantStats {
             name: self.name.clone(),
             version: self.version(),

@@ -1000,6 +1000,109 @@ fn hostile_nesting_is_rejected_with_an_error_reply() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// The nesting limit is the *language's*, so it holds where no framer
+/// stands in front of the parser: a `POST /eval` body nested thousands
+/// deep (24 KB was enough to overflow a worker's stack and abort the
+/// whole process, every tenant with it) is answered with an error naming
+/// the bound, and the process, the tenant, and the connection pool all
+/// keep serving.
+#[test]
+fn hostile_nesting_over_http_is_an_error_reply_not_an_abort() {
+    let dir = tmpdir("nesting-http");
+    let handle = start(&dir);
+    let (status, _) = http(
+        &handle,
+        "POST",
+        "/eval?tenant=deep",
+        "(define-role r) (create-ind I)",
+    );
+    assert_eq!(status, 200);
+
+    for depth in [4_000usize, 100_000] {
+        let body = format!(
+            "(assert-ind I {}THING{})",
+            "(AND ".repeat(depth),
+            ")".repeat(depth)
+        );
+        let (status, reply) = http(&handle, "POST", "/eval?tenant=deep", &body);
+        assert_eq!(status, 400, "depth {depth}: {reply}");
+        let reply = Json::parse(reply.trim()).expect("JSON error body");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let msg = reply.get("error").and_then(Json::as_str).expect("message");
+        assert!(msg.contains("512-paren limit"), "depth {depth}: {msg}");
+
+        let (status, body) = http(&handle, "GET", "/healthz", "");
+        assert_eq!((status, body.as_str()), (200, "ok\n"), "depth {depth}");
+        // The refused form left nothing behind, and the tenant answers.
+        let (status, body) = http(
+            &handle,
+            "POST",
+            "/eval?tenant=deep",
+            "(assert-ind I (AT-LEAST 1 r)) (describe I)",
+        );
+        assert_eq!(status, 200, "depth {depth}: {body}");
+        assert!(!body.contains("\"ok\":false"), "depth {depth}: {body}");
+    }
+    // Other tenants never noticed.
+    let mut c = Client::connect(&handle);
+    c.ok("(ping)");
+    c.ok("(create-ind Bystander)");
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// Errors leave the process with names, not arena indices: the ids a
+/// `ClassicError` carries are looked up in the symbol table of the KB
+/// that raised it — the primary for writes, the snapshot for reads, the
+/// clone inside a sandbox — keeping the leading phrases clients match.
+#[test]
+fn wire_errors_name_things() {
+    let dir = tmpdir("named-errors");
+    let handle = start(&dir);
+    let mut c = Client::connect(&handle);
+    c.ok("(define-role wheel)");
+    c.ok("(define-concept PERSON (PRIMITIVE THING person))");
+    c.ok("(create-ind Rocky)");
+    c.ok("(assert-ind Rocky (AT-MOST 1 wheel))");
+
+    // Writes (primary KB).
+    assert_eq!(
+        c.err("(create-ind Rocky)"),
+        "individual Rocky already exists"
+    );
+    assert_eq!(
+        c.err("(assert-ind Rocky (AT-LEAST 3 wheel))"),
+        "inconsistent update at individual Rocky: AT-LEAST 3 exceeds AT-MOST 1 on wheel"
+    );
+    assert_eq!(
+        c.err("(define-concept PERSON THING)"),
+        "concept PERSON already defined"
+    );
+    assert_eq!(
+        c.err("(assert-ind Rocky SPORTS-CAR)"),
+        "undefined concept SPORTS-CAR"
+    );
+    // Reads (a snapshot, which interned the unknown name on its own).
+    assert_eq!(c.err("(retrieve NO-SUCH)"), "undefined concept NO-SUCH");
+    assert_eq!(c.err("(retrieve (AT-LEAST 1 axle))"), "undefined role axle");
+    // Sandbox (a private clone).
+    c.ok("(sandbox begin)");
+    c.ok("(create-ind Bullwinkle)");
+    assert_eq!(
+        c.err("(create-ind Bullwinkle)"),
+        "individual Bullwinkle already exists"
+    );
+    c.ok("(sandbox rollback)");
+
+    // The stateless HTTP front reports the same text.
+    let (status, body) = http(&handle, "POST", "/eval", "(create-ind Rocky)");
+    assert_eq!(status, 200);
+    assert!(
+        body.contains("individual Rocky already exists"),
+        "http: {body}"
+    );
+    handle.shutdown().expect("clean shutdown");
+}
+
 /// HTTP request-framing limits: a POST with no Content-Length is 411
 /// (it cannot be framed, only guessed at), a declared body over the 16
 /// MiB cap is 413, and neither kills the server.
@@ -1057,6 +1160,28 @@ fn diag_subjects(report: &Json) -> Vec<String> {
                 .to_owned()
         })
         .collect()
+}
+
+/// A wire `(bulk-load …)` whose rows extend individuals the tenant has
+/// already linted marks them dirty like any other write — the tenant's
+/// write path and `classic_lang::eval_monitored` are one function — so
+/// the next `(lint-kb)` does not serve x's stale orphan finding.
+#[test]
+fn bulk_load_rows_dirty_the_tenant_analysis() {
+    let dir = tmpdir("lint-bulk");
+    let handle = start(&dir);
+    let mut c = Client::connect(&handle);
+    c.ok("(define-role r)");
+    c.ok("(define-concept PERSON (PRIMITIVE THING person))");
+    c.ok("(create-ind x)");
+    c.ok("(assert-ind x (AT-LEAST 1 r))");
+    let x = "individual x".to_owned();
+    let before = c.ok("(lint-kb)");
+    assert!(diag_subjects(&before).contains(&x), "{before:?}");
+    c.ok("(bulk-load (into PERSON) (roles) (row x))");
+    let after = c.ok("(lint-kb)");
+    assert!(!diag_subjects(&after).contains(&x), "{after:?}");
+    handle.shutdown().expect("clean shutdown");
 }
 
 /// The incremental lint surface over the wire: diagnostics stay inside

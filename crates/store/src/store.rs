@@ -187,6 +187,42 @@ fn render_bulk_load(kb: &mut Kb, spec: &BulkSpec, row_accepted: &[bool]) -> Resu
     Ok(out)
 }
 
+/// Descriptions nesting no deeper than this are logged without asking
+/// the reader whether it can read them back (see [`reads_back`]): far
+/// inside the language's bound, far beyond the paper's examples.
+const PLAINLY_READABLE_NESTING: usize = 64;
+
+/// Refuse a log record the reader could not read back: a line the store
+/// writes must stay a line the parser reads, or the next open fails on
+/// an accepted update. The reader is the authority on that (how deep a
+/// form may nest is a limit of the language, not of this crate), so it
+/// is asked, and its error is the caller's; only when `desc` — the one
+/// part of a record that nests — is too shallow to trouble any reader
+/// is the question skipped, which keeps a parse off the write path.
+fn reads_back(desc: &Concept, record: impl FnOnce() -> String) -> Result<()> {
+    if !nests_within(desc, PLAINLY_READABLE_NESTING) {
+        classic_lang::parse_one(&record())?;
+    }
+    Ok(())
+}
+
+/// Does `c` render ([`Concept::display`]) within `budget` levels of
+/// parentheses? Stops descending once the budget is spent.
+fn nests_within(c: &Concept, budget: usize) -> bool {
+    match c {
+        Concept::Builtin(_) | Concept::Name(_) => true,
+        _ if budget == 0 => false,
+        Concept::And(parts) => parts.iter().all(|p| nests_within(p, budget - 1)),
+        Concept::All(_, inner) => nests_within(inner, budget - 1),
+        Concept::Primitive { parent, .. } | Concept::DisjointPrimitive { parent, .. } => {
+            nests_within(parent, budget - 1)
+        }
+        // Two role paths, each in its own parens.
+        Concept::SameAs(..) => budget >= 2,
+        _ => true,
+    }
+}
+
 /// One not-yet-hydrated individual segment tracked by a paged open.
 struct LazySegment {
     entry: ManifestEntry,
@@ -533,10 +569,15 @@ impl DurableKb {
     /// Mutable access for *query* paths that need `&mut Kb` (ad-hoc
     /// normalization interns symbols but asserts nothing durable).
     /// Hydrates every remaining segment first.
-    pub fn kb_mut_for_queries(&mut self) -> &mut Kb {
-        self.hydrate_all()
-            .expect("segment hydration failed; open() validated the manifest");
-        &mut self.kb
+    ///
+    /// # Errors
+    ///
+    /// [`ClassicError::Storage`] naming the segment file that could not
+    /// be read or replayed. The store stays usable: segments hydrated
+    /// before the failure stay hydrated, and the call can be retried.
+    pub fn kb_mut_for_queries(&mut self) -> Result<&mut Kb> {
+        self.hydrate_all()?;
+        Ok(&mut self.kb)
     }
 
     /// Generation of the last durably published snapshot.
@@ -612,19 +653,17 @@ impl DurableKb {
         let (header, body) = segment::read_verified(&seg_path, entry.hash)?;
         // Every individual in this range already exists as a roster stub
         // (created at open from the manifest). Identity is by name, so
-        // the `create-ind` lines are skipped; the told assertions are
+        // the `create-ind` records are skipped; the told assertions are
         // what hydration replays.
-        let mut script = String::with_capacity(body.len());
-        for line in body.lines() {
-            if let Some(name) = create_ind_target(line) {
-                if self.knows_individual(name) {
-                    continue;
+        let replayed = classic_lang::parse(&body).and_then(|commands| {
+            for cmd in &commands {
+                if !matches!(cmd, Command::CreateInd(name) if self.knows_individual(name)) {
+                    classic_lang::eval(&mut self.kb, cmd)?;
                 }
             }
-            script.push_str(line);
-            script.push('\n');
-        }
-        classic_lang::run_script(&mut self.kb, &script).map_err(|e| {
+            Ok(())
+        });
+        replayed.map_err(|e| {
             storage_err(
                 &seg_path,
                 Some(header.generation),
@@ -793,30 +832,30 @@ impl DurableKb {
         Ok(ops)
     }
 
-    /// Apply one logged operation, hydrating whatever segments its
-    /// correctness depends on first: the target individual's segment for
-    /// `assert-ind`/`create-ind`, and *everything* for operations whose
-    /// effect spans the whole arena (`assert-rule` fires on all current
-    /// instances; retraction re-derives the reverse-filler cone).
+    /// Apply one log record, hydrating whatever segments its correctness
+    /// depends on first: the target individual's segment for
+    /// `assert-ind`, and *everything* for operations whose effect spans
+    /// the whole arena (`assert-rule` fires on all current instances;
+    /// retraction re-derives the reverse-filler cone).
     fn apply_log_line(&mut self, text: &str) -> Result<()> {
-        let mut tokens = text.split_whitespace();
-        let op = tokens.next().unwrap_or("").trim_start_matches('(');
-        match op {
-            "assert-ind" => {
-                if let Some(name) = tokens.next() {
-                    self.ensure_hydrated_for(name.trim_end_matches(')'))?;
-                }
+        for cmd in classic_lang::parse(text)? {
+            match &cmd {
+                Command::AssertInd(name, _) => self.ensure_hydrated_for(name)?,
+                // create-ind needs no hydration: parked individuals exist
+                // as roster stubs, so a duplicate is caught either way,
+                // and a new name touches no segment.
+                Command::CreateInd(_)
+                | Command::DefineRole(_)
+                | Command::DefineAttribute(_)
+                | Command::DefineConcept(..) => {}
+                // Rule assertion applies to every current instance of the
+                // antecedent; retraction re-derives a cone that can span
+                // any segment. Conservative and correct: hydrate
+                // everything.
+                _ => self.hydrate_all()?,
             }
-            // create-ind needs no hydration: parked individuals exist as
-            // roster stubs, so a duplicate is caught either way, and a
-            // new name touches no segment.
-            "create-ind" | "define-role" | "define-attribute" | "define-concept" => {}
-            // Rule assertion applies to every current instance of the
-            // antecedent; retraction re-derives a cone that can span any
-            // segment. Conservative and correct: hydrate everything.
-            _ => self.hydrate_all()?,
+            classic_lang::eval(&mut self.kb, &cmd)?;
         }
-        classic_lang::run_script(&mut self.kb, text)?;
         Ok(())
     }
 
@@ -870,6 +909,15 @@ impl DurableKb {
 
     // ---- logged operators -------------------------------------------------
 
+    /// Render `(op name desc)` exactly as it will be appended, refusing
+    /// it — before the operator is applied — if it would not read back
+    /// ([`reads_back`]).
+    fn log_line(&self, op: &str, name: &str, desc: &Concept) -> Result<String> {
+        let line = format!("({op} {name} {})", desc.display(&self.kb.schema().symbols));
+        reads_back(desc, || line.clone())?;
+        Ok(line)
+    }
+
     /// `define-role`, logged on success.
     pub fn define_role(&mut self, name: &str) -> Result<RoleId> {
         let id = self.kb.define_role(name)?;
@@ -886,9 +934,9 @@ impl DurableKb {
 
     /// `define-concept`, logged on success.
     pub fn define_concept(&mut self, name: &str, told: Concept) -> Result<ConceptName> {
-        let rendered = told.display(&self.kb.schema().symbols).to_string();
+        let line = self.log_line("define-concept", name, &told)?;
         let id = self.kb.define_concept(name, told)?;
-        self.append(&format!("(define-concept {name} {rendered})"))?;
+        self.append(&line)?;
         Ok(id)
     }
 
@@ -905,9 +953,9 @@ impl DurableKb {
     /// On a paged store the target's segment hydrates first.
     pub fn assert_ind(&mut self, name: &str, desc: &Concept) -> Result<AssertReport> {
         self.ensure_hydrated_for(name)?;
-        let rendered = desc.display(&self.kb.schema().symbols).to_string();
+        let line = self.log_line("assert-ind", name, desc)?;
         let report = self.kb.assert_ind(name, desc)?;
-        self.append(&format!("(assert-ind {name} {rendered})"))?;
+        self.append(&line)?;
         Ok(report)
     }
 
@@ -916,9 +964,9 @@ impl DurableKb {
     /// instance of its antecedent.
     pub fn assert_rule(&mut self, antecedent: &str, consequent: Concept) -> Result<usize> {
         self.hydrate_all()?;
-        let rendered = consequent.display(&self.kb.schema().symbols).to_string();
+        let line = self.log_line("assert-rule", antecedent, &consequent)?;
         let ix = self.kb.assert_rule(antecedent, consequent)?;
-        self.append(&format!("(assert-rule {antecedent} {rendered})"))?;
+        self.append(&line)?;
         Ok(ix)
     }
 
@@ -928,9 +976,9 @@ impl DurableKb {
     /// cone can span any segment.
     pub fn retract_ind(&mut self, name: &str, desc: &Concept) -> Result<RetractReport> {
         self.hydrate_all()?;
-        let rendered = desc.display(&self.kb.schema().symbols).to_string();
+        let line = self.log_line("retract-ind", name, desc)?;
         let report = self.kb.retract_ind(name, desc)?;
-        self.append(&format!("(retract-ind {name} {rendered})"))?;
+        self.append(&line)?;
         Ok(report)
     }
 
@@ -941,9 +989,9 @@ impl DurableKb {
         consequent: &Concept,
     ) -> Result<RetractReport> {
         self.hydrate_all()?;
-        let rendered = consequent.display(&self.kb.schema().symbols).to_string();
+        let line = self.log_line("retract-rule", antecedent, consequent)?;
         let report = self.kb.retract_rule(antecedent, consequent)?;
-        self.append(&format!("(retract-rule {antecedent} {rendered})"))?;
+        self.append(&line)?;
         Ok(report)
     }
 
@@ -959,19 +1007,13 @@ impl DurableKb {
     /// named, since identical rules have identical consequences.
     pub fn retract_rule_by_id(&mut self, rule_ix: usize) -> Result<RetractReport> {
         self.hydrate_all()?;
-        let line = self
-            .kb
-            .rules()
-            .get(rule_ix)
-            .filter(|r| !r.retired)
+        let live = self.kb.rules().get(rule_ix).filter(|r| !r.retired);
+        let line = live
             .map(|r| {
-                let symbols = &self.kb.schema().symbols;
-                format!(
-                    "(retract-rule {} {})",
-                    symbols.concept_name(r.antecedent),
-                    r.consequent.display(symbols)
-                )
-            });
+                let antecedent = self.kb.schema().symbols.concept_name(r.antecedent);
+                self.log_line("retract-rule", antecedent, &r.consequent)
+            })
+            .transpose()?;
         let report = self.kb.retract_rule_by_id(rule_ix)?;
         let line = line.expect("retract_rule_by_id accepted a dead rule id");
         self.append(&line)?;
@@ -1030,7 +1072,7 @@ impl DurableKb {
             }
             Command::RetractRuleById(ix) => Ok(Outcome::Retracted(self.retract_rule_by_id(*ix)?)),
             Command::BulkLoad(spec) => Ok(Outcome::BulkLoaded(self.bulk_load_logged(spec)?)),
-            read_only => classic_lang::eval(self.kb_mut_for_queries(), read_only),
+            read_only => classic_lang::eval(self.kb_mut_for_queries()?, read_only),
         }
     }
 
@@ -1052,6 +1094,15 @@ impl DurableKb {
         // Rows may reference any parked individual; conservative, like
         // rule assertion.
         self.hydrate_all()?;
+        if let Some(e) = &spec.into {
+            // The one description a bulk record carries; like every
+            // logged description it must read back.
+            let into = e.resolve(self.kb.schema_mut())?;
+            let symbols = &self.kb.schema().symbols;
+            reads_back(&into, || {
+                format!("(bulk-load (into {}) (roles))", into.display(symbols))
+            })?;
+        }
         let rows = resolve_bulk_rows(&mut self.kb, spec)?;
         let report = self.kb.bulk_assert(&rows);
         if report.accepted > 0 {
@@ -1534,15 +1585,6 @@ fn sweep_stale(dir: &Path, stem: &str, manifest: &Manifest) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
-}
-
-/// If `line` is a `(create-ind NAME)` record exactly as the snapshot
-/// renderer writes it, the name; otherwise `None`.
-fn create_ind_target(line: &str) -> Option<&str> {
-    line.trim()
-        .strip_prefix("(create-ind ")?
-        .strip_suffix(')')
-        .map(str::trim)
 }
 
 /// A throwaway file handle used to build the struct before the real
@@ -2077,6 +2119,127 @@ mod tests {
         // Hydrating clears the error.
         paged.hydrate_all().unwrap();
         assert!(paged.kb().is_ok());
+    }
+
+    #[test]
+    fn hydration_failure_is_an_error_and_the_store_stays_usable() {
+        let dir = tmpdir("pagedlost");
+        let path = dir.join("kb.log");
+        let mut store = DurableKb::open(&path, |_| {}).unwrap();
+        store.set_segment_budget(4);
+        populate(&mut store);
+        populate_many(&mut store, 0, 10);
+        store.compact().unwrap();
+        drop(store);
+
+        let mut paged = DurableKb::open_paged(&path, |_| {}).unwrap();
+        paged.hydrate_for("Ind-001").unwrap();
+        let hydrated_before = paged.segment_count() - paged.pending_segments();
+        // Lose a segment that is still parked (Ind-009 lives in the last).
+        let victim = paged
+            .pending
+            .iter()
+            .find(|s| !s.hydrated && s.entry.names.iter().any(|n| n == "Ind-009"))
+            .map(|s| s.entry.file.clone())
+            .expect("Ind-009's segment is parked");
+        std::fs::remove_file(dir.join(&victim)).unwrap();
+
+        // The query path reports it as an error: a panic here would
+        // unwind under whatever lock the caller holds (a tenant's).
+        match paged.kb_mut_for_queries() {
+            Err(ClassicError::Storage { path, .. }) => {
+                assert!(path.ends_with(&victim), "error names {path}, lost {victim}")
+            }
+            other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
+        }
+        assert!(matches!(
+            paged.eval_durable(&classic_lang::parse_one("(retrieve PERSON)").unwrap()),
+            Err(ClassicError::Storage { .. })
+        ));
+        // Nothing already hydrated was lost, and individuals whose
+        // segments are in keep taking durable writes.
+        assert!(paged.segment_count() - paged.pending_segments() >= hydrated_before);
+        let person = paged.kb.schema().symbols.find_concept("PERSON").unwrap();
+        paged.assert_ind("Ind-001", &Concept::Name(person)).unwrap();
+        paged.create_ind("Newcomer").unwrap();
+        // Only the lost segment's own individuals are out of reach.
+        assert!(paged.assert_ind("Ind-009", &Concept::Name(person)).is_err());
+    }
+
+    /// `levels` of `(ALL thing-driven …)` around `THING`.
+    fn all_chain(store: &DurableKb, levels: usize) -> Concept {
+        let driven = store.kb.schema().symbols.find_role("thing-driven").unwrap();
+        (0..levels).fold(Concept::thing(), |inner, _| Concept::all(driven, inner))
+    }
+
+    /// A line the store writes must stay a line the parser reads: a
+    /// description whose record nests exactly to the reader's bound is
+    /// logged and replays; one level more is refused *before* it is
+    /// applied — with the reader's own error, and nothing logged —
+    /// instead of being accepted now and failing the next open.
+    #[test]
+    fn descriptions_the_reader_could_not_read_back_are_refused_unlogged() {
+        // The kernel recurses over a description's depth too; a roomy
+        // stack keeps this test about the log, not about that.
+        std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(|| {
+                let dir = tmpdir("nestbound");
+                let path = dir.join("kb.log");
+                let mut store = DurableKb::open(&path, |_| {}).unwrap();
+                populate(&mut store);
+                // `(assert-ind Rocky <511 × (ALL …)>)` nests 512 deep.
+                let at_bound = all_chain(&store, 511);
+                store.assert_ind("Rocky", &at_bound).unwrap();
+                let logged = std::fs::read_to_string(&path).unwrap();
+                let state = snapshot_to_string(store.kb().unwrap());
+
+                let too_deep = all_chain(&store, 512);
+                let refused = [
+                    store.assert_ind("Rocky", &too_deep).map(drop),
+                    store.retract_ind("Rocky", &too_deep).map(drop),
+                    store.define_concept("DEEP", too_deep.clone()).map(drop),
+                    store.assert_rule("STUDENT", too_deep.clone()).map(drop),
+                    store.retract_rule("STUDENT", &too_deep).map(drop),
+                ];
+                for r in refused {
+                    let msg = r.unwrap_err().to_string();
+                    assert!(msg.contains("512-paren limit"), "{msg}");
+                }
+                // `EXACTLY` renders one level deeper than it is written,
+                // so the wire can reach the same edge through the parser.
+                let sneaky = format!(
+                    "(assert-ind Rocky {}(EXACTLY 1 thing-driven){})",
+                    "(ALL thing-driven ".repeat(510),
+                    ")".repeat(510)
+                );
+                let cmd = classic_lang::parse_one(&sneaky).expect("512 deep as written");
+                let msg = store.eval_durable(&cmd).unwrap_err().to_string();
+                assert!(msg.contains("512-paren limit"), "{msg}");
+                let bulk = format!(
+                    "(bulk-load (into {}(EXACTLY 1 thing-driven){}) (roles) (row Rocky))",
+                    "(ALL thing-driven ".repeat(509),
+                    ")".repeat(509)
+                );
+                let cmd = classic_lang::parse_one(&bulk).expect("512 deep as written");
+                let msg = store.eval_durable(&cmd).unwrap_err().to_string();
+                assert!(msg.contains("512-paren limit"), "{msg}");
+
+                assert_eq!(logged, std::fs::read_to_string(&path).unwrap());
+                assert_eq!(state, snapshot_to_string(store.kb().unwrap()));
+                drop(store);
+                // The record at the bound replays, from the log and, after
+                // a compaction, from a segment.
+                let mut reopened = DurableKb::open(&path, |_| {}).unwrap();
+                assert_eq!(state, snapshot_to_string(reopened.kb().unwrap()));
+                reopened.compact().unwrap();
+                drop(reopened);
+                let reopened = DurableKb::open(&path, |_| {}).unwrap();
+                assert_eq!(state, snapshot_to_string(reopened.kb().unwrap()));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -73,6 +73,7 @@ fn crime_workload(store: &mut DurableKb) {
         let filler = IndRef::Classic(
             store
                 .kb_mut_for_queries()
+                .unwrap()
                 .schema_mut()
                 .symbols
                 .individual(&crime),

@@ -143,6 +143,7 @@ fn apply_to_store(store: &mut DurableKb, op: &Op) {
             let f = IndRef::Classic(
                 store
                     .kb_mut_for_queries()
+                    .unwrap()
                     .schema_mut()
                     .symbols
                     .individual(&format!("x{j}")),

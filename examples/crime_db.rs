@@ -209,6 +209,7 @@ fn main() {
         let filler = classic::IndRef::Classic(
             case_file
                 .kb_mut_for_queries()
+                .expect("hydrated")
                 .schema_mut()
                 .symbols
                 .individual(&wife),

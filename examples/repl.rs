@@ -35,7 +35,7 @@ fn main() {
                 println!("; script OK ({} commands)", outcomes.len());
             }
             Err(e) => {
-                eprintln!("error: {e}");
+                eprintln!("error: {}", e.display(&session.kb.schema().symbols));
                 std::process::exit(1);
             }
         }
@@ -120,7 +120,7 @@ fn main() {
                     println!("{}", o.render_text());
                 }
             }
-            Err(e) => eprintln!("rejected: {e}"),
+            Err(e) => eprintln!("rejected: {}", e.display(&session.kb.schema().symbols)),
         }
     }
     println!("bye");

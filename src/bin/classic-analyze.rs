@@ -95,7 +95,8 @@ fn main() -> ExitCode {
         };
         let mut session = Session::new();
         if let Err(e) = session.run(&source) {
-            eprintln!("{path}: script failed to load: {e}");
+            let named = e.display(&session.kb.schema().symbols);
+            eprintln!("{path}: script failed to load: {named}");
             broken = true;
             continue;
         }
