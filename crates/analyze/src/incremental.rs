@@ -69,7 +69,6 @@ pub struct AnalysisState {
     compat: HashMap<IndId, BTreeSet<usize>>,
     seen_inds: usize,
     dirty_inds: BTreeSet<IndId>,
-    all_dirty: bool,
 }
 
 /// Committed-state fingerprint of one individual: everything the ABox
@@ -111,12 +110,6 @@ impl AnalysisState {
         self.dirty_inds.extend(cone);
     }
 
-    /// Mark everything dirty (schema edited out-of-band, state of unknown
-    /// provenance). The next refresh is a full re-analysis.
-    pub fn mark_all(&mut self) {
-        self.all_dirty = true;
-    }
-
     /// Bring every cache up to date with `kb`, re-checking only dirty
     /// entities, and report what was done. New concepts, rule-base
     /// changes, and new individuals are detected without marking; told
@@ -138,9 +131,6 @@ impl AnalysisState {
         let mut cone_out: Vec<Diagnostic> = Vec::new();
 
         // ---- concepts (immutable definitions: cache misses only) ----
-        if self.all_dirty {
-            self.concept_cache.clear();
-        }
         let defined: Vec<ConceptName> = kb.schema().defined_concepts().collect();
         let mut new_concepts = false;
         for &name in &defined {
@@ -159,7 +149,7 @@ impl AnalysisState {
 
         // ---- rules (signature change recomputes the tier) ----
         let sig: Vec<bool> = kb.rules().iter().map(|r| r.retired).collect();
-        let rules_dirty = self.all_dirty || sig != self.rule_sig;
+        let rules_dirty = sig != self.rule_sig;
         if rules_dirty {
             self.rule_sig = sig;
             self.rule_infos = checks::rule_infos(kb);
@@ -177,7 +167,7 @@ impl AnalysisState {
         // concepts re-fingerprint the whole ABox like a rule-base change;
         // Phase A prunes the members that did not actually move.
         let ind_count = kb.ind_count();
-        let all_inds = self.all_dirty || rules_dirty || new_concepts;
+        let all_inds = rules_dirty || new_concepts;
         let mut marked: BTreeSet<IndId> = if all_inds {
             self.dirty_inds.clear();
             kb.ind_ids().collect()
@@ -282,7 +272,6 @@ impl AnalysisState {
             }
         }
         self.inert = inert_new;
-        self.all_dirty = false;
 
         crate::sort_diagnostics(&mut cone_out);
         self.record_metrics(&registry, cone_size, &cone_out);

@@ -45,6 +45,7 @@
 use crate::experiments::time;
 use classic_analyze::{analyze, Severity};
 use classic_ingest::{plan, run_durable, Format, IngestOptions};
+use classic_lang::{Command, Expr};
 use classic_store::{same_state, DurableKb};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -150,11 +151,19 @@ pub fn run() -> String {
                 for cmd in &ingest_plan.ddl {
                     store.eval_durable(cmd).unwrap();
                 }
-                let kb = store.kb_mut_for_queries().unwrap();
-                let resolved = classic_lang::resolve_bulk_rows(kb, &ingest_plan.spec).unwrap();
-                for row in &resolved {
-                    store.create_ind(&row.name).unwrap();
-                    store.assert_ind(&row.name, &row.desc).unwrap();
+                // What each row of the bulk form asserts, one fsynced
+                // command at a time.
+                let spec = &ingest_plan.spec;
+                for row in &spec.rows {
+                    let fills =
+                        row.values.iter().zip(&spec.roles).filter_map(|(v, role)| {
+                            Some(Expr::Fills(role.clone(), vec![v.clone()?]))
+                        });
+                    let desc = Expr::And(spec.into.iter().cloned().chain(fills).collect());
+                    let create = Command::CreateInd(row.name.clone());
+                    store.eval_durable(&create).unwrap();
+                    let assert = Command::AssertInd(row.name.clone(), desc);
+                    store.eval_durable(&assert).unwrap();
                 }
             });
             drop(store);

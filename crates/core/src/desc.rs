@@ -15,6 +15,7 @@
 //! - individual-only constructors (§3.2): `FILLS`, `CLOSE`
 
 use crate::host::{HostValue, Layer};
+use crate::lexical::Writer;
 use crate::symbol::{ConceptName, IndName, RoleId, SymbolTable, TestId};
 use std::fmt;
 
@@ -243,86 +244,105 @@ pub struct DisplayConcept<'a> {
 
 impl fmt::Display for DisplayConcept<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_concept(self.c, self.symbols, f)
+        self.c.write(self.symbols, &mut Writer::new(f))
     }
 }
 
-pub(crate) fn write_ind(i: &IndRef, s: &SymbolTable, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match i {
-        IndRef::Classic(n) => f.write_str(s.individual_name(*n)),
-        IndRef::Host(v) => write!(f, "{v}"),
+impl IndRef {
+    /// Write this individual as a `ONE-OF`/`FILLS` operand.
+    pub fn write<W: fmt::Write>(&self, s: &SymbolTable, w: &mut Writer<W>) -> fmt::Result {
+        match self {
+            IndRef::Classic(n) => w.symbol(s.individual_name(*n)),
+            IndRef::Host(v) => v.write(w),
+        }
     }
 }
 
-fn write_path(p: &[RoleId], s: &SymbolTable, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    f.write_str("(")?;
-    for (i, r) in p.iter().enumerate() {
-        if i > 0 {
-            f.write_str(" ")?;
-        }
-        f.write_str(s.role_name(*r))?;
+fn write_path<W: fmt::Write>(p: &[RoleId], s: &SymbolTable, w: &mut Writer<W>) -> fmt::Result {
+    w.open("")?;
+    for r in p {
+        w.symbol(s.role_name(*r))?;
     }
-    f.write_str(")")
+    w.close()
 }
 
-fn write_concept(c: &Concept, s: &SymbolTable, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match c {
-        Concept::Builtin(l) => f.write_str(l.name()),
-        Concept::Name(n) => f.write_str(s.concept_name(*n)),
-        Concept::Primitive { parent, index } => {
-            f.write_str("(PRIMITIVE ")?;
-            write_concept(parent, s, f)?;
-            write!(f, " {index})")
-        }
-        Concept::DisjointPrimitive {
-            parent,
-            grouping,
-            index,
-        } => {
-            f.write_str("(DISJOINT-PRIMITIVE ")?;
-            write_concept(parent, s, f)?;
-            write!(f, " {grouping} {index})")
-        }
-        Concept::OneOf(inds) => {
-            f.write_str("(ONE-OF")?;
-            for i in inds {
-                f.write_str(" ")?;
-                write_ind(i, s, f)?;
+impl Concept {
+    /// Write this expression in the surface syntax — the one spelling
+    /// `Display`, the operation log and the segment files share.
+    pub fn write<W: fmt::Write>(&self, s: &SymbolTable, w: &mut Writer<W>) -> fmt::Result {
+        match self {
+            Concept::Builtin(l) => return w.symbol(l.name()),
+            Concept::Name(n) => {
+                let name = s.concept_name(*n);
+                if Layer::from_name(name).is_some() {
+                    w.refuse(|| format!("a concept named {name} reads back as the built-in"));
+                }
+                return w.symbol(name);
             }
-            f.write_str(")")
-        }
-        Concept::All(r, c) => {
-            write!(f, "(ALL {} ", s.role_name(*r))?;
-            write_concept(c, s, f)?;
-            f.write_str(")")
-        }
-        Concept::AtLeast(n, r) => write!(f, "(AT-LEAST {n} {})", s.role_name(*r)),
-        Concept::AtMost(n, r) => write!(f, "(AT-MOST {n} {})", s.role_name(*r)),
-        Concept::SameAs(p, q) => {
-            f.write_str("(SAME-AS ")?;
-            write_path(p, s, f)?;
-            f.write_str(" ")?;
-            write_path(q, s, f)?;
-            f.write_str(")")
-        }
-        Concept::Fills(r, inds) => {
-            write!(f, "(FILLS {}", s.role_name(*r))?;
-            for i in inds {
-                f.write_str(" ")?;
-                write_ind(i, s, f)?;
+            Concept::Primitive { parent, index } => {
+                w.open("PRIMITIVE")?;
+                parent.write(s, w)?;
+                w.symbol(index)?;
             }
-            f.write_str(")")
-        }
-        Concept::Close(r) => write!(f, "(CLOSE {})", s.role_name(*r)),
-        Concept::Test(t) => write!(f, "(TEST {})", s.test_name(*t)),
-        Concept::And(parts) => {
-            f.write_str("(AND")?;
-            for p in parts {
-                f.write_str(" ")?;
-                write_concept(p, s, f)?;
+            Concept::DisjointPrimitive {
+                parent,
+                grouping,
+                index,
+            } => {
+                w.open("DISJOINT-PRIMITIVE")?;
+                parent.write(s, w)?;
+                w.symbol(grouping)?;
+                w.symbol(index)?;
             }
-            f.write_str(")")
+            Concept::OneOf(inds) => {
+                w.open("ONE-OF")?;
+                for i in inds {
+                    i.write(s, w)?;
+                }
+            }
+            Concept::All(r, c) => {
+                w.open("ALL")?;
+                w.symbol(s.role_name(*r))?;
+                c.write(s, w)?;
+            }
+            Concept::AtLeast(n, r) => {
+                w.open("AT-LEAST")?;
+                w.int(i64::from(*n))?;
+                w.symbol(s.role_name(*r))?;
+            }
+            Concept::AtMost(n, r) => {
+                w.open("AT-MOST")?;
+                w.int(i64::from(*n))?;
+                w.symbol(s.role_name(*r))?;
+            }
+            Concept::SameAs(p, q) => {
+                w.open("SAME-AS")?;
+                write_path(p, s, w)?;
+                write_path(q, s, w)?;
+            }
+            Concept::Fills(r, inds) => {
+                w.open("FILLS")?;
+                w.symbol(s.role_name(*r))?;
+                for i in inds {
+                    i.write(s, w)?;
+                }
+            }
+            Concept::Close(r) => {
+                w.open("CLOSE")?;
+                w.symbol(s.role_name(*r))?;
+            }
+            Concept::Test(t) => {
+                w.open("TEST")?;
+                w.symbol(s.test_name(*t))?;
+            }
+            Concept::And(parts) => {
+                w.open("AND")?;
+                for p in parts {
+                    p.write(s, w)?;
+                }
+            }
         }
+        w.close()
     }
 }
 

@@ -16,6 +16,7 @@
 //! [`Layer`] lattice rather than by primitive atoms, so layer reasoning
 //! is a constant-time comparison.
 
+use crate::lexical::Writer;
 use std::fmt;
 
 /// A totally ordered `f64` wrapper so host floats can live in the sorted
@@ -53,13 +54,7 @@ impl std::hash::Hash for F64 {
 
 impl fmt::Display for F64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Keep a decimal point so the printed form re-lexes as a float
-        // (never as an integer or a symbol).
-        if self.0.is_finite() && self.0.fract() == 0.0 {
-            write!(f, "{:.1}", self.0)
-        } else {
-            write!(f, "{}", self.0)
-        }
+        Writer::new(f).float(self.0)
     }
 }
 
@@ -93,14 +88,21 @@ impl HostValue {
     }
 }
 
+impl HostValue {
+    /// Write this value as the literal the lexer reads back to it.
+    pub fn write<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        match self {
+            HostValue::Int(i) => w.int(*i),
+            HostValue::Float(v) => w.float(v.0),
+            HostValue::Str(s) => w.string(s),
+            HostValue::Sym(s) => w.quoted_symbol(s),
+        }
+    }
+}
+
 impl fmt::Display for HostValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HostValue::Int(i) => write!(f, "{i}"),
-            HostValue::Float(v) => write!(f, "{v}"),
-            HostValue::Str(s) => write!(f, "{s:?}"),
-            HostValue::Sym(s) => write!(f, "'{s}"),
-        }
+        self.write(&mut Writer::new(f))
     }
 }
 

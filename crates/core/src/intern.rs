@@ -246,11 +246,6 @@ impl Kernel {
         self.subsumes_ids(b, s)
     }
 
-    /// Number of memo entries currently cached.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
     /// Snapshot of every counter — a view over the obs registry series
     /// (plus the interner's structural size).
     pub fn stats(&self) -> KernelStats {

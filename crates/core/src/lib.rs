@@ -33,6 +33,7 @@ pub mod desc;
 pub mod error;
 pub mod host;
 pub mod intern;
+pub mod lexical;
 pub mod normal;
 pub mod same_as;
 pub mod schema;

@@ -649,7 +649,7 @@ impl fmt::Display for DisplayNf<'_> {
                 if i > 0 {
                     write!(f, " ")?;
                 }
-                crate::desc::write_ind(ind, self.symbols, f)?;
+                ind.write(self.symbols, &mut crate::lexical::Writer::new(&mut *f))?;
             }
             write!(f, "}}")?;
         }
@@ -669,7 +669,7 @@ impl fmt::Display for DisplayNf<'_> {
                     if i > 0 {
                         write!(f, " ")?;
                     }
-                    crate::desc::write_ind(ind, self.symbols, f)?;
+                    ind.write(self.symbols, &mut crate::lexical::Writer::new(&mut *f))?;
                 }
                 write!(f, "}}")?;
             }

@@ -307,12 +307,6 @@ impl Schema {
         }
     }
 
-    /// The parent normal form recorded for a primitive (its necessary
-    /// conditions beyond the atom itself).
-    pub fn prim_parent(&self, p: PrimId) -> Option<&NormalForm> {
-        self.prims.get(p.index()).map(|i| &i.parent)
-    }
-
     /// A concise concept expression denoting just this primitive atom:
     /// the introducing name when known, else the raw `PRIMITIVE` form.
     pub fn prim_concept(&self, p: PrimId) -> Concept {
@@ -326,11 +320,6 @@ impl Schema {
                 }
             }
         }
-    }
-
-    /// Number of registered primitive atoms.
-    pub fn prim_count(&self) -> usize {
-        self.prims.len()
     }
 
     // ---- tests ----------------------------------------------------------

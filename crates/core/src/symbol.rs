@@ -207,11 +207,6 @@ impl SymbolTable {
         self.concepts.len()
     }
 
-    /// Number of interned individual names.
-    pub fn individual_count(&self) -> usize {
-        self.individuals.len()
-    }
-
     /// Iterate over all interned concept names.
     pub fn concepts(&self) -> impl Iterator<Item = (ConceptName, &str)> {
         self.concepts

@@ -19,10 +19,8 @@
 //! happens to satisfy, not guarantees about the domain; the soundness
 //! caveats are normative in `docs/INGEST.md` §4.
 
-use crate::normalize::render_lit;
-use classic_lang::IndLit;
+use classic_lang::{Command, Expr, IndLit};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Enumerations larger than this are never inferred as `ONE-OF`.
 pub const ONE_OF_CAP: usize = 8;
@@ -51,8 +49,8 @@ pub struct ColumnProfile {
     pub syms: usize,
     /// `@Name` references seen.
     pub refs: usize,
-    /// Distinct rendered values; `None` once [`ONE_OF_CAP`] overflowed.
-    pub distinct: Option<BTreeSet<String>>,
+    /// Distinct values; `None` once [`ONE_OF_CAP`] overflowed.
+    pub distinct: Option<BTreeSet<IndLit>>,
 }
 
 impl ColumnProfile {
@@ -84,7 +82,7 @@ impl ColumnProfile {
             IndLit::Sym(_) => self.syms += 1,
         }
         if let Some(set) = &mut self.distinct {
-            set.insert(render_lit(lit));
+            set.insert(lit.clone());
             if set.len() > ONE_OF_CAP {
                 self.distinct = None;
             }
@@ -114,7 +112,7 @@ impl ColumnProfile {
     /// The `ONE-OF` enumeration candidate, if the column qualifies:
     /// host values only, at most [`ONE_OF_CAP`] distinct, and at least
     /// [`ONE_OF_MIN_SUPPORT`] observations per distinct value.
-    pub fn one_of(&self) -> Option<Vec<String>> {
+    pub fn one_of(&self) -> Option<Vec<IndLit>> {
         let set = self.distinct.as_ref()?;
         if self.refs > 0 || set.is_empty() || self.present < set.len() * ONE_OF_MIN_SUPPORT {
             return None;
@@ -135,69 +133,53 @@ pub fn profile_columns(roles: &[String], rows: &[Vec<Option<IndLit>>]) -> Vec<Co
     profiles
 }
 
-/// An inferred starter TBox, rendered as a surface-language script (the
-/// single source of truth: the pipeline parses this same text into DDL
-/// commands, and `--emit-tbox` writes it for `classic-analyze`).
+/// An inferred starter TBox: the commands the pipeline applies as DDL
+/// (and renders, through the language's own writer, as the script
+/// `--emit-tbox` writes for `classic-analyze`).
 #[derive(Debug, Clone)]
 pub struct InferredTbox {
     /// The entity concept's name.
     pub entity: String,
-    /// `define-role` + `define-concept` script.
-    pub script: String,
+    /// One `define-role` per column, then the entity's `define-concept`.
+    pub ddl: Vec<Command>,
     /// Human-readable notes: widened or dropped constraints.
     pub notes: Vec<String>,
 }
 
 /// Derive the starter TBox for `entity` from the column profiles.
-pub fn infer_tbox(entity: &str, source: &str, profiles: &[ColumnProfile]) -> InferredTbox {
+pub fn infer_tbox(entity: &str, profiles: &[ColumnProfile]) -> InferredTbox {
     let mut notes = Vec::new();
-    let mut script = format!(
-        "; starter TBox inferred by classic-ingest from {source}\n\
-         ; Data-derived constraints; soundness caveats: docs/INGEST.md section 4.\n"
-    );
+    let mut ddl: Vec<Command> = (profiles.iter())
+        .map(|p| Command::DefineRole(p.role.clone()))
+        .collect();
+    let mut parts = vec![Expr::Primitive {
+        parent: Box::new(Expr::Name("THING".into())),
+        index: entity.to_ascii_lowercase(),
+    }];
     for p in profiles {
-        let _ = writeln!(script, "(define-role {})", p.role);
-    }
-    let _ = writeln!(script, "(define-concept {entity}");
-    let _ = write!(
-        script,
-        "  (AND (PRIMITIVE THING {})",
-        entity.to_ascii_lowercase()
-    );
-    for p in profiles {
-        let restriction = match p.one_of() {
-            Some(values) => Some(format!("(ALL {} (ONE-OF {}))", p.role, values.join(" "))),
-            None => match p.value_type() {
-                Some(ty) => Some(format!("(ALL {} {ty})", p.role)),
-                None => {
-                    if p.present > 0 {
-                        notes.push(format!(
-                            "column {}: mixed value types ({} ints, {} floats, {} strings, \
-                             {} symbols, {} refs) — no ALL restriction inferred",
-                            p.role, p.ints, p.floats, p.strs, p.syms, p.refs
-                        ));
-                    } else {
-                        notes.push(format!(
-                            "column {}: no values observed — no ALL restriction inferred",
-                            p.role
-                        ));
-                    }
-                    None
-                }
-            },
-        };
-        if let Some(r) = restriction {
-            let _ = write!(script, "\n       {r}");
+        let all = |inner| Expr::All(p.role.clone(), Box::new(inner));
+        match (p.one_of(), p.value_type()) {
+            (Some(values), _) => parts.push(all(Expr::OneOf(values))),
+            (None, Some(ty)) => parts.push(all(Expr::Name(ty.into()))),
+            (None, None) if p.present > 0 => notes.push(format!(
+                "column {}: mixed value types ({} ints, {} floats, {} strings, \
+                 {} symbols, {} refs) — no ALL restriction inferred",
+                p.role, p.ints, p.floats, p.strs, p.syms, p.refs
+            )),
+            (None, None) => notes.push(format!(
+                "column {}: no values observed — no ALL restriction inferred",
+                p.role
+            )),
         }
-        let _ = write!(script, "\n       (AT-MOST 1 {})", p.role);
+        parts.push(Expr::AtMost(1, p.role.clone()));
         if p.missing == 0 && p.present > 0 {
-            let _ = write!(script, "\n       (AT-LEAST 1 {})", p.role);
+            parts.push(Expr::AtLeast(1, p.role.clone()));
         }
     }
-    script.push_str("))\n");
+    ddl.push(Command::DefineConcept(entity.into(), Expr::And(parts)));
     InferredTbox {
         entity: entity.to_string(),
-        script,
+        ddl,
         notes,
     }
 }
@@ -242,14 +224,17 @@ mod tests {
             &["color"],
             &[&[red()], &[blue()], &[red()], &[blue()], &[red()]],
         );
-        assert_eq!(p[0].one_of().unwrap(), ["'blue", "'red"]);
+        assert_eq!(
+            p[0].one_of().unwrap(),
+            [IndLit::Sym("blue".into()), IndLit::Sym("red".into())]
+        );
         // Two rows, two distinct values: a key, not an enumeration.
         let p = lit_rows(&["id"], &[&[red()], &[blue()]]);
         assert_eq!(p[0].one_of(), None);
     }
 
     #[test]
-    fn inferred_script_parses_and_carries_bounds() {
+    fn inferred_tbox_carries_bounds() {
         let p = lit_rows(
             &["age", "nick"],
             &[
@@ -257,15 +242,17 @@ mod tests {
                 &[Some(IndLit::Int(40)), Some(IndLit::Str("Mo".into()))],
             ],
         );
-        let tbox = infer_tbox("PERSON", "test", &p);
-        let cmds = classic_lang::parse(&tbox.script).unwrap();
-        assert_eq!(cmds.len(), 3); // two roles + the concept
-        assert!(tbox.script.contains("(ALL age INTEGER)"), "{}", tbox.script);
-        assert!(tbox.script.contains("(AT-LEAST 1 age)"), "{}", tbox.script);
+        let tbox = infer_tbox("PERSON", &p);
+        assert_eq!(tbox.ddl.len(), 3); // two roles + the concept
+        let Some(Command::DefineConcept(_, Expr::And(parts))) = tbox.ddl.last() else {
+            panic!("expected the entity's definition, got {:?}", tbox.ddl);
+        };
+        let all_age = Expr::All("age".into(), Box::new(Expr::Name("INTEGER".into())));
+        assert!(parts.contains(&all_age), "{parts:?}");
+        assert!(parts.contains(&Expr::AtLeast(1, "age".into())), "{parts:?}");
         assert!(
-            !tbox.script.contains("(AT-LEAST 1 nick)"),
-            "{}",
-            tbox.script
+            !parts.contains(&Expr::AtLeast(1, "nick".into())),
+            "{parts:?}"
         );
     }
 }

@@ -71,19 +71,6 @@ pub fn normalize_json(v: &Json) -> Result<Option<IndLit>> {
     })
 }
 
-/// Render an operand as re-parseable surface text (the same conventions
-/// the store's log renderer uses: strings quoted, symbols ticked,
-/// floats always with a dot).
-pub fn render_lit(lit: &IndLit) -> String {
-    match lit {
-        IndLit::Name(n) => n.clone(),
-        IndLit::Int(i) => i.to_string(),
-        IndLit::Float(v) => v.to_string(),
-        IndLit::Str(s) => format!("{s:?}"),
-        IndLit::Sym(s) => format!("'{s}"),
-    }
-}
-
 /// Coerce arbitrary external text into a valid surface-language symbol:
 /// `[A-Za-z0-9_-]` survives, every other character maps to `-`, and a
 /// leading character that would lex as something else (digit, `-`, or

@@ -10,11 +10,11 @@
 //! [`DurableKb::bulk_load`] with its compaction commit point).
 
 use crate::infer::{infer_tbox, profile_columns};
-use crate::normalize::{concept_name, normalize_cell, normalize_json, render_lit, role_name};
+use crate::normalize::{concept_name, normalize_cell, normalize_json, role_name};
 use crate::{csv, json_rows};
 use classic_core::error::{ClassicError, Result};
 use classic_kb::{BulkReport, Kb};
-use classic_lang::{resolve_bulk_rows, BulkRowSpec, BulkSpec, Command, Expr, IndLit};
+use classic_lang::{BulkRowSpec, BulkSpec, Command, Expr, IndLit, Outcome};
 use classic_store::{BulkLoadReport, DurableKb};
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -78,8 +78,8 @@ pub struct IngestPlan {
     /// `define-concept` when inference is on.
     pub ddl: Vec<Command>,
     /// The preamble as a surface-language script (what `--emit-tbox`
-    /// writes and `classic-analyze` lints); the `ddl` commands are
-    /// parsed from exactly this text.
+    /// writes and `classic-analyze` lints): the `ddl` commands, one per
+    /// line, as the language's writer records them.
     pub tbox_script: String,
     /// Inference notes: widened/dropped constraints.
     pub notes: Vec<String>,
@@ -111,19 +111,27 @@ pub fn plan(reader: impl BufRead, opts: &IngestOptions) -> Result<IngestPlan> {
         }
     }
 
-    let (tbox_script, notes, into) = if opts.infer {
+    let (header, ddl, notes, into) = if opts.infer {
         let values: Vec<Vec<Option<IndLit>>> = named_rows.iter().map(|(_, v)| v.clone()).collect();
         let profiles = profile_columns(&roles, &values);
-        let tbox = infer_tbox(&entity, &opts.source, &profiles);
-        (tbox.script, tbox.notes, Some(Expr::Name(entity.clone())))
+        let tbox = infer_tbox(&entity, &profiles);
+        let header = format!(
+            "; starter TBox inferred by classic-ingest from {}\n\
+             ; Data-derived constraints; soundness caveats: docs/INGEST.md section 4.\n",
+            opts.source
+        );
+        (
+            header,
+            tbox.ddl,
+            tbox.notes,
+            Some(Expr::Name(entity.clone())),
+        )
     } else {
-        let mut script = format!("; roles for columns of {}\n", opts.source);
-        for role in &roles {
-            script.push_str(&format!("(define-role {role})\n"));
-        }
-        (script, Vec::new(), None)
+        let ddl = roles.iter().cloned().map(Command::DefineRole).collect();
+        let header = format!("; roles for columns of {}\n", opts.source);
+        (header, ddl, Vec::new(), None)
     };
-    let ddl = classic_lang::parse(&tbox_script)?;
+    let tbox_script = script_of(header, &ddl)?;
 
     let spec = BulkSpec {
         into,
@@ -140,6 +148,21 @@ pub fn plan(reader: impl BufRead, opts: &IngestOptions) -> Result<IngestPlan> {
         notes,
         spec,
     })
+}
+
+/// The DDL as a script: each command's [record](classic_lang::Write::record)
+/// on its own line under `header`, resolved against a scratch KB — which
+/// also refuses, at plan time, a preamble no segment could hold.
+fn script_of(mut script: String, ddl: &[Command]) -> Result<String> {
+    let mut scratch = Kb::new();
+    for cmd in ddl {
+        let write = cmd
+            .to_write(scratch.schema_mut())?
+            .expect("the preamble is definitions");
+        script.push_str(&write.record(&scratch)?);
+        script.push('\n');
+    }
+    Ok(script)
 }
 
 /// One normalized row: each cell is `Some(literal)` or missing.
@@ -221,7 +244,8 @@ fn name_rows(
         };
         let name = crate::normalize::sanitize_symbol(&match &id {
             IndLit::Name(n) | IndLit::Str(n) | IndLit::Sym(n) => n.clone(),
-            other => render_lit(other),
+            IndLit::Int(i) => i.to_string(),
+            IndLit::Float(v) => v.to_string(),
         });
         if let Some(first) = seen.insert(name.clone(), ix + 1) {
             return Err(ClassicError::Malformed(format!(
@@ -242,8 +266,10 @@ pub fn run_in_memory(plan: &IngestPlan) -> Result<(Kb, BulkReport)> {
     for cmd in &plan.ddl {
         classic_lang::eval(&mut kb, cmd)?;
     }
-    let rows = resolve_bulk_rows(&mut kb, &plan.spec)?;
-    let report = kb.bulk_assert(&rows);
+    let rows = plan.spec.to_write(kb.schema_mut())?;
+    let Outcome::BulkLoaded(report) = rows.apply(&mut kb)? else {
+        unreachable!("a bulk-load yields its report");
+    };
     Ok((kb, report))
 }
 
@@ -272,7 +298,6 @@ pub fn run_durable(store: &mut DurableKb, plan: &IngestPlan) -> Result<BulkLoadR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use classic_lang::Outcome;
 
     fn opts(format: Format, infer: bool, id: Option<&str>) -> IngestOptions {
         IngestOptions {

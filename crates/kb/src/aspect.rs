@@ -8,7 +8,7 @@
 
 use crate::individual::IndId;
 use crate::kb::Kb;
-use classic_core::aspect::{concept_aspect, roles_with_aspect, Aspect, AspectKind};
+use classic_core::aspect::{concept_aspect, Aspect, AspectKind};
 use classic_core::desc::Concept;
 use classic_core::error::Result;
 use classic_core::symbol::{ConceptName, RoleId};
@@ -35,29 +35,12 @@ impl Kb {
         concept_aspect(&self.ind(id).derived, kind, role)
     }
 
-    /// `ind-aspect[ind, kind]` without a role: the roles restricted by
-    /// that constructor for this individual.
-    pub fn ind_roles_with_aspect(&self, id: IndId, kind: AspectKind) -> Vec<RoleId> {
-        roles_with_aspect(&self.ind(id).derived, kind)
-    }
-
     /// The named concepts this individual is most specifically recognized
     /// under (its realization — "the lowest concept(s) in the schema whose
     /// description(s) it satisfies", §5).
     pub fn most_specific_concepts(&self, id: IndId) -> Vec<ConceptName> {
         let mut out = Vec::new();
         for &node in &self.ind(id).msc {
-            out.extend(self.taxonomy().node(node).names.iter().copied());
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// Every named concept this individual is recognized under.
-    pub fn all_concepts_of(&self, id: IndId) -> Vec<ConceptName> {
-        let mut out = Vec::new();
-        for &node in &self.ind(id).instance_nodes {
             out.extend(self.taxonomy().node(node).names.iter().copied());
         }
         out.sort();

@@ -915,22 +915,25 @@ impl Kb {
     /// [`Kb::retract_rule`]; out-of-range or already-retired ids are
     /// rejected with a [`ClassicError::NoSuchRule`] naming the id.
     pub fn retract_rule_by_id(&mut self, rule_ix: usize) -> Result<RetractReport> {
-        if rule_ix >= self.rules.len() {
-            return Err(ClassicError::NoSuchRule {
-                antecedent: format!("#{rule_ix}"),
-                suggestion: Some(format!(
-                    "rule ids range over 0..{} (see list-rules)",
-                    self.rules.len()
-                )),
-            });
-        }
-        if self.rules[rule_ix].retired {
-            return Err(ClassicError::NoSuchRule {
-                antecedent: format!("#{rule_ix}"),
-                suggestion: Some("that rule was already retracted".into()),
-            });
-        }
+        self.live_rule(rule_ix)?;
         self.retract_rule_at(rule_ix)
+    }
+
+    /// The live rule with id `rule_ix` — what `retract-rule` by id
+    /// retires, and what the durable log records it as.
+    pub fn live_rule(&self, rule_ix: usize) -> Result<&Rule> {
+        let no_such = |hint: String| ClassicError::NoSuchRule {
+            antecedent: format!("#{rule_ix}"),
+            suggestion: Some(hint),
+        };
+        match self.rules.get(rule_ix) {
+            None => Err(no_such(format!(
+                "rule ids range over 0..{} (see list-rules)",
+                self.rules.len()
+            ))),
+            Some(rule) if rule.retired => Err(no_such("that rule was already retracted".into())),
+            Some(rule) => Ok(rule),
+        }
     }
 
     /// Retire the (live) rule at `rule_ix` and re-derive everything it

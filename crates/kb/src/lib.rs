@@ -28,3 +28,4 @@ pub use deps::{DependencyJournal, RetractReport, Support, SupportKind};
 pub use explain::{Explanation, Requirement};
 pub use individual::{IndId, Individual};
 pub use kb::{nearest_match, AssertReport, Kb, KbStats, Rule};
+pub use propagate::guard_recognizers;

@@ -63,14 +63,16 @@ pub(crate) enum PathResolution {
 const PARALLEL_MIN_BATCH: usize = 64;
 
 /// Run `f`, which may call user-registered `TEST` recognizers, turning
-/// a panic in one into [`ClassicError::RecognizerPanicked`].
+/// a panic in one into [`ClassicError::RecognizerPanicked`] — the one
+/// panic boundary around recognizers, for propagation here and for
+/// `classic-query`'s instance tests (on its worker threads too).
 ///
 /// `AssertUnwindSafe` is sound here: `f` only reads the KB, and the
 /// interior mutability it touches (per-individual test-hit caches, the
 /// kernel memo) is behind mutexes whose guards are dropped *before* a
 /// recognizer runs — a panicking recognizer cannot poison them or leave
 /// them mid-update.
-pub(crate) fn guard_recognizers<T>(f: impl FnOnce() -> T) -> Result<T> {
+pub fn guard_recognizers<T>(f: impl FnOnce() -> T) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         let msg = payload
             .downcast_ref::<&str>()

@@ -26,7 +26,7 @@ use classic_query::MarkedQuery;
 
 /// An individual operand before resolution: a CLASSIC name or a host
 /// literal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum IndLit {
     /// A named CLASSIC individual (`Rocky`).
     Name(String),
@@ -56,7 +56,7 @@ impl IndLit {
 /// An unresolved concept expression: the paper's description grammar with
 /// every name still a symbol. Produced by the pure parser; resolved
 /// against a schema by [`Expr::resolve`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Expr {
     /// A concept name or builtin layer (`THING`, `INTEGER`, `PERSON`).
     Name(String),

@@ -23,10 +23,10 @@
 //! the paper's point that one language plays every role — which is why a
 //! [`Command`] is plain data between three independent steps: the reader
 //! ([`crate::parse`], pure — names stay symbols, no KB in scope, so a
-//! server can parse a request before choosing a tenant and the store can
-//! decide what a log record needs before applying it), evaluation
-//! ([`crate::eval`], which resolves names against one KB), and rendering
-//! ([`crate::Outcome`]).
+//! server can parse a request before choosing a tenant), evaluation
+//! ([`crate::eval`], which resolves names against one KB — a command
+//! that writes into a [`crate::Write`], the form it is applied and
+//! recorded in), and rendering ([`crate::Outcome`]).
 
 use crate::ast::{Expr, IndLit, QueryExpr};
 use classic_core::aspect::AspectKind;
@@ -142,12 +142,14 @@ pub enum Command {
 }
 
 impl Command {
-    /// Whether evaluating this command can change the knowledge base.
-    /// The server routes mutating commands through the durable write
-    /// path and everything else against a pinned read snapshot.
-    /// (`what-if?` mutates transiently but always rolls back, so it
-    /// counts as read-only; `obs-reset`/`obs-level` touch only
-    /// observability state.)
+    /// Whether evaluating this command can change the knowledge base:
+    /// [`Command::to_write`] yields a [`crate::Write`] exactly when this
+    /// holds (a test pins the two together), and this is the predicate
+    /// for callers with no schema at hand. The server routes mutating
+    /// commands through the durable write path and everything else
+    /// against a pinned read snapshot. (`what-if?` mutates transiently
+    /// but always rolls back, so it counts as read-only;
+    /// `obs-reset`/`obs-level` touch only observability state.)
     pub fn is_mutation(&self) -> bool {
         matches!(
             self,

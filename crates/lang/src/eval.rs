@@ -2,59 +2,19 @@
 //!
 //! [`eval`] is where a pure [`Command`] first meets a KB: names resolve
 //! against its schema, the operator runs, and the result comes back as an
-//! [`Outcome`]. [`eval_monitored`] additionally keeps an incremental
-//! analysis state in step with the writes.
+//! [`Outcome`]. The ten operators that write are resolved, and applied,
+//! by [`crate::Write`]; the rest are answered here. [`eval_monitored`]
+//! additionally keeps an incremental analysis state in step with the
+//! writes.
 
-use crate::command::{BulkSpec, Command};
+use crate::command::Command;
 use crate::outcome::{AspectValue, LintReport, Outcome};
 use crate::parser::parse;
 use classic_core::desc::IndRef;
 use classic_core::error::{ClassicError, Result};
+use classic_core::schema::Schema;
 use classic_kb::Kb;
 use classic_query::Query;
-
-/// Resolve a [`BulkSpec`] into KB-level [`classic_kb::BulkRow`]s: the
-/// `into` concept (if any) conjoined with one `FILLS` per non-missing
-/// cell. Shared by [`eval`] and the durable store's bulk path (which
-/// re-renders accepted rows into its log).
-pub fn resolve_bulk_rows(kb: &mut Kb, spec: &BulkSpec) -> Result<Vec<classic_kb::BulkRow>> {
-    let into = spec
-        .into
-        .as_ref()
-        .map(|e| e.resolve(kb.schema_mut()))
-        .transpose()?;
-    let roles: Vec<classic_core::RoleId> = spec
-        .roles
-        .iter()
-        .map(|r| {
-            kb.schema()
-                .symbols
-                .find_role(r)
-                .ok_or_else(|| unknown_role(kb, r))
-        })
-        .collect::<Result<_>>()?;
-    spec.rows
-        .iter()
-        .map(|row| {
-            let mut parts = Vec::new();
-            if let Some(c) = &into {
-                parts.push(c.clone());
-            }
-            for (value, &role) in row.values.iter().zip(&roles) {
-                if let Some(lit) = value {
-                    parts.push(classic_core::Concept::Fills(
-                        role,
-                        vec![lit.resolve(kb.schema_mut())],
-                    ));
-                }
-            }
-            Ok(classic_kb::BulkRow {
-                name: row.name.clone(),
-                desc: classic_core::Concept::and(parts),
-            })
-        })
-        .collect()
-}
 
 /// `unknown concept NAME` with a nearest-match suggestion when some
 /// defined name is within typo distance.
@@ -72,10 +32,10 @@ fn unknown_individual(kb: &Kb, name: &str) -> ClassicError {
     ))
 }
 
-fn unknown_role(kb: &Kb, name: &str) -> ClassicError {
+pub(crate) fn unknown_role(schema: &Schema, name: &str) -> ClassicError {
     ClassicError::Malformed(suggest(
         format!("unknown role {name:?}"),
-        classic_kb::nearest_match(name, kb.schema().symbols.roles().map(|(_, n)| n)),
+        classic_kb::nearest_match(name, schema.symbols.roles().map(|(_, n)| n)),
     ))
 }
 
@@ -89,48 +49,20 @@ fn suggest(mut msg: String, near: Option<&str>) -> String {
 /// Evaluate a parsed command against a knowledge base, resolving names
 /// against its schema first.
 pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
+    if let Some(write) = cmd.to_write(kb.schema_mut())? {
+        return write.apply(kb);
+    }
     match cmd {
-        Command::DefineRole(name) => {
-            kb.define_role(name)?;
-            Ok(Outcome::Ok)
-        }
-        Command::DefineAttribute(name) => {
-            kb.define_attribute(name)?;
-            Ok(Outcome::Ok)
-        }
-        Command::DefineConcept(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
-            kb.define_concept(name, c)?;
-            Ok(Outcome::Ok)
-        }
-        Command::CreateInd(name) => {
-            kb.create_ind(name)?;
-            Ok(Outcome::Ok)
-        }
-        Command::AssertInd(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
-            let report = kb.assert_ind(name, &c)?;
-            Ok(Outcome::Asserted(report))
-        }
-        Command::AssertRule(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
-            let ix = kb.assert_rule(name, c)?;
-            Ok(Outcome::RuleAsserted(ix))
-        }
-        Command::RetractInd(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
-            let report = kb.retract_ind(name, &c)?;
-            Ok(Outcome::Retracted(report))
-        }
-        Command::RetractRule(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
-            let report = kb.retract_rule(name, &c)?;
-            Ok(Outcome::Retracted(report))
-        }
-        Command::RetractRuleById(ix) => {
-            let report = kb.retract_rule_by_id(*ix)?;
-            Ok(Outcome::Retracted(report))
-        }
+        Command::DefineRole(_)
+        | Command::DefineAttribute(_)
+        | Command::DefineConcept(..)
+        | Command::CreateInd(_)
+        | Command::AssertInd(..)
+        | Command::AssertRule(..)
+        | Command::RetractInd(..)
+        | Command::RetractRule(..)
+        | Command::RetractRuleById(_)
+        | Command::BulkLoad(_) => unreachable!("to_write resolves every mutation"),
         Command::ListRules => {
             let symbols = &kb.schema().symbols;
             let lines: Vec<String> = kb
@@ -460,10 +392,6 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             names.dedup();
             Ok(Outcome::Concepts(names))
         }
-        Command::BulkLoad(spec) => {
-            let rows = resolve_bulk_rows(kb, spec)?;
-            Ok(Outcome::BulkLoaded(kb.bulk_assert(&rows)))
-        }
         Command::LintKb { .. } => {
             // One-shot evaluation holds no analysis state, so the full
             // report and the first cone coincide; `eval_monitored` (and
@@ -579,7 +507,7 @@ fn resolve_role(kb: &Kb, role: Option<&str>) -> Result<Option<classic_core::Role
             .symbols
             .find_role(r)
             .map(Some)
-            .ok_or_else(|| unknown_role(kb, r)),
+            .ok_or_else(|| unknown_role(kb.schema(), r)),
     }
 }
 

@@ -6,11 +6,14 @@
 //! and we write as `(assert-ind Rocky …)`.
 //!
 //! Token kinds: parentheses, bare symbols (`RICH-KID`, `thing-driven`,
-//! `Rocky`), integers (`42`, `-7`), double-quoted strings with `\\`/`\"`
+//! `Rocky`), integers (`42`, `-7`), floats, double-quoted strings with
 //! escapes, quoted symbols (`'red`) for host symbols, and the query marker
-//! `?:`. Comments run from `;` to end of line.
+//! `?:`. Comments run from `;` to end of line. What a symbol character
+//! is, which runs are numbers and what the escapes stand for is decided
+//! by [`classic_core::lexical`], which the writers share.
 
 use classic_core::error::{ClassicError, Result};
+use classic_core::lexical::{self, is_symbol_char, Atom};
 use std::fmt;
 
 /// Source position, 1-based, for error reporting.
@@ -121,13 +124,28 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                             break;
                         }
                         '\\' => match chars.next() {
+                            // `\u{hex}`: what earlier builds' writer
+                            // spelled unprintable characters as.
+                            Some('u') if chars.peek() == Some(&'{') => {
+                                bump!('u');
+                                // At most six hex digits name a character;
+                                // a seventh without the `}` cannot.
+                                let hex: String = (chars.by_ref().skip(1).take(7))
+                                    .take_while(|&h| h != '}')
+                                    .collect();
+                                col += hex.len() as u32 + 2;
+                                let c = (u32::from_str_radix(&hex, 16).ok())
+                                    .filter(|_| hex.len() <= 6 && !hex.starts_with('+'))
+                                    .and_then(char::from_u32);
+                                s.push(c.ok_or_else(|| {
+                                    ClassicError::Malformed(format!(
+                                        "{pos}: \\u{{{hex}}} is not a character"
+                                    ))
+                                })?);
+                            }
                             Some(e) => {
                                 bump!(e);
-                                s.push(match e {
-                                    'n' => '\n',
-                                    't' => '\t',
-                                    other => other,
-                                });
+                                s.push(lexical::unescape(e).unwrap_or(e));
                             }
                             None => break,
                         },
@@ -199,26 +217,17 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                         break;
                     }
                 }
-                // A symbol that parses entirely as an integer is a host
-                // integer literal; one that starts numerically and parses
-                // as an f64 is a float (`1.5`, `-2e3`); names like
-                // `Volvo-17` stay symbols.
-                let numeric_start = s
-                    .trim_start_matches('-')
-                    .starts_with(|c: char| c.is_ascii_digit());
-                let kind = if let Ok(i) = s.parse::<i64>() {
-                    TokenKind::Int(i)
-                } else if let Some(v) = s.parse::<f64>().ok().filter(|_| numeric_start) {
+                let kind = match lexical::classify(&s) {
+                    Atom::Int(i) => TokenKind::Int(i),
                     // `1e999` overflows f64 to infinity; accepting it
                     // would silently store `inf` as the told value.
-                    if !v.is_finite() {
+                    Atom::Float(v) if !v.is_finite() => {
                         return Err(ClassicError::Malformed(format!(
                             "{pos}: float literal {s:?} overflows to a non-finite value"
                         )));
                     }
-                    TokenKind::Float(classic_core::host::F64(v))
-                } else {
-                    TokenKind::Symbol(s)
+                    Atom::Float(v) => TokenKind::Float(classic_core::host::F64(v)),
+                    Atom::Symbol => TokenKind::Symbol(s),
                 };
                 tokens.push(Token { kind, pos });
             }
@@ -230,13 +239,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
         }
     }
     Ok(tokens)
-}
-
-/// Characters permitted inside bare symbols — generous, to cover the
-/// paper's identifiers (`thing-driven`, `SPORTS-CAR`, `Volvo-17`, `?:`
-/// excluded).
-fn is_symbol_char(c: char) -> bool {
-    c.is_alphanumeric() || matches!(c, '-' | '_' | '+' | '*' | '/' | '.' | '!' | '<' | '>' | '=')
 }
 
 #[cfg(test)]

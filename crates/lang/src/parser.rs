@@ -41,10 +41,13 @@ use classic_query::MarkedQuery;
 /// parse can use: unbounded nesting would overflow a server worker's
 /// stack, and a stack overflow aborts the process rather than unwinding.
 /// It is a limit of the *language* — HTTP bodies, log lines, scripts and
-/// REPL input all meet it here — and the same number the server's line
-/// framer stops buffering at. 512 is orders of magnitude beyond any
-/// legitimate form.
-pub(crate) const MAX_NESTING: usize = 512;
+/// REPL input all meet it here; the server's line framer stops buffering
+/// at it and [`crate::Write::record`] refuses to write past it. 512 is
+/// orders of magnitude beyond any legitimate form.
+pub const MAX_NESTING: usize = 512;
+
+/// What every layer says of a form nested past [`MAX_NESTING`].
+pub const TOO_DEEP: &str = "form nests deeper than the 512-paren limit";
 
 /// Cursor over a borrowed token slice. Pure: owns only its position, the
 /// paren depth, and marker bookkeeping, never a schema.
@@ -127,9 +130,7 @@ impl<'a> Parser<'a> {
                 self.ix += 1;
                 Ok(())
             }
-            Some(TokenKind::LParen) => Err(self.err(format_args!(
-                "form nests deeper than the {MAX_NESTING}-paren limit"
-            ))),
+            Some(TokenKind::LParen) => Err(self.err(TOO_DEEP)),
             _ => Err(self.unexpected("'('")),
         }
     }
@@ -883,7 +884,8 @@ mod tests {
                 assert_eq!(levels, MAX_NESTING - 1);
                 for n in [MAX_NESTING, 4_000, 100_000] {
                     let msg = parse(&nested(n)).unwrap_err().to_string();
-                    assert!(msg.contains("512-paren limit"), "{n}: {msg}");
+                    assert!(msg.contains(TOO_DEEP), "{n}: {msg}");
+                    assert!(TOO_DEEP.contains(&MAX_NESTING.to_string()));
                     // Positioned at the paren that went too deep.
                     assert!(msg.contains(": 1:"), "{n}: {msg}");
                 }

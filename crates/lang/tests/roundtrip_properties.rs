@@ -1,14 +1,21 @@
 //! Property: printing a concept in the surface syntax and re-parsing it
-//! yields the identical AST. This is the guarantee the persistence layer
-//! (`classic-store`) leans on — the command stream is only a sound
-//! serialization format if parse ∘ print is the identity.
+//! yields the identical AST — for every host value, not only the tidy
+//! ones: any `String`, any finite float, any symbol. This is the
+//! guarantee the persistence layer (`classic-store`) leans on — the
+//! command stream is only a sound serialization format if parse ∘ print
+//! is the identity. And the same for whole records: what
+//! [`Write::record`] writes, `parse` and `to_write` read back to an equal
+//! [`Write`], whatever the names — or `record` refuses.
 
 use classic_core::desc::{Concept, IndRef};
+use classic_core::lexical::{is_symbol, is_symbol_char};
 use classic_core::schema::Schema;
 use classic_core::symbol::{RoleId, TestId};
 use classic_core::HostValue;
-use classic_lang::parse_concept;
+use classic_kb::Kb;
+use classic_lang::{parse_concept, parse_one, Write};
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 const N_ROLES: usize = 4;
 
@@ -44,10 +51,45 @@ fn ind(i: usize) -> IndRef {
     }
 }
 
+/// Finite floats: the awkward ones, and any bit pattern that is finite.
+fn finite_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(-0.0),
+        Just(1e21),
+        Just(5e-324),
+        Just(f64::MAX),
+        (0u64..=u64::MAX).prop_map(|bits| Some(f64::from_bits(bits))
+            .filter(|v| v.is_finite())
+            .unwrap_or(0.5)),
+    ]
+}
+
+/// Host values over the whole value space: strings of arbitrary Unicode
+/// (the stand-in's `.` draws C0 controls — CR, NUL — U+2000–U+20FF —
+/// U+200B, U+2028 — quotes and backslashes among the rest), finite
+/// floats, integers, and symbols of every symbol character.
+fn host_value() -> impl Strategy<Value = HostValue> {
+    prop_oneof![
+        ".{0,12}".prop_map(HostValue::Str),
+        finite_float().prop_map(HostValue::float),
+        (i64::MIN..=i64::MAX).prop_map(HostValue::Int),
+        ".{1,12}".prop_map(|s| {
+            let sym: String = s.chars().filter(|&c| is_symbol_char(c)).collect();
+            HostValue::Sym(if sym.is_empty() { "s".into() } else { sym })
+        }),
+    ]
+}
+
+fn host_inds() -> impl Strategy<Value = Vec<IndRef>> {
+    proptest::collection::vec(host_value().prop_map(IndRef::Host), 1..4)
+}
+
 /// Strategy over printable concepts (names/tests resolved against the
 /// fixed vocabulary built in every test case).
 fn concept_strategy() -> impl Strategy<Value = Concept> {
     let leaf = prop_oneof![
+        host_inds().prop_map(Concept::OneOf),
+        (0usize..N_ROLES, host_inds()).prop_map(|(r, v)| Concept::Fills(role(r), v)),
         Just(Concept::thing()),
         Just(Concept::Builtin(classic_core::Layer::Classic)),
         Just(Concept::Builtin(classic_core::Layer::Host(Some(
@@ -78,8 +120,145 @@ fn concept_strategy() -> impl Strategy<Value = Concept> {
     })
 }
 
+/// The strings and floats a respelling writer has lost before (ISSUE 14),
+/// by name.
+#[test]
+fn the_values_earlier_builds_respelled_read_back_equal() {
+    let mut schema = vocabulary();
+    let strings = [
+        "x\ry",
+        "x\u{1}y",
+        "12 Main St\r\nSpringfield",
+        "wid\u{200b}get",
+        "n\0l",
+        "line\u{2028}sep",
+        "say \"hi\" \\ there",
+        "",
+    ];
+    let values = (strings.iter().map(|s| HostValue::Str((*s).into())))
+        .chain([-0.0, 1e21, 5e-324].map(HostValue::float));
+    for v in values {
+        let c = Concept::OneOf(vec![IndRef::Host(v.clone())]);
+        let printed = c.display(&schema.symbols).to_string();
+        assert!(!printed.contains(['\n', '\r']), "{printed:?} spans lines");
+        assert_eq!(
+            parse_concept(&printed, &mut schema).unwrap(),
+            c,
+            "{printed:?}"
+        );
+    }
+    // What earlier builds wrote for them (Rust's `{:?}`) still reads.
+    let old = r#"(ONE-OF "x\ry" "n\0l" "wid\u{200b}get" "x\u{1}y" "it\'s")"#;
+    let expect = ["x\ry", "n\0l", "wid\u{200b}get", "x\u{1}y", "it's"];
+    let expect = expect.map(|s| IndRef::Host(HostValue::Str(s.into())));
+    assert_eq!(
+        parse_concept(old, &mut schema).unwrap(),
+        Concept::OneOf(expect.to_vec())
+    );
+    for bad in [
+        r#""\u{110000}""#,
+        r#""\u{d800}""#,
+        r#""\u{}""#,
+        r#""\u{12"#,
+        r#""\u{+41}""#,
+    ] {
+        assert!(parse_concept(bad, &mut schema).is_err(), "{bad}");
+    }
+}
+
+fn kb_with_vocabulary() -> Kb {
+    let mut kb = Kb::new();
+    *kb.schema_mut() = vocabulary();
+    kb
+}
+
+/// A rule id is recorded as the rule it names — ids do not survive
+/// compaction — and a dead id is refused with the KB's own error.
+#[test]
+fn a_rule_id_is_recorded_as_its_rule() {
+    let mut kb = Kb::new();
+    let r = kb.define_role("r").unwrap();
+    kb.define_concept("C", Concept::primitive(Concept::thing(), "c"))
+        .unwrap();
+    let id = kb.assert_rule("C", Concept::AtMost(3, r)).unwrap();
+    let by_id = Write::RetractRuleById(id).record(&kb).unwrap();
+    assert_eq!(by_id, "(retract-rule C (AT-MOST 3 r))");
+    let by_name = Write::RetractRule("C", Cow::Owned(Concept::AtMost(3, r)));
+    assert_eq!(by_id, by_name.record(&kb).unwrap());
+    let dead = Write::RetractRuleById(id + 1).record(&kb).unwrap_err();
+    assert_eq!(
+        dead.to_string(),
+        kb.retract_rule_by_id(id + 1).unwrap_err().to_string()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every kind of record, over arbitrary text in every position a
+    /// name, index or grouping can take: `record` either refuses — and
+    /// then some text really is no symbol — or what it wrote is one line
+    /// that parses and resolves back to the very same write.
+    #[test]
+    fn a_record_is_read_back_as_the_same_write_or_refused(
+        kind in 0usize..9,
+        name in ".{0,6}",
+        index in ".{0,6}",
+        grouping in ".{0,6}",
+        tidy in 0usize..4,
+        c in concept_strategy(),
+        cell in host_value(),
+    ) {
+        // Mostly-valid inputs, so acceptance is exercised as hard as refusal.
+        let tidied = |s: String, keep: bool| if keep { s } else {
+            let t: String = s.chars().filter(|&c| is_symbol_char(c)).collect();
+            if is_symbol(&t) { t } else { "t".into() }
+        };
+        let name = tidied(name, tidy == 1);
+        let index = tidied(index, tidy == 2);
+        let grouping = tidied(grouping, tidy == 3);
+        let mut kb = kb_with_vocabulary();
+        let named = IndRef::Classic(kb.schema_mut().symbols.individual(&name));
+        let named_role = kb.schema_mut().symbols.role(&name);
+        let desc = Concept::and([
+            c,
+            Concept::primitive(Concept::thing(), &index),
+            Concept::disjoint_primitive(Concept::thing(), &grouping, &index),
+            Concept::Fills(named_role, vec![named.clone()]),
+        ]);
+        let desc = || Cow::Borrowed(&desc);
+        let write = match kind {
+            0 => Write::DefineRole(&name),
+            1 => Write::DefineAttribute(&name),
+            2 => Write::DefineConcept(&name, desc()),
+            3 => Write::CreateInd(&name),
+            4 => Write::AssertInd(&name, desc()),
+            5 => Write::AssertRule(&name, desc()),
+            6 => Write::RetractInd(&name, desc()),
+            7 => Write::RetractRule(&name, desc()),
+            _ => Write::BulkLoad {
+                into: Some(desc().into_owned()),
+                roles: vec![role(0), named_role],
+                rows: vec![
+                    (&name, vec![Some(IndRef::Host(cell)), None]),
+                    ("Ind-0", vec![Some(named), Some(IndRef::Host(HostValue::Int(7)))]),
+                ],
+            },
+        };
+        match write.record(&kb) {
+            Ok(line) => {
+                prop_assert!(!line.contains(['\n', '\r']), "{:?} spans lines", line);
+                let cmd = parse_one(&line)
+                    .unwrap_or_else(|e| panic!("{line:?} does not parse: {e}"));
+                let back = cmd.to_write(kb.schema_mut()).unwrap();
+                prop_assert_eq!(back.as_ref(), Some(&write), "record: {}", line);
+            }
+            Err(e) => prop_assert!(
+                [&name, &index, &grouping].iter().any(|t| !is_symbol(t) || *t == "_"),
+                "refused {:?} for no reason: {}", write, e
+            ),
+        }
+    }
 
     #[test]
     fn print_then_parse_is_identity(c in concept_strategy()) {

@@ -334,13 +334,6 @@ impl MetricsSnapshot {
             }
         }
     }
-
-    /// True if no series carries a nonzero value or observation.
-    pub fn is_all_zero(&self) -> bool {
-        self.counters.values().all(|(_, v)| *v == 0)
-            && self.gauges.values().all(|(_, v)| *v == 0)
-            && self.histograms.values().all(|(_, h)| h.count == 0)
-    }
 }
 
 /// A set of named metric series. Instantiable — every [`Kb`]-like owner

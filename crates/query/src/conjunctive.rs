@@ -119,7 +119,7 @@ fn extend(
             let nf = nf.expect("pre-normalized");
             match resolve(term, b) {
                 Some(i) => {
-                    if crate::guard_tests(|| satisfies(kb, &i, nf))? {
+                    if classic_kb::guard_recognizers(|| satisfies(kb, &i, nf))? {
                         out.push(b.clone());
                     }
                 }

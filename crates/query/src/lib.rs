@@ -33,11 +33,11 @@ pub mod conjunctive;
 pub use conjunctive::{answer, KbAtom, KbQuery, KbTerm};
 
 use classic_core::desc::{Concept, IndRef};
-use classic_core::error::{ClassicError, Result};
+use classic_core::error::Result;
 use classic_core::normal::NormalForm;
 use classic_core::symbol::RoleId;
 use classic_core::taxonomy::NodeId;
-use classic_kb::{IndId, Kb};
+use classic_kb::{guard_recognizers, IndId, Kb};
 use std::collections::BTreeSet;
 
 /// A query concept with a `?:` marker: the marker sits in front of the
@@ -420,32 +420,6 @@ impl QueryObs {
     }
 }
 
-/// Render a caught panic payload for the error message. `panic!` with a
-/// string literal yields `&str`; `panic!("{x}")` yields `String`; anything
-/// else is opaque.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
-}
-
-/// Run instance tests, converting a panic in a user-registered `TEST`
-/// recognizer into [`ClassicError::RecognizerPanicked`].
-///
-/// `AssertUnwindSafe` is sound here: `known_instance` takes `&Kb`, and the
-/// only interior mutability it touches are the per-individual test-hit
-/// caches and the kernel memo, whose mutex guards are dropped *before* the
-/// user recognizer runs — a panicking recognizer cannot poison them or
-/// leave them mid-update.
-fn guard_tests<T>(f: impl FnOnce() -> T) -> Result<T> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .map_err(|p| ClassicError::RecognizerPanicked(panic_message(p.as_ref())))
-}
-
 /// Below this many candidates a sequential scan beats thread start-up.
 const PARALLEL_THRESHOLD: usize = 256;
 
@@ -460,7 +434,7 @@ const PARALLEL_THRESHOLD: usize = 256;
 /// through (or aborting from) a worker thread.
 fn test_candidates(kb: &Kb, nf: &NormalForm, candidates: &[IndId]) -> Result<Vec<IndId>> {
     if candidates.len() < PARALLEL_THRESHOLD {
-        return guard_tests(|| {
+        return guard_recognizers(|| {
             candidates
                 .iter()
                 .copied()
@@ -482,7 +456,7 @@ fn test_candidates(kb: &Kb, nf: &NormalForm, candidates: &[IndId]) -> Result<Vec
                 s.spawn(move || {
                     // Catch inside the worker so the panic becomes data;
                     // `scope` still joins every thread before returning.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    guard_recognizers(|| {
                         // Worker threads have no open parent span, so each
                         // batch becomes its own root trace in the recorder.
                         let _span = classic_obs::span(&recorder, "query.worker_batch");
@@ -491,21 +465,14 @@ fn test_candidates(kb: &Kb, nf: &NormalForm, candidates: &[IndId]) -> Result<Vec
                             .copied()
                             .filter(|&id| kb.known_instance(id, nf))
                             .collect::<Vec<IndId>>()
-                    }))
+                    })
                 })
             })
             .collect();
         for h in handles {
-            // The outer Err covers a panic that escaped the catch (e.g.
-            // raised while building the closure's return value).
-            let caught = match h.join() {
-                Ok(inner) => inner,
-                Err(p) => Err(p),
-            };
-            match caught {
-                Ok(part_hits) => hits.extend(part_hits),
-                Err(p) => return Err(ClassicError::RecognizerPanicked(panic_message(p.as_ref()))),
-            }
+            // A panic that escaped the guard is not a recognizer's.
+            let guarded = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            hits.extend(guarded?);
         }
         Ok(())
     })?;
@@ -531,7 +498,7 @@ pub fn retrieve_naive_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
     }
     let ids: Vec<IndId> = kb.ind_ids().collect();
     stats.tested = ids.len();
-    let known = guard_tests(|| {
+    let known = guard_recognizers(|| {
         ids.into_iter()
             .filter(|&id| kb.known_instance(id, nf))
             .collect()
@@ -542,7 +509,7 @@ pub fn retrieve_naive_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
 fn possible_impl(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
     let nf = kb.normalize(query)?;
     let ids: Vec<IndId> = kb.ind_ids().collect();
-    guard_tests(|| {
+    guard_recognizers(|| {
         ids.into_iter()
             .filter(|&id| kb.possible_instance(id, &nf))
             .collect()
@@ -647,6 +614,7 @@ pub fn describe(kb: &Kb, id: IndId) -> Concept {
 mod tests {
     use super::*;
     use classic_core::desc::Concept;
+    use classic_core::error::ClassicError;
 
     fn retrieve(kb: &mut Kb, q: &Concept) -> Result<Answers> {
         Ok(Query::concept(q.clone()).run(kb)?.into_known().unwrap())

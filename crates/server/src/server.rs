@@ -23,6 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use classic_core::{ClassicError, Result};
+use classic_lang::{MAX_NESTING, TOO_DEEP};
 use classic_obs::{
     Counter, ExemplarStore, FlightRecorder, Histogram, ObsLevel, Registry, RequestCtx,
 };
@@ -534,13 +535,6 @@ pub(crate) fn timed_out(e: &std::io::Error) -> bool {
     )
 }
 
-/// Deepest paren nesting the framing layer will buffer: the surface
-/// language's own nesting limit (docs/PROTOCOL.md §2.1), which its
-/// reader enforces on every form however it arrives. The framer only
-/// stops buffering a form that reader is certain to refuse — and, since
-/// a line stream cannot be resynced past one, closes the connection.
-const MAX_FORM_DEPTH: usize = 512;
-
 /// Largest single frame (a form, or an unterminated string/comment/
 /// whitespace run still waiting for its end) buffered before the
 /// connection is rejected, so one client cannot OOM the server by
@@ -555,9 +549,11 @@ const MAX_FORM_BYTES: usize = 16 << 20;
 /// newline — handed to the parser verbatim so the client gets a real
 /// parse error instead of a hung connection. Returns the form text and
 /// the buffer offset one past its end; `Ok(None)` means the frame is
-/// still incomplete. `Err` is a fatal framing violation (nesting past
-/// [`MAX_FORM_DEPTH`], or [`MAX_FORM_BYTES`] buffered without a
-/// complete frame) — the connection cannot be resynced and must close.
+/// still incomplete. `Err` is a fatal framing violation — nesting past
+/// the language's own limit ([`MAX_NESTING`], docs/PROTOCOL.md §2.1: the
+/// framer only stops buffering a form the reader is certain to refuse),
+/// or [`MAX_FORM_BYTES`] buffered without a complete frame — after
+/// which the connection cannot be resynced and must close.
 fn next_form(buf: &[u8]) -> std::result::Result<Option<(String, usize)>, &'static str> {
     let incomplete = if buf.len() > MAX_FORM_BYTES {
         Err("frame exceeds the 16 MiB limit without completing a form")
@@ -612,8 +608,8 @@ fn next_form(buf: &[u8]) -> std::result::Result<Option<(String, usize)>, &'stati
                 b';' => in_comment = true,
                 b'(' => {
                     depth += 1;
-                    if depth > MAX_FORM_DEPTH {
-                        return Err("form nests deeper than the 512-paren limit");
+                    if depth > MAX_NESTING {
+                        return Err(TOO_DEEP);
                     }
                 }
                 b')' => {
@@ -680,7 +676,7 @@ mod tests {
     #[test]
     fn hostile_frames_are_rejected_not_buffered() {
         // Nesting past the language's limit: refused, not buffered.
-        let deep = "(".repeat(MAX_FORM_DEPTH + 1);
+        let deep = "(".repeat(MAX_NESTING + 1);
         assert!(next_form(deep.as_bytes()).is_err());
         // A frame that outgrows the byte cap without ever completing —
         // here an unterminated string — must be rejected, not buffered.

@@ -117,11 +117,6 @@ impl WireSession {
         &self.tenant
     }
 
-    /// Whether a sandbox is active.
-    pub fn in_sandbox(&self) -> bool {
-        self.sandbox.is_some()
-    }
-
     /// Handle one complete top-level form; returns the reply line (no
     /// trailing newline) and whether to keep the connection open.
     ///

@@ -12,7 +12,7 @@
 //!
 //! The byte-level layout is normatively specified in `docs/FORMAT.md` §4.
 
-use crate::segment::{fnv1a, storage_err, SegmentKind};
+use crate::segment::{storage_err, SegmentKind};
 use classic_core::error::Result;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -306,14 +306,6 @@ pub(crate) fn tmp_path(path: &Path) -> PathBuf {
         .unwrap_or_default();
     name.push_str(".tmp");
     path.with_file_name(name)
-}
-
-/// Self-describing integrity line for tests: hash of an encoded
-/// manifest's entry block (not persisted; used to assert encode/decode
-/// stability).
-#[doc(hidden)]
-pub fn encoded_hash(m: &Manifest) -> u64 {
-    fnv1a(m.encode().as_bytes())
 }
 
 #[cfg(test)]

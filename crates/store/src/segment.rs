@@ -111,24 +111,24 @@ pub(crate) struct RenderedSegment {
 }
 
 /// Render the schema segment body for the current state of `kb`.
-pub(crate) fn render_schema_segment(kb: &Kb) -> RenderedSegment {
-    let body = crate::snapshot::render_schema_body(kb);
+pub(crate) fn render_schema_segment(kb: &Kb) -> Result<RenderedSegment> {
+    let body = crate::snapshot::render_schema_body(kb)?;
     let hash = fnv1a(body.as_bytes());
-    RenderedSegment {
+    Ok(RenderedSegment {
         kind: SegmentKind::Schema,
         lo: 0,
         hi: 0,
         names: Vec::new(),
         body,
         hash,
-    }
+    })
 }
 
 /// Partition the individual arena into segments of at most `budget`
 /// individuals each and render them. Per-individual told order is
 /// preserved exactly; each segment opens with the `create-ind`
 /// identities of its range so hydrating it in isolation is meaningful.
-pub(crate) fn render_ind_segments(kb: &Kb, budget: usize) -> Vec<RenderedSegment> {
+pub(crate) fn render_ind_segments(kb: &Kb, budget: usize) -> Result<Vec<RenderedSegment>> {
     let budget = budget.max(1);
     let ids: Vec<classic_kb::IndId> = kb.ind_ids().collect();
     let mut out = Vec::new();
@@ -137,7 +137,7 @@ pub(crate) fn render_ind_segments(kb: &Kb, budget: usize) -> Vec<RenderedSegment
         let mut body = String::new();
         let mut names = Vec::with_capacity(chunk.len());
         for &id in chunk {
-            crate::snapshot::render_ind_create(kb, id, &mut body);
+            crate::snapshot::render_ind_create(kb, id, &mut body)?;
             names.push(
                 kb.schema()
                     .symbols
@@ -146,7 +146,7 @@ pub(crate) fn render_ind_segments(kb: &Kb, budget: usize) -> Vec<RenderedSegment
             );
         }
         for &id in chunk {
-            crate::snapshot::render_ind_told(kb, id, &mut body);
+            crate::snapshot::render_ind_told(kb, id, &mut body)?;
         }
         let hash = fnv1a(body.as_bytes());
         out.push(RenderedSegment {
@@ -158,7 +158,7 @@ pub(crate) fn render_ind_segments(kb: &Kb, budget: usize) -> Vec<RenderedSegment
             hash,
         });
     }
-    out
+    Ok(out)
 }
 
 /// The content-addressed file name for a segment body hash:
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn ind_segments_partition_the_arena_by_budget() {
         let kb = sample_kb();
-        let segs = render_ind_segments(&kb, 2);
+        let segs = render_ind_segments(&kb, 2).unwrap();
         assert_eq!(segs.len(), 3);
         assert_eq!((segs[0].lo, segs[0].hi), (0, 2));
         assert_eq!((segs[2].lo, segs[2].hi), (4, 5));
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn segment_roundtrips_through_disk_with_hash_verification() {
         let kb = sample_kb();
-        let seg = &render_ind_segments(&kb, 3)[0];
+        let seg = &render_ind_segments(&kb, 3).unwrap()[0];
         let dir = std::env::temp_dir().join(format!("classic-seg-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -15,25 +15,26 @@
 
 use classic_core::error::Result;
 use classic_kb::Kb;
+use classic_lang::{Expr, Write};
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+/// Append the one-line [record](Write::record) of `write` to `out`: every
+/// line of a snapshot or segment body is written by the language's own
+/// writer, exactly as the operation log's are.
+fn push_record(kb: &Kb, write: Write<'_>, out: &mut String) -> Result<()> {
+    out.push_str(&write.record(kb)?);
+    out.push('\n');
+    Ok(())
+}
 
 /// Render the schema half of a snapshot — the `;!tests:` contract
 /// header, role/attribute declarations, concept definitions, and active
-/// rules — as a replayable command script.
-///
-/// This is the body of the segmented format's *schema segment* (see
-/// `docs/FORMAT.md` §5) and the opening section of the monolithic
-/// [`snapshot_to_string`]; both serializations share one renderer so the
-/// two formats cannot drift.
-///
-/// ```
-/// use classic_kb::Kb;
-/// let mut kb = Kb::new();
-/// kb.define_role("enrolled-at").unwrap();
-/// let body = classic_store::snapshot::render_schema_body(&kb);
-/// assert_eq!(body, "(define-role enrolled-at)\n");
-/// ```
-pub fn render_schema_body(kb: &Kb) -> String {
+/// rules — as a replayable command script: the body of the segmented
+/// format's *schema segment* (`docs/FORMAT.md` §5) and the opening
+/// section of [`snapshot_to_string`], so the two cannot drift. Errs on a
+/// definition the surface language cannot spell ([`Write::record`]).
+pub(crate) fn render_schema_body(kb: &Kb) -> Result<String> {
     let mut out = String::new();
     let symbols = &kb.schema().symbols;
     // Required host test registrations, as a machine-readable comment.
@@ -57,11 +58,12 @@ pub fn render_schema_body(kb: &Kb) -> String {
         .collect();
     roles.sort();
     for (name, attribute) in roles {
-        if attribute {
-            let _ = writeln!(out, "(define-attribute {name})");
+        let write = if attribute {
+            Write::DefineAttribute(name)
         } else {
-            let _ = writeln!(out, "(define-role {name})");
-        }
+            Write::DefineRole(name)
+        };
+        push_record(kb, write, &mut out)?;
     }
     // Concept definitions, in definition order (references only point
     // backwards, so replay succeeds).
@@ -70,43 +72,33 @@ pub fn render_schema_body(kb: &Kb) -> String {
             .schema()
             .concept_told(cname)
             .expect("defined concept has a told form");
-        let _ = writeln!(
-            out,
-            "(define-concept {} {})",
-            symbols.concept_name(cname),
-            told.display(symbols)
-        );
+        let write = Write::DefineConcept(symbols.concept_name(cname), Cow::Borrowed(told));
+        push_record(kb, write, &mut out)?;
     }
     // Rules (retired ones were retracted; compaction folds them away).
     for (_, rule) in kb.active_rules() {
-        let _ = writeln!(
-            out,
-            "(assert-rule {} {})",
-            symbols.concept_name(rule.antecedent),
-            rule.consequent.display(symbols)
-        );
+        let antecedent = symbols.concept_name(rule.antecedent);
+        let write = Write::AssertRule(antecedent, Cow::Borrowed(&rule.consequent));
+        push_record(kb, write, &mut out)?;
     }
-    out
+    Ok(out)
 }
 
 /// Append the `(create-ind …)` identity line for one individual.
-pub(crate) fn render_ind_create(kb: &Kb, id: classic_kb::IndId, out: &mut String) {
-    let _ = writeln!(
-        out,
-        "(create-ind {})",
-        kb.schema().symbols.individual_name(kb.ind(id).name)
-    );
+pub(crate) fn render_ind_create(kb: &Kb, id: classic_kb::IndId, out: &mut String) -> Result<()> {
+    let name = kb.schema().symbols.individual_name(kb.ind(id).name);
+    push_record(kb, Write::CreateInd(name), out)
 }
 
 /// Append the `(assert-ind …)` lines for one individual's told facts, in
 /// the order they were told (per-individual order is semantically
 /// significant for `CLOSE`).
-pub(crate) fn render_ind_told(kb: &Kb, id: classic_kb::IndId, out: &mut String) {
-    let symbols = &kb.schema().symbols;
-    let name = symbols.individual_name(kb.ind(id).name);
+pub(crate) fn render_ind_told(kb: &Kb, id: classic_kb::IndId, out: &mut String) -> Result<()> {
+    let name = kb.schema().symbols.individual_name(kb.ind(id).name);
     for told in &kb.ind(id).told {
-        let _ = writeln!(out, "(assert-ind {name} {})", told.display(symbols));
+        push_record(kb, Write::AssertInd(name, Cow::Borrowed(told)), out)?;
     }
+    Ok(())
 }
 
 /// Render the complete state of a knowledge base as a command script.
@@ -124,20 +116,28 @@ pub(crate) fn render_ind_told(kb: &Kb, id: classic_kb::IndId, out: &mut String) 
 /// let script = classic_store::snapshot_to_string(&kb);
 /// assert!(script.contains("(create-ind Rocky)"));
 /// ```
+///
+/// # Panics
+///
+/// If `kb` holds something the surface language cannot spell — a name
+/// that is not a symbol, a non-finite float ([`Write::record`]): there
+/// is no script of it to return. A [`crate::DurableKb`]'s KB never does.
 pub fn snapshot_to_string(kb: &Kb) -> String {
-    let mut out = String::new();
-    out.push_str("; CLASSIC snapshot (replayable command script)\n");
-    out.push_str(&render_schema_body(kb));
-    // Individuals: identities first (forward references in FILLS are
-    // legal, but being explicit keeps the script order-insensitive), then
-    // the told assertions.
-    for id in kb.ind_ids() {
-        render_ind_create(kb, id, &mut out);
+    fn script(kb: &Kb) -> Result<String> {
+        let mut out = String::from("; CLASSIC snapshot (replayable command script)\n");
+        out.push_str(&render_schema_body(kb)?);
+        // Individuals: identities first (forward references in FILLS are
+        // legal, but being explicit keeps the script order-insensitive),
+        // then the told assertions.
+        for id in kb.ind_ids() {
+            render_ind_create(kb, id, &mut out)?;
+        }
+        for id in kb.ind_ids() {
+            render_ind_told(kb, id, &mut out)?;
+        }
+        Ok(out)
     }
-    for id in kb.ind_ids() {
-        render_ind_told(kb, id, &mut out);
-    }
-    out
+    script(kb).unwrap_or_else(|e| panic!("this knowledge base has no snapshot script: {e}"))
 }
 
 /// Replay a snapshot (or any command script) against a knowledge base.
@@ -185,57 +185,24 @@ pub fn roundtrip(kb: &Kb, register_tests: impl FnOnce(&mut Kb)) -> Result<Kb> {
 /// inside every `(AND …)` is an artifact of propagation order (it can
 /// differ between a directly-executed history and a replayed one without
 /// any semantic difference), so AND arguments are sorted recursively.
-fn canonical_desc(text: &str) -> String {
-    enum Sexp {
-        Atom(String),
-        List(Vec<Sexp>),
-    }
-    fn parse(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Sexp {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.peek() == Some(&'(') {
-            chars.next();
-            let mut items = Vec::new();
-            loop {
-                while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-                    chars.next();
-                }
-                match chars.peek() {
-                    None => break,
-                    Some(')') => {
-                        chars.next();
-                        break;
-                    }
-                    Some(_) => items.push(parse(chars)),
-                }
+/// Text the reader refuses stays text.
+fn up_to_and_order(text: String) -> std::result::Result<Expr, String> {
+    fn sort_ands(e: &mut Expr) {
+        match e {
+            Expr::And(parts) => {
+                parts.iter_mut().for_each(sort_ands);
+                parts.sort();
             }
-            Sexp::List(items)
-        } else {
-            let mut atom = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_whitespace() || c == '(' || c == ')' {
-                    break;
-                }
-                atom.push(c);
-                chars.next();
+            Expr::All(_, inner) => sort_ands(inner),
+            Expr::Primitive { parent, .. } | Expr::DisjointPrimitive { parent, .. } => {
+                sort_ands(parent)
             }
-            Sexp::Atom(atom)
+            _ => {}
         }
     }
-    fn render(s: &Sexp) -> String {
-        match s {
-            Sexp::Atom(a) => a.clone(),
-            Sexp::List(items) => {
-                let mut parts: Vec<String> = items.iter().map(render).collect();
-                if parts.first().map(String::as_str) == Some("AND") {
-                    parts[1..].sort();
-                }
-                format!("({})", parts.join(" "))
-            }
-        }
-    }
-    render(&parse(&mut text.chars().peekable()))
+    let mut e = classic_lang::parse_expr(&text).map_err(|_| text)?;
+    sort_ands(&mut e);
+    Ok(e)
 }
 
 /// Pretty assertion helper used by tests and examples: do two KBs agree on
@@ -262,8 +229,8 @@ pub fn same_state(a: &Kb, b: &Kb) -> bool {
         // may differ between the two symbol tables).
         let ac = a.ind(id).derived.to_concept(a.schema());
         let bc = b.ind(bid).derived.to_concept(b.schema());
-        if canonical_desc(&ac.display(&a.schema().symbols).to_string())
-            != canonical_desc(&bc.display(&b.schema().symbols).to_string())
+        if up_to_and_order(ac.display(&a.schema().symbols).to_string())
+            != up_to_and_order(bc.display(&b.schema().symbols).to_string())
         {
             return false;
         }
@@ -314,21 +281,23 @@ mod tests {
     }
 
     #[test]
-    fn canonical_desc_sorts_and_conjuncts_recursively() {
+    fn and_conjunct_order_is_ignored_recursively() {
         assert_eq!(
-            canonical_desc("(AND CLASSIC-THING (CLOSE r2) (AT-MOST 1 r0))"),
-            canonical_desc("(AND CLASSIC-THING (AT-MOST 1 r0) (CLOSE r2))"),
+            up_to_and_order("(AND CLASSIC-THING (CLOSE r2) (AT-MOST 1 r0))".into()),
+            up_to_and_order("(AND CLASSIC-THING (AT-MOST 1 r0) (CLOSE r2))".into()),
         );
         assert_eq!(
-            canonical_desc("(ALL r (AND B A))"),
-            canonical_desc("(ALL r (AND A B))"),
+            up_to_and_order("(ALL r (AND B A))".into()),
+            up_to_and_order("(ALL r (AND A B))".into()),
         );
         // Non-AND structure is order-sensitive and preserved.
         assert_ne!(
-            canonical_desc("(FILLS r x y)"),
-            canonical_desc("(FILLS r y x)"),
+            up_to_and_order("(FILLS r x y)".into()),
+            up_to_and_order("(FILLS r y x)".into()),
         );
-        assert_eq!(canonical_desc("P0"), "P0");
+        assert_eq!(up_to_and_order("P0".into()), Ok(Expr::Name("P0".into())));
+        // What the reader refuses is compared as the text it is.
+        assert_eq!(up_to_and_order("(AND".into()), Err("(AND".into()));
     }
 
     #[test]

@@ -40,10 +40,11 @@ use classic_core::error::{ClassicError, Result};
 use classic_core::schema::TestArg;
 use classic_core::symbol::{ConceptName, RoleId, TestId};
 use classic_kb::{AssertReport, BulkReport, IndId, Kb, RetractReport};
-use classic_lang::{resolve_bulk_rows, BulkSpec, Command, IndLit, Outcome};
+use classic_lang::{BulkSpec, Command, Outcome, Touches, Write};
 use classic_obs::{Counter, FlightRecorder, Gauge, Histogram};
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -139,88 +140,6 @@ pub struct BulkLoadReport {
     pub ddl_applied: usize,
     /// The generation whose manifest rename committed this load.
     pub generation: u64,
-}
-
-/// Render the *accepted* rows of a bulk load back into a canonical
-/// one-line `(bulk-load …)` log record (the replayer is line-oriented,
-/// so the whole form must stay on one line). The `into` clause is
-/// rendered from its resolved concept — the same `Concept::display`
-/// every logged operator uses — so the line round-trips through the
-/// lexer; row values render as re-parseable literals (`"s"` quoted,
-/// `'sym` ticked, floats with a dot).
-fn render_bulk_load(kb: &mut Kb, spec: &BulkSpec, row_accepted: &[bool]) -> Result<String> {
-    use std::fmt::Write as _;
-    let mut out = String::from("(bulk-load");
-    if let Some(e) = &spec.into {
-        let c = e.resolve(kb.schema_mut())?;
-        let _ = write!(out, " (into {})", c.display(&kb.schema().symbols));
-    }
-    let _ = write!(out, " (roles {})", spec.roles.join(" "));
-    for (row, accepted) in spec.rows.iter().zip(row_accepted) {
-        if !accepted {
-            continue;
-        }
-        let _ = write!(out, " (row {}", row.name);
-        for value in &row.values {
-            match value {
-                None => out.push_str(" _"),
-                Some(IndLit::Name(n)) => {
-                    let _ = write!(out, " {n}");
-                }
-                Some(IndLit::Int(i)) => {
-                    let _ = write!(out, " {i}");
-                }
-                Some(IndLit::Float(v)) => {
-                    let _ = write!(out, " {v}");
-                }
-                Some(IndLit::Str(s)) => {
-                    let _ = write!(out, " {s:?}");
-                }
-                Some(IndLit::Sym(s)) => {
-                    let _ = write!(out, " '{s}");
-                }
-            }
-        }
-        out.push(')');
-    }
-    out.push(')');
-    Ok(out)
-}
-
-/// Descriptions nesting no deeper than this are logged without asking
-/// the reader whether it can read them back (see [`reads_back`]): far
-/// inside the language's bound, far beyond the paper's examples.
-const PLAINLY_READABLE_NESTING: usize = 64;
-
-/// Refuse a log record the reader could not read back: a line the store
-/// writes must stay a line the parser reads, or the next open fails on
-/// an accepted update. The reader is the authority on that (how deep a
-/// form may nest is a limit of the language, not of this crate), so it
-/// is asked, and its error is the caller's; only when `desc` — the one
-/// part of a record that nests — is too shallow to trouble any reader
-/// is the question skipped, which keeps a parse off the write path.
-fn reads_back(desc: &Concept, record: impl FnOnce() -> String) -> Result<()> {
-    if !nests_within(desc, PLAINLY_READABLE_NESTING) {
-        classic_lang::parse_one(&record())?;
-    }
-    Ok(())
-}
-
-/// Does `c` render ([`Concept::display`]) within `budget` levels of
-/// parentheses? Stops descending once the budget is spent.
-fn nests_within(c: &Concept, budget: usize) -> bool {
-    match c {
-        Concept::Builtin(_) | Concept::Name(_) => true,
-        _ if budget == 0 => false,
-        Concept::And(parts) => parts.iter().all(|p| nests_within(p, budget - 1)),
-        Concept::All(_, inner) => nests_within(inner, budget - 1),
-        Concept::Primitive { parent, .. } | Concept::DisjointPrimitive { parent, .. } => {
-            nests_within(parent, budget - 1)
-        }
-        // Two role paths, each in its own parens.
-        Concept::SameAs(..) => budget >= 2,
-        _ => true,
-    }
 }
 
 /// One not-yet-hydrated individual segment tracked by a paged open.
@@ -466,7 +385,7 @@ impl DurableKb {
             // facts, no propagation.
             for entry in m.ind_entries() {
                 for name in &entry.names {
-                    kb.create_ind(name).map_err(|e| {
+                    Write::CreateInd(name).apply(&mut kb).map_err(|e| {
                         storage_err(
                             &manifest_path(&log_path),
                             Some(m.generation),
@@ -585,13 +504,6 @@ impl DurableKb {
         self.published_gen
     }
 
-    /// Generation stamped in the active log (equals
-    /// [`generation`](DurableKb::generation) except while a compaction
-    /// is in flight or after one failed).
-    pub fn log_generation(&self) -> u64 {
-        self.log_gen
-    }
-
     /// Individual segments not yet hydrated (0 unless the store was
     /// opened with [`open_paged`](DurableKb::open_paged)).
     pub fn pending_segments(&self) -> usize {
@@ -684,32 +596,27 @@ impl DurableKb {
 
     /// Hydrate the segment holding `name`, if it is still parked. A
     /// no-op when the individual's segment is already in (or the name is
-    /// nowhere at all); exactly one segment body replays otherwise. The
-    /// mutating operators call this implicitly; it is public so
+    /// nowhere at all — already hydrated, brand-new, or a genuine error
+    /// the operation itself reports). The manifest's per-segment rosters
+    /// answer the lookup, so the search touches no files and exactly one
+    /// segment body replays. Writes do this implicitly; it is public so
     /// read-mostly callers can warm the individuals they are about to
     /// query.
     pub fn hydrate_for(&mut self, name: &str) -> Result<()> {
-        self.ensure_hydrated_for(name)
+        let parked = |s: &LazySegment| !s.hydrated && s.entry.names.iter().any(|n| n == name);
+        match self.pending.iter().position(parked) {
+            Some(ix) => self.hydrate_ix(ix),
+            None => Ok(()),
+        }
     }
 
-    /// Make sure the segment holding `name` (if any) is hydrated. The
-    /// manifest's per-segment rosters answer the lookup, so the search
-    /// touches no files — exactly one segment body replays, and only
-    /// when the name is actually parked.
-    fn ensure_hydrated_for(&mut self, name: &str) -> Result<()> {
-        if self.is_fully_hydrated() {
-            return Ok(());
+    /// Bring into memory what a write [touches](Write::touches).
+    fn hydrate(&mut self, touches: Touches<'_>) -> Result<()> {
+        match touches {
+            Touches::Nothing => Ok(()),
+            Touches::Individual(name) => self.hydrate_for(name),
+            Touches::Everything => self.hydrate_all(),
         }
-        for ix in 0..self.pending.len() {
-            if !self.pending[ix].hydrated && self.pending[ix].entry.names.iter().any(|n| n == name)
-            {
-                return self.hydrate_ix(ix);
-            }
-        }
-        // Not parked anywhere: either already hydrated, a brand-new
-        // name, or a genuine error — the operation itself reports the
-        // latter.
-        Ok(())
     }
 
     // ---- log replay --------------------------------------------------------
@@ -832,29 +739,13 @@ impl DurableKb {
         Ok(ops)
     }
 
-    /// Apply one log record, hydrating whatever segments its correctness
-    /// depends on first: the target individual's segment for
-    /// `assert-ind`, and *everything* for operations whose effect spans
-    /// the whole arena (`assert-rule` fires on all current instances;
-    /// retraction re-derives the reverse-filler cone).
+    /// Apply one log record: resolve it, hydrate what it touches, apply
+    /// it.
     fn apply_log_line(&mut self, text: &str) -> Result<()> {
         for cmd in classic_lang::parse(text)? {
-            match &cmd {
-                Command::AssertInd(name, _) => self.ensure_hydrated_for(name)?,
-                // create-ind needs no hydration: parked individuals exist
-                // as roster stubs, so a duplicate is caught either way,
-                // and a new name touches no segment.
-                Command::CreateInd(_)
-                | Command::DefineRole(_)
-                | Command::DefineAttribute(_)
-                | Command::DefineConcept(..) => {}
-                // Rule assertion applies to every current instance of the
-                // antecedent; retraction re-derives a cone that can span
-                // any segment. Conservative and correct: hydrate
-                // everything.
-                _ => self.hydrate_all()?,
-            }
-            classic_lang::eval(&mut self.kb, &cmd)?;
+            let write = resolve_write(&mut self.kb, &cmd)?;
+            self.hydrate(write.touches())?;
+            write.apply(&mut self.kb)?;
         }
         Ok(())
     }
@@ -909,115 +800,113 @@ impl DurableKb {
 
     // ---- logged operators -------------------------------------------------
 
-    /// Render `(op name desc)` exactly as it will be appended, refusing
-    /// it — before the operator is applied — if it would not read back
-    /// ([`reads_back`]).
-    fn log_line(&self, op: &str, name: &str, desc: &Concept) -> Result<String> {
-        let line = format!("({op} {name} {})", desc.display(&self.kb.schema().symbols));
-        reads_back(desc, || line.clone())?;
-        Ok(line)
+    /// The one durable write path: hydrate what the write touches,
+    /// render its record — which refuses, before anything changes, a
+    /// write the reader could not read back — apply it, and only if it
+    /// was accepted append the record and fsync.
+    fn commit(&mut self, write: Write<'_>) -> Result<Outcome> {
+        self.hydrate(write.touches())?;
+        let line = write.record(&self.kb)?;
+        let outcome = write.apply(&mut self.kb)?;
+        let line = match (&outcome, write) {
+            // One record for the whole batch, holding only the accepted
+            // rows: re-asserting exactly those accepts them all and
+            // derives the same fixpoint, and rejected rows, as everywhere
+            // in the log, leave no trace.
+            (Outcome::BulkLoaded(report), Write::BulkLoad { into, roles, rows }) => {
+                self.obs.bulk_rows.add(report.accepted as u64);
+                if report.accepted == 0 {
+                    None
+                } else if report.rejected == 0 {
+                    Some(line)
+                } else {
+                    let accepted = rows.into_iter().zip(&report.row_accepted);
+                    let rows = accepted.filter_map(|(row, ok)| ok.then_some(row)).collect();
+                    Some(Write::BulkLoad { into, roles, rows }.record(&self.kb)?)
+                }
+            }
+            _ => Some(line),
+        };
+        if let Some(line) = line {
+            self.append(&line)?;
+        }
+        Ok(outcome)
     }
 
     /// `define-role`, logged on success.
     pub fn define_role(&mut self, name: &str) -> Result<RoleId> {
-        let id = self.kb.define_role(name)?;
-        self.append(&format!("(define-role {name})"))?;
-        Ok(id)
+        self.commit(Write::DefineRole(name))?;
+        Ok(self.kb.schema().symbols.find_role(name).expect("defined"))
     }
 
     /// `define-attribute`, logged on success.
     pub fn define_attribute(&mut self, name: &str) -> Result<RoleId> {
-        let id = self.kb.define_attribute(name)?;
-        self.append(&format!("(define-attribute {name})"))?;
-        Ok(id)
+        self.commit(Write::DefineAttribute(name))?;
+        Ok(self.kb.schema().symbols.find_role(name).expect("defined"))
     }
 
     /// `define-concept`, logged on success.
     pub fn define_concept(&mut self, name: &str, told: Concept) -> Result<ConceptName> {
-        let line = self.log_line("define-concept", name, &told)?;
-        let id = self.kb.define_concept(name, told)?;
-        self.append(&line)?;
-        Ok(id)
+        self.commit(Write::DefineConcept(name, Cow::Owned(told)))?;
+        Ok((self.kb.schema().symbols.find_concept(name)).expect("defined"))
     }
 
     /// `create-ind`, logged on success. Needs no hydration even on a
     /// paged store: every parked individual exists as a roster stub, so
     /// the duplicate-name check sees it.
     pub fn create_ind(&mut self, name: &str) -> Result<IndId> {
-        let id = self.kb.create_ind(name)?;
-        self.append(&format!("(create-ind {name})"))?;
-        Ok(id)
+        self.commit(Write::CreateInd(name))?;
+        let created = self.kb.schema().symbols.find_individual(name);
+        self.kb.ind_id(created.expect("created"))
     }
 
-    /// `assert-ind`: applied to the KB first; logged only if accepted.
-    /// On a paged store the target's segment hydrates first.
+    /// `assert-ind`, logged only if accepted. On a paged store the
+    /// target's segment hydrates first.
     pub fn assert_ind(&mut self, name: &str, desc: &Concept) -> Result<AssertReport> {
-        self.ensure_hydrated_for(name)?;
-        let line = self.log_line("assert-ind", name, desc)?;
-        let report = self.kb.assert_ind(name, desc)?;
-        self.append(&line)?;
-        Ok(report)
+        match self.commit(Write::AssertInd(name, Cow::Borrowed(desc)))? {
+            Outcome::Asserted(report) => Ok(report),
+            other => unreachable!("assert-ind yielded {other:?}"),
+        }
     }
 
-    /// `assert-rule`: applied to the KB first; logged only if accepted.
-    /// Hydrates everything first — a rule fires on every current
-    /// instance of its antecedent.
+    /// `assert-rule`, logged only if accepted. Hydrates everything
+    /// first — a rule fires on every current instance of its antecedent.
     pub fn assert_rule(&mut self, antecedent: &str, consequent: Concept) -> Result<usize> {
-        self.hydrate_all()?;
-        let line = self.log_line("assert-rule", antecedent, &consequent)?;
-        let ix = self.kb.assert_rule(antecedent, consequent)?;
-        self.append(&line)?;
-        Ok(ix)
+        match self.commit(Write::AssertRule(antecedent, Cow::Owned(consequent)))? {
+            Outcome::RuleAsserted(ix) => Ok(ix),
+            other => unreachable!("assert-rule yielded {other:?}"),
+        }
     }
 
-    /// `retract-ind`: applied to the KB first; logged only if accepted.
-    /// Compaction folds retractions away — the snapshot records only the
-    /// surviving told facts. Hydrates everything first — the re-derived
-    /// cone can span any segment.
+    /// `retract-ind`, logged only if accepted. Compaction folds
+    /// retractions away — the snapshot records only the surviving told
+    /// facts. Hydrates everything first — the re-derived cone can span
+    /// any segment.
     pub fn retract_ind(&mut self, name: &str, desc: &Concept) -> Result<RetractReport> {
-        self.hydrate_all()?;
-        let line = self.log_line("retract-ind", name, desc)?;
-        let report = self.kb.retract_ind(name, desc)?;
-        self.append(&line)?;
-        Ok(report)
+        self.retraction(Write::RetractInd(name, Cow::Borrowed(desc)))
     }
 
-    /// `retract-rule`: applied to the KB first; logged only if accepted.
+    /// `retract-rule`, logged only if accepted.
     pub fn retract_rule(
         &mut self,
         antecedent: &str,
         consequent: &Concept,
     ) -> Result<RetractReport> {
-        self.hydrate_all()?;
-        let line = self.log_line("retract-rule", antecedent, consequent)?;
-        let report = self.kb.retract_rule(antecedent, consequent)?;
-        self.append(&line)?;
-        Ok(report)
+        self.retraction(Write::RetractRule(antecedent, Cow::Borrowed(consequent)))
     }
 
-    /// `retract-rule` by rule id (the REPL's `(retract-rule 7)`):
-    /// applied to the KB first; logged on success.
-    ///
-    /// The log records the *canonical* `(retract-rule <antecedent>
-    /// <consequent>)` form, not the id: ids are positions in the live
-    /// rule vector, and compaction renumbers them (snapshots drop
-    /// retired rules), so a numeric id is not replay-stable. The
-    /// canonical form retracts *a* live rule with the same
-    /// antecedent/consequent — interchangeable with the one the id
-    /// named, since identical rules have identical consequences.
+    /// `retract-rule` by rule id (the REPL's `(retract-rule 7)`), logged
+    /// on success — as the rule's antecedent and consequent, since ids
+    /// do not survive compaction ([`Write::RetractRuleById`]).
     pub fn retract_rule_by_id(&mut self, rule_ix: usize) -> Result<RetractReport> {
-        self.hydrate_all()?;
-        let live = self.kb.rules().get(rule_ix).filter(|r| !r.retired);
-        let line = live
-            .map(|r| {
-                let antecedent = self.kb.schema().symbols.concept_name(r.antecedent);
-                self.log_line("retract-rule", antecedent, &r.consequent)
-            })
-            .transpose()?;
-        let report = self.kb.retract_rule_by_id(rule_ix)?;
-        let line = line.expect("retract_rule_by_id accepted a dead rule id");
-        self.append(&line)?;
-        Ok(report)
+        self.retraction(Write::RetractRuleById(rule_ix))
+    }
+
+    fn retraction(&mut self, write: Write<'_>) -> Result<RetractReport> {
+        match self.commit(write)? {
+            Outcome::Retracted(report) => Ok(report),
+            other => unreachable!("a retraction yielded {other:?}"),
+        }
     }
 
     /// Register a host test function. Not logged (closures are not
@@ -1029,89 +918,21 @@ impl DurableKb {
         self.kb.register_test(name, f)
     }
 
-    /// Evaluate a parsed surface command with durability: mutating
-    /// commands route through the logged operators above (applied to the
-    /// KB, then appended and fsynced), everything else evaluates
-    /// directly against the hydrated KB. This is the server's single
-    /// entry point per request — one `match` guarantees no mutating
-    /// variant can bypass the log.
+    /// Evaluate a parsed surface command with durability: a command
+    /// that [resolves to a write](Command::to_write) is committed —
+    /// applied to the KB, then appended and fsynced; a wire
+    /// `(bulk-load …)` as **one** record of its accepted rows, a single
+    /// fsync for the whole batch — and everything else evaluates directly
+    /// against the hydrated KB. This is the server's single entry point
+    /// per request, and no write can reach the KB around the log.
     pub fn eval_durable(&mut self, cmd: &Command) -> Result<Outcome> {
-        match cmd {
-            Command::DefineRole(name) => {
-                self.define_role(name)?;
-                Ok(Outcome::Ok)
-            }
-            Command::DefineAttribute(name) => {
-                self.define_attribute(name)?;
-                Ok(Outcome::Ok)
-            }
-            Command::DefineConcept(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
-                self.define_concept(name, c)?;
-                Ok(Outcome::Ok)
-            }
-            Command::CreateInd(name) => {
-                self.create_ind(name)?;
-                Ok(Outcome::Ok)
-            }
-            Command::AssertInd(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
-                Ok(Outcome::Asserted(self.assert_ind(name, &c)?))
-            }
-            Command::AssertRule(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
-                Ok(Outcome::RuleAsserted(self.assert_rule(name, c)?))
-            }
-            Command::RetractInd(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
-                Ok(Outcome::Retracted(self.retract_ind(name, &c)?))
-            }
-            Command::RetractRule(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
-                Ok(Outcome::Retracted(self.retract_rule(name, &c)?))
-            }
-            Command::RetractRuleById(ix) => Ok(Outcome::Retracted(self.retract_rule_by_id(*ix)?)),
-            Command::BulkLoad(spec) => Ok(Outcome::BulkLoaded(self.bulk_load_logged(spec)?)),
-            read_only => classic_lang::eval(self.kb_mut_for_queries()?, read_only),
+        match cmd.to_write(self.kb.schema_mut())? {
+            Some(write) => self.commit(write),
+            None => classic_lang::eval(self.kb_mut_for_queries()?, cmd),
         }
     }
 
     // ---- bulk ingest -------------------------------------------------------
-
-    /// The log-tier bulk path (the wire `(bulk-load …)` form): apply the
-    /// rows through [`Kb::bulk_assert`] in memory, then append **one**
-    /// re-rendered `(bulk-load …)` line holding only the *accepted* rows
-    /// — a single fsync for the whole batch instead of one per row.
-    ///
-    /// Replaying the accepted-only form reproduces the same state: by
-    /// the bulk path's oracle-parity contract, re-asserting exactly the
-    /// accepted rows accepts them all and derives the same fixpoint (and
-    /// a replayed `bulk-load` re-enters the batched path, so replay is
-    /// fast too). Rejected rows, as everywhere in the log, leave no
-    /// trace. Rows are rendered with resolved-name display, which
-    /// round-trips through the lexer like every other logged operator.
-    pub fn bulk_load_logged(&mut self, spec: &BulkSpec) -> Result<BulkReport> {
-        // Rows may reference any parked individual; conservative, like
-        // rule assertion.
-        self.hydrate_all()?;
-        if let Some(e) = &spec.into {
-            // The one description a bulk record carries; like every
-            // logged description it must read back.
-            let into = e.resolve(self.kb.schema_mut())?;
-            let symbols = &self.kb.schema().symbols;
-            reads_back(&into, || {
-                format!("(bulk-load (into {}) (roles))", into.display(symbols))
-            })?;
-        }
-        let rows = resolve_bulk_rows(&mut self.kb, spec)?;
-        let report = self.kb.bulk_assert(&rows);
-        if report.accepted > 0 {
-            let line = render_bulk_load(&mut self.kb, spec, &report.row_accepted)?;
-            self.obs.bulk_rows.add(report.accepted as u64);
-            self.append(&line)?;
-        }
-        Ok(report)
-    }
 
     /// The segment-tier bulk path (`classic-ingest`, `POST /ingest`):
     /// apply `ddl` (an inferred or hand-written schema preamble) and the
@@ -1123,12 +944,13 @@ impl DurableKb {
     /// were never logged; after the rename, the ingested state *is* the
     /// snapshot. There is no partial-ingest state on disk, ever.
     ///
-    /// `ddl` must contain only mutating commands (`define-role`,
-    /// `define-concept`, `assert-rule`, …). A failing DDL command aborts
-    /// the whole load with the KB untouched (the commands are staged on
-    /// a clone until everything applies). Row-level clashes do **not**
-    /// abort: they are per-row rejections in the returned report, and
-    /// only accepted rows reach the snapshot.
+    /// `ddl` must contain only writes (`define-role`, `define-concept`,
+    /// `assert-rule`, …). A failing DDL command — or anything in the
+    /// load that could not be written to a segment and read back —
+    /// aborts the whole load with the KB untouched (the commands are
+    /// staged on a clone until everything applies). Row-level clashes do
+    /// **not** abort: they are per-row rejections in the returned
+    /// report, and only accepted rows reach the snapshot.
     pub fn bulk_load(&mut self, ddl: &[Command], spec: &BulkSpec) -> Result<BulkLoadReport> {
         let _span = classic_obs::span_timed(
             self.kb.flight_recorder(),
@@ -1140,30 +962,28 @@ impl DurableKb {
         self.wait_for_compaction()?;
         self.hydrate_all()?;
 
-        for cmd in ddl {
-            if !cmd.is_mutation() || matches!(cmd, Command::BulkLoad(_)) {
-                return Err(ClassicError::Malformed(format!(
-                    "bulk_load ddl must be schema/rule mutations, got {cmd:?}"
-                )));
-            }
-        }
         // Stage on a clone so a failing DDL command leaves the store
         // exactly as it was (clone shares the obs registry and test
         // closures by Arc; the pre-ingest KB is the small side of the
         // load, so the copy is cheap relative to the rows).
-        let report = if ddl.is_empty() {
-            let rows = resolve_bulk_rows(&mut self.kb, spec)?;
-            self.kb.bulk_assert(&rows)
-        } else {
-            let mut staged = self.kb.clone();
-            for cmd in ddl {
-                classic_lang::eval(&mut staged, cmd)?;
-            }
-            let rows = resolve_bulk_rows(&mut staged, spec)?;
-            let report = staged.bulk_assert(&rows);
-            self.kb = staged;
-            report
+        let mut staged = (!ddl.is_empty()).then(|| self.kb.clone());
+        let kb = staged.as_mut().unwrap_or(&mut self.kb);
+        for cmd in ddl {
+            let write = resolve_write(kb, cmd)?;
+            write.record(kb)?;
+            write.apply(kb)?;
+        }
+        let rows = spec.to_write(kb.schema_mut())?;
+        // Nothing is logged here, but the compaction below writes these
+        // names and values into segments: what `record` refuses, it
+        // could not write.
+        rows.record(kb)?;
+        let Outcome::BulkLoaded(report) = rows.apply(kb)? else {
+            unreachable!("a bulk-load yields its report");
         };
+        if let Some(staged) = staged {
+            self.kb = staged;
+        }
         self.obs.bulk_rows.add(report.accepted as u64);
         // The in-memory state now leads the disk; fold it into segments
         // under a generation bump. This is the only call site where the
@@ -1330,8 +1150,8 @@ impl DurableKb {
         // segment budget. Unchanged bodies (same content hash, file
         // already on disk) are reused, not rewritten — that is what
         // makes compaction append-friendly.
-        let mut rendered = vec![render_schema_segment(&self.kb)];
-        rendered.extend(render_ind_segments(&self.kb, self.segment_budget));
+        let mut rendered = vec![render_schema_segment(&self.kb)?];
+        rendered.extend(render_ind_segments(&self.kb, self.segment_budget)?);
         let mut segments = Vec::with_capacity(rendered.len());
         let mut entries = Vec::with_capacity(rendered.len());
         let mut written = 0usize;
@@ -1598,6 +1418,13 @@ fn tempfile_placeholder(log_path: &Path) -> Result<File> {
     let f = File::create(&tmp).map_err(|e| storage_err(&tmp, None, e))?;
     let _ = std::fs::remove_file(&tmp);
     Ok(f)
+}
+
+/// Resolve `cmd` against `kb`'s schema as the write it must be: a log
+/// record, or a bulk load's schema preamble.
+fn resolve_write<'c>(kb: &mut Kb, cmd: &'c Command) -> Result<Write<'c>> {
+    cmd.to_write(kb.schema_mut())?
+        .ok_or_else(|| ClassicError::Malformed(format!("expected a write, got a {}", cmd.kind())))
 }
 
 fn read_file(path: &Path) -> Result<String> {
@@ -2583,9 +2410,11 @@ mod tests {
         for cmd in &classic_lang::parse("(define-role name)").unwrap() {
             classic_lang::eval(&mut store.kb, cmd).unwrap();
         }
-        let (_, spec) = parse_bulk(r#"(bulk-load (roles name) (row p9 "X"))"#);
-        let rows = resolve_bulk_rows(&mut store.kb, &spec).unwrap();
-        assert_eq!(store.kb.bulk_assert(&rows).accepted, 1);
+        let (load, _) = parse_bulk(r#"(bulk-load (roles name) (row p9 "X"))"#);
+        let Outcome::BulkLoaded(report) = classic_lang::eval(&mut store.kb, &load).unwrap() else {
+            panic!("expected a bulk-loaded outcome");
+        };
+        assert_eq!(report.accepted, 1);
         store.ops_since_compact += 2;
         store
             .compact_crashing_at(CrashPoint::BeforeManifestRename)
