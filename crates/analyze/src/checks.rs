@@ -3,9 +3,6 @@
 //! same code — full analysis is "prime an empty state", which is what makes
 //! the differential oracle (`analyze_full == analyze_incremental`) hold by
 //! construction rather than by parallel maintenance.
-//!
-//! Each function takes `&mut Kb` when re-normalizing told expressions needs
-//! `&mut Schema`; none of them touches the ABox or changes any definition.
 
 use crate::{Code, Diagnostic, Span};
 use classic_core::desc::Concept;
@@ -32,7 +29,7 @@ use std::collections::HashMap;
 /// * **A008 redundant-conjunct** — a told conjunct entailed by its
 ///   siblings: re-normalizing the definition without it yields an
 ///   equivalent normal form.
-pub(crate) fn concept_diagnostics(kb: &mut Kb, name: ConceptName) -> Vec<Diagnostic> {
+pub(crate) fn concept_diagnostics(kb: &Kb, name: ConceptName) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let (nf, told) = {
         let s = kb.schema();
@@ -277,7 +274,7 @@ pub(crate) struct RuleInfo {
 
 /// Snapshot and pre-normalize the whole rule base (antecedent NF from the
 /// schema, consequent NF by normalizing the told consequent).
-pub(crate) fn rule_infos(kb: &mut Kb) -> Vec<RuleInfo> {
+pub(crate) fn rule_infos(kb: &Kb) -> Vec<RuleInfo> {
     let raw: Vec<(String, Concept, bool, ConceptName)> = kb
         .rules()
         .iter()

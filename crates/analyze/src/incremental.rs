@@ -115,7 +115,7 @@ impl AnalysisState {
     /// changes, and new individuals are detected without marking; told
     /// assert/retract cones must have been marked via
     /// [`Self::mark_dirty`].
-    pub fn refresh(&mut self, kb: &mut Kb) -> Refresh {
+    pub fn refresh(&mut self, kb: &Kb) -> Refresh {
         let registry = kb.metrics().clone();
         let recorder = kb.flight_recorder().clone();
         let dur = registry

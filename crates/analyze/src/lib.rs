@@ -392,11 +392,7 @@ impl Report {
 /// Run the full analysis pass over a knowledge base — both tiers, from
 /// scratch. This is [`AnalysisState`] primed from empty, so the result is
 /// definitionally what incremental maintenance converges to.
-///
-/// Takes `&mut Kb` because deriving provenance re-normalizes told
-/// expressions, and normalization may intern symbols; the ABox and the
-/// schema's definitions are never modified.
-pub fn analyze(kb: &mut Kb) -> Report {
+pub fn analyze(kb: &Kb) -> Report {
     let mut state = AnalysisState::new();
     state.refresh(kb);
     state.report(kb)
@@ -405,11 +401,11 @@ pub fn analyze(kb: &mut Kb) -> Report {
 /// Extension trait giving embedders `kb.analyze()`.
 pub trait KbAnalyze {
     /// Run the full analysis pass ([`analyze`]).
-    fn analyze(&mut self) -> Report;
+    fn analyze(&self) -> Report;
 }
 
 impl KbAnalyze for Kb {
-    fn analyze(&mut self) -> Report {
+    fn analyze(&self) -> Report {
         analyze(self)
     }
 }

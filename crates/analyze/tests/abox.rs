@@ -58,7 +58,7 @@ fn a009_obligation_with_too_few_viable_candidates() {
         &Concept::and([Concept::AtLeast(2, r), Concept::All(r, Box::new(pool))]),
     )
     .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -85,7 +85,7 @@ fn a010_role_one_filler_from_its_bound() {
         &Concept::and([Concept::AtMost(2, r), Concept::Fills(r, vec![a])]),
     )
     .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -114,7 +114,7 @@ fn a011_same_as_meeting_one_of() {
         ]),
     )
     .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -131,7 +131,7 @@ fn a012_rule_no_individual_is_compatible_with() {
     // Every individual is FEMALE, so the MALE rule can never fire.
     kb.create_ind("f1").unwrap();
     kb.assert_ind("f1", &named(&kb, "FEMALE")).unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -157,7 +157,7 @@ fn a013_orphan_individual() {
     let r = kb.schema().symbols.find_role("r").unwrap();
     kb.create_ind("x").unwrap();
     kb.assert_ind("x", &Concept::AtLeast(1, r)).unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -186,7 +186,7 @@ fn a014_close_capturing_derived_fillers() {
         .unwrap();
     kb.assert_ind("x", &named(&kb, "PERSON")).unwrap();
     kb.assert_ind("x", &Concept::Close(r)).unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -226,8 +226,8 @@ fn abox_warnings_fail_deny_warnings_like_tbox_warnings() {
     abox.create_ind("f").unwrap();
     abox.assert_ind("f", &named(&abox, "FEMALE")).unwrap();
 
-    let rt = analyze(&mut tbox);
-    let ra = analyze(&mut abox);
+    let rt = analyze(&tbox);
+    let ra = analyze(&abox);
     assert_eq!(rt.worst(), Some(Severity::Warning));
     assert_eq!(ra.worst(), Some(Severity::Warning));
     // Identical treatment under every deny threshold.
@@ -257,7 +257,7 @@ fn json_lines_round_trip_shape() {
     let r = kb.schema().symbols.find_role("r").unwrap();
     kb.create_ind("x").unwrap();
     kb.assert_ind("x", &Concept::AtLeast(1, r)).unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let lines = report.render_json_lines();
     assert!(!lines.is_empty());
     for line in lines.lines() {
@@ -273,30 +273,30 @@ fn incremental_refresh_tracks_mutations() {
     let mut kb = base_kb();
     let r = kb.schema().symbols.find_role("r").unwrap();
     let mut state = AnalysisState::new();
-    state.refresh(&mut kb);
-    assert_eq!(state.report(&kb), analyze(&mut kb.clone()));
+    state.refresh(&kb);
+    assert_eq!(state.report(&kb), analyze(&kb.clone()));
 
     // New individual with an orphan finding.
     kb.create_ind("x").unwrap();
     kb.assert_ind("x", &Concept::AtLeast(1, r)).unwrap();
     let id = kb.ind_ids().last().unwrap();
     state.mark_dirty(&kb, &BTreeSet::from([id]));
-    let refresh = state.refresh(&mut kb);
+    let refresh = state.refresh(&kb);
     assert!(refresh.relinted >= 1);
     assert!(refresh
         .cone
         .iter()
         .any(|d| d.code == Code::OrphanIndividual));
-    assert_eq!(state.report(&kb), analyze(&mut kb.clone()));
+    assert_eq!(state.report(&kb), analyze(&kb.clone()));
 
     // Clearing the orphan through another assert re-lints the cone only.
     kb.assert_ind("x", &named(&kb, "PERSON")).unwrap();
     state.mark_dirty(&kb, &BTreeSet::from([id]));
-    state.refresh(&mut kb);
+    state.refresh(&kb);
     let incr = state.report(&kb);
     assert!(!incr
         .diagnostics
         .iter()
         .any(|d| d.code == Code::OrphanIndividual));
-    assert_eq!(incr, analyze(&mut kb.clone()));
+    assert_eq!(incr, analyze(&kb.clone()));
 }

@@ -71,7 +71,7 @@ fn incoherent_concept_is_flagged_with_culprit_conjunct() {
         ]),
     )
     .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -111,7 +111,7 @@ fn vacuous_restriction_is_a_warning_not_an_error() {
         ),
     )
     .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -138,7 +138,7 @@ fn redundant_conjunct_is_flagged() {
         Concept::and([named(&kb, "MALE"), named(&kb, "PERSON")]),
     )
     .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -159,7 +159,7 @@ fn dead_rule_on_incoherent_antecedent() {
     .unwrap();
     kb.assert_rule("DOOMED", Concept::AtLeast(1, friend))
         .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -178,7 +178,7 @@ fn entailed_consequent_is_flagged() {
     let mut kb = base_kb();
     // Every MALE is already a PERSON.
     kb.assert_rule("MALE", named(&kb, "PERSON")).unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     assert!(report
         .diagnostics
         .iter()
@@ -192,7 +192,7 @@ fn broader_rule_shadows_narrower_one() {
     kb.assert_rule("PERSON", Concept::AtLeast(1, friend))
         .unwrap();
     kb.assert_rule("MALE", Concept::AtLeast(1, friend)).unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let shadowed: Vec<_> = report
         .diagnostics
         .iter()
@@ -211,7 +211,7 @@ fn equivalent_rules_flag_only_the_later_one() {
         .unwrap();
     kb.assert_rule("PERSON", Concept::AtLeast(1, friend))
         .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let shadowed: Vec<_> = report
         .diagnostics
         .iter()
@@ -229,7 +229,7 @@ fn live_rule_duplicating_retired_rule_is_noted() {
     kb.retract_rule("PERSON", &Concept::AtLeast(1, pet))
         .unwrap();
     kb.assert_rule("MALE", Concept::AtLeast(1, pet)).unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     let d = report
         .diagnostics
         .iter()
@@ -243,7 +243,7 @@ fn live_rule_duplicating_retired_rule_is_noted() {
 
 #[test]
 fn report_renders_summary_line() {
-    let mut kb = base_kb();
+    let kb = base_kb();
     let report = kb.analyze();
     let text = report.render();
     assert!(
@@ -272,7 +272,7 @@ fn errors_sort_before_warnings() {
         Concept::and([Concept::AtLeast(3, friend), Concept::AtMost(2, friend)]),
     )
     .unwrap();
-    let report = analyze(&mut kb);
+    let report = analyze(&kb);
     assert!(report.diagnostics.len() >= 2);
     assert_eq!(report.diagnostics[0].severity, Severity::Error);
     assert_eq!(report.worst(), Some(Severity::Error));

@@ -131,7 +131,7 @@ proptest! {
         steps in proptest::collection::vec((0..N_INDS, arb_part()), 0..10),
     ) {
         let mut kb = build_kb(&defs);
-        let report = analyze(&mut kb);
+        let report = analyze(&kb);
         let flagged: Vec<String> = report
             .diagnostics
             .iter()
@@ -155,7 +155,7 @@ proptest! {
             // a concept the analyzer called ⊥.
             let poss = classic_query::Query::concept(q.clone())
                 .possible()
-                .run(&mut kb)
+                .run(&kb)
                 .unwrap()
                 .into_possible()
                 .unwrap();
@@ -177,8 +177,8 @@ proptest! {
 
     #[test]
     fn clean_tboxes_yield_no_error_diagnostics(defs in arb_coherent_defs()) {
-        let mut kb = build_kb(&defs);
-        let report = analyze(&mut kb);
+        let kb = build_kb(&defs);
+        let report = analyze(&kb);
         prop_assert_eq!(
             report.count(Severity::Error),
             0,

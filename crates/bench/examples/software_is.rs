@@ -37,7 +37,7 @@ fn main() {
     // ---- ad-hoc queries, answered via classification (§5) ------------------
     for (label, q) in sw.queries() {
         let ans = Query::concept(q)
-            .run(&mut sw.kb)
+            .run(&sw.kb)
             .expect("coherent query")
             .into_known()
             .expect("known mode");

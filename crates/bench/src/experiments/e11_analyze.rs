@@ -56,7 +56,7 @@ pub fn run() -> String {
         // Clean run: zero error-severity findings allowed.
         let mut clean_kb = generate_schema(&cfg).build_kb();
         add_rules(&mut clean_kb, concepts / 20);
-        let (clean_report, t_clean) = time(|| analyze(&mut clean_kb));
+        let (clean_report, t_clean) = time(|| analyze(&clean_kb));
         let false_errors = clean_report.count(Severity::Error);
         assert_eq!(
             false_errors,
@@ -69,7 +69,7 @@ pub fn run() -> String {
         // 100% A001 catch rate on exactly those names.
         let (mut seeded_kb, seeded_names) = build_seeded(&cfg);
         add_rules(&mut seeded_kb, concepts / 20);
-        let (report, _) = time(|| analyze(&mut seeded_kb));
+        let (report, _) = time(|| analyze(&seeded_kb));
         let flagged: HashSet<&str> = report
             .diagnostics
             .iter()
@@ -107,8 +107,8 @@ pub fn run() -> String {
 
     // The paper's §4 crime database (with its rules) must also lint clean.
     let crime = crime::build(&CrimeConfig::default());
-    let mut kb = crime.kb;
-    let (report, t) = time(|| analyze(&mut kb));
+    let kb = crime.kb;
+    let (report, t) = time(|| analyze(&kb));
     assert_eq!(
         report.count(Severity::Error),
         0,

@@ -57,7 +57,7 @@ pub fn run() -> String {
         let mut kb = build(chains);
         let mut state = AnalysisState::new();
         // Prime: the first refresh is the full pass by construction.
-        state.refresh(&mut kb);
+        state.refresh(&kb);
 
         // One write on chain 0's tail, marked the way the server marks
         // assertion cones (post-op, seeded with the written individual).
@@ -74,9 +74,9 @@ pub fn run() -> String {
             .expect("tail bound is coherent");
         state.mark_dirty(&kb, &BTreeSet::from([tail_id]));
 
-        let (refresh, t_inc) = time(|| state.refresh(&mut kb));
-        let mut full_kb = kb.clone();
-        let (full_report, t_full) = time(|| analyze(&mut full_kb));
+        let (refresh, t_inc) = time(|| state.refresh(&kb));
+        let full_kb = kb.clone();
+        let (full_report, t_full) = time(|| analyze(&full_kb));
 
         // Equality by construction, pinned here on every run.
         let inc_report = state.report(&kb);

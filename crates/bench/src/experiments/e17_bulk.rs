@@ -187,7 +187,7 @@ pub fn run() -> String {
         );
 
         // The inferred TBox passes the CLI's `--deny errors` predicate.
-        let report = analyze(bulk_store.kb_mut_for_queries().unwrap());
+        let report = analyze(bulk_store.kb_hydrated().unwrap());
         assert!(
             report.passes(Severity::Error),
             "inferred TBox has error-level diagnostics at {rows} rows: {report:?}"

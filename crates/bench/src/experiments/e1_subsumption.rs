@@ -45,9 +45,9 @@ pub fn run() -> String {
             let a = g.concept(target);
             let b = g.concept(target);
             let both = Concept::And(vec![a.clone(), b.clone()]);
-            let na = normalize(&a, &mut g.schema).expect("coherent");
-            let nb = normalize(&b, &mut g.schema).expect("coherent");
-            let nboth = normalize(&both, &mut g.schema).expect("coherent");
+            let na = normalize(&a, &g.schema).expect("coherent");
+            let nb = normalize(&b, &g.schema).expect("coherent");
+            let nboth = normalize(&both, &g.schema).expect("coherent");
             size_product_sum += (na.size() * nboth.size()) as u64;
             prepared.push((na, nb, nboth));
         }

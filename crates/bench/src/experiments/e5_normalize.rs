@@ -59,8 +59,8 @@ pub fn run() -> String {
     for (i, (a, b)) in worked.iter().enumerate() {
         let ca = parse_concept(a, &mut g.schema).expect("parses");
         let cb = parse_concept(b, &mut g.schema).expect("parses");
-        let na = normalize(&ca, &mut g.schema).expect("coherent");
-        let nb = normalize(&cb, &mut g.schema).expect("coherent");
+        let na = normalize(&ca, &g.schema).expect("coherent");
+        let nb = normalize(&cb, &g.schema).expect("coherent");
         let _ = writeln!(
             out,
             "paper example {}: identical normal forms = {}",
@@ -87,8 +87,8 @@ pub fn run() -> String {
         let (_, elapsed) = time(|| {
             for (a, b) in &generated {
                 size_sum += a.size() + b.size();
-                let na = normalize(a, &mut g.schema).expect("coherent");
-                let nb = normalize(b, &mut g.schema).expect("coherent");
+                let na = normalize(a, &g.schema).expect("coherent");
+                let nb = normalize(b, &g.schema).expect("coherent");
                 if na == nb {
                     identified += 1;
                 }

@@ -101,7 +101,7 @@ pub fn run() -> String {
         // number ≤ 1 — i.e., every crime without two distinct fillers.
         let cw_at_most_1 = cw_at_most_one_perp(&db);
         let known = classic_query::Query::concept(q3_classic.clone())
-            .run(&mut ckb.kb)
+            .run(&ckb.kb)
             .expect("query")
             .into_known()
             .expect("known mode")
@@ -109,7 +109,7 @@ pub fn run() -> String {
             .len();
         let poss = classic_query::Query::concept(q3_classic.clone())
             .possible()
-            .run(&mut ckb.kb)
+            .run(&ckb.kb)
             .expect("query")
             .into_possible()
             .expect("possible mode")
@@ -132,7 +132,7 @@ pub fn run() -> String {
     // Membership atoms let the KB-side join see *derived* knowledge
     // (existence from CRIME's definition) that no stored tuple carries.
     {
-        let mut ckb = build(&CrimeConfig {
+        let ckb = build(&CrimeConfig {
             crimes: 1_000,
             domestic_fraction: 0.4,
             ..CrimeConfig::default()
@@ -149,9 +149,7 @@ pub fn run() -> String {
                 Concept::and([crime, Concept::AtLeast(1, perp)]),
             )],
         );
-        let certain = classic_query::answer(&mut ckb.kb, &kbq)
-            .expect("query")
-            .len();
+        let certain = classic_query::answer(&ckb.kb, &kbq).expect("query").len();
         let cw = ConjunctiveQuery::new(
             &["x"],
             vec![

@@ -247,7 +247,7 @@ mod tests {
         for size in [4, 16, 64, 256] {
             let c = g.concept(size);
             assert!(c.size() >= size / 2, "size {} << target {size}", c.size());
-            let nf = normalize(&c, &mut g.schema).unwrap();
+            let nf = normalize(&c, &g.schema).unwrap();
             assert!(!nf.is_incoherent(), "generator produced ⊥ at size {size}");
         }
     }
@@ -266,8 +266,8 @@ mod tests {
         let mut g = ConceptGen::new(&ConceptGenConfig::default());
         for _ in 0..50 {
             let (c, c2) = g.equivalent_pair(24);
-            let n1 = normalize(&c, &mut g.schema).unwrap();
-            let n2 = normalize(&c2, &mut g.schema).unwrap();
+            let n1 = normalize(&c, &g.schema).unwrap();
+            let n2 = normalize(&c2, &g.schema).unwrap();
             assert!(equivalent(&n1, &n2), "rewrite broke equivalence");
             // And the normal forms are structurally identical (the §2.2
             // canonicalization property).
@@ -286,12 +286,12 @@ mod tests {
             let a = g.concept(12);
             let b = g.concept(12);
             let b_and_a = Concept::And(vec![b.clone(), a.clone()]);
-            let na = normalize(&a, &mut g.schema).unwrap();
-            let nboth = normalize(&b_and_a, &mut g.schema).unwrap();
+            let na = normalize(&a, &g.schema).unwrap();
+            let nboth = normalize(&b_and_a, &g.schema).unwrap();
             if subsumes(&na, &nboth) {
                 holds += 1; // must always hold (conjunction is below conjunct)
             }
-            let nb = normalize(&b, &mut g.schema).unwrap();
+            let nb = normalize(&b, &g.schema).unwrap();
             if !subsumes(&na, &nb) {
                 fails += 1;
             }

@@ -225,11 +225,11 @@ mod tests {
         // Queries agree between pruned and naive retrieval.
         for (label, q) in sw.queries() {
             let a = classic_query::Query::concept(q.clone())
-                .run(&mut sw.kb)
+                .run(&sw.kb)
                 .expect("query")
                 .into_known()
                 .expect("known mode");
-            let b = classic_query::retrieve_naive(&mut sw.kb, &q).expect("query");
+            let b = classic_query::retrieve_naive(&sw.kb, &q).expect("query");
             let mut x = a.known.clone();
             let mut y = b.known.clone();
             x.sort();

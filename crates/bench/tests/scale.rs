@@ -20,11 +20,11 @@ fn invariants_hold_at_several_thousand_individuals() {
     //    with fewer candidate tests.
     for (label, q) in sw.queries() {
         let a = classic_query::Query::concept(q.clone())
-            .run(&mut sw.kb)
+            .run(&sw.kb)
             .expect("query")
             .into_known()
             .expect("known mode");
-        let b = classic_query::retrieve_naive(&mut sw.kb, &q).expect("query");
+        let b = classic_query::retrieve_naive(&sw.kb, &q).expect("query");
         let mut x = a.known.clone();
         let mut y = b.known.clone();
         x.sort();

@@ -132,7 +132,7 @@ mod tests {
             .unwrap();
         let sc = Concept::Name(s.symbols.find_concept("SPORTS-CAR").unwrap());
         let rich_kid = Concept::and([Concept::all(r, sc), Concept::AtLeast(2, r)]);
-        let nf = normalize(&rich_kid, &mut s).unwrap();
+        let nf = normalize(&rich_kid, &s).unwrap();
         assert_eq!(
             concept_aspect(&nf, AspectKind::AtLeast, Some(r)),
             Aspect::Bound(2)
@@ -158,7 +158,7 @@ mod tests {
         let a = IndRef::Classic(s.symbols.individual("A"));
         let b = IndRef::Classic(s.symbols.individual("B"));
         let c = Concept::all(r, Concept::one_of([a, b]));
-        let nf = normalize(&c, &mut s).unwrap();
+        let nf = normalize(&c, &s).unwrap();
         assert_eq!(
             concept_aspect(&nf, AspectKind::AtMost, Some(r)),
             Aspect::Bound(2)
@@ -171,7 +171,7 @@ mod tests {
         let gm = IndRef::Classic(s.symbols.individual("GM"));
         let ford = IndRef::Classic(s.symbols.individual("Ford"));
         let c = Concept::one_of([gm.clone(), ford.clone()]);
-        let nf = normalize(&c, &mut s).unwrap();
+        let nf = normalize(&c, &s).unwrap();
         match concept_aspect(&nf, AspectKind::OneOf, None) {
             Aspect::Enumeration(v) => {
                 assert_eq!(v.len(), 2);
@@ -185,7 +185,7 @@ mod tests {
     fn unrestricted_role_defaults() {
         let mut s = Schema::new();
         let r = s.define_role("r").unwrap();
-        let nf = normalize(&Concept::thing(), &mut s).unwrap();
+        let nf = normalize(&Concept::thing(), &s).unwrap();
         assert_eq!(
             concept_aspect(&nf, AspectKind::AtLeast, Some(r)),
             Aspect::Bound(0)

@@ -39,6 +39,16 @@ pub enum ClassicError {
     ConceptRedefined(ConceptName),
     /// A primitive index was re-registered under an incompatible parent.
     PrimitiveReparented(PrimId),
+    /// A name that has no id, in a command that may not introduce one: a
+    /// primitive index no definition, assertion or rule has declared, or a
+    /// role or concept a read is the first to mention. Reported by
+    /// spelling.
+    UndefinedName {
+        /// `"primitive"`, `"role"` or `"concept"`.
+        kind: &'static str,
+        /// The name as written.
+        name: String,
+    },
     /// A `TEST` concept referenced an unregistered test function.
     UndefinedTest(TestId),
     /// `SAME-AS` was given an empty path.
@@ -260,6 +270,7 @@ impl fmt::Display for Shown<'_, ClassicError> {
                     names.prim(*p)
                 )
             }
+            ClassicError::UndefinedName { kind, name } => write!(f, "undefined {kind} {name}"),
             ClassicError::UndefinedTest(t) => write!(f, "undefined test {}", names.test(*t)),
             ClassicError::EmptySameAsPath => write!(f, "SAME-AS path is empty"),
             ClassicError::UnknownIndividual(i) => {

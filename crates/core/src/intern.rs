@@ -271,13 +271,13 @@ mod tests {
         let mut schema = Schema::new();
         let r = schema.define_role("r").unwrap();
         let mut interner = Interner::new();
-        let a = normalize(&Concept::AtLeast(2, r), &mut schema).unwrap();
+        let a = normalize(&Concept::AtLeast(2, r), &schema).unwrap();
         let b = normalize(
             &Concept::and([Concept::AtLeast(2, r), Concept::AtLeast(1, r)]),
-            &mut schema,
+            &schema,
         )
         .unwrap();
-        let c = normalize(&Concept::AtLeast(3, r), &mut schema).unwrap();
+        let c = normalize(&Concept::AtLeast(3, r), &schema).unwrap();
         let ia = interner.intern(&a);
         let ib = interner.intern(&b);
         let ic = interner.intern(&c);
@@ -295,12 +295,12 @@ mod tests {
         let mut interner = Interner::new();
         let b1 = normalize(
             &Concept::and([Concept::AtLeast(2, r), Concept::AtMost(1, r)]),
-            &mut schema,
+            &schema,
         )
         .unwrap();
         let b2 = normalize(
             &Concept::and([Concept::AtLeast(5, s), Concept::AtMost(0, s)]),
-            &mut schema,
+            &schema,
         )
         .unwrap();
         assert!(b1.is_incoherent() && b2.is_incoherent());
@@ -311,8 +311,8 @@ mod tests {
     fn kernel_memoizes_and_agrees_with_subsumes() {
         let mut schema = Schema::new();
         let r = schema.define_role("r").unwrap();
-        let big = normalize(&Concept::AtLeast(1, r), &mut schema).unwrap();
-        let small = normalize(&Concept::AtLeast(3, r), &mut schema).unwrap();
+        let big = normalize(&Concept::AtLeast(1, r), &schema).unwrap();
+        let small = normalize(&Concept::AtLeast(3, r), &schema).unwrap();
         let mut kernel = Kernel::new();
         assert_eq!(kernel.subsumes_nf(&big, &small), subsumes(&big, &small));
         assert_eq!(kernel.subsumes_nf(&small, &big), subsumes(&small, &big));
@@ -330,7 +330,7 @@ mod tests {
     fn reflexive_pairs_never_miss() {
         let mut schema = Schema::new();
         let r = schema.define_role("r").unwrap();
-        let nf = normalize(&Concept::AtLeast(1, r), &mut schema).unwrap();
+        let nf = normalize(&Concept::AtLeast(1, r), &schema).unwrap();
         let mut kernel = Kernel::new();
         let id = kernel.intern(&nf);
         assert!(kernel.subsumes_ids(id, id));

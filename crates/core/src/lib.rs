@@ -46,7 +46,7 @@ pub use error::{Clash, ClassicError, Result};
 pub use host::{HostClass, HostValue, Layer, F64};
 pub use intern::{Kernel, KernelStats, NfId};
 pub use normal::{conjoin_expression, normalize, NormalForm, RoleRestriction};
-pub use schema::{Schema, TestArg};
+pub use schema::{PrimMark, Schema, TestArg};
 pub use subsume::{disjoint, equivalent, subsumes};
 pub use symbol::{ConceptName, IndName, PrimId, RoleId, SymbolTable, TestId};
 pub use taxonomy::{NodeId, Taxonomy};

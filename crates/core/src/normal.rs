@@ -691,12 +691,14 @@ impl fmt::Display for DisplayNf<'_> {
     }
 }
 
-/// Normalize a concept expression against the schema.
+/// Normalize a concept expression against the schema: a pure function of
+/// the two. `PRIMITIVE` atoms are looked up, never introduced — telling
+/// the schema a description ([`Schema::declare`]) is what declares them.
 ///
-/// Structural problems (undefined roles/concepts, cyclic definitions) are
-/// errors; *semantic* contradictions produce a coherent `Ok(⊥)` normal
-/// form carrying the clash, which the KB layer converts to a rejected
-/// update (§3.4).
+/// Structural problems (undefined roles/concepts/primitives, cyclic
+/// definitions) are errors; *semantic* contradictions produce a coherent
+/// `Ok(⊥)` normal form carrying the clash, which the KB layer converts to
+/// a rejected update (§3.4).
 ///
 /// The paper's §2.2 equivalences fall out as structural equality:
 ///
@@ -716,10 +718,10 @@ impl fmt::Display for DisplayNf<'_> {
 ///     Concept::all(r, exp.clone()),
 /// ]);
 /// let joined = Concept::all(r, Concept::and([car, exp]));
-/// assert_eq!(normalize(&split, &mut schema)?, normalize(&joined, &mut schema)?);
+/// assert_eq!(normalize(&split, &schema)?, normalize(&joined, &schema)?);
 /// # Ok::<(), classic_core::ClassicError>(())
 /// ```
-pub fn normalize(c: &Concept, schema: &mut Schema) -> Result<NormalForm> {
+pub fn normalize(c: &Concept, schema: &Schema) -> Result<NormalForm> {
     let mut nf = NormalForm::top();
     build(c, schema, &mut nf)?;
     check_recursion(&nf, &schema.symbols)?;
@@ -776,7 +778,7 @@ fn recursion_error(path: &Path, symbols: &SymbolTable) -> ClassicError {
 /// already knows. The paper's central example (§3.2): asserting `(CLOSE
 /// thing-driven)` on Rocky closes the role over Rocky's *currently known*
 /// fillers — it does not assert that the role is empty.
-pub fn conjoin_expression(c: &Concept, schema: &mut Schema, target: &mut NormalForm) -> Result<()> {
+pub fn conjoin_expression(c: &Concept, schema: &Schema, target: &mut NormalForm) -> Result<()> {
     build(c, schema, target)?;
     check_recursion(target, &schema.symbols)?;
     target.renormalize(schema);
@@ -787,7 +789,7 @@ pub fn conjoin_expression(c: &Concept, schema: &mut Schema, target: &mut NormalF
     Ok(())
 }
 
-fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
+fn build(c: &Concept, schema: &Schema, nf: &mut NormalForm) -> Result<()> {
     if nf.is_incoherent() {
         return Ok(());
     }
@@ -797,22 +799,12 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             None => nf.make_incoherent(Clash::LayerClash),
         },
         Concept::Name(n) => {
-            // Direct self-reference during `define-concept`: the name is
-            // not yet bound (so the old behavior was a confusing
-            // `UndefinedConcept`), and binding it would require unfolding
-            // it into itself — a recursive definition, forbidden (§2.2).
-            if schema.defining() == Some(*n) {
-                return Err(ClassicError::RecursiveDefinition(format!(
-                    "concept {} refers to itself in its own definition",
-                    schema.symbols.concept_name(*n)
-                )));
-            }
             let def = schema.concept_nf(*n)?.clone();
             nf.merge_raw(&def);
         }
         Concept::Primitive { parent, index } => {
             let mut parent_nf = normalize(parent, schema)?;
-            let prim = schema.register_prim(index, None, &parent_nf)?;
+            let prim = schema.find_prim(index, None, &parent_nf)?;
             if parent_nf
                 .prims
                 .iter()
@@ -830,7 +822,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             index,
         } => {
             let mut parent_nf = normalize(parent, schema)?;
-            let prim = schema.register_prim(index, Some(grouping), &parent_nf)?;
+            let prim = schema.find_prim(index, Some(grouping), &parent_nf)?;
             if let Some(&q) = parent_nf
                 .prims
                 .iter()

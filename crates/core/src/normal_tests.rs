@@ -28,7 +28,7 @@ fn fix() -> Fix {
 }
 
 fn nf(f: &mut Fix, c: &Concept) -> NormalForm {
-    normalize(c, &mut f.schema).unwrap()
+    normalize(c, &f.schema).unwrap()
 }
 
 fn ind(f: &mut Fix, name: &str) -> IndRef {
@@ -328,13 +328,13 @@ fn close_composes_contextually_via_conjoin_expression() {
     let r = f.r;
     let a = ind(&mut f, "A");
     let mut derived = NormalForm::top();
-    conjoin_expression(&Concept::Fills(r, vec![a]), &mut f.schema, &mut derived).unwrap();
-    conjoin_expression(&Concept::Close(r), &mut f.schema, &mut derived).unwrap();
+    conjoin_expression(&Concept::Fills(r, vec![a]), &f.schema, &mut derived).unwrap();
+    conjoin_expression(&Concept::Close(r), &f.schema, &mut derived).unwrap();
     assert!(derived.roles[&r].closed);
     assert_eq!(derived.roles[&r].at_most, Some(1));
     // A later extra filler clashes.
     let b = ind(&mut f, "B");
-    conjoin_expression(&Concept::Fills(r, vec![b]), &mut f.schema, &mut derived).unwrap();
+    conjoin_expression(&Concept::Fills(r, vec![b]), &f.schema, &mut derived).unwrap();
     assert!(derived.is_incoherent());
 }
 
@@ -404,7 +404,7 @@ fn same_as_trivial_pair_vanishes() {
 fn empty_same_as_path_is_an_error() {
     let mut f = fix();
     let a = f.schema.define_attribute("a").unwrap();
-    let res = normalize(&Concept::SameAs(vec![], vec![a]), &mut f.schema);
+    let res = normalize(&Concept::SameAs(vec![], vec![a]), &f.schema);
     assert!(matches!(res, Err(ClassicError::EmptySameAsPath)));
 }
 
@@ -434,15 +434,15 @@ fn contradictory_same_as_constraints_clash() {
 fn undeclared_role_is_an_error_not_a_clash() {
     let mut f = fix();
     let ghost = f.schema.symbols.role("ghost");
-    let res = normalize(&Concept::AtLeast(1, ghost), &mut f.schema);
+    let res = normalize(&Concept::AtLeast(1, ghost), &f.schema);
     assert!(matches!(res, Err(ClassicError::UndefinedRole(_))));
 }
 
 #[test]
 fn undefined_test_is_an_error() {
-    let mut f = fix();
+    let f = fix();
     let ghost = crate::symbol::TestId::from_index(42);
-    let res = normalize(&Concept::Test(ghost), &mut f.schema);
+    let res = normalize(&Concept::Test(ghost), &f.schema);
     assert!(matches!(res, Err(ClassicError::UndefinedTest(_))));
 }
 
@@ -450,9 +450,31 @@ fn undefined_test_is_an_error() {
 fn primitive_reparenting_is_an_error() {
     let mut f = fix();
     let car = Concept::Name(f.schema.symbols.find_concept("CAR").unwrap());
-    normalize(&Concept::primitive(Concept::thing(), "boat"), &mut f.schema).unwrap();
-    let res = normalize(&Concept::primitive(car, "boat"), &mut f.schema);
+    let boat = Concept::primitive(Concept::thing(), "boat");
+    f.schema.declare(&boat);
+    normalize(&boat, &f.schema).unwrap();
+    let res = normalize(&Concept::primitive(car, "boat"), &f.schema);
     assert!(matches!(res, Err(ClassicError::PrimitiveReparented(_))));
+}
+
+#[test]
+fn an_undeclared_primitive_is_an_error_and_declaring_can_be_undone() {
+    let mut f = fix();
+    let boat = Concept::disjoint_primitive(Concept::thing(), "craft", "boat");
+    let undefined = |schema: &Schema| {
+        matches!(
+            normalize(&boat, schema),
+            Err(ClassicError::UndefinedName { kind: "primitive", name }) if name == "craft/boat"
+        )
+    };
+    assert!(undefined(&f.schema), "normalizing declares nothing");
+    let mark = f.schema.declare(&boat);
+    let declared = normalize(&boat, &f.schema).unwrap();
+    f.schema.undeclare(mark);
+    assert!(undefined(&f.schema));
+    // The same ids come back, grouping included: undoing left no gap.
+    assert_eq!(f.schema.declare(&boat), mark);
+    assert_eq!(normalize(&boat, &f.schema).unwrap(), declared);
 }
 
 // ---- misc canonicality --------------------------------------------------------------
@@ -476,6 +498,7 @@ fn nested_all_restrictions_canonicalize_depth_first() {
         r,
         Concept::and([Concept::all(s, a.clone()), Concept::all(s, b.clone())]),
     );
+    f.schema.declare(&lhs);
     let rhs = Concept::all(r, Concept::all(s, Concept::and([a, b])));
     assert_eq!(nf(&mut f, &lhs), nf(&mut f, &rhs));
 }
@@ -526,10 +549,10 @@ fn same_as_self_extension_is_a_recursive_definition() {
     // filler structure would regress forever. Previously this hung the
     // normalizer's fixpoint (release builds looped; debug builds tripped
     // the convergence debug_assert).
-    let mut f = fix();
+    let f = fix();
     let r = f.r;
     let c = Concept::SameAs(vec![r], vec![r, r]);
-    let err = normalize(&c, &mut f.schema).unwrap_err();
+    let err = normalize(&c, &f.schema).unwrap_err();
     assert!(
         matches!(err, ClassicError::RecursiveDefinition(_)),
         "unexpected: {err}"
@@ -542,13 +565,13 @@ fn same_as_cycle_through_congruence_is_detected() {
     // (r s) ~ (s) and (r) ~ (s s): congruence derives (s) ~ (s s ...) —
     // no stored pair is prefix-related, the cycle only appears after
     // right-extension.
-    let mut f = fix();
+    let f = fix();
     let (r, s) = (f.r, f.s);
     let c = Concept::and([
         Concept::SameAs(vec![r, s], vec![s]),
         Concept::SameAs(vec![r], vec![s, s]),
     ]);
-    let err = normalize(&c, &mut f.schema).unwrap_err();
+    let err = normalize(&c, &f.schema).unwrap_err();
     assert!(
         matches!(err, ClassicError::RecursiveDefinition(_)),
         "unexpected: {err}"
@@ -560,10 +583,10 @@ fn nested_same_as_cycle_is_positioned_not_swallowed() {
     // The cycle sits under (ALL s ...); without the pre-renormalization
     // scan it would be folded into an AT-MOST 0 on s and silently change
     // meaning instead of erroring.
-    let mut f = fix();
+    let f = fix();
     let (r, s) = (f.r, f.s);
     let c = Concept::all(s, Concept::SameAs(vec![r], vec![r, r]));
-    let err = normalize(&c, &mut f.schema).unwrap_err();
+    let err = normalize(&c, &f.schema).unwrap_err();
     assert!(
         matches!(err, ClassicError::RecursiveDefinition(_)),
         "unexpected: {err}"

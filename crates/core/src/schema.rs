@@ -13,6 +13,7 @@ use crate::error::{ClassicError, Result};
 use crate::host::HostValue;
 use crate::normal::{normalize, NormalForm};
 use crate::symbol::{ConceptName, PrimId, RoleId, SymbolTable, TestId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -52,13 +53,22 @@ pub struct ConceptDef {
     pub nf: NormalForm,
 }
 
+/// How many primitive atoms and disjoint groupings a schema had declared
+/// at one moment: what [`Schema::declare`] returns and
+/// [`Schema::undeclare`] truncates back to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrimMark {
+    prims: usize,
+    groups: usize,
+}
+
 #[derive(Clone)]
 struct PrimInfo {
     /// Disjointness grouping, if declared via `DISJOINT-PRIMITIVE`.
     group: Option<u32>,
-    /// The parent normal form recorded at first registration; a later
-    /// registration under a different parent is an error (definitions do
-    /// not change meaning over time, §2.2).
+    /// The parent normal form recorded at declaration; a later mention
+    /// under a different parent is an error (definitions do not change
+    /// meaning over time, §2.2).
     parent: NormalForm,
     /// The named concept that introduced this primitive, once known —
     /// used to render normal forms back into concise concepts.
@@ -81,10 +91,6 @@ pub struct Schema {
     prims: Vec<PrimInfo>,
     groups: HashMap<String, u32>,
     tests: Vec<TestFn>,
-    /// The concept currently being `define-concept`ed, if any; a reference
-    /// to it from inside its own definition is a recursive definition and
-    /// is rejected with a positioned error (§2.2 forbids cycles).
-    defining: Option<ConceptName>,
 }
 
 impl fmt::Debug for Schema {
@@ -115,7 +121,6 @@ impl Schema {
             prims: Vec::new(),
             groups: HashMap::new(),
             tests: Vec::new(),
-            defining: None,
         }
     }
 
@@ -188,20 +193,36 @@ impl Schema {
 
     // ---- named concepts -------------------------------------------------
 
-    /// `define-concept[name, expr]`: normalize and store. References to
-    /// undefined names are errors, and a reference to the name *being
-    /// defined* is a positioned [`ClassicError::RecursiveDefinition`] —
-    /// together with rejected redefinition this keeps the stored schema
-    /// cycle-free, so stored normal forms are always fully unfolded.
+    /// `define-concept[name, expr]`: declare the definition's primitive
+    /// atoms, normalize and store. References to undefined names are
+    /// errors, and a reference to the name *being defined* is a positioned
+    /// [`ClassicError::RecursiveDefinition`] — together with rejected
+    /// redefinition this keeps the stored schema cycle-free, so stored
+    /// normal forms are always fully unfolded. A refused definition
+    /// declares nothing.
     pub fn define_concept(&mut self, name: &str, told: Concept) -> Result<ConceptName> {
         let id = self.symbols.concept(name);
         if self.concepts.contains_key(&id) {
             return Err(ClassicError::ConceptRedefined(id));
         }
-        self.defining = Some(id);
-        let normalized = normalize(&told, self);
-        self.defining = None;
-        let nf = normalized?;
+        let mark = self.declare(&told);
+        let nf = match normalize(&told, self) {
+            Ok(nf) => nf,
+            Err(e) => {
+                self.undeclare(mark);
+                // The name is not bound until the definition is accepted,
+                // so one that mentions it meets it undefined: a recursive
+                // definition, forbidden (§2.2).
+                return Err(match e {
+                    ClassicError::UndefinedConcept(n) if n == id => {
+                        ClassicError::RecursiveDefinition(format!(
+                            "concept {name} refers to itself in its own definition"
+                        ))
+                    }
+                    e => e,
+                });
+            }
+        };
         // Remember which primitives this definition introduced, so normal
         // forms can be rendered back using the name.
         if let Concept::Primitive { .. } | Concept::DisjointPrimitive { .. } = &told {
@@ -215,12 +236,6 @@ impl Schema {
         self.concepts.insert(id, ConceptDef { told, nf });
         self.concept_order.push(id);
         Ok(id)
-    }
-
-    /// The concept currently being defined, if a `define-concept` is in
-    /// flight (used by normalization to reject self-reference).
-    pub(crate) fn defining(&self) -> Option<ConceptName> {
-        self.defining
     }
 
     /// Has `name` been `define-concept`ed?
@@ -256,39 +271,90 @@ impl Schema {
 
     // ---- primitives -----------------------------------------------------
 
-    /// Register (or re-validate) a primitive atom. Called by normalization
-    /// when it encounters `PRIMITIVE`/`DISJOINT-PRIMITIVE`.
-    pub(crate) fn register_prim(
-        &mut self,
-        index: &str,
-        grouping: Option<&str>,
-        parent: &NormalForm,
-    ) -> Result<PrimId> {
-        // Disjoint prims are namespaced by their grouping so `male` in the
-        // `gender` grouping can coexist with a plain `male` primitive.
-        let key = match grouping {
-            Some(g) => format!("{g}/{index}"),
-            None => index.to_owned(),
+    /// Declare the `PRIMITIVE`/`DISJOINT-PRIMITIVE` atoms of a description
+    /// the schema is being *told* — a definition, an assertion, a rule's
+    /// consequent. Normalization only looks atoms up; this is the one step
+    /// that introduces them. An atom the schema already knows, or whose
+    /// parent does not normalize, is left alone: normalizing `told` next
+    /// reports that, in its own order. The mark undoes the declaration
+    /// ([`Schema::undeclare`]) should the telling be refused.
+    pub fn declare(&mut self, told: &Concept) -> PrimMark {
+        let mark = PrimMark {
+            prims: self.prims.len(),
+            groups: self.groups.len(),
         };
-        let id = self.symbols.prim(&key);
+        self.declare_atoms(told);
+        mark
+    }
+
+    fn declare_atoms(&mut self, c: &Concept) {
+        let (parent, grouping, index) = match c {
+            Concept::And(parts) => return parts.iter().for_each(|p| self.declare_atoms(p)),
+            Concept::All(_, inner) => return self.declare_atoms(inner),
+            Concept::Primitive { parent, index } => (parent, None, index),
+            Concept::DisjointPrimitive {
+                parent,
+                grouping,
+                index,
+            } => (parent, Some(grouping.as_str()), index),
+            _ => return,
+        };
+        self.declare_atoms(parent);
+        let key = prim_key(grouping, index);
+        if self.symbols.find_prim(&key).is_some() {
+            return;
+        }
+        let Ok(parent) = normalize(parent, self) else {
+            return;
+        };
+        self.symbols.prim(&key);
         let group = grouping.map(|g| {
             let next = self.groups.len() as u32;
             *self.groups.entry(g.to_owned()).or_insert(next)
         });
-        if id.index() == self.prims.len() {
-            self.prims.push(PrimInfo {
-                group,
-                parent: parent.clone(),
-                introduced_by: None,
+        self.prims.push(PrimInfo {
+            group,
+            parent,
+            introduced_by: None,
+        });
+    }
+
+    /// Forget every primitive atom and grouping declared since `mark` was
+    /// taken, returning the atoms' keys in declaration order. Sound only
+    /// while nothing stored mentions them — that is, on the path that
+    /// refuses the telling they were declared for.
+    pub fn undeclare(&mut self, mark: PrimMark) -> Vec<String> {
+        self.prims.truncate(mark.prims);
+        self.groups.retain(|_, g| (*g as usize) < mark.groups);
+        self.symbols.prims.truncate(mark.prims)
+    }
+
+    /// The declared atom `(PRIMITIVE parent index)` — or its
+    /// `DISJOINT-PRIMITIVE` form — names. Normalization calls this; an
+    /// index nothing has declared is an error that names it, and so is a
+    /// declared one mentioned under another parent or grouping.
+    pub(crate) fn find_prim(
+        &self,
+        index: &str,
+        grouping: Option<&str>,
+        parent: &NormalForm,
+    ) -> Result<PrimId> {
+        let key = prim_key(grouping, index);
+        let Some(id) = self.symbols.find_prim(&key) else {
+            return Err(ClassicError::UndefinedName {
+                kind: "primitive",
+                name: key.into_owned(),
             });
+        };
+        let info = &self.prims[id.index()];
+        let same_group = match grouping {
+            None => info.group.is_none(),
+            Some(g) => info.group.is_some() && info.group == self.groups.get(g).copied(),
+        };
+        if same_group && info.parent == *parent {
             Ok(id)
         } else {
-            let info = &self.prims[id.index()];
-            if info.group != group || info.parent != *parent {
-                Err(ClassicError::PrimitiveReparented(id))
-            } else {
-                Ok(id)
-            }
+            Err(ClassicError::PrimitiveReparented(id))
         }
     }
 
@@ -356,6 +422,15 @@ impl Schema {
             .get(t.index())
             .map(|f| f(arg))
             .ok_or(ClassicError::UndefinedTest(t))
+    }
+}
+
+/// Disjoint prims are namespaced by their grouping so `male` in the
+/// `gender` grouping can coexist with a plain `male` primitive.
+fn prim_key<'a>(grouping: Option<&str>, index: &'a str) -> Cow<'a, str> {
+    match grouping {
+        Some(g) => Cow::Owned(format!("{g}/{index}")),
+        None => Cow::Borrowed(index),
     }
 }
 

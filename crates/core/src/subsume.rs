@@ -177,7 +177,7 @@ mod tests {
     }
 
     fn nf(fix: &mut Fix, c: &Concept) -> NormalForm {
-        normalize(c, &mut fix.schema).unwrap()
+        normalize(c, &fix.schema).unwrap()
     }
 
     fn name(fix: &mut Fix, n: &str) -> Concept {

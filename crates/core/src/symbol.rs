@@ -104,6 +104,15 @@ impl Interner {
     fn len(&self) -> usize {
         self.names.len()
     }
+
+    /// Forget every name interned after the first `len`, returning them.
+    pub(crate) fn truncate(&mut self, len: usize) -> Vec<String> {
+        let forgotten = self.names.split_off(len.min(self.names.len()));
+        for name in &forgotten {
+            self.by_name.remove(name);
+        }
+        forgotten
+    }
 }
 
 /// The symbol table holding every interned name, one namespace per id kind.
@@ -143,7 +152,7 @@ impl SymbolTable {
     }
 
     /// Intern a primitive-atom key.
-    pub fn prim(&mut self, key: &str) -> PrimId {
+    pub(crate) fn prim(&mut self, key: &str) -> PrimId {
         PrimId(self.prims.intern(key))
     }
 
@@ -165,6 +174,11 @@ impl SymbolTable {
     /// Look up an individual name without interning it.
     pub fn find_individual(&self, name: &str) -> Option<IndName> {
         self.individuals.get(name).map(IndName)
+    }
+
+    /// Look up a primitive-atom key without interning it.
+    pub(crate) fn find_prim(&self, key: &str) -> Option<PrimId> {
+        self.prims.get(key).map(PrimId)
     }
 
     /// Look up a test name without interning it.

@@ -941,7 +941,7 @@ mod tests {
         define(&mut f, "CAR", Concept::primitive(Concept::thing(), "car"));
         let car = named(&mut f, "CAR");
         let q = Concept::and([car, Concept::AtLeast(1, r)]);
-        let nf = normalize(&q, &mut f.schema).unwrap();
+        let nf = normalize(&q, &f.schema).unwrap();
         let c1 = f.taxo.classify(&nf);
         let c2 = f.taxo.classify_brute(&nf);
         assert_eq!(c1.parents, c2.parents);
@@ -968,7 +968,7 @@ mod tests {
         }
         for i in 0..8u32 {
             let q = Concept::and([p0.clone(), Concept::AtLeast(i % 4, roles[(i % 4) as usize])]);
-            let nf = normalize(&q, &mut f.schema).unwrap();
+            let nf = normalize(&q, &f.schema).unwrap();
             let a = f.taxo.classify(&nf);
             let b = f.taxo.classify_brute(&nf);
             let u = f.taxo.classify_unmemoized(&nf);
@@ -1043,7 +1043,7 @@ mod tests {
         let r = f.schema.define_role("r").unwrap();
         define(&mut f, "CAR", Concept::primitive(Concept::thing(), "car"));
         let car = named(&mut f, "CAR");
-        let nf = normalize(&Concept::and([car, Concept::AtLeast(1, r)]), &mut f.schema).unwrap();
+        let nf = normalize(&Concept::and([car, Concept::AtLeast(1, r)]), &f.schema).unwrap();
         let _ = f.taxo.classify(&nf);
         let misses_after_first = f.taxo.kernel_stats().memo_misses;
         let _ = f.taxo.classify(&nf);

@@ -44,7 +44,8 @@ fn concurrent_classification_matches_sequential() {
     ];
     let mut tax = Taxonomy::new();
     for (name, c) in &defs {
-        let nf = normalize(c, &mut schema).expect("definition normalizes");
+        schema.declare(c);
+        let nf = normalize(c, &schema).expect("definition normalizes");
         let id = schema.symbols.concept(name);
         tax.insert(id, nf);
     }
@@ -56,7 +57,7 @@ fn concurrent_classification_matches_sequential() {
         Concept::AtMost(0, r),
     ]
     .iter()
-    .map(|c| normalize(c, &mut schema).expect("query normalizes"))
+    .map(|c| normalize(c, &schema).expect("query normalizes"))
     .collect();
     let expected: Vec<_> = queries.iter().map(|nf| shape(&tax.classify(nf))).collect();
 

@@ -203,7 +203,7 @@ proptest! {
         let n1 = norm(&c, &mut schema);
         // Rendering and re-normalizing is the identity on normal forms.
         let rendered = n1.to_concept(&schema);
-        let n2 = normalize(&rendered, &mut schema).expect("rendered form is well-formed");
+        let n2 = normalize(&rendered, &schema).expect("rendered form is well-formed");
         prop_assert_eq!(n1, n2);
     }
 
@@ -227,26 +227,26 @@ proptest! {
     #[test]
     fn and_is_below_both_conjuncts(a in concept_strategy(), b in concept_strategy()) {
         // Closure-free fragment: see `strip_close`.
-        let mut schema = vocabulary();
+        let schema = vocabulary();
         let ra = strip_close(&resolve(&a, &schema));
         let rb = strip_close(&resolve(&b, &schema));
-        let na = normalize(&ra, &mut schema).unwrap();
-        let nb = normalize(&rb, &mut schema).unwrap();
-        let nab = normalize(&Concept::And(vec![ra, rb]), &mut schema).unwrap();
+        let na = normalize(&ra, &schema).unwrap();
+        let nb = normalize(&rb, &schema).unwrap();
+        let nab = normalize(&Concept::And(vec![ra, rb]), &schema).unwrap();
         prop_assert!(subsumes(&na, &nab));
         prop_assert!(subsumes(&nb, &nab));
     }
 
     #[test]
     fn and_is_commutative_and_idempotent(a in concept_strategy(), b in concept_strategy()) {
-        let mut schema = vocabulary();
+        let schema = vocabulary();
         let ra = resolve(&a, &schema);
         let rb = resolve(&b, &schema);
-        let ab = normalize(&Concept::And(vec![ra.clone(), rb.clone()]), &mut schema).unwrap();
-        let ba = normalize(&Concept::And(vec![rb, ra.clone()]), &mut schema).unwrap();
+        let ab = normalize(&Concept::And(vec![ra.clone(), rb.clone()]), &schema).unwrap();
+        let ba = normalize(&Concept::And(vec![rb, ra.clone()]), &schema).unwrap();
         prop_assert_eq!(&ab, &ba);
-        let aa = normalize(&Concept::And(vec![ra.clone(), ra.clone()]), &mut schema).unwrap();
-        let just_a = normalize(&ra, &mut schema).unwrap();
+        let aa = normalize(&Concept::And(vec![ra.clone(), ra.clone()]), &schema).unwrap();
+        let just_a = normalize(&ra, &schema).unwrap();
         prop_assert_eq!(aa, just_a);
     }
 
@@ -256,15 +256,15 @@ proptest! {
         b in concept_strategy(),
         c in concept_strategy(),
     ) {
-        let mut schema = vocabulary();
+        let schema = vocabulary();
         let (ra, rb, rc) = (resolve(&a, &schema), resolve(&b, &schema), resolve(&c, &schema));
         let left = normalize(
             &Concept::And(vec![Concept::And(vec![ra.clone(), rb.clone()]), rc.clone()]),
-            &mut schema,
+            &schema,
         ).unwrap();
         let right = normalize(
             &Concept::And(vec![ra, Concept::And(vec![rb, rc])]),
-            &mut schema,
+            &schema,
         ).unwrap();
         prop_assert_eq!(left, right);
     }
@@ -277,15 +277,15 @@ proptest! {
     ) {
         // a ⊒ a∧b ⊒ a∧b∧c must hold end to end (closure-free fragment:
         // see `strip_close`).
-        let mut schema = vocabulary();
+        let schema = vocabulary();
         let (ra, rb, rc) = (
             strip_close(&resolve(&a, &schema)),
             strip_close(&resolve(&b, &schema)),
             strip_close(&resolve(&c, &schema)),
         );
-        let na = normalize(&ra, &mut schema).unwrap();
-        let nab = normalize(&Concept::And(vec![ra.clone(), rb.clone()]), &mut schema).unwrap();
-        let nabc = normalize(&Concept::And(vec![ra, rb, rc]), &mut schema).unwrap();
+        let na = normalize(&ra, &schema).unwrap();
+        let nab = normalize(&Concept::And(vec![ra.clone(), rb.clone()]), &schema).unwrap();
+        let nabc = normalize(&Concept::And(vec![ra, rb, rc]), &schema).unwrap();
         prop_assert!(subsumes(&na, &nab));
         prop_assert!(subsumes(&nab, &nabc));
         prop_assert!(subsumes(&na, &nabc), "transitivity broken");
@@ -307,17 +307,17 @@ proptest! {
     #[test]
     fn all_distributes_over_and(a in concept_strategy(), b in concept_strategy()) {
         // (ALL r (AND a b)) ≡ (AND (ALL r a) (ALL r b)) — paper §2.2.
-        let mut schema = vocabulary();
+        let schema = vocabulary();
         let r = role(0);
         let ra = resolve(&a, &schema);
         let rb = resolve(&b, &schema);
         let joined = normalize(
             &Concept::all(r, Concept::And(vec![ra.clone(), rb.clone()])),
-            &mut schema,
+            &schema,
         ).unwrap();
         let split = normalize(
             &Concept::And(vec![Concept::all(r, ra), Concept::all(r, rb)]),
-            &mut schema,
+            &schema,
         ).unwrap();
         prop_assert_eq!(joined, split);
     }
@@ -356,9 +356,9 @@ proptest! {
 
     #[test]
     fn size_is_positive_and_bounded(c in concept_strategy()) {
-        let mut schema = vocabulary();
+        let schema = vocabulary();
         let resolved = resolve(&c, &schema);
-        let n = normalize(&resolved, &mut schema).unwrap();
+        let n = normalize(&resolved, &schema).unwrap();
         prop_assert!(n.size() >= 1);
         // Normalization may derive facts but its size stays within a
         // constant factor of the input (no blow-up): generous bound.
@@ -380,15 +380,15 @@ proptest! {
         a in concept_strategy(),
         b in concept_strategy(),
     ) {
-        let mut schema = vocabulary();
+        let schema = vocabulary();
         let ra = strip_close(&resolve(&a, &schema));
         let rb = strip_close(&resolve(&b, &schema));
-        let na = normalize(&ra, &mut schema).unwrap();
-        let nb = normalize(&rb, &mut schema).unwrap();
+        let na = normalize(&ra, &schema).unwrap();
+        let nb = normalize(&rb, &schema).unwrap();
         let via_subsume = subsumes(&na, &nb);
         let meet = normalize(
             &Concept::And(vec![ra, rb]),
-            &mut schema,
+            &schema,
         ).unwrap();
         let via_meet = meet == nb;
         prop_assert_eq!(

@@ -88,7 +88,7 @@ proptest! {
         recipes in proptest::collection::vec(recipe_strategy(), 1..14),
         probe in recipe_strategy(),
     ) {
-        let (mut schema, taxo, _) = build(&recipes);
+        let (schema, taxo, _) = build(&recipes);
         // Classify a fresh probe concept both ways.
         let mut parts = vec![Concept::Name(schema.symbols.find_concept("BASE").unwrap())];
         for &(role, n) in &probe.at_least {
@@ -97,7 +97,7 @@ proptest! {
         for &(role, m) in &probe.at_most {
             parts.push(Concept::AtMost(m, RoleId::from_index(role)));
         }
-        let nf = normalize(&Concept::And(parts), &mut schema).unwrap();
+        let nf = normalize(&Concept::And(parts), &schema).unwrap();
         let pruned = taxo.classify(&nf);
         let brute = taxo.classify_brute(&nf);
         prop_assert_eq!(&pruned.parents, &brute.parents);

@@ -279,7 +279,7 @@ pub fn run_in_memory(plan: &IngestPlan) -> Result<(Kb, BulkReport)> {
 /// existing concept name is *not* applied silently — re-define it
 /// explicitly if that is what you want).
 pub fn run_durable(store: &mut DurableKb, plan: &IngestPlan) -> Result<BulkLoadReport> {
-    let kb = store.kb_mut_for_queries()?;
+    let kb = store.kb_hydrated()?;
     let ddl: Vec<Command> = plan
         .ddl
         .iter()

@@ -51,7 +51,7 @@ impl Kb {
     /// Classify an arbitrary concept expression against the schema and
     /// report its immediate named neighbors (§3.5.1). The expression is
     /// not added to the schema.
-    pub fn classify_concept(&mut self, c: &Concept) -> Result<ConceptPlacement> {
+    pub fn classify_concept(&self, c: &Concept) -> Result<ConceptPlacement> {
         let nf = self.normalize(c)?;
         let cls = self.taxonomy().classify(&nf);
         let names_of = |kb: &Kb, nodes: &[NodeId]| -> Vec<ConceptName> {

@@ -19,7 +19,7 @@ use crate::propagate::Propagation;
 use classic_core::desc::{Concept, IndRef};
 use classic_core::error::{ClassicError, Result};
 use classic_core::normal::{conjoin_expression, NormalForm};
-use classic_core::schema::{Schema, TestArg};
+use classic_core::schema::{PrimMark, Schema, TestArg};
 use classic_core::symbol::{ConceptName, IndName, RoleId, TestId};
 use classic_core::taxonomy::{NodeId, Taxonomy};
 use classic_obs::{FlightRecorder, Histogram, Registry};
@@ -175,6 +175,9 @@ pub(crate) struct Journal {
     /// Reverse-filler edges removed during a retraction; restored on
     /// rollback.
     pub(crate) reverse_removed: Vec<(IndId, IndId)>,
+    /// Where the schema's primitive declarations stood before the
+    /// transaction's first told description; rollback truncates back.
+    declared: Option<PrimMark>,
 }
 
 impl Journal {
@@ -451,8 +454,8 @@ impl Kb {
     }
 
     /// Normalize an ad-hoc concept expression against this KB's schema.
-    pub fn normalize(&mut self, c: &Concept) -> Result<NormalForm> {
-        classic_core::normal::normalize(c, &mut self.schema)
+    pub fn normalize(&self, c: &Concept) -> Result<NormalForm> {
+        classic_core::normal::normalize(c, &self.schema)
     }
 
     // ---- DDL --------------------------------------------------------------
@@ -613,9 +616,9 @@ impl Kb {
         Ok(report)
     }
 
-    /// The told half of an assertion, before any propagation: record
-    /// `desc` as told on `id` and conjoin it into the derived
-    /// description.
+    /// The told half of an assertion, before any propagation: declare
+    /// `desc`'s primitive atoms, record it as told on `id` and conjoin it
+    /// into the derived description.
     pub(crate) fn stage_told(
         &mut self,
         id: IndId,
@@ -623,6 +626,8 @@ impl Kb {
         journal: &mut Journal,
     ) -> Result<()> {
         journal.touch(self, id);
+        let mark = self.schema.declare(desc);
+        journal.declared.get_or_insert(mark);
         // Auto-create any individuals the description references, so
         // FILLS/ONE-OF targets exist (paper examples rely on this).
         self.ensure_referenced_inds(desc, journal)?;
@@ -636,7 +641,7 @@ impl Kb {
         // Conjoin the asserted expression *contextually* (CLOSE applies to
         // the currently known fillers — §3.2).
         let mut derived = std::mem::take(&mut self.inds[id.index()].derived);
-        let res = conjoin_expression(desc, &mut self.schema, &mut derived);
+        let res = conjoin_expression(desc, &self.schema, &mut derived);
         self.inds[id.index()].derived = derived;
         res
     }
@@ -671,7 +676,8 @@ impl Kb {
     /// Hypothetical assertion: would `desc` be accepted, and what would it
     /// derive? The update is run through the full propagation engine and
     /// then rolled back unconditionally, leaving the database untouched
-    /// either way.
+    /// either way. A trial declares nothing: a description carrying a
+    /// primitive index nothing has declared is an error that names it.
     ///
     /// This is the question every configuration session asks ("can this
     /// part still be added?") and the natural complement of the paper's
@@ -682,8 +688,13 @@ impl Kb {
         let id = self.ind_id(iname)?;
         let mut journal = Journal::default();
         let result = self.assert_txn(id, desc, &mut journal);
-        self.rollback(journal);
-        result
+        match self.rollback(journal).into_iter().next() {
+            Some(name) => Err(ClassicError::UndefinedName {
+                kind: "primitive",
+                name,
+            }),
+            None => result,
+        }
     }
 
     /// `retract-ind[name, desc]`: remove a previously *told* description
@@ -795,7 +806,7 @@ impl Kb {
             derived.layer = classic_core::Layer::Classic;
             let told: Vec<Concept> = self.inds[i.index()].told.clone();
             for (ix, t) in told.iter().enumerate() {
-                conjoin_expression(t, &mut self.schema, &mut derived)?;
+                conjoin_expression(t, &self.schema, &mut derived)?;
                 journal.note_support(Support {
                     target: i,
                     source: i,
@@ -854,8 +865,15 @@ impl Kb {
             .taxonomy
             .node_of(cname)
             .ok_or(ClassicError::RuleOnUndefinedConcept(cname))?;
+        let mut journal = Journal {
+            declared: Some(self.schema.declare(&consequent)),
+            ..Journal::default()
+        };
         // Validate the consequent normalizes at all.
-        classic_core::normal::normalize(&consequent, &mut self.schema)?;
+        if let Err(e) = self.normalize(&consequent) {
+            self.rollback(journal);
+            return Err(e);
+        }
         let rule_ix = self.rules.len();
         self.rules.push(Rule {
             antecedent: cname,
@@ -865,7 +883,6 @@ impl Kb {
         });
         self.rules_by_node.entry(node).or_default().push(rule_ix);
 
-        let mut journal = Journal::default();
         let instances: Vec<IndId> = self.instances_of_node(node).into_iter().collect();
         let mut work: VecDeque<IndId> = instances.into();
         for &i in &work {
@@ -1145,7 +1162,13 @@ impl Kb {
 
     // ---- rollback ---------------------------------------------------------------
 
-    pub(crate) fn rollback(&mut self, journal: Journal) {
+    /// Undo the transaction; returns the primitive keys it had declared.
+    pub(crate) fn rollback(&mut self, journal: Journal) -> Vec<String> {
+        // Nothing restored below mentions the primitives the refused
+        // descriptions declared.
+        let undeclared = journal
+            .declared
+            .map_or_else(Vec::new, |mark| self.schema.undeclare(mark));
         // Supports earned during the transaction were never committed
         // (journal.supports is simply dropped); supports *removed* by a
         // failed retraction are restored.
@@ -1189,6 +1212,7 @@ impl Kb {
             }
             self.inds[id.index()] = old;
         }
+        undeclared
     }
 }
 
@@ -1422,6 +1446,84 @@ mod tests {
         });
         assert_eq!(set, visited);
         assert!(kb.extension_size_bound(node) >= set.len());
+    }
+
+    /// Is the primitive index declared (under whatever parent)?
+    fn declared(kb: &Kb, index: &str) -> bool {
+        let mention = kb.normalize(&Concept::primitive(Concept::thing(), index));
+        !matches!(mention, Err(ClassicError::UndefinedName { .. }))
+    }
+
+    #[test]
+    fn a_refused_telling_declares_nothing_and_a_trial_never_does() {
+        let mut kb = kb_with_person();
+        let r = kb.schema().symbols.find_role("r").unwrap();
+        let person = Concept::Name(kb.schema().symbols.find_concept("PERSON").unwrap());
+        kb.create_ind("X").unwrap();
+        kb.assert_ind("X", &person).unwrap();
+        kb.assert_ind("X", &Concept::AtLeast(1, r)).unwrap();
+        let prim = |index: &str| Concept::primitive(Concept::thing(), index);
+        let clash = |index: &str| {
+            Concept::and([prim(index), Concept::AtLeast(2, r), Concept::AtMost(1, r)])
+        };
+
+        // assert-ind: refused by a clash, and by an undeclared role.
+        assert!(kb.assert_ind("X", &clash("told")).is_err());
+        let ghost = kb.schema_mut().symbols.role("ghost");
+        let typo = Concept::and([prim("told"), Concept::AtLeast(1, ghost)]);
+        assert!(kb.assert_ind("X", &typo).is_err());
+        assert!(!declared(&kb, "told"));
+
+        // assert-rule: a consequent that does not normalize, and one that
+        // contradicts an instance.
+        assert!(kb.assert_rule("PERSON", typo.clone()).is_err());
+        let empty = Concept::and([prim("ruled"), Concept::AtMost(0, r)]);
+        assert!(matches!(
+            kb.assert_rule("PERSON", empty),
+            Err(ClassicError::Inconsistent { .. })
+        ));
+        assert!(!declared(&kb, "told") && !declared(&kb, "ruled"));
+
+        // bulk rows: the chunk falls back, the good row lands, the bad
+        // one leaves nothing.
+        let rows =
+            [("Y", prim("kept")), ("Z", clash("dropped"))].map(|(name, desc)| crate::BulkRow {
+                name: name.to_owned(),
+                desc,
+            });
+        assert_eq!(kb.bulk_assert(&rows).row_accepted, [true, false]);
+        assert!(declared(&kb, "kept") && !declared(&kb, "dropped"));
+
+        // what-if: an undeclared index is an error naming it, accepted or
+        // not; a declared one is tried as ever.
+        for desc in [prim("tried"), clash("tried")] {
+            match kb.what_if("X", &desc) {
+                Err(ClassicError::UndefinedName { kind, name }) => {
+                    assert_eq!((kind, name.as_str()), ("primitive", "tried"))
+                }
+                other => panic!("expected the undeclared index, got {other:?}"),
+            }
+        }
+        assert!(!declared(&kb, "tried"));
+        assert!(kb.what_if("X", &prim("kept")).is_ok());
+        assert!(kb.what_if("X", &clash("kept")).is_err());
+
+        // Every index a refusal mentioned is still free to be declared
+        // under another parent — and an accepted telling does declare.
+        for (name, index) in [
+            ("A", "told"),
+            ("B", "ruled"),
+            ("C", "dropped"),
+            ("D", "tried"),
+        ] {
+            kb.define_concept(name, Concept::primitive(person.clone(), index))
+                .unwrap();
+        }
+        assert!(matches!(
+            kb.define_concept("E", Concept::primitive(person, "kept")),
+            Err(ClassicError::PrimitiveReparented(_))
+        ));
+        kb.check_invariants().unwrap();
     }
 
     #[test]

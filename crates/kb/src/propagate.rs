@@ -347,7 +347,7 @@ impl Kb {
         self.ensure_referenced_inds(&consequent, journal)?;
         let mut derived = std::mem::take(&mut self.inds[id.index()].derived);
         let before = derived.clone();
-        let res = conjoin_expression(&consequent, &mut self.schema, &mut derived);
+        let res = conjoin_expression(&consequent, &self.schema, &mut derived);
         let changed = derived != before;
         self.inds[id.index()].derived = derived;
         res?;

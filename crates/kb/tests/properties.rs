@@ -228,11 +228,11 @@ proptest! {
         let p0 = Concept::Name(kb.schema().symbols.find_concept("P0").unwrap());
         let q = Concept::and([p0, Concept::AtLeast(q_n, RoleId::from_index(q_role))]);
         let known = classic_query::Query::concept(q.clone())
-            .run(&mut kb)
+            .run(&kb)
             .unwrap()
             .into_known()
             .unwrap();
-        let naive = classic_query::retrieve_naive(&mut kb, &q).unwrap();
+        let naive = classic_query::retrieve_naive(&kb, &q).unwrap();
         let mut a = known.known.clone();
         let mut b = naive.known.clone();
         a.sort();
@@ -240,7 +240,7 @@ proptest! {
         prop_assert_eq!(&a, &b, "classified and naive retrieval disagree");
         let possible = classic_query::Query::concept(q.clone())
             .possible()
-            .run(&mut kb)
+            .run(&kb)
             .unwrap()
             .into_possible()
             .unwrap();

@@ -371,13 +371,13 @@ proptest! {
             Concept::AtLeast(1, RoleId::from_index(0)),
         ]);
         let a = classic_query::Query::concept(q.clone())
-            .run(&mut kb)
+            .run(&kb)
             .unwrap()
             .into_known()
             .unwrap()
             .known;
         let b = classic_query::Query::concept(q)
-            .run(&mut rebuilt)
+            .run(&rebuilt)
             .unwrap()
             .into_known()
             .unwrap()

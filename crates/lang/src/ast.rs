@@ -8,9 +8,12 @@
 //!
 //! * **parse** (`&str → Expr`/`Command`) is a pure function of the input
 //!   text — names stay [`String`] symbols, no KB or schema required;
-//! * **resolve** ([`Expr::resolve`], [`QueryExpr::resolve`]) interns the
-//!   names against one concrete [`Schema`] at evaluation time, yielding
-//!   the [`Concept`]/[`MarkedQuery`] values the engine works with.
+//! * **resolve** ([`Expr::resolve`], [`QueryExpr::resolve`]) turns the
+//!   names into ids at evaluation time, yielding the
+//!   [`Concept`]/[`MarkedQuery`] values the engine works with. Where a
+//!   never-seen name goes is the caller's to say: a write or trial
+//!   interns it into the KB's own [`Schema`]; a read, which may introduce
+//!   no names, into a copy of the symbol table made at that first miss.
 //!
 //! Resolution never *declares* anything (same contract as the old parser):
 //! undeclared roles and undefined concepts are still rejected by
@@ -22,7 +25,68 @@ use classic_core::desc::{Concept, IndRef, Path};
 use classic_core::error::{ClassicError, Result};
 use classic_core::host::{HostValue, Layer, F64};
 use classic_core::schema::Schema;
+use classic_core::symbol::{ConceptName, IndName, RoleId, SymbolTable};
 use classic_query::MarkedQuery;
+use std::borrow::Cow;
+
+use names::Names;
+
+/// Unnameable outside the crate: a resolve takes a `&mut Schema` or a
+/// `&mut Cow<SymbolTable>`, and nothing else.
+mod names {
+    use super::{Cow, Schema, SymbolTable};
+
+    /// Where a resolve looks names up, and where one no table has seen
+    /// goes.
+    pub trait Names {
+        /// The table names are looked up in.
+        fn symbols(&self) -> &SymbolTable;
+        /// The table a never-seen name is interned into.
+        fn symbols_mut(&mut self) -> &mut SymbolTable;
+    }
+
+    /// A write or a trial: names go into the KB's own table.
+    impl Names for Schema {
+        fn symbols(&self) -> &SymbolTable {
+            &self.symbols
+        }
+        fn symbols_mut(&mut self) -> &mut SymbolTable {
+            &mut self.symbols
+        }
+    }
+
+    /// A read: the KB's table stays borrowed until a name misses, and
+    /// the miss goes into a copy.
+    impl Names for Cow<'_, SymbolTable> {
+        fn symbols(&self) -> &SymbolTable {
+            self
+        }
+        fn symbols_mut(&mut self) -> &mut SymbolTable {
+            self.to_mut()
+        }
+    }
+}
+
+fn role(names: &mut impl Names, name: &str) -> RoleId {
+    match names.symbols().find_role(name) {
+        Some(id) => id,
+        None => names.symbols_mut().role(name),
+    }
+}
+
+fn concept(names: &mut impl Names, name: &str) -> ConceptName {
+    match names.symbols().find_concept(name) {
+        Some(id) => id,
+        None => names.symbols_mut().concept(name),
+    }
+}
+
+fn individual(names: &mut impl Names, name: &str) -> IndName {
+    match names.symbols().find_individual(name) {
+        Some(id) => id,
+        None => names.symbols_mut().individual(name),
+    }
+}
 
 /// An individual operand before resolution: a CLASSIC name or a host
 /// literal.
@@ -41,10 +105,10 @@ pub enum IndLit {
 }
 
 impl IndLit {
-    /// Intern this operand against `schema`.
-    pub fn resolve(&self, schema: &mut Schema) -> IndRef {
+    /// Resolve this operand against `names`.
+    pub fn resolve(&self, names: &mut impl Names) -> IndRef {
         match self {
-            IndLit::Name(n) => IndRef::Classic(schema.symbols.individual(n)),
+            IndLit::Name(n) => IndRef::Classic(individual(names, n)),
             IndLit::Int(i) => IndRef::Host(HostValue::Int(*i)),
             IndLit::Float(v) => IndRef::Host(HostValue::Float(*v)),
             IndLit::Str(s) => IndRef::Host(HostValue::Str(s.clone())),
@@ -97,44 +161,44 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Resolve every name against `schema`, yielding an interned
+    /// Resolve every name against `names`, yielding an interned
     /// [`Concept`]. Unknown `TEST` functions are rejected here; all other
-    /// names intern freely (normalization rejects undeclared roles and
+    /// names resolve freely (normalization rejects undeclared roles and
     /// undefined concepts later, with position-free but precise errors).
-    pub fn resolve(&self, schema: &mut Schema) -> Result<Concept> {
+    pub fn resolve(&self, names: &mut impl Names) -> Result<Concept> {
         Ok(match self {
             Expr::Name(s) => {
                 if let Some(layer) = Layer::from_name(s) {
                     Concept::Builtin(layer)
                 } else {
-                    Concept::Name(schema.symbols.concept(s))
+                    Concept::Name(concept(names, s))
                 }
             }
             Expr::And(parts) => Concept::And(
                 parts
                     .iter()
-                    .map(|p| p.resolve(schema))
+                    .map(|p| p.resolve(names))
                     .collect::<Result<Vec<_>>>()?,
             ),
-            Expr::All(role, inner) => {
-                let r = schema.symbols.role(role);
-                Concept::all(r, inner.resolve(schema)?)
+            Expr::All(r, inner) => {
+                let r = role(names, r);
+                Concept::all(r, inner.resolve(names)?)
             }
-            Expr::AtLeast(n, role) => Concept::AtLeast(*n, schema.symbols.role(role)),
-            Expr::AtMost(n, role) => Concept::AtMost(*n, schema.symbols.role(role)),
-            Expr::OneOf(lits) => Concept::OneOf(lits.iter().map(|l| l.resolve(schema)).collect()),
-            Expr::Fills(role, lits) => {
-                let r = schema.symbols.role(role);
-                Concept::Fills(r, lits.iter().map(|l| l.resolve(schema)).collect())
+            Expr::AtLeast(n, r) => Concept::AtLeast(*n, role(names, r)),
+            Expr::AtMost(n, r) => Concept::AtMost(*n, role(names, r)),
+            Expr::OneOf(lits) => Concept::OneOf(lits.iter().map(|l| l.resolve(names)).collect()),
+            Expr::Fills(r, lits) => {
+                let r = role(names, r);
+                Concept::Fills(r, lits.iter().map(|l| l.resolve(names)).collect())
             }
-            Expr::Close(role) => Concept::Close(schema.symbols.role(role)),
+            Expr::Close(r) => Concept::Close(role(names, r)),
             Expr::SameAs(p, q) => {
-                let rp: Path = p.iter().map(|r| schema.symbols.role(r)).collect();
-                let rq: Path = q.iter().map(|r| schema.symbols.role(r)).collect();
+                let rp: Path = p.iter().map(|r| role(names, r)).collect();
+                let rq: Path = q.iter().map(|r| role(names, r)).collect();
                 Concept::SameAs(rp, rq)
             }
             Expr::Primitive { parent, index } => {
-                let p = parent.resolve(schema)?;
+                let p = parent.resolve(names)?;
                 Concept::primitive(p, index)
             }
             Expr::DisjointPrimitive {
@@ -142,11 +206,11 @@ impl Expr {
                 grouping,
                 index,
             } => {
-                let p = parent.resolve(schema)?;
+                let p = parent.resolve(names)?;
                 Concept::disjoint_primitive(p, grouping, index)
             }
             Expr::Test(name) => {
-                let id = schema.symbols.find_test(name).ok_or_else(|| {
+                let id = names.symbols().find_test(name).ok_or_else(|| {
                     ClassicError::Malformed(format!("unknown TEST function {name:?}"))
                 })?;
                 Concept::Test(id)
@@ -175,10 +239,10 @@ impl QueryExpr {
         }
     }
 
-    /// Resolve the expression and marker path against `schema`.
-    pub fn resolve(&self, schema: &mut Schema) -> Result<MarkedQuery> {
-        let concept = self.expr.resolve(schema)?;
-        let marker = self.marker.iter().map(|r| schema.symbols.role(r)).collect();
+    /// Resolve the expression and marker path against `names`.
+    pub fn resolve(&self, names: &mut impl Names) -> Result<MarkedQuery> {
+        let concept = self.expr.resolve(names)?;
+        let marker = self.marker.iter().map(|r| role(names, r)).collect();
         Ok(MarkedQuery { concept, marker })
     }
 }

@@ -3,7 +3,8 @@
 //! [`eval`] is where a pure [`Command`] first meets a KB: names resolve
 //! against its schema, the operator runs, and the result comes back as an
 //! [`Outcome`]. The ten operators that write are resolved, and applied,
-//! by [`crate::Write`]; the rest are answered here. [`eval_monitored`]
+//! by [`crate::Write`]; `what-if` is tried and rolled back; the rest only
+//! ask, and [`eval_read`] answers them from a `&Kb`. [`eval_monitored`]
 //! additionally keeps an incremental analysis state in step with the
 //! writes.
 
@@ -13,8 +14,10 @@ use crate::parser::parse;
 use classic_core::desc::IndRef;
 use classic_core::error::{ClassicError, Result};
 use classic_core::schema::Schema;
-use classic_kb::Kb;
+use classic_core::symbol::{ConceptName, SymbolTable};
+use classic_kb::{IndId, Kb};
 use classic_query::Query;
+use std::borrow::Cow;
 
 /// `unknown concept NAME` with a nearest-match suggestion when some
 /// defined name is within typo distance.
@@ -39,6 +42,18 @@ pub(crate) fn unknown_role(schema: &Schema, name: &str) -> ClassicError {
     ))
 }
 
+/// The individual a read names: looked up, never created.
+fn find_ind(kb: &Kb, name: &str) -> Result<IndId> {
+    let found = kb.schema().symbols.find_individual(name);
+    kb.ind_id(found.ok_or_else(|| unknown_individual(kb, name))?)
+}
+
+/// The concept name a read mentions: looked up, never interned.
+fn find_concept(kb: &Kb, name: &str) -> Result<ConceptName> {
+    let found = kb.schema().symbols.find_concept(name);
+    found.ok_or_else(|| unknown_concept(kb, name))
+}
+
 fn suggest(mut msg: String, near: Option<&str>) -> String {
     if let Some(n) = near {
         msg.push_str(&format!(" — did you mean {n:?}?"));
@@ -46,12 +61,63 @@ fn suggest(mut msg: String, near: Option<&str>) -> String {
     msg
 }
 
-/// Evaluate a parsed command against a knowledge base, resolving names
-/// against its schema first.
+/// Evaluate a parsed command against a knowledge base. A command is one
+/// of three kinds, and each meets the KB in one place: a *write* is
+/// resolved and applied by [`crate::Write`]; `what-if` is the one *trial*
+/// — asserted, reported, and rolled back whatever the verdict; anything
+/// else is a *read*, answered by [`eval_read`] from a borrow.
 pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
     if let Some(write) = cmd.to_write(kb.schema_mut())? {
         return write.apply(kb);
     }
+    let Command::WhatIf(name, c) = cmd else {
+        return eval_read(kb, cmd);
+    };
+    let c = c.resolve(kb.schema_mut())?;
+    match kb.what_if(name, &c) {
+        Ok(report) => Ok(Outcome::Description(format!(
+            "would be ACCEPTED (steps={} fills={} corefs={} rules={} reclassified={}); nothing was changed",
+            report.steps,
+            report.fills_propagated,
+            report.corefs_derived,
+            report.rules_fired,
+            report.reclassified
+        ))),
+        Err(ClassicError::Inconsistent { reason, .. }) => Ok(Outcome::Description(format!(
+            "would be REJECTED: {}; nothing was changed",
+            reason.display(&kb.schema().symbols)
+        ))),
+        Err(other) => Err(other),
+    }
+}
+
+/// Answer a read: any command that is neither a write nor `what-if`
+/// (those are errors here). Asking is not telling — the KB is borrowed,
+/// and a name it has never seen is resolved in a copy of its symbol
+/// table made at that first miss, so the read introduces none.
+pub fn eval_read(kb: &Kb, cmd: &Command) -> Result<Outcome> {
+    let symbols = &kb.schema().symbols;
+    let mut names = Cow::Borrowed(symbols);
+    // An id only the copy knows would mean nothing to the caller, who
+    // names errors from the KB's table: spell it here.
+    read(kb, cmd, &mut names).map_err(|e| match e {
+        ClassicError::UndefinedRole(r) if r.index() >= symbols.role_count() => {
+            ClassicError::UndefinedName {
+                kind: "role",
+                name: names.role_name(r).to_owned(),
+            }
+        }
+        ClassicError::UndefinedConcept(c) if c.index() >= symbols.concept_count() => {
+            ClassicError::UndefinedName {
+                kind: "concept",
+                name: names.concept_name(c).to_owned(),
+            }
+        }
+        e => e,
+    })
+}
+
+fn read(kb: &Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Outcome> {
     match cmd {
         Command::DefineRole(_)
         | Command::DefineAttribute(_)
@@ -62,7 +128,10 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
         | Command::RetractInd(..)
         | Command::RetractRule(..)
         | Command::RetractRuleById(_)
-        | Command::BulkLoad(_) => unreachable!("to_write resolves every mutation"),
+        | Command::BulkLoad(_)
+        | Command::WhatIf(..) => Err(ClassicError::Malformed(
+            "not a read: a write or what-if needs a knowledge base to change".into(),
+        )),
         Command::ListRules => {
             let symbols = &kb.schema().symbols;
             let lines: Vec<String> = kb
@@ -166,12 +235,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
                 .to_string(),
         )),
         Command::Provenance(name) => {
-            let iname = kb
-                .schema()
-                .symbols
-                .find_individual(name)
-                .ok_or_else(|| unknown_individual(kb, name))?;
-            let id = kb.ind_id(iname)?;
+            let id = find_ind(kb, name)?;
             let lines = kb.explain_provenance(id);
             if lines.is_empty() {
                 Ok(Outcome::Description(format!(
@@ -181,129 +245,85 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
                 Ok(Outcome::Description(lines.join("\n")))
             }
         }
-        Command::Retrieve(q) => {
-            let q = q.resolve(kb.schema_mut())?;
-            if q.marker.is_empty() {
+        // `retrieve` with a `?:` marker is `ask-necessary-set`.
+        Command::Retrieve(q) | Command::AskNecessarySet(q) => {
+            let q = q.resolve(names)?;
+            if q.marker.is_empty() && matches!(cmd, Command::Retrieve(_)) {
                 let ans = Query::concept(q.concept)
                     .run(kb)?
                     .into_known()
                     .expect("a Known query yields Answer::Known");
-                Ok(Outcome::Individuals(
-                    ans.known
-                        .into_iter()
-                        .map(|id| {
-                            kb.schema()
-                                .symbols
-                                .individual_name(kb.ind(id).name)
-                                .to_owned()
-                        })
-                        .collect(),
-                ))
-            } else {
-                let fillers = Query::marked(q)
-                    .run(kb)?
-                    .into_necessary_set()
-                    .expect("a NecessarySet query yields Answer::NecessarySet");
-                Ok(Outcome::Individuals(render_ind_refs(kb, &fillers)))
+                return Ok(Outcome::Individuals(render_inds(kb, ans.known)));
             }
+            let fillers = Query::marked(q)
+                .run(kb)?
+                .into_necessary_set()
+                .expect("a NecessarySet query yields Answer::NecessarySet");
+            Ok(Outcome::Individuals(render_ind_refs(names, &fillers)))
         }
         Command::Possible(c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(names)?;
             let ids = Query::concept(c)
                 .possible()
                 .run(kb)?
                 .into_possible()
                 .expect("a Possible query yields Answer::Possible");
-            Ok(Outcome::Individuals(
-                ids.into_iter()
-                    .map(|id| {
-                        kb.schema()
-                            .symbols
-                            .individual_name(kb.ind(id).name)
-                            .to_owned()
-                    })
-                    .collect(),
-            ))
-        }
-        Command::AskNecessarySet(q) => {
-            let q = q.resolve(kb.schema_mut())?;
-            let fillers = Query::marked(q)
-                .run(kb)?
-                .into_necessary_set()
-                .expect("a NecessarySet query yields Answer::NecessarySet");
-            Ok(Outcome::Individuals(render_ind_refs(kb, &fillers)))
+            Ok(Outcome::Individuals(render_inds(kb, ids)))
         }
         Command::AskDescription(q) => {
-            let q = q.resolve(kb.schema_mut())?;
+            let q = q.resolve(names)?;
             let nf = Query::marked(q)
                 .description()
                 .run(kb)?
                 .into_description()
                 .expect("a Description query yields Answer::Description");
-            let c = nf.to_concept(kb.schema());
-            Ok(Outcome::Description(
-                c.display(&kb.schema().symbols).to_string(),
-            ))
+            let c = match names {
+                Cow::Borrowed(_) => nf.to_concept(kb.schema()),
+                // `to_concept` orders individuals by name, and one this
+                // read was the first to mention is named only in its copy.
+                Cow::Owned(copy) => {
+                    let mut schema = kb.schema().clone();
+                    schema.symbols.clone_from(copy);
+                    nf.to_concept(&schema)
+                }
+            };
+            Ok(Outcome::Description(c.display(names).to_string()))
         }
-        Command::Subsumes(a, b) => {
-            let a = a.resolve(kb.schema_mut())?;
-            let b = b.resolve(kb.schema_mut())?;
+        Command::Subsumes(a, b) | Command::Equivalent(a, b) | Command::Disjoint(a, b) => {
+            let a = a.resolve(names)?;
+            let b = b.resolve(names)?;
             let na = kb.normalize(&a)?;
             let nb = kb.normalize(&b)?;
-            Ok(Outcome::Bool(classic_core::subsumes(&na, &nb)))
-        }
-        Command::Equivalent(a, b) => {
-            let a = a.resolve(kb.schema_mut())?;
-            let b = b.resolve(kb.schema_mut())?;
-            let na = kb.normalize(&a)?;
-            let nb = kb.normalize(&b)?;
-            Ok(Outcome::Bool(classic_core::equivalent(&na, &nb)))
-        }
-        Command::Disjoint(a, b) => {
-            let a = a.resolve(kb.schema_mut())?;
-            let b = b.resolve(kb.schema_mut())?;
-            let na = kb.normalize(&a)?;
-            let nb = kb.normalize(&b)?;
-            Ok(Outcome::Bool(classic_core::disjoint(&na, &nb, kb.schema())))
+            Ok(Outcome::Bool(match cmd {
+                Command::Subsumes(..) => classic_core::subsumes(&na, &nb),
+                Command::Equivalent(..) => classic_core::equivalent(&na, &nb),
+                _ => classic_core::disjoint(&na, &nb, kb.schema()),
+            }))
         }
         Command::ConceptAspect(name, kind, role) => {
-            let cname = kb
-                .schema()
-                .symbols
-                .find_concept(name)
-                .ok_or_else(|| unknown_concept(kb, name))?;
+            let cname = find_concept(kb, name)?;
             let role = resolve_role(kb, role.as_deref())?;
             let nf = kb.schema().concept_nf(cname)?;
             let aspect = classic_core::aspect::concept_aspect(nf, *kind, role);
             Ok(Outcome::Aspect(render_aspect(kb, &aspect)))
         }
         Command::IndAspect(name, kind, role) => {
-            let iname = kb
-                .schema()
-                .symbols
-                .find_individual(name)
-                .ok_or_else(|| unknown_individual(kb, name))?;
-            let id = kb.ind_id(iname)?;
+            let id = find_ind(kb, name)?;
             let role = resolve_role(kb, role.as_deref())?;
             let aspect = kb.ind_aspect(id, *kind, role);
             Ok(Outcome::Aspect(render_aspect(kb, &aspect)))
         }
         Command::Describe(name) => {
-            let iname = kb
-                .schema()
-                .symbols
-                .find_individual(name)
-                .ok_or_else(|| unknown_individual(kb, name))?;
-            let id = kb.ind_id(iname)?;
+            let id = find_ind(kb, name)?;
             let c = classic_query::describe(kb, id);
             Ok(Outcome::Description(
                 c.display(&kb.schema().symbols).to_string(),
             ))
         }
         Command::Classify(c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(names)?;
             let placement = kb.classify_concept(&c)?;
-            let render = |kb: &Kb, names: &[classic_core::ConceptName]| -> Vec<String> {
+            let render = |kb: &Kb, names: &[ConceptName]| -> Vec<String> {
                 names
                     .iter()
                     .map(|&n| kb.schema().symbols.concept_name(n).to_owned())
@@ -327,17 +347,8 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             Ok(Outcome::Description(lines.join("\n")))
         }
         Command::Why(ind_name, concept_name) => {
-            let iname = kb
-                .schema()
-                .symbols
-                .find_individual(ind_name)
-                .ok_or_else(|| unknown_individual(kb, ind_name))?;
-            let id = kb.ind_id(iname)?;
-            let cname = kb
-                .schema()
-                .symbols
-                .find_concept(concept_name)
-                .ok_or_else(|| unknown_concept(kb, concept_name))?;
+            let id = find_ind(kb, ind_name)?;
+            let cname = find_concept(kb, concept_name)?;
             let e = kb.explain_membership(id, cname)?;
             let verdict = if e.satisfied {
                 format!("{ind_name} IS a {concept_name}:\n")
@@ -346,30 +357,8 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             };
             Ok(Outcome::Description(format!("{verdict}{}", e.render())))
         }
-        Command::WhatIf(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
-            match kb.what_if(name, &c) {
-                Ok(report) => Ok(Outcome::Description(format!(
-                    "would be ACCEPTED (steps={} fills={} corefs={} rules={} reclassified={}); nothing was changed",
-                    report.steps,
-                    report.fills_propagated,
-                    report.corefs_derived,
-                    report.rules_fired,
-                    report.reclassified
-                ))),
-                Err(ClassicError::Inconsistent { reason, .. }) => Ok(Outcome::Description(format!(
-                    "would be REJECTED: {}; nothing was changed",
-                    reason.display(&kb.schema().symbols)
-                ))),
-                Err(other) => Err(other),
-            }
-        }
         Command::Parents(name) | Command::Children(name) => {
-            let cname = kb
-                .schema()
-                .symbols
-                .find_concept(name)
-                .ok_or_else(|| unknown_concept(kb, name))?;
+            let cname = find_concept(kb, name)?;
             let node = kb
                 .taxonomy()
                 .node_of(cname)
@@ -420,7 +409,7 @@ pub fn eval_monitored(
     cmd: &Command,
     state: &mut classic_analyze::AnalysisState,
 ) -> Result<Outcome> {
-    fn itself(kb: &mut Kb) -> Result<&mut Kb> {
+    fn itself(kb: &Kb) -> Result<&Kb> {
         Ok(kb)
     }
     eval_monitored_in(kb, cmd, state, itself, eval)
@@ -435,7 +424,7 @@ pub fn eval_monitored_in<H>(
     host: &mut H,
     cmd: &Command,
     state: &mut classic_analyze::AnalysisState,
-    kb_of: impl Fn(&mut H) -> Result<&mut Kb>,
+    kb_of: impl Fn(&H) -> Result<&Kb>,
     eval_in: impl FnOnce(&mut H, &Command) -> Result<Outcome>,
 ) -> Result<Outcome> {
     if let Command::LintKb { cone } = cmd {
@@ -511,10 +500,17 @@ fn resolve_role(kb: &Kb, role: Option<&str>) -> Result<Option<classic_core::Role
     }
 }
 
-fn render_ind_refs(kb: &Kb, refs: &[IndRef]) -> Vec<String> {
+fn render_inds(kb: &Kb, ids: Vec<IndId>) -> Vec<String> {
+    let symbols = &kb.schema().symbols;
+    ids.into_iter()
+        .map(|id| symbols.individual_name(kb.ind(id).name).to_owned())
+        .collect()
+}
+
+fn render_ind_refs(symbols: &SymbolTable, refs: &[IndRef]) -> Vec<String> {
     refs.iter()
         .map(|r| match r {
-            IndRef::Classic(n) => kb.schema().symbols.individual_name(*n).to_owned(),
+            IndRef::Classic(n) => symbols.individual_name(*n).to_owned(),
             IndRef::Host(v) => v.to_string(),
         })
         .collect()
@@ -526,7 +522,9 @@ fn render_aspect(kb: &Kb, aspect: &classic_core::aspect::Aspect) -> AspectValue 
         Aspect::None => AspectValue::None,
         Aspect::Bound(n) => AspectValue::Bound(*n),
         Aspect::Closed(b) => AspectValue::Closed(*b),
-        Aspect::Enumeration(v) | Aspect::Fillers(v) => AspectValue::Values(render_ind_refs(kb, v)),
+        Aspect::Enumeration(v) | Aspect::Fillers(v) => {
+            AspectValue::Values(render_ind_refs(&kb.schema().symbols, v))
+        }
         Aspect::ValueRestriction(nf) => AspectValue::Restriction(
             nf.to_concept(kb.schema())
                 .display(&kb.schema().symbols)

@@ -207,9 +207,9 @@ proptest! {
                 _ => {}
             }
 
-            state.refresh(&mut kb);
+            state.refresh(&kb);
             let incremental = state.report(&kb);
-            let full = classic_analyze::analyze(&mut kb.clone());
+            let full = classic_analyze::analyze(&kb.clone());
             prop_assert_eq!(
                 &incremental,
                 &full,

@@ -5,7 +5,9 @@
 //! command stream is only a sound serialization format if parse ∘ print
 //! is the identity. And the same for whole records: what
 //! [`Write::record`] writes, `parse` and `to_write` read back to an equal
-//! [`Write`], whatever the names — or `record` refuses.
+//! [`Write`], whatever the names — or `record` refuses. And over the same
+//! generated descriptions, a read is a function of the KB and the
+//! command: it changes nothing and answers the same every time.
 
 use classic_core::desc::{Concept, IndRef};
 use classic_core::lexical::{is_symbol, is_symbol_char};
@@ -13,7 +15,8 @@ use classic_core::schema::Schema;
 use classic_core::symbol::{RoleId, TestId};
 use classic_core::HostValue;
 use classic_kb::Kb;
-use classic_lang::{parse_concept, parse_one, Write};
+use classic_lang::{eval_read, parse_concept, parse_one, run_script, Write};
+use classic_store::same_state;
 use proptest::prelude::*;
 use std::borrow::Cow;
 
@@ -192,6 +195,91 @@ fn a_rule_id_is_recorded_as_its_rule() {
     );
 }
 
+/// A KB whose ids line up with [`vocabulary`]'s — so generated concepts
+/// print against it — with data, a rule and a declared `fresh-prim`
+/// under another parent for the reads to meet.
+fn kb_with_data() -> Kb {
+    let mut kb = Kb::new();
+    kb.register_test("test-fn", |_| true);
+    run_script(
+        &mut kb,
+        "(define-role role-0) (define-role role-1) (define-role role-2) (define-role role-3)
+         (define-attribute attr-a) (define-attribute attr-b)
+         (define-concept NAMED-0 (PRIMITIVE THING n0))
+         (define-concept NAMED-1 (PRIMITIVE THING n1))
+         (create-ind Ind-0) (create-ind Ind-1) (create-ind Ind-2)
+         (create-ind Ind-3) (create-ind Ind-4) (create-ind Ind-5)
+         (assert-ind Ind-0 (AND NAMED-0 (FILLS role-0 Ind-1 Ind-2) (AT-MOST 2 role-0)))
+         (assert-ind Ind-1 (AND NAMED-1 (FILLS role-1 7 'sym0)))
+         (assert-ind Ind-3 (ALL role-2 NAMED-0))
+         (assert-rule NAMED-0 (ALL role-0 NAMED-1))
+         (define-concept ELSEWHERE (PRIMITIVE NAMED-1 fresh-prim))",
+    )
+    .expect("the fixture is accepted");
+    assert_eq!(
+        kb.schema()
+            .symbols
+            .find_individual("Ind-5")
+            .map(|i| i.index()),
+        Some(5)
+    );
+    kb
+}
+
+/// How many names of each kind, and how many primitives, the KB holds.
+fn name_counts(kb: &Kb) -> (usize, usize, usize, classic_core::PrimMark) {
+    let symbols = &kb.schema().symbols;
+    (
+        symbols.role_count(),
+        symbols.concept_count(),
+        symbols.individuals().count(),
+        kb.schema().clone().declare(&Concept::thing()),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A read — over any description, with or without names and
+    /// primitives the KB has never seen — leaves the KB as it was, and is
+    /// answered the same a second time and on a deep copy.
+    #[test]
+    fn reads_change_nothing_and_repeat(
+        c in concept_strategy(),
+        stranger in 0usize..5,
+        operator in 0usize..9,
+    ) {
+        let kb = kb_with_data();
+        let before = kb.clone();
+        let counts = name_counts(&kb);
+        let c = c.display(&kb.schema().symbols).to_string();
+        let c = match stranger {
+            0 => format!("(AND {c} (FILLS role-1 Never-Seen))"),
+            1 => format!("(AND {c} (ALL never-seen THING))"),
+            2 => format!("(AND {c} NEVER-SEEN)"),
+            3 => format!("(AND {c} (PRIMITIVE NAMED-0 never-seen))"),
+            _ => c,
+        };
+        let read = match operator {
+            0 => format!("(retrieve {c})"),
+            1 => format!("(possible {c})"),
+            2 => format!("(ask-necessary-set (AND NAMED-0 (ALL role-0 ?:{c})))"),
+            3 => format!("(ask-description (AND NAMED-0 (ALL role-0 ?:{c})))"),
+            4 => format!("(subsumes? NAMED-0 {c})"),
+            5 => format!("(disjoint? {c} NAMED-1)"),
+            6 => format!("(classify {c})"),
+            7 => "(lint-kb)".to_owned(),
+            _ => "(describe Ind-0)".to_owned(),
+        };
+        let read = parse_one(&read).unwrap_or_else(|e| panic!("{read:?} does not parse: {e}"));
+        let first = eval_read(&kb, &read);
+        prop_assert_eq!(&first, &eval_read(&kb, &read), "asked twice");
+        prop_assert_eq!(&first, &eval_read(&before, &read), "asked of a copy");
+        prop_assert!(same_state(&before, &kb) && same_state(&kb, &before));
+        prop_assert_eq!(counts, name_counts(&kb));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -274,8 +362,9 @@ proptest! {
         let mut schema = vocabulary();
         let printed = c.display(&schema.symbols).to_string();
         let reparsed = parse_concept(&printed, &mut schema).expect("reparse");
-        let n1 = classic_core::normalize(&c, &mut schema).expect("normalizes");
-        let n2 = classic_core::normalize(&reparsed, &mut schema).expect("normalizes");
+        schema.declare(&c);
+        let n1 = classic_core::normalize(&c, &schema).expect("normalizes");
+        let n2 = classic_core::normalize(&reparsed, &schema).expect("normalizes");
         prop_assert_eq!(n1, n2);
     }
 }

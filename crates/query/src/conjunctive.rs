@@ -70,7 +70,7 @@ impl KbQuery {
 type Binding = BTreeMap<String, IndRef>;
 
 /// Evaluate a conjunctive query, returning the distinct head tuples.
-pub fn answer(kb: &mut Kb, q: &KbQuery) -> Result<Vec<Vec<IndRef>>> {
+pub fn answer(kb: &Kb, q: &KbQuery) -> Result<Vec<Vec<IndRef>>> {
     // Pre-normalize every membership concept once.
     let mut atom_nfs: Vec<Option<NormalForm>> = Vec::with_capacity(q.body.len());
     for atom in &q.body {
@@ -251,7 +251,7 @@ mod tests {
     fn join_across_membership_and_roles() {
         // q(s, m) :- STUDENT(s), thing-driven(s, c), maker(c, m),
         //            ITALIAN-COMPANY(m).
-        let (mut kb, driven, maker) = kb();
+        let (kb, driven, maker) = kb();
         let student = Concept::Name(kb.schema().symbols.find_concept("STUDENT").unwrap());
         let italian = Concept::Name(kb.schema().symbols.find_concept("ITALIAN-COMPANY").unwrap());
         let q = KbQuery::new(
@@ -263,7 +263,7 @@ mod tests {
                 KbAtom::IsA(KbTerm::var("m"), italian),
             ],
         );
-        let ans = answer(&mut kb, &q).unwrap();
+        let ans = answer(&kb, &q).unwrap();
         assert_eq!(ans.len(), 1);
         let rocky = kb.schema().symbols.find_individual("Rocky").unwrap();
         let ferrari = kb.schema().symbols.find_individual("Ferrari").unwrap();
@@ -276,42 +276,42 @@ mod tests {
     #[test]
     fn membership_atoms_use_recognition_not_told_facts() {
         // Rocky was never asserted a STUDENT — recognition supplies it.
-        let (mut kb, _, _) = kb();
+        let (kb, _, _) = kb();
         let student = Concept::Name(kb.schema().symbols.find_concept("STUDENT").unwrap());
         let q = KbQuery::new(&["s"], vec![KbAtom::IsA(KbTerm::var("s"), student)]);
-        let ans = answer(&mut kb, &q).unwrap();
+        let ans = answer(&kb, &q).unwrap();
         assert_eq!(ans.len(), 1);
     }
 
     #[test]
     fn ad_hoc_concepts_in_atoms() {
         // Membership atoms take arbitrary expressions, not just names.
-        let (mut kb, driven, _) = kb();
+        let (kb, driven, _) = kb();
         let q = KbQuery::new(
             &["p"],
             vec![KbAtom::IsA(KbTerm::var("p"), Concept::AtLeast(1, driven))],
         );
-        let ans = answer(&mut kb, &q).unwrap();
+        let ans = answer(&kb, &q).unwrap();
         assert_eq!(ans.len(), 2, "Rocky and Pat both drive something");
     }
 
     #[test]
     fn constants_and_repeated_variables() {
-        let (mut kb, driven, _) = kb();
+        let (kb, driven, _) = kb();
         let rocky = IndRef::Classic(kb.schema().symbols.find_individual("Rocky").unwrap());
         // What does Rocky drive?
         let q = KbQuery::new(
             &["c"],
             vec![KbAtom::Role(driven, KbTerm::Ind(rocky), KbTerm::var("c"))],
         );
-        let ans = answer(&mut kb, &q).unwrap();
+        let ans = answer(&kb, &q).unwrap();
         assert_eq!(ans.len(), 1);
         // Self-loop: drives(x, x) — nobody.
         let q = KbQuery::new(
             &["x"],
             vec![KbAtom::Role(driven, KbTerm::var("x"), KbTerm::var("x"))],
         );
-        assert!(answer(&mut kb, &q).unwrap().is_empty());
+        assert!(answer(&kb, &q).unwrap().is_empty());
     }
 
     #[test]
@@ -327,7 +327,7 @@ mod tests {
             &["v"],
             vec![KbAtom::Role(loc, KbTerm::var("x"), KbTerm::var("v"))],
         );
-        let ans = answer(&mut kb, &q).unwrap();
+        let ans = answer(&kb, &q).unwrap();
         assert_eq!(ans, vec![vec![IndRef::Host(HostValue::Int(7))]]);
         // And a host constant can be checked against a host concept atom.
         let q = KbQuery::new(
@@ -342,17 +342,17 @@ mod tests {
                 ),
             ],
         );
-        assert_eq!(answer(&mut kb, &q).unwrap().len(), 1);
+        assert_eq!(answer(&kb, &q).unwrap().len(), 1);
     }
 
     #[test]
     fn unbound_head_variable_is_an_error() {
-        let (mut kb, driven, _) = kb();
+        let (kb, driven, _) = kb();
         let q = KbQuery::new(
             &["ghost"],
             vec![KbAtom::Role(driven, KbTerm::var("x"), KbTerm::var("y"))],
         );
-        assert!(answer(&mut kb, &q).is_err());
+        assert!(answer(&kb, &q).is_err());
     }
 
     #[test]
@@ -360,7 +360,7 @@ mod tests {
         // Pat drives Volvo-1 whose maker is unknown: no certain answer to
         // "who drives something Italian-made" for Pat (and no fabricated
         // negative either — the atom is simply not provable).
-        let (mut kb, driven, maker) = kb();
+        let (kb, driven, maker) = kb();
         let italian = Concept::Name(kb.schema().symbols.find_concept("ITALIAN-COMPANY").unwrap());
         let q = KbQuery::new(
             &["p"],
@@ -370,7 +370,7 @@ mod tests {
                 KbAtom::IsA(KbTerm::var("m"), italian),
             ],
         );
-        let ans = answer(&mut kb, &q).unwrap();
+        let ans = answer(&kb, &q).unwrap();
         assert_eq!(ans.len(), 1, "only Rocky's chain is provable");
     }
 }

@@ -120,7 +120,7 @@ enum QueryMode {
 /// let person = kb.schema().symbols.find_concept("PERSON").unwrap();
 /// kb.create_ind("Rocky")?;
 /// kb.assert_ind("Rocky", &Concept::Name(person))?;
-/// let ans = Query::concept(Concept::Name(person)).run(&mut kb)?;
+/// let ans = Query::concept(Concept::Name(person)).run(&kb)?;
 /// match ans {
 ///     Answer::Known(a) => assert_eq!(a.known.len(), 1),
 ///     _ => unreachable!("a Known query returns Answer::Known"),
@@ -153,7 +153,7 @@ impl Query {
     /// }
     /// let q = Concept::and([Concept::Name(vehicle), Concept::AtLeast(3, wheels)]);
     /// let answers = classic_query::Query::concept(q)
-    ///     .run(&mut kb)?
+    ///     .run(&kb)?
     ///     .into_known()
     ///     .unwrap();
     /// assert_eq!(answers.known.len(), 2); // Trike and Car
@@ -231,7 +231,7 @@ impl Query {
 
     /// Evaluate against a knowledge base. The [`Answer`] variant always
     /// matches the requested mode.
-    pub fn run(&self, kb: &mut Kb) -> Result<Answer> {
+    pub fn run(&self, kb: &Kb) -> Result<Answer> {
         match self.mode {
             QueryMode::Known => Ok(Answer::Known(retrieve_impl(kb, &self.concept)?)),
             QueryMode::Possible => Ok(Answer::Possible(possible_impl(kb, &self.concept)?)),
@@ -294,7 +294,7 @@ impl Answer {
     }
 }
 
-fn retrieve_impl(kb: &mut Kb, query: &Concept) -> Result<Answers> {
+fn retrieve_impl(kb: &Kb, query: &Concept) -> Result<Answers> {
     let nf = kb.normalize(query)?;
     retrieve_nf(kb, &nf)
 }
@@ -481,7 +481,7 @@ fn test_candidates(kb: &Kb, nf: &NormalForm, candidates: &[IndId]) -> Result<Vec
 
 /// The naive baseline: test every individual in the database against the
 /// query (what a system without the classification index must do).
-pub fn retrieve_naive(kb: &mut Kb, query: &Concept) -> Result<Answers> {
+pub fn retrieve_naive(kb: &Kb, query: &Concept) -> Result<Answers> {
     let nf = kb.normalize(query)?;
     retrieve_naive_nf(kb, &nf)
 }
@@ -506,7 +506,7 @@ pub fn retrieve_naive_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
     Ok(Answers { known, stats })
 }
 
-fn possible_impl(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
+fn possible_impl(kb: &Kb, query: &Concept) -> Result<Vec<IndId>> {
     let nf = kb.normalize(query)?;
     let ids: Vec<IndId> = kb.ind_ids().collect();
     guard_recognizers(|| {
@@ -516,7 +516,7 @@ fn possible_impl(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
     })
 }
 
-fn ask_necessary_set_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
+fn ask_necessary_set_impl(kb: &Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
     let subjects = retrieve_impl(kb, &q.concept)?.known;
     let mut frontier: BTreeSet<IndRef> = subjects
         .into_iter()
@@ -536,7 +536,7 @@ fn ask_necessary_set_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
     Ok(frontier.into_iter().collect())
 }
 
-fn ask_description_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<NormalForm> {
+fn ask_description_impl(kb: &Kb, q: &MarkedQuery) -> Result<NormalForm> {
     let mut subject = kb.normalize(&q.concept)?;
     // A singleton enumeration names a known individual: fold in everything
     // the database has derived about it — the paper's crime15 pattern,
@@ -564,7 +564,7 @@ fn ask_description_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<NormalForm> {
 
 /// Conjoin, to a fixed point, the consequents of every rule attached to a
 /// schema concept that subsumes `desc`. Each rule applies at most once.
-fn augment_with_rules(kb: &mut Kb, desc: &mut NormalForm) -> Result<()> {
+fn augment_with_rules(kb: &Kb, desc: &mut NormalForm) -> Result<()> {
     let mut applied: BTreeSet<usize> = BTreeSet::new();
     loop {
         let cls = kb.taxonomy().classify(desc);
@@ -588,8 +588,7 @@ fn augment_with_rules(kb: &mut Kb, desc: &mut NormalForm) -> Result<()> {
         }
         for ix in due {
             applied.insert(ix);
-            let consequent = kb.rules()[ix].consequent.clone();
-            let cnf = kb.normalize(&consequent)?;
+            let cnf = kb.normalize(&kb.rules()[ix].consequent)?;
             desc.conjoin(&cnf, kb.schema());
         }
     }
@@ -616,11 +615,11 @@ mod tests {
     use classic_core::desc::Concept;
     use classic_core::error::ClassicError;
 
-    fn retrieve(kb: &mut Kb, q: &Concept) -> Result<Answers> {
+    fn retrieve(kb: &Kb, q: &Concept) -> Result<Answers> {
         Ok(Query::concept(q.clone()).run(kb)?.into_known().unwrap())
     }
 
-    fn possible(kb: &mut Kb, q: &Concept) -> Result<Vec<IndId>> {
+    fn possible(kb: &Kb, q: &Concept) -> Result<Vec<IndId>> {
         let ans = Query::concept(q.clone()).possible().run(kb)?;
         Ok(ans.into_possible().unwrap())
     }
@@ -632,7 +631,7 @@ mod tests {
         kb.define_concept("PERSON", Concept::primitive(Concept::thing(), "person"))
             .unwrap();
         let person = Concept::Name(kb.schema_mut().symbols.concept("PERSON"));
-        let enrolled = kb.schema_mut().symbols.find_role("enrolled-at").unwrap();
+        let enrolled = kb.schema().symbols.find_role("enrolled-at").unwrap();
         kb.define_concept(
             "STUDENT",
             Concept::and([person, Concept::AtLeast(1, enrolled)]),
@@ -645,7 +644,7 @@ mod tests {
     fn retrieve_uses_subsumed_extensions_for_free() {
         let mut kb = kb_with_schema();
         let person = kb.schema_mut().symbols.concept("PERSON");
-        let enrolled = kb.schema_mut().symbols.find_role("enrolled-at").unwrap();
+        let enrolled = kb.schema().symbols.find_role("enrolled-at").unwrap();
         for i in 0..10 {
             let name = format!("S{i}");
             kb.create_ind(&name).unwrap();
@@ -656,11 +655,11 @@ mod tests {
         // Query = exactly STUDENT's definition: answered via equivalence,
         // zero per-individual tests.
         let q = Concept::and([Concept::Name(person), Concept::AtLeast(1, enrolled)]);
-        let ans = retrieve(&mut kb, &q).unwrap();
+        let ans = retrieve(&kb, &q).unwrap();
         assert_eq!(ans.known.len(), 10);
         assert_eq!(ans.stats.tested, 0);
         // The naive baseline tests everyone.
-        let naive = retrieve_naive(&mut kb, &q).unwrap();
+        let naive = retrieve_naive(&kb, &q).unwrap();
         assert_eq!(naive.known.len(), 10);
         assert_eq!(naive.stats.tested, kb.ind_count());
     }
@@ -669,7 +668,7 @@ mod tests {
     fn retrieve_strict_refinement_tests_candidates() {
         let mut kb = kb_with_schema();
         let person = kb.schema_mut().symbols.concept("PERSON");
-        let enrolled = kb.schema_mut().symbols.find_role("enrolled-at").unwrap();
+        let enrolled = kb.schema().symbols.find_role("enrolled-at").unwrap();
         for i in 0..6 {
             let name = format!("P{i}");
             kb.create_ind(&name).unwrap();
@@ -679,12 +678,12 @@ mod tests {
         }
         // STUDENTs enrolled at ≥ 3 places: a strict refinement of STUDENT.
         let q = Concept::and([Concept::Name(person), Concept::AtLeast(3, enrolled)]);
-        let ans = retrieve(&mut kb, &q).unwrap();
+        let ans = retrieve(&kb, &q).unwrap();
         assert_eq!(ans.known.len(), 3); // P3, P4, P5
                                         // Candidates came from STUDENT's extension (P1..P5 = 5), not the
                                         // whole DB.
         assert!(ans.stats.tested <= 5);
-        let naive = retrieve_naive(&mut kb, &q).unwrap();
+        let naive = retrieve_naive(&kb, &q).unwrap();
         let mut a = ans.known.clone();
         let mut b = naive.known.clone();
         a.sort();
@@ -700,8 +699,8 @@ mod tests {
         kb.create_ind("Yes").unwrap();
         kb.assert_ind("Yes", &Concept::Name(person)).unwrap();
         let q = Concept::Name(person);
-        let known = retrieve(&mut kb, &q).unwrap().known;
-        let poss = possible(&mut kb, &q).unwrap();
+        let known = retrieve(&kb, &q).unwrap().known;
+        let poss = possible(&kb, &q).unwrap();
         assert_eq!(known.len(), 1);
         // Open world: Maybe is not *known* to be a PERSON but *might* be.
         assert_eq!(poss.len(), 2);
@@ -713,7 +712,7 @@ mod tests {
     #[test]
     fn marked_query_collects_fillers() {
         let mut kb = kb_with_schema();
-        let eat = kb.schema_mut().symbols.find_role("eat").unwrap();
+        let eat = kb.schema().symbols.find_role("eat").unwrap();
         let person = kb.schema_mut().symbols.concept("PERSON");
         kb.create_ind("Rocky").unwrap();
         kb.assert_ind("Rocky", &Concept::Name(person)).unwrap();
@@ -725,7 +724,7 @@ mod tests {
             concept: Concept::Name(person),
             marker: vec![eat],
         };
-        let fillers = Query::marked(q).run(&mut kb).unwrap();
+        let fillers = Query::marked(q).run(&kb).unwrap();
         assert_eq!(fillers.into_necessary_set().unwrap(), vec![pizza]);
     }
 
@@ -738,7 +737,7 @@ mod tests {
         kb.define_concept("JUNK-FOOD", Concept::primitive(Concept::thing(), "junk"))
             .unwrap();
         let junk = kb.schema_mut().symbols.concept("JUNK-FOOD");
-        let eat = kb.schema_mut().symbols.find_role("eat").unwrap();
+        let eat = kb.schema().symbols.find_role("eat").unwrap();
         kb.assert_rule("STUDENT", Concept::all(eat, Concept::Name(junk)))
             .unwrap();
         let student = kb.schema_mut().symbols.concept("STUDENT");
@@ -749,7 +748,7 @@ mod tests {
         };
         let desc = Query::marked(q)
             .description()
-            .run(&mut kb)
+            .run(&kb)
             .unwrap()
             .into_description()
             .unwrap();
@@ -761,7 +760,7 @@ mod tests {
     fn describe_round_trips_through_language() {
         let mut kb = kb_with_schema();
         let person = kb.schema_mut().symbols.concept("PERSON");
-        let enrolled = kb.schema_mut().symbols.find_role("enrolled-at").unwrap();
+        let enrolled = kb.schema().symbols.find_role("enrolled-at").unwrap();
         kb.create_ind("Rocky").unwrap();
         kb.assert_ind("Rocky", &Concept::Name(person)).unwrap();
         kb.assert_ind("Rocky", &Concept::AtLeast(2, enrolled))
@@ -779,7 +778,7 @@ mod tests {
     fn query_builder_matches_free_functions() {
         let mut kb = kb_with_schema();
         let person = kb.schema_mut().symbols.concept("PERSON");
-        let eat = kb.schema_mut().symbols.find_role("eat").unwrap();
+        let eat = kb.schema().symbols.find_role("eat").unwrap();
         kb.create_ind("Rocky").unwrap();
         kb.assert_ind("Rocky", &Concept::Name(person)).unwrap();
         let pizza = IndRef::Classic(kb.schema_mut().symbols.individual("Pizza-1"));
@@ -790,11 +789,11 @@ mod tests {
         // Known answers: the builder, the normalized entry point it
         // fronts, and the unpruned baseline agree.
         let q = Concept::Name(person);
-        let known = retrieve(&mut kb, &q).unwrap().known;
+        let known = retrieve(&kb, &q).unwrap().known;
         let nf = kb.normalize(&q).unwrap();
         assert_eq!(known, retrieve_nf(&kb, &nf).unwrap().known);
-        assert_eq!(known, retrieve_naive(&mut kb, &q).unwrap().known);
-        assert_eq!(possible(&mut kb, &q).unwrap().len(), 3);
+        assert_eq!(known, retrieve_naive(&kb, &q).unwrap().known);
+        assert_eq!(possible(&kb, &q).unwrap().len(), 3);
 
         // Marked answers: `concept(..).marker(..)` and `marked(..)` are
         // two routes to the same query.
@@ -802,12 +801,12 @@ mod tests {
             concept: q.clone(),
             marker: vec![eat],
         };
-        let set = Query::marked(mq.clone()).run(&mut kb).unwrap();
+        let set = Query::marked(mq.clone()).run(&kb).unwrap();
         let set = set.into_necessary_set().unwrap();
         let routed = Query::concept(q.clone())
             .marker([eat])
             .necessary_set()
-            .run(&mut kb)
+            .run(&kb)
             .unwrap();
         assert_eq!(set, routed.into_necessary_set().unwrap());
         assert_eq!(set, vec![pizza]);
@@ -815,11 +814,11 @@ mod tests {
         let desc = Query::concept(q)
             .marker([eat])
             .description()
-            .run(&mut kb)
+            .run(&kb)
             .unwrap()
             .into_description()
             .unwrap();
-        let marked = Query::marked(mq).description().run(&mut kb).unwrap();
+        let marked = Query::marked(mq).description().run(&kb).unwrap();
         assert_eq!(desc, marked.into_description().unwrap());
     }
 
@@ -839,7 +838,7 @@ mod tests {
         // (naive) answer exactly.
         let mut kb = kb_with_schema();
         let person = kb.schema_mut().symbols.concept("PERSON");
-        let enrolled = kb.schema_mut().symbols.find_role("enrolled-at").unwrap();
+        let enrolled = kb.schema().symbols.find_role("enrolled-at").unwrap();
         let total = PARALLEL_THRESHOLD + 64;
         for i in 0..total {
             let name = format!("P{i}");
@@ -851,7 +850,7 @@ mod tests {
         // Strict refinement of STUDENT: every PERSON with ≥ 1 enrollment
         // is a candidate; only those with ≥ 3 pass the instance test.
         let q = Concept::and([Concept::Name(person), Concept::AtLeast(3, enrolled)]);
-        let ans = retrieve(&mut kb, &q).unwrap();
+        let ans = retrieve(&kb, &q).unwrap();
         assert!(
             ans.stats.tested >= PARALLEL_THRESHOLD,
             "expected the parallel path to engage (tested {})",
@@ -859,7 +858,7 @@ mod tests {
         );
         let mut a = ans.known.clone();
         a.sort();
-        let mut b = retrieve_naive(&mut kb, &q).unwrap().known;
+        let mut b = retrieve_naive(&kb, &q).unwrap().known;
         b.sort();
         assert_eq!(a, b);
     }
@@ -874,17 +873,17 @@ mod tests {
         kb.assert_ind("Rocky", &Concept::Name(person)).unwrap();
         // One candidate: the sequential instance-test path.
         let q = Concept::and([Concept::Name(person), Concept::Test(boom)]);
-        let err = retrieve(&mut kb, &q).unwrap_err();
+        let err = retrieve(&kb, &q).unwrap_err();
         assert!(
             matches!(err, ClassicError::RecognizerPanicked(_)),
             "unexpected error: {err}"
         );
         assert!(err.to_string().contains("recognizer boom"), "{err}");
         // The naive baseline reports the same failure.
-        let err = retrieve_naive(&mut kb, &q).unwrap_err();
+        let err = retrieve_naive(&kb, &q).unwrap_err();
         assert!(matches!(err, ClassicError::RecognizerPanicked(_)));
         // The KB remains usable: no cache was poisoned by the unwind.
-        let sane = retrieve(&mut kb, &Concept::Name(person)).unwrap();
+        let sane = retrieve(&kb, &Concept::Name(person)).unwrap();
         assert_eq!(sane.known.len(), 1);
     }
 
@@ -902,13 +901,13 @@ mod tests {
             kb.assert_ind(&name, &Concept::Name(person)).unwrap();
         }
         let q = Concept::and([Concept::Name(person), Concept::Test(boom)]);
-        let err = retrieve(&mut kb, &q).unwrap_err();
+        let err = retrieve(&kb, &q).unwrap_err();
         assert!(
             matches!(err, ClassicError::RecognizerPanicked(_)),
             "unexpected error: {err}"
         );
         // Still usable afterwards.
-        let sane = retrieve(&mut kb, &Concept::Name(person)).unwrap();
+        let sane = retrieve(&kb, &Concept::Name(person)).unwrap();
         assert_eq!(sane.known.len(), PARALLEL_THRESHOLD + 32);
     }
 
@@ -927,7 +926,7 @@ mod tests {
                 Concept::and([Concept::Name(person), Concept::Test(boom)]),
             )],
         );
-        let err = answer(&mut kb, &q).unwrap_err();
+        let err = answer(&kb, &q).unwrap_err();
         assert!(matches!(err, ClassicError::RecognizerPanicked(_)));
     }
 
@@ -935,10 +934,10 @@ mod tests {
     fn incoherent_query_has_no_answers() {
         let mut kb = kb_with_schema();
         kb.create_ind("X").unwrap();
-        let enrolled = kb.schema_mut().symbols.find_role("enrolled-at").unwrap();
+        let enrolled = kb.schema().symbols.find_role("enrolled-at").unwrap();
         let q = Concept::and([Concept::AtLeast(2, enrolled), Concept::AtMost(1, enrolled)]);
-        assert!(retrieve(&mut kb, &q).unwrap().known.is_empty());
-        assert!(retrieve_naive(&mut kb, &q).unwrap().known.is_empty());
-        assert!(possible(&mut kb, &q).unwrap().is_empty());
+        assert!(retrieve(&kb, &q).unwrap().known.is_empty());
+        assert!(retrieve_naive(&kb, &q).unwrap().known.is_empty());
+        assert!(possible(&kb, &q).unwrap().is_empty());
     }
 }

@@ -192,35 +192,43 @@ impl Shared {
     /// elsewhere on a thread holding this lock cannot leave the map
     /// itself torn — recovering the guard is sound, and keeps one
     /// crashed request from taking every tenant down with it.
+    ///
+    /// A *tenant* whose own locks a panicking request poisoned is not
+    /// recovered: its KB may be mid-mutation. It is dropped from the table
+    /// and reopened from its log, which holds exactly the acknowledged
+    /// writes; sessions still holding the old `Arc` rebind on their next
+    /// form.
     pub fn tenant(&self, name: &str) -> Result<Arc<Tenant>> {
         validate_tenant_name(name)?;
         let mut map = self
             .tenants
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(t) = map.get(name) {
-            return Ok(Arc::clone(t));
+        match map.get(name) {
+            Some(t) if !t.is_poisoned() => return Ok(Arc::clone(t)),
+            Some(t) => t.quiesce(),
+            None => {}
         }
         let tenant = Arc::new(Tenant::open(name, &self.data_dir.join(name))?);
         map.insert(name.to_owned(), Arc::clone(&tenant));
         Ok(tenant)
     }
 
-    /// Stats for every open tenant, sorted by name. A tenant whose
-    /// primary lock is poisoned is skipped here (it also rejects every
-    /// command with a descriptive error, so its brokenness is visible on
-    /// the eval path, not silently absorbed).
+    /// Stats for every open tenant, sorted by name.
     pub fn all_stats(&self) -> Vec<TenantStats> {
-        let tenants: Vec<Arc<Tenant>> = {
+        let names: Vec<String> = {
             let map = self
                 .tenants
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            map.values().cloned().collect()
+            map.keys().cloned().collect()
         };
         // Collect outside the table lock: stats() takes each tenant's
         // primary lock and may wait behind a writer.
-        let mut stats: Vec<TenantStats> = tenants.iter().filter_map(|t| t.stats().ok()).collect();
+        let mut stats: Vec<TenantStats> = names
+            .iter()
+            .filter_map(|name| self.tenant(name).ok()?.stats().ok())
+            .collect();
         stats.sort_by(|a, b| a.name.cmp(&b.name));
         stats
     }

@@ -124,6 +124,13 @@ impl WireSession {
     /// root span knows the command kind), then served and accounted for
     /// by `Shared::request`, the one accounting block both fronts share.
     pub fn handle_form(&mut self, form: &str) -> (String, Control) {
+        // A tenant some request panicked in has been (or is now) replaced
+        // in the table by one reopened from its log: rebind to that one.
+        if self.tenant.is_poisoned() {
+            if let Ok(reopened) = self.shared.tenant(self.tenant.name()) {
+                self.tenant = reopened;
+            }
+        }
         self.shared.metrics.requests.bump();
         self.tenant.count_request();
         let parsed = classify(form);
@@ -281,11 +288,7 @@ impl WireSession {
                 if self.sandbox.is_some() {
                     return (err("sandbox already active"), Control::Continue);
                 }
-                match self
-                    .tenant
-                    .snapshot()
-                    .and_then(|s| s.with_kb(|kb| kb.clone()))
-                {
+                match self.tenant.snapshot().map(|s| s.kb().clone()) {
                     Ok(kb) => {
                         self.sandbox = Some(Sandbox {
                             kb,

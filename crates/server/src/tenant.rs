@@ -9,18 +9,27 @@
 //!   operation log), then bump the tenant *version* and invalidate the
 //!   cached snapshot.
 //! - **Reads** run against an [`Arc<Snapshot>`] — a clone of the KB
-//!   taken at a specific version. Many readers share one clone; a
+//!   taken at a specific version. A read borrows
+//!   ([`classic_lang::eval_read`] takes `&Kb`), so the snapshot holds its
+//!   KB bare: any number of readers of one version run at once, and a
 //!   reader holds its `Arc` for as long as it likes, so a concurrent
 //!   writer (or background compaction changing the store generation)
 //!   never shifts the ground under an in-flight query. That is
 //!   snapshot isolation in the only sense a structural KB needs:
 //!   each query sees one consistent version, pinned for its duration.
+//! - **Trials and lints** — `(what-if …)` and `(lint-kb)` — change
+//!   nothing durable but need the primary: a trial asserts and rolls
+//!   back, the lint reads the analysis state that tracks the primary.
+//!   Both run under the store lock, log nothing, bump no version, and
+//!   leave the cached snapshot in place.
 //!
 //! Lock order is `primary` → `snap` never held together from the write
 //! path (the writer drops the primary guard before touching the cache),
 //! and the read path takes `snap` → `primary` only when the cache is
 //! cold. Since no thread ever waits on `snap` while holding `primary`,
-//! the pair cannot deadlock.
+//! the pair cannot deadlock. A lock poisoned by a panicking request is
+//! not recovered in place: [`Tenant::is_poisoned`] tells the tenant table
+//! to drop the tenant and reopen it from its log.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,16 +44,17 @@ use classic_store::DurableKb;
 
 /// A poisoned tenant lock means some earlier evaluation panicked while
 /// holding it, so the guarded KB may be mid-mutation. Rather than let
-/// every subsequent request kill its worker thread via `expect`, the
-/// server answers with this error — the rest of the process (other
-/// tenants, metrics, health checks) keeps serving.
+/// every subsequent request kill its worker thread via `expect`, a
+/// request that still holds this tenant gets this error — the rest of
+/// the process (other tenants, metrics, health checks) keeps serving, and
+/// the tenant table replaces the tenant on the next lookup.
 fn poisoned(what: &str, tenant: &str) -> ClassicError {
     ClassicError::Storage {
         path: tenant.to_owned(),
         generation: None,
         detail: format!(
             "{what} lock poisoned: a previous request panicked mid-operation; \
-             restart the server to reopen this tenant from its log"
+             the next request reopens this tenant from its log"
         ),
     }
 }
@@ -95,36 +105,25 @@ fn named_in(store: &DurableKb, error: ClassicError) -> NamedError {
     }
 }
 
-/// An immutable-by-convention copy of a tenant KB at one version.
-///
-/// The inner `Mutex<Kb>` exists because query evaluation takes
-/// `&mut Kb` (normalization caches, `what-if` trial assertions that
-/// roll themselves back) — logically the snapshot never changes.
+/// An immutable copy of a tenant KB at one version: nothing that holds
+/// a snapshot can reach `&mut Kb`, so it needs no lock.
 pub struct Snapshot {
     /// Store generation (manifest) the snapshot was cut at.
     pub generation: u64,
     /// Tenant version (monotone per-mutation counter) it reflects.
     pub version: u64,
-    kb: Mutex<Kb>,
+    kb: Kb,
 }
 
 impl Snapshot {
-    /// Run `f` against the snapshot KB. Errs if a previous query
-    /// panicked mid-evaluation and poisoned the snapshot (a `what-if`
-    /// trial may have been left half rolled back), in which case the
-    /// snapshot is unusable — the next mutation or version check cuts a
-    /// fresh one from the primary.
-    pub fn with_kb<T>(&self, f: impl FnOnce(&mut Kb) -> T) -> Result<T> {
-        let mut kb = self
-            .kb
-            .lock()
-            .map_err(|_| poisoned("snapshot", "snapshot"))?;
-        Ok(f(&mut kb))
+    /// The snapshot's KB.
+    pub fn kb(&self) -> &Kb {
+        &self.kb
     }
 
-    /// Evaluate a read-only command against this snapshot.
+    /// Answer a read against this snapshot.
     pub fn eval(&self, cmd: &Command) -> std::result::Result<Outcome, NamedError> {
-        self.with_kb(|kb| classic_lang::eval(kb, cmd).map_err(|e| NamedError::new(e, kb)))?
+        classic_lang::eval_read(&self.kb, cmd).map_err(|e| NamedError::new(e, &self.kb))
     }
 }
 
@@ -244,6 +243,26 @@ impl Tenant {
         self.requests.bump();
     }
 
+    /// Did a request panic while holding one of this tenant's locks? The
+    /// guarded state may be mid-mutation, so it is never recovered in
+    /// place; the tenant table drops such a tenant and reopens it from
+    /// its log, where every acknowledged write is.
+    pub fn is_poisoned(&self) -> bool {
+        self.primary.is_poisoned() || self.snap.is_poisoned() || self.analysis.is_poisoned()
+    }
+
+    /// Land the background compaction of a tenant about to be replaced, so
+    /// the store that reopens its directory is the only one publishing
+    /// there. Takes the primary whether or not it is poisoned: joining
+    /// the compactor reads none of the state a panic may have torn.
+    pub(crate) fn quiesce(&self) {
+        let mut store = self
+            .primary
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _ = store.wait_for_compaction();
+    }
+
     fn lock_primary(&self) -> Result<MutexGuard<'_, DurableKb>> {
         self.primary
             .lock()
@@ -281,7 +300,7 @@ impl Tenant {
     /// [`Self::execute`], additionally returning the cone diagnostics
     /// the write re-derived when lint-on-write is enabled.
     ///
-    /// Two kinds of command leave the plain read path, and both run
+    /// Three kinds of command leave the plain read path, and all run
     /// through [`classic_lang::eval_monitored_in`] under the store lock,
     /// so the tenant's incremental [`AnalysisState`] — which tracks the
     /// *primary* KB — is kept by the same discipline as anywhere else:
@@ -289,6 +308,8 @@ impl Tenant {
     /// * `(lint-kb [cone])` is a read, but it is answered from that
     ///   state, refreshed in O(cone), not O(KB), instead of evaluating
     ///   against a snapshot.
+    /// * `(what-if …)` is a write that is always rolled back: it waits
+    ///   for the writer like one, and is neither logged nor counted.
     /// * Mutations mark their analysis cone as they land; with
     ///   lint-on-write on they also refresh and return the cone's
     ///   diagnostics.
@@ -297,7 +318,7 @@ impl Tenant {
         cmd: &Command,
     ) -> std::result::Result<(Outcome, Option<LintReport>), NamedError> {
         let mutation = cmd.is_mutation();
-        if !mutation && !matches!(cmd, Command::LintKb { .. }) {
+        if !mutation && !matches!(cmd, Command::LintKb { .. } | Command::WhatIf(..)) {
             return Ok((self.snapshot()?.eval(cmd)?, None));
         }
         let result = {
@@ -307,7 +328,7 @@ impl Tenant {
                 &mut *store,
                 cmd,
                 &mut analysis,
-                DurableKb::kb_mut_for_queries,
+                DurableKb::kb,
                 DurableKb::eval_durable,
             )
             .map_err(|e| named_in(&store, e))?;
@@ -315,7 +336,7 @@ impl Tenant {
                 return Ok((outcome, None));
             }
             let lint = if self.lint_on_write() {
-                let refresh = analysis.refresh(store.kb_mut_for_queries()?);
+                let refresh = analysis.refresh(store.kb()?);
                 Some(LintReport::from_refresh(&refresh))
             } else {
                 None
@@ -369,14 +390,14 @@ impl Tenant {
                 return Ok(Arc::clone(s));
             }
         }
-        let mut store = self.lock_primary()?;
+        let store = self.lock_primary()?;
         // Re-read under the lock: a mutation may have landed between
         // the version load above and acquiring the primary.
         let version = self.version();
         let snapshot = Arc::new(Snapshot {
             generation: store.generation(),
             version,
-            kb: Mutex::new(store.kb_mut_for_queries()?.clone()),
+            kb: store.kb()?.clone(),
         });
         *cache = Some(Arc::clone(&snapshot));
         Ok(snapshot)
@@ -399,13 +420,12 @@ impl Tenant {
         })?
     }
 
-    /// Summarize the tenant for `/stats`. Errs if the primary lock is
-    /// poisoned (the tenant then also rejects every command).
+    /// Summarize the tenant for `/stats`.
     pub fn stats(&self) -> Result<TenantStats> {
-        let mut store = self.lock_primary()?;
+        let store = self.lock_primary()?;
         let generation = store.generation();
         let pending_ops = store.pending_ops();
-        let kb = store.kb_mut_for_queries()?;
+        let kb = store.kb()?;
         Ok(TenantStats {
             name: self.name.clone(),
             version: self.version(),

@@ -479,24 +479,16 @@ impl DurableKb {
     }
 
     /// Hydrate every remaining segment, then return the (now complete)
-    /// knowledge base.
-    pub fn kb_hydrated(&mut self) -> Result<&Kb> {
-        self.hydrate_all()?;
-        Ok(&self.kb)
-    }
-
-    /// Mutable access for *query* paths that need `&mut Kb` (ad-hoc
-    /// normalization interns symbols but asserts nothing durable).
-    /// Hydrates every remaining segment first.
+    /// knowledge base — what a query path holds, queries taking `&Kb`.
     ///
     /// # Errors
     ///
     /// [`ClassicError::Storage`] naming the segment file that could not
     /// be read or replayed. The store stays usable: segments hydrated
     /// before the failure stay hydrated, and the call can be retried.
-    pub fn kb_mut_for_queries(&mut self) -> Result<&mut Kb> {
+    pub fn kb_hydrated(&mut self) -> Result<&Kb> {
         self.hydrate_all()?;
-        Ok(&mut self.kb)
+        Ok(&self.kb)
     }
 
     /// Generation of the last durably published snapshot.
@@ -922,13 +914,17 @@ impl DurableKb {
     /// that [resolves to a write](Command::to_write) is committed —
     /// applied to the KB, then appended and fsynced; a wire
     /// `(bulk-load …)` as **one** record of its accepted rows, a single
-    /// fsync for the whole batch — and everything else evaluates directly
+    /// fsync for the whole batch — and everything else (a read, or a
+    /// `what-if` trial, which leaves nothing to record) evaluates directly
     /// against the hydrated KB. This is the server's single entry point
     /// per request, and no write can reach the KB around the log.
     pub fn eval_durable(&mut self, cmd: &Command) -> Result<Outcome> {
         match cmd.to_write(self.kb.schema_mut())? {
             Some(write) => self.commit(write),
-            None => classic_lang::eval(self.kb_mut_for_queries()?, cmd),
+            None => {
+                self.hydrate_all()?;
+                classic_lang::eval(&mut self.kb, cmd)
+            }
         }
     }
 
@@ -1973,7 +1969,7 @@ mod tests {
 
         // The query path reports it as an error: a panic here would
         // unwind under whatever lock the caller holds (a tenant's).
-        match paged.kb_mut_for_queries() {
+        match paged.kb_hydrated() {
             Err(ClassicError::Storage { path, .. }) => {
                 assert!(path.ends_with(&victim), "error names {path}, lost {victim}")
             }

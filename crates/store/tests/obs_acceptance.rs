@@ -72,11 +72,12 @@ fn crime_workload(store: &mut DurableKb) {
         store.assert_ind(&crime, &Concept::Name(crime_c)).unwrap();
         let filler = IndRef::Classic(
             store
-                .kb_mut_for_queries()
+                .kb()
                 .unwrap()
-                .schema_mut()
+                .schema()
                 .symbols
-                .individual(&crime),
+                .find_individual(&crime)
+                .expect("just created"),
         );
         // FILLS + ALL drives real ALL-propagation, and SUSPECT
         // recognition drives subsumption tests and the rule.

@@ -12,7 +12,7 @@
 use classic_core::desc::{Concept, IndRef};
 use classic_core::{HostValue, RoleId};
 use classic_kb::Kb;
-use classic_lang::{BulkRowSpec, BulkSpec, Command};
+use classic_lang::{BulkRowSpec, BulkSpec, Command, Expr};
 use classic_store::{same_state, DurableKb};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -145,8 +145,14 @@ fn unwritable_names_are_refused_with_nothing_logged() {
 
     let thing = Concept::thing;
     for bad in ["a b", "17", "", "x)", "a;b", "two words"] {
-        let filler = store.kb_mut_for_queries().unwrap();
-        let filler = IndRef::Classic(filler.schema_mut().symbols.individual(bad));
+        // The surface form of a filler resolves the name (a refused write
+        // keeps the names it interned; it is what it declared that goes),
+        // so the typed operators below can be handed its id.
+        let told = Expr::Fills("r".into(), vec![classic_lang::IndLit::Name(bad.into())]);
+        let by_name = store.eval_durable(&Command::AssertInd("ok".into(), told));
+        assert!(by_name.is_err(), "a filler named {bad:?} was accepted");
+        let symbols = &store.kb().unwrap().schema().symbols;
+        let filler = IndRef::Classic(symbols.find_individual(bad).unwrap());
         let bulk = |name: &str, value: Option<&str>| BulkSpec {
             into: None,
             roles: vec!["r".into()],

@@ -142,11 +142,12 @@ fn apply_to_store(store: &mut DurableKb, op: &Op) {
         Op::Fills(i, r, j) => {
             let f = IndRef::Classic(
                 store
-                    .kb_mut_for_queries()
+                    .kb()
                     .unwrap()
-                    .schema_mut()
+                    .schema()
                     .symbols
-                    .individual(&format!("x{j}")),
+                    .find_individual(&format!("x{j}"))
+                    .expect("created with the schema"),
             );
             (
                 format!("x{i}"),

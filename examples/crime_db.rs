@@ -115,7 +115,7 @@ fn main() {
     let crime = Concept::Name(kb.schema().symbols.find_concept("CRIME").expect("c"));
     let q = Concept::and([crime, Concept::AtLeast(1, perp)]);
     let known = Query::concept(q.clone())
-        .run(&mut kb)
+        .run(&kb)
         .expect("query")
         .into_known()
         .expect("known answer")
@@ -123,7 +123,7 @@ fn main() {
         .len();
     let poss = Query::concept(q)
         .possible()
-        .run(&mut kb)
+        .run(&kb)
         .expect("query")
         .into_possible()
         .expect("possible answer")
@@ -147,7 +147,7 @@ fn main() {
     };
     let desc = Query::marked(q)
         .description()
-        .run(&mut kb)
+        .run(&kb)
         .expect("description")
         .into_description()
         .expect("intensional answer");
@@ -208,11 +208,12 @@ fn main() {
         case_file.create_ind(&wife).expect("ind");
         let filler = classic::IndRef::Classic(
             case_file
-                .kb_mut_for_queries()
+                .kb()
                 .expect("hydrated")
-                .schema_mut()
+                .schema()
                 .symbols
-                .individual(&wife),
+                .find_individual(&wife)
+                .expect("just created"),
         );
         case_file
             .assert_ind(&name, &Concept::Fills(perp, vec![filler]))

@@ -100,7 +100,7 @@ fn main() -> ExitCode {
             broken = true;
             continue;
         }
-        let report = analyze(&mut session.kb);
+        let report = analyze(&session.kb);
         if json {
             // Machine mode: diagnostics only, one JSON object per line,
             // no per-file banner (the span names the subject).

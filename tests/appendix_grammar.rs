@@ -29,6 +29,7 @@ fn round_trip(kb: &mut Kb, src: &str) -> Concept {
     let c2 = parse_concept(&printed, kb.schema_mut())
         .unwrap_or_else(|e| panic!("reparse failed for {printed:?}: {e}"));
     assert_eq!(c1, c2, "print/parse round trip for {src:?}");
+    kb.schema_mut().declare(&c1);
     kb.normalize(&c1)
         .unwrap_or_else(|e| panic!("normalize failed for {src:?}: {e}"));
     c1

@@ -99,21 +99,21 @@ fn relational_view_matches_classic_known_facts() {
 
 #[test]
 fn open_world_answers_diverge_from_closed_world() {
-    let mut kb = build_kb();
+    let kb = build_kb();
     // Pat is a PERSON with nothing else known. "Persons enrolled
     // somewhere": known = Rocky only; possible includes Pat (open world).
     let person = kb.schema().symbols.find_concept("PERSON").expect("c");
     let enrolled = kb.schema().symbols.find_role("enrolled-at").expect("r");
     let q = Concept::and([Concept::Name(person), Concept::AtLeast(1, enrolled)]);
     let known = Query::concept(q.clone())
-        .run(&mut kb)
+        .run(&kb)
         .expect("query")
         .into_known()
         .expect("known mode")
         .known;
     let possible = Query::concept(q.clone())
         .possible()
-        .run(&mut kb)
+        .run(&kb)
         .expect("query")
         .into_possible()
         .expect("possible mode");
@@ -137,7 +137,7 @@ fn open_world_answers_diverge_from_closed_world() {
 
 #[test]
 fn marked_queries_and_descriptions_work_through_the_facade() {
-    let mut kb = build_kb();
+    let kb = build_kb();
     let student = kb.schema().symbols.find_concept("STUDENT").expect("c");
     let eat = kb.schema().symbols.find_role("eat").expect("r");
     // (AND STUDENT (ALL eat ?:THING)) — extensional: things students eat.
@@ -146,7 +146,7 @@ fn marked_queries_and_descriptions_work_through_the_facade() {
         marker: vec![eat],
     };
     let fillers = Query::marked(q.clone())
-        .run(&mut kb)
+        .run(&kb)
         .expect("query")
         .into_necessary_set()
         .expect("necessary-set mode");
@@ -154,7 +154,7 @@ fn marked_queries_and_descriptions_work_through_the_facade() {
     // Intensional: the description includes JUNK-FOOD via the rule.
     let desc = Query::marked(q)
         .description()
-        .run(&mut kb)
+        .run(&kb)
         .expect("query")
         .into_description()
         .expect("description mode");

@@ -14,6 +14,12 @@
 //! pairwise `same_state` and pass `check_invariants` (closure under the
 //! propagation step included), and the two thread counts must report
 //! the same `steps` for every operation.
+//!
+//! Nor may anything that was merely asked, tried, or refused show: the
+//! live store of way 3 also takes reads, `what-if`s and refused writes
+//! carrying fresh `PRIMITIVE`s between the operations, and must still
+//! be the database its log reopens to — down to which later definitions
+//! it accepts.
 
 use classic::kb::BulkRow;
 use classic::lang::{eval, parse, parse_concept, Outcome};
@@ -181,8 +187,37 @@ fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64) {
     (kb, report.steps)
 }
 
-/// Way 3.
-fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Trace) {
+/// What the live store of way 3 is asked, shown and refused on the side:
+/// each form, and whether it is answered or an error. None may be logged
+/// or leave a primitive declared.
+const ASIDES: [(&str, bool); 8] = [
+    ("(retrieve (PRIMITIVE THING asked))", false),
+    ("(possible (AND CRIME (FILLS victim never-seen)))", true),
+    ("(what-if? crime-0 (PRIMITIVE THING tried))", false),
+    ("(what-if? crime-1 (AT-MOST 0 victim))", true),
+    ("(define-concept REFUSED (AND (PRIMITIVE THING defined) NOSUCH))", false),
+    ("(assert-ind crime-2 (AND (PRIMITIVE THING told) (AT-MOST 0 jobs) (AT-LEAST 1 jobs)))", false),
+    ("(assert-rule PERSON (AND (PRIMITIVE THING ruled) NOSUCH))", false),
+    ("(bulk-load (into (AND (PRIMITIVE THING loaded) (AT-MOST 0 jobs))) (roles jobs) (row crime-3 7))", true),
+];
+
+/// Would `kb` still take every index the asides mentioned, under a parent
+/// of its own? (It is a copy that is asked.)
+fn accepts_the_probes(kb: &Kb) -> bool {
+    let mut kb = kb.clone();
+    ["asked", "tried", "defined", "told", "ruled", "loaded"]
+        .iter()
+        .all(|index| {
+            let name = index.to_uppercase();
+            let probe = format!("(define-concept PROBE-{name} (PRIMITIVE PERSON {index}))");
+            let probe = parse(&probe).expect("parses").pop().expect("one form");
+            eval(&mut kb, &probe).is_ok()
+        })
+}
+
+/// Way 3: the live store as it stood at the end, and the database its
+/// log reopened to.
+fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trace) {
     let dir = std::env::temp_dir().join(format!(
         "classic-same-fixpoint-{tag}-{threads}-{}",
         std::process::id()
@@ -199,7 +234,11 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Trace) {
     });
     let trace = ops
         .iter()
-        .map(|op| {
+        .enumerate()
+        .map(|(i, op)| {
+            let (aside, answered) = ASIDES[i % ASIDES.len()];
+            let cmd = parse(aside).expect("parses").pop().expect("one form");
+            assert_eq!(store.eval_durable(&cmd).is_ok(), answered, "{aside}");
             let verb = if op.retract {
                 "retract-ind"
             } else {
@@ -215,12 +254,13 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Trace) {
             }
         })
         .collect();
+    let live = store.kb().expect("eagerly opened").clone();
     drop(store);
     let reopened = DurableKb::open(&path, configure).expect("log replays");
     let kb = reopened.kb().expect("eagerly opened").clone();
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
-    (kb, trace)
+    (live, kb, trace)
 }
 
 #[test]
@@ -255,8 +295,8 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
     let (bulk4, bulk_steps4) = bulk(4, &surviving);
     assert_eq!(bulk_steps1, bulk_steps4, "bulk: steps depend on threads");
 
-    let (log1, log_trace1) = durable_then_reopened(1, &ops, "a");
-    let (log4, log_trace4) = durable_then_reopened(4, &ops, "b");
+    let (live1, log1, log_trace1) = durable_then_reopened(1, &ops, "a");
+    let (live4, log4, log_trace4) = durable_then_reopened(4, &ops, "b");
     assert_eq!(log_trace1, op_trace1, "durable: differs from in-memory");
     assert_eq!(
         log_trace4, op_trace1,
@@ -270,6 +310,8 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
         ("bulk, 4 threads", &bulk4),
         ("reopened log, 1 thread", &log1),
         ("reopened log, 4 threads", &log4),
+        ("live store, 1 thread", &live1),
+        ("live store, 4 threads", &live4),
     ];
     for (name, kb) in ways {
         kb.check_invariants()
@@ -279,5 +321,11 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
         for (b_name, b) in &ways[i + 1..] {
             assert!(same_state(a, b), "{a_name} and {b_name} differ");
         }
+    }
+    for (name, kb) in ways {
+        assert!(
+            accepts_the_probes(kb),
+            "{name}: something refused left a trace"
+        );
     }
 }

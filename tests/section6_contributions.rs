@@ -199,7 +199,7 @@ fn contribution_4_three_kinds_of_answers() {
         marker: vec![eat],
     })
     .description()
-    .run(&mut kb)
+    .run(&kb)
     .expect("intensional answer")
     .into_description()
     .expect("description mode");
