@@ -15,6 +15,7 @@ pub mod e15_shard;
 pub mod e16_incremental;
 pub mod e17_bulk;
 pub mod e18_tracing;
+pub mod e19_sharing;
 pub mod e1_subsumption;
 pub mod e2_classification;
 pub mod e3_query;
@@ -138,6 +139,11 @@ pub fn registry() -> Vec<Experiment> {
             "e18",
             "end-to-end request tracing: <=1.05x overhead, attribution, Chrome export",
             e18_tracing::run,
+        ),
+        (
+            "e19",
+            "what a snapshot costs: chunks shared and copied by one write, cut/write/drop times",
+            e19_sharing::run,
         ),
     ]
 }

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod aspect;
+pub mod chunked;
 pub mod desc;
 pub mod error;
 pub mod host;

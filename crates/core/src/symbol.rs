@@ -8,8 +8,10 @@
 //! owning (or reference-counting) strings. The ids are newtypes so that a
 //! `RoleId` can never be confused with a `ConceptName`.
 
-use std::collections::HashMap;
+use crate::chunked::Chunked;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::Arc;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident) => {
@@ -70,25 +72,69 @@ impl fmt::Display for RoleId {
 }
 
 /// One namespace of interned strings.
+///
+/// Both sides are [`Chunked`] tables, so a clone shares every name with
+/// the table it was cloned from and interning one more copies the chunks
+/// it lands in: the individual namespace grows with the database, and a
+/// snapshot of the database must not copy it.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Interner {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
+    names: Chunked<Arc<str>>,
+    /// Name → id, open-addressed with linear probing: a power-of-two
+    /// table, at most half full, holding `id + 1` (0 = free). Only the
+    /// newest names are ever forgotten ([`Interner::truncate`]), newest
+    /// first, and a key placed last lies on no other key's probe path —
+    /// so forgetting clears one slot and needs no tombstone.
+    slots: Chunked<u32>,
+    hasher: RandomState,
 }
 
 impl Interner {
+    /// Where `name` is, or the free slot it would take. The table must
+    /// not be empty.
+    fn probe(&self, name: &str) -> (usize, Option<u32>) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[at].checked_sub(1) {
+                None => return (at, None),
+                Some(id) if &*self.names[id as usize] == name => return (at, Some(id)),
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+
     fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_name.get(name) {
+        if 2 * (self.names.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let (at, found) = self.probe(name);
+        if let Some(id) = found {
             return id;
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
+        self.names.push(name.into());
+        self.slots[at] = id + 1;
         id
     }
 
+    /// Double the slot table and place every id again, oldest first (the
+    /// order [`Interner::truncate`] relies on).
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(64);
+        self.slots = Chunked::default();
+        *self.slots.slot(size - 1) = 0;
+        for id in 0..self.names.len() as u32 {
+            let (at, _) = self.probe(&self.names[id as usize]);
+            self.slots[at] = id + 1;
+        }
+    }
+
     fn get(&self, name: &str) -> Option<u32> {
-        self.by_name.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(name).1
     }
 
     fn resolve(&self, id: u32) -> &str {
@@ -98,19 +144,27 @@ impl Interner {
     /// [`resolve`](Interner::resolve) for an id that may come from another
     /// table: `None` rather than a panic when it is out of range.
     pub(crate) fn lookup(&self, id: u32) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
+        self.names.get(id as usize).map(|name| &**name)
     }
 
     fn len(&self) -> usize {
         self.names.len()
     }
 
+    fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
+        (0u32..).zip(self.names.iter().map(|name| &**name))
+    }
+
     /// Forget every name interned after the first `len`, returning them.
     pub(crate) fn truncate(&mut self, len: usize) -> Vec<String> {
-        let forgotten = self.names.split_off(len.min(self.names.len()));
-        for name in &forgotten {
-            self.by_name.remove(name);
+        let mut forgotten = Vec::new();
+        while self.names.len() > len {
+            let (at, _) = self.probe(&self.names[self.names.len() - 1]);
+            self.slots[at] = 0;
+            let name = self.names.pop().expect("longer than len");
+            forgotten.push(String::from(&*name));
         }
+        forgotten.reverse();
         forgotten
     }
 }
@@ -211,6 +265,22 @@ impl SymbolTable {
         self.tests.resolve(id.0)
     }
 
+    /// How many chunks of the individual namespace `other` shares (same
+    /// allocation), and how many there are: the probe behind
+    /// `Kb::sharing_with`.
+    #[doc(hidden)]
+    pub fn sharing_with(&self, other: &SymbolTable) -> (usize, usize) {
+        let names = self
+            .individuals
+            .names
+            .sharing_with(&other.individuals.names);
+        let slots = self
+            .individuals
+            .slots
+            .sharing_with(&other.individuals.slots);
+        (names.0 + slots.0, names.1 + slots.1)
+    }
+
     /// Number of interned role names.
     pub fn role_count(&self) -> usize {
         self.roles.len()
@@ -223,29 +293,17 @@ impl SymbolTable {
 
     /// Iterate over all interned concept names.
     pub fn concepts(&self) -> impl Iterator<Item = (ConceptName, &str)> {
-        self.concepts
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (ConceptName(i as u32), n.as_str()))
+        self.concepts.iter().map(|(i, n)| (ConceptName(i), n))
     }
 
     /// Iterate over all interned role names.
     pub fn roles(&self) -> impl Iterator<Item = (RoleId, &str)> {
-        self.roles
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (RoleId(i as u32), n.as_str()))
+        self.roles.iter().map(|(i, n)| (RoleId(i), n))
     }
 
     /// Iterate over all interned individual names.
     pub fn individuals(&self) -> impl Iterator<Item = (IndName, &str)> {
-        self.individuals
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (IndName(i as u32), n.as_str()))
+        self.individuals.iter().map(|(i, n)| (IndName(i), n))
     }
 }
 
@@ -293,6 +351,40 @@ mod tests {
         assert_eq!(c.index(), 2);
         let names: Vec<_> = t.concepts().map(|(_, n)| n.to_owned()).collect();
         assert_eq!(names, vec!["A", "B", "C"]);
+    }
+
+    #[test]
+    fn a_cloned_table_shares_names_and_neither_side_sees_the_other_grow() {
+        let mut t = SymbolTable::new();
+        let name = |i: usize| format!("ind-{i}");
+        for i in 0..1_000 {
+            assert_eq!(t.individual(&name(i)).index(), i);
+        }
+        let pinned = t.clone();
+        let (shared, total) = t.sharing_with(&pinned);
+        assert!(total >= 5 && shared == total, "{shared}/{total}");
+        // Growth on one side (through two doublings of the slot table)
+        // is invisible on the other; ids stay dense on both.
+        for i in 1_000..5_000 {
+            assert_eq!(t.individual(&name(i)).index(), i);
+        }
+        assert_eq!(pinned.find_individual(&name(1_000)), None);
+        assert_eq!(pinned.individuals().count(), 1_000);
+        for i in (0..5_000).step_by(7) {
+            assert_eq!(t.find_individual(&name(i)).map(IndName::index), Some(i));
+            assert_eq!(t.individual_name(IndName::from_index(i)), name(i));
+        }
+        // Forgetting the newest names frees exactly them.
+        assert_eq!(
+            t.individuals.truncate(4_998),
+            vec![name(4_998), name(4_999)]
+        );
+        assert_eq!(t.find_individual(&name(4_999)), None);
+        assert_eq!(
+            t.find_individual(&name(4_997)).map(IndName::index),
+            Some(4_997)
+        );
+        assert_eq!(t.individual(&name(4_999)).index(), 4_998);
     }
 
     #[test]

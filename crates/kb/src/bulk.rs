@@ -272,7 +272,7 @@ impl Kb {
         let ok = staged.is_ok()
             && Propagation::run(self, &mut work, &mut journal, &mut chunk_report).is_ok();
         if ok {
-            report.inds_created += journal.created_count() as u64;
+            report.inds_created += journal.created_count(self) as u64;
             self.stats.assertions.add(chunk.len() as u64);
             self.deps.absorb(journal.supports);
             report.accepted += chunk.len();
@@ -303,7 +303,7 @@ impl Kb {
             .and_then(|id| self.assert_txn(id, &row.desc, &mut journal));
         match outcome {
             Ok(r) => {
-                report.inds_created += journal.created_count() as u64;
+                report.inds_created += journal.created_count(self) as u64;
                 self.stats.assertions.bump();
                 self.deps.absorb(journal.supports);
                 report.accepted += 1;
@@ -370,9 +370,9 @@ mod tests {
     /// normal forms and told-fact counts.
     fn assert_same_abox(a: &Kb, b: &Kb) {
         assert_eq!(a.inds.len(), b.inds.len(), "individual count");
-        for (iname, &ida) in &a.by_name {
-            let idb = *b.by_name.get(iname).expect("name present in both");
-            let (ia, ib) = (&a.inds[ida.index()], &b.inds[idb.index()]);
+        for ia in a.inds.iter() {
+            let idb = b.find_ind(ia.name).expect("name present in both");
+            let ib = &b.inds[idb.index()];
             assert_eq!(ia.told.len(), ib.told.len(), "told count");
             assert_eq!(ia.derived, ib.derived, "derived NF");
         }

@@ -36,8 +36,9 @@
 //! supports are recorded only when the co-reference changed something.
 
 use crate::individual::IndId;
+use classic_core::chunked::Chunked;
 use classic_core::symbol::RoleId;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How a piece of derived information reached an individual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,24 +82,33 @@ pub struct Support {
 
 /// The persistent support graph, keyed by target. Committed supports only;
 /// in-flight supports live on the transaction journal until commit.
+///
+/// Both sides are [`Chunked`] tables keyed by individual id, so a clone
+/// shares them with the original and recording a support copies the
+/// chunks around its two ends.
 #[derive(Debug, Default, Clone)]
 pub struct DependencyJournal {
-    records: HashMap<IndId, BTreeSet<Support>>,
+    records: Chunked<BTreeSet<Support>>,
     /// Maintained source→target edge refcounts (distinct supports per
     /// pair), so [`Self::affected_from`] walks only the closure instead
     /// of scanning the whole journal. Self-edges are not indexed: they
     /// never grow the closure.
-    by_source: HashMap<IndId, HashMap<IndId, u32>>,
+    by_source: Chunked<BTreeMap<IndId, u32>>,
 }
 
 impl DependencyJournal {
-    /// Insert one record (idempotent — the set deduplicates).
+    /// Insert one record (idempotent — the set deduplicates, and a record
+    /// already held copies nothing).
     pub(crate) fn insert(&mut self, s: Support) {
-        if self.records.entry(s.target).or_default().insert(s) && s.source != s.target {
+        let held = self.records.get(s.target.index());
+        if held.is_some_and(|records| records.contains(&s)) {
+            return;
+        }
+        self.records.slot(s.target.index()).insert(s);
+        if s.source != s.target {
             *self
                 .by_source
-                .entry(s.source)
-                .or_default()
+                .slot(s.source.index())
                 .entry(s.target)
                 .or_insert(0) += 1;
         }
@@ -113,17 +123,17 @@ impl DependencyJournal {
 
     /// The committed supports of one individual (why it is what it is).
     pub fn supports_of(&self, target: IndId) -> impl Iterator<Item = &Support> {
-        self.records.get(&target).into_iter().flatten()
+        self.records.get(target.index()).into_iter().flatten()
     }
 
     /// Total number of committed support records (diagnostics/E10).
     pub fn len(&self) -> usize {
-        self.records.values().map(|s| s.len()).sum()
+        self.records.iter().map(|s| s.len()).sum()
     }
 
     /// Whether the journal holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.values().all(|s| s.is_empty())
+        self.records.iter().all(|s| s.is_empty())
     }
 
     /// Forward dependency closure: every individual whose derived state
@@ -137,15 +147,23 @@ impl DependencyJournal {
         let mut closed: BTreeSet<IndId> = seeds.clone();
         let mut work: VecDeque<IndId> = seeds.iter().copied().collect();
         while let Some(id) = work.pop_front() {
-            if let Some(targets) = self.by_source.get(&id) {
-                for &t in targets.keys() {
-                    if closed.insert(t) {
-                        work.push_back(t);
-                    }
+            let targets = self.by_source.get(id.index());
+            for &t in targets.into_iter().flat_map(BTreeMap::keys) {
+                if closed.insert(t) {
+                    work.push_back(t);
                 }
             }
         }
         closed
+    }
+
+    /// Chunks shared with `other` and chunks held, per side (the probe
+    /// behind `Kb::sharing_with`).
+    pub(crate) fn sharing_with(&self, other: &DependencyJournal) -> [(usize, usize); 2] {
+        [
+            self.records.sharing_with(&other.records),
+            self.by_source.sharing_with(&other.by_source),
+        ]
     }
 
     /// Remove and return every record whose *target* is in `set` (those
@@ -155,23 +173,19 @@ impl DependencyJournal {
     pub(crate) fn remove_targets(&mut self, set: &BTreeSet<IndId>) -> Vec<Support> {
         let mut removed = Vec::new();
         for id in set {
-            if let Some(supports) = self.records.remove(id) {
-                removed.extend(supports);
+            if self.supports_of(*id).next().is_some() {
+                removed.extend(std::mem::take(&mut self.records[id.index()]));
             }
         }
         for s in &removed {
             if s.source == s.target {
                 continue;
             }
-            if let Some(targets) = self.by_source.get_mut(&s.source) {
-                if let Some(count) = targets.get_mut(&s.target) {
-                    *count -= 1;
-                    if *count == 0 {
-                        targets.remove(&s.target);
-                    }
-                }
-                if targets.is_empty() {
-                    self.by_source.remove(&s.source);
+            let targets = &mut self.by_source[s.source.index()];
+            if let Some(count) = targets.get_mut(&s.target) {
+                *count -= 1;
+                if *count == 0 {
+                    targets.remove(&s.target);
                 }
             }
         }

@@ -60,6 +60,10 @@ pub struct Individual {
     /// grows, but a recorded success never needs re-running (monotone).
     /// Interior-mutable so instance checks can run under `&Kb`; a mutex
     /// (not a `RefCell`) so parallel retrieval workers can share the KB.
+    /// Versions of the KB that share this individual's chunk of the arena
+    /// share the cache, which is sound: it holds only what is true of the
+    /// `derived` beside it, is copied with it when a version writes to
+    /// the chunk, and is cleared when a retraction resets it.
     pub test_hits: Mutex<HashMap<TestId, bool>>,
 }
 

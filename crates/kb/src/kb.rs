@@ -11,11 +11,18 @@
 //! because of constraint violations" (§3.1). A rejected `assert-ind` (or
 //! `assert-rule`) rolls back every propagated consequence via an internal
 //! journal of first-touch snapshots.
+//!
+//! Everything here that grows with the number of individuals is held in
+//! the copy-on-write tables of [`classic_core::chunked`], so [`Kb::clone`]
+//! — a read snapshot, a sandbox, a staged bulk load — shares it, and a
+//! write after a clone copies the chunks it touches (DESIGN.md,
+//! "Versions share structure").
 
 use crate::deps::{DependencyJournal, RetractReport, Support, SupportKind};
 use crate::individual::{IndId, Individual};
 use crate::plan::Effect;
 use crate::propagate::Propagation;
+use classic_core::chunked::{Chunked, ChunkedSet};
 use classic_core::desc::{Concept, IndRef};
 use classic_core::error::{ClassicError, Result};
 use classic_core::normal::{conjoin_expression, NormalForm};
@@ -156,14 +163,24 @@ pub struct AssertReport {
     pub inds_created: u64,
 }
 
+/// What [`Kb::sharing_with`] counts.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sharing {
+    /// Chunks that are one allocation in both KBs.
+    pub chunks_shared: usize,
+    /// Chunks the KB asked holds.
+    pub chunks_total: usize,
+}
+
 /// Rollback journal for one update transaction.
 #[derive(Default)]
 pub(crate) struct Journal {
     /// First-touch snapshots of modified individuals.
     touched: HashMap<IndId, Individual>,
-    /// Individuals created during the transaction (in creation order —
-    /// they occupy the arena tail).
-    created: Vec<IndId>,
+    /// The first individual created during the transaction; every later
+    /// one follows it — they occupy the arena tail.
+    first_created: Option<IndId>,
     /// Reverse-filler edges added during the transaction.
     reverse_added: Vec<(IndId, IndId)>,
     /// Dependency records earned during the transaction; absorbed into
@@ -182,8 +199,10 @@ pub(crate) struct Journal {
 
 impl Journal {
     pub(crate) fn touch(&mut self, kb: &Kb, id: IndId) {
-        if !self.touched.contains_key(&id) && !self.created.contains(&id) {
-            self.touched.insert(id, kb.inds[id.index()].clone());
+        if self.first_created.is_none_or(|first| id < first) {
+            self.touched
+                .entry(id)
+                .or_insert_with(|| kb.inds[id.index()].clone());
         }
     }
 
@@ -195,10 +214,10 @@ impl Journal {
         self.supports.push(s);
     }
 
-    /// How many individuals this transaction created (bulk loads report
-    /// it without exposing the journal's internals).
-    pub(crate) fn created_count(&self) -> usize {
-        self.created.len()
+    /// How many individuals this transaction created.
+    pub(crate) fn created_count(&self, kb: &Kb) -> usize {
+        self.first_created
+            .map_or(0, |first| kb.inds.len() - first.index())
     }
 }
 
@@ -226,21 +245,49 @@ impl Journal {
 /// assert!(kb.instances_of(popular)?.contains(&rocky));
 /// # Ok::<(), classic_core::ClassicError>(())
 /// ```
-#[derive(Debug)]
+///
+/// # Cloning
+///
+/// [`Kb::clone`] is a second, independent version of the logical state,
+/// and how a version is pinned: a server read snapshot, a sandbox, a
+/// staged bulk load. Its cost does not grow with the individuals: the
+/// schema-sized parts (schema, taxonomy, rules) are copied, while the
+/// arena, the name index, the extensions, the reverse-filler index, the
+/// dependency journal and the individual namespace are chunked tables
+/// whose chunks both versions go on sharing until one of them writes
+/// there — a clone copies their spines (a pointer per chunk: sixteen
+/// individuals, or hundreds of the smaller entries) and each table's
+/// unsealed tail. Neither version ever sees the other's later writes.
+///
+/// The observability handles are *shared* outright: the metric registry,
+/// flight recorder, and duration histograms are `Arc`'d, so a clone's
+/// operations keep counting against the original KB's series. This is
+/// exactly what a server read snapshot wants — queries against the
+/// snapshot show up in the tenant's metrics — and it avoids enrolling
+/// throwaway registries in the process-global roll-up for every snapshot
+/// taken.
+#[derive(Debug, Clone)]
 pub struct Kb {
     pub(crate) schema: Schema,
     pub(crate) taxonomy: Taxonomy,
-    pub(crate) inds: Vec<Individual>,
-    pub(crate) by_name: HashMap<IndName, IndId>,
+    /// The individual arena, in creation (= roster) order.
+    pub(crate) inds: Chunked<Individual>,
+    /// `IndName` index → arena id + 1; 0 for a name interned but not
+    /// (or no longer) created. See [`Kb::find_ind`].
+    by_name: Chunked<u32>,
     /// Direct extensions: for each taxonomy node, the individuals whose
     /// *most specific* concepts include it. Instances of a node = direct
     /// extensions of the node and all its descendants.
-    pub(crate) extensions: Vec<BTreeSet<IndId>>,
+    pub(crate) extensions: Vec<ChunkedSet<IndId>>,
     pub(crate) rules: Vec<Rule>,
     pub(crate) rules_by_node: HashMap<NodeId, Vec<usize>>,
     /// filler → individuals having it as a role filler (the reclassification
     /// cascade of §5 walks this).
-    pub(crate) reverse_fillers: HashMap<IndId, BTreeSet<IndId>>,
+    /// Keyed by the filler's id; see [`Kb::hosts_of`]. Each entry is a
+    /// chunked set of its own, so copying a chunk of this table — or
+    /// telling a module one more function is defined in it — does not
+    /// copy the thousands of hosts a hub may have.
+    reverse_fillers: Chunked<ChunkedSet<IndId>>,
     /// Committed dependency records: why each individual's derived state
     /// is what it is. Consulted by retraction and `explain_provenance`.
     pub(crate) deps: DependencyJournal,
@@ -270,37 +317,6 @@ impl Default for Kb {
     }
 }
 
-impl Clone for Kb {
-    /// Deep-copy the logical state (schema, taxonomy, individuals, rules,
-    /// dependency journal) while *sharing* the observability handles: the
-    /// metric registry, flight recorder, and duration histograms are
-    /// `Arc`'d, so a clone's operations keep counting against the original
-    /// KB's series. This is exactly what a server read snapshot wants —
-    /// queries against the snapshot show up in the tenant's metrics — and
-    /// it avoids enrolling throwaway registries in the process-global
-    /// roll-up for every snapshot taken.
-    fn clone(&self) -> Kb {
-        Kb {
-            schema: self.schema.clone(),
-            taxonomy: self.taxonomy.clone(),
-            inds: self.inds.clone(),
-            by_name: self.by_name.clone(),
-            extensions: self.extensions.clone(),
-            rules: self.rules.clone(),
-            rules_by_node: self.rules_by_node.clone(),
-            reverse_fillers: self.reverse_fillers.clone(),
-            deps: self.deps.clone(),
-            stats: self.stats.clone(),
-            obs: Arc::clone(&self.obs),
-            recorder: Arc::clone(&self.recorder),
-            assert_ns: self.assert_ns.clone(),
-            retract_ns: self.retract_ns.clone(),
-            propagate_ns: self.propagate_ns.clone(),
-            propagation_threads: self.propagation_threads,
-        }
-    }
-}
-
 impl Kb {
     /// An empty knowledge base (schema, taxonomy and data all empty).
     ///
@@ -327,16 +343,16 @@ impl Kb {
             "classic_propagate_fixpoint_ns",
             "propagation fixpoint wall time (ns)",
         );
-        let extensions = vec![BTreeSet::new(); taxonomy.len()];
+        let extensions = vec![ChunkedSet::default(); taxonomy.len()];
         Kb {
             schema: Schema::new(),
             taxonomy,
-            inds: Vec::new(),
-            by_name: HashMap::new(),
+            inds: Chunked::default(),
+            by_name: Chunked::default(),
             extensions,
             rules: Vec::new(),
             rules_by_node: HashMap::new(),
-            reverse_fillers: HashMap::new(),
+            reverse_fillers: Chunked::default(),
             deps: DependencyJournal::default(),
             stats,
             obs,
@@ -428,12 +444,65 @@ impl Kb {
         (0..self.inds.len()).map(IndId::from_index)
     }
 
+    /// The created individual called `name`, if there is one.
+    pub(crate) fn find_ind(&self, name: IndName) -> Option<IndId> {
+        let slot = *self.by_name.get(name.index())?;
+        slot.checked_sub(1).map(IndId)
+    }
+
     /// Resolve a created individual by name.
     pub fn ind_id(&self, name: IndName) -> Result<IndId> {
-        self.by_name
-            .get(&name)
-            .copied()
+        self.find_ind(name)
             .ok_or(ClassicError::UnknownIndividual(name))
+    }
+
+    /// The individuals holding `filler` as a role filler, ascending (the
+    /// reclassification cascade of §5 walks this).
+    pub(crate) fn hosts_of(&self, filler: IndId) -> impl Iterator<Item = IndId> + '_ {
+        let hosts = self.reverse_fillers.get(filler.index());
+        hosts.into_iter().flat_map(ChunkedSet::iter)
+    }
+
+    /// Is `host` recorded as holding `filler`?
+    pub(crate) fn holds_reverse_edge(&self, filler: IndId, host: IndId) -> bool {
+        let hosts = self.reverse_fillers.get(filler.index());
+        hosts.is_some_and(|hosts| hosts.contains(&host))
+    }
+
+    /// Record that `host` holds `filler`; `false` (and nothing copied) if
+    /// that was known.
+    pub(crate) fn add_reverse_edge(&mut self, filler: IndId, host: IndId) -> bool {
+        !self.holds_reverse_edge(filler, host)
+            && self.reverse_fillers.slot(filler.index()).insert(host)
+    }
+
+    /// Forget that `host` holds `filler`; `false` (and nothing copied) if
+    /// it did not.
+    fn remove_reverse_edge(&mut self, filler: IndId, host: IndId) -> bool {
+        self.holds_reverse_edge(filler, host) && self.reverse_fillers[filler.index()].remove(&host)
+    }
+
+    /// How much of this KB's chunked storage `other` shares, by
+    /// allocation identity: the probe experiment E19 and the aliasing
+    /// tests read. Counts the chunks of every table that grows with the
+    /// individuals — the arena, the name index, the reverse-filler index,
+    /// both sides of the dependency journal, the individual namespace and
+    /// each node's extension.
+    #[doc(hidden)]
+    pub fn sharing_with(&self, other: &Kb) -> Sharing {
+        let mut parts = vec![
+            self.inds.sharing_with(&other.inds),
+            self.by_name.sharing_with(&other.by_name),
+            self.reverse_fillers.sharing_with(&other.reverse_fillers),
+            self.schema.symbols.sharing_with(&other.schema.symbols),
+        ];
+        parts.extend(self.deps.sharing_with(&other.deps));
+        let extensions = self.extensions.iter().zip(&other.extensions);
+        parts.extend(extensions.map(|(mine, theirs)| mine.sharing_with(theirs)));
+        Sharing {
+            chunks_shared: parts.iter().map(|(shared, _)| shared).sum(),
+            chunks_total: parts.iter().map(|(_, total)| total).sum(),
+        }
     }
 
     /// The forward-chaining rules, in assertion order. Includes retired
@@ -486,9 +555,8 @@ impl Kb {
         let cname = self.schema.define_concept(name, told)?;
         let nf = self.schema.concept_nf(cname)?.clone();
         let (node, _) = self.taxonomy.insert(cname, nf);
-        while self.extensions.len() < self.taxonomy.len() {
-            self.extensions.push(BTreeSet::new());
-        }
+        self.extensions
+            .resize_with(self.taxonomy.len(), ChunkedSet::default);
         // Candidates for recognition: individuals already recognized under
         // every parent of the new node (any instance of the new concept
         // must be). For a fresh node under TOP that is every individual.
@@ -518,7 +586,7 @@ impl Kb {
     /// independent of properties.
     pub fn create_ind(&mut self, name: &str) -> Result<IndId> {
         let iname = self.schema.symbols.individual(name);
-        if self.by_name.contains_key(&iname) {
+        if self.find_ind(iname).is_some() {
             return Err(ClassicError::IndividualExists(iname));
         }
         self.create_ind_unchecked(iname)
@@ -530,10 +598,10 @@ impl Kb {
     fn create_ind_unchecked(&mut self, iname: IndName) -> Result<IndId> {
         let id = IndId::from_index(self.inds.len());
         self.inds.push(Individual::new(iname));
-        self.by_name.insert(iname, id);
+        *self.by_name.slot(iname.index()) = id.0 + 1;
         if let Err(e) = self.realize(id) {
             self.inds.pop();
-            self.by_name.remove(&iname);
+            self.by_name[iname.index()] = 0;
             return Err(e);
         }
         Ok(id)
@@ -543,11 +611,11 @@ impl Kb {
     /// first time (the paper's examples assert facts about `Volvo-17`
     /// without a prior `create-ind`).
     pub(crate) fn ensure_ind(&mut self, iname: IndName, journal: &mut Journal) -> Result<IndId> {
-        if let Some(&id) = self.by_name.get(&iname) {
+        if let Some(id) = self.find_ind(iname) {
             return Ok(id);
         }
         let id = self.create_ind_unchecked(iname)?;
-        journal.created.push(id);
+        journal.first_created.get_or_insert(id);
         Ok(id)
     }
 
@@ -591,7 +659,7 @@ impl Kb {
         let mut journal = Journal::default();
         match self.assert_txn(id, desc, &mut journal) {
             Ok(mut report) => {
-                report.inds_created = journal.created.len() as u64;
+                report.inds_created = journal.created_count(self) as u64;
                 self.stats.assertions.bump();
                 self.deps.absorb(journal.supports);
                 Ok(report)
@@ -631,19 +699,18 @@ impl Kb {
         // Auto-create any individuals the description references, so
         // FILLS/ONE-OF targets exist (paper examples rely on this).
         self.ensure_referenced_inds(desc, journal)?;
-        let told_index = self.inds[id.index()].told.len();
-        self.inds[id.index()].told.push(desc.clone());
+        let ind = &mut self.inds[id.index()];
         journal.note_support(Support {
             target: id,
             source: id,
-            kind: SupportKind::Told { index: told_index },
+            kind: SupportKind::Told {
+                index: ind.told.len(),
+            },
         });
+        ind.told.push(desc.clone());
         // Conjoin the asserted expression *contextually* (CLOSE applies to
         // the currently known fillers — §3.2).
-        let mut derived = std::mem::take(&mut self.inds[id.index()].derived);
-        let res = conjoin_expression(desc, &self.schema, &mut derived);
-        self.inds[id.index()].derived = derived;
-        res
+        conjoin_expression(desc, &self.schema, &mut ind.derived)
     }
 
     pub(crate) fn ensure_referenced_inds(
@@ -763,11 +830,9 @@ impl Kb {
         let mut enqueue = reset.clone();
         let mut frontier: VecDeque<IndId> = reset.iter().copied().collect();
         while let Some(i) = frontier.pop_front() {
-            if let Some(hosts) = self.reverse_fillers.get(&i) {
-                for &h in hosts {
-                    if enqueue.insert(h) {
-                        frontier.push_back(h);
-                    }
+            for h in self.hosts_of(i) {
+                if enqueue.insert(h) {
+                    frontier.push_back(h);
                 }
             }
         }
@@ -781,31 +846,31 @@ impl Kb {
         journal
             .supports_removed
             .extend(self.deps.remove_targets(&reset));
-        let mut stale_edges: Vec<(IndId, IndId)> = Vec::new();
-        for (filler, hosts) in &self.reverse_fillers {
-            for h in hosts {
-                if reset.contains(h) {
-                    stale_edges.push((*filler, *h));
+        // An edge exists only for a filler the host's derived description
+        // names, so each reset host's own fillers — read before the reset
+        // below wipes them — find every stale edge: the cost is the
+        // cone's, not the index's.
+        for &host in &reset {
+            let fillers: Vec<IndId> = (self.inds[host.index()].derived.roles.values())
+                .flat_map(|rr| &rr.fillers)
+                .filter_map(|f| match f {
+                    IndRef::Classic(name) => self.find_ind(*name),
+                    IndRef::Host(_) => None,
+                })
+                .collect();
+            for filler in fillers {
+                if self.remove_reverse_edge(filler, host) {
+                    journal.reverse_removed.push((filler, host));
                 }
             }
         }
-        for (filler, host) in &stale_edges {
-            if let Some(set) = self.reverse_fillers.get_mut(filler) {
-                set.remove(host);
-                if set.is_empty() {
-                    self.reverse_fillers.remove(filler);
-                }
-            }
-        }
-        journal.reverse_removed.extend(stale_edges);
         // Reset each member to its surviving told facts. Monotone caches
         // (fired rules, positive TEST hits) are only valid for growing
         // descriptions, so both are cleared.
         for &i in &reset {
             let mut derived = NormalForm::top();
             derived.layer = classic_core::Layer::Classic;
-            let told: Vec<Concept> = self.inds[i.index()].told.clone();
-            for (ix, t) in told.iter().enumerate() {
+            for (ix, t) in self.inds[i.index()].told.iter().enumerate() {
                 conjoin_expression(t, &self.schema, &mut derived)?;
                 journal.note_support(Support {
                     target: i,
@@ -841,11 +906,9 @@ impl Kb {
         let mut cone = self.deps.affected_from(seeds);
         let mut frontier: VecDeque<IndId> = cone.iter().copied().collect();
         while let Some(i) = frontier.pop_front() {
-            if let Some(hosts) = self.reverse_fillers.get(&i) {
-                for &h in hosts {
-                    if cone.insert(h) {
-                        frontier.push_back(h);
-                    }
+            for h in self.hosts_of(i) {
+                if cone.insert(h) {
+                    frontier.push_back(h);
                 }
             }
         }
@@ -1013,14 +1076,12 @@ impl Kb {
     /// All individuals recognized as instances of a taxonomy node (its
     /// direct extension plus those of every descendant).
     pub fn instances_of_node(&self, node: NodeId) -> BTreeSet<IndId> {
-        if node == NodeId::TOP {
-            return self.ind_ids().collect();
-        }
-        let mut out = self.extensions[node.index()].clone();
-        for d in self.taxonomy.strict_descendants(node) {
-            out.extend(self.extensions[d.index()].iter().copied());
-        }
-        out
+        // Gathered first and built in one go: the extensions are sorted
+        // runs, which the set's own sort merges, where inserting id by id
+        // would walk the tree once for each.
+        let mut ids = Vec::new();
+        self.for_each_instance(node, |id| ids.push(id));
+        ids.into_iter().collect()
     }
 
     /// Visit every instance of a node without materializing the set.
@@ -1033,11 +1094,11 @@ impl Kb {
             }
             return;
         }
-        for id in self.extensions[node.index()].iter().copied() {
+        for id in self.extensions[node.index()].iter() {
             f(id);
         }
         for d in self.taxonomy.strict_descendants(node) {
-            for id in self.extensions[d.index()].iter().copied() {
+            for id in self.extensions[d.index()].iter() {
                 f(id);
             }
         }
@@ -1067,7 +1128,7 @@ impl Kb {
     }
 
     /// Direct extension of one node (individuals whose msc includes it).
-    pub fn direct_extension(&self, node: NodeId) -> &BTreeSet<IndId> {
+    pub fn direct_extension(&self, node: NodeId) -> &ChunkedSet<IndId> {
         &self.extensions[node.index()]
     }
 
@@ -1134,7 +1195,7 @@ impl Kb {
         let mut all_nodes: Vec<NodeId> = vec![NodeId::TOP, NodeId::BOTTOM];
         all_nodes.extend(self.taxonomy.interior_nodes());
         for node in all_nodes {
-            for &id in &self.extensions[node.index()] {
+            for id in self.extensions[node.index()].iter() {
                 if !self.ind(id).msc.contains(&node) {
                     return fail(format!(
                         "extension at node {} lists a non-member individual",
@@ -1178,33 +1239,27 @@ impl Kb {
         // remove an edge and then re-add the same edge during
         // re-propagation, and the pre-transaction state has the edge.
         for (filler, host) in journal.reverse_added.into_iter().rev() {
-            if let Some(set) = self.reverse_fillers.get_mut(&filler) {
-                set.remove(&host);
-                if set.is_empty() {
-                    self.reverse_fillers.remove(&filler);
-                }
-            }
+            self.remove_reverse_edge(filler, host);
         }
         // Restore reverse-filler edges removed by a failed retraction.
         for (filler, host) in journal.reverse_removed {
-            self.reverse_fillers.entry(filler).or_default().insert(host);
+            self.add_reverse_edge(filler, host);
         }
-        // Remove individuals created during the transaction (arena tail).
-        for id in journal.created.into_iter().rev() {
-            let ind = self.inds.pop().expect("created individual present");
-            self.by_name.remove(&ind.name);
-            for n in &ind.msc {
-                self.extensions[n.index()].remove(&id);
+        // Remove individuals created during the transaction (arena tail);
+        // every edge onto one of them was added, and undone, above.
+        if let Some(first) = journal.first_created {
+            while self.inds.len() > first.index() {
+                let ind = self.inds.pop().expect("created individual present");
+                self.by_name[ind.name.index()] = 0;
+                for n in &ind.msc {
+                    self.extensions[n.index()].remove(&IndId::from_index(self.inds.len()));
+                }
             }
-            self.reverse_fillers.remove(&id);
+            self.reverse_fillers.truncate(first.index());
         }
         // Restore touched individuals and their extension entries.
         for (id, old) in journal.touched {
-            if id.index() >= self.inds.len() {
-                continue; // was a created individual, already popped
-            }
-            let cur_msc: Vec<NodeId> = self.inds[id.index()].msc.iter().copied().collect();
-            for n in cur_msc {
+            for n in &self.inds[id.index()].msc {
                 self.extensions[n.index()].remove(&id);
             }
             for n in &old.msc {

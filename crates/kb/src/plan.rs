@@ -97,12 +97,12 @@ impl Kb {
             for f in &rr.fillers {
                 match f {
                     IndRef::Classic(name) => {
-                        let target = match self.by_name.get(name) {
-                            Some(&fid) => TargetRef::Id(fid),
+                        let target = match self.find_ind(*name) {
+                            Some(fid) => TargetRef::Id(fid),
                             None => TargetRef::Name(*name),
                         };
                         let edge_known = matches!(&target, TargetRef::Id(fid)
-                            if self.reverse_fillers.get(fid).is_some_and(|s| s.contains(&id)));
+                            if self.holds_reverse_edge(*fid, id));
                         if !edge_known {
                             out.push(Effect::ReverseEdge {
                                 filler: target.clone(),

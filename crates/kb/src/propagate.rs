@@ -232,7 +232,7 @@ impl Kb {
             Effect::Abort { error } => Err(error),
             Effect::ReverseEdge { filler, host } => {
                 let fid = self.resolve_target(filler, journal)?;
-                if self.reverse_fillers.entry(fid).or_default().insert(host) {
+                if self.add_reverse_edge(fid, host) {
                     journal.push_reverse(fid, host);
                 }
                 Ok(())
@@ -317,9 +317,7 @@ impl Kb {
                 report.reclassified += 1;
                 // Individuals holding `ind` as a filler may now pass
                 // instance checks that enumerate closed-role fillers.
-                if let Some(parents) = self.reverse_fillers.get(&ind) {
-                    work.extend(parents.iter().copied());
-                }
+                work.extend(self.hosts_of(ind));
                 Ok(())
             }
             Effect::FireRule { ind, rule_ix } => {
@@ -342,15 +340,13 @@ impl Kb {
             return Ok(());
         }
         journal.touch(self, id);
-        self.inds[id.index()].fired_rules.insert(rule_ix);
         let consequent = self.rules[rule_ix].consequent.clone();
         self.ensure_referenced_inds(&consequent, journal)?;
-        let mut derived = std::mem::take(&mut self.inds[id.index()].derived);
-        let before = derived.clone();
-        let res = conjoin_expression(&consequent, &self.schema, &mut derived);
-        let changed = derived != before;
-        self.inds[id.index()].derived = derived;
-        res?;
+        let ind = &mut self.inds[id.index()];
+        ind.fired_rules.insert(rule_ix);
+        let before = ind.derived.clone();
+        conjoin_expression(&consequent, &self.schema, &mut ind.derived)?;
+        let changed = ind.derived != before;
         self.stats.rules_fired.bump();
         classic_obs::event("rule_fired", rule_ix as u64);
         report.rules_fired += 1;
@@ -364,9 +360,7 @@ impl Kb {
         });
         if changed {
             work.push_back(id);
-            if let Some(parents) = self.reverse_fillers.get(&id) {
-                work.extend(parents.iter().copied());
-            }
+            work.extend(self.hosts_of(id));
         }
         Ok(())
     }
@@ -387,14 +381,12 @@ impl Kb {
             return Ok(false);
         }
         journal.touch(self, target);
-        let mut derived = std::mem::take(&mut self.inds[target.index()].derived);
-        derived.conjoin(nf, &self.schema);
-        let clash = derived.clash().cloned();
-        self.inds[target.index()].derived = derived;
-        if let Some(clash) = clash {
+        let ind = &mut self.inds[target.index()];
+        ind.derived.conjoin(nf, &self.schema);
+        if let Some(clash) = ind.derived.clash() {
             return Err(ClassicError::Inconsistent {
-                individual: Some(self.inds[target.index()].name),
-                reason: clash,
+                individual: Some(ind.name),
+                reason: clash.clone(),
             });
         }
         work.push_back(target);
@@ -434,8 +426,8 @@ impl Kb {
                     if last {
                         return PathResolution::Complete(v);
                     }
-                    match self.by_name.get(&name) {
-                        Some(&next) => cur = next,
+                    match self.find_ind(name) {
+                        Some(next) => cur = next,
                         None => return PathResolution::Unresolved,
                     }
                 }
@@ -663,8 +655,8 @@ impl Kb {
                     .unwrap_or_default();
                 for f in fillers {
                     let ok = match f {
-                        IndRef::Classic(n) => match self.by_name.get(&n) {
-                            Some(&fid) => self.known_instance_rec(fid, all1, visiting),
+                        IndRef::Classic(n) => match self.find_ind(n) {
+                            Some(fid) => self.known_instance_rec(fid, all1, visiting),
                             None => false,
                         },
                         IndRef::Host(v) => self.host_satisfies(&v, all1),

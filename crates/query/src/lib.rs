@@ -301,7 +301,7 @@ fn retrieve_impl(kb: &Kb, query: &Concept) -> Result<Answers> {
 
 /// Evaluate an already-normalized query via classification.
 ///
-/// Errors with [`ClassicError::RecognizerPanicked`] if a user-registered
+/// Errors with [`classic_core::ClassicError::RecognizerPanicked`] if a user-registered
 /// `TEST` recognizer panics during an instance test — the panic is caught
 /// at the retrieval boundary instead of aborting the process.
 pub fn retrieve_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {

@@ -35,8 +35,10 @@
 //! but never lower it below.
 //!
 //! A sandbox is the paper's `what-if` operator promoted from one
-//! assertion to a whole session: the KB is cloned, mutations evaluate
-//! against the clone *and* are recorded; `commit` replays the recording
+//! assertion to a whole session: `sandbox begin` takes a version of its
+//! own off the tenant's current snapshot (`Kb::clone`: the storage is
+//! shared, and only what the sandbox goes on to write is copied);
+//! mutations evaluate against it *and* are recorded; `commit` replays the recording
 //! through the tenant's durable path, `rollback` drops it. Commit is
 //! sequential, not transactional — it stops at the first command the
 //! primary rejects (possible when the tenant moved underneath the

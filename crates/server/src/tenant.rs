@@ -8,8 +8,11 @@
 //!   [`DurableKb::eval_durable`] (so every write hits the fsynced
 //!   operation log), then bump the tenant *version* and invalidate the
 //!   cached snapshot.
-//! - **Reads** run against an [`Arc<Snapshot>`] — a clone of the KB
-//!   taken at a specific version. A read borrows
+//! - **Reads** run against an [`Arc<Snapshot>`] — the KB as it stood at
+//!   a specific version: a `Kb::clone`, which shares the primary's
+//!   storage chunk for chunk, so cutting one costs what the writes since
+//!   the last cut dirtied and the write that drops one frees only that.
+//!   A read borrows
 //!   ([`classic_lang::eval_read`] takes `&Kb`), so the snapshot holds its
 //!   KB bare: any number of readers of one version run at once, and a
 //!   reader holds its `Arc` for as long as it likes, so a concurrent

@@ -208,6 +208,49 @@ fn readers_of_one_snapshot_run_concurrently_with_a_writer() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Cutting a snapshot costs what the write before it dirtied: the
+/// snapshot cut after one write is, chunk for chunk, the storage of the
+/// one pinned before it — all but the few chunks the write landed in —
+/// and the pinned one still reads as it did.
+#[test]
+fn a_snapshot_shares_all_but_what_one_write_touched_with_the_one_before_it() {
+    let dir = tmpdir("sharing");
+    let handle = start(&dir);
+    let tenant = handle.shared().tenant("s").unwrap();
+    for form in SCHEMA {
+        tenant.execute(&cmd(form)).unwrap();
+    }
+    let rows: String = (0..3_000)
+        .map(|i| format!(" (row P{i} Pizza-{})", i % 50))
+        .collect();
+    let load = format!("(bulk-load (into PERSON) (roles eat){rows})");
+    tenant.execute(&cmd(&load)).unwrap();
+
+    let pinned = tenant.snapshot().unwrap();
+    let eaters = cmd("(retrieve (FILLS eat Pizza-7))");
+    let before = pinned.eval(&eaters);
+    tenant
+        .execute(&cmd("(assert-ind P1500 (FILLS eat Pizza-7 Pizza-New))"))
+        .unwrap();
+    let fresh = tenant.snapshot().unwrap();
+    assert!(!Arc::ptr_eq(&pinned, &fresh));
+    assert_ne!(fresh.eval(&eaters), before, "the write is in the new cut");
+    assert_eq!(pinned.eval(&eaters), before, "and not in the old one");
+
+    // Counted from the pinned side: chunks the new cut merely added
+    // (tables grow) were not copied from anything.
+    let sharing = pinned.kb().sharing_with(fresh.kb());
+    assert!(sharing.chunks_total > 150, "{sharing:?}");
+    let copied = sharing.chunks_total - sharing.chunks_shared;
+    assert!(
+        (1..=16).contains(&copied),
+        "one assert-ind copied {copied} chunks: {sharing:?}"
+    );
+    drop(tenant);
+    handle.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `what-if` on a tenant is a write that is always rolled back: it runs
 /// on the primary, which it leaves as it found it — unlogged, the version
 /// and the cached snapshot untouched — and its verdicts read as ever.

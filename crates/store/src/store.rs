@@ -943,8 +943,10 @@ impl DurableKb {
     /// `ddl` must contain only writes (`define-role`, `define-concept`,
     /// `assert-rule`, …). A failing DDL command — or anything in the
     /// load that could not be written to a segment and read back —
-    /// aborts the whole load with the KB untouched (the commands are
-    /// staged on a clone until everything applies). Row-level clashes do
+    /// aborts the whole load with the KB untouched (a load with DDL is
+    /// staged on a `Kb::clone`, which shares the pre-ingest storage and
+    /// copies what the load writes, and replaces the KB only once
+    /// everything applied). Row-level clashes do
     /// **not** abort: they are per-row rejections in the returned
     /// report, and only accepted rows reach the snapshot.
     pub fn bulk_load(&mut self, ddl: &[Command], spec: &BulkSpec) -> Result<BulkLoadReport> {
@@ -959,9 +961,9 @@ impl DurableKb {
         self.hydrate_all()?;
 
         // Stage on a clone so a failing DDL command leaves the store
-        // exactly as it was (clone shares the obs registry and test
-        // closures by Arc; the pre-ingest KB is the small side of the
-        // load, so the copy is cheap relative to the rows).
+        // exactly as it was. The clone shares the pre-ingest KB's
+        // storage (and its obs registry and test closures); the load
+        // copies only the chunks it writes to.
         let mut staged = (!ddl.is_empty()).then(|| self.kb.clone());
         let kb = staged.as_mut().unwrap_or(&mut self.kb);
         for cmd in ddl {

@@ -20,6 +20,11 @@
 //! carrying fresh `PRIMITIVE`s between the operations, and must still
 //! be the database its log reopens to — down to which later definitions
 //! it accepts.
+//!
+//! And no version may show what came after it: each way is cut halfway —
+//! a `Kb::clone`, which shares its storage with the database that goes
+//! on taking the rest — and the clone must end the history as the
+//! database that took the first half and nothing else.
 
 use classic::kb::BulkRow;
 use classic::lang::{eval, parse, parse_concept, Outcome};
@@ -28,6 +33,8 @@ use classic::{ClassicError, Concept, Kb};
 
 const CRIMES: usize = 48;
 const OPS: usize = 600;
+/// Operations taken before each way's clone is cut.
+const CUT: usize = OPS / 2;
 
 const SCHEMA: &str = r#"
     (define-role perpetrator)
@@ -134,12 +141,17 @@ fn concept(kb: &mut Kb, text: &str) -> Concept {
 }
 
 /// Way 1. Also returns the told facts that survive the history, in the
-/// order they were accepted — what way 2 loads.
-fn per_op(threads: usize, ops: &[Op]) -> (Kb, Trace, Vec<&Op>) {
+/// order they were accepted — what way 2 loads — and the clone cut
+/// after [`CUT`] operations, if the history is that long.
+fn per_op(threads: usize, ops: &[Op]) -> (Kb, Trace, Vec<&Op>, Option<Kb>) {
     let mut kb = fresh_kb(threads);
     let mut surviving: Vec<&Op> = Vec::new();
     let mut trace = Trace::new();
-    for op in ops {
+    let mut cut = None;
+    for (i, op) in ops.iter().enumerate() {
+        if i == CUT {
+            cut = Some(kb.clone());
+        }
         let desc = concept(&mut kb, &op.desc);
         if op.retract {
             let outcome = kb.retract_ind(&op.target, &desc);
@@ -165,11 +177,12 @@ fn per_op(threads: usize, ops: &[Op]) -> (Kb, Trace, Vec<&Op>) {
             trace.push(outcome.ok().map(|report| report.steps));
         }
     }
-    (kb, trace, surviving)
+    (kb, trace, surviving, cut)
 }
 
-/// Way 2.
-fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64) {
+/// Way 2, as two loads with a clone cut between them: the database, the
+/// steps both loads took, and the clone.
+fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64, Kb) {
     let mut kb = fresh_kb(threads);
     let rows: Vec<BulkRow> = told
         .iter()
@@ -178,13 +191,20 @@ fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64) {
             desc: concept(&mut kb, &op.desc),
         })
         .collect();
-    let report = kb.bulk_assert(&rows);
-    assert_eq!(report.accepted, rows.len(), "{:?}", report.rejections);
-    assert_eq!(
-        report.sequential_fallbacks, 0,
-        "surviving facts are consistent"
-    );
-    (kb, report.steps)
+    let load = |kb: &mut Kb, rows: &[BulkRow]| {
+        let report = kb.bulk_assert(rows);
+        assert_eq!(report.accepted, rows.len(), "{:?}", report.rejections);
+        assert_eq!(
+            report.sequential_fallbacks, 0,
+            "surviving facts are consistent"
+        );
+        report.steps
+    };
+    let (first, second) = rows.split_at(rows.len() / 2);
+    let mut steps = load(&mut kb, first);
+    let cut = kb.clone();
+    steps += load(&mut kb, second);
+    (kb, steps, cut)
 }
 
 /// What the live store of way 3 is asked, shown and refused on the side:
@@ -215,9 +235,10 @@ fn accepts_the_probes(kb: &Kb) -> bool {
         })
 }
 
-/// Way 3: the live store as it stood at the end, and the database its
-/// log reopened to.
-fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trace) {
+/// Way 3: the live store as it stood at the end, the database its log
+/// reopened to, and the clone of the live store cut after [`CUT`]
+/// operations.
+fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trace, Kb) {
     let dir = std::env::temp_dir().join(format!(
         "classic-same-fixpoint-{tag}-{threads}-{}",
         std::process::id()
@@ -232,10 +253,14 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trac
             store.eval_durable(&cmd).expect("setup is accepted");
         }
     });
+    let mut cut = None;
     let trace = ops
         .iter()
         .enumerate()
         .map(|(i, op)| {
+            if i == CUT {
+                cut = Some(store.kb().expect("eagerly opened").clone());
+            }
             let (aside, answered) = ASIDES[i % ASIDES.len()];
             let cmd = parse(aside).expect("parses").pop().expect("one form");
             assert_eq!(store.eval_durable(&cmd).is_ok(), answered, "{aside}");
@@ -260,15 +285,15 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trac
     let kb = reopened.kb().expect("eagerly opened").clone();
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
-    (live, kb, trace)
+    (live, kb, trace, cut.expect("the history passes the cut"))
 }
 
 #[test]
 fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
     let ops = history(0x5EED_C1A5);
 
-    let (op1, op_trace1, surviving) = per_op(1, &ops);
-    let (op4, op_trace4, _) = per_op(4, &ops);
+    let (op1, op_trace1, surviving, op_cut1) = per_op(1, &ops);
+    let (op4, op_trace4, _, op_cut4) = per_op(4, &ops);
     assert_eq!(
         op_trace1, op_trace4,
         "per-op: outcome or steps depend on threads"
@@ -291,12 +316,12 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
         "SAME-AS derived nothing"
     );
 
-    let (bulk1, bulk_steps1) = bulk(1, &surviving);
-    let (bulk4, bulk_steps4) = bulk(4, &surviving);
+    let (bulk1, bulk_steps1, bulk_cut1) = bulk(1, &surviving);
+    let (bulk4, bulk_steps4, bulk_cut4) = bulk(4, &surviving);
     assert_eq!(bulk_steps1, bulk_steps4, "bulk: steps depend on threads");
 
-    let (live1, log1, log_trace1) = durable_then_reopened(1, &ops, "a");
-    let (live4, log4, log_trace4) = durable_then_reopened(4, &ops, "b");
+    let (live1, log1, log_trace1, live_cut1) = durable_then_reopened(1, &ops, "a");
+    let (live4, log4, log_trace4, live_cut4) = durable_then_reopened(4, &ops, "b");
     assert_eq!(log_trace1, op_trace1, "durable: differs from in-memory");
     assert_eq!(
         log_trace4, op_trace1,
@@ -326,6 +351,27 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
         assert!(
             accepts_the_probes(kb),
             "{name}: something refused left a trace"
+        );
+    }
+
+    // The clones cut halfway saw none of the second half — nor of the
+    // probes just tried on copies of their originals.
+    let (first_half, ..) = per_op(1, &ops[..CUT]);
+    let (first_rows, ..) = bulk(1, &surviving[..surviving.len() / 2]);
+    let cuts = [
+        ("per-op, 1 thread", op_cut1.expect("cut"), &first_half),
+        ("per-op, 4 threads", op_cut4.expect("cut"), &first_half),
+        ("live store, 1 thread", live_cut1, &first_half),
+        ("live store, 4 threads", live_cut4, &first_half),
+        ("bulk, 1 thread", bulk_cut1, &first_rows),
+        ("bulk, 4 threads", bulk_cut4, &first_rows),
+    ];
+    for (name, cut, expected) in &cuts {
+        cut.check_invariants()
+            .unwrap_or_else(|e| panic!("clone of {name}: {e}"));
+        assert!(
+            same_state(cut, expected) && same_state(expected, cut),
+            "clone of {name}: saw what followed its cut"
         );
     }
 }
