@@ -238,6 +238,20 @@ impl Schema {
         Ok(id)
     }
 
+    /// The inverse of the most recent [`Schema::define_concept`], which
+    /// bound `name`: the definition is forgotten and the primitives it
+    /// introduced are nameless again. Like [`Schema::undeclare`] (which
+    /// takes back the atoms it declared), sound only while nothing stored
+    /// mentions the name — on the path that refuses the definition.
+    pub fn undefine_concept(&mut self, name: ConceptName) {
+        if self.concepts.remove(&name).is_some() {
+            self.concept_order.pop();
+            for info in &mut self.prims {
+                info.introduced_by.take_if(|by| *by == name);
+            }
+        }
+    }
+
     /// Has `name` been `define-concept`ed?
     pub fn is_defined(&self, name: ConceptName) -> bool {
         self.concepts.contains_key(&name)
@@ -544,5 +558,28 @@ mod tests {
         let nf = s.concept_nf(car).unwrap().clone();
         let p = *nf.prims.iter().next().unwrap();
         assert_eq!(s.prim_concept(p), Concept::Name(car));
+    }
+
+    #[test]
+    fn undefine_concept_is_the_inverse_of_define_concept() {
+        let mut s = Schema::new();
+        let thing = Concept::thing;
+        // The atom is older than the definition that names it.
+        let mark = s.declare(&Concept::primitive(thing(), "p"));
+        let c = s
+            .define_concept("C", Concept::primitive(thing(), "p"))
+            .unwrap();
+        let p = PrimId::from_index(0);
+        assert_eq!(s.prim_concept(p), Concept::Name(c));
+        s.undefine_concept(c);
+        assert!(!s.is_defined(c) && s.concept_count() == 0);
+        assert_eq!(s.defined_concepts().count(), 0);
+        assert_eq!(s.prim_concept(p), Concept::primitive(thing(), "p"));
+        // Forgotten entirely, the name and the atom are free again.
+        assert_eq!(s.undeclare(mark), ["p"]);
+        s.define_concept("D", thing()).unwrap();
+        let d = Concept::Name(s.symbols.concept("D"));
+        s.define_concept("C", Concept::primitive(d, "p")).unwrap();
+        assert_eq!(s.concept_count(), 2);
     }
 }

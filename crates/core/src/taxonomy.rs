@@ -199,6 +199,25 @@ impl Closure {
         rebuilt
     }
 
+    /// The inverse of the most recent [`Closure::push`]: drop the last
+    /// row and its bit from every other row (the stride stays grown).
+    fn pop(&mut self) {
+        self.len -= 1;
+        let (w, b) = Self::bit(self.len);
+        for rows in [&mut self.anc, &mut self.desc] {
+            rows.truncate(self.len * self.words);
+            for row in rows.chunks_exact_mut(self.words) {
+                row[w] &= !b;
+            }
+        }
+    }
+
+    /// Is some node strictly below `above` and strictly above `below`?
+    fn mediated(&self, above: usize, below: usize) -> bool {
+        let (desc, anc) = (self.desc_row(above), self.anc_row(below));
+        desc.iter().zip(anc).any(|(d, a)| d & a != 0)
+    }
+
     /// Double the row stride, copying existing rows into the new layout.
     /// Reachability content is unchanged — only the memory layout moves.
     fn grow(&mut self) {
@@ -454,6 +473,41 @@ impl Taxonomy {
         });
         self.by_name.insert(name, id);
         (id, report)
+    }
+
+    /// The inverse of the most recent [`Taxonomy::insert`], which bound
+    /// `name` (a refused `define-concept`; a name the taxonomy does not
+    /// hold is left alone). A node the insert created is unwired: each
+    /// parent→child edge it mediated comes back unless another node
+    /// still mediates it — exactly the edges a Hasse diagram of what
+    /// remains has. Interned forms and memoized tests stay; they are
+    /// facts about descriptions, not about the taxonomy.
+    pub fn uninsert(&mut self, name: ConceptName) {
+        let Some(id) = self.by_name.remove(&name) else {
+            return;
+        };
+        let names = &mut self.nodes[id.index()].names;
+        names.pop();
+        if !names.is_empty() || id == NodeId::TOP || id == NodeId::BOTTOM {
+            return; // a further name for a node that was already there
+        }
+        let node = self.nodes.pop().expect("the inserted node is the last");
+        self.nf_ids.pop();
+        self.closure.pop();
+        for &p in &node.parents {
+            self.nodes[p.index()].children.remove(&id);
+        }
+        for &c in &node.children {
+            self.nodes[c.index()].parents.remove(&id);
+        }
+        for &p in &node.parents {
+            for &c in &node.children {
+                if !self.closure.mediated(p.index(), c.index()) {
+                    self.nodes[p.index()].children.insert(c);
+                    self.nodes[c.index()].parents.insert(p);
+                }
+            }
+        }
     }
 
     /// Top-down search for the most specific subsumers of `nf`, on the
@@ -1073,5 +1127,62 @@ mod tests {
         let nf = nf.unwrap().clone();
         let cls = snapshot.classify(&nf);
         assert!(cls.equivalent.is_some());
+    }
+
+    /// The shape of a taxonomy: every node's names and Hasse edges, and
+    /// the closure index's view of who is above and below it.
+    fn shape(t: &Taxonomy) -> Vec<String> {
+        (0..t.len())
+            .map(|i| {
+                let id = NodeId(i as u32);
+                let n = t.node(id);
+                let (up, down) = (t.strict_ancestors(id), t.strict_descendants(id));
+                format!(
+                    "{:?} {:?} {:?} {up:?} {down:?}",
+                    n.names, n.parents, n.children
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn uninsert_is_the_inverse_of_insert() {
+        let mut f = fix();
+        let r = f.schema.define_role("r").unwrap();
+        let s = f.schema.define_role("s").unwrap();
+        define(&mut f, "P", Concept::primitive(Concept::thing(), "p"));
+        let p = named(&mut f, "P");
+        // Specific before general, so later nodes splice in between
+        // earlier ones; a second name for a node, for THING and for the
+        // empty concept; enough nodes (> 64) to grow the closure's stride.
+        let mut defs: Vec<Concept> = Vec::new();
+        for n in (1..=4).rev() {
+            defs.push(Concept::and([p.clone(), Concept::AtLeast(n, r)]));
+            defs.push(Concept::and([
+                Concept::AtLeast(n, r),
+                Concept::AtMost(9 - n, s),
+            ]));
+            defs.push(Concept::AtLeast(n, r));
+        }
+        defs.push(Concept::and([Concept::AtLeast(2, r), p.clone()]));
+        defs.push(Concept::thing());
+        defs.push(Concept::and([
+            Concept::AtLeast(2, r),
+            Concept::AtMost(1, r),
+        ]));
+        defs.extend((0..60).map(|i| Concept::and([p.clone(), Concept::AtMost(100 + i, s)])));
+        for (i, def) in defs.into_iter().enumerate() {
+            let pinned = f.taxo.clone();
+            let name = f.schema.define_concept(&format!("C{i}"), def).unwrap();
+            let nf = f.schema.concept_nf(name).unwrap().clone();
+            f.taxo.insert(name, nf.clone());
+            f.taxo.uninsert(name);
+            assert_eq!(shape(&f.taxo), shape(&pinned), "after C{i}");
+            assert_eq!(f.taxo.node_of(name), None);
+            f.taxo.uninsert(name); // a name it does not hold: left alone
+            assert_eq!(shape(&f.taxo), shape(&pinned), "after C{i}, twice");
+            f.taxo.insert(name, nf);
+        }
+        assert!(f.taxo.len() > 66);
     }
 }

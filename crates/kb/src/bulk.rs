@@ -5,8 +5,8 @@
 //! contextual conjunction only — and then runs **one** propagation
 //! fixpoint for the whole chunk, instead of one per assertion. Rule
 //! firing, `ALL`/`SAME-AS` propagation, and realization all happen once,
-//! over the union of the chunk's facts, through the same loop
-//! (`Propagation::run`) every per-op write uses: a chunk is simply a
+//! over the union of the chunk's facts, in the same transaction
+//! (`Kb::transact`) every per-op write runs in: a chunk is simply a
 //! fixpoint with many roots, and its wide first epochs are the ones
 //! `Kb::set_propagation_threads` plans on worker threads.
 //!
@@ -43,14 +43,11 @@
 //! empty individual, could never change any other row's outcome, so
 //! dropping it cannot perturb accept/reject parity.)
 
-use crate::individual::IndId;
 use crate::kb::{AssertReport, Journal, Kb};
-use crate::propagate::Propagation;
 use classic_core::desc::Concept;
-use classic_core::error::ClassicError;
+use classic_core::error::Result;
 use classic_core::normal::NormalForm;
 use classic_core::schema::Schema;
-use std::collections::VecDeque;
 
 /// Default rows per batched fixpoint. Large enough to amortize the
 /// propagation setup (and for its epochs to be planned on worker
@@ -120,6 +117,7 @@ pub struct BulkReport {
 
 impl BulkReport {
     fn absorb(&mut self, r: &AssertReport) {
+        self.inds_created += r.inds_created;
         self.steps += r.steps;
         self.fills_propagated += r.fills_propagated;
         self.corefs_derived += r.corefs_derived;
@@ -254,41 +252,38 @@ impl Kb {
         report
     }
 
-    /// Stage every row of `chunk` (told push + contextual conjunction),
-    /// then run one fixpoint. On any failure: roll back and replay the
-    /// chunk through the sequential oracle path.
+    /// Stage one row: its target, created if new, is told the row's
+    /// description.
+    fn stage_row(&mut self, row: &BulkRow, journal: &mut Journal) -> Result<()> {
+        let iname = self.schema.symbols.individual(&row.name);
+        let id = self.ensure_ind(iname, journal)?;
+        self.stage_told(id, &row.desc, journal)
+    }
+
+    /// Stage every row of `chunk` (told push + contextual conjunction)
+    /// in one transaction, closed by one fixpoint. Refused, the chunk is
+    /// replayed through the sequential oracle path.
     fn bulk_chunk(&mut self, base: usize, chunk: &[BulkRow], report: &mut BulkReport) {
         report.chunks += 1;
-        let mut journal = Journal::default();
-        let mut work: VecDeque<IndId> = VecDeque::new();
-        let staged = chunk.iter().try_for_each(|row| {
-            let iname = self.schema.symbols.individual(&row.name);
-            let id = self.ensure_ind(iname, &mut journal)?;
-            self.stage_told(id, &row.desc, &mut journal)?;
-            work.push_back(id);
-            Ok::<(), ClassicError>(())
+        let staged = self.transact(true, |kb, journal| {
+            chunk.iter().try_for_each(|row| kb.stage_row(row, journal))
         });
-        let mut chunk_report = AssertReport::default();
-        let ok = staged.is_ok()
-            && Propagation::run(self, &mut work, &mut journal, &mut chunk_report).is_ok();
-        if ok {
-            report.inds_created += journal.created_count(self) as u64;
-            self.stats.assertions.add(chunk.len() as u64);
-            self.deps.absorb(journal.supports);
-            report.accepted += chunk.len();
-            for slot in &mut report.row_accepted[base..base + chunk.len()] {
-                *slot = true;
+        match staged {
+            Ok(((), chunk_report)) => {
+                self.stats.assertions.add(chunk.len() as u64);
+                report.accepted += chunk.len();
+                report.row_accepted[base..base + chunk.len()].fill(true);
+                report.absorb(&chunk_report);
             }
-            report.absorb(&chunk_report);
-            return;
-        }
-        // The combined fixpoint clashed (or a row's conjunction did):
-        // restore the pre-chunk state and replay through the oracle path
-        // for exact per-row accept/reject parity.
-        self.rollback(journal);
-        report.sequential_fallbacks += 1;
-        for (off, row) in chunk.iter().enumerate() {
-            self.bulk_row_sequential(base + off, row, report);
+            // The combined fixpoint clashed (or a row's conjunction did)
+            // and the pre-chunk state is back: replay through the oracle
+            // path for exact per-row accept/reject parity.
+            Err(_) => {
+                report.sequential_fallbacks += 1;
+                for (off, row) in chunk.iter().enumerate() {
+                    self.bulk_row_sequential(base + off, row, report);
+                }
+            }
         }
     }
 
@@ -296,22 +291,14 @@ impl Kb {
     /// and `assert-ind` as **one** transaction, so a rejection rolls
     /// back the target's creation too and the row leaves no trace.
     fn bulk_row_sequential(&mut self, row_ix: usize, row: &BulkRow, report: &mut BulkReport) {
-        let iname = self.schema.symbols.individual(&row.name);
-        let mut journal = Journal::default();
-        let outcome = self
-            .ensure_ind(iname, &mut journal)
-            .and_then(|id| self.assert_txn(id, &row.desc, &mut journal));
-        match outcome {
-            Ok(r) => {
-                report.inds_created += journal.created_count(self) as u64;
+        match self.transact(true, |kb, journal| kb.stage_row(row, journal)) {
+            Ok(((), row_report)) => {
                 self.stats.assertions.bump();
-                self.deps.absorb(journal.supports);
                 report.accepted += 1;
                 report.row_accepted[row_ix] = true;
-                report.absorb(&r);
+                report.absorb(&row_report);
             }
             Err(e) => {
-                self.rollback(journal);
                 report.rejected += 1;
                 if report.rejections.len() < MAX_REJECTION_DETAIL {
                     report.rejections.push(BulkRejection {

@@ -8,9 +8,11 @@
 //! `classic-query`.
 //!
 //! Every update is atomic: "updates … are either accepted or rejected
-//! because of constraint violations" (§3.1). A rejected `assert-ind` (or
-//! `assert-rule`) rolls back every propagated consequence via an internal
-//! journal of first-touch snapshots.
+//! because of constraint violations" (§3.1). Each of the write operators
+//! runs in the one transaction (`Kb::transact`): it stages its told
+//! change through a journal, propagation closes over it, and a refusal —
+//! a clash, a name nothing defines, a panicking `TEST` recognizer — is
+//! undone by `Kb::rollback`, the only undo there is.
 //!
 //! Everything here that grows with the number of individuals is held in
 //! the copy-on-write tables of [`classic_core::chunked`], so [`Kb::clone`]
@@ -21,7 +23,7 @@
 use crate::deps::{DependencyJournal, RetractReport, Support, SupportKind};
 use crate::individual::{IndId, Individual};
 use crate::plan::Effect;
-use crate::propagate::Propagation;
+use crate::propagate::{guard_recognizers, Propagation};
 use classic_core::chunked::{Chunked, ChunkedSet};
 use classic_core::desc::{Concept, IndRef};
 use classic_core::error::{ClassicError, Result};
@@ -173,7 +175,8 @@ pub struct Sharing {
     pub chunks_total: usize,
 }
 
-/// Rollback journal for one update transaction.
+/// One update transaction: what [`Kb::rollback`] needs to undo it, the
+/// worklist its fixpoint drains and the counts it reports.
 #[derive(Default)]
 pub(crate) struct Journal {
     /// First-touch snapshots of modified individuals.
@@ -188,13 +191,31 @@ pub(crate) struct Journal {
     pub(crate) supports: Vec<Support>,
     /// Committed dependency records removed during a retraction;
     /// restored on rollback.
-    pub(crate) supports_removed: Vec<Support>,
+    supports_removed: Vec<Support>,
     /// Reverse-filler edges removed during a retraction; restored on
     /// rollback.
-    pub(crate) reverse_removed: Vec<(IndId, IndId)>,
+    reverse_removed: Vec<(IndId, IndId)>,
     /// Where the schema's primitive declarations stood before the
     /// transaction's first told description; rollback truncates back.
     declared: Option<PrimMark>,
+    /// The schema-sized change of a `define-concept`, an `assert-rule` or
+    /// a `retract-rule` — a transaction makes at most one.
+    ddl: Option<Ddl>,
+    /// Individuals waiting to be planned: the write's roots, then
+    /// whatever applying an epoch's effects enqueues.
+    pub(crate) work: VecDeque<IndId>,
+    /// What the transaction has derived so far.
+    pub(crate) report: AssertReport,
+}
+
+/// A change to the schema-sized state, as [`Kb::rollback`] inverts it.
+enum Ddl {
+    /// This concept was defined and classified.
+    Defined(ConceptName),
+    /// A rule was pushed onto the end of the rule table.
+    RulePushed,
+    /// The rule with this id was retired.
+    RuleRetired(usize),
 }
 
 impl Journal {
@@ -212,12 +233,6 @@ impl Journal {
 
     pub(crate) fn note_support(&mut self, s: Support) {
         self.supports.push(s);
-    }
-
-    /// How many individuals this transaction created.
-    pub(crate) fn created_count(&self, kb: &Kb) -> usize {
-        self.first_created
-            .map_or(0, |first| kb.inds.len() - first.index())
     }
 }
 
@@ -550,73 +565,107 @@ impl Kb {
     /// `define-concept[name, expr]` (§3.1): normalize, store, classify into
     /// the taxonomy, and *recognize* any existing individuals that already
     /// satisfy the new definition — the schema can grow "any time it seems
-    /// useful" and the data immediately reflects it.
+    /// useful" and the data immediately reflects it. The individuals that
+    /// may satisfy it are the roots of the definition's fixpoint, so a
+    /// refusal at any point — a `TEST` recognizer that panics on one of
+    /// them included — leaves the schema and the taxonomy as they were.
     pub fn define_concept(&mut self, name: &str, told: Concept) -> Result<ConceptName> {
-        let cname = self.schema.define_concept(name, told)?;
-        let nf = self.schema.concept_nf(cname)?.clone();
-        let (node, _) = self.taxonomy.insert(cname, nf);
-        self.extensions
-            .resize_with(self.taxonomy.len(), ChunkedSet::default);
-        // Candidates for recognition: individuals already recognized under
-        // every parent of the new node (any instance of the new concept
-        // must be). For a fresh node under TOP that is every individual.
-        let parents: Vec<NodeId> = self.taxonomy.node(node).parents.iter().copied().collect();
-        let mut candidates: Option<BTreeSet<IndId>> = None;
-        for p in parents {
-            let inst = self.instances_of_node(p);
-            candidates = Some(match candidates {
-                None => inst,
-                Some(c) => c.intersection(&inst).copied().collect(),
-            });
-        }
-        let candidates = match candidates {
-            Some(c) => c,
-            None => self.ind_ids().collect(),
-        };
-        for id in candidates {
-            self.realize(id)?;
-        }
-        Ok(cname)
+        let defined = self.transact(true, |kb, journal| {
+            journal.declared = Some(kb.schema.declare(&told));
+            let cname = kb.schema.define_concept(name, told)?;
+            journal.ddl = Some(Ddl::Defined(cname));
+            let nf = kb.schema.concept_nf(cname)?.clone();
+            let (node, placed) = kb.taxonomy.insert(cname, nf);
+            kb.extensions
+                .resize_with(kb.taxonomy.len(), ChunkedSet::default);
+            // A second name for a node changes nobody's recognition. A
+            // new node can only hold individuals already recognized under
+            // every one of its parents (it has at least `THING`).
+            if placed.equivalent.is_none() {
+                let mut parents =
+                    (kb.taxonomy.node(node).parents.iter()).map(|&p| kb.instances_of_node(p));
+                let mut candidates = parents.next().unwrap_or_default();
+                for instances in parents {
+                    candidates.retain(|id| instances.contains(id));
+                }
+                journal.work.extend(candidates);
+            }
+            Ok(cname)
+        });
+        defined.map(|(cname, _)| cname)
     }
 
     // ---- individuals -------------------------------------------------------
 
     /// `create-ind[name]` (§3.2): "creates an individual … about whom
     /// nothing is known (except that it is a THING)". Establishes identity
-    /// independent of properties.
+    /// independent of properties. A transaction like every other write:
+    /// the newcomer is recognized, a rule whose antecedent a bare
+    /// individual satisfies fires on it, and a `TEST` recognizer that
+    /// panics on it leaves no trace of it.
     pub fn create_ind(&mut self, name: &str) -> Result<IndId> {
         let iname = self.schema.symbols.individual(name);
         if self.find_ind(iname).is_some() {
             return Err(ClassicError::IndividualExists(iname));
         }
-        self.create_ind_unchecked(iname)
-    }
-
-    /// Push a fresh individual and recognize it. If a `TEST` recognizer
-    /// panics on it the individual is removed again, so a failed
-    /// creation leaves no trace.
-    fn create_ind_unchecked(&mut self, iname: IndName) -> Result<IndId> {
-        let id = IndId::from_index(self.inds.len());
-        self.inds.push(Individual::new(iname));
-        *self.by_name.slot(iname.index()) = id.0 + 1;
-        if let Err(e) = self.realize(id) {
-            self.inds.pop();
-            self.by_name[iname.index()] = 0;
-            return Err(e);
-        }
-        Ok(id)
+        let created = self.transact(true, |kb, journal| kb.ensure_ind(iname, journal));
+        created.map(|(id, _)| id)
     }
 
     /// Get the individual named `name`, creating it if referenced for the
     /// first time (the paper's examples assert facts about `Volvo-17`
-    /// without a prior `create-ind`).
+    /// without a prior `create-ind`). A newcomer is recognized where it
+    /// is created, inside the transaction that rolls it back: blank, it
+    /// has nothing to push anywhere, so it joins the worklist only if a
+    /// rule is due on it (the step is what fires rules).
     pub(crate) fn ensure_ind(&mut self, iname: IndName, journal: &mut Journal) -> Result<IndId> {
         if let Some(id) = self.find_ind(iname) {
             return Ok(id);
         }
-        let id = self.create_ind_unchecked(iname)?;
+        let id = IndId::from_index(self.inds.len());
+        self.inds.push(Individual::new(iname));
+        *self.by_name.slot(iname.index()) = id.0 + 1;
         journal.first_created.get_or_insert(id);
+        self.stats.realizations.bump();
+        let (qualifying, msc) = guard_recognizers(|| self.compute_recognition(id))?;
+        let live_rules = |n| {
+            self.rules_by_node
+                .get(n)
+                .is_some_and(|live| !live.is_empty())
+        };
+        if qualifying.iter().any(live_rules) {
+            journal.work.push_back(id);
+        }
+        self.install_recognition(id, qualifying, msc);
         Ok(id)
+    }
+
+    /// The one transaction every write to the KB runs in. `stage` makes
+    /// the write's own change through the journal and leaves its roots on
+    /// the worklist; propagation then closes over them. Accepted and
+    /// `keep`, the supports the fixpoint earned are committed; refused —
+    /// or a trial (`keep` false), whatever its outcome — everything is
+    /// rolled back.
+    pub(crate) fn transact<T>(
+        &mut self,
+        keep: bool,
+        stage: impl FnOnce(&mut Kb, &mut Journal) -> Result<T>,
+    ) -> Result<(T, AssertReport)> {
+        let mut journal = Journal::default();
+        let staged = stage(self, &mut journal)
+            .and_then(|staged| Propagation::run(self, &mut journal).map(|()| staged));
+        let mut report = std::mem::take(&mut journal.report);
+        let created = journal.first_created;
+        report.inds_created = created.map_or(0, |first| (self.inds.len() - first.index()) as u64);
+        if keep && staged.is_ok() {
+            self.deps.absorb(journal.supports);
+        } else if let (Some(name), false) = (self.rollback(journal).into_iter().next(), keep) {
+            // A trial declares nothing: a primitive index it would have
+            // had to declare is its error, accepted or not.
+            let kind = "primitive";
+            return Err(ClassicError::UndefinedName { kind, name });
+        }
+        staged.map(|staged| (staged, report))
     }
 
     /// `assert-ind[name, desc]` (§3.2): incrementally add (possibly
@@ -656,37 +705,14 @@ impl Kb {
     /// `assert-ind` addressed by handle.
     pub fn assert_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<AssertReport> {
         let _span = classic_obs::span_timed(&self.recorder, "kb.assert", &self.assert_ns);
-        let mut journal = Journal::default();
-        match self.assert_txn(id, desc, &mut journal) {
-            Ok(mut report) => {
-                report.inds_created = journal.created_count(self) as u64;
-                self.stats.assertions.bump();
-                self.deps.absorb(journal.supports);
-                Ok(report)
-            }
-            Err(e) => {
-                self.rollback(journal);
-                Err(e)
-            }
-        }
-    }
-
-    pub(crate) fn assert_txn(
-        &mut self,
-        id: IndId,
-        desc: &Concept,
-        journal: &mut Journal,
-    ) -> Result<AssertReport> {
-        self.stage_told(id, desc, journal)?;
-        let mut report = AssertReport::default();
-        let mut work: VecDeque<IndId> = VecDeque::from([id]);
-        Propagation::run(self, &mut work, journal, &mut report)?;
+        let ((), report) = self.transact(true, |kb, journal| kb.stage_told(id, desc, journal))?;
+        self.stats.assertions.bump();
         Ok(report)
     }
 
     /// The told half of an assertion, before any propagation: declare
-    /// `desc`'s primitive atoms, record it as told on `id` and conjoin it
-    /// into the derived description.
+    /// `desc`'s primitive atoms, record it as told on `id`, conjoin it
+    /// into the derived description and make `id` a root.
     pub(crate) fn stage_told(
         &mut self,
         id: IndId,
@@ -699,6 +725,7 @@ impl Kb {
         // Auto-create any individuals the description references, so
         // FILLS/ONE-OF targets exist (paper examples rely on this).
         self.ensure_referenced_inds(desc, journal)?;
+        journal.work.push_back(id);
         let ind = &mut self.inds[id.index()];
         journal.note_support(Support {
             target: id,
@@ -753,15 +780,8 @@ impl Kb {
     pub fn what_if(&mut self, name: &str, desc: &Concept) -> Result<AssertReport> {
         let iname = self.schema.symbols.individual(name);
         let id = self.ind_id(iname)?;
-        let mut journal = Journal::default();
-        let result = self.assert_txn(id, desc, &mut journal);
-        match self.rollback(journal).into_iter().next() {
-            Some(name) => Err(ClassicError::UndefinedName {
-                kind: "primitive",
-                name,
-            }),
-            None => result,
-        }
+        let ((), report) = self.transact(false, |kb, journal| kb.stage_told(id, desc, journal))?;
+        Ok(report)
     }
 
     /// `retract-ind[name, desc]`: remove a previously *told* description
@@ -793,33 +813,41 @@ impl Kb {
         let Some(pos) = self.inds[id.index()].told.iter().rposition(|t| t == desc) else {
             return Err(ClassicError::NotAsserted(self.inds[id.index()].name));
         };
-        let mut journal = Journal::default();
-        journal.touch(self, id);
-        self.inds[id.index()].told.remove(pos);
-        match self.rederive_after_retraction(BTreeSet::from([id]), &mut journal) {
-            Ok(report) => {
-                self.deps.absorb(journal.supports);
-                Ok(report)
-            }
-            Err(e) => {
-                self.rollback(journal);
-                Err(e)
-            }
-        }
+        self.retract(|kb, journal| {
+            journal.touch(kb, id);
+            kb.inds[id.index()].told.remove(pos);
+            BTreeSet::from([id])
+        })
     }
 
-    /// Reset every individual whose derived state may rest on the seeds,
-    /// re-conjoin their surviving told facts, and propagate to a new fixed
-    /// point. The caller has already removed the retracted told entry (or
-    /// retired the retracted rule); on error the caller rolls back.
-    fn rederive_after_retraction(
+    /// A retraction's transaction: `stage` removes the told entry (or
+    /// retires the rule) and names the individuals that rested on it.
+    /// Everyone whose derived state may rest on those seeds is reset to
+    /// their surviving told facts and the whole region re-propagated to a
+    /// fixed point.
+    fn retract(
         &mut self,
-        seeds: BTreeSet<IndId>,
-        journal: &mut Journal,
+        stage: impl FnOnce(&mut Kb, &mut Journal) -> BTreeSet<IndId>,
     ) -> Result<RetractReport> {
+        let ((reset, requeued), report) = self.transact(true, |kb, journal| {
+            let seeds = stage(kb, journal);
+            kb.reset_cone(&seeds, journal)
+        })?;
+        Ok(RetractReport {
+            reset,
+            requeued,
+            steps: report.steps,
+            reclassified: report.reclassified,
+        })
+    }
+
+    /// Reset the forward dependency closure of `seeds` and make it, plus
+    /// the hosts that must re-push onto it, the roots of the fixpoint;
+    /// returns how many individuals were reset and how many enqueued.
+    fn reset_cone(&mut self, seeds: &BTreeSet<IndId>, journal: &mut Journal) -> Result<(u64, u64)> {
         // RESET: the forward dependency closure — everyone whose derived
         // state may (transitively) rest on retracted information.
-        let reset = self.deps.affected_from(&seeds);
+        let reset = self.deps.affected_from(seeds);
         // ENQUEUE: RESET plus its transitive reverse-filler hosts. Hosts
         // keep their derived state (it does not depend on the retracted
         // fact — they are outside the closure) but must re-run so their
@@ -827,15 +855,7 @@ impl Kb {
         // reset wiped. Transitivity matters: a multi-step SAME-AS source
         // is only reachable through a chain of reverse-filler edges.
         // Computed before stale edges are removed below.
-        let mut enqueue = reset.clone();
-        let mut frontier: VecDeque<IndId> = reset.iter().copied().collect();
-        while let Some(i) = frontier.pop_front() {
-            for h in self.hosts_of(i) {
-                if enqueue.insert(h) {
-                    frontier.push_back(h);
-                }
-            }
-        }
+        let enqueue = self.with_hosts(reset.clone());
         for &i in &enqueue {
             journal.touch(self, i);
         }
@@ -883,27 +903,12 @@ impl Kb {
             ind.fired_rules.clear();
             ind.test_hits.lock().expect("test cache lock").clear();
         }
-        // Propagate the whole affected region back to a fixed point.
-        let mut report = AssertReport::default();
-        let mut work: VecDeque<IndId> = enqueue.iter().copied().collect();
-        Propagation::run(self, &mut work, journal, &mut report)?;
-        Ok(RetractReport {
-            reset: reset.len() as u64,
-            requeued: enqueue.len() as u64,
-            steps: report.steps,
-            reclassified: report.reclassified,
-        })
+        journal.work.extend(&enqueue);
+        Ok((reset.len() as u64, enqueue.len() as u64))
     }
 
-    /// The *analysis cone* of a set of seed individuals: everyone whose
-    /// derived state (and therefore whose ABox diagnostics) may differ
-    /// after a mutation touching the seeds. This is the same region
-    /// retraction re-derivation walks — the forward
-    /// dependency closure plus its transitive reverse-filler hosts —
-    /// computed read-only for the incremental analyzer. Cost is
-    /// proportional to the cone, not the KB.
-    pub fn analysis_cone(&self, seeds: &BTreeSet<IndId>) -> BTreeSet<IndId> {
-        let mut cone = self.deps.affected_from(seeds);
+    /// `cone` plus its transitive reverse-filler hosts.
+    fn with_hosts(&self, mut cone: BTreeSet<IndId>) -> BTreeSet<IndId> {
         let mut frontier: VecDeque<IndId> = cone.iter().copied().collect();
         while let Some(i) = frontier.pop_front() {
             for h in self.hosts_of(i) {
@@ -915,56 +920,48 @@ impl Kb {
         cone
     }
 
+    /// The *analysis cone* of a set of seed individuals: everyone whose
+    /// derived state (and therefore whose ABox diagnostics) may differ
+    /// after a mutation touching the seeds. This is the same region
+    /// retraction re-derivation walks — the forward
+    /// dependency closure plus its transitive reverse-filler hosts —
+    /// computed read-only for the incremental analyzer. Cost is
+    /// proportional to the cone, not the KB.
+    pub fn analysis_cone(&self, seeds: &BTreeSet<IndId>) -> BTreeSet<IndId> {
+        self.with_hosts(self.deps.affected_from(seeds))
+    }
+
     // ---- rules --------------------------------------------------------------
 
     /// `assert-rule[C1, C2]` (§3.3): attach a forward-chaining trigger to a
     /// *named* concept and immediately apply it to every currently
-    /// recognized instance, propagating "until a fixed point is reached"
-    /// (§5). If applying the rule makes any individual inconsistent the
-    /// rule is rejected and the database left unchanged.
+    /// recognized instance — the roots of the rule's fixpoint —
+    /// propagating "until a fixed point is reached" (§5). If applying the
+    /// rule makes any individual inconsistent the rule is rejected and
+    /// the database, rule table included, left unchanged.
     pub fn assert_rule(&mut self, antecedent: &str, consequent: Concept) -> Result<usize> {
         let cname = self.schema.symbols.concept(antecedent);
         let node = self
             .taxonomy
             .node_of(cname)
             .ok_or(ClassicError::RuleOnUndefinedConcept(cname))?;
-        let mut journal = Journal {
-            declared: Some(self.schema.declare(&consequent)),
-            ..Journal::default()
-        };
-        // Validate the consequent normalizes at all.
-        if let Err(e) = self.normalize(&consequent) {
-            self.rollback(journal);
-            return Err(e);
-        }
-        let rule_ix = self.rules.len();
-        self.rules.push(Rule {
-            antecedent: cname,
-            node,
-            consequent,
-            retired: false,
+        let asserted = self.transact(true, |kb, journal| {
+            journal.declared = Some(kb.schema.declare(&consequent));
+            // Validate the consequent normalizes at all.
+            kb.normalize(&consequent)?;
+            let rule_ix = kb.rules.len();
+            kb.rules.push(Rule {
+                antecedent: cname,
+                node,
+                consequent,
+                retired: false,
+            });
+            kb.rules_by_node.entry(node).or_default().push(rule_ix);
+            journal.ddl = Some(Ddl::RulePushed);
+            kb.for_each_instance(node, |id| journal.work.push_back(id));
+            Ok(rule_ix)
         });
-        self.rules_by_node.entry(node).or_default().push(rule_ix);
-
-        let instances: Vec<IndId> = self.instances_of_node(node).into_iter().collect();
-        let mut work: VecDeque<IndId> = instances.into();
-        for &i in &work {
-            journal.touch(self, i);
-        }
-        let mut report = AssertReport::default();
-        match Propagation::run(self, &mut work, &mut journal, &mut report) {
-            Ok(()) => {
-                self.deps.absorb(journal.supports);
-                Ok(rule_ix)
-            }
-            Err(e) => {
-                self.rollback(journal);
-                let ix = self.rules_by_node.get_mut(&node).expect("just added");
-                ix.retain(|&r| r != rule_ix);
-                self.rules.pop();
-                Err(e)
-            }
-        }
+        asserted.map(|(rule_ix, _)| rule_ix)
     }
 
     /// `retract-rule[C1, C2]`: retire the most recently asserted live rule
@@ -1017,31 +1014,25 @@ impl Kb {
     }
 
     /// Retire the (live) rule at `rule_ix` and re-derive everything it
-    /// fired on; restores the rule atomically if re-derivation fails.
+    /// fired on. The seeds are found by scanning the arena for the
+    /// firing, not among the antecedent's instances: a `retract-ind` can
+    /// shrink a host's recognition without resetting it (ROADMAP.md, "a
+    /// firing can outlive the recognition it rested on"), and such a
+    /// host is no longer an instance yet still holds the consequent.
     fn retract_rule_at(&mut self, rule_ix: usize) -> Result<RetractReport> {
         let _span = classic_obs::span_timed(&self.recorder, "kb.retract_rule", &self.retract_ns);
-        let node = self.rules[rule_ix].node;
-        self.rules[rule_ix].retired = true;
-        if let Some(ix) = self.rules_by_node.get_mut(&node) {
-            ix.retain(|&r| r != rule_ix);
-        }
-        let seeds: BTreeSet<IndId> = self
-            .ind_ids()
-            .filter(|i| self.inds[i.index()].fired_rules.contains(&rule_ix))
-            .collect();
-        let mut journal = Journal::default();
-        match self.rederive_after_retraction(seeds, &mut journal) {
-            Ok(report) => {
-                self.deps.absorb(journal.supports);
-                Ok(report)
-            }
-            Err(e) => {
-                self.rollback(journal);
-                self.rules[rule_ix].retired = false;
-                self.rules_by_node.entry(node).or_default().push(rule_ix);
-                Err(e)
-            }
-        }
+        self.retract(|kb, journal| {
+            let node = kb.rules[rule_ix].node;
+            kb.rules[rule_ix].retired = true;
+            kb.rules_by_node
+                .entry(node)
+                .or_default()
+                .retain(|&r| r != rule_ix);
+            journal.ddl = Some(Ddl::RuleRetired(rule_ix));
+            kb.ind_ids()
+                .filter(|i| kb.inds[i.index()].fired_rules.contains(&rule_ix))
+                .collect()
+        })
     }
 
     /// Build the "unknown rule" error for `retract-rule`: names the
@@ -1223,8 +1214,12 @@ impl Kb {
 
     // ---- rollback ---------------------------------------------------------------
 
-    /// Undo the transaction; returns the primitive keys it had declared.
-    pub(crate) fn rollback(&mut self, journal: Journal) -> Vec<String> {
+    /// Undo the transaction — the only undo there is; returns the
+    /// primitive keys it had declared. In order: the primitive
+    /// declarations, the supports and reverse-filler edges, the
+    /// individuals it created, the ones it touched, and last the one
+    /// schema-sized change, which everything before it may mention.
+    fn rollback(&mut self, journal: Journal) -> Vec<String> {
         // Nothing restored below mentions the primitives the refused
         // descriptions declared.
         let undeclared = journal
@@ -1266,6 +1261,24 @@ impl Kb {
                 self.extensions[n.index()].insert(id);
             }
             self.inds[id.index()] = old;
+        }
+        match journal.ddl {
+            None => {}
+            Some(Ddl::Defined(cname)) => {
+                self.taxonomy.uninsert(cname);
+                self.extensions.truncate(self.taxonomy.len());
+                self.schema.undefine_concept(cname);
+            }
+            Some(Ddl::RulePushed) => {
+                let rule = self.rules.pop().expect("pushed rule present");
+                self.rules_by_node.entry(rule.node).or_default().pop();
+            }
+            Some(Ddl::RuleRetired(rule_ix)) => {
+                let rule = &mut self.rules[rule_ix];
+                rule.retired = false;
+                let live = self.rules_by_node.entry(rule.node).or_default();
+                live.insert(live.partition_point(|&r| r < rule_ix), rule_ix);
+            }
         }
         undeclared
     }

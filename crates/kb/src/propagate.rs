@@ -30,10 +30,19 @@
 //! conjoined sub-descriptions, and each rule fires at most once per
 //! individual — so the fixpoint is bounded by #classes × #individuals
 //! (experiment E4 measures this).
+//!
+//! The worklist belongs to a transaction. Every write operator —
+//! `create-ind`, `assert-ind`, `what-if`, `retract-ind`, `define-concept`
+//! (its roots: the individuals recognized under every parent of the new
+//! node), `assert-rule` (the antecedent's instances), `retract-rule`
+//! (the reset cone), a bulk chunk, a bulk row — stages its roots in
+//! `Kb::transact`, which alone calls [`Propagation::run`] and alone
+//! commits or rolls back; recognition is installed nowhere else, but
+//! for the first recognition of an individual created inside one.
 
 use crate::deps::{Support, SupportKind};
 use crate::individual::IndId;
-use crate::kb::{AssertReport, Journal, Kb};
+use crate::kb::{Journal, Kb};
 use crate::plan::{Effect, TargetRef};
 use classic_core::desc::{IndRef, Path};
 use classic_core::error::{ClassicError, Result};
@@ -87,8 +96,9 @@ pub fn guard_recognizers<T>(f: impl FnOnce() -> T) -> Result<T> {
 pub(crate) struct Propagation;
 
 impl Propagation {
-    /// Drain the worklist to a fixed point. On error the caller rolls the
-    /// journal back.
+    /// Drain the transaction's worklist to a fixed point. On error
+    /// [`Kb::transact`](crate::Kb), the only caller, rolls the journal
+    /// back.
     ///
     /// Every epoch is plan → effects → apply: the worklist drains into a
     /// sorted, deduplicated batch; each item is *planned* read-only
@@ -100,24 +110,24 @@ impl Propagation {
     /// order is `(source id, emission index)` whoever planned, the
     /// thread count cannot even change the schedule: state, journal,
     /// arena layout and step counts are identical at any setting.
-    pub(crate) fn run(
-        kb: &mut Kb,
-        work: &mut VecDeque<IndId>,
-        journal: &mut Journal,
-        report: &mut AssertReport,
-    ) -> Result<()> {
+    pub(crate) fn run(kb: &mut Kb, journal: &mut Journal) -> Result<()> {
+        // A write with no roots (a plain `create-ind`) is no fixpoint:
+        // no span, no sample in the propagation histogram.
+        if journal.work.is_empty() {
+            return Ok(());
+        }
         let _span = classic_obs::span_timed(&kb.recorder, "propagate.fixpoint", &kb.propagate_ns);
         let mut steps = 0u64;
         let mut effects: Vec<Effect> = Vec::new();
         loop {
-            let mut batch: Vec<IndId> = work.drain(..).collect();
+            let mut batch: Vec<IndId> = journal.work.drain(..).collect();
             batch.sort_unstable();
             batch.dedup();
             if batch.is_empty() {
                 break;
             }
             steps += batch.len() as u64;
-            report.steps += batch.len() as u64;
+            journal.report.steps += batch.len() as u64;
             kb.stats.propagation_steps.add(batch.len() as u64);
             // Recomputed every epoch: rule firings and `ALL` propagation
             // create individuals mid-fixpoint, so a bound frozen at entry
@@ -128,7 +138,7 @@ impl Propagation {
             }
             Self::plan_batch(kb, &batch, &mut effects);
             for effect in effects.drain(..) {
-                kb.apply_effect(effect, journal, work, report)?;
+                kb.apply_effect(effect, journal)?;
             }
         }
         classic_obs::event("steps", steps);
@@ -221,13 +231,7 @@ impl Kb {
 
     /// Apply one planned effect. All mutation of the fixpoint happens
     /// here, through the journal, so rollback and provenance see it.
-    pub(crate) fn apply_effect(
-        &mut self,
-        effect: Effect,
-        journal: &mut Journal,
-        work: &mut VecDeque<IndId>,
-        report: &mut AssertReport,
-    ) -> Result<()> {
+    pub(crate) fn apply_effect(&mut self, effect: Effect, journal: &mut Journal) -> Result<()> {
         match effect {
             Effect::Abort { error } => Err(error),
             Effect::ReverseEdge { filler, host } => {
@@ -257,12 +261,12 @@ impl Kb {
                 kind,
             } => {
                 let fid = self.resolve_target(target, journal)?;
-                let changed = self.conjoin_nf(fid, &nf, journal, work)?;
+                let changed = self.conjoin_nf(fid, &nf, journal)?;
                 match kind {
                     SupportKind::All { .. } => {
                         if changed {
                             self.stats.fills_propagations.bump();
-                            report.fills_propagated += 1;
+                            journal.report.fills_propagated += 1;
                         }
                         // Recorded whether or not the conjunction changed
                         // anything: the support set must be a function of
@@ -278,7 +282,7 @@ impl Kb {
                     SupportKind::Coref { .. } => {
                         if changed {
                             self.stats.coref_propagations.bump();
-                            report.corefs_derived += 1;
+                            journal.report.corefs_derived += 1;
                             journal.note_support(Support {
                                 target: fid,
                                 source,
@@ -295,7 +299,7 @@ impl Kb {
                 // it. Re-planning it next epoch is a no-op once nothing
                 // changes, so the fixed point is the same.
                 if changed {
-                    work.push_back(source);
+                    journal.work.push_back(source);
                 }
                 Ok(())
             }
@@ -314,15 +318,13 @@ impl Kb {
                 }
                 journal.touch(self, ind);
                 self.install_recognition(ind, qualifying, msc);
-                report.reclassified += 1;
+                journal.report.reclassified += 1;
                 // Individuals holding `ind` as a filler may now pass
                 // instance checks that enumerate closed-role fillers.
-                work.extend(self.hosts_of(ind));
+                journal.work.extend(self.hosts_of(ind));
                 Ok(())
             }
-            Effect::FireRule { ind, rule_ix } => {
-                self.apply_rule_firing(ind, rule_ix, journal, work, report)
-            }
+            Effect::FireRule { ind, rule_ix } => self.apply_rule_firing(ind, rule_ix, journal),
         }
     }
 
@@ -333,8 +335,6 @@ impl Kb {
         id: IndId,
         rule_ix: usize,
         journal: &mut Journal,
-        work: &mut VecDeque<IndId>,
-        report: &mut AssertReport,
     ) -> Result<()> {
         if self.inds[id.index()].fired_rules.contains(&rule_ix) {
             return Ok(());
@@ -349,7 +349,7 @@ impl Kb {
         let changed = ind.derived != before;
         self.stats.rules_fired.bump();
         classic_obs::event("rule_fired", rule_ix as u64);
-        report.rules_fired += 1;
+        journal.report.rules_fired += 1;
         // As with ALL-propagation, the support is recorded even when
         // the consequent added nothing — firing is a fact about the
         // fixed point, not about what the conjunction changed.
@@ -359,8 +359,8 @@ impl Kb {
             kind: SupportKind::Rule { index: rule_ix },
         });
         if changed {
-            work.push_back(id);
-            work.extend(self.hosts_of(id));
+            journal.work.push_back(id);
+            journal.work.extend(self.hosts_of(id));
         }
         Ok(())
     }
@@ -373,7 +373,6 @@ impl Kb {
         target: IndId,
         nf: &NormalForm,
         journal: &mut Journal,
-        work: &mut VecDeque<IndId>,
     ) -> Result<bool> {
         // Cheap monotone short-circuit: nothing to add if the target is
         // already at least as specific.
@@ -389,7 +388,7 @@ impl Kb {
                 reason: clash.clone(),
             });
         }
-        work.push_back(target);
+        journal.work.push_back(target);
         Ok(true)
     }
 
@@ -438,21 +437,9 @@ impl Kb {
 
     // ---- recognition ----------------------------------------------------
 
-    /// Re-realize one individual outside a fixpoint (a new definition
-    /// or a new individual): recompute the schema concepts it provably
-    /// belongs to and install them.
-    pub(crate) fn realize(&mut self, id: IndId) -> Result<()> {
-        self.stats.realizations.bump();
-        let (qualifying, msc) = guard_recognizers(|| self.compute_recognition(id))?;
-        if self.inds[id.index()].instance_nodes != qualifying {
-            self.install_recognition(id, qualifying, msc);
-        }
-        Ok(())
-    }
-
     /// Replace `id`'s recognized concepts and most-specific frontier,
     /// keeping the extension index in step.
-    fn install_recognition(
+    pub(crate) fn install_recognition(
         &mut self,
         id: IndId,
         qualifying: BTreeSet<NodeId>,

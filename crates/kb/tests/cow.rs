@@ -7,8 +7,17 @@
 //! cut and dropped at random points; each clone must remain, for as long
 //! as it lives, the state a *replay* of the writes accepted before its
 //! cut produces on a KB that shares nothing with anything.
+//!
+//! The same histories are the oracle for the transaction every write
+//! runs in: a clone is cut before each step, and a step that is refused
+//! — a clash, a name nothing defines, a redefinition, a `TEST` recognizer
+//! that panics, whichever of the write operators it was — must leave the
+//! primary indistinguishable from it, schema, taxonomy, rule table and
+//! primitive declarations included; and after every step, accepted or
+//! not, the primary is a fixed point of the propagation step.
 
 use classic_core::desc::{Concept, IndRef};
+use classic_core::error::ClassicError;
 use classic_core::schema::TestArg;
 use classic_core::symbol::RoleId;
 use classic_kb::{BulkRow, Kb};
@@ -22,6 +31,9 @@ const N_ROLES: usize = 2;
 /// Fillers of `Hub`'s `member` role: wide enough (≥ 64) that a cascade
 /// over them is planned on worker threads when the KB has any.
 const N_MEMBERS: usize = 70;
+/// Concept names a history may define (`N0`…), and primitive indices it
+/// may declare (`q0`…).
+const N_NAMES: usize = 3;
 
 /// The schema every history starts from, with every name a history can
 /// mention interned up front — ids are then the same in the primary, in
@@ -53,7 +65,9 @@ fn base(threads: usize, armed: &Arc<AtomicBool>) -> Kb {
         .unwrap();
     kb.define_concept("SUSPECT", Concept::and([p0, Concept::Test(fragile)]))
         .unwrap();
-    for k in 0..3 {
+    // Every individual is an ANY, so a rule on it is due on a bare one.
+    kb.define_concept("ANY", Concept::thing()).unwrap();
+    for k in 0..N_NAMES {
         kb.schema_mut().symbols.concept(&format!("N{k}"));
     }
     for i in 0..N_INDS {
@@ -78,8 +92,9 @@ enum Op {
     WhatIf(usize, Desc),
     /// Retract the told fact `pick` selects among those still standing.
     Retract(usize),
-    /// `assert-rule BUSY <desc>`; refused if it contradicts an instance.
-    Rule(Desc),
+    /// `assert-rule BUSY <desc>` (or `ANY`, which a bare individual
+    /// satisfies); refused if it contradicts an instance.
+    Rule(bool, Desc),
     /// Retract the rule `pick` selects among the live ones.
     RetractRule(usize),
     /// Rows `(target, desc)`; clashing rows are refused one by one.
@@ -91,6 +106,9 @@ enum Op {
     Panic(usize),
     /// Tell `Hub` that every member is a `P0`: one wide epoch.
     HubAll,
+    /// Any of the above while the recognizer panics: refused wherever the
+    /// step has to run it.
+    Armed(Box<Op>),
     /// Cut a clone here.
     Cut,
     /// Drop the clone `pick` selects among the live ones.
@@ -105,6 +123,15 @@ enum Desc {
     AtMost(usize, u32),
     Fills(usize, usize),
     AllP0(usize),
+    /// `(PRIMITIVE THING q{k})`: declares the atom the first time a
+    /// telling that mentions it is accepted.
+    Prim(usize),
+    /// `N{k}`: a name nothing defines, until a history defines it.
+    Named(usize),
+    /// `(TEST fragile)`, with no primitive in front: as a definition it
+    /// runs the recognizer on every individual there is, and on every
+    /// one created afterwards.
+    Fragile,
     /// Never satisfiable: `(AND (AT-LEAST 1 r) (AT-MOST 0 r))` beside a
     /// filler that would have to be created.
     Clash(usize),
@@ -122,6 +149,9 @@ impl Desc {
             Desc::AtMost(r, n) => Concept::AtMost(*n, role(r)),
             Desc::Fills(r, j) => Concept::Fills(role(r), vec![x(j)]),
             Desc::AllP0(r) => Concept::all(role(r), p0),
+            Desc::Prim(k) => Concept::primitive(Concept::thing(), &format!("q{k}")),
+            Desc::Named(k) => Concept::Name(symbols.find_concept(&format!("N{k}")).unwrap()),
+            Desc::Fragile => Concept::Test(symbols.find_test("fragile").unwrap()),
             Desc::Clash(r) => Concept::and([
                 Concept::Fills(
                     role(r),
@@ -141,21 +171,31 @@ fn desc_strategy() -> impl Strategy<Value = Desc> {
         1 => (0..N_ROLES, 0u32..3).prop_map(|(r, n)| Desc::AtMost(r, n)),
         3 => (0..N_ROLES, 0..N_INDS).prop_map(|(r, j)| Desc::Fills(r, j)),
         1 => (0..N_ROLES).prop_map(Desc::AllP0),
+        1 => (0..N_NAMES).prop_map(Desc::Prim),
+        1 => (0..N_NAMES).prop_map(Desc::Named),
+        1 => Just(Desc::Fragile),
         1 => (0..N_ROLES).prop_map(Desc::Clash),
     ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        7 => plain_op_strategy(),
+        1 => plain_op_strategy().prop_map(|op| Op::Armed(Box::new(op))),
+    ]
+}
+
+fn plain_op_strategy() -> impl Strategy<Value = Op> {
     let row = (0..N_INDS, desc_strategy());
     prop_oneof![
         2 => (0..N_INDS).prop_map(Op::Create),
         6 => (0..N_INDS, desc_strategy()).prop_map(|(i, d)| Op::Assert(i, d)),
         2 => (0..N_INDS, desc_strategy()).prop_map(|(i, d)| Op::WhatIf(i, d)),
         3 => (0usize..64).prop_map(Op::Retract),
-        1 => desc_strategy().prop_map(Op::Rule),
+        2 => (0usize..2, desc_strategy()).prop_map(|(any, d)| Op::Rule(any == 1, d)),
         1 => (0usize..8).prop_map(Op::RetractRule),
         2 => proptest::collection::vec(row, 1..6).prop_map(Op::Bulk),
-        1 => (0usize..3, desc_strategy()).prop_map(|(k, d)| Op::Define(k, d)),
+        2 => (0..N_NAMES, desc_strategy()).prop_map(|(k, d)| Op::Define(k, d)),
         1 => (0..N_INDS).prop_map(Op::Panic),
         1 => Just(Op::HubAll),
         4 => Just(Op::Cut),
@@ -169,8 +209,8 @@ enum Logged {
     Create(String),
     Assert(String, Concept),
     Retract(String, Concept),
-    Rule(Concept),
-    RetractRule(Concept),
+    Rule(&'static str, Concept),
+    RetractRule(&'static str, Concept),
     Define(String, Concept),
     Bulk(Vec<BulkRow>),
 }
@@ -181,8 +221,8 @@ impl Logged {
             Logged::Create(name) => kb.create_ind(name).map(drop),
             Logged::Assert(name, c) => kb.assert_ind(name, c).map(drop),
             Logged::Retract(name, c) => kb.retract_ind(name, c).map(drop),
-            Logged::Rule(c) => kb.assert_rule("BUSY", c.clone()).map(drop),
-            Logged::RetractRule(c) => kb.retract_rule("BUSY", c).map(drop),
+            Logged::Rule(on, c) => kb.assert_rule(on, c.clone()).map(drop),
+            Logged::RetractRule(on, c) => kb.retract_rule(on, c).map(drop),
             Logged::Define(name, c) => kb.define_concept(name, c.clone()).map(drop),
             Logged::Bulk(rows) => {
                 assert_eq!(kb.bulk_assert(rows).accepted, rows.len(), "{self:?}");
@@ -247,62 +287,96 @@ impl Pinned {
     }
 }
 
-fn run_history(ops: &[Op], threads: usize) {
-    let armed = Arc::new(AtomicBool::new(false));
-    let mut kb = base(threads, &armed);
-    let mut log: Vec<Logged> = Vec::new();
-    // Told facts still standing, and live rules, for the retractions.
-    let mut told: Vec<(String, Concept)> = Vec::new();
-    let mut rules: Vec<Concept> = Vec::new();
-    let mut clones: Vec<Pinned> = vec![Pinned {
-        kb: kb.clone(),
-        cut: 0,
-    }];
-    let x = |i: &usize| format!("x{i}");
-    for (step, op) in ops.iter().enumerate() {
+/// What a refused write must leave alone beyond what `same_state`
+/// compares: the sizes of the schema, the taxonomy and the rule table
+/// (live and retired), and which of the `q{k}` atoms are declared.
+fn schema_shape(kb: &Kb) -> (usize, usize, usize, usize, Vec<bool>) {
+    let declared = |k| {
+        let mention = kb.normalize(&Desc::Prim(k).concept(kb));
+        !matches!(mention, Err(ClassicError::UndefinedName { .. }))
+    };
+    (
+        kb.schema().concept_count(),
+        kb.taxonomy().len(),
+        kb.rules().len(),
+        kb.active_rules().count(),
+        (0..N_NAMES).map(declared).collect(),
+    )
+}
+
+/// A primary, the accepted writes that built it, and the clones cut
+/// along the way.
+struct History {
+    kb: Kb,
+    armed: Arc<AtomicBool>,
+    log: Vec<Logged>,
+    /// Told facts still standing, and live rules, for the retractions.
+    told: Vec<(String, Concept)>,
+    rules: Vec<(&'static str, Concept)>,
+    clones: Vec<Pinned>,
+}
+
+impl History {
+    /// Run one step; `false` if it was a write and was refused whole.
+    fn step(&mut self, op: &Op) -> bool {
+        let x = |i: &usize| format!("x{i}");
+        let kb = &mut self.kb;
         match op {
             Op::Create(i) => {
-                if kb.create_ind(&x(i)).is_ok() {
-                    log.push(Logged::Create(x(i)));
+                let created = kb.create_ind(&x(i)).is_ok();
+                if created {
+                    self.log.push(Logged::Create(x(i)));
                 }
+                created
             }
-            Op::Assert(i, d) => {
-                let c = d.concept(&kb);
-                if kb.assert_ind(&x(i), &c).is_ok() {
-                    told.push((x(i), c.clone()));
-                    log.push(Logged::Assert(x(i), c));
-                }
+            Op::Assert(i, d) => self.tell(&x(i), d.concept(&self.kb)),
+            Op::WhatIf(i, d) => {
+                drop(kb.what_if(&x(i), &d.concept(kb)));
+                false
             }
-            Op::WhatIf(i, d) => drop(kb.what_if(&x(i), &d.concept(&kb))),
-            Op::Retract(pick) if !told.is_empty() => {
-                let (name, c) = told.remove(pick % told.len());
+            Op::Retract(pick) if !self.told.is_empty() => {
+                let (name, c) = self.told.remove(pick % self.told.len());
                 // Order-dependent told sets can refuse a retraction;
                 // refused, the fact stands.
-                match kb.retract_ind(&name, &c) {
-                    Ok(_) => log.push(Logged::Retract(name, c)),
-                    Err(_) => told.push((name, c)),
+                let retracted = kb.retract_ind(&name, &c).is_ok();
+                match retracted {
+                    true => self.log.push(Logged::Retract(name, c)),
+                    false => self.told.push((name, c)),
                 }
+                retracted
             }
-            Op::Rule(d) => {
-                let c = d.concept(&kb);
-                if kb.assert_rule("BUSY", c.clone()).is_ok() {
-                    rules.push(c.clone());
-                    log.push(Logged::Rule(c));
+            Op::Rule(any, d) => {
+                let (on, c) = (if *any { "ANY" } else { "BUSY" }, d.concept(kb));
+                let asserted = kb.assert_rule(on, c.clone()).is_ok();
+                if asserted {
+                    self.rules.push((on, c.clone()));
+                    self.log.push(Logged::Rule(on, c));
                 }
+                asserted
             }
-            Op::RetractRule(pick) if !rules.is_empty() => {
-                let c = rules.remove(pick % rules.len());
-                match kb.retract_rule("BUSY", &c) {
-                    Ok(_) => log.push(Logged::RetractRule(c)),
-                    Err(_) => rules.push(c),
+            Op::RetractRule(pick) if !self.rules.is_empty() => {
+                let (on, c) = self.rules.remove(pick % self.rules.len());
+                // The two spellings in turn: by antecedent and consequent,
+                // and by the id of the rule that names.
+                let live = |(_, r): &(usize, &classic_kb::Rule)| {
+                    r.consequent == c && kb.schema().symbols.concept_name(r.antecedent) == on
+                };
+                let outcome = match kb.active_rules().filter(live).last() {
+                    Some((id, _)) if pick % 2 == 1 => kb.retract_rule_by_id(id),
+                    _ => kb.retract_rule(on, &c),
+                };
+                match outcome.is_ok() {
+                    true => self.log.push(Logged::RetractRule(on, c)),
+                    false => self.rules.push((on, c)),
                 }
+                outcome.is_ok()
             }
             Op::Bulk(rows) => {
                 let rows: Vec<BulkRow> = rows
                     .iter()
                     .map(|(i, d)| BulkRow {
                         name: x(i),
-                        desc: d.concept(&kb),
+                        desc: d.concept(kb),
                     })
                     .collect();
                 let report = kb.bulk_assert(&rows);
@@ -312,54 +386,103 @@ fn run_history(ops: &[Op], threads: usize) {
                     .filter_map(|(row, ok)| ok.then_some(row))
                     .collect();
                 for row in &accepted {
-                    told.push((row.name.clone(), row.desc.clone()));
+                    self.told.push((row.name.clone(), row.desc.clone()));
                 }
-                if !accepted.is_empty() {
-                    log.push(Logged::Bulk(accepted));
+                let any = !accepted.is_empty();
+                if any {
+                    self.log.push(Logged::Bulk(accepted));
                 }
+                any
             }
             Op::Define(k, d) => {
-                let (name, c) = (format!("N{k}"), d.concept(&kb));
-                if kb.define_concept(&name, c.clone()).is_ok() {
-                    log.push(Logged::Define(name, c));
+                let (name, c) = (format!("N{k}"), d.concept(kb));
+                let defined = kb.define_concept(&name, c.clone()).is_ok();
+                if defined {
+                    self.log.push(Logged::Define(name, c));
                 }
+                defined
             }
-            Op::Panic(i) => {
-                let c = Desc::P0.concept(&kb);
-                armed.store(true, Ordering::SeqCst);
-                let outcome = kb.assert_ind(&x(i), &c);
-                armed.store(false, Ordering::SeqCst);
-                if outcome.is_ok() {
-                    told.push((x(i), c.clone()));
-                    log.push(Logged::Assert(x(i), c));
-                }
-            }
+            Op::Panic(i) => self.step(&Op::Armed(Box::new(Op::Assert(*i, Desc::P0)))),
             Op::HubAll => {
                 let member = kb.schema().symbols.find_role("member").unwrap();
-                let c = Concept::all(member, Desc::P0.concept(&kb));
-                if kb.assert_ind("Hub", &c).is_ok() {
-                    told.push(("Hub".to_owned(), c.clone()));
-                    log.push(Logged::Assert("Hub".to_owned(), c));
-                }
+                let c = Concept::all(member, Desc::P0.concept(kb));
+                self.tell("Hub", c)
             }
-            Op::Cut => clones.push(Pinned {
-                kb: kb.clone(),
-                cut: log.len(),
-            }),
-            Op::Drop(pick) if !clones.is_empty() => {
-                clones.remove(pick % clones.len());
+            Op::Armed(op) => {
+                self.armed.store(true, Ordering::SeqCst);
+                let accepted = self.step(op);
+                self.armed.store(false, Ordering::SeqCst);
+                accepted
             }
-            Op::Retract(_) | Op::RetractRule(_) | Op::Drop(_) => {}
+            Op::Cut => {
+                self.clones.push(Pinned {
+                    kb: kb.clone(),
+                    cut: self.log.len(),
+                });
+                true
+            }
+            Op::Drop(pick) if !self.clones.is_empty() => {
+                self.clones.remove(pick % self.clones.len());
+                true
+            }
+            Op::Retract(_) | Op::RetractRule(_) | Op::Drop(_) => true,
         }
+    }
+
+    /// `assert-ind name c`.
+    fn tell(&mut self, name: &str, c: Concept) -> bool {
+        let told = self.kb.assert_ind(name, &c).is_ok();
+        if told {
+            self.told.push((name.to_owned(), c.clone()));
+            self.log.push(Logged::Assert(name.to_owned(), c));
+        }
+        told
+    }
+}
+
+fn run_history(ops: &[Op], threads: usize) {
+    let armed = Arc::new(AtomicBool::new(false));
+    let kb = base(threads, &armed);
+    let mut h = History {
+        clones: vec![Pinned {
+            kb: kb.clone(),
+            cut: 0,
+        }],
+        kb,
+        armed,
+        log: Vec::new(),
+        told: Vec::new(),
+        rules: Vec::new(),
+    };
+    for (step, op) in ops.iter().enumerate() {
+        let context = format!("threads {threads}, after step {step} ({op:?})");
+        let before = h.kb.clone();
+        if !h.step(op) {
+            // Refused means untouched.
+            assert!(
+                same_state(&before, &h.kb) && same_state(&h.kb, &before),
+                "{context}: a refused write left a trace"
+            );
+            assert_eq!(schema_shape(&before), schema_shape(&h.kb), "{context}");
+        }
+        // Accepted means closed (and refused, still closed).
+        h.kb.check_invariants()
+            .unwrap_or_else(|e| panic!("{context}: {e}"));
         // One clone a step, in rotation, so every one is checked against
         // writes, rollbacks and drops that came after it.
-        if !clones.is_empty() {
-            let context = format!("threads {threads}, after step {step} ({op:?})");
-            clones[step % clones.len()].check(&log, threads, &armed, &context);
+        if !h.clones.is_empty() {
+            h.clones[step % h.clones.len()].check(&h.log, threads, &h.armed, &context);
         }
     }
     // The primary is a version too; then every clone, last of all after
     // the primary itself is gone.
+    let History {
+        kb,
+        armed,
+        log,
+        mut clones,
+        ..
+    } = h;
     clones.push(Pinned { cut: log.len(), kb });
     for (ix, pinned) in clones.iter().enumerate() {
         pinned.check(

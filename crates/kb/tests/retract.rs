@@ -11,7 +11,7 @@ use classic_core::desc::{Concept, IndRef};
 use classic_core::normal::NormalForm;
 use classic_core::symbol::RoleId;
 use classic_core::ClassicError;
-use classic_kb::Kb;
+use classic_kb::{IndId, Kb};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -133,6 +133,52 @@ fn retracting_a_rule_withdraws_its_consequences() {
     let student = kb.schema().symbols.find_concept("STUDENT").unwrap();
     assert!(kb.is_instance_of(rocky, student).unwrap());
     assert_eq!(kb.active_rules().count(), 0);
+    kb.check_invariants().unwrap();
+}
+
+/// A closed role's `ALL` is recognized from what its fillers are, and no
+/// support records that: retracting the filler's told fact drops the
+/// host out of the antecedent without resetting it, so it keeps the
+/// firing (ROADMAP.md, "a firing can outlive the recognition it rested
+/// on"). `retract-rule` must still find it — it scans for the firing,
+/// not the antecedent's instances.
+#[test]
+fn retracting_a_rule_repairs_a_host_that_left_its_antecedent() {
+    let mut kb = Kb::new();
+    let r = kb.define_role("r").unwrap();
+    kb.define_concept("P", Concept::primitive(Concept::thing(), "p"))
+        .unwrap();
+    kb.define_concept("Q", Concept::primitive(Concept::thing(), "q"))
+        .unwrap();
+    let p = kb.schema().symbols.find_concept("P").unwrap();
+    let q = kb.schema().symbols.find_concept("Q").unwrap();
+    kb.define_concept(
+        "ALLP",
+        Concept::and([Concept::AtLeast(1, r), Concept::all(r, Concept::Name(p))]),
+    )
+    .unwrap();
+    let allp = kb.schema().symbols.find_concept("ALLP").unwrap();
+    let rule = kb.assert_rule("ALLP", Concept::Name(q)).unwrap();
+
+    let h = kb.create_ind("H").unwrap();
+    let f = IndRef::Classic(kb.schema_mut().symbols.individual("F"));
+    kb.assert_ind("H", &Concept::Fills(r, vec![f])).unwrap();
+    kb.assert_ind("H", &Concept::Close(r)).unwrap();
+    kb.assert_ind("F", &Concept::Name(p)).unwrap();
+    assert!(kb.is_instance_of(h, allp).unwrap());
+    assert!(kb.is_instance_of(h, q).unwrap(), "the rule fired on H");
+
+    kb.retract_ind("F", &Concept::Name(p)).unwrap();
+    assert!(!kb.is_instance_of(h, allp).unwrap());
+    assert_eq!(seeds_by_scan(&kb, rule), BTreeSet::from([h]));
+
+    let report = kb.retract_rule_by_id(rule).unwrap();
+    assert_eq!(report.reset, 1, "H is found and reset");
+    assert!(
+        !kb.is_instance_of(h, q).unwrap(),
+        "no live rule or told fact is behind Q"
+    );
+    assert!(kb.ind(h).fired_rules.is_empty());
     kb.check_invariants().unwrap();
 }
 
@@ -307,6 +353,16 @@ fn op_concept(kb: &mut Kb, op: &Op) -> Option<(String, Concept)> {
     }
 }
 
+/// Where `retract-rule` starts: the individuals the rule has fired on,
+/// found by scanning the whole arena — the antecedent's instances alone
+/// are not enough, see
+/// `retracting_a_rule_repairs_a_host_that_left_its_antecedent`.
+fn seeds_by_scan(kb: &Kb, rule_ix: usize) -> BTreeSet<IndId> {
+    kb.ind_ids()
+        .filter(|&id| kb.ind(id).fired_rules.contains(&rule_ix))
+        .collect()
+}
+
 /// A complete, comparable fingerprint of database state.
 fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
     kb.ind_ids()
@@ -364,6 +420,15 @@ proptest! {
                 .assert_ind(name, c)
                 .expect("surviving told set is jointly consistent");
         }
+        prop_assert_eq!(fingerprint(&kb), fingerprint(&rebuilt));
+        // Retracting the rule resets exactly the cone of the scan's
+        // seeds, on the incremental database and the rebuilt one alike.
+        let cone = kb.deps().affected_from(&seeds_by_scan(&kb, 0)).len() as u64;
+        let report = kb.retract_rule_by_id(0).expect("the rule is live");
+        prop_assert_eq!(report.reset, cone);
+        let again = rebuilt.retract_rule_by_id(0).expect("the rule is live");
+        prop_assert_eq!((report.reset, report.requeued), (again.reset, again.requeued));
+        kb.check_invariants().expect("invariants hold without the rule");
         prop_assert_eq!(fingerprint(&kb), fingerprint(&rebuilt));
         // And the two databases answer queries identically.
         let q = Concept::and([

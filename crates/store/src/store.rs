@@ -673,10 +673,14 @@ impl DurableKb {
     ///
     /// The log is written one command per line with a flush per append,
     /// so the only corruption a crash can produce is an incomplete final
-    /// line. Recovery truncates that tail (after which the log is
-    /// exactly the accepted history again); a malformed line *followed
-    /// by* valid ones is genuine corruption and is reported as an error
-    /// rather than repaired.
+    /// line: one that lacks its newline, or does not read as a form.
+    /// Recovery truncates that tail (after which the log is exactly the
+    /// accepted history again). Anything else is reported as an error and
+    /// the file left byte for byte alone: a malformed line *followed by*
+    /// valid ones is genuine corruption, and a complete record the
+    /// knowledge base refuses — a `TEST` nobody registered this time, a
+    /// history this build replays differently — was acknowledged when it
+    /// was written, so cutting it off would lose a write silently.
     fn replay_log_file(&mut self, path: &Path, allow_torn: bool) -> Result<u64> {
         let raw = read_file(path)?;
         let gen = parse_gen(&raw);
@@ -705,6 +709,14 @@ impl DurableKb {
                 Ok(()) => {
                     good_end = offset;
                     ops += 1;
+                }
+                Err(e) if line.ends_with('\n') && classic_lang::parse(text).is_ok() => {
+                    let cause = e.display(&self.kb.schema().symbols);
+                    let detail = format!(
+                        "the record ending at byte {offset} is complete but was refused \
+                         (nothing was truncated): {cause}"
+                    );
+                    return Err(storage_err(path, Some(gen), detail));
                 }
                 Err(e) => pending_failure = Some(e),
             }
@@ -1618,6 +1630,51 @@ mod tests {
         assert_eq!(recovered.len(), good_len);
         // Reopening again is clean.
         DurableKb::open(&path, |_| {}).unwrap();
+    }
+
+    /// A complete, newline-terminated, well-formed final record that
+    /// replay refuses was acknowledged once: opening is an error that
+    /// names the file and the cause, and the log keeps every byte.
+    #[test]
+    fn a_complete_final_record_the_kb_refuses_is_an_error_and_is_not_truncated() {
+        let refused = [
+            // Names a TEST this opener does not register.
+            ("(define-concept EVEN (TEST even))", "even"),
+            // Well-formed, but nothing defines CHECKED.
+            ("(assert-ind Rocky CHECKED)", "CHECKED"),
+            // Resolves, and the knowledge base rejects it.
+            ("(create-ind Rocky)", "Rocky"),
+        ];
+        for (ix, (record, cause)) in refused.into_iter().enumerate() {
+            let dir = tmpdir(&format!("refused-tail-{ix}"));
+            let path = dir.join("kb.log");
+            let mut store = DurableKb::open(&path, |_| {}).unwrap();
+            populate(&mut store);
+            drop(store);
+            let mut raw = std::fs::read(&path).unwrap();
+            raw.extend_from_slice(format!("{record}\n").as_bytes());
+            std::fs::write(&path, &raw).unwrap();
+
+            let err = match DurableKb::open(&path, |_| {}) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("{record}: a refused complete record must not open"),
+            };
+            assert!(
+                err.contains("kb.log") && err.contains("generation"),
+                "{err}"
+            );
+            assert!(err.contains("complete but was refused"), "{err}");
+            assert!(err.contains(cause), "must name the cause: {err}");
+            assert_eq!(std::fs::read(&path).unwrap(), raw, "{record}: log touched");
+
+            // The same record without its newline was never acknowledged:
+            // that is a torn tail, truncated and opened as ever.
+            raw.pop();
+            std::fs::write(&path, &raw).unwrap();
+            DurableKb::open(&path, |_| {}).unwrap();
+            let recovered = std::fs::read(&path).unwrap();
+            assert_eq!(recovered, raw[..raw.len() - record.len()]);
+        }
     }
 
     #[test]

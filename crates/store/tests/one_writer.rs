@@ -216,6 +216,120 @@ fn unwritable_names_are_refused_with_nothing_logged() {
     assert_eq!(kb.active_rules().count(), 0);
 }
 
+/// Writes the knowledge base refuses, every kind of them, each as the
+/// recognizer rests and as it panics (`true`): a redefinition, a name
+/// nothing defines, a clash, somebody who exists, a fact never told, a
+/// rule never asserted. Each is refused inside its transaction, with the
+/// `d` it carries declared by then.
+const REFUSED_BY_THE_KB: [(bool, &str); 19] = [
+    (false, "(define-concept C (PRIMITIVE THING d))"),
+    (false, "(define-concept D (AND (PRIMITIVE THING d) NOSUCH))"),
+    (
+        true,
+        "(define-concept CHECKED (AND (TEST brittle) (ALL r (PRIMITIVE THING d))))",
+    ),
+    // What the refused definition would have let in — once accepted,
+    // acknowledged, and cut off the log at the next open.
+    (false, "(assert-ind X CHECKED)"),
+    (false, "(create-ind X)"),
+    (true, "(create-ind Z)"),
+    (
+        false,
+        "(assert-ind X (AND (PRIMITIVE THING d) (AT-MOST 0 r)))",
+    ),
+    (true, "(assert-ind Y (AND (PRIMITIVE THING d) C))"),
+    (
+        false,
+        "(assert-rule C (AND (PRIMITIVE THING d) (AT-MOST 0 r)))",
+    ),
+    (
+        false,
+        "(assert-rule ANY (AND (PRIMITIVE THING d) (AT-MOST 0 r)))",
+    ),
+    (true, "(assert-rule C (PRIMITIVE THING d))"),
+    (false, "(retract-ind Y C)"),
+    (true, "(retract-ind X C)"),
+    (false, "(retract-rule C THING)"),
+    (true, "(retract-rule C (AT-MOST 9 r))"),
+    (false, "(retract-rule 7)"),
+    (true, "(retract-rule 0)"),
+    (
+        false,
+        "(bulk-load (into (AND C (AT-MOST 0 r))) (roles r) (row X 1) (row Y 2))",
+    ),
+    (true, "(bulk-load (into C) (roles r) (row Y 2) (row Z 3))"),
+];
+
+/// Through the durable store, none of them logs a byte, and the store
+/// reopens to the live one.
+#[test]
+fn writes_the_kb_refuses_are_not_logged_and_the_store_reopens_to_the_live_one() {
+    let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let configure = |kb: &mut Kb| {
+        for test in ["fragile", "brittle"] {
+            let switch = std::sync::Arc::clone(&armed);
+            kb.register_test(test, move |_| {
+                assert!(!switch.load(Ordering::SeqCst), "recognizer blew up");
+                false
+            });
+        }
+    };
+    // Whether the store accepted the form, or any row of it.
+    let run = |store: &mut DurableKb, form: &str| {
+        let cmd = classic_lang::parse(form).unwrap().pop().unwrap();
+        match store.eval_durable(&cmd) {
+            Ok(classic_lang::Outcome::BulkLoaded(report)) => report.accepted > 0,
+            outcome => outcome.is_ok(),
+        }
+    };
+    let dir = tmpdir("refused");
+    let path = dir.join("kb.log");
+    let mut store = DurableKb::open(&path, configure).unwrap();
+    // WATCHED runs the recognizer on everybody; everybody is an ANY.
+    for form in [
+        "(define-role r)",
+        "(define-concept C (PRIMITIVE THING c))",
+        "(define-concept WATCHED (TEST fragile))",
+        "(define-concept ANY THING)",
+        "(create-ind X)",
+        "(create-ind Y)",
+        "(assert-ind X C)",
+        "(assert-ind X (AT-LEAST 1 r))",
+        "(assert-rule C (AT-MOST 9 r))",
+    ] {
+        assert!(run(&mut store, form), "{form}");
+    }
+    let logged = std::fs::read(&path).unwrap();
+    for (panicking, form) in REFUSED_BY_THE_KB {
+        armed.store(panicking, Ordering::SeqCst);
+        let accepted = run(&mut store, form);
+        armed.store(false, Ordering::SeqCst);
+        assert!(!accepted, "{form} was accepted");
+        assert_eq!(logged, std::fs::read(&path).unwrap(), "{form} was logged");
+    }
+    let live = store.kb().unwrap().clone();
+    live.check_invariants().unwrap();
+    drop(store);
+
+    let mut reopened = DurableKb::open(&path, configure).unwrap();
+    let kb = reopened.kb().unwrap();
+    assert!(same_state(&live, kb) && same_state(kb, &live));
+    assert_eq!(logged, std::fs::read(&path).unwrap());
+    // Every name and index a refusal mentioned is still free.
+    for form in [
+        "(define-concept CHECKED (PRIMITIVE C d))",
+        "(create-ind Z)",
+        "(assert-ind Z CHECKED)",
+    ] {
+        assert!(run(&mut reopened, form), "{form}");
+    }
+    let live = reopened.kb().unwrap().clone();
+    drop(reopened);
+    let again = DurableKb::open(&path, configure).unwrap();
+    let kb = again.kb().unwrap();
+    assert!(same_state(&live, kb) && same_state(kb, &live));
+}
+
 // ---- (e) stores written by earlier builds read back what was acknowledged -
 
 /// A log and segments written by the parent build (451d5d1), whose string

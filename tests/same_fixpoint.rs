@@ -21,6 +21,11 @@
 //! be the database its log reopens to — down to which later definitions
 //! it accepts.
 //!
+//! Nor a refused write of any kind, on any way: a `define-concept` whose
+//! recognizer panics, an `assert-rule` an instance contradicts and a
+//! `create-ind` of somebody who exists are tried throughout all three,
+//! and each must end as the per-op database that was never asked.
+//!
 //! And no version may show what came after it: each way is cut halfway —
 //! a `Kb::clone`, which shares its storage with the database that goes
 //! on taking the rest — and the clone must end the history as the
@@ -112,10 +117,37 @@ fn history(seed: u64) -> Vec<Op> {
         .collect()
 }
 
+/// Writes every way is offered again and again, and refuses every time:
+/// the recognizer panics on the first individual it is run on, `witness`
+/// has a job, and `crime-0` exists. Each is refused inside its
+/// transaction — the definition is classified, the rule is in the table
+/// and firing — and the primitives two of them carry are declared by then.
+const REFUSED: [&str; 3] = [
+    "(define-concept WATCHED (AND (TEST fragile) (ALL jobs (PRIMITIVE THING watched))))",
+    "(assert-rule PERSON (AND (PRIMITIVE THING idle) (AT-MOST 0 jobs)))",
+    "(create-ind crime-0)",
+];
+/// How many operations pass between two rounds of [`REFUSED`].
+const REFUSE_EVERY: usize = 40;
+
+fn fragile(_: &classic::core::schema::TestArg<'_>) -> bool {
+    panic!("fragile recognizer blew up")
+}
+
+/// Offer every write of [`REFUSED`] through `run`, which says whether it
+/// was accepted.
+fn offer_the_refused(run: &mut dyn FnMut(&classic::lang::Command) -> bool) {
+    for form in REFUSED {
+        let cmd = parse(form).expect("parses").pop().expect("one form");
+        assert!(!run(&cmd), "{form} must be refused");
+    }
+}
+
 /// The schema plus every crime and suspect as a bare individual; victims
 /// and sites come into being by being referenced.
 fn prepare(run: &mut dyn FnMut(&str)) {
     run(SCHEMA);
+    run("(create-ind witness) (assert-ind witness (AND PERSON (AT-LEAST 1 jobs)))");
     for i in 0..CRIMES {
         run(&format!("(create-ind crime-{i}) (create-ind suspect-{i})"));
     }
@@ -124,6 +156,7 @@ fn prepare(run: &mut dyn FnMut(&str)) {
 fn fresh_kb(threads: usize) -> Kb {
     let mut kb = Kb::new();
     kb.set_propagation_threads(threads);
+    kb.register_test("fragile", fragile);
     prepare(&mut |script| {
         for cmd in parse(script).expect("parses") {
             eval(&mut kb, &cmd).expect("setup is accepted");
@@ -140,10 +173,11 @@ fn concept(kb: &mut Kb, text: &str) -> Concept {
     parse_concept(text, kb.schema_mut()).expect("parses")
 }
 
-/// Way 1. Also returns the told facts that survive the history, in the
-/// order they were accepted — what way 2 loads — and the clone cut
-/// after [`CUT`] operations, if the history is that long.
-fn per_op(threads: usize, ops: &[Op]) -> (Kb, Trace, Vec<&Op>, Option<Kb>) {
+/// Way 1, with or without the refused writes between the operations.
+/// Also returns the told facts that survive the history, in the order
+/// they were accepted — what way 2 loads — and the clone cut after
+/// [`CUT`] operations, if the history is that long.
+fn per_op(threads: usize, ops: &[Op], refusing: bool) -> (Kb, Trace, Vec<&Op>, Option<Kb>) {
     let mut kb = fresh_kb(threads);
     let mut surviving: Vec<&Op> = Vec::new();
     let mut trace = Trace::new();
@@ -151,6 +185,9 @@ fn per_op(threads: usize, ops: &[Op]) -> (Kb, Trace, Vec<&Op>, Option<Kb>) {
     for (i, op) in ops.iter().enumerate() {
         if i == CUT {
             cut = Some(kb.clone());
+        }
+        if refusing && i % REFUSE_EVERY == 0 {
+            offer_the_refused(&mut |cmd| eval(&mut kb, cmd).is_ok());
         }
         let desc = concept(&mut kb, &op.desc);
         if op.retract {
@@ -201,9 +238,12 @@ fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64, Kb) {
         report.steps
     };
     let (first, second) = rows.split_at(rows.len() / 2);
+    offer_the_refused(&mut |cmd| eval(&mut kb, cmd).is_ok());
     let mut steps = load(&mut kb, first);
+    offer_the_refused(&mut |cmd| eval(&mut kb, cmd).is_ok());
     let cut = kb.clone();
     steps += load(&mut kb, second);
+    offer_the_refused(&mut |cmd| eval(&mut kb, cmd).is_ok());
     (kb, steps, cut)
 }
 
@@ -225,14 +265,13 @@ const ASIDES: [(&str, bool); 8] = [
 /// of its own? (It is a copy that is asked.)
 fn accepts_the_probes(kb: &Kb) -> bool {
     let mut kb = kb.clone();
-    ["asked", "tried", "defined", "told", "ruled", "loaded"]
-        .iter()
-        .all(|index| {
-            let name = index.to_uppercase();
-            let probe = format!("(define-concept PROBE-{name} (PRIMITIVE PERSON {index}))");
-            let probe = parse(&probe).expect("parses").pop().expect("one form");
-            eval(&mut kb, &probe).is_ok()
-        })
+    let asides = ["asked", "tried", "defined", "told", "ruled", "loaded"];
+    (asides.iter().chain(&["watched", "idle"])).all(|index| {
+        let name = index.to_uppercase();
+        let probe = format!("(define-concept PROBE-{name} (PRIMITIVE PERSON {index}))");
+        let probe = parse(&probe).expect("parses").pop().expect("one form");
+        eval(&mut kb, &probe).is_ok()
+    })
 }
 
 /// Way 3: the live store as it stood at the end, the database its log
@@ -246,7 +285,10 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trac
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("kb.log");
-    let configure = |kb: &mut Kb| kb.set_propagation_threads(threads);
+    let configure = |kb: &mut Kb| {
+        kb.set_propagation_threads(threads);
+        kb.register_test("fragile", fragile);
+    };
     let mut store = DurableKb::open(&path, configure).expect("fresh store");
     prepare(&mut |script| {
         for cmd in parse(script).expect("parses") {
@@ -260,6 +302,9 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trac
         .map(|(i, op)| {
             if i == CUT {
                 cut = Some(store.kb().expect("eagerly opened").clone());
+            }
+            if i % REFUSE_EVERY == 0 {
+                offer_the_refused(&mut |cmd| store.eval_durable(cmd).is_ok());
             }
             let (aside, answered) = ASIDES[i % ASIDES.len()];
             let cmd = parse(aside).expect("parses").pop().expect("one form");
@@ -292,12 +337,14 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trac
 fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
     let ops = history(0x5EED_C1A5);
 
-    let (op1, op_trace1, surviving, op_cut1) = per_op(1, &ops);
-    let (op4, op_trace4, _, op_cut4) = per_op(4, &ops);
+    let (op1, op_trace1, surviving, op_cut1) = per_op(1, &ops, true);
+    let (op4, op_trace4, _, op_cut4) = per_op(4, &ops, true);
     assert_eq!(
         op_trace1, op_trace4,
         "per-op: outcome or steps depend on threads"
     );
+    let (never_asked, plain_trace, ..) = per_op(1, &ops, false);
+    assert_eq!(op_trace1, plain_trace, "per-op: a refused write showed");
 
     // The history is the one the file promises.
     let count = |retract: bool, accepted: bool| {
@@ -329,6 +376,7 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
     );
 
     let ways = [
+        ("per-op, never offered the refused writes", &never_asked),
         ("per-op, 1 thread", &op1),
         ("per-op, 4 threads", &op4),
         ("bulk, 1 thread", &bulk1),
@@ -356,7 +404,7 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
 
     // The clones cut halfway saw none of the second half — nor of the
     // probes just tried on copies of their originals.
-    let (first_half, ..) = per_op(1, &ops[..CUT]);
+    let (first_half, ..) = per_op(1, &ops[..CUT], false);
     let (first_rows, ..) = bulk(1, &surviving[..surviving.len() / 2]);
     let cuts = [
         ("per-op, 1 thread", op_cut1.expect("cut"), &first_half),
