@@ -11,7 +11,6 @@ pub mod e11_analyze;
 pub mod e12_store;
 pub mod e13_obs_overhead;
 pub mod e14_server;
-pub mod e15_shard;
 pub mod e16_incremental;
 pub mod e17_bulk;
 pub mod e18_tracing;
@@ -119,11 +118,6 @@ pub fn registry() -> Vec<Experiment> {
             "e14",
             "multi-tenant server: concurrent wire-protocol latency and throughput",
             e14_server::run,
-        ),
-        (
-            "e15",
-            "one propagation step at 1/2/4 planning threads: same state, same steps, wall time",
-            e15_shard::run,
         ),
         (
             "e16",

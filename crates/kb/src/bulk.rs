@@ -7,8 +7,7 @@
 //! firing, `ALL`/`SAME-AS` propagation, and realization all happen once,
 //! over the union of the chunk's facts, in the same transaction
 //! (`Kb::transact`) every per-op write runs in: a chunk is simply a
-//! fixpoint with many roots, and its wide first epochs are the ones
-//! `Kb::set_propagation_threads` plans on worker threads.
+//! fixpoint with many roots.
 //!
 //! ## Equivalence with row-by-row replay
 //!
@@ -50,9 +49,8 @@ use classic_core::normal::NormalForm;
 use classic_core::schema::Schema;
 
 /// Default rows per batched fixpoint. Large enough to amortize the
-/// propagation setup (and for its epochs to be planned on worker
-/// threads), small enough that a clash-triggered row-by-row replay
-/// stays cheap.
+/// propagation setup, small enough that a clash-triggered row-by-row
+/// replay stays cheap.
 pub const DEFAULT_BULK_CHUNK: usize = 512;
 
 /// Rejection details are capped at this many entries; `rejected` and

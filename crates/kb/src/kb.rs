@@ -321,9 +321,6 @@ pub struct Kb {
     assert_ns: Histogram,
     retract_ns: Histogram,
     pub(crate) propagate_ns: Histogram,
-    /// Propagation planning threads. `0` = auto (one per available
-    /// core). See [`Kb::set_propagation_threads`].
-    propagation_threads: usize,
 }
 
 impl Default for Kb {
@@ -375,32 +372,6 @@ impl Kb {
             assert_ns,
             retract_ns,
             propagate_ns,
-            propagation_threads: 0,
-        }
-    }
-
-    // ---- propagation threading --------------------------------------------
-
-    /// Set the number of threads the propagation fixpoint may plan wide
-    /// epochs on. `0` (the default) means auto: one per available core;
-    /// `1` plans everything on the calling thread.
-    ///
-    /// This changes wall time and nothing else. Planning is read-only
-    /// and its effects are applied sequentially in an order that does
-    /// not depend on who planned them (see `propagate.rs`), so the
-    /// resulting state, the arena layout, accept/reject outcomes and
-    /// every [`AssertReport`] count — `steps` included — are identical
-    /// at any setting.
-    pub fn set_propagation_threads(&mut self, n: usize) {
-        self.propagation_threads = n;
-    }
-
-    /// The resolved propagation thread count (≥ 1): the configured value,
-    /// or the number of available cores when configured as auto (`0`).
-    pub fn propagation_threads(&self) -> usize {
-        match self.propagation_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
         }
     }
 

@@ -6,9 +6,8 @@
 //! conjunctions it pushes onto fillers, its `SAME-AS` derivations,
 //! reverse-filler edges, recognition installs, rule firings — and only
 //! then applies the emitted effects, sequentially, through the journal.
-//! Planning is a pure function of the epoch-start state, so it can run
-//! inline or on worker threads over slices of the sorted batch without
-//! changing what is applied or in which order.
+//! Planning is a pure function of the epoch-start state, so what is
+//! applied, and in which order, depends only on the sorted batch.
 
 use crate::deps::SupportKind;
 use crate::individual::IndId;

@@ -66,11 +66,6 @@ pub(crate) enum PathResolution {
     Unresolved,
 }
 
-/// Epochs narrower than this are planned on the calling thread: fan-out
-/// costs more than it saves. Per-op writes run 1–2 wide epochs, bulk
-/// chunks 512 wide ones, so the benchmark has a workload on each side.
-const PARALLEL_MIN_BATCH: usize = 64;
-
 /// Run `f`, which may call user-registered `TEST` recognizers, turning
 /// a panic in one into [`ClassicError::RecognizerPanicked`] — the one
 /// panic boundary around recognizers, for propagation here and for
@@ -106,10 +101,9 @@ impl Propagation {
     /// applied sequentially, in batch order, through the journal-tracked
     /// mutations of [`Kb::apply_effect`], which re-fill the worklist.
     /// The closure being computed is a least fixed point of a monotone
-    /// step, so the schedule cannot change it — and since the apply
-    /// order is `(source id, emission index)` whoever planned, the
-    /// thread count cannot even change the schedule: state, journal,
-    /// arena layout and step counts are identical at any setting.
+    /// step, so the schedule cannot change it; the apply order is
+    /// `(source id, emission index)`, so state, journal, arena layout
+    /// and step counts repeat exactly from run to run.
     pub(crate) fn run(kb: &mut Kb, journal: &mut Journal) -> Result<()> {
         // A write with no roots (a plain `create-ind`) is no fixpoint:
         // no span, no sample in the propagation histogram.
@@ -166,47 +160,12 @@ impl Propagation {
         ))
     }
 
-    /// Plan every item of a sorted batch into `out`, in batch order.
-    /// Wide batches are cut into one contiguous slice per configured
-    /// thread and planned on scoped workers; concatenating the workers'
-    /// effects in slice order is exactly the order inline planning
-    /// emits, which is what makes [`Kb::set_propagation_threads`] a
-    /// wall-time setting and nothing else.
+    /// Plan every item of a sorted batch into `out`, in batch order, on
+    /// the calling thread.
     fn plan_batch(kb: &Kb, batch: &[IndId], out: &mut Vec<Effect>) {
-        // Width first: resolving the auto thread count asks the OS, which
-        // costs more than planning a narrow epoch does.
-        let threads = if batch.len() < PARALLEL_MIN_BATCH {
-            1
-        } else {
-            kb.propagation_threads()
-        };
-        if threads == 1 {
-            for &id in batch {
-                kb.plan_guarded(id, out);
-            }
-            return;
+        for &id in batch {
+            kb.plan_guarded(id, out);
         }
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = batch
-                .chunks(batch.len().div_ceil(threads))
-                .map(|slice| {
-                    scope.spawn(move || {
-                        let _span = classic_obs::span(&kb.recorder, "propagate.shard");
-                        let mut effects = Vec::new();
-                        for &id in slice {
-                            kb.plan_guarded(id, &mut effects);
-                        }
-                        classic_obs::event("planned", slice.len() as u64);
-                        effects
-                    })
-                })
-                .collect();
-            for worker in workers {
-                // `plan_guarded` catches recognizer panics, and nothing
-                // else in planning unwinds.
-                out.extend(worker.join().expect("planning worker panicked"));
-            }
-        });
     }
 }
 
@@ -461,8 +420,8 @@ impl Kb {
     /// monotone along subsumption, so nothing below a failed node can
     /// succeed).
     ///
-    /// Read-only (`&self`) by construction — planning workers run this
-    /// concurrently (instance tests dominate wide fixpoints).
+    /// Read-only (`&self`) by construction: it runs in the planning half
+    /// of the step.
     pub(crate) fn compute_recognition(&self, id: IndId) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
         let mut qualifying: BTreeSet<NodeId> = BTreeSet::new();
         let mut failed: BTreeSet<NodeId> = BTreeSet::new();

@@ -4,10 +4,14 @@
 //! These tests pin the cascade machinery: information arriving at one
 //! individual must re-trigger recognition at every individual whose
 //! provable memberships depend on it (through role fillers), transitively,
-//! and nowhere else.
+//! and nowhere else. The wide cascades at the end run 70–120 individuals
+//! through one epoch — the width a bulk chunk or a hub gives propagation —
+//! and each ends in `check_invariants`, which asserts closure under the
+//! step.
 
 use classic_core::desc::{Concept, IndRef};
 use classic_kb::Kb;
+use classic_store::same_state;
 
 /// DOG-OWNER = PERSON whose pets are all DOGs, with a closed pet role —
 /// provable only by enumerating fillers, so it depends on the fillers'
@@ -215,4 +219,184 @@ fn what_if_reports_without_mutating() {
         classic_core::ClassicError::Inconsistent { .. }
     ));
     assert_eq!(kb.ind(pat).derived, derived_before);
+}
+
+// ---- wide cascades: one update, one epoch, 70–120 individuals ------------
+
+/// A hub schema: `TRACKED` is what an `ALL member` pushes onto the
+/// fillers, `HUB` is recognized from the filler count.
+fn wide_schema() -> Kb {
+    let mut kb = Kb::new();
+    let member = kb.define_role("member").unwrap();
+    kb.define_concept("TRACKED", Concept::primitive(Concept::thing(), "tracked"))
+        .unwrap();
+    kb.define_concept("HUB", Concept::AtLeast(3, member))
+        .unwrap();
+    kb
+}
+
+/// Create `Hub` and fill its `member` role with `n` fresh individuals
+/// named `{prefix}{i}`; returns `(ALL member TRACKED)` for the caller to
+/// assert.
+fn hub_over(kb: &mut Kb, prefix: &str, n: usize) -> Concept {
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
+    kb.create_ind("Hub").unwrap();
+    let fillers: Vec<IndRef> = (0..n)
+        .map(|i| IndRef::Classic(kb.schema_mut().symbols.individual(&format!("{prefix}{i}"))))
+        .collect();
+    kb.assert_ind("Hub", &Concept::Fills(member, fillers))
+        .unwrap();
+    Concept::all(member, Concept::Name(tracked))
+}
+
+fn arena_names(kb: &Kb) -> Vec<String> {
+    kb.ind_ids()
+        .map(|i| {
+            kb.schema()
+                .symbols
+                .individual_name(kb.ind(i).name)
+                .to_owned()
+        })
+        .collect()
+}
+
+#[test]
+fn wide_all_cascade_reaches_every_filler() {
+    let mut kb = wide_schema();
+    let all = hub_over(&mut kb, "m", 120);
+    let report = kb.assert_ind("Hub", &all).unwrap();
+    assert_eq!(report.fills_propagated, 120);
+    let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
+    assert_eq!(kb.instances_of(tracked).unwrap().len(), 120);
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn wide_rule_cascade_fires_on_every_filler() {
+    let mut kb = wide_schema();
+    kb.define_concept("VIP", Concept::primitive(Concept::thing(), "vip"))
+        .unwrap();
+    let vip = kb.schema().symbols.find_concept("VIP").unwrap();
+    // Every TRACKED individual becomes a VIP via forward chaining.
+    kb.assert_rule("TRACKED", Concept::Name(vip)).unwrap();
+    let all = hub_over(&mut kb, "w", 80);
+    let report = kb.assert_ind("Hub", &all).unwrap();
+    assert_eq!(report.rules_fired, 80);
+    assert_eq!(kb.instances_of(vip).unwrap().len(), 80);
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn wide_same_as_cascade_derives_every_driver() {
+    let mut kb = Kb::new();
+    let owner = kb.define_attribute("owner").unwrap();
+    let driver = kb.define_attribute("driver").unwrap();
+    let member = kb.define_role("member").unwrap();
+    let mut cars: Vec<IndRef> = Vec::new();
+    for i in 0..70 {
+        let name = format!("car{i}");
+        kb.create_ind(&name).unwrap();
+        let olga = kb.schema_mut().symbols.individual(&format!("olga{i}"));
+        kb.assert_ind(&name, &Concept::Fills(owner, vec![IndRef::Classic(olga)]))
+            .unwrap();
+        cars.push(IndRef::Classic(kb.schema_mut().symbols.individual(&name)));
+    }
+    // SAME-AS((owner)(driver)) — the driver must be the owner — pushed
+    // onto all 70 cars at once through an ALL, so one epoch derives
+    // every driver.
+    kb.create_ind("Fleet").unwrap();
+    kb.assert_ind("Fleet", &Concept::Fills(member, cars))
+        .unwrap();
+    let report = kb
+        .assert_ind(
+            "Fleet",
+            &Concept::all(member, Concept::SameAs(vec![owner], vec![driver])),
+        )
+        .unwrap();
+    assert_eq!(report.corefs_derived, 70);
+    for i in 0..70 {
+        let car = kb
+            .ind_id(
+                kb.schema()
+                    .symbols
+                    .find_individual(&format!("car{i}"))
+                    .unwrap(),
+            )
+            .unwrap();
+        assert_eq!(
+            kb.ind(car).fillers(driver),
+            kb.ind(car).fillers(owner),
+            "car{i}: the driver is the owner"
+        );
+    }
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn refused_wide_update_leaves_no_trace() {
+    let mut kb = wide_schema();
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    hub_over(&mut kb, "x", 80);
+    // x0 already needs ≥2 members, so the ALL cascade below — which
+    // pushes (AT-MOST 1 member) onto every filler — must clash on it
+    // partway through a wide epoch and roll the whole update back.
+    kb.assert_ind("x0", &Concept::AtLeast(2, member)).unwrap();
+    let before = kb.clone();
+    let err = kb
+        .assert_ind("Hub", &Concept::all(member, Concept::AtMost(1, member)))
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        classic_core::ClassicError::Inconsistent { .. }
+    ));
+    assert!(same_state(&before, &kb) && same_state(&kb, &before));
+    assert_eq!(arena_names(&before), arena_names(&kb));
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn retraction_after_a_wide_cascade_rederives_every_filler() {
+    let mut kb = wide_schema();
+    let all = hub_over(&mut kb, "r", 80);
+    kb.assert_ind("Hub", &all).unwrap();
+    // Retract the ALL: every filler loses TRACKED via re-derivation,
+    // which seeds the widest worklist in the engine.
+    let report = kb.retract_ind("Hub", &all).unwrap();
+    assert!(report.reset >= 81, "the hub and its 80 fillers are reset");
+    let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
+    assert_eq!(kb.instances_of(tracked).unwrap().len(), 0);
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn wide_cascades_are_deterministic_across_repeats() {
+    let build = || {
+        let mut kb = wide_schema();
+        let all = hub_over(&mut kb, "d", 100);
+        kb.assert_ind("Hub", &all).unwrap();
+        kb
+    };
+    let first = build();
+    first.check_invariants().unwrap();
+    for round in 0..3 {
+        let again = build();
+        // Determinism is stronger than logical equality: the arena
+        // creation order must match run to run, because effects apply in
+        // batch order.
+        assert_eq!(
+            arena_names(&first),
+            arena_names(&again),
+            "arena order varied on round {round}"
+        );
+        assert_eq!(
+            first.stats.propagation_steps.get(),
+            again.stats.propagation_steps.get(),
+            "step count varied on round {round}"
+        );
+        assert!(
+            same_state(&first, &again) && same_state(&again, &first),
+            "state varied on round {round}"
+        );
+    }
 }

@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 const N_INDS: usize = 8;
 const N_ROLES: usize = 2;
-/// Fillers of `Hub`'s `member` role: wide enough (≥ 64) that a cascade
-/// over them is planned on worker threads when the KB has any.
+/// Fillers of `Hub`'s `member` role: a cascade over them is one wide
+/// epoch, the width a bulk chunk gives propagation.
 const N_MEMBERS: usize = 70;
 /// Concept names a history may define (`N0`…), and primitive indices it
 /// may declare (`q0`…).
@@ -39,9 +39,8 @@ const N_NAMES: usize = 3;
 /// mention interned up front — ids are then the same in the primary, in
 /// its clones and in a reference built by calling this again, and a
 /// `Concept` made for one is valid in all.
-fn base(threads: usize, armed: &Arc<AtomicBool>) -> Kb {
+fn base(armed: &Arc<AtomicBool>) -> Kb {
     let mut kb = Kb::new();
-    kb.set_propagation_threads(threads);
     for r in 0..N_ROLES {
         assert_eq!(kb.define_role(&format!("r{r}")).unwrap().index(), r);
     }
@@ -122,7 +121,12 @@ enum Desc {
     AtLeast(usize, u32),
     AtMost(usize, u32),
     Fills(usize, usize),
+    /// Several fillers in one telling.
+    FillsMany(usize, Vec<usize>),
     AllP0(usize),
+    /// `(SAME-AS (r) (s))`: pins both roles to one filler and derives
+    /// the missing one from the other.
+    SameAs(usize, usize),
     /// `(PRIMITIVE THING q{k})`: declares the atom the first time a
     /// telling that mentions it is accepted.
     Prim(usize),
@@ -148,7 +152,9 @@ impl Desc {
             Desc::AtLeast(r, n) => Concept::AtLeast(*n, role(r)),
             Desc::AtMost(r, n) => Concept::AtMost(*n, role(r)),
             Desc::Fills(r, j) => Concept::Fills(role(r), vec![x(j)]),
+            Desc::FillsMany(r, js) => Concept::Fills(role(r), js.iter().map(x).collect()),
             Desc::AllP0(r) => Concept::all(role(r), p0),
+            Desc::SameAs(r, s) => Concept::SameAs(vec![role(r)], vec![role(s)]),
             Desc::Prim(k) => Concept::primitive(Concept::thing(), &format!("q{k}")),
             Desc::Named(k) => Concept::Name(symbols.find_concept(&format!("N{k}")).unwrap()),
             Desc::Fragile => Concept::Test(symbols.find_test("fragile").unwrap()),
@@ -170,7 +176,10 @@ fn desc_strategy() -> impl Strategy<Value = Desc> {
         2 => (0..N_ROLES, 1u32..3).prop_map(|(r, n)| Desc::AtLeast(r, n)),
         1 => (0..N_ROLES, 0u32..3).prop_map(|(r, n)| Desc::AtMost(r, n)),
         3 => (0..N_ROLES, 0..N_INDS).prop_map(|(r, j)| Desc::Fills(r, j)),
+        1 => (0..N_ROLES, proptest::collection::vec(0..N_INDS, 2..6))
+            .prop_map(|(r, js)| Desc::FillsMany(r, js)),
         1 => (0..N_ROLES).prop_map(Desc::AllP0),
+        1 => (0..N_ROLES, 0..N_ROLES).prop_map(|(r, s)| Desc::SameAs(r, s)),
         1 => (0..N_NAMES).prop_map(Desc::Prim),
         1 => (0..N_NAMES).prop_map(Desc::Named),
         1 => Just(Desc::Fragile),
@@ -270,8 +279,8 @@ struct Pinned {
 impl Pinned {
     /// Is the clone still exactly what a replay of the first `cut`
     /// accepted writes builds, sharing nothing?
-    fn check(&self, log: &[Logged], threads: usize, armed: &Arc<AtomicBool>, context: &str) {
-        let mut reference = base(threads, armed);
+    fn check(&self, log: &[Logged], armed: &Arc<AtomicBool>, context: &str) {
+        let mut reference = base(armed);
         for write in &log[..self.cut] {
             write.replay(&mut reference);
         }
@@ -440,9 +449,9 @@ impl History {
     }
 }
 
-fn run_history(ops: &[Op], threads: usize) {
+fn run_history(ops: &[Op]) {
     let armed = Arc::new(AtomicBool::new(false));
-    let kb = base(threads, &armed);
+    let kb = base(&armed);
     let mut h = History {
         clones: vec![Pinned {
             kb: kb.clone(),
@@ -455,7 +464,7 @@ fn run_history(ops: &[Op], threads: usize) {
         rules: Vec::new(),
     };
     for (step, op) in ops.iter().enumerate() {
-        let context = format!("threads {threads}, after step {step} ({op:?})");
+        let context = format!("after step {step} ({op:?})");
         let before = h.kb.clone();
         if !h.step(op) {
             // Refused means untouched.
@@ -471,7 +480,7 @@ fn run_history(ops: &[Op], threads: usize) {
         // One clone a step, in rotation, so every one is checked against
         // writes, rollbacks and drops that came after it.
         if !h.clones.is_empty() {
-            h.clones[step % h.clones.len()].check(&h.log, threads, &h.armed, &context);
+            h.clones[step % h.clones.len()].check(&h.log, &h.armed, &context);
         }
     }
     // The primary is a version too; then every clone, last of all after
@@ -485,21 +494,11 @@ fn run_history(ops: &[Op], threads: usize) {
     } = h;
     clones.push(Pinned { cut: log.len(), kb });
     for (ix, pinned) in clones.iter().enumerate() {
-        pinned.check(
-            &log,
-            threads,
-            &armed,
-            &format!("threads {threads}, end, #{ix}"),
-        );
+        pinned.check(&log, &armed, &format!("end, #{ix}"));
     }
     clones.pop();
     while let Some(pinned) = clones.pop() {
-        pinned.check(
-            &log,
-            threads,
-            &armed,
-            &format!("threads {threads}, primary gone"),
-        );
+        pinned.check(&log, &armed, "primary gone");
     }
 }
 
@@ -510,9 +509,7 @@ proptest! {
     fn a_clone_is_the_replay_of_what_preceded_its_cut_whatever_follows(
         ops in proptest::collection::vec(op_strategy(), 1..40)
     ) {
-        for threads in [1, 4] {
-            run_history(&ops, threads);
-        }
+        run_history(&ops);
     }
 }
 
@@ -522,7 +519,7 @@ proptest! {
 #[test]
 fn a_large_clone_shares_all_but_what_the_writes_touched() {
     let armed = Arc::new(AtomicBool::new(false));
-    let mut kb = base(1, &armed);
+    let mut kb = base(&armed);
     let r0 = RoleId::from_index(0);
     let p0 = Desc::P0.concept(&kb);
     let rows: Vec<BulkRow> = (0..3_000)
@@ -558,7 +555,7 @@ fn a_large_clone_shares_all_but_what_the_writes_touched() {
 
     assert_eq!((answers(&pinned), pinned.ind_count()), before);
     pinned.check_invariants().unwrap();
-    let mut reference = base(1, &armed);
+    let mut reference = base(&armed);
     assert_eq!(reference.bulk_assert(&rows).accepted, rows.len());
     assert!(same_state(&pinned, &reference) && same_state(&reference, &pinned));
     // With the primary gone the clone is the only holder, and is whole.

@@ -2,10 +2,9 @@
 //! not an unwind: every write operator reports
 //! [`ClassicError::RecognizerPanicked`] and leaves the database exactly
 //! as it was — no told fact, no new individual, no definition, no rule,
-//! no half-propagated description, no poisoned lock — whether the
-//! recognizer ran on the calling thread or on a planning worker. The
-//! same holds of every other way a write is refused: all of them end in
-//! the one rollback of the one transaction.
+//! no half-propagated description, no poisoned lock. The same holds of
+//! every other way a write is refused: all of them end in the one
+//! rollback of the one transaction.
 
 use classic_core::desc::{Concept, IndRef};
 use classic_core::error::ClassicError;
@@ -54,12 +53,10 @@ fn assert_same_state(a: &Kb, b: &Kb, context: &str) {
 
 /// A KB whose schema holds `SUSPECT = (AND TRACKED (TEST fragile))`,
 /// where `fragile` panics once `armed` is set, plus a hub whose `member`
-/// role is filled widely enough (80) that a cascade over it is planned
-/// on workers when `threads` allows.
-fn fragile_kb(threads: usize) -> (Kb, Arc<AtomicBool>) {
+/// role has 80 fillers, so a cascade over it is one wide epoch.
+fn fragile_kb() -> (Kb, Arc<AtomicBool>) {
     let armed = Arc::new(AtomicBool::new(false));
     let mut kb = Kb::new();
-    kb.set_propagation_threads(threads);
     let switch = Arc::clone(&armed);
     kb.register_test("fragile", move |_| {
         if switch.load(Ordering::SeqCst) {
@@ -103,66 +100,64 @@ fn assert_recognizer_panicked(err: &ClassicError) {
 
 #[test]
 fn panicking_recognizer_rejects_the_write_and_leaves_no_trace() {
-    for threads in [1usize, 4] {
-        let (mut kb, armed) = fragile_kb(threads);
-        let member = kb.schema().symbols.find_role("member").unwrap();
-        let tracked = Concept::Name(kb.schema().symbols.find_concept("TRACKED").unwrap());
-        let before = kb.clone();
-        before.check_invariants().unwrap();
-        armed.store(true, Ordering::SeqCst);
+    let (mut kb, armed) = fragile_kb();
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    let tracked = Concept::Name(kb.schema().symbols.find_concept("TRACKED").unwrap());
+    let before = kb.clone();
+    before.check_invariants().unwrap();
+    armed.store(true, Ordering::SeqCst);
 
-        // assert-ind, narrow: one individual becomes TRACKED, so the
-        // SUSPECT test runs on the calling thread.
-        let err = kb.assert_ind("Loner", &tracked).unwrap_err();
-        assert_recognizer_panicked(&err);
-        assert_same_state(&before, &kb, "narrow assert");
+    // assert-ind, narrow: one individual becomes TRACKED, so the
+    // SUSPECT test runs once.
+    let err = kb.assert_ind("Loner", &tracked).unwrap_err();
+    assert_recognizer_panicked(&err);
+    assert_same_state(&before, &kb, "narrow assert");
 
-        // assert-ind that would create an individual: the newcomer's
-        // first recognition runs no TEST (it is not TRACKED), the host's
-        // re-recognition does.
-        let newcomer = IndRef::Classic(kb.schema_mut().symbols.individual("Newcomer"));
-        let err = kb
-            .assert_ind(
-                "Loner",
-                &Concept::and([tracked.clone(), Concept::Fills(member, vec![newcomer])]),
-            )
-            .unwrap_err();
-        assert_recognizer_panicked(&err);
-        assert_same_state(&before, &kb, "assert creating an individual");
+    // assert-ind that would create an individual: the newcomer's
+    // first recognition runs no TEST (it is not TRACKED), the host's
+    // re-recognition does.
+    let newcomer = IndRef::Classic(kb.schema_mut().symbols.individual("Newcomer"));
+    let err = kb
+        .assert_ind(
+            "Loner",
+            &Concept::and([tracked.clone(), Concept::Fills(member, vec![newcomer])]),
+        )
+        .unwrap_err();
+    assert_recognizer_panicked(&err);
+    assert_same_state(&before, &kb, "assert creating an individual");
 
-        // retract-ind, wide: all 80 members are reset and re-planned in
-        // one epoch (on workers at 4 threads); the hub's surviving ALL
-        // makes them TRACKED again and the recognizer runs on each.
-        let told = Concept::AtLeast(1, member);
-        let err = kb.retract_ind("Hub", &told).unwrap_err();
-        assert_recognizer_panicked(&err);
-        assert_same_state(&before, &kb, "wide retract");
+    // retract-ind, wide: all 80 members are reset and re-planned in one
+    // epoch; the hub's surviving ALL makes them TRACKED again and the
+    // recognizer runs on each.
+    let told = Concept::AtLeast(1, member);
+    let err = kb.retract_ind("Hub", &told).unwrap_err();
+    assert_recognizer_panicked(&err);
+    assert_same_state(&before, &kb, "wide retract");
 
-        // bulk_assert: the chunk's fixpoint aborts, the per-row replay
-        // aborts again, and every row is recorded as rejected.
-        let rows: Vec<BulkRow> = (0..3)
-            .map(|i| BulkRow {
-                name: format!("fresh{i}"),
-                desc: tracked.clone(),
-            })
-            .collect();
-        let report = kb.bulk_assert(&rows);
-        assert_eq!((report.accepted, report.rejected), (0, 3));
-        assert_eq!(report.sequential_fallbacks, 1);
-        assert!(report.rejections[0].error.contains("blew up"));
-        assert_same_state(&before, &kb, "bulk load");
+    // bulk_assert: the chunk's fixpoint aborts, the per-row replay
+    // aborts again, and every row is recorded as rejected.
+    let rows: Vec<BulkRow> = (0..3)
+        .map(|i| BulkRow {
+            name: format!("fresh{i}"),
+            desc: tracked.clone(),
+        })
+        .collect();
+    let report = kb.bulk_assert(&rows);
+    assert_eq!((report.accepted, report.rejected), (0, 3));
+    assert_eq!(report.sequential_fallbacks, 1);
+    assert!(report.rejections[0].error.contains("blew up"));
+    assert_same_state(&before, &kb, "bulk load");
 
-        // Disarmed, the same KB takes the same writes.
-        armed.store(false, Ordering::SeqCst);
-        kb.assert_ind("Loner", &tracked).unwrap();
-        let report = kb.retract_ind("Hub", &told).unwrap();
-        assert_eq!(
-            report.reset, 81,
-            "the retraction must re-derive every member"
-        );
-        assert_eq!(kb.bulk_assert(&rows).accepted, 3);
-        kb.check_invariants().unwrap();
-    }
+    // Disarmed, the same KB takes the same writes.
+    armed.store(false, Ordering::SeqCst);
+    kb.assert_ind("Loner", &tracked).unwrap();
+    let report = kb.retract_ind("Hub", &told).unwrap();
+    assert_eq!(
+        report.reset, 81,
+        "the retraction must re-derive every member"
+    );
+    assert_eq!(kb.bulk_assert(&rows).accepted, 3);
+    kb.check_invariants().unwrap();
 }
 
 #[test]
@@ -358,54 +353,51 @@ const PANICKING: &[Refusal] = &[
 /// Every write kind, refused every way it can be — ten kinds:
 /// `create-ind`, `assert-ind`, `what-if`, `retract-ind`, `define-concept`,
 /// `assert-rule`, `retract-rule` by antecedent and by id, a bulk chunk
-/// and a bulk row — leaves the KB as a clone cut before it, at 1 and at 4
-/// planning threads.
+/// and a bulk row — leaves the KB as a clone cut before it.
 #[test]
 fn every_write_kind_refused_every_way_leaves_no_trace() {
-    for threads in [1usize, 4] {
-        let (mut kb, armed) = fragile_kb(threads);
-        let member = kb.schema().symbols.find_role("member").unwrap();
-        let fragile = kb.schema().symbols.find_test("fragile").unwrap();
-        let tracked = Concept::Name(kb.schema().symbols.find_concept("TRACKED").unwrap());
-        // A recognizer with no primitive in front runs on everybody; a
-        // rule on a concept everybody satisfies is due on everybody.
-        let checked = Concept::Test(fragile);
-        kb.define_concept("CHECKED", checked.clone()).unwrap();
-        kb.define_concept("ANY", Concept::thing()).unwrap();
-        // `Closed` and `Ruled` stand only in the order they were told:
-        // re-derived without the filler — told first, or brought by the
-        // rule — `member` closes over nothing and then wants a filler.
-        let m0 = IndRef::Classic(kb.schema_mut().symbols.individual("m0"));
-        let fills = Concept::Fills(member, vec![m0]);
-        let rule = kb.assert_rule("TRACKED", fills.clone()).unwrap();
-        for (name, first) in [("Closed", &fills), ("Ruled", &tracked)] {
-            kb.create_ind(name).unwrap();
-            kb.assert_ind(name, first).unwrap();
-            kb.assert_ind(name, &Concept::Close(member)).unwrap();
-            kb.assert_ind(name, &Concept::AtLeast(1, member)).unwrap();
-        }
-        kb.check_invariants().unwrap();
-        let parts = Parts {
-            member,
-            tracked,
-            ghost: Concept::Name(kb.schema_mut().symbols.concept("GHOST")),
-            typo: Concept::AtLeast(1, kb.schema_mut().symbols.role("typo")),
-            fills,
-            rule,
-            checked,
-        };
-        for (is_armed, refusals) in [(false, REFUSED), (true, PANICKING)] {
-            for (what, write) in refusals {
-                let context = format!("threads {threads}, armed {is_armed}, {what}");
-                let before = kb.clone();
-                armed.store(is_armed, Ordering::SeqCst);
-                let refused = write(&mut kb, &parts);
-                armed.store(false, Ordering::SeqCst);
-                assert!(refused, "{context}: was not refused");
-                assert_same_state(&before, &kb, &context);
-                kb.check_invariants()
-                    .unwrap_or_else(|e| panic!("{context}: {e}"));
-            }
+    let (mut kb, armed) = fragile_kb();
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    let fragile = kb.schema().symbols.find_test("fragile").unwrap();
+    let tracked = Concept::Name(kb.schema().symbols.find_concept("TRACKED").unwrap());
+    // A recognizer with no primitive in front runs on everybody; a
+    // rule on a concept everybody satisfies is due on everybody.
+    let checked = Concept::Test(fragile);
+    kb.define_concept("CHECKED", checked.clone()).unwrap();
+    kb.define_concept("ANY", Concept::thing()).unwrap();
+    // `Closed` and `Ruled` stand only in the order they were told:
+    // re-derived without the filler — told first, or brought by the
+    // rule — `member` closes over nothing and then wants a filler.
+    let m0 = IndRef::Classic(kb.schema_mut().symbols.individual("m0"));
+    let fills = Concept::Fills(member, vec![m0]);
+    let rule = kb.assert_rule("TRACKED", fills.clone()).unwrap();
+    for (name, first) in [("Closed", &fills), ("Ruled", &tracked)] {
+        kb.create_ind(name).unwrap();
+        kb.assert_ind(name, first).unwrap();
+        kb.assert_ind(name, &Concept::Close(member)).unwrap();
+        kb.assert_ind(name, &Concept::AtLeast(1, member)).unwrap();
+    }
+    kb.check_invariants().unwrap();
+    let parts = Parts {
+        member,
+        tracked,
+        ghost: Concept::Name(kb.schema_mut().symbols.concept("GHOST")),
+        typo: Concept::AtLeast(1, kb.schema_mut().symbols.role("typo")),
+        fills,
+        rule,
+        checked,
+    };
+    for (is_armed, refusals) in [(false, REFUSED), (true, PANICKING)] {
+        for (what, write) in refusals {
+            let context = format!("armed {is_armed}, {what}");
+            let before = kb.clone();
+            armed.store(is_armed, Ordering::SeqCst);
+            let refused = write(&mut kb, &parts);
+            armed.store(false, Ordering::SeqCst);
+            assert!(refused, "{context}: was not refused");
+            assert_same_state(&before, &kb, &context);
+            kb.check_invariants()
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
         }
     }
 }
@@ -446,7 +438,7 @@ fn every_accepted_write_leaves_the_state_closed() {
         .collect();
     assert_eq!(kb.bulk_assert(&rows).accepted, 100);
     kb.check_invariants().unwrap();
-    // Wide enough (102 candidates) to be planned on workers.
+    // One wide epoch: 102 candidates.
     for (name, n) in [("TWO", 2), ("THREE", 3)] {
         kb.define_concept(name, Concept::and([p.clone(), Concept::AtLeast(n, r)]))
             .unwrap();

@@ -49,7 +49,8 @@ pub struct Trace {
     pub spans: Vec<SpanRecord>,
     /// The wire-request identity this trace roots at, when the root span
     /// was opened by the server front ([`crate::trace::request_span`]);
-    /// `None` for traces rooted inside the process (CLI, worker shards).
+    /// `None` for traces rooted inside the process (CLI, query worker
+    /// batches).
     pub ctx: Option<RequestCtx>,
 }
 

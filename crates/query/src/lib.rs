@@ -420,7 +420,17 @@ impl QueryObs {
     }
 }
 
-/// Below this many candidates a sequential scan beats thread start-up.
+/// Candidate sets at least this large are tested on scoped worker
+/// threads, one slice per core. The fork stays because `wire-read-large`
+/// (11 443–20 000 candidates a query) needs it: forced sequential, its
+/// `ops_per_s` fell 544 → 378 and `p50_us` rose 1 750 → 2 523 µs, worse
+/// in 8 of 8 alternating pairs (2 cores; CHANGES.md, PR 20). Where the
+/// threshold sits is *not* shown to be right: `wire-mixed` (1 114–2 160
+/// a query) is above it too and pays for the fork — forced sequential,
+/// `ops_per_s` 5 834 → 9 613, `p50_us` 374 → 241 µs, better in 8 of 8 —
+/// so the break-even there lies between ~2 000 and ~11 000 candidates
+/// and no benchmark workload is below 256. Moving it is a claimed gain
+/// for its own change (ROADMAP, retrieval item).
 const PARALLEL_THRESHOLD: usize = 256;
 
 /// Filter `candidates` down to the known instances of `nf`, fanning the

@@ -184,6 +184,7 @@ pub fn serve_http(
     }
 }
 
+#[derive(Debug, PartialEq)]
 struct Request {
     method: String,
     path: String,  // path without query string
@@ -205,18 +206,21 @@ impl Request {
 /// reads). `Ok(None)` = connection closed early; `Err` = malformed or
 /// over-limit, as an HTTP `(status, message)` pair.
 fn read_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut Vec<u8>,
-    shared: &Arc<Shared>,
+    shared: &Shared,
 ) -> Result<Option<Request>, (u16, String)> {
     let bad = |msg: &str| (400, msg.to_owned());
     let mut tmp = [0u8; 4096];
     let header_end = loop {
-        if let Some(ix) = find(buf, b"\r\n\r\n") {
-            break ix + 4;
-        }
-        if let Some(ix) = find(buf, b"\n\n") {
-            break ix + 2;
+        // The blank line that ends first, whichever way it is spelled:
+        // the one a reader that saw the bytes arrive one at a time would
+        // have stopped at, so the request does not depend on how the
+        // peer's writes were cut into segments.
+        let crlf = find(buf, b"\r\n\r\n").map(|ix| ix + 4);
+        let lf = find(buf, b"\n\n").map(|ix| ix + 2);
+        if let Some(end) = crlf.into_iter().chain(lf).min() {
+            break end;
         }
         if buf.len() > MAX_REQUEST {
             return Err((431, "request headers too large".to_owned()));
@@ -503,6 +507,92 @@ fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerConfig;
+    use proptest::prelude::*;
+
+    /// A peer whose bytes arrive as the given segments, then closes.
+    struct Segments<'a>(std::vec::IntoIter<&'a [u8]>);
+
+    impl Read for Segments<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let Some(segment) = self.0.find(|s| !s.is_empty()) else {
+                return Ok(0);
+            };
+            out[..segment.len()].copy_from_slice(segment);
+            Ok(segment.len())
+        }
+    }
+
+    /// What the reader makes of a peer that sends `segments` and closes.
+    fn request_from(
+        shared: &Shared,
+        segments: Vec<&[u8]>,
+    ) -> Result<Option<Request>, (u16, String)> {
+        read_request(&mut Segments(segments.into_iter()), &mut Vec::new(), shared)
+    }
+
+    /// Bytes that look enough like a request to get past the first line:
+    /// methods, targets, header names, both line endings, numbers — and
+    /// anything at all in between.
+    fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let token = |t: &'static str| Just(t.as_bytes().to_vec());
+        let piece = prop_oneof![
+            1 => token("GET "),
+            1 => token("POST "),
+            1 => token("/eval?tenant=t&x=1 "),
+            1 => token("HTTP/1.1"),
+            3 => token("\r\n"),
+            3 => token("\n"),
+            1 => token("\r"),
+            1 => token("Content-Length:"),
+            1 => token("content-length: "),
+            1 => token("X-Classic-Trace: 00ff"),
+            1 => token(":"),
+            1 => (0usize..40).prop_map(|n| n.to_string().into_bytes()),
+            1 => token("99999999999999999999999"),
+            1 => token("(ping)"),
+            1 => proptest::collection::vec(0u8..=255, 0..6),
+        ];
+        proptest::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+    }
+
+    /// Found by the property below: the headers end at the first blank
+    /// line, not at the first CR LF CR LF wherever it is — here inside
+    /// what follows the request.
+    #[test]
+    fn headers_end_at_the_first_blank_line_of_either_spelling() {
+        let shared = Shared::new(&ServerConfig::default());
+        let bytes = b"GET /stats HTTP/1.1\n\nContent-Length: x\r\n\r\n";
+        let whole = request_from(&shared, vec![bytes])
+            .expect("a request")
+            .expect("complete");
+        assert_eq!(
+            (whole.method.as_str(), whole.path.as_str()),
+            ("GET", "/stats")
+        );
+        assert_eq!(
+            request_from(&shared, vec![&bytes[..21], &bytes[21..]]),
+            Ok(Some(whole))
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever a peer sends, the reader neither panics nor reads a
+        /// different request (or error, or early close) out of it when
+        /// the same bytes arrive in two segments cut at any point.
+        #[test]
+        fn a_request_does_not_depend_on_how_its_bytes_were_cut(bytes in request_bytes()) {
+            let shared = Shared::new(&ServerConfig::default());
+            let whole = request_from(&shared, vec![&bytes]);
+            for cut in 0..=bytes.len() {
+                let (head, tail) = bytes.split_at(cut);
+                let cut_in_two = request_from(&shared, vec![head, tail]);
+                prop_assert_eq!(&cut_in_two, &whole, "cut at {}", cut);
+            }
+        }
+    }
 
     #[test]
     fn query_params_parse() {

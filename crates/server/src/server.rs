@@ -144,7 +144,7 @@ pub struct Shared {
 }
 
 impl Shared {
-    fn new(config: &ServerConfig) -> Shared {
+    pub(crate) fn new(config: &ServerConfig) -> Shared {
         Shared {
             data_dir: config.data_dir.clone(),
             tenants: Mutex::new(HashMap::new()),
@@ -465,9 +465,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Res
     let mut tmp = [0u8; 4096];
 
     // Sniff the protocol from the first bytes.
-    loop {
-        if buf.len() >= 4 {
-            break;
+    let http = loop {
+        if let Some(http) = speaks_http(&buf) {
+            break http;
         }
         match stream.read(&mut tmp) {
             Ok(0) => return Ok(()), // closed before saying anything
@@ -479,8 +479,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Res
             }
             Err(e) => return Err(e),
         }
-    }
-    if buf.starts_with(b"GET ") || buf.starts_with(b"POST ") {
+    };
+    if http {
         return http::serve_http(stream, buf, shared);
     }
 
@@ -534,6 +534,20 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Res
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Whether a connection that opened with `buf` speaks HTTP; `None` while
+/// `buf` could still grow into `GET ` or `POST `. Decided from exactly as
+/// many bytes as it takes, so the answer does not depend on how the
+/// client's first write was cut into segments, and a line-protocol client
+/// whose first frame is shorter than a method is not kept waiting.
+fn speaks_http(buf: &[u8]) -> Option<bool> {
+    let methods: [&[u8]; 2] = [b"GET ", b"POST "];
+    if methods.iter().any(|m| buf.starts_with(m)) {
+        return Some(true);
+    }
+    let undecided = methods.iter().any(|m| m.starts_with(buf));
+    (!undecided).then_some(false)
 }
 
 pub(crate) fn timed_out(e: &std::io::Error) -> bool {
@@ -638,15 +652,91 @@ fn next_form(buf: &[u8]) -> std::result::Result<Option<(String, usize)>, &'stati
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every frame `bytes` holds — drained the way `serve_connection`
+    /// drains its buffer, first after `cut` bytes have arrived and again
+    /// after the rest — then the violation that ended the connection, if
+    /// one did. Checks each offset on the way.
+    fn frames(bytes: &[u8], cut: usize) -> (Vec<String>, Option<&'static str>) {
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        for segment in [&bytes[..cut], &bytes[cut..]] {
+            buf.extend_from_slice(segment);
+            loop {
+                match next_form(&buf) {
+                    Ok(Some((form, end))) => {
+                        assert!(0 < end && end <= buf.len(), "offset {end} of {}", buf.len());
+                        out.push(form);
+                        buf.drain(..end);
+                    }
+                    Ok(None) => break,
+                    Err(violation) => return (out, Some(violation)),
+                }
+            }
+        }
+        (out, None)
+    }
+
+    /// The bytes the framer tells apart — parens, quotes, backslashes,
+    /// semicolons, line ends — thick among arbitrary ones, and now and
+    /// then more opening parens than the language allows.
+    fn frame_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let token = |t: &'static str| Just(t.as_bytes().to_vec());
+        let piece = prop_oneof![
+            4 => token("("),
+            4 => token(")"),
+            2 => token("\""),
+            1 => token("\\"),
+            1 => token(";"),
+            2 => token("\n"),
+            1 => token("\r\n"),
+            1 => token(" "),
+            1 => token("(ping)"),
+            1 => token("GET "),
+            1 => token("POST "),
+            2 => proptest::collection::vec(0u8..=255, 0..6),
+            1 => (0usize..2).prop_map(|extra| vec![b'('; MAX_NESTING + extra]),
+        ];
+        proptest::collection::vec(piece, 0..32).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever a peer sends: no panic, every frame ends inside the
+        /// buffer and past its start, and neither the frames, nor the
+        /// violation, nor which protocol the connection is taken to
+        /// speak depend on where the bytes were cut into segments.
+        #[test]
+        fn framing_does_not_depend_on_how_the_bytes_were_cut(bytes in frame_bytes()) {
+            let whole = frames(&bytes, bytes.len());
+            let protocol = speaks_http(&bytes);
+            for cut in 0..bytes.len() {
+                prop_assert_eq!(&frames(&bytes, cut), &whole, "cut at {}", cut);
+                let early = speaks_http(&bytes[..cut]);
+                prop_assert!(early.is_none() || early == protocol, "cut at {}", cut);
+            }
+        }
+    }
+
+    /// `POST` alone is four bytes of a method that takes five to tell:
+    /// the sniff once stopped there and took the request for a form.
+    #[test]
+    fn the_protocol_is_decided_from_as_many_bytes_as_it_takes() {
+        assert_eq!(speaks_http(b""), None);
+        assert_eq!(speaks_http(b"POST"), None);
+        assert_eq!(speaks_http(b"POST /eval"), Some(true));
+        assert_eq!(speaks_http(b"GET /healthz"), Some(true));
+        assert_eq!(speaks_http(b"GETS"), Some(false));
+        assert_eq!(speaks_http(b"x\n"), Some(false), "shorter than a method");
+        assert_eq!(speaks_http(b"(ping)"), Some(false));
+    }
 
     fn forms(input: &str) -> Vec<String> {
-        let mut buf = input.as_bytes().to_vec();
-        let mut out = Vec::new();
-        while let Some((form, end)) = next_form(&buf).expect("well-framed input") {
-            out.push(form);
-            buf.drain(..end);
-        }
-        out
+        let (forms, violation) = frames(input.as_bytes(), input.len());
+        assert_eq!(violation, None, "well-framed input");
+        forms
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! 2. as one `bulk_assert` of the told facts that survived it, and
 //! 3. through a `DurableKb` that is then dropped and reopened from its log,
 //!
-//! each at 1 and at 4 propagation threads. All six databases must be
-//! pairwise `same_state` and pass `check_invariants` (closure under the
-//! propagation step included), and the two thread counts must report
-//! the same `steps` for every operation.
+//! and the live store of way 3 is kept beside the database its log
+//! reopens to. All four databases must be pairwise `same_state` and pass
+//! `check_invariants` (closure under the propagation step included), and
+//! ways 1 and 3 must report the same `steps` for every operation.
 //!
 //! Nor may anything that was merely asked, tried, or refused show: the
 //! live store of way 3 also takes reads, `what-if`s and refused writes
@@ -153,9 +153,8 @@ fn prepare(run: &mut dyn FnMut(&str)) {
     }
 }
 
-fn fresh_kb(threads: usize) -> Kb {
+fn fresh_kb() -> Kb {
     let mut kb = Kb::new();
-    kb.set_propagation_threads(threads);
     kb.register_test("fragile", fragile);
     prepare(&mut |script| {
         for cmd in parse(script).expect("parses") {
@@ -177,8 +176,8 @@ fn concept(kb: &mut Kb, text: &str) -> Concept {
 /// Also returns the told facts that survive the history, in the order
 /// they were accepted — what way 2 loads — and the clone cut after
 /// [`CUT`] operations, if the history is that long.
-fn per_op(threads: usize, ops: &[Op], refusing: bool) -> (Kb, Trace, Vec<&Op>, Option<Kb>) {
-    let mut kb = fresh_kb(threads);
+fn per_op(ops: &[Op], refusing: bool) -> (Kb, Trace, Vec<&Op>, Option<Kb>) {
+    let mut kb = fresh_kb();
     let mut surviving: Vec<&Op> = Vec::new();
     let mut trace = Trace::new();
     let mut cut = None;
@@ -217,10 +216,10 @@ fn per_op(threads: usize, ops: &[Op], refusing: bool) -> (Kb, Trace, Vec<&Op>, O
     (kb, trace, surviving, cut)
 }
 
-/// Way 2, as two loads with a clone cut between them: the database, the
-/// steps both loads took, and the clone.
-fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64, Kb) {
-    let mut kb = fresh_kb(threads);
+/// Way 2, as two loads with a clone cut between them: the database and
+/// the clone.
+fn bulk(told: &[&Op]) -> (Kb, Kb) {
+    let mut kb = fresh_kb();
     let rows: Vec<BulkRow> = told
         .iter()
         .map(|op| BulkRow {
@@ -235,16 +234,15 @@ fn bulk(threads: usize, told: &[&Op]) -> (Kb, u64, Kb) {
             report.sequential_fallbacks, 0,
             "surviving facts are consistent"
         );
-        report.steps
     };
     let (first, second) = rows.split_at(rows.len() / 2);
     offer_the_refused(&mut |cmd| eval(&mut kb, cmd).is_ok());
-    let mut steps = load(&mut kb, first);
+    load(&mut kb, first);
     offer_the_refused(&mut |cmd| eval(&mut kb, cmd).is_ok());
     let cut = kb.clone();
-    steps += load(&mut kb, second);
+    load(&mut kb, second);
     offer_the_refused(&mut |cmd| eval(&mut kb, cmd).is_ok());
-    (kb, steps, cut)
+    (kb, cut)
 }
 
 /// What the live store of way 3 is asked, shown and refused on the side:
@@ -277,16 +275,12 @@ fn accepts_the_probes(kb: &Kb) -> bool {
 /// Way 3: the live store as it stood at the end, the database its log
 /// reopened to, and the clone of the live store cut after [`CUT`]
 /// operations.
-fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trace, Kb) {
-    let dir = std::env::temp_dir().join(format!(
-        "classic-same-fixpoint-{tag}-{threads}-{}",
-        std::process::id()
-    ));
+fn durable_then_reopened(ops: &[Op]) -> (Kb, Kb, Trace, Kb) {
+    let dir = std::env::temp_dir().join(format!("classic-same-fixpoint-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("kb.log");
     let configure = |kb: &mut Kb| {
-        kb.set_propagation_threads(threads);
         kb.register_test("fragile", fragile);
     };
     let mut store = DurableKb::open(&path, configure).expect("fresh store");
@@ -337,19 +331,14 @@ fn durable_then_reopened(threads: usize, ops: &[Op], tag: &str) -> (Kb, Kb, Trac
 fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
     let ops = history(0x5EED_C1A5);
 
-    let (op1, op_trace1, surviving, op_cut1) = per_op(1, &ops, true);
-    let (op4, op_trace4, _, op_cut4) = per_op(4, &ops, true);
-    assert_eq!(
-        op_trace1, op_trace4,
-        "per-op: outcome or steps depend on threads"
-    );
-    let (never_asked, plain_trace, ..) = per_op(1, &ops, false);
-    assert_eq!(op_trace1, plain_trace, "per-op: a refused write showed");
+    let (per_op_kb, op_trace, surviving, op_cut) = per_op(&ops, true);
+    let (never_asked, plain_trace, ..) = per_op(&ops, false);
+    assert_eq!(op_trace, plain_trace, "per-op: a refused write showed");
 
     // The history is the one the file promises.
     let count = |retract: bool, accepted: bool| {
         ops.iter()
-            .zip(&op_trace1)
+            .zip(&op_trace)
             .filter(|(op, outcome)| op.retract == retract && outcome.is_some() == accepted)
             .count()
     };
@@ -357,34 +346,26 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
     assert!(count(true, false) > 10, "too few refused retractions");
     assert!(count(true, true) > 10, "too few accepted retractions");
     assert!(surviving.len() > 64, "the bulk load must plan a wide epoch");
-    assert!(op1.stats.rules_fired.get() > 0, "the rule never fired");
     assert!(
-        op1.stats.coref_propagations.get() > 0,
+        per_op_kb.stats.rules_fired.get() > 0,
+        "the rule never fired"
+    );
+    assert!(
+        per_op_kb.stats.coref_propagations.get() > 0,
         "SAME-AS derived nothing"
     );
 
-    let (bulk1, bulk_steps1, bulk_cut1) = bulk(1, &surviving);
-    let (bulk4, bulk_steps4, bulk_cut4) = bulk(4, &surviving);
-    assert_eq!(bulk_steps1, bulk_steps4, "bulk: steps depend on threads");
+    let (bulk_kb, bulk_cut) = bulk(&surviving);
 
-    let (live1, log1, log_trace1, live_cut1) = durable_then_reopened(1, &ops, "a");
-    let (live4, log4, log_trace4, live_cut4) = durable_then_reopened(4, &ops, "b");
-    assert_eq!(log_trace1, op_trace1, "durable: differs from in-memory");
-    assert_eq!(
-        log_trace4, op_trace1,
-        "durable: outcome or steps depend on threads"
-    );
+    let (live, reopened, log_trace, live_cut) = durable_then_reopened(&ops);
+    assert_eq!(log_trace, op_trace, "durable: differs from in-memory");
 
     let ways = [
         ("per-op, never offered the refused writes", &never_asked),
-        ("per-op, 1 thread", &op1),
-        ("per-op, 4 threads", &op4),
-        ("bulk, 1 thread", &bulk1),
-        ("bulk, 4 threads", &bulk4),
-        ("reopened log, 1 thread", &log1),
-        ("reopened log, 4 threads", &log4),
-        ("live store, 1 thread", &live1),
-        ("live store, 4 threads", &live4),
+        ("per-op", &per_op_kb),
+        ("bulk", &bulk_kb),
+        ("reopened log", &reopened),
+        ("live store", &live),
     ];
     for (name, kb) in ways {
         kb.check_invariants()
@@ -404,15 +385,12 @@ fn per_op_bulk_and_replayed_histories_reach_the_same_fixed_point() {
 
     // The clones cut halfway saw none of the second half — nor of the
     // probes just tried on copies of their originals.
-    let (first_half, ..) = per_op(1, &ops[..CUT], false);
-    let (first_rows, ..) = bulk(1, &surviving[..surviving.len() / 2]);
+    let (first_half, ..) = per_op(&ops[..CUT], false);
+    let (first_rows, ..) = bulk(&surviving[..surviving.len() / 2]);
     let cuts = [
-        ("per-op, 1 thread", op_cut1.expect("cut"), &first_half),
-        ("per-op, 4 threads", op_cut4.expect("cut"), &first_half),
-        ("live store, 1 thread", live_cut1, &first_half),
-        ("live store, 4 threads", live_cut4, &first_half),
-        ("bulk, 1 thread", bulk_cut1, &first_rows),
-        ("bulk, 4 threads", bulk_cut4, &first_rows),
+        ("per-op", op_cut.expect("cut"), &first_half),
+        ("live store", live_cut, &first_half),
+        ("bulk", bulk_cut, &first_rows),
     ];
     for (name, cut, expected) in &cuts {
         cut.check_invariants()
