@@ -5,7 +5,7 @@
 //! cargo run -p classic-bench --release --bin experiments           # all
 //! cargo run -p classic-bench --release --bin experiments -- e3 e7  # some
 //! cargo run -p classic-bench --release --bin experiments -- list
-//! cargo run -p classic-bench --release --bin experiments -- e9 --metrics out.prom
+//! cargo run -p classic-bench --release --bin experiments -- e13 --metrics out.prom
 //! cargo run -p classic-bench --release --bin experiments -- e4 --trace-out run.json
 //! ```
 //!

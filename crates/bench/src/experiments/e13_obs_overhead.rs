@@ -1,6 +1,6 @@
 //! E13 — observability overhead: the instrumented hot paths at
 //! [`ObsLevel::Off`] vs [`ObsLevel::Counters`] vs [`ObsLevel::Full`] on
-//! the E9 classification/retrieval workload.
+//! the software-IS classification/retrieval workload.
 //!
 //! The instrumentation contract (DESIGN.md §4.12) is that disabling
 //! observability costs nothing measurable: every counter bump and span
@@ -25,7 +25,7 @@ fn smoke() -> bool {
 }
 
 /// One pass over the query set: the instrumented retrieval path
-/// (subsumption kernel, taxonomy classification, candidate testing).
+/// (taxonomy classification, candidate testing).
 fn pass(kb: &Kb, nfs: &[NormalForm]) -> usize {
     nfs.iter()
         .map(|nf| {
@@ -84,8 +84,7 @@ pub fn run() -> String {
     let n_queries = (reps * nfs.len()) as u64;
     let prior = classic_obs::level();
 
-    // Warm the kernel memo and extension index so every level sees the
-    // same steady state.
+    // One warm-up pass so every level sees the same steady state.
     std::hint::black_box(pass(&sw.kb, &nfs));
 
     // Answers must not depend on the level.

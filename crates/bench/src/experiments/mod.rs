@@ -23,7 +23,6 @@ pub mod e5_normalize;
 pub mod e6_active;
 pub mod e7_openworld;
 pub mod e8_ablations;
-pub mod e9_kernel_cache;
 
 use std::time::{Duration, Instant};
 
@@ -88,11 +87,6 @@ pub fn registry() -> Vec<Experiment> {
             "e8",
             "ablations: pruning, extension index, normal-form reuse",
             e8_ablations::run,
-        ),
-        (
-            "e9",
-            "subsumption memo + bitset closure vs the uncached path",
-            e9_kernel_cache::run,
         ),
         (
             "e10",

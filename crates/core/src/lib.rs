@@ -16,8 +16,7 @@
 //!   ([`schema::Schema`]);
 //! * normalization to canonical structural normal forms
 //!   ([`normal::normalize`], §2.2/§5);
-//! * structural subsumption and equivalence ([`subsume`], §3.5.1), with a
-//!   hash-consing interner and memoized subsumption kernel ([`intern`]);
+//! * structural subsumption and equivalence ([`subsume`], §3.5.1);
 //! * classification into the induced IS-A taxonomy ([`taxonomy`], §5);
 //! * schema introspection, the paper's `concept-aspect` operator
 //!   ([`aspect`], §3.5.1).
@@ -33,7 +32,6 @@ pub mod chunked;
 pub mod desc;
 pub mod error;
 pub mod host;
-pub mod intern;
 pub mod lexical;
 pub mod normal;
 pub mod same_as;
@@ -45,9 +43,8 @@ pub mod taxonomy;
 pub use desc::{Concept, IndRef, Path};
 pub use error::{Clash, ClassicError, Result};
 pub use host::{HostClass, HostValue, Layer, F64};
-pub use intern::{Kernel, KernelStats, NfId};
 pub use normal::{conjoin_expression, normalize, NormalForm, RoleRestriction};
 pub use schema::{PrimMark, Schema, TestArg};
 pub use subsume::{disjoint, equivalent, subsumes};
 pub use symbol::{ConceptName, IndName, PrimId, RoleId, SymbolTable, TestId};
-pub use taxonomy::{NodeId, Taxonomy};
+pub use taxonomy::{KernelStats, NodeId, Taxonomy};

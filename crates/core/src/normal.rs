@@ -113,8 +113,8 @@ impl Eq for NormalForm {}
 
 /// Hashing mirrors the manual [`PartialEq`]: every ⊥ hashes to the same
 /// marker (the clash payload is diagnostic, not semantic), and coherent
-/// forms hash their canonical structure. This is what lets normal forms be
-/// hash-consed into the subsumption kernel ([`crate::intern`]).
+/// forms hash their canonical structure, so equal forms can key one
+/// hash-map entry.
 impl std::hash::Hash for NormalForm {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         if self.is_incoherent() {

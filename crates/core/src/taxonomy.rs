@@ -17,30 +17,24 @@
 //! classifies *query* concepts without inserting them, which is what makes
 //! query answering cheap (§5; experiments E2/E3).
 //!
-//! Two indexes accelerate the traversal beyond the seed algorithm:
+//! A transitive-closure bitset index accelerates the traversal beyond the
+//! seed algorithm: each node keeps its full ancestor and descendant sets
+//! as bit rows, making reachability `O(words)` instead of a DAG walk. The
+//! index is maintained incrementally on insert (Hasse-edge rewiring never
+//! changes reachability, so updates are add-only) and re-laid-out only
+//! when capacity grows, which [`KernelStats::closure_rebuilds`] counts.
 //!
-//! * a memoized subsumption [`Kernel`] — node forms
-//!   are hash-consed to [`NfId`]s and `subsumes` results cached per id
-//!   pair, so repeated classifications of related queries skip the
-//!   structural walks entirely;
-//! * a transitive-closure bitset index — each node keeps its full ancestor
-//!   and descendant sets as bit rows, making reachability `O(words)`
-//!   instead of a DAG walk. The index is maintained incrementally on
-//!   insert (Hasse-edge rewiring never changes reachability, so updates
-//!   are add-only) and re-laid-out only when capacity grows, which the
-//!   kernel counts as a `closure_rebuild`.
-//!
-//! The seed path survives as [`Taxonomy::classify_unmemoized`] (the
-//! ablation baseline for experiment E9) and [`Taxonomy::classify_brute`]
-//! stays a pure edge-walking oracle for the property tests.
+//! Every subsumption test is a plain [`subsumes`] call against the form
+//! the node already stores: a test is a function of two descriptions, so
+//! classifying a query writes nothing. [`Taxonomy::classify_brute`] stays
+//! a pure edge-walking oracle for the property tests.
 
-use crate::intern::{Kernel, KernelObs, KernelStats, NfId};
 use crate::normal::NormalForm;
 use crate::subsume::subsumes;
 use crate::symbol::ConceptName;
 use classic_obs::{Counter, FlightRecorder, Histogram, Registry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Index of a node in the taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,9 +76,31 @@ pub struct Classification {
     pub children: Vec<NodeId>,
     /// A node with the same meaning, if one exists.
     pub equivalent: Option<NodeId>,
-    /// Number of subsumption tests performed (experiment E2's cost metric;
-    /// on the kernel path a memo hit still counts as one test).
+    /// Number of subsumption tests performed (experiment E2's cost metric).
     pub tests: usize,
+}
+
+/// Counter snapshot for classification, read by [`Taxonomy::kernel_stats`].
+///
+/// Classification memoizes nothing: `intern_hits` and `memo_hits` read 0
+/// and `memo_misses` equals `subsume_tests`, so a caller that counts
+/// tests as hits + misses reads the same total.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelStats {
+    /// Subsumption tests made by classification
+    /// (`classic_subsume_tests_total`).
+    pub subsume_tests: u64,
+    /// The taxonomy's node count, `TOP` and `BOTTOM` included: the
+    /// distinct normal forms it holds.
+    pub interned: u64,
+    /// Always 0: no form is interned.
+    pub intern_hits: u64,
+    /// Always 0: no test is memoized.
+    pub memo_hits: u64,
+    /// Equal to `subsume_tests`: every test ran the structural comparison.
+    pub memo_misses: u64,
+    /// Times the taxonomy's closure bitsets were re-laid-out for capacity.
+    pub closure_rebuilds: u64,
 }
 
 /// Flattened ancestor/descendant bitsets, one row of `words` u64s per node.
@@ -237,17 +253,12 @@ impl Closure {
 }
 
 /// The IS-A hierarchy over named (and transiently, query) concepts.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Taxonomy {
     nodes: Vec<Node>,
     by_name: HashMap<ConceptName, NodeId>,
     /// Cumulative subsumption-test counter across all operations.
     tests_total: u64,
-    /// Hash-consed node forms + memoized subsumption (see [`crate::intern`]).
-    /// Behind a mutex so `classify(&self)` can consult and extend it.
-    kernel: Mutex<Kernel>,
-    /// Interned id of each node's normal form, parallel to `nodes`.
-    nf_ids: Vec<NfId>,
     /// Transitive-closure reachability index, parallel to `nodes`.
     closure: Closure,
     /// Where classification spans land (shared with the owning `Kb`'s
@@ -257,6 +268,10 @@ pub struct Taxonomy {
     classify_total: Counter,
     /// Classification latency, nanoseconds (fills at `ObsLevel::Full`).
     classify_ns: Histogram,
+    /// Subsumption tests made by classification (registry counter).
+    subsume_tests: Counter,
+    /// Closure bitset re-layouts (registry counter).
+    closure_rebuilds: Counter,
 }
 
 impl Default for Taxonomy {
@@ -265,59 +280,55 @@ impl Default for Taxonomy {
     }
 }
 
-impl Clone for Taxonomy {
-    fn clone(&self) -> Self {
-        Taxonomy {
-            nodes: self.nodes.clone(),
-            by_name: self.by_name.clone(),
-            tests_total: self.tests_total,
-            kernel: Mutex::new(self.kernel.lock().expect("kernel lock").clone()),
-            nf_ids: self.nf_ids.clone(),
-            closure: self.closure.clone(),
-            recorder: Arc::clone(&self.recorder),
-            classify_total: self.classify_total.clone(),
-            classify_ns: self.classify_ns.clone(),
-        }
-    }
-}
-
 impl Taxonomy {
     /// A taxonomy containing only `THING` and the empty concept, with
     /// detached (registry-less) instrumentation.
     pub fn new() -> Self {
         Self::build(
-            Kernel::new(),
             Arc::new(FlightRecorder::new()),
             Counter::detached("classic_classify_total"),
             Histogram::detached("classic_classify_ns", true),
+            Counter::detached("classic_subsume_tests_total"),
+            Counter::detached("classic_closure_rebuilds_total"),
         )
     }
 
-    /// A taxonomy whose kernel and classification metrics are registered
-    /// in `registry`, and whose classification spans land in `recorder`.
+    /// A taxonomy whose classification metrics are registered in
+    /// `registry`, and whose classification spans land in `recorder`.
     /// The owning `Kb` calls this so `KernelStats` and the metrics
     /// exposition read the same atomics.
     pub fn with_obs(registry: &Registry, recorder: Arc<FlightRecorder>) -> Self {
-        Self::build(
-            Kernel::with_obs(KernelObs::register(registry)),
-            recorder,
+        let counter = |name: &str, help: &str| {
             registry
-                .counter(
-                    "classic_classify_total",
-                    "taxonomy classifications performed",
-                )
-                .expect("taxonomy metric registration"),
+                .counter(name, help)
+                .expect("taxonomy metric registration")
+        };
+        Self::build(
+            recorder,
+            counter(
+                "classic_classify_total",
+                "taxonomy classifications performed",
+            ),
             registry
                 .duration_histogram("classic_classify_ns", "classification latency, nanoseconds")
                 .expect("taxonomy metric registration"),
+            counter(
+                "classic_subsume_tests_total",
+                "subsumption tests made by classification",
+            ),
+            counter(
+                "classic_closure_rebuilds_total",
+                "taxonomy closure bitset re-layouts",
+            ),
         )
     }
 
     fn build(
-        mut kernel: Kernel,
         recorder: Arc<FlightRecorder>,
         classify_total: Counter,
         classify_ns: Histogram,
+        subsume_tests: Counter,
+        closure_rebuilds: Counter,
     ) -> Self {
         let top = Node {
             nf: NormalForm::top(),
@@ -331,7 +342,6 @@ impl Taxonomy {
             parents: BTreeSet::from([NodeId::TOP]),
             children: BTreeSet::new(),
         };
-        let nf_ids = vec![kernel.intern(&top.nf), kernel.intern(&bottom.nf)];
         let mut closure = Closure::new();
         closure.push(&BTreeSet::new(), &BTreeSet::new());
         closure.push(&BTreeSet::from([NodeId::TOP]), &BTreeSet::new());
@@ -339,12 +349,12 @@ impl Taxonomy {
             nodes: vec![top, bottom],
             by_name: HashMap::new(),
             tests_total: 0,
-            kernel: Mutex::new(kernel),
-            nf_ids,
             closure,
             recorder,
             classify_total,
             classify_ns,
+            subsume_tests,
+            closure_rebuilds,
         }
     }
 
@@ -373,10 +383,18 @@ impl Taxonomy {
         self.tests_total
     }
 
-    /// Snapshot of the subsumption kernel's counters (interning, memo
-    /// hit/miss, closure rebuilds).
+    /// Snapshot of the classification counters: subsumption tests and
+    /// closure rebuilds (see [`KernelStats`] for the fields that read 0).
     pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel.lock().expect("kernel lock").stats()
+        let tests = self.subsume_tests.get();
+        KernelStats {
+            subsume_tests: tests,
+            interned: self.nodes.len() as u64,
+            intern_hits: 0,
+            memo_hits: 0,
+            memo_misses: tests,
+            closure_rebuilds: self.closure_rebuilds.get(),
+        }
     }
 
     /// All node ids except TOP/BOTTOM, in insertion order.
@@ -386,9 +404,10 @@ impl Taxonomy {
 
     /// Classify `nf` against the current taxonomy without inserting it.
     ///
-    /// Runs on the kernel path: the query form is interned once and every
-    /// subsumption test goes through the memo; frontier minimality and
-    /// subsumee candidate generation use the closure bitsets.
+    /// Each subsumption test compares `nf` with a node's stored form;
+    /// frontier minimality and subsumee candidate generation use the
+    /// closure bitsets. Takes no lock and writes nothing but its counters
+    /// and span.
     pub fn classify(&self, nf: &NormalForm) -> Classification {
         let _span = classic_obs::span_timed(&self.recorder, "taxonomy.classify", &self.classify_ns);
         self.classify_total.bump();
@@ -401,14 +420,11 @@ impl Taxonomy {
                 tests,
             };
         }
-        let mut kernel = self.kernel.lock().expect("kernel lock");
-        let q = kernel.intern(nf);
-        let parents = self.most_specific_subsumers_kernel(&mut kernel, q, &mut tests);
+        let parents = self.most_specific_subsumers(nf, &mut tests);
         // Equivalence: a parent that is also subsumed by nf.
         let mut equivalent = None;
         for &p in &parents {
-            tests += 1;
-            if kernel.subsumes_ids(q, self.nf_ids[p.index()]) {
+            if self.test(nf, &self.node(p).nf, &mut tests) {
                 equivalent = Some(p);
                 break;
             }
@@ -416,7 +432,7 @@ impl Taxonomy {
         let children = if equivalent.is_some() {
             Vec::new()
         } else {
-            self.most_general_subsumees_kernel(&mut kernel, q, &parents, &mut tests)
+            self.most_general_subsumees(nf, &parents, &mut tests)
         };
         classic_obs::event("subsume_tests", tests as u64);
         Classification {
@@ -460,10 +476,8 @@ impl Taxonomy {
         for &c in &children {
             self.nodes[c.index()].parents.insert(id);
         }
-        let kernel = self.kernel.get_mut().expect("kernel lock");
-        self.nf_ids.push(kernel.intern(&nf));
         if self.closure.push(&parents, &children) {
-            kernel.obs().closure_rebuilds.bump();
+            self.closure_rebuilds.bump();
         }
         self.nodes.push(Node {
             nf,
@@ -480,8 +494,7 @@ impl Taxonomy {
     /// hold is left alone). A node the insert created is unwired: each
     /// parent→child edge it mediated comes back unless another node
     /// still mediates it — exactly the edges a Hasse diagram of what
-    /// remains has. Interned forms and memoized tests stay; they are
-    /// facts about descriptions, not about the taxonomy.
+    /// remains has.
     pub fn uninsert(&mut self, name: ConceptName) {
         let Some(id) = self.by_name.remove(&name) else {
             return;
@@ -492,7 +505,6 @@ impl Taxonomy {
             return; // a further name for a node that was already there
         }
         let node = self.nodes.pop().expect("the inserted node is the last");
-        self.nf_ids.pop();
         self.closure.pop();
         for &p in &node.parents {
             self.nodes[p.index()].children.remove(&id);
@@ -510,16 +522,18 @@ impl Taxonomy {
         }
     }
 
-    /// Top-down search for the most specific subsumers of `nf`, on the
-    /// kernel path. A node's children are examined only when the node
-    /// itself subsumes the query; the node joins the frontier when none of
-    /// its children do.
-    fn most_specific_subsumers_kernel(
-        &self,
-        kernel: &mut Kernel,
-        q: NfId,
-        tests: &mut usize,
-    ) -> Vec<NodeId> {
+    /// One subsumption test of a classification, counted in `tests` and
+    /// in `classic_subsume_tests_total`.
+    fn test(&self, big: &NormalForm, small: &NormalForm, tests: &mut usize) -> bool {
+        *tests += 1;
+        self.subsume_tests.bump();
+        subsumes(big, small)
+    }
+
+    /// Top-down search for the most specific subsumers of `nf`. A node's
+    /// children are examined only when the node itself subsumes the
+    /// query; the node joins the frontier when none of its children do.
+    fn most_specific_subsumers(&self, nf: &NormalForm, tests: &mut usize) -> Vec<NodeId> {
         let mut cache: HashMap<NodeId, bool> = HashMap::new();
         cache.insert(NodeId::TOP, true);
         let mut frontier = Vec::new();
@@ -537,8 +551,7 @@ impl Taxonomy {
                 let v = match cache.get(&c) {
                     Some(&v) => v,
                     None => {
-                        *tests += 1;
-                        let v = kernel.subsumes_ids(self.nf_ids[c.index()], q);
+                        let v = self.test(&self.node(c).nf, nf, tests);
                         cache.insert(c, v);
                         v
                     }
@@ -565,13 +578,12 @@ impl Taxonomy {
         frontier
     }
 
-    /// Bottom-up search for the most general subsumees, on the kernel
-    /// path: candidates come from intersecting the parents' descendant
-    /// bit rows instead of walking the DAG.
-    fn most_general_subsumees_kernel(
+    /// Bottom-up search for the most general subsumees: candidates come
+    /// from intersecting the parents' descendant bit rows instead of
+    /// walking the DAG.
+    fn most_general_subsumees(
         &self,
-        kernel: &mut Kernel,
-        q: NfId,
+        nf: &NormalForm,
         parents: &[NodeId],
         tests: &mut usize,
     ) -> Vec<NodeId> {
@@ -590,8 +602,7 @@ impl Taxonomy {
             if m == NodeId::BOTTOM.index() {
                 continue;
             }
-            *tests += 1;
-            if kernel.subsumes_ids(q, self.nf_ids[m]) {
+            if self.test(nf, &self.nodes[m].nf, tests) {
                 selected.insert(NodeId(m as u32));
             }
         }
@@ -605,131 +616,6 @@ impl Taxonomy {
                     .any(|&a| a != m && self.closure.has_ancestor(m.index(), a.index()))
             })
             .collect()
-    }
-
-    /// Classify `nf` with the seed algorithm: plain (uncached) subsumption
-    /// tests and DAG-walking reachability. Kept as the ablation baseline
-    /// for experiment E9; produces the same answer as [`Taxonomy::classify`].
-    pub fn classify_unmemoized(&self, nf: &NormalForm) -> Classification {
-        let mut tests = 0usize;
-        if nf.is_incoherent() {
-            return Classification {
-                parents: self.node(NodeId::BOTTOM).parents.iter().copied().collect(),
-                children: Vec::new(),
-                equivalent: Some(NodeId::BOTTOM),
-                tests,
-            };
-        }
-        let parents = self.most_specific_subsumers_walk(nf, &mut tests);
-        let mut equivalent = None;
-        for &p in &parents {
-            tests += 1;
-            if subsumes(nf, &self.node(p).nf) {
-                equivalent = Some(p);
-                break;
-            }
-        }
-        let children = if equivalent.is_some() {
-            Vec::new()
-        } else {
-            self.most_general_subsumees_walk(nf, &parents, &mut tests)
-        };
-        Classification {
-            parents,
-            children,
-            equivalent,
-            tests,
-        }
-    }
-
-    /// Seed-path top-down search (uncached subsumption, walk-based
-    /// minimality filter).
-    fn most_specific_subsumers_walk(&self, nf: &NormalForm, tests: &mut usize) -> Vec<NodeId> {
-        let mut cache: HashMap<NodeId, bool> = HashMap::new();
-        cache.insert(NodeId::TOP, true);
-        let mut subsumes_nf = |taxo: &Taxonomy, id: NodeId, tests: &mut usize| -> bool {
-            if let Some(&v) = cache.get(&id) {
-                return v;
-            }
-            *tests += 1;
-            let v = subsumes(&taxo.node(id).nf, nf);
-            cache.insert(id, v);
-            v
-        };
-        let mut frontier = Vec::new();
-        let mut visited: BTreeSet<NodeId> = BTreeSet::new();
-        let mut queue = VecDeque::from([NodeId::TOP]);
-        while let Some(n) = queue.pop_front() {
-            if !visited.insert(n) {
-                continue;
-            }
-            let mut has_subsuming_child = false;
-            for &c in &self.node(n).children {
-                if c == NodeId::BOTTOM {
-                    continue;
-                }
-                if subsumes_nf(self, c, tests) {
-                    has_subsuming_child = true;
-                    queue.push_back(c);
-                }
-            }
-            if !has_subsuming_child {
-                frontier.push(n);
-            }
-        }
-        let set: BTreeSet<NodeId> = frontier.iter().copied().collect();
-        frontier.retain(|&n| {
-            !self
-                .reachable_walk(n, false)
-                .iter()
-                .any(|d| set.contains(d) && *d != n)
-        });
-        frontier.sort();
-        frontier.dedup();
-        frontier
-    }
-
-    /// Seed-path bottom-up search over the common walked descendants.
-    fn most_general_subsumees_walk(
-        &self,
-        nf: &NormalForm,
-        parents: &[NodeId],
-        tests: &mut usize,
-    ) -> Vec<NodeId> {
-        // Candidates: nodes below every most-specific subsumer (any
-        // subsumee of nf must be).
-        let mut common: Option<BTreeSet<NodeId>> = None;
-        for &p in parents {
-            let d = self.reachable_walk(p, false);
-            common = Some(match common {
-                None => d,
-                Some(c) => c.intersection(&d).copied().collect(),
-            });
-        }
-        let candidates = common.unwrap_or_default();
-        let mut selected: BTreeSet<NodeId> = BTreeSet::new();
-        for &m in &candidates {
-            if m == NodeId::BOTTOM {
-                continue;
-            }
-            *tests += 1;
-            if subsumes(nf, &self.node(m).nf) {
-                selected.insert(m);
-            }
-        }
-        // Keep maximal elements only.
-        let mut result: Vec<NodeId> = selected
-            .iter()
-            .copied()
-            .filter(|&m| {
-                !self
-                    .reachable_walk(m, true)
-                    .iter()
-                    .any(|a| selected.contains(a))
-            })
-            .collect();
-        result.sort();
-        result
     }
 
     /// All nodes strictly below `id` (descendants, excluding `id`).
@@ -754,8 +640,8 @@ impl Taxonomy {
     }
 
     /// Edge-walking reachability, independent of the closure index. Used
-    /// by the seed classification path and [`Taxonomy::classify_brute`] so
-    /// the oracle cannot share a bug with the bitsets it checks.
+    /// by [`Taxonomy::classify_brute`] so the oracle cannot share a bug
+    /// with the bitsets it checks.
     fn reachable_walk(&self, id: NodeId, up: bool) -> BTreeSet<NodeId> {
         let mut out = BTreeSet::new();
         let mut queue = VecDeque::from([id]);
@@ -778,7 +664,7 @@ impl Taxonomy {
     /// Brute-force classification: compare against every node in both
     /// directions, using only plain subsumption and edge walks. The naive
     /// baseline for experiment E2's ablation and the oracle for the
-    /// kernel-path property tests.
+    /// classification property tests.
     pub fn classify_brute(&self, nf: &NormalForm) -> Classification {
         let mut tests = 0usize;
         if nf.is_incoherent() {
@@ -1025,14 +911,10 @@ mod tests {
             let nf = normalize(&q, &f.schema).unwrap();
             let a = f.taxo.classify(&nf);
             let b = f.taxo.classify_brute(&nf);
-            let u = f.taxo.classify_unmemoized(&nf);
             assert_eq!(a.parents, b.parents, "parents differ for i={i}");
             assert_eq!(a.children, b.children, "children differ for i={i}");
             assert_eq!(a.equivalent, b.equivalent, "equiv differs for i={i}");
-            assert_eq!(u.parents, b.parents, "walk parents differ for i={i}");
-            assert_eq!(u.children, b.children, "walk children differ for i={i}");
-            assert_eq!(u.equivalent, b.equivalent, "walk equiv differs for i={i}");
-            assert!(u.tests <= b.tests, "pruned search did more tests");
+            assert!(a.tests <= b.tests, "pruned search did more tests");
         }
     }
 
@@ -1092,25 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_memo_pays_off_on_repeat_classification() {
-        let mut f = fix();
-        let r = f.schema.define_role("r").unwrap();
-        define(&mut f, "CAR", Concept::primitive(Concept::thing(), "car"));
-        let car = named(&mut f, "CAR");
-        let nf = normalize(&Concept::and([car, Concept::AtLeast(1, r)]), &f.schema).unwrap();
-        let _ = f.taxo.classify(&nf);
-        let misses_after_first = f.taxo.kernel_stats().memo_misses;
-        let _ = f.taxo.classify(&nf);
-        let stats = f.taxo.kernel_stats();
-        assert_eq!(
-            stats.memo_misses, misses_after_first,
-            "second classification must be all memo hits"
-        );
-        assert!(stats.memo_hits > 0);
-        assert!(stats.intern_hits > 0, "query form re-interned to same id");
-    }
-
-    #[test]
     fn clone_is_independent() {
         let mut f = fix();
         define(&mut f, "CAR", Concept::primitive(Concept::thing(), "car"));
@@ -1120,7 +983,7 @@ mod tests {
         define(&mut f, "SPORTS-CAR", Concept::primitive(c, "sc"));
         assert_eq!(snapshot.len(), before);
         assert_eq!(f.taxo.len(), before + 1);
-        // The clone's kernel still answers classifications.
+        // The clone still answers classifications.
         let nf = f
             .schema
             .concept_nf(f.schema.symbols.find_concept("CAR").unwrap());

@@ -1,25 +1,23 @@
-//! Property-based cross-validation of the subsumption kernel and the
-//! bitset taxonomy closure against the plain (unmemoized, edge-walking)
+//! Property-based cross-validation of classification and the bitset
+//! taxonomy closure against the plain (exhaustive, edge-walking)
 //! procedures.
 //!
-//! The kernel memoizes `subsumes` on interned normal-form ids and the
-//! taxonomy answers reachability from transitive-closure bitsets; both
-//! are pure accelerations, so on every generated input they must agree
-//! exactly with the originals:
+//! The taxonomy answers reachability from transitive-closure bitsets and
+//! prunes its classification walk with them; both are pure
+//! accelerations, so on every generated input they must agree exactly
+//! with the originals:
 //!
-//! * `Kernel::subsumes_nf` ≡ `subsumes` — on first query (cold memo) and
-//!   on every repeat (warm memo, answered from the cache);
-//! * `classify` (kernel + bitsets) ≡ `classify_unmemoized` (plain
-//!   subsumption + edge walks) ≡ `classify_brute` (exhaustive scan) on
-//!   randomly grown schemas, for parents, children, and equivalence.
+//! * `classify` (pruned walk + bitsets) ≡ `classify_brute` (exhaustive
+//!   scan) on randomly grown schemas, for parents, children, and
+//!   equivalence. Unlike `taxonomy_properties.rs`, the generator here
+//!   draws primitives, `ALL` restrictions and incoherent conjunctions;
+//! * the bitset rows are transposes of each other and exclude the node.
 
 use classic_core::desc::Concept;
 use classic_core::normal::{normalize, NormalForm};
 use classic_core::schema::Schema;
-use classic_core::subsume::subsumes;
 use classic_core::symbol::RoleId;
 use classic_core::taxonomy::Taxonomy;
-use classic_core::Kernel;
 use proptest::prelude::*;
 
 const N_ROLES: usize = 3;
@@ -89,45 +87,8 @@ fn grow(defs: &[Concept]) -> (Schema, Taxonomy) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The kernel is a transparent cache over `subsumes`: cold and warm
-    /// answers both equal the oracle, in both argument orders.
-    #[test]
-    fn kernel_agrees_with_plain_subsumes(
-        a in concept_strategy(),
-        b in concept_strategy(),
-    ) {
-        let mut schema = vocabulary();
-        let na = norm(&a, &mut schema);
-        let nb = norm(&b, &mut schema);
-        let mut kernel = Kernel::new();
-        let oracle_ab = subsumes(&na, &nb);
-        let oracle_ba = subsumes(&nb, &na);
-        // Cold memo.
-        prop_assert_eq!(kernel.subsumes_nf(&na, &nb), oracle_ab);
-        prop_assert_eq!(kernel.subsumes_nf(&nb, &na), oracle_ba);
-        // Warm memo: answered from the cache, still the oracle's answer.
-        prop_assert_eq!(kernel.subsumes_nf(&na, &nb), oracle_ab);
-        prop_assert_eq!(kernel.subsumes_nf(&nb, &na), oracle_ba);
-        let s = kernel.stats();
-        prop_assert!(s.memo_hits >= 2, "repeat queries must hit the memo");
-    }
-
-    /// Interning is hash-consing: equal forms share an id, and the id
-    /// resolves back to an equal form.
-    #[test]
-    fn interning_is_injective_on_meaning(c in concept_strategy()) {
-        let mut schema = vocabulary();
-        let nf = norm(&c, &mut schema);
-        let mut kernel = Kernel::new();
-        let id1 = kernel.intern(&nf);
-        let id2 = kernel.intern(&nf.clone());
-        prop_assert_eq!(id1, id2);
-        prop_assert_eq!(kernel.nf(id1), &nf);
-    }
-
-    /// All three classification paths agree on randomly grown schemas:
-    /// the kernel+bitset path, the plain-walk path, and the exhaustive
-    /// brute-force scan.
+    /// The pruned classification agrees with the exhaustive brute-force
+    /// scan on randomly grown schemas.
     #[test]
     fn classification_paths_agree_on_random_schemas(
         defs in proptest::collection::vec(concept_strategy(), 2..10),
@@ -137,14 +98,10 @@ proptest! {
         for q in &queries {
             let nf = norm(q, &mut schema);
             let fast = taxo.classify(&nf);
-            let walk = taxo.classify_unmemoized(&nf);
             let brute = taxo.classify_brute(&nf);
             prop_assert_eq!(&fast.parents, &brute.parents);
             prop_assert_eq!(&fast.children, &brute.children);
             prop_assert_eq!(fast.equivalent, brute.equivalent);
-            prop_assert_eq!(&walk.parents, &brute.parents);
-            prop_assert_eq!(&walk.children, &brute.children);
-            prop_assert_eq!(walk.equivalent, brute.equivalent);
         }
     }
 
@@ -173,28 +130,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Classifying the same query twice through the kernel path costs the
-    /// same number of tests and yields the same placement — and the
-    /// second pass is answered from the memo.
-    #[test]
-    fn repeat_classification_is_memoized(
-        defs in proptest::collection::vec(concept_strategy(), 2..8),
-        q in concept_strategy(),
-    ) {
-        let (mut schema, taxo) = grow(&defs);
-        let nf = norm(&q, &mut schema);
-        let first = taxo.classify(&nf);
-        let before = taxo.kernel_stats();
-        let second = taxo.classify(&nf);
-        let after = taxo.kernel_stats();
-        prop_assert_eq!(first.parents, second.parents);
-        prop_assert_eq!(first.children, second.children);
-        prop_assert_eq!(first.equivalent, second.equivalent);
-        prop_assert_eq!(
-            after.memo_misses, before.memo_misses,
-            "a repeat classification must not miss the memo"
-        );
     }
 }

@@ -99,14 +99,12 @@ impl Kb {
             });
         }
         for &t in &nf.tests {
-            let passed = d.tests.contains(&t)
-                || ind.test_hits.lock().expect("test cache lock").get(&t) == Some(&true)
-                || {
-                    let name = symbols.individual_name(ind.name);
-                    self.schema()
-                        .run_test(t, &TestArg::Ind(Some(name), d))
-                        .unwrap_or(false)
-                };
+            let passed = d.tests.contains(&t) || {
+                let name = symbols.individual_name(ind.name);
+                self.schema()
+                    .run_test(t, &TestArg::Ind(Some(name), d))
+                    .unwrap_or(false)
+            };
             reqs.push(Requirement {
                 description: format!("TEST {} must accept it", symbols.test_name(t)),
                 satisfied: passed,

@@ -9,11 +9,10 @@
 //! recognized under (its realization).
 
 use classic_core::normal::NormalForm;
-use classic_core::symbol::{IndName, TestId};
+use classic_core::symbol::IndName;
 use classic_core::taxonomy::NodeId;
 use classic_core::Concept;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::collections::BTreeSet;
 
 /// Dense handle for an individual stored in the knowledge base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,7 +31,7 @@ impl IndId {
 }
 
 /// Everything the database knows about one CLASSIC individual.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Individual {
     /// The individual's name. (The paper notes naming might be optional in
     /// a large database — §3.2 footnote 4; we require names, which is what
@@ -55,30 +54,6 @@ pub struct Individual {
     /// Rules already fired on this individual (each rule fires at most
     /// once per individual, giving the §5 fixpoint bound).
     pub fired_rules: BTreeSet<usize>,
-    /// Cached *positive* test outcomes. Only `true` is cached: a test may
-    /// start failing-to-prove and succeed later as the derived description
-    /// grows, but a recorded success never needs re-running (monotone).
-    /// Interior-mutable so instance checks can run under `&Kb`; a mutex
-    /// (not a `RefCell`) so parallel retrieval workers can share the KB.
-    /// Versions of the KB that share this individual's chunk of the arena
-    /// share the cache, which is sound: it holds only what is true of the
-    /// `derived` beside it, is copied with it when a version writes to
-    /// the chunk, and is cleared when a retraction resets it.
-    pub test_hits: Mutex<HashMap<TestId, bool>>,
-}
-
-impl Clone for Individual {
-    fn clone(&self) -> Self {
-        Individual {
-            name: self.name,
-            derived: self.derived.clone(),
-            told: self.told.clone(),
-            msc: self.msc.clone(),
-            instance_nodes: self.instance_nodes.clone(),
-            fired_rules: self.fired_rules.clone(),
-            test_hits: Mutex::new(self.test_hits.lock().expect("test cache lock").clone()),
-        }
-    }
 }
 
 impl Individual {
@@ -92,7 +67,6 @@ impl Individual {
             msc: BTreeSet::new(),
             instance_nodes: BTreeSet::new(),
             fired_rules: BTreeSet::new(),
-            test_hits: Mutex::new(HashMap::new()),
         }
     }
 

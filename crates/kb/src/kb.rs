@@ -71,9 +71,8 @@ pub use classic_obs::Counter;
 /// expositions read the same atomics the engine bumps.
 /// `KbStats::default()` yields detached stand-ins (tests, ad-hoc use).
 ///
-/// Kernel-level counters (interning, subsumption memo hit/miss, closure
-/// rebuilds) live with the taxonomy's kernel; snapshot them via
-/// [`Kb::kernel_stats`].
+/// Classification counters (subsumption tests, closure rebuilds) live
+/// with the taxonomy; snapshot them via [`Kb::kernel_stats`].
 #[derive(Debug, Clone)]
 pub struct KbStats {
     /// Top-level `assert-ind` calls accepted.
@@ -309,7 +308,7 @@ pub struct Kb {
     /// Cumulative instrumentation counters.
     pub stats: KbStats,
     /// This KB's metric registry. Every series the engine bumps
-    /// (`stats`, the kernel counters, per-op duration histograms, and
+    /// (`stats`, the classification counters, per-op duration histograms, and
     /// anything a wrapper such as `DurableKb` registers) lives here; the
     /// registry is also enrolled in the process-global roll-up that
     /// `--metrics` dumps.
@@ -392,15 +391,16 @@ impl Kb {
         &self.taxonomy
     }
 
-    /// Snapshot of the subsumption kernel's counters (normal-form
-    /// interning, memo hit/miss, closure rebuilds). Complements the ABox
-    /// counters in [`Kb::stats`]; experiment E9 reports both.
+    /// Snapshot of the taxonomy's classification counters (subsumption
+    /// tests, closure rebuilds; the memo fields read as
+    /// [`classic_core::KernelStats`] says). Complements the ABox counters
+    /// in [`Kb::stats`].
     pub fn kernel_stats(&self) -> classic_core::KernelStats {
         self.taxonomy.kernel_stats()
     }
 
     /// This KB's metric registry: every series the engine bumps
-    /// (assertions, propagation, subsumption kernel, durations).
+    /// (assertions, propagation, classification, durations).
     /// Snapshot or render it directly, or register additional series
     /// (the durable store does) so one exposition covers the whole
     /// stack.
@@ -855,9 +855,8 @@ impl Kb {
                 }
             }
         }
-        // Reset each member to its surviving told facts. Monotone caches
-        // (fired rules, positive TEST hits) are only valid for growing
-        // descriptions, so both are cleared.
+        // Reset each member to its surviving told facts. Fired rules are
+        // only valid for growing descriptions, so they are cleared.
         for &i in &reset {
             let mut derived = NormalForm::top();
             derived.layer = classic_core::Layer::Classic;
@@ -872,7 +871,6 @@ impl Kb {
             let ind = &mut self.inds[i.index()];
             ind.derived = derived;
             ind.fired_rules.clear();
-            ind.test_hits.lock().expect("test cache lock").clear();
         }
         journal.work.extend(&enqueue);
         Ok((reset.len() as u64, enqueue.len() as u64))

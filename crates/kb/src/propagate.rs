@@ -71,11 +71,10 @@ pub(crate) enum PathResolution {
 /// panic boundary around recognizers, for propagation here and for
 /// `classic-query`'s instance tests (on its worker threads too).
 ///
-/// `AssertUnwindSafe` is sound here: `f` only reads the KB, and the
-/// interior mutability it touches (per-individual test-hit caches, the
-/// kernel memo) is behind mutexes whose guards are dropped *before* a
-/// recognizer runs — a panicking recognizer cannot poison them or leave
-/// them mid-update.
+/// `AssertUnwindSafe` is sound here: `f` only reads the KB. What it
+/// writes — atomic counters, and spans whose flight-recorder lock is not
+/// held while a recognizer runs — a panicking recognizer cannot leave
+/// mid-update.
 pub fn guard_recognizers<T>(f: impl FnOnce() -> T) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         let msg = payload
@@ -535,12 +534,9 @@ impl Kb {
             }
         }
         // TEST atoms: derivable from the description, or established by
-        // actually running the procedural recognizer (cached when true).
+        // running the procedural recognizer now.
         for &t in &nf.tests {
             if d.tests.contains(&t) {
-                continue;
-            }
-            if ind.test_hits.lock().expect("test cache lock").get(&t) == Some(&true) {
                 continue;
             }
             let name = self.schema.symbols.individual_name(ind.name);
@@ -548,12 +544,7 @@ impl Kb {
                 .schema
                 .run_test(t, &TestArg::Ind(Some(name), d))
                 .unwrap_or(false);
-            if passed {
-                ind.test_hits
-                    .lock()
-                    .expect("test cache lock")
-                    .insert(t, true);
-            } else {
+            if !passed {
                 return false;
             }
         }

@@ -46,9 +46,7 @@ fn base(armed: &Arc<AtomicBool>) -> Kb {
     }
     let member = kb.define_role("member").unwrap();
     let switch = Arc::clone(armed);
-    // Panics while armed; otherwise holds of every other individual, so
-    // some positive outcomes are cached and must travel with their
-    // individual — and be forgotten when a retraction resets it.
+    // Panics while armed; otherwise holds of every other individual.
     kb.register_test("fragile", move |arg| {
         if switch.load(Ordering::SeqCst) {
             panic!("fragile recognizer blew up");
@@ -101,7 +99,7 @@ enum Op {
     /// `define-concept N{k}`; refused the second time.
     Define(usize, Desc),
     /// Tell `x{i}` it is a `P0` while the recognizer panics: refused,
-    /// unless its one `TEST` outcome is already cached.
+    /// unless its description already carries the `TEST` atom.
     Panic(usize),
     /// Tell `Hub` that every member is a `P0`: one wide epoch.
     HubAll,
@@ -562,4 +560,57 @@ fn a_large_clone_shares_all_but_what_the_writes_touched() {
     drop(kb);
     assert_eq!(answers(&pinned), before.0);
     pinned.check_invariants().unwrap();
+}
+
+/// A read writes nothing. Classifying forms the taxonomy has never seen,
+/// and retrieving through a `TEST` recognizer that accepts, leave the
+/// taxonomy, every individual and the chunks a pinned clone shares as
+/// they were.
+#[test]
+fn a_read_writes_nothing() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let mut kb = base(&armed);
+    let (r0, r1) = (RoleId::from_index(0), RoleId::from_index(1));
+    for i in 0..4 {
+        kb.create_ind(&format!("x{i}")).unwrap();
+        kb.assert_ind(&format!("x{i}"), &Concept::AtLeast(1, r0))
+            .unwrap();
+    }
+    let pinned = kb.clone();
+    let p0 = Desc::P0.concept(&kb);
+    let unseen = [
+        Concept::and([p0.clone(), Concept::AtLeast(2, r0)]),
+        Concept::AtMost(3, r1),
+        Concept::and([p0.clone(), Concept::all(r1, p0)]),
+    ];
+    // No node subsumes it, so every individual is a candidate and the
+    // recognizer runs on each one not yet refused.
+    let fragile = kb.schema().symbols.find_test("fragile").unwrap();
+    let tested = Concept::and([Concept::Test(fragile), Concept::AtLeast(1, r0)]);
+    let state = |kb: &Kb| {
+        let inds: Vec<String> = kb.ind_ids().map(|id| format!("{:?}", kb.ind(id))).collect();
+        (kb.kernel_stats().interned, inds, kb.sharing_with(&pinned))
+    };
+    let before = state(&kb);
+    for q in &unseen {
+        let nf = kb.normalize(q).unwrap();
+        let placed = kb.taxonomy().classify(&nf);
+        assert_eq!(placed.equivalent, None, "{q:?} is new to the taxonomy");
+    }
+    let known = classic_query::Query::concept(tested).run(&kb).unwrap();
+    let names: Vec<&str> = known
+        .into_known()
+        .expect("known answers")
+        .known
+        .into_iter()
+        .map(|id| kb.schema().symbols.individual_name(kb.ind(id).name))
+        .collect();
+    assert_eq!(names, ["x0", "x2"]);
+    assert_eq!(state(&kb), before);
+    // The clone shares the taxonomy's counters, the one thing a read
+    // bumps, so its `Debug` is the taxonomy's before the reads.
+    assert_eq!(
+        format!("{:?}", kb.taxonomy()),
+        format!("{:?}", pinned.taxonomy())
+    );
 }

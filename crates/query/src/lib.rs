@@ -435,9 +435,8 @@ const PARALLEL_THRESHOLD: usize = 256;
 
 /// Filter `candidates` down to the known instances of `nf`, fanning the
 /// instance tests out across threads when the candidate set is large.
-/// Instance testing only *reads* the knowledge base (the interior-mutable
-/// caches — test memos, kernel memo — are behind mutexes), so a scoped
-/// borrow of `&Kb` can be shared across workers with no new dependencies.
+/// Instance testing only *reads* the knowledge base, so a scoped borrow of
+/// `&Kb` can be shared across workers with no new dependencies.
 ///
 /// A panic in a user recognizer — on either the sequential or the parallel
 /// path — surfaces as `Err(RecognizerPanicked)` rather than unwinding
