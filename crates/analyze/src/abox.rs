@@ -74,7 +74,7 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
     // few pool members remain compatible with the restriction, the
     // obligation can never be met. Open-world care: unresolved names and
     // host values count as viable.
-    for (&role, rr) in &ind.derived.roles {
+    for (&role, rr) in &ind.derived().roles {
         let need = rr.min_count() as usize;
         if need == 0 {
             continue;
@@ -101,7 +101,7 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
                 continue;
             };
             consulted.insert(fid);
-            let mut trial = kb.ind(fid).derived.clone();
+            let mut trial = kb.ind(fid).derived().clone();
             trial.conjoin(body, kb.schema());
             if trial.is_incoherent() {
                 blocked.push(format!(
@@ -137,7 +137,7 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
     // filler away from its AT-MOST, at which point the paper's §3.3
     // deduction closes it. Roles with no fillers yet are skipped (every
     // bare attribute would otherwise warn).
-    for (&role, rr) in &ind.derived.roles {
+    for (&role, rr) in &ind.derived().roles {
         let Some(m) = rr.at_most else { continue };
         if rr.closed || rr.fillers.is_empty() {
             continue;
@@ -165,11 +165,11 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
     // combination for which structural subsumption is known-incomplete
     // (Borgida & Patel-Schneider's completeness analysis, PAPERS.md #1):
     // consequences may silently go underived.
-    if !ind.derived.same_as.is_empty() {
-        let mut one_of_met = ind.derived.one_of.is_some();
+    if !ind.derived().same_as.is_empty() {
+        let mut one_of_met = ind.derived().one_of.is_some();
         if !one_of_met {
-            'paths: for path in ind.derived.same_as.all_paths() {
-                let mut cur = ind.derived.clone();
+            'paths: for path in ind.derived().same_as.all_paths() {
+                let mut cur = ind.derived().clone();
                 for &role in &path {
                     let vr = cur.value_restriction(role);
                     if vr.one_of.is_some() {
@@ -191,7 +191,7 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
                         .to_owned(),
                 )
                 .with_provenance(vec![
-                    format!("same-as: {}", ind.derived.same_as.display(sym)),
+                    format!("same-as: {}", ind.derived().same_as.display(sym)),
                     "consequences of identifying enumerated individuals may go underived"
                         .to_owned(),
                 ]),
@@ -201,12 +201,7 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
 
     // A013: orphan individual — told something, yet recognized under no
     // defined concept (its most-specific classification is THING itself).
-    if !ind.told.is_empty()
-        && ind
-            .msc
-            .iter()
-            .all(|&n| n == classic_core::taxonomy::NodeId::TOP)
-    {
+    if !ind.told().is_empty() && ind.msc().all(|n| n == classic_core::taxonomy::NodeId::TOP) {
         out.push(
             Diagnostic::new(
                 Code::OrphanIndividual,
@@ -216,7 +211,7 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
             )
             .with_provenance(vec![format!(
                 "{} told assertion(s) never lifted it below THING",
-                ind.told.len()
+                ind.told().len()
             )]),
         );
     }
@@ -227,11 +222,11 @@ pub(crate) fn abox_diagnostics(kb: &Kb, id: IndId) -> (Vec<Diagnostic>, BTreeSet
     // shifts the bound, so the told CLOSE means less than it reads.
     let mut closes = BTreeSet::new();
     let mut told_fills = Vec::new();
-    for t in &ind.told {
+    for t in ind.told() {
         collect_told_role_facts(t, &mut closes, &mut told_fills);
     }
     for role in closes {
-        let Some(rr) = ind.derived.roles.get(&role) else {
+        let Some(rr) = ind.derived().roles.get(&role) else {
             continue;
         };
         if !rr.closed {
@@ -289,11 +284,11 @@ pub(crate) fn compat_rules(kb: &Kb, id: IndId, infos: &[RuleInfo]) -> BTreeSet<u
         if ant.is_incoherent() {
             continue;
         }
-        if ind.fired_rules.contains(&info.index) {
+        if ind.has_fired(info.index) {
             out.insert(info.index);
             continue;
         }
-        let mut trial = ind.derived.clone();
+        let mut trial = ind.derived().clone();
         trial.conjoin(ant, kb.schema());
         if !trial.is_incoherent() {
             out.insert(info.index);

@@ -78,12 +78,12 @@ pub struct AnalysisState {
 fn fingerprint(kb: &Kb, id: IndId) -> u64 {
     let ind = kb.ind(id);
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    ind.derived.hash(&mut h);
-    ind.told.hash(&mut h);
-    for n in &ind.msc {
+    ind.derived().hash(&mut h);
+    ind.told().hash(&mut h);
+    for n in ind.msc() {
         n.hash(&mut h);
     }
-    for r in &ind.fired_rules {
+    for r in ind.fired_rules() {
         r.hash(&mut h);
     }
     let mut supports: Vec<_> = kb.deps().supports_of(id).collect();

@@ -125,7 +125,7 @@ fn retraction_targets(kb: &Kb) -> Vec<(String, Concept)> {
         }
         let ind = kb.ind(id);
         if let Some(c) = ind
-            .told
+            .told()
             .iter()
             .find(|c| matches!(c, Concept::Fills(r, _) if *r == calls))
         {

@@ -267,7 +267,7 @@ mod tests {
         let perp = kb.schema().symbols.find_role("perpetrator").expect("r");
         let crime = kb.schema().symbols.find_concept("CRIME").expect("c");
         for id in kb.instances_of(crime).expect("ok") {
-            let rr = kb.ind(id).derived.role(perp);
+            let rr = kb.ind(id).derived().role(perp);
             assert!(rr.at_least >= 1);
             assert!(
                 !rr.closed,

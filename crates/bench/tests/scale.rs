@@ -35,7 +35,7 @@ fn invariants_hold_at_several_thousand_individuals() {
 
     // 2. Extension index consistency over the whole database.
     for id in sw.kb.ind_ids() {
-        for &node in &sw.kb.ind(id).instance_nodes {
+        for node in sw.kb.ind(id).msc() {
             assert!(
                 sw.kb.instances_of_node(node).contains(&id),
                 "extension index missing an instance"
@@ -45,7 +45,7 @@ fn invariants_hold_at_several_thousand_individuals() {
 
     // 3. No committed individual is incoherent.
     for id in sw.kb.ind_ids() {
-        assert!(!sw.kb.ind(id).derived.is_incoherent());
+        assert!(!sw.kb.ind(id).derived().is_incoherent());
     }
 
     // 4. The whole database persists and replays identically.

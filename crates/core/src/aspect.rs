@@ -57,8 +57,7 @@ pub enum Aspect {
 /// `concept-aspect[c, kind, role]` — inspect one facet of a concept.
 ///
 /// `role` is required for the role-specific constructors and ignored for
-/// `ONE-OF`; use [`roles_with_aspect`] for the role-less invocation that
-/// lists restricted roles.
+/// `ONE-OF`.
 pub fn concept_aspect(nf: &NormalForm, kind: AspectKind, role: Option<RoleId>) -> Aspect {
     match kind {
         AspectKind::OneOf => match &nf.one_of {
@@ -100,23 +99,6 @@ pub fn concept_aspect(nf: &NormalForm, kind: AspectKind, role: Option<RoleId>) -
     }
 }
 
-/// `concept-aspect[c, kind]` without a role: "we get the list of roles for
-/// which there is a restriction present" (§3.5.1).
-pub fn roles_with_aspect(nf: &NormalForm, kind: AspectKind) -> Vec<RoleId> {
-    nf.roles
-        .iter()
-        .filter(|(_, rr)| match kind {
-            AspectKind::OneOf => false,
-            AspectKind::All => rr.all.is_some(),
-            AspectKind::AtLeast => rr.at_least > 0,
-            AspectKind::AtMost => rr.at_most.is_some(),
-            AspectKind::Fills => !rr.fillers.is_empty(),
-            AspectKind::Close => rr.closed,
-        })
-        .map(|(&r, _)| r)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,9 +127,6 @@ mod tests {
             concept_aspect(&nf, AspectKind::AtMost, Some(r)),
             Aspect::None
         );
-        assert_eq!(roles_with_aspect(&nf, AspectKind::All), vec![r]);
-        assert_eq!(roles_with_aspect(&nf, AspectKind::AtLeast), vec![r]);
-        assert!(roles_with_aspect(&nf, AspectKind::Close).is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! naming its answers — reads memory in order, as it would a `Vec`.
 //! That is why the chunk is sized in bytes: what a write copies is
 //! bounded whatever the entry, and a chunk of large entries (the
-//! individuals, sixteen to a chunk) is still a few of them side by side.
+//! individuals, thirty-two to a chunk) is still a few of them side by side.
 
 use std::collections::HashSet;
 use std::ops::{Index, IndexMut};

@@ -31,24 +31,11 @@ pub enum IndRef {
 
 impl IndRef {
     /// The layer this individual necessarily belongs to.
-    pub fn layer(&self) -> Layer {
+    pub(crate) fn layer(&self) -> Layer {
         match self {
             IndRef::Classic(_) => Layer::Classic,
             IndRef::Host(v) => Layer::Host(Some(v.class())),
         }
-    }
-
-    /// The individual's name, if it is a CLASSIC (non-host) individual.
-    pub fn as_classic(&self) -> Option<IndName> {
-        match self {
-            IndRef::Classic(n) => Some(*n),
-            IndRef::Host(_) => None,
-        }
-    }
-
-    /// Is this a host individual?
-    pub fn is_host(&self) -> bool {
-        matches!(self, IndRef::Host(_))
     }
 }
 
@@ -139,12 +126,6 @@ impl Concept {
         Concept::OneOf(inds.into_iter().collect())
     }
 
-    /// `(ONE-OF i)` for a single named individual — common in the paper
-    /// (e.g. `(ONE-OF Ferrari)`).
-    pub fn singleton(ind: IndName) -> Concept {
-        Concept::OneOf(vec![IndRef::Classic(ind)])
-    }
-
     /// `EXACTLY-ONE` as the paper derives it: `AND(AT-LEAST 1, AT-MOST 1)`
     /// (§2.1.4 discusses exactly this macro).
     pub fn exactly(n: u32, role: RoleId) -> Concept {
@@ -198,31 +179,6 @@ impl Concept {
             Concept::And(parts) => {
                 for p in parts {
                     p.referenced_names(out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// All roles mentioned anywhere in the expression.
-    pub fn referenced_roles(&self, out: &mut Vec<RoleId>) {
-        match self {
-            Concept::All(r, c) => {
-                out.push(*r);
-                c.referenced_roles(out);
-            }
-            Concept::AtLeast(_, r) | Concept::AtMost(_, r) | Concept::Close(r) => out.push(*r),
-            Concept::Fills(r, _) => out.push(*r),
-            Concept::SameAs(p, q) => {
-                out.extend(p.iter().copied());
-                out.extend(q.iter().copied());
-            }
-            Concept::Primitive { parent, .. } | Concept::DisjointPrimitive { parent, .. } => {
-                parent.referenced_roles(out)
-            }
-            Concept::And(parts) => {
-                for part in parts {
-                    part.referenced_roles(out);
                 }
             }
             _ => {}
@@ -363,7 +319,7 @@ mod tests {
         let (s, r, c, i) = setup();
         let e = Concept::and([
             Concept::Name(c),
-            Concept::all(r, Concept::singleton(i)),
+            Concept::all(r, Concept::one_of([IndRef::Classic(i)])),
             Concept::AtLeast(2, r),
         ]);
         assert_eq!(
@@ -393,8 +349,11 @@ mod tests {
         let (_, r, c, i) = setup();
         assert_eq!(Concept::Name(c).size(), 1);
         assert_eq!(Concept::AtLeast(2, r).size(), 1);
-        assert_eq!(Concept::singleton(i).size(), 2);
-        let e = Concept::and([Concept::Name(c), Concept::all(r, Concept::singleton(i))]);
+        assert_eq!(Concept::one_of([IndRef::Classic(i)]).size(), 2);
+        let e = Concept::and([
+            Concept::Name(c),
+            Concept::all(r, Concept::one_of([IndRef::Classic(i)])),
+        ]);
         // AND(1) + Name(1) + ALL(1) + OneOf(1+1)
         assert_eq!(e.size(), 5);
     }
@@ -413,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn referenced_roles_and_names() {
+    fn referenced_names() {
         let (mut s, r, c, _) = setup();
         let r2 = s.role("maker");
         let e = Concept::and([
@@ -421,9 +380,6 @@ mod tests {
             Concept::all(r, Concept::all(r2, Concept::thing())),
             Concept::Close(r2),
         ]);
-        let mut roles = vec![];
-        e.referenced_roles(&mut roles);
-        assert_eq!(roles, vec![r, r2, r2]);
         let mut names = vec![];
         e.referenced_names(&mut names);
         assert_eq!(names, vec![c]);
@@ -433,8 +389,7 @@ mod tests {
     fn ind_ref_layers() {
         let (_, _, _, i) = setup();
         assert_eq!(IndRef::Classic(i).layer(), Layer::Classic);
-        assert!(IndRef::Host(HostValue::Int(1)).is_host());
-        assert_eq!(IndRef::Classic(i).as_classic(), Some(i));
-        assert_eq!(IndRef::Host(HostValue::Int(1)).as_classic(), None);
+        let host = IndRef::Host(HostValue::Int(1));
+        assert_eq!(host.layer(), Layer::Host(Some(HostValue::Int(1).class())));
     }
 }

@@ -90,7 +90,7 @@ impl HostValue {
 
 impl HostValue {
     /// Write this value as the literal the lexer reads back to it.
-    pub fn write<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+    pub(crate) fn write<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
         match self {
             HostValue::Int(i) => w.int(*i),
             HostValue::Float(v) => w.float(v.0),
@@ -125,7 +125,7 @@ pub enum HostClass {
 
 impl HostClass {
     /// The built-in concept name for this host class.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             HostClass::Number => "NUMBER",
             HostClass::Integer => "INTEGER",
@@ -144,7 +144,7 @@ impl HostClass {
 
     /// Least upper bound within the host classes, if one exists below
     /// `HOST-THING` itself.
-    pub fn join(self, other: HostClass) -> Option<HostClass> {
+    pub(crate) fn join(self, other: HostClass) -> Option<HostClass> {
         if self.subsumes(other) {
             Some(self)
         } else if other.subsumes(self) {
@@ -200,7 +200,7 @@ impl Layer {
     }
 
     /// Greatest lower bound; `None` means the meet is empty (⊥).
-    pub fn meet(self, other: Layer) -> Option<Layer> {
+    pub(crate) fn meet(self, other: Layer) -> Option<Layer> {
         if self.subsumes(other) {
             Some(other)
         } else if other.subsumes(self) {
@@ -211,7 +211,7 @@ impl Layer {
     }
 
     /// Least upper bound.
-    pub fn join(self, other: Layer) -> Layer {
+    pub(crate) fn join(self, other: Layer) -> Layer {
         if self.subsumes(other) {
             self
         } else if other.subsumes(self) {
@@ -226,7 +226,7 @@ impl Layer {
     }
 
     /// The built-in concept name for this layer.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Layer::Thing => "THING",
             Layer::Classic => "CLASSIC-THING",

@@ -150,14 +150,14 @@ impl<W: fmt::Write> Writer<W> {
     }
 
     /// A host integer.
-    pub fn int(&mut self, i: i64) -> fmt::Result {
+    pub(crate) fn int(&mut self, i: i64) -> fmt::Result {
         self.gap()?;
         write!(self.out, "{i}")
     }
 
     /// A host float, always with a decimal point so it reads back as a
     /// float; refused unless finite (`inf` and `NaN` read back as names).
-    pub fn float(&mut self, v: f64) -> fmt::Result {
+    pub(crate) fn float(&mut self, v: f64) -> fmt::Result {
         self.gap()?;
         if !v.is_finite() {
             self.refuse(|| format!("the non-finite float {v} has no literal"));
@@ -172,7 +172,7 @@ impl<W: fmt::Write> Writer<W> {
     /// A host string: `"`, `\` and control characters escaped (by name
     /// where [`unescape`] has one, as `\u{hex}` otherwise), all else
     /// verbatim — a record stays on one line, any `String` reads back.
-    pub fn string(&mut self, s: &str) -> fmt::Result {
+    pub(crate) fn string(&mut self, s: &str) -> fmt::Result {
         self.gap()?;
         self.out.write_char('"')?;
         for c in s.chars() {
@@ -187,7 +187,7 @@ impl<W: fmt::Write> Writer<W> {
 
     /// A host symbol, `'red`; refused unless a non-empty run of
     /// [`is_symbol_char`] characters.
-    pub fn quoted_symbol(&mut self, s: &str) -> fmt::Result {
+    pub(crate) fn quoted_symbol(&mut self, s: &str) -> fmt::Result {
         if s.is_empty() || !s.chars().all(is_symbol_char) {
             self.refuse(|| format!("'{s} does not read back as a quoted symbol"));
         }

@@ -49,7 +49,7 @@ pub struct RoleRestriction {
 
 impl RoleRestriction {
     /// A restriction that says nothing (≡ no restriction at all).
-    pub fn is_trivial(&self) -> bool {
+    pub(crate) fn is_trivial(&self) -> bool {
         self.all.is_none()
             && self.at_least == 0
             && self.at_most.is_none()

@@ -41,11 +41,11 @@ pub enum TestArg<'a> {
 /// A registered test function. `Arc`, not `Box`: schemas are cloneable
 /// (server read snapshots clone whole KBs) and closures cannot be, so
 /// clones share the registered functions.
-pub type TestFn = std::sync::Arc<dyn Fn(&TestArg<'_>) -> bool + Send + Sync>;
+pub(crate) type TestFn = std::sync::Arc<dyn Fn(&TestArg<'_>) -> bool + Send + Sync>;
 
 /// A stored named-concept definition.
 #[derive(Clone)]
-pub struct ConceptDef {
+pub(crate) struct ConceptDef {
     /// The definition as written (`concept-aspect` reads facets off this
     /// via its normal form; the told form is kept for display/persistence).
     pub told: Concept,
@@ -158,7 +158,7 @@ impl Schema {
     /// Is `role` declared (via `define-role`/`define-attribute`)? A name
     /// merely interned by a parser is not a declaration — `define-role`
     /// exists precisely so typos are detectable (§3.1 footnote 3).
-    pub fn check_role(&self, role: RoleId) -> Result<()> {
+    pub(crate) fn check_role(&self, role: RoleId) -> Result<()> {
         match self.roles.get(role.index()) {
             Some(Some(_)) => Ok(()),
             _ => Err(ClassicError::UndefinedRole(role)),
@@ -166,7 +166,7 @@ impl Schema {
     }
 
     /// Is `role` declared single-valued (`define-attribute`)?
-    pub fn is_attribute(&self, role: RoleId) -> bool {
+    pub(crate) fn is_attribute(&self, role: RoleId) -> bool {
         matches!(
             self.roles.get(role.index()),
             Some(Some(RoleDecl { attribute: true }))
@@ -178,13 +178,8 @@ impl Schema {
         self.roles.get(role.index()).copied().flatten()
     }
 
-    /// Number of *declared* roles.
-    pub fn role_count(&self) -> usize {
-        self.roles.iter().flatten().count()
-    }
-
     /// Any declared role (used to synthesize a ⊥ expression).
-    pub fn any_role(&self) -> Option<RoleId> {
+    pub(crate) fn any_role(&self) -> Option<RoleId> {
         self.roles
             .iter()
             .position(Option::is_some)
@@ -374,7 +369,7 @@ impl Schema {
 
     /// Are two primitive atoms declared mutually exclusive?
     /// (Same disjoint grouping, different indices — §3.4.)
-    pub fn prims_disjoint(&self, a: PrimId, b: PrimId) -> bool {
+    pub(crate) fn prims_disjoint(&self, a: PrimId, b: PrimId) -> bool {
         if a == b {
             return false;
         }

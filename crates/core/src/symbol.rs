@@ -186,7 +186,7 @@ pub struct SymbolTable {
 
 impl SymbolTable {
     /// An empty symbol table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -211,7 +211,7 @@ impl SymbolTable {
     }
 
     /// Intern a test-function name.
-    pub fn test(&mut self, name: &str) -> TestId {
+    pub(crate) fn test(&mut self, name: &str) -> TestId {
         TestId(self.tests.intern(name))
     }
 
@@ -256,7 +256,7 @@ impl SymbolTable {
     }
 
     /// The primitive-atom key for `id`.
-    pub fn prim_key(&self, id: PrimId) -> &str {
+    pub(crate) fn prim_key(&self, id: PrimId) -> &str {
         self.prims.resolve(id.0)
     }
 

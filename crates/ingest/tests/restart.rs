@@ -47,7 +47,7 @@ fn csv_cells_with_cr_lf_and_zero_width_space_reopen_same_state() {
         let filler = |name: &str, role: &str| {
             let id = kb.ind_id(symbols.find_individual(name).unwrap()).unwrap();
             let role = symbols.find_role(role).unwrap();
-            let fillers = &kb.ind(id).derived.roles[&role].fillers;
+            let fillers = &kb.ind(id).derived().roles[&role].fillers;
             match fillers.iter().next() {
                 Some(IndRef::Host(HostValue::Str(s))) => s.clone(),
                 other => panic!("expected one string filler, got {other:?}"),

@@ -40,7 +40,7 @@ impl Kb {
     /// description(s) it satisfies", §5).
     pub fn most_specific_concepts(&self, id: IndId) -> Vec<ConceptName> {
         let mut out = Vec::new();
-        for &node in &self.ind(id).msc {
+        for node in self.ind(id).msc() {
             out.extend(self.taxonomy().node(node).names.iter().copied());
         }
         out.sort();
@@ -74,13 +74,16 @@ impl Kb {
     }
 
     /// Is the individual recognized as an instance of a named concept?
-    /// (The membership query of §3.5.3, by name.)
+    /// (The membership query of §3.5.3, by name.) It is where it sits:
+    /// an instance of `THING`, of its most specific concepts, and of
+    /// everything above them in the taxonomy.
     pub fn is_instance_of(&self, id: IndId, concept: ConceptName) -> Result<bool> {
         let node = self
             .taxonomy()
             .node_of(concept)
             .ok_or(classic_core::ClassicError::UndefinedConcept(concept))?;
-        Ok(self.ind(id).instance_nodes.contains(&node)
-            || node == classic_core::taxonomy::NodeId::TOP)
+        Ok(node == NodeId::TOP
+            || (self.ind(id).msc())
+                .any(|m| m == node || self.taxonomy().is_strict_ancestor(node, m)))
     }
 }

@@ -51,7 +51,7 @@ use classic_core::schema::Schema;
 /// Default rows per batched fixpoint. Large enough to amortize the
 /// propagation setup, small enough that a clash-triggered row-by-row
 /// replay stays cheap.
-pub const DEFAULT_BULK_CHUNK: usize = 512;
+pub(crate) const DEFAULT_BULK_CHUNK: usize = 512;
 
 /// Rejection details are capped at this many entries; `rejected` and
 /// `row_accepted` stay exact regardless.
@@ -100,7 +100,7 @@ pub struct BulkReport {
     pub corefs_derived: u64,
     /// Rules fired.
     pub rules_fired: u64,
-    /// Individuals whose recognized concepts changed.
+    /// Individuals whose most specific concepts changed.
     pub reclassified: u64,
     /// Batched fixpoints run (excludes sequential barriers/fallbacks).
     pub chunks: u64,
@@ -153,7 +153,7 @@ fn nf_mentions_tests(nf: &NormalForm) -> bool {
 
 impl Kb {
     /// Assert `rows` in bulk with the default chunk size
-    /// ([`DEFAULT_BULK_CHUNK`]). See [`Kb::bulk_assert_chunked`].
+    /// (`DEFAULT_BULK_CHUNK`, 512). See [`Kb::bulk_assert_chunked`].
     ///
     /// ```
     /// use classic_core::desc::{Concept, IndRef};

@@ -204,6 +204,6 @@ pub struct RetractReport {
     pub requeued: u64,
     /// Worklist steps the re-propagation took.
     pub steps: u64,
-    /// Individuals whose recognized concepts changed.
+    /// Individuals whose most specific concepts changed.
     pub reclassified: u64,
 }

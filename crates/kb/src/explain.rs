@@ -70,7 +70,7 @@ impl Kb {
     /// Decompose `nf` into requirements and evaluate each against the
     /// individual's derived description. The conjunction of the statuses
     /// equals [`Kb::known_instance`].
-    pub fn explain_instance(&self, id: IndId, nf: &NormalForm) -> Explanation {
+    pub(crate) fn explain_instance(&self, id: IndId, nf: &NormalForm) -> Explanation {
         let mut reqs: Vec<Requirement> = Vec::new();
         let symbols = &self.schema().symbols;
         let ind = self.ind(id);
@@ -221,7 +221,7 @@ impl Kb {
 
     /// Explain *where an individual's derived information came from*: one
     /// line per committed dependency record, rendered from the same
-    /// journal that drives retraction. Complements [`Kb::explain_instance`]
+    /// journal that drives retraction. Complements [`Kb::explain_membership`]
     /// (which explains what a concept demands): provenance explains what
     /// retracting a told fact would take with it.
     pub fn explain_provenance(&self, id: IndId) -> Vec<String> {

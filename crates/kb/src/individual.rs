@@ -31,6 +31,9 @@ impl IndId {
 }
 
 /// Everything the database knows about one CLASSIC individual.
+///
+/// Only the name is a field; the rest is read through borrowed views, so
+/// the representation can change without touching callers.
 #[derive(Debug, Clone)]
 pub struct Individual {
     /// The individual's name. (The paper notes naming might be optional in
@@ -40,20 +43,20 @@ pub struct Individual {
     /// The completed description: told information plus every propagated
     /// consequence (ALL-propagation, closure, co-reference, rule
     /// consequents). Monotonically grows; never retracted (§3.2).
-    pub derived: NormalForm,
+    pub(crate) derived: NormalForm,
     /// The assertions exactly as told, for `ind-aspect`-style auditing and
     /// persistence.
-    pub told: Vec<Concept>,
+    pub(crate) told: Vec<Concept>,
     /// Most-specific named concepts this individual is recognized under —
     /// "each individual is associated with the lowest concept(s) in the
-    /// schema whose description(s) it satisfies" (§5).
-    pub msc: BTreeSet<NodeId>,
-    /// Every schema node this individual provably belongs to (the upward
-    /// closure of `msc`; cached for query answering).
-    pub instance_nodes: BTreeSet<NodeId>,
+    /// schema whose description(s) it satisfies" (§5). Membership in every
+    /// ancestor follows from the taxonomy (see [`Kb::is_instance_of`]).
+    ///
+    /// [`Kb::is_instance_of`]: crate::Kb::is_instance_of
+    pub(crate) msc: BTreeSet<NodeId>,
     /// Rules already fired on this individual (each rule fires at most
     /// once per individual, giving the §5 fixpoint bound).
-    pub fired_rules: BTreeSet<usize>,
+    pub(crate) fired_rules: BTreeSet<usize>,
 }
 
 impl Individual {
@@ -65,9 +68,35 @@ impl Individual {
             derived,
             told: Vec::new(),
             msc: BTreeSet::new(),
-            instance_nodes: BTreeSet::new(),
             fired_rules: BTreeSet::new(),
         }
+    }
+
+    /// The completed description: told information plus every propagated
+    /// consequence.
+    pub fn derived(&self) -> &NormalForm {
+        &self.derived
+    }
+
+    /// The assertions exactly as told, oldest first.
+    pub fn told(&self) -> &[Concept] {
+        &self.told
+    }
+
+    /// The most-specific taxonomy nodes this individual is recognized
+    /// under, ascending.
+    pub fn msc(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.msc.iter().copied()
+    }
+
+    /// The rules already fired on this individual, ascending.
+    pub fn fired_rules(&self) -> impl Iterator<Item = usize> + '_ {
+        self.fired_rules.iter().copied()
+    }
+
+    /// Has rule `rule` fired on this individual?
+    pub fn has_fired(&self, rule: usize) -> bool {
+        self.fired_rules.contains(&rule)
     }
 
     /// The known fillers of `role`, if any are recorded.

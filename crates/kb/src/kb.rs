@@ -31,7 +31,7 @@ use classic_core::normal::{conjoin_expression, NormalForm};
 use classic_core::schema::{PrimMark, Schema, TestArg};
 use classic_core::symbol::{ConceptName, IndName, RoleId, TestId};
 use classic_core::taxonomy::{NodeId, Taxonomy};
-use classic_obs::{FlightRecorder, Histogram, Registry};
+use classic_obs::{Counter, FlightRecorder, Histogram, Registry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -54,14 +54,6 @@ pub struct Rule {
     /// (use [`Kb::active_rules`]).
     pub retired: bool,
 }
-
-/// A monotone instrumentation counter. Atomic (relaxed) so parallel query
-/// workers can record statistics through a shared `&Kb` without losing
-/// updates. Since the observability migration this is the
-/// [`classic_obs`] counter: bumps are suppressed at
-/// [`classic_obs::ObsLevel::Off`], and clones *share* the underlying
-/// atomic (the handle names one series, not a value).
-pub use classic_obs::Counter;
 
 /// Cumulative instrumentation counters (experiments E3/E4/E6).
 ///
@@ -158,7 +150,7 @@ pub struct AssertReport {
     pub corefs_derived: u64,
     /// Rules fired.
     pub rules_fired: u64,
-    /// Individuals whose recognized concepts changed.
+    /// Individuals whose most specific concepts changed.
     pub reclassified: u64,
     /// Individuals created implicitly by being referenced.
     pub inds_created: u64,
@@ -269,7 +261,7 @@ impl Journal {
 /// arena, the name index, the extensions, the reverse-filler index, the
 /// dependency journal and the individual namespace are chunked tables
 /// whose chunks both versions go on sharing until one of them writes
-/// there — a clone copies their spines (a pointer per chunk: sixteen
+/// there — a clone copies their spines (a pointer per chunk: thirty-two
 /// individuals, or hundreds of the smaller entries) and each table's
 /// unsealed tail. Neither version ever sees the other's later writes.
 ///
@@ -607,7 +599,7 @@ impl Kb {
         if qualifying.iter().any(live_rules) {
             journal.work.push_back(id);
         }
-        self.install_recognition(id, qualifying, msc);
+        self.install_recognition(id, msc);
         Ok(id)
     }
 
@@ -674,7 +666,7 @@ impl Kb {
     }
 
     /// `assert-ind` addressed by handle.
-    pub fn assert_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<AssertReport> {
+    pub(crate) fn assert_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<AssertReport> {
         let _span = classic_obs::span_timed(&self.recorder, "kb.assert", &self.assert_ns);
         let ((), report) = self.transact(true, |kb, journal| kb.stage_told(id, desc, journal))?;
         self.stats.assertions.bump();
@@ -779,7 +771,7 @@ impl Kb {
     }
 
     /// `retract-ind` addressed by handle.
-    pub fn retract_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<RetractReport> {
+    pub(crate) fn retract_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<RetractReport> {
         let _span = classic_obs::span_timed(&self.recorder, "kb.retract", &self.retract_ns);
         let Some(pos) = self.inds[id.index()].told.iter().rposition(|t| t == desc) else {
             return Err(ClassicError::NotAsserted(self.inds[id.index()].name));
@@ -1087,11 +1079,6 @@ impl Kb {
         Ok(self.instances_of_node(node))
     }
 
-    /// Direct extension of one node (individuals whose msc includes it).
-    pub fn direct_extension(&self, node: NodeId) -> &ChunkedSet<IndId> {
-        &self.extensions[node.index()]
-    }
-
     // ---- diagnostics ------------------------------------------------------------
 
     /// Verify the database's internal invariants, returning the first
@@ -1103,7 +1090,7 @@ impl Kb {
     /// 2. the extension index and per-individual realizations agree in
     ///    both directions;
     /// 3. every individual's `msc` is an antichain whose upward closure
-    ///    is exactly `instance_nodes`;
+    ///    is exactly the set of nodes recognition finds it under;
     /// 4. *closure*: the committed state is a fixed point of the
     ///    propagation step — planning any individual calls for no change
     ///    (only support records, which restate the fixed point). A
@@ -1136,16 +1123,18 @@ impl Kb {
                     }
                 }
             }
-            // Upward closure of msc == instance_nodes.
+            // Upward closure of msc == the nodes recognition qualifies.
             let mut closure: BTreeSet<NodeId> = ind.msc.clone();
             for &node in &ind.msc {
                 closure.extend(self.taxonomy.strict_ancestors(node));
             }
             closure.remove(&NodeId::BOTTOM);
-            let mut expected = ind.instance_nodes.clone();
-            expected.insert(NodeId::TOP);
             closure.insert(NodeId::TOP);
-            if closure != expected {
+            let qualifying = match guard_recognizers(|| self.compute_recognition(id)) {
+                Ok((qualifying, _)) => qualifying,
+                Err(e) => return fail(format!("recognizing {:?} failed: {e}", ind.name)),
+            };
+            if closure != qualifying {
                 return fail(format!(
                     "instance set of {:?} is not the closure of its msc",
                     ind.name
@@ -1446,7 +1435,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_extension_tracks_msc_only() {
+    fn an_individual_sits_at_its_most_specific_concept() {
         let mut kb = kb_with_person();
         let r = kb.schema().symbols.find_role("r").unwrap();
         let person = kb.schema().symbols.find_concept("PERSON").unwrap();
@@ -1459,10 +1448,12 @@ mod tests {
         kb.assert_ind("X", &Concept::AtLeast(1, r)).unwrap();
         let person_node = kb.taxonomy().node_of(person).unwrap();
         let busy_node = kb.taxonomy().node_of(busy).unwrap();
-        // X's most specific concept is BUSY, so it sits in BUSY's direct
+        // X's most specific concept is BUSY, so it sits in BUSY's
         // extension, not PERSON's — but is an instance of both.
-        assert!(kb.direct_extension(busy_node).contains(&id));
-        assert!(!kb.direct_extension(person_node).contains(&id));
+        assert!(kb.ind(id).msc().eq([busy_node]));
+        assert!(kb.extensions[busy_node.index()].contains(&id));
+        assert!(!kb.extensions[person_node.index()].contains(&id));
+        assert!(kb.is_instance_of(id, person).unwrap());
         assert!(kb.instances_of_node(person_node).contains(&id));
     }
 

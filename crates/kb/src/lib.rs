@@ -13,17 +13,17 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod aspect;
-pub mod bulk;
-pub mod deps;
-pub mod explain;
-pub mod individual;
-pub mod kb;
+mod aspect;
+mod bulk;
+mod deps;
+mod explain;
+mod individual;
+mod kb;
 mod plan;
 mod propagate;
 
 pub use aspect::ConceptPlacement;
-pub use bulk::{BulkRejection, BulkReport, BulkRow, DEFAULT_BULK_CHUNK};
+pub use bulk::{BulkRejection, BulkReport, BulkRow};
 pub use deps::{DependencyJournal, RetractReport, Support, SupportKind};
 pub use explain::{Explanation, Requirement};
 pub use individual::{IndId, Individual};

@@ -54,13 +54,9 @@ pub(crate) enum Effect {
     },
     /// `host` holds `filler` as a role filler (idempotent to re-add).
     ReverseEdge { filler: TargetRef, host: IndId },
-    /// `ind`'s recognition changed: install the recomputed instance set
-    /// and most-specific frontier.
-    Install {
-        ind: IndId,
-        qualifying: BTreeSet<NodeId>,
-        msc: BTreeSet<NodeId>,
-    },
+    /// `ind`'s recognition changed: install the recomputed most-specific
+    /// frontier.
+    Install { ind: IndId, msc: BTreeSet<NodeId> },
     /// Rule `rule_ix` is due on `ind` (recognized under the antecedent,
     /// not yet fired).
     FireRule { ind: IndId, rule_ix: usize },
@@ -219,12 +215,8 @@ impl Kb {
             .copied()
             .filter(|ix| !ind.fired_rules.contains(ix))
             .collect();
-        if qualifying != ind.instance_nodes {
-            out.push(Effect::Install {
-                ind: id,
-                qualifying,
-                msc,
-            });
+        if msc != ind.msc {
+            out.push(Effect::Install { ind: id, msc });
         }
         for rule_ix in due {
             out.push(Effect::FireRule { ind: id, rule_ix });

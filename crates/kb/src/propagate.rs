@@ -261,21 +261,17 @@ impl Kb {
                 }
                 Ok(())
             }
-            Effect::Install {
-                ind,
-                qualifying,
-                msc,
-            } => {
+            Effect::Install { ind, msc } => {
                 // Stale installs are possible (an earlier effect of this
                 // epoch may have grown `ind` further); recognition is
                 // monotone, so installing the plan-time subset and
                 // letting the re-enqueued target correct itself next
                 // epoch converges.
-                if self.inds[ind.index()].instance_nodes == qualifying {
+                if self.inds[ind.index()].msc == msc {
                     return Ok(());
                 }
                 journal.touch(self, ind);
-                self.install_recognition(ind, qualifying, msc);
+                self.install_recognition(ind, msc);
                 journal.report.reclassified += 1;
                 // Individuals holding `ind` as a filler may now pass
                 // instance checks that enumerate closed-role fillers.
@@ -395,14 +391,9 @@ impl Kb {
 
     // ---- recognition ----------------------------------------------------
 
-    /// Replace `id`'s recognized concepts and most-specific frontier,
-    /// keeping the extension index in step.
-    pub(crate) fn install_recognition(
-        &mut self,
-        id: IndId,
-        qualifying: BTreeSet<NodeId>,
-        msc: BTreeSet<NodeId>,
-    ) {
+    /// Replace `id`'s most-specific frontier, keeping the extension index
+    /// in step.
+    pub(crate) fn install_recognition(&mut self, id: IndId, msc: BTreeSet<NodeId>) {
         let ind = &mut self.inds[id.index()];
         for n in &ind.msc {
             self.extensions[n.index()].remove(&id);
@@ -410,7 +401,6 @@ impl Kb {
         for n in &msc {
             self.extensions[n.index()].insert(id);
         }
-        ind.instance_nodes = qualifying;
         ind.msc = msc;
     }
 
@@ -487,39 +477,12 @@ impl Kb {
     /// means "not provable", never "provably not" (see
     /// [`Kb::possible_instance`]).
     pub fn known_instance(&self, id: IndId, nf: &NormalForm) -> bool {
-        let mut visiting: Vec<(IndId, *const NormalForm)> = Vec::new();
-        self.known_instance_rec(id, nf, &mut visiting)
-    }
-
-    fn known_instance_rec(
-        &self,
-        id: IndId,
-        nf: &NormalForm,
-        visiting: &mut Vec<(IndId, *const NormalForm)>,
-    ) -> bool {
         if nf.is_incoherent() {
             return false;
         }
         if nf.is_top() {
             return true;
         }
-        let key = (id, nf as *const NormalForm);
-        if visiting.contains(&key) {
-            // Cyclic proof attempt: cannot establish membership this way.
-            return false;
-        }
-        visiting.push(key);
-        let ok = self.known_instance_inner(id, nf, visiting);
-        visiting.pop();
-        ok
-    }
-
-    fn known_instance_inner(
-        &self,
-        id: IndId,
-        nf: &NormalForm,
-        visiting: &mut Vec<(IndId, *const NormalForm)>,
-    ) -> bool {
         let ind = &self.inds[id.index()];
         let d = &ind.derived;
         if !nf.layer.subsumes(d.layer) {
@@ -592,8 +555,9 @@ impl Kb {
                     .unwrap_or_default();
                 for f in fillers {
                     let ok = match f {
+                        // Terminates: `all1` is a strict sub-form of `nf`.
                         IndRef::Classic(n) => match self.find_ind(n) {
-                            Some(fid) => self.known_instance_rec(fid, all1, visiting),
+                            Some(fid) => self.known_instance(fid, all1),
                             None => false,
                         },
                         IndRef::Host(v) => self.host_satisfies(&v, all1),

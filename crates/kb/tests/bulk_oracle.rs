@@ -118,8 +118,8 @@ fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
             let ind = kb.ind(id);
             (
                 kb.schema().symbols.individual_name(ind.name).to_owned(),
-                ind.derived.clone(),
-                ind.msc.iter().map(|n| n.index()).collect(),
+                ind.derived().clone(),
+                ind.msc().map(|n| n.index()).collect(),
             )
         })
         .collect()

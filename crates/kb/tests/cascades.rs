@@ -10,7 +10,9 @@
 //! step.
 
 use classic_core::desc::{Concept, IndRef};
-use classic_kb::Kb;
+use classic_core::symbol::ConceptName;
+use classic_kb::{IndId, Kb};
+use classic_query::Query;
 use classic_store::same_state;
 
 /// DOG-OWNER = PERSON whose pets are all DOGs, with a closed pet role —
@@ -137,7 +139,7 @@ fn rejected_cascade_rolls_back_every_level() {
     let rex_id = kb
         .ind_id(kb.schema().symbols.find_individual("Rex").unwrap())
         .unwrap();
-    let before = kb.ind(rex_id).derived.clone();
+    let before = kb.ind(rex_id).derived().clone();
     // Asserting that Pat's pets never bark contradicts Rex's filler — the
     // propagation reaches Rex, clashes there, and must roll back both.
     let err = kb
@@ -147,11 +149,11 @@ fn rejected_cascade_rolls_back_every_level() {
         err,
         classic_core::ClassicError::Inconsistent { .. }
     ));
-    assert_eq!(kb.ind(rex_id).derived, before, "Rex fully restored");
+    assert_eq!(kb.ind(rex_id).derived(), &before, "Rex fully restored");
     let pat_id = kb
         .ind_id(kb.schema().symbols.find_individual("Pat").unwrap())
         .unwrap();
-    let vr = kb.ind(pat_id).derived.value_restriction(pet);
+    let vr = kb.ind(pat_id).derived().value_restriction(pet);
     assert!(vr.is_top(), "Pat's rejected ALL restriction removed");
 }
 
@@ -166,11 +168,75 @@ fn cascade_does_not_disturb_unrelated_individuals() {
     let u = kb
         .ind_id(kb.schema().symbols.find_individual("Unrelated").unwrap())
         .unwrap();
-    let before = kb.ind(u).derived.clone();
-    let before_msc = kb.ind(u).msc.clone();
+    let before = kb.ind(u).derived().clone();
+    let before_msc: Vec<_> = kb.ind(u).msc().collect();
     kb.assert_ind("Rex", &Concept::AtLeast(1, barks)).unwrap();
-    assert_eq!(kb.ind(u).derived, before);
-    assert_eq!(kb.ind(u).msc, before_msc);
+    assert_eq!(kb.ind(u).derived(), &before);
+    assert!(kb.ind(u).msc().eq(before_msc));
+}
+
+/// An individual is where it sits: a concept defined *above* an
+/// individual's most specific one installs nothing on it, yet the
+/// individual is an instance of the newcomer through the taxonomy — and a
+/// refused definition leaves every membership as it was.
+#[test]
+fn a_concept_defined_above_an_instance_holds_it_without_reinstalling() {
+    let mut kb = schema();
+    let pet = kb.schema().symbols.find_role("pet").unwrap();
+    let barks = kb.schema().symbols.find_role("barks-at").unwrap();
+    let person = Concept::Name(kb.schema().symbols.find_concept("PERSON").unwrap());
+    let animal = kb.schema().symbols.find_concept("ANIMAL").unwrap();
+    let owner_c = kb.schema().symbols.find_concept("DOG-OWNER").unwrap();
+    let pat = kb.create_ind("Pat").unwrap();
+    let rex = IndRef::Classic(kb.schema_mut().symbols.individual("Rex"));
+    let told = [
+        person.clone(),
+        Concept::Fills(pet, vec![rex]),
+        Concept::Close(pet),
+    ];
+    kb.assert_ind("Pat", &Concept::and(told)).unwrap();
+    kb.assert_ind("Rex", &Concept::Name(animal)).unwrap();
+    kb.assert_ind("Rex", &Concept::AtLeast(1, barks)).unwrap();
+    assert!(kb.is_instance_of(pat, owner_c).unwrap());
+    let owner_node = kb.taxonomy().node_of(owner_c).unwrap();
+    assert!(kb.ind(pat).msc().eq([owner_node]));
+
+    // KEEPER sits strictly between PERSON and DOG-OWNER.
+    let keeper_def = Concept::and([person.clone(), Concept::AtLeast(1, pet)]);
+    let keeper = kb.define_concept("KEEPER", keeper_def).unwrap();
+    let keeper_node = kb.taxonomy().node_of(keeper).unwrap();
+    assert!(kb.taxonomy().is_strict_ancestor(keeper_node, owner_node));
+    assert!(kb.ind(pat).msc().eq([owner_node]), "Pat stays where it sat");
+    assert!(kb.is_instance_of(pat, keeper).unwrap());
+    let retrieve = |kb: &Kb, c: ConceptName| {
+        let answer = Query::concept(Concept::Name(c)).run(kb).unwrap();
+        answer.into_known().unwrap().known
+    };
+    assert_eq!(retrieve(&kb, keeper), vec![pat]);
+    kb.check_invariants().unwrap();
+
+    // A definition whose recognizer panics on Pat is refused, and every
+    // membership of every individual reads as before.
+    let boom = kb.register_test("boom", |_| panic!("recognizer refuses"));
+    let memberships = |kb: &Kb| -> Vec<(IndId, ConceptName, bool)> {
+        let names = ["PERSON", "ANIMAL", "DOG", "DOG-OWNER", "KEEPER"];
+        let names = names.map(|n| kb.schema().symbols.find_concept(n).unwrap());
+        (kb.ind_ids())
+            .flat_map(|id| names.map(|c| (id, c, kb.is_instance_of(id, c).unwrap())))
+            .collect()
+    };
+    let before = memberships(&kb);
+    let fragile = Concept::and([Concept::Name(keeper), Concept::Test(boom)]);
+    assert!(kb.define_concept("FRAGILE", fragile).is_err());
+    assert!(kb
+        .schema()
+        .symbols
+        .find_concept("FRAGILE")
+        .is_none_or(|c| { kb.taxonomy().node_of(c).is_none() }));
+    assert_eq!(memberships(&kb), before);
+    assert!(kb.ind(pat).msc().eq([owner_node]));
+    assert_eq!(retrieve(&kb, keeper), vec![pat]);
+    kb.check_invariants().unwrap();
 }
 
 #[test]
@@ -188,7 +254,7 @@ fn what_if_reports_without_mutating() {
     let pat = kb
         .ind_id(kb.schema().symbols.find_individual("Pat").unwrap())
         .unwrap();
-    let derived_before = kb.ind(pat).derived.clone();
+    let derived_before = kb.ind(pat).derived().clone();
 
     // Hypothetical: what if all of Pat's pets bark at the mailman?
     let mailman = IndRef::Classic(kb.schema_mut().symbols.individual("Mailman"));
@@ -201,7 +267,7 @@ fn what_if_reports_without_mutating() {
     assert!(report.fills_propagated >= 1, "Rex would gain the filler");
     // Nothing actually changed — including the hypothetical Mailman.
     assert_eq!(kb.ind_count(), count_before, "Mailman rolled back");
-    assert_eq!(kb.ind(pat).derived, derived_before);
+    assert_eq!(kb.ind(pat).derived(), &derived_before);
     assert!(
         kb.schema().symbols.find_individual("Mailman").is_some(),
         "interned is fine"
@@ -218,7 +284,7 @@ fn what_if_reports_without_mutating() {
         err,
         classic_core::ClassicError::Inconsistent { .. }
     ));
-    assert_eq!(kb.ind(pat).derived, derived_before);
+    assert_eq!(kb.ind(pat).derived(), &derived_before);
 }
 
 // ---- wide cascades: one update, one epoch, 70–120 individuals ------------

@@ -530,7 +530,7 @@ fn a_large_clone_shares_all_but_what_the_writes_touched() {
     let pinned = kb.clone();
     let whole = pinned.sharing_with(&kb);
     assert_eq!(whole.chunks_shared, whole.chunks_total);
-    assert!(whole.chunks_total > 150, "{whole:?}");
+    assert!(whole.chunks_total > 100, "{whole:?}");
     let before = (answers(&pinned), pinned.ind_count());
 
     // Writes at both ends and in the middle of the arena, a refused

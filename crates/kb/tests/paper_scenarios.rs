@@ -69,7 +69,7 @@ fn ind_ref(kb: &mut Kb, n: &str) -> IndRef {
 fn create_ind_establishes_bare_identity() {
     let mut kb = paper_kb();
     let rocky = kb.create_ind("Rocky").unwrap();
-    assert!(kb.ind(rocky).told.is_empty());
+    assert!(kb.ind(rocky).told().is_empty());
     assert!(kb.most_specific_concepts(rocky).is_empty());
     // Creating the same name again is rejected.
     assert!(matches!(
@@ -272,7 +272,7 @@ fn rules_fire_on_recognition_and_chain() {
         .ind_id(kb.schema().symbols.find_individual("Rocky").unwrap())
         .unwrap();
     let junk_nf = kb.schema().concept_nf(junk).unwrap().clone();
-    let vr = kb.ind(rocky).derived.value_restriction(eat);
+    let vr = kb.ind(rocky).derived().value_restriction(eat);
     assert!(classic_core::subsumes(&junk_nf, &vr));
     // ...and propagates onto things Rocky eats.
     let twinkie = ind_ref(&mut kb, "Twinkie-1");
@@ -306,7 +306,7 @@ fn rule_applies_to_existing_instances_when_added() {
     let junk_nf = kb.schema().concept_nf(junk).unwrap().clone();
     assert!(classic_core::subsumes(
         &junk_nf,
-        &kb.ind(rocky).derived.value_restriction(eat)
+        &kb.ind(rocky).derived().value_restriction(eat)
     ));
 }
 
@@ -478,7 +478,7 @@ fn retraction_removes_told_facts_but_rejects_never_told_ones() {
     assert!(kb.is_instance_of(rocky, rich_kid).unwrap());
     kb.retract_ind("Rocky", &told).unwrap();
     assert!(!kb.is_instance_of(rocky, rich_kid).unwrap());
-    assert!(kb.ind(rocky).told.is_empty());
+    assert!(kb.ind(rocky).told().is_empty());
     kb.check_invariants().unwrap();
 }
 
@@ -630,7 +630,7 @@ fn rules_on_thing_equivalent_concepts_fire_universally() {
     // The universal rule fired on creation-time realization… or at the
     // first assertion touching X.
     kb.assert_ind("X", &Concept::thing()).unwrap();
-    assert_eq!(kb.ind(x).derived.role(tag).at_most, Some(5));
+    assert_eq!(kb.ind(x).derived().role(tag).at_most, Some(5));
 }
 
 #[test]
@@ -659,5 +659,5 @@ fn equivalent_names_share_extensions_and_rules() {
     kb.define_role("s").unwrap();
     let s = kb.schema_mut().symbols.find_role("s").unwrap();
     kb.assert_rule("B", Concept::AtMost(2, s)).unwrap();
-    assert_eq!(kb.ind(x).derived.role(s).at_most, Some(2));
+    assert_eq!(kb.ind(x).derived().role(s).at_most, Some(2));
 }

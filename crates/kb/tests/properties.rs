@@ -15,6 +15,7 @@
 use classic_core::desc::{Concept, IndRef};
 use classic_core::normal::NormalForm;
 use classic_core::symbol::RoleId;
+use classic_core::taxonomy::NodeId;
 use classic_kb::{IndId, Kb};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -116,6 +117,17 @@ fn step_concept(kb: &mut Kb, step: &Step) -> (String, Concept) {
     }
 }
 
+/// The interior nodes `id` is an instance of, read through
+/// [`Kb::is_instance_of`].
+fn memberships(kb: &Kb, id: IndId) -> BTreeSet<NodeId> {
+    (kb.taxonomy().interior_nodes())
+        .filter(|&n| {
+            let name = kb.taxonomy().node(n).names[0];
+            kb.is_instance_of(id, name).unwrap()
+        })
+        .collect()
+}
+
 /// A complete, comparable fingerprint of database state.
 fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
     kb.ind_ids()
@@ -123,8 +135,8 @@ fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
             let ind = kb.ind(id);
             (
                 kb.schema().symbols.individual_name(ind.name).to_owned(),
-                ind.derived.clone(),
-                ind.msc.iter().map(|n| n.index()).collect(),
+                ind.derived().clone(),
+                ind.msc().map(|n| n.index()).collect(),
             )
         })
         .collect()
@@ -161,18 +173,13 @@ proptest! {
         let mut kb = schema_kb();
         for step in &steps {
             let (name, c) = step_concept(&mut kb, step);
-            let memberships_before: Vec<BTreeSet<usize>> = kb
+            let memberships_before: Vec<BTreeSet<NodeId>> = kb
                 .ind_ids()
-                .map(|id| kb.ind(id).instance_nodes.iter().map(|n| n.index()).collect())
+                .map(|id| memberships(&kb, id))
                 .collect();
             if kb.assert_ind(&name, &c).is_ok() {
                 for (ix, before) in memberships_before.iter().enumerate() {
-                    let after: BTreeSet<usize> = kb
-                        .ind(IndId::from_index(ix))
-                        .instance_nodes
-                        .iter()
-                        .map(|n| n.index())
-                        .collect();
+                    let after = memberships(&kb, IndId::from_index(ix));
                     prop_assert!(
                         before.is_subset(&after),
                         "individual {ix} lost memberships: {before:?} ⊄ {after:?}"
@@ -197,7 +204,7 @@ proptest! {
         // Every individual appears in the instance set of every node it is
         // recognized under, and conversely.
         for id in kb.ind_ids() {
-            for &node in &kb.ind(id).instance_nodes {
+            for node in memberships(&kb, id) {
                 prop_assert!(
                     kb.instances_of_node(node).contains(&id),
                     "extension index missing {id:?} at node {node:?}"
@@ -207,7 +214,7 @@ proptest! {
         for node in kb.taxonomy().interior_nodes() {
             for id in kb.instances_of_node(node) {
                 prop_assert!(
-                    kb.ind(id).instance_nodes.contains(&node),
+                    memberships(&kb, id).contains(&node),
                     "extension index has phantom {id:?} at node {node:?}"
                 );
             }
@@ -287,7 +294,7 @@ proptest! {
             // incoherent individual (inconsistencies are rejected).
             for id in kb.ind_ids() {
                 prop_assert!(
-                    !kb.ind(id).derived.is_incoherent(),
+                    !kb.ind(id).derived().is_incoherent(),
                     "committed state contains ⊥ at {id:?}"
                 );
             }

@@ -178,7 +178,7 @@ fn retracting_a_rule_repairs_a_host_that_left_its_antecedent() {
         !kb.is_instance_of(h, q).unwrap(),
         "no live rule or told fact is behind Q"
     );
-    assert!(kb.ind(h).fired_rules.is_empty());
+    assert_eq!(kb.ind(h).fired_rules().count(), 0);
     kb.check_invariants().unwrap();
 }
 
@@ -359,7 +359,7 @@ fn op_concept(kb: &mut Kb, op: &Op) -> Option<(String, Concept)> {
 /// `retracting_a_rule_repairs_a_host_that_left_its_antecedent`.
 fn seeds_by_scan(kb: &Kb, rule_ix: usize) -> BTreeSet<IndId> {
     kb.ind_ids()
-        .filter(|&id| kb.ind(id).fired_rules.contains(&rule_ix))
+        .filter(|&id| kb.ind(id).has_fired(rule_ix))
         .collect()
 }
 
@@ -370,8 +370,8 @@ fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
             let ind = kb.ind(id);
             (
                 kb.schema().symbols.individual_name(ind.name).to_owned(),
-                ind.derived.clone(),
-                ind.msc.iter().map(|n| n.index()).collect(),
+                ind.derived().clone(),
+                ind.msc().map(|n| n.index()).collect(),
             )
         })
         .collect()

@@ -317,6 +317,6 @@ mod tests {
         let x = kb
             .ind_id(kb.schema().symbols.find_individual("X").unwrap())
             .unwrap();
-        assert_eq!(nf, kb.ind(x).derived);
+        assert_eq!(&nf, kb.ind(x).derived());
     }
 }

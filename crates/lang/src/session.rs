@@ -39,14 +39,6 @@ impl Session {
         Session::default()
     }
 
-    /// A session over an existing knowledge base.
-    pub fn with_kb(kb: Kb) -> Session {
-        Session {
-            kb,
-            macros: MacroTable::default(),
-        }
-    }
-
     /// Names of the macros defined so far.
     pub fn macro_names(&self) -> Vec<&str> {
         self.macros.names().collect()

@@ -130,11 +130,6 @@ impl TraceId {
         }
         Ok(TraceId(v))
     }
-
-    /// The raw 128-bit value (nonzero).
-    pub fn as_u128(&self) -> u128 {
-        self.0
-    }
 }
 
 impl std::fmt::Display for TraceId {
@@ -211,7 +206,7 @@ mod tests {
         let a = TraceId::mint();
         let b = TraceId::mint();
         assert_ne!(a, b);
-        assert_ne!(a.as_u128(), 0);
+        assert_ne!(a.0, 0);
         assert_eq!(a.to_string().len(), 32);
     }
 

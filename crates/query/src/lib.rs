@@ -556,7 +556,7 @@ fn ask_description_impl(kb: &Kb, q: &MarkedQuery) -> Result<NormalForm> {
         if s.len() == 1 {
             if let Some(IndRef::Classic(n)) = s.iter().next().cloned() {
                 if let Ok(id) = kb.ind_id(n) {
-                    let derived = kb.ind(id).derived.clone();
+                    let derived = kb.ind(id).derived().clone();
                     subject.conjoin(&derived, kb.schema());
                 }
             }
@@ -615,7 +615,7 @@ pub fn path_restriction(nf: &NormalForm, path: &[RoleId]) -> NormalForm {
 /// Render an individual's complete derived description as a concept
 /// expression — the descriptive answer form for individuals.
 pub fn describe(kb: &Kb, id: IndId) -> Concept {
-    kb.ind(id).derived.to_concept(kb.schema())
+    kb.ind(id).derived().to_concept(kb.schema())
 }
 
 #[cfg(test)]
@@ -780,7 +780,7 @@ mod tests {
         let c = describe(&kb, rocky);
         // Re-normalizing the description reproduces the derived NF.
         let renf = kb.normalize(&c).unwrap();
-        assert_eq!(renf, kb.ind(rocky).derived);
+        assert_eq!(&renf, kb.ind(rocky).derived());
     }
 
     #[test]

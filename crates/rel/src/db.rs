@@ -110,7 +110,7 @@ pub fn export_kb(kb: &Kb) -> Database {
     let mut role_rels: BTreeMap<String, Relation> = BTreeMap::new();
     for id in kb.ind_ids() {
         let subject = Value::Sym(symbols.individual_name(kb.ind(id).name).to_owned());
-        for (&role, rr) in &kb.ind(id).derived.roles {
+        for (&role, rr) in &kb.ind(id).derived().roles {
             if rr.fillers.is_empty() {
                 continue;
             }

@@ -95,7 +95,7 @@ pub(crate) fn render_ind_create(kb: &Kb, id: classic_kb::IndId, out: &mut String
 /// significant for `CLOSE`).
 pub(crate) fn render_ind_told(kb: &Kb, id: classic_kb::IndId, out: &mut String) -> Result<()> {
     let name = kb.schema().symbols.individual_name(kb.ind(id).name);
-    for told in &kb.ind(id).told {
+    for told in kb.ind(id).told() {
         push_record(kb, Write::AssertInd(name, Cow::Borrowed(told)), out)?;
     }
     Ok(())
@@ -227,8 +227,8 @@ pub fn same_state(a: &Kb, b: &Kb) -> bool {
         };
         // Compare derived descriptions via their rendered concepts (ids
         // may differ between the two symbol tables).
-        let ac = a.ind(id).derived.to_concept(a.schema());
-        let bc = b.ind(bid).derived.to_concept(b.schema());
+        let ac = a.ind(id).derived().to_concept(a.schema());
+        let bc = b.ind(bid).derived().to_concept(b.schema());
         if up_to_and_order(ac.display(&a.schema().symbols).to_string())
             != up_to_and_order(bc.display(&b.schema().symbols).to_string())
         {

@@ -1887,7 +1887,7 @@ mod tests {
             .kb()
             .unwrap()
             .ind(rocky)
-            .derived
+            .derived()
             .value_restriction(eat);
         assert!(classic_core::subsumes(junk_nf, &vr));
     }

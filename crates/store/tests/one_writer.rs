@@ -42,7 +42,7 @@ fn string_fillers(kb: &Kb, name: &str, role: &str) -> Vec<String> {
     let symbols = &kb.schema().symbols;
     let id = kb.ind_id(symbols.find_individual(name).unwrap()).unwrap();
     let role = symbols.find_role(role).unwrap();
-    let fillers = kb.ind(id).derived.roles[&role].fillers.iter();
+    let fillers = kb.ind(id).derived().roles[&role].fillers.iter();
     fillers
         .map(|f| match f {
             IndRef::Host(HostValue::Str(s)) => s.clone(),
