@@ -12,11 +12,17 @@
 //! * **A3 — normal-form reuse off.** The query is re-normalized on every
 //!   execution instead of once ("a great deal of preprocessing in order
 //!   to facilitate query answering", §5).
+//! * **A4 — filler postings off.** Candidates come from the most
+//!   selective most-specific subsumer's extension only, never from the
+//!   reverse-filler index of an individual the query names as a filler.
+//!   Run on its own `FILLS defined-in` / `FILLS calls` queries: the five
+//!   above name no filler, so postings do not change their rows.
 
 use crate::experiments::{ns_per, time};
 use crate::workload::software::{build, SoftwareConfig};
+use classic_core::desc::{Concept, IndRef};
 use classic_core::normal::NormalForm;
-use classic_kb::Kb;
+use classic_kb::{IndId, Kb};
 use std::fmt::Write as _;
 
 pub fn run() -> String {
@@ -150,7 +156,122 @@ pub fn run() -> String {
         "against a ~0.5 ms retrieval) — the preprocessing §5 celebrates"
     );
     let _ = writeln!(out, "matters as queries and schemas grow, not here.");
+    filler_postings_ablation(&mut sw.kb, reps, &mut out);
     out
+}
+
+/// A4: the same retrieval with candidates from the taxonomy alone, on
+/// queries that name a module or a function as a filler.
+fn filler_postings_ablation(kb: &mut Kb, reps: usize, out: &mut String) {
+    let symbols = &mut kb.schema_mut().symbols;
+    let defined_in = symbols.find_role("defined-in").expect("role");
+    let calls = symbols.find_role("calls").expect("role");
+    let function = Concept::Name(symbols.find_concept("FUNCTION").expect("c"));
+    let mut named = |name: &str| vec![IndRef::Classic(symbols.individual(name))];
+    let queries = [
+        Concept::and([function.clone(), Concept::Fills(defined_in, named("mod-7"))]),
+        Concept::and([function.clone(), Concept::Fills(calls, named("fn-3"))]),
+        Concept::and([
+            function.clone(),
+            Concept::AtLeast(2, calls),
+            Concept::Fills(defined_in, named("mod-11")),
+        ]),
+        Concept::and([
+            function,
+            Concept::Fills(calls, named("fn-0")),
+            Concept::Fills(defined_in, named("mod-3")),
+        ]),
+    ];
+    let nfs: Vec<NormalForm> = queries
+        .iter()
+        .map(|q| kb.normalize(q).expect("coherent"))
+        .collect();
+    for nf in &nfs {
+        let with = classic_query::retrieve_nf(kb, nf).expect("retrieval");
+        let (without, _) = retrieve_taxonomy_candidates(kb, nf);
+        assert_eq!(with.known, without, "A4 changed an answer");
+    }
+    let n_q = (reps * nfs.len()) as u64;
+    let mut tested = 0u64;
+    let (_, t_on) = time(|| {
+        for _ in 0..reps {
+            for nf in &nfs {
+                tested += classic_query::retrieve_nf(kb, nf)
+                    .expect("retrieval")
+                    .stats
+                    .tested as u64;
+            }
+        }
+    });
+    let tested_on = tested;
+    let mut tested = 0u64;
+    let (_, t_off) = time(|| {
+        for _ in 0..reps {
+            for nf in &nfs {
+                tested += retrieve_taxonomy_candidates(kb, nf).1 as u64;
+            }
+        }
+    });
+    let _ = writeln!(
+        out,
+        "-- A4 on {} FILLS defined-in / FILLS calls queries --",
+        nfs.len()
+    );
+    for (label, tests, t) in [
+        ("full system (filler postings on)", tested_on, t_on),
+        ("A4: filler postings off (taxonomy only)", tested, t_off),
+    ] {
+        let _ = writeln!(
+            out,
+            "{:<44} {:>10} {:>12.1} {:>8.1}x",
+            label,
+            tests / n_q,
+            ns_per(t, n_q) / 1000.0,
+            t.as_secs_f64() / t_on.as_secs_f64()
+        );
+    }
+}
+
+/// Retrieval with the candidate rule before filler postings: free
+/// answers from the subsumees, candidates from the most selective
+/// parent's extension. Returns the answer (ascending) and the count of
+/// candidates tested.
+fn retrieve_taxonomy_candidates(kb: &Kb, nf: &NormalForm) -> (Vec<IndId>, usize) {
+    let instances = |node| {
+        let mut ids = Vec::new();
+        kb.for_each_instance(node, |id| ids.push(id));
+        ids.sort();
+        ids.dedup();
+        ids
+    };
+    let cls = kb.taxonomy().classify(nf);
+    if let Some(eq) = cls.equivalent {
+        return (instances(eq), 0);
+    }
+    let mut known: Vec<IndId> = cls.children.iter().flat_map(|&c| instances(c)).collect();
+    known.sort();
+    known.dedup();
+    // The parent with the fewest extension entries, duplicates counted.
+    let extent = |node| {
+        let mut n = 0usize;
+        kb.for_each_instance(node, |_| n += 1);
+        n
+    };
+    let Some(best) = cls.parents.iter().copied().min_by_key(|&p| extent(p)) else {
+        return (known, 0);
+    };
+    let candidates: Vec<IndId> = instances(best)
+        .into_iter()
+        .filter(|id| known.binary_search(id).is_err())
+        .collect();
+    let tested = candidates.len();
+    known.extend(
+        candidates
+            .into_iter()
+            .filter(|&id| kb.known_instance(id, nf)),
+    );
+    known.sort();
+    (known, tested)
 }
 
 /// Classify the query (so subsumee extensions still short-circuit), but

@@ -190,8 +190,8 @@ impl<T: Copy + Ord> ChunkedSet<T> {
         self.len == 0
     }
 
-    /// Every key, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+    /// Every key, ascending (or descending, from the back).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = T> + '_ {
         self.runs.iter().flat_map(|run| run.iter().copied())
     }
 

@@ -30,7 +30,7 @@ use classic_core::error::{ClassicError, Result};
 use classic_core::normal::{conjoin_expression, NormalForm};
 use classic_core::schema::{PrimMark, Schema, TestArg};
 use classic_core::symbol::{ConceptName, IndName, RoleId, TestId};
-use classic_core::taxonomy::{NodeId, Taxonomy};
+use classic_core::taxonomy::{Classification, NodeId, Taxonomy};
 use classic_obs::{Counter, FlightRecorder, Histogram, Registry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -1028,12 +1028,71 @@ impl Kb {
     /// All individuals recognized as instances of a taxonomy node (its
     /// direct extension plus those of every descendant).
     pub fn instances_of_node(&self, node: NodeId) -> BTreeSet<IndId> {
-        // Gathered first and built in one go: the extensions are sorted
-        // runs, which the set's own sort merges, where inserting id by id
+        // Built in one go from the sorted ids, where inserting id by id
         // would walk the tree once for each.
-        let mut ids = Vec::new();
-        self.for_each_instance(node, |id| ids.push(id));
-        ids.into_iter().collect()
+        self.sorted_instances(&[node]).into_iter().collect()
+    }
+
+    /// The instances of `nodes`, ascending and without duplicates
+    /// (`BOTTOM` has none).
+    ///
+    /// They are the direct extensions of the nodes and their descendants:
+    /// sorted runs, which overlap where an individual has several
+    /// most-specific concepts. A bitset over the runs' id span merges
+    /// them and drops the repeats, in one pass over the runs and one over
+    /// the words. It is used only where the span holds at most 64 ids per
+    /// visit, so it is never larger than the visits; a sparser set of
+    /// runs is sorted instead.
+    fn sorted_instances(&self, nodes: &[NodeId]) -> Vec<IndId> {
+        if nodes.contains(&NodeId::TOP) {
+            return self.ind_ids().collect();
+        }
+        let mut runs: Vec<&ChunkedSet<IndId>> = Vec::new();
+        for &node in nodes.iter().filter(|&&node| node != NodeId::BOTTOM) {
+            let below = self.taxonomy.strict_descendants(node);
+            let run = |n: NodeId| &self.extensions[n.index()];
+            runs.extend(std::iter::once(node).chain(below).map(run));
+        }
+        let visits: usize = runs.iter().map(|run| run.len()).sum();
+        let ends = runs
+            .iter()
+            .filter_map(|run| Some((run.iter().next()?, run.iter().next_back()?)));
+        let Some((lo, hi)) = ends.reduce(|(lo, hi), (a, b)| (lo.min(a), hi.max(b))) else {
+            return Vec::new();
+        };
+        let (lo, span) = (lo.index(), hi.index() - lo.index() + 1);
+        if span > 64 * visits {
+            let mut ids: Vec<IndId> = runs.iter().flat_map(|run| run.iter()).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            return ids;
+        }
+        let mut words = vec![0u64; span.div_ceil(64)];
+        for run in &runs {
+            // Neighbours in a run mostly share a word: gather its bits in
+            // a register and store them when the run moves past it.
+            let (mut word, mut bits) = (0, 0u64);
+            for id in run.iter() {
+                let at = id.index() - lo;
+                if at / 64 != word {
+                    words[word] |= bits;
+                    (word, bits) = (at / 64, 0);
+                }
+                bits |= 1 << (at % 64);
+            }
+            words[word] |= bits;
+        }
+        let mut ids = Vec::with_capacity(visits.min(span));
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                ids.push(IndId::from_index(
+                    lo + w * 64 + bits.trailing_zeros() as usize,
+                ));
+                bits &= bits - 1;
+            }
+        }
+        ids
     }
 
     /// Visit every instance of a node without materializing the set.
@@ -1058,8 +1117,8 @@ impl Kb {
 
     /// Cheap upper bound on a node's instance count (duplicates across
     /// multiple most-specific concepts counted repeatedly). Used to pick
-    /// the most selective subsumer during retrieval.
-    pub fn extension_size_bound(&self, node: NodeId) -> usize {
+    /// the most selective subsumer in [`Kb::candidates`].
+    fn extension_size_bound(&self, node: NodeId) -> usize {
         if node == NodeId::TOP {
             return self.ind_count();
         }
@@ -1068,6 +1127,81 @@ impl Kb {
             n += self.extensions[d.index()].len();
         }
         n
+    }
+
+    /// §5's split of the known instances of `nf`, a query classified as
+    /// `cls`: the answers free of any test, and the candidates left to
+    /// test, both ascending and without duplicates.
+    ///
+    /// The free answers are the instances of `cls`'s subsumees, or of the
+    /// node equivalent to `nf` (then nothing is left to test). The
+    /// candidates are the smallest of three sources, each a superset of
+    /// the answers, less the free ones:
+    ///
+    /// * The extension of the most selective of `cls.parents`: every
+    ///   answer is an instance of each ("the instances of the parent
+    ///   concepts are tested individually").
+    /// * For each CLASSIC individual `a` among `nf`'s top-level fillers of
+    ///   some role, the hosts recorded as holding `a`. An answer's derived
+    ///   form holds every filler the query names, and at the fixed point
+    ///   every CLASSIC filler of a derived form has its reverse edge
+    ///   (clause 4 of [`Kb::check_invariants`]). The index records no
+    ///   roles, so it may hold more hosts than answers, never fewer.
+    /// * The CLASSIC members of `nf`'s `ONE-OF`.
+    ///
+    /// A filler or member naming no created individual has no host, so
+    /// its source is empty. Host-value fillers have no index and offer no
+    /// source.
+    pub fn candidates(&self, nf: &NormalForm, cls: &Classification) -> (Vec<IndId>, Vec<IndId>) {
+        if let Some(eq) = cls.equivalent {
+            return (self.sorted_instances(&[eq]), Vec::new());
+        }
+        enum Source<'a> {
+            Node(NodeId),
+            Hosts(Option<&'a ChunkedSet<IndId>>),
+            Members(Vec<IndId>),
+        }
+        let mut best: Option<(usize, Source<'_>)> = None;
+        let mut offer = |size: usize, source| {
+            if best.as_ref().is_none_or(|(least, _)| size < *least) {
+                best = Some((size, source));
+            }
+        };
+        for &p in &cls.parents {
+            offer(self.extension_size_bound(p), Source::Node(p));
+        }
+        for rr in nf.roles.values() {
+            for f in &rr.fillers {
+                if let IndRef::Classic(name) = f {
+                    let hosts = self
+                        .find_ind(*name)
+                        .and_then(|a| self.reverse_fillers.get(a.index()));
+                    offer(hosts.map_or(0, ChunkedSet::len), Source::Hosts(hosts));
+                }
+            }
+        }
+        if let Some(members) = &nf.one_of {
+            let mut ids: Vec<IndId> = members
+                .iter()
+                .filter_map(|m| match m {
+                    IndRef::Classic(name) => self.find_ind(*name),
+                    IndRef::Host(_) => None,
+                })
+                .collect();
+            ids.sort_unstable();
+            offer(ids.len(), Source::Members(ids));
+        }
+        let mut tested = match best {
+            None => Vec::new(),
+            Some((_, Source::Node(p))) => self.sorted_instances(&[p]),
+            Some((_, Source::Hosts(hosts))) => hosts.map_or_else(Vec::new, |h| h.iter().collect()),
+            Some((_, Source::Members(ids))) => ids,
+        };
+        let free = self.sorted_instances(&cls.children);
+        if !free.is_empty() {
+            tested.retain(|id| free.binary_search(id).is_err());
+        }
+        (free, tested)
     }
 
     /// Instances of a *named* concept (extensional query, §3.5.3).
@@ -1474,6 +1608,57 @@ mod tests {
         });
         assert_eq!(set, visited);
         assert!(kb.extension_size_bound(node) >= set.len());
+    }
+
+    #[test]
+    fn sorted_instances_merge_overlapping_runs_dense_and_sparse() {
+        // Two primitives under PERSON; every third individual is both, so
+        // it sits in both extensions and is visited twice under PERSON.
+        let mut kb = kb_with_person();
+        let person = Concept::Name(kb.schema().symbols.find_concept("PERSON").unwrap());
+        for tag in ["a", "b"] {
+            let sub = Concept::primitive(person.clone(), tag);
+            kb.define_concept(&tag.to_uppercase(), sub).unwrap();
+        }
+        let [a, b] =
+            ["A", "B"].map(|c| Concept::Name(kb.schema().symbols.find_concept(c).unwrap()));
+        let node = kb
+            .taxonomy()
+            .node_of(kb.schema().symbols.find_concept("PERSON").unwrap());
+        let node = node.unwrap();
+        let check = |kb: &Kb| {
+            let mut visited = Vec::new();
+            kb.for_each_instance(node, |id| visited.push(id));
+            let want: Vec<IndId> = visited
+                .iter()
+                .copied()
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            assert_eq!(kb.sorted_instances(&[node, NodeId::BOTTOM]), want);
+            want.len()
+        };
+        // Sparse: two instances 299 ids apart take the sorting branch.
+        for i in 0..300 {
+            kb.create_ind(&format!("X{i}")).unwrap();
+        }
+        kb.assert_ind("X0", &a).unwrap();
+        kb.assert_ind("X299", &a).unwrap();
+        kb.assert_ind("X299", &b).unwrap();
+        assert_eq!(check(&kb), 2);
+        // Dense: most individuals are instances, take the bitset branch.
+        for i in 1..299 {
+            let name = format!("X{i}");
+            kb.assert_ind(&name, if i % 2 == 0 { &a } else { &b })
+                .unwrap();
+            if i % 3 == 0 {
+                kb.assert_ind(&name, if i % 2 == 0 { &b } else { &a })
+                    .unwrap();
+            }
+        }
+        assert_eq!(check(&kb), 300);
+        assert_eq!(kb.sorted_instances(&[NodeId::TOP]).len(), 300);
+        assert!(kb.sorted_instances(&[NodeId::BOTTOM]).is_empty());
     }
 
     /// Is the primitive index declared (under whatever parent)?

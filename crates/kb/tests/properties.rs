@@ -117,6 +117,53 @@ fn step_concept(kb: &mut Kb, step: &Step) -> (String, Concept) {
     }
 }
 
+/// What a generated query asks beside `P0` (always under it for
+/// `AtLeast`, the original shape; optionally for the rest).
+#[derive(Debug, Clone)]
+enum Ask {
+    AtLeast(usize, u32),
+    /// `(FILLS r xj)`: candidates from xj's hosts.
+    Fills(usize, usize),
+    /// `(ALL r (FILLS s xj))`: a filler below the top level.
+    AllFills(usize, usize, usize),
+    /// `(AND (FILLS r xj) (FILLS s xk))`.
+    TwoFills(usize, usize, usize, usize),
+    /// `(FILLS r ghost)`, a name never created.
+    Ghost(usize),
+    /// `(ONE-OF xj xk)`.
+    OneOf(usize, usize),
+}
+
+fn ask_strategy() -> impl Strategy<Value = Ask> {
+    prop_oneof![
+        5 => (0..N_ROLES, 0u32..3).prop_map(|(r, n)| Ask::AtLeast(r, n)),
+        1 => (0..N_ROLES, 0..N_INDS).prop_map(|(r, j)| Ask::Fills(r, j)),
+        1 => (0..N_ROLES, 0..N_ROLES, 0..N_INDS).prop_map(|(r, s, j)| Ask::AllFills(r, s, j)),
+        1 => (0..N_ROLES, 0..N_INDS, 0..N_ROLES, 0..N_INDS)
+            .prop_map(|(r, j, s, k)| Ask::TwoFills(r, j, s, k)),
+        1 => (0..N_ROLES).prop_map(Ask::Ghost),
+        1 => (0..N_INDS, 0..N_INDS).prop_map(|(j, k)| Ask::OneOf(j, k)),
+    ]
+}
+
+fn ask_concept(kb: &mut Kb, ask: &Ask) -> Concept {
+    let mut ind = |name: String| IndRef::Classic(kb.schema_mut().symbols.individual(&name));
+    let role = RoleId::from_index;
+    match *ask {
+        Ask::AtLeast(r, n) => Concept::AtLeast(n, role(r)),
+        Ask::Fills(r, j) => Concept::Fills(role(r), vec![ind(format!("x{j}"))]),
+        Ask::AllFills(r, s, j) => {
+            Concept::all(role(r), Concept::Fills(role(s), vec![ind(format!("x{j}"))]))
+        }
+        Ask::TwoFills(r, j, s, k) => Concept::and([
+            Concept::Fills(role(r), vec![ind(format!("x{j}"))]),
+            Concept::Fills(role(s), vec![ind(format!("x{k}"))]),
+        ]),
+        Ask::Ghost(r) => Concept::Fills(role(r), vec![ind("ghost".into())]),
+        Ask::OneOf(j, k) => Concept::OneOf(vec![ind(format!("x{j}")), ind(format!("x{k}"))]),
+    }
+}
+
 /// The interior nodes `id` is an instance of, read through
 /// [`Kb::is_instance_of`].
 fn memberships(kb: &Kb, id: IndId) -> BTreeSet<NodeId> {
@@ -222,42 +269,6 @@ proptest! {
     }
 
     #[test]
-    fn known_answers_subset_of_possible_and_scan_agrees(
-        steps in proptest::collection::vec(step_strategy(), 1..16),
-        q_role in 0..N_ROLES,
-        q_n in 0u32..3,
-    ) {
-        let mut kb = schema_kb();
-        for step in &steps {
-            let (name, c) = step_concept(&mut kb, step);
-            let _ = kb.assert_ind(&name, &c);
-        }
-        let p0 = Concept::Name(kb.schema().symbols.find_concept("P0").unwrap());
-        let q = Concept::and([p0, Concept::AtLeast(q_n, RoleId::from_index(q_role))]);
-        let known = classic_query::Query::concept(q.clone())
-            .run(&kb)
-            .unwrap()
-            .into_known()
-            .unwrap();
-        let naive = classic_query::retrieve_naive(&kb, &q).unwrap();
-        let mut a = known.known.clone();
-        let mut b = naive.known.clone();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(&a, &b, "classified and naive retrieval disagree");
-        let possible = classic_query::Query::concept(q.clone())
-            .possible()
-            .run(&kb)
-            .unwrap()
-            .into_possible()
-            .unwrap();
-        for id in &a {
-            prop_assert!(possible.contains(id), "known answer not possible");
-        }
-        prop_assert!(known.stats.tested <= naive.stats.tested);
-    }
-
-    #[test]
     fn speculative_and_rejected_updates_leave_invariants_clean(
         steps in proptest::collection::vec(step_strategy(), 1..20)
     ) {
@@ -299,6 +310,66 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    // Twice the cases of the block above: half the queries keep the
+    // original shape, `(AND P0 (AT-LEAST n r))`, so that shape is still
+    // drawn about 96 times.
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn known_answers_subset_of_possible_and_scan_agrees(
+        // Told fillers weighted up, so that postings are often the
+        // smallest candidate source.
+        steps in proptest::collection::vec(prop_oneof![
+            2 => (0..N_INDS, 0..N_ROLES, 0..N_INDS).prop_map(|(i, r, j)| Step::Fills(i, r, j)),
+            3 => step_strategy(),
+        ], 1..16),
+        retracts in proptest::collection::vec(0usize..16, 0..3),
+        ask in ask_strategy(),
+        under_p0 in 0u8..2,
+    ) {
+        let mut kb = schema_kb();
+        for step in &steps {
+            let (name, c) = step_concept(&mut kb, step);
+            let _ = kb.assert_ind(&name, &c);
+        }
+        // Retracting told fillers leaves the reverse-filler index with
+        // edges removed (and hosts re-derived) under the query.
+        for ix in &retracts {
+            let step = &steps[ix % steps.len()];
+            if let Step::Fills(..) = step {
+                let (name, c) = step_concept(&mut kb, step);
+                let _ = kb.retract_ind(&name, &c);
+            }
+        }
+        let asked = ask_concept(&mut kb, &ask);
+        let q = if under_p0 == 1 || matches!(ask, Ask::AtLeast(..)) {
+            let p0 = Concept::Name(kb.schema().symbols.find_concept("P0").unwrap());
+            Concept::and([p0, asked])
+        } else {
+            asked
+        };
+        let known = classic_query::Query::concept(q.clone())
+            .run(&kb)
+            .unwrap()
+            .into_known()
+            .unwrap();
+        let naive = classic_query::retrieve_naive(&kb, &q).unwrap();
+        // Unsorted on both sides: the answer is in id order.
+        prop_assert_eq!(&known.known, &naive.known, "classified and naive retrieval disagree");
+        let possible = classic_query::Query::concept(q.clone())
+            .possible()
+            .run(&kb)
+            .unwrap()
+            .into_possible()
+            .unwrap();
+        for id in &known.known {
+            prop_assert!(possible.contains(id), "known answer not possible");
+        }
+        prop_assert!(known.stats.tested <= naive.stats.tested);
     }
 }
 

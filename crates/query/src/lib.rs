@@ -8,7 +8,13 @@
 //!   respect to the concepts in the schema; then the instances of the
 //!   parent concepts are tested individually … all instances of schema
 //!   concepts that are subsumed by the query are known to satisfy the
-//!   query and are therefore not explicitly tested."
+//!   query and are therefore not explicitly tested." The tested
+//!   candidates come from the smallest of three supersets of the answer
+//!   ([`Kb::candidates`]): the most selective parent's extension, the
+//!   hosts of an individual the query names as a role filler (the
+//!   reverse-filler index: a role as an access path), and the query's
+//!   `ONE-OF` members. The answer is built by merging sorted runs, so a
+//!   read costs the answer and its candidates, not the database.
 //!   [`retrieve_naive`] is the unpruned baseline (experiments E3/E8).
 //! * **Open-world answer modes** — "sets of individuals that are *known*
 //!   to satisfy the query, sets of individuals that *might* satisfy the
@@ -77,7 +83,10 @@ pub struct QueryStats {
     /// Individuals accepted without an instance test, because they are
     /// instances of schema concepts subsumed by the query.
     pub free: usize,
-    /// Individuals individually tested against the query.
+    /// Individuals individually tested against the query: the smallest
+    /// of the most selective parent's extension, a named filler's hosts
+    /// and the `ONE-OF` members ([`Kb::candidates`]), less the free
+    /// answers.
     pub tested: usize,
     /// Subsumption tests spent classifying the query concept.
     pub classify_tests: usize,
@@ -317,63 +326,24 @@ pub fn retrieve_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
     }
     let cls = kb.taxonomy().classify(nf);
     stats.classify_tests = cls.tests;
+    let (free, candidates) = kb.candidates(nf, &cls);
+    stats.free = free.len();
     // An exactly-matching schema concept answers from the extension index
     // alone.
-    if let Some(eq) = cls.equivalent {
-        let known: Vec<IndId> = kb.instances_of_node(eq).into_iter().collect();
-        stats.free = known.len();
-        return Ok(Answers { known, stats });
+    if cls.equivalent.is_some() {
+        return Ok(Answers { known: free, stats });
     }
-    // Dense bitmap bookkeeping: answers and already-visited candidates,
-    // indexed by the individual arena (O(1) membership; the per-query
-    // allocation is two bytes per individual).
-    let n = kb.ind_count();
-    let mut in_answer = vec![false; n];
-    let mut visited = vec![false; n];
-    // Instances of subsumed schema concepts are answers for free.
-    for &c in &cls.children {
-        if c == NodeId::BOTTOM {
-            continue;
-        }
-        kb.for_each_instance(c, |id| {
-            if !in_answer[id.index()] {
-                in_answer[id.index()] = true;
-                stats.free += 1;
-            }
-        });
-    }
-    // Candidates: every answer is an instance of *each* most-specific
-    // subsumer, so the most selective one (smallest extension) suffices
-    // as the candidate source; per-candidate instance tests filter the
-    // rest.
-    let best_parent = cls
-        .parents
-        .iter()
-        .copied()
-        .min_by_key(|&p| kb.extension_size_bound(p));
-    if let Some(p) = best_parent {
-        let mut candidates: Vec<IndId> = Vec::new();
-        kb.for_each_instance(p, |id| {
-            if in_answer[id.index()] || visited[id.index()] {
-                return;
-            }
-            visited[id.index()] = true;
-            candidates.push(id);
-        });
-        stats.tested += candidates.len();
-        for id in test_candidates(kb, nf, &candidates)? {
-            in_answer[id.index()] = true;
-        }
-    }
+    stats.tested = candidates.len();
+    let passed = test_candidates(kb, nf, &candidates)?;
     obs.candidates.record(stats.tested as u64);
     obs.free_answers.add(stats.free as u64);
     obs.tested.add(stats.tested as u64);
     classic_obs::event("free", stats.free as u64);
     classic_obs::event("tested", stats.tested as u64);
-    let known: Vec<IndId> = (0..n)
-        .filter(|&i| in_answer[i])
-        .map(IndId::from_index)
-        .collect();
+    // Two disjoint ascending runs: the stable sort merges them.
+    let mut known = free;
+    known.extend(passed);
+    known.sort();
     Ok(Answers { known, stats })
 }
 
@@ -421,17 +391,26 @@ impl QueryObs {
 }
 
 /// Candidate sets at least this large are tested on scoped worker
-/// threads, one slice per core. The fork stays because `wire-read-large`
-/// (11 443–20 000 candidates a query) needs it: forced sequential, its
-/// `ops_per_s` fell 544 → 378 and `p50_us` rose 1 750 → 2 523 µs, worse
-/// in 8 of 8 alternating pairs (2 cores; CHANGES.md, PR 20). Where the
-/// threshold sits is *not* shown to be right: `wire-mixed` (1 114–2 160
-/// a query) is above it too and pays for the fork — forced sequential,
-/// `ops_per_s` 5 834 → 9 613, `p50_us` 374 → 241 µs, better in 8 of 8 —
-/// so the break-even there lies between ~2 000 and ~11 000 candidates
-/// and no benchmark workload is below 256. Moving it is a claimed gain
-/// for its own change (ROADMAP, retrieval item).
-const PARALLEL_THRESHOLD: usize = 256;
+/// threads, one slice per core. Placed from sweeps of `retrieve_nf` over
+/// the software workload (E3/E8's generator) at 2 000 – 20 000 functions,
+/// each query timed with every candidate set forced sequential and forced
+/// parallel (2 cores, best of six rounds of 20; the middle rows from two
+/// sweeps, the first and last from an earlier one):
+///
+/// | candidates | sequential µs | parallel µs | parallel ÷ sequential |
+/// |--:|--:|--:|--:|
+/// | 14 – 545 | 4 – 26 | 122 – 170 | 5.6 – 33 |
+/// | 1 158 – 2 000 | 90 – 244 | 176 – 304 | 1.08 – 3.28 |
+/// | 2 280 – 4 000 | 206 – 644 | 296 – 745 | 0.92 – 2.24 |
+/// | 4 594 – 10 000 | 608 – 1 669 | 581 – 1 557 | 0.79 – 0.96 |
+/// | 11 417 – 20 000 | 1 911 – 7 857 | 1 673 – 5 951 | 0.55 – 0.88 |
+///
+/// The fork costs 90–250 µs whatever the work. Below 4 000 candidates it
+/// lost or tied; from 4 594 up it won in every run (the earlier sweep
+/// read one tie, 1.01, at 6 881 – 8 000).
+/// `wire-mixed`'s whole-extension reads (≈ 2 000 candidates) stay on the
+/// calling thread; `wire-read-large`'s (11 000 – 20 000) fork.
+const PARALLEL_THRESHOLD: usize = 4_500;
 
 /// Filter `candidates` down to the known instances of `nf`, fanning the
 /// instance tests out across threads when the candidate set is large.
@@ -701,6 +680,61 @@ mod tests {
     }
 
     #[test]
+    fn named_filler_and_one_of_bound_the_candidates() {
+        // Forty STUDENTs, all enrolled at Other; eight also at Hub, three
+        // of whom are HUB-EATERs. Asking for Hub's students must test
+        // Hub's hosts less the free HUB-EATERs, not STUDENT's extension.
+        let mut kb = kb_with_schema();
+        let person = Concept::Name(kb.schema_mut().symbols.concept("PERSON"));
+        let enrolled = kb.schema().symbols.find_role("enrolled-at").unwrap();
+        let eat = kb.schema().symbols.find_role("eat").unwrap();
+        let [hub, other, ghost, p5] = ["Hub", "Other", "Ghost", "P5"]
+            .map(|name| IndRef::Classic(kb.schema_mut().symbols.individual(name)));
+        let at_hub = Concept::and([person.clone(), Concept::Fills(enrolled, vec![hub.clone()])]);
+        kb.define_concept(
+            "HUB-EATER",
+            Concept::and([at_hub.clone(), Concept::AtLeast(1, eat)]),
+        )
+        .unwrap();
+        for i in 0..40 {
+            let name = format!("P{i}");
+            kb.create_ind(&name).unwrap();
+            kb.assert_ind(&name, &person).unwrap();
+            kb.assert_ind(&name, &Concept::Fills(enrolled, vec![other.clone()]))
+                .unwrap();
+            if i < 8 {
+                kb.assert_ind(&name, &Concept::Fills(enrolled, vec![hub.clone()]))
+                    .unwrap();
+            }
+            if i < 3 {
+                kb.assert_ind(&name, &Concept::AtLeast(1, eat)).unwrap();
+            }
+        }
+        let student = kb.schema_mut().symbols.concept("STUDENT");
+        let parent_extension = kb.instances_of(student).unwrap().len();
+        assert_eq!(parent_extension, 40);
+
+        let ans = retrieve(&kb, &at_hub).unwrap();
+        assert_eq!(ans.known, retrieve_naive(&kb, &at_hub).unwrap().known);
+        assert_eq!(ans.known.len(), 8);
+        assert_eq!(ans.stats.free, 3);
+        assert_eq!(ans.stats.tested, 8 - 3);
+        assert!(ans.stats.tested < parent_extension - ans.stats.free);
+
+        let single = Concept::and([person.clone(), Concept::OneOf(vec![p5])]);
+        let ans = retrieve(&kb, &single).unwrap();
+        assert_eq!(ans.known, retrieve_naive(&kb, &single).unwrap().known);
+        assert_eq!(ans.known.len(), 1);
+        assert!(ans.stats.tested <= 1);
+
+        // A filler never created has no hosts: nothing to test.
+        let at_ghost = Concept::and([person, Concept::Fills(enrolled, vec![ghost])]);
+        let ans = retrieve(&kb, &at_ghost).unwrap();
+        assert!(ans.known.is_empty());
+        assert_eq!(ans.stats.tested, 0);
+    }
+
+    #[test]
     fn possible_is_superset_of_known() {
         let mut kb = kb_with_schema();
         let person = kb.schema_mut().symbols.concept("PERSON");
@@ -853,7 +887,7 @@ mod tests {
             let name = format!("P{i}");
             kb.create_ind(&name).unwrap();
             kb.assert_ind(&name, &Concept::Name(person)).unwrap();
-            kb.assert_ind(&name, &Concept::AtLeast((i % 5) as u32, enrolled))
+            kb.assert_ind(&name, &Concept::AtLeast((i % 5 + 1) as u32, enrolled))
                 .unwrap();
         }
         // Strict refinement of STUDENT: every PERSON with ≥ 1 enrollment
