@@ -14,13 +14,16 @@
 //!   to facilitate query answering", §5).
 //! * **A4 — filler postings off.** Candidates come from the most
 //!   selective most-specific subsumer's extension only, never from the
-//!   reverse-filler index of an individual the query names as a filler.
-//!   Run on its own `FILLS defined-in` / `FILLS calls` queries: the five
-//!   above name no filler, so postings do not change their rows.
+//!   reverse-filler index of an individual the query names as a filler,
+//!   nor from the value posting of a host value it names. Run on its own
+//!   queries, in two groups — `FILLS defined-in` / `FILLS calls`, and
+//!   `FILLS loc` — since the five above name no filler, so postings do
+//!   not change their rows.
 
 use crate::experiments::{ns_per, time};
 use crate::workload::software::{build, SoftwareConfig};
 use classic_core::desc::{Concept, IndRef};
+use classic_core::host::HostValue;
 use classic_core::normal::NormalForm;
 use classic_kb::{IndId, Kb};
 use std::fmt::Write as _;
@@ -161,14 +164,25 @@ pub fn run() -> String {
 }
 
 /// A4: the same retrieval with candidates from the taxonomy alone, on
-/// queries that name a module or a function as a filler.
+/// queries that name a module or a function as a filler, then on queries
+/// that name a host value.
 fn filler_postings_ablation(kb: &mut Kb, reps: usize, out: &mut String) {
     let symbols = &mut kb.schema_mut().symbols;
     let defined_in = symbols.find_role("defined-in").expect("role");
     let calls = symbols.find_role("calls").expect("role");
+    let loc = symbols.find_role("loc").expect("role");
     let function = Concept::Name(symbols.find_concept("FUNCTION").expect("c"));
+    let lines = |n: i64| vec![IndRef::Host(HostValue::Int(n))];
+    let valued = [
+        Concept::and([function.clone(), Concept::Fills(loc, lines(100))]),
+        Concept::and([
+            function.clone(),
+            Concept::AtLeast(2, calls),
+            Concept::Fills(loc, lines(250)),
+        ]),
+    ];
     let mut named = |name: &str| vec![IndRef::Classic(symbols.individual(name))];
-    let queries = [
+    let named = [
         Concept::and([function.clone(), Concept::Fills(defined_in, named("mod-7"))]),
         Concept::and([function.clone(), Concept::Fills(calls, named("fn-3"))]),
         Concept::and([
@@ -182,6 +196,13 @@ fn filler_postings_ablation(kb: &mut Kb, reps: usize, out: &mut String) {
             Concept::Fills(defined_in, named("mod-3")),
         ]),
     ];
+    ablate_postings(kb, &named, "FILLS defined-in / FILLS calls", reps, out);
+    ablate_postings(kb, &valued, "FILLS loc", reps, out);
+}
+
+/// One group of A4's queries: assert that the answers are the same with
+/// and without postings, and print tests/query and time for both.
+fn ablate_postings(kb: &Kb, queries: &[Concept], what: &str, reps: usize, out: &mut String) {
     let nfs: Vec<NormalForm> = queries
         .iter()
         .map(|q| kb.normalize(q).expect("coherent"))
@@ -212,11 +233,7 @@ fn filler_postings_ablation(kb: &mut Kb, reps: usize, out: &mut String) {
             }
         }
     });
-    let _ = writeln!(
-        out,
-        "-- A4 on {} FILLS defined-in / FILLS calls queries --",
-        nfs.len()
-    );
+    let _ = writeln!(out, "-- A4 on {} {what} queries --", nfs.len());
     for (label, tests, t) in [
         ("full system (filler postings on)", tested_on, t_on),
         ("A4: filler postings off (taxonomy only)", tested, t_off),

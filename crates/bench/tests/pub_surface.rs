@@ -12,8 +12,10 @@
 use std::path::{Path, PathBuf};
 
 /// Each crate's `src/` directory, relative to the repository root, with
-/// the most `pub` items it may hold.
-const LIMITS: [(&str, usize); 2] = [("crates/core/src", 173), ("crates/kb/src", 79)];
+/// the most `pub` items it may hold. `classic-core` went 173 → 174 for
+/// `ChunkedSet::iter_from`, the range scan `classic-kb`'s value postings
+/// are read by.
+const LIMITS: [(&str, usize); 2] = [("crates/core/src", 174), ("crates/kb/src", 79)];
 
 const KINDS: [&str; 8] = [
     "fn", "struct", "enum", "mod", "const", "trait", "type", "static",

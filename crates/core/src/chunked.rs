@@ -195,6 +195,17 @@ impl<T: Copy + Ord> ChunkedSet<T> {
         self.runs.iter().flat_map(|run| run.iter().copied())
     }
 
+    /// Every key not below `from`, ascending: a range scan starts here and
+    /// stops where it likes, in a binary search and the keys it reads.
+    pub fn iter_from(&self, from: T) -> impl Iterator<Item = T> + '_ {
+        let (first, rest): (&[T], _) = match &self.runs[self.run_of(from)..] {
+            [first, rest @ ..] => (&first[first.partition_point(|&k| k < from)..], rest),
+            [] => (&[], &[]),
+        };
+        let rest = rest.iter().flat_map(|run| run.iter().copied());
+        first.iter().copied().chain(rest)
+    }
+
     /// The run that holds `key` if any does: the first whose last key is
     /// not below it.
     fn run_of(&self, key: T) -> usize {
@@ -344,9 +355,13 @@ mod tests {
             assert_eq!(set.len(), model.len());
         }
         assert!(set.iter().eq(model.iter().copied()));
-        for key in 0..5_000 {
+        for key in 0..5_001 {
             assert_eq!(set.contains(&key), model.contains(&key));
+            let from = set.iter_from(key).take(3);
+            assert!(from.eq(model.range(key..).take(3).copied()));
         }
+        assert!(set.iter_from(0).eq(model.iter().copied()));
+        assert!(set.iter_from(2_500).eq(model.range(2_500..).copied()));
         assert!(set.runs.len() > 6, "the walk split runs");
         assert!(set.runs.iter().all(|r| !r.is_empty() && r.len() <= CHUNK));
         for key in model {

@@ -27,12 +27,14 @@ use crate::propagate::{guard_recognizers, Propagation};
 use classic_core::chunked::{Chunked, ChunkedSet};
 use classic_core::desc::{Concept, IndRef};
 use classic_core::error::{ClassicError, Result};
+use classic_core::host::HostValue;
 use classic_core::normal::{conjoin_expression, NormalForm};
 use classic_core::schema::{PrimMark, Schema, TestArg};
 use classic_core::symbol::{ConceptName, IndName, RoleId, TestId};
 use classic_core::taxonomy::{Classification, NodeId, Taxonomy};
 use classic_obs::{Counter, FlightRecorder, Histogram, Registry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// A forward-chaining rule: "if an individual is a `<concept1>` then it is
@@ -175,17 +177,20 @@ pub(crate) struct Journal {
     /// The first individual created during the transaction; every later
     /// one follows it — they occupy the arena tail.
     first_created: Option<IndId>,
-    /// Reverse-filler edges added during the transaction.
-    reverse_added: Vec<(IndId, IndId)>,
+    /// Access-path edges added during the transaction.
+    edges_added: Vec<Edge>,
     /// Dependency records earned during the transaction; absorbed into
     /// [`Kb::deps`] on commit, dropped on rollback.
     pub(crate) supports: Vec<Support>,
     /// Committed dependency records removed during a retraction;
     /// restored on rollback.
     supports_removed: Vec<Support>,
-    /// Reverse-filler edges removed during a retraction; restored on
+    /// Access-path edges removed during a retraction; restored on
     /// rollback.
-    reverse_removed: Vec<(IndId, IndId)>,
+    edges_removed: Vec<Edge>,
+    /// Value edges the current epoch applied, entered into the postings
+    /// when it ends ([`Kb::add_value_edges`]).
+    pub(crate) value_edges: Vec<u64>,
     /// Where the schema's primitive declarations stood before the
     /// transaction's first told description; rollback truncates back.
     declared: Option<PrimMark>,
@@ -197,6 +202,45 @@ pub(crate) struct Journal {
     pub(crate) work: VecDeque<IndId>,
     /// What the transaction has derived so far.
     pub(crate) report: AssertReport,
+}
+
+/// An access path from a role filler to the individuals holding it:
+/// one entry of the reverse-filler index or of the value postings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Edge {
+    /// `host` holds the CLASSIC individual `filler` as a role filler.
+    Filler { filler: IndId, host: IndId },
+    /// `host` holds a host value as a filler of a role; `key` is
+    /// [`value_key`] of the pair.
+    Value { key: u32, host: IndId },
+}
+
+/// The value-posting key of host value `value` as a filler of `role`: a
+/// 32-bit hash of the pair. Two pairs may share a key; a posting then
+/// holds the hosts of both, which is still a superset of either's (see
+/// [`Kb::candidates`]). `DefaultHasher::new` hashes alike in every
+/// call, so a read finds what a write put there; the postings are never
+/// persisted, so the hash need not outlive the build.
+pub(crate) fn value_key(role: RoleId, value: &HostValue) -> u32 {
+    let mut hasher = DefaultHasher::new();
+    (role, value).hash(&mut hasher);
+    hasher.finish() as u32
+}
+
+/// A value posting's entry: its key above its host, so the entries of
+/// one key are a range, ascending by host.
+pub(crate) fn value_entry(key: u32, host: IndId) -> u64 {
+    u64::from(key) << 32 | u64::from(host.0)
+}
+
+/// The key and the host of a value posting's entry.
+fn value_entry_parts(entry: u64) -> (u32, IndId) {
+    ((entry >> 32) as u32, IndId(entry as u32))
+}
+
+/// Every top-level (role, filler) pair of `nf`.
+fn role_fillers(nf: &NormalForm) -> impl Iterator<Item = (RoleId, &IndRef)> {
+    (nf.roles.iter()).flat_map(|(&r, rr)| rr.fillers.iter().map(move |f| (r, f)))
 }
 
 /// A change to the schema-sized state, as [`Kb::rollback`] inverts it.
@@ -218,8 +262,11 @@ impl Journal {
         }
     }
 
-    pub(crate) fn push_reverse(&mut self, filler: IndId, host: IndId) {
-        self.reverse_added.push((filler, host));
+    /// Add `edge` to `kb`, remembering it for rollback if it was new.
+    pub(crate) fn add_edge(&mut self, kb: &mut Kb, edge: Edge) {
+        if kb.add_edge(edge) {
+            self.edges_added.push(edge);
+        }
     }
 
     pub(crate) fn note_support(&mut self, s: Support) {
@@ -259,11 +306,11 @@ impl Journal {
 /// staged bulk load. Its cost does not grow with the individuals: the
 /// schema-sized parts (schema, taxonomy, rules) are copied, while the
 /// arena, the name index, the extensions, the reverse-filler index, the
-/// dependency journal and the individual namespace are chunked tables
-/// whose chunks both versions go on sharing until one of them writes
-/// there — a clone copies their spines (a pointer per chunk: thirty-two
-/// individuals, or hundreds of the smaller entries) and each table's
-/// unsealed tail. Neither version ever sees the other's later writes.
+/// value postings, the dependency journal and the individual namespace
+/// are chunked tables whose chunks both versions go on sharing until one
+/// of them writes there — a clone copies their spines (a pointer per
+/// chunk: thirty-two individuals, or hundreds of the smaller entries)
+/// and each table's unsealed tail. Neither version ever sees the other's later writes.
 ///
 /// The observability handles are *shared* outright: the metric registry,
 /// flight recorder, and duration histograms are `Arc`'d, so a clone's
@@ -294,6 +341,18 @@ pub struct Kb {
     /// telling a module one more function is defined in it — does not
     /// copy the thousands of hosts a hub may have.
     reverse_fillers: Chunked<ChunkedSet<IndId>>,
+    /// The value postings: for each (role, host value), the individuals
+    /// whose derived form holds that value as a filler of that role, as
+    /// `value_entry(value_key(role, value), host)` words in one sorted
+    /// set. A posting is the range of one key (see [`Kb::value_hosts`]).
+    /// One set, not a table of sets, so a clone copies a few dozen run
+    /// pointers whatever the number of distinct values (DESIGN.md §4.6).
+    value_postings: ChunkedSet<u64>,
+    /// No value posting holds a host at or above this id. An individual
+    /// created since the last value edge went in — every row of a bulk
+    /// load, every newcomer told its first facts — is looked up in no
+    /// run.
+    value_hosts_below: u32,
     /// Committed dependency records: why each individual's derived state
     /// is what it is. Consulted by retraction and `explain_provenance`.
     pub(crate) deps: DependencyJournal,
@@ -356,6 +415,8 @@ impl Kb {
             rules: Vec::new(),
             rules_by_node: HashMap::new(),
             reverse_fillers: Chunked::default(),
+            value_postings: ChunkedSet::default(),
+            value_hosts_below: 0,
             deps: DependencyJournal::default(),
             stats,
             obs,
@@ -447,31 +508,76 @@ impl Kb {
         hosts.is_some_and(|hosts| hosts.contains(&host))
     }
 
-    /// Record that `host` holds `filler`; `false` (and nothing copied) if
-    /// that was known.
-    pub(crate) fn add_reverse_edge(&mut self, filler: IndId, host: IndId) -> bool {
-        !self.holds_reverse_edge(filler, host)
-            && self.reverse_fillers.slot(filler.index()).insert(host)
+    /// The individuals in the value posting of `key`, ascending: every
+    /// host of a (role, value) pair whose [`value_key`] it is.
+    fn value_hosts(&self, key: u32) -> impl Iterator<Item = IndId> + '_ {
+        let from = self.value_postings.iter_from(value_entry(key, IndId(0)));
+        let entries = from.map(value_entry_parts);
+        entries
+            .take_while(move |&(k, _)| k == key)
+            .map(|(_, host)| host)
     }
 
-    /// Forget that `host` holds `filler`; `false` (and nothing copied) if
-    /// it did not.
-    fn remove_reverse_edge(&mut self, filler: IndId, host: IndId) -> bool {
-        self.holds_reverse_edge(filler, host) && self.reverse_fillers[filler.index()].remove(&host)
+    /// Is `host` in the value posting of `key`?
+    pub(crate) fn holds_value_edge(&self, key: u32, host: IndId) -> bool {
+        host.0 < self.value_hosts_below && self.value_postings.contains(&value_entry(key, host))
+    }
+
+    /// Enter the value edges the epoch applied into the postings, in
+    /// ascending order, and journal them. Nothing reads the postings while
+    /// an epoch applies, so deferring them to its end changes nothing
+    /// else; in order, each insert lands beside the one before, where a
+    /// bulk chunk's rows in effect order would scatter over every run
+    /// (their keys are hashes).
+    pub(crate) fn add_value_edges(&mut self, journal: &mut Journal) {
+        let mut entries = std::mem::take(&mut journal.value_edges);
+        entries.sort_unstable();
+        for &entry in &entries {
+            let (key, host) = value_entry_parts(entry);
+            journal.add_edge(self, Edge::Value { key, host });
+        }
+        entries.clear();
+        journal.value_edges = entries;
+    }
+
+    /// Record `edge`; `false` (and nothing copied) if it was known.
+    fn add_edge(&mut self, edge: Edge) -> bool {
+        match edge {
+            Edge::Filler { filler, host } => {
+                !self.holds_reverse_edge(filler, host)
+                    && self.reverse_fillers.slot(filler.index()).insert(host)
+            }
+            Edge::Value { key, host } => {
+                self.value_hosts_below = self.value_hosts_below.max(host.0 + 1);
+                self.value_postings.insert(value_entry(key, host))
+            }
+        }
+    }
+
+    /// Forget `edge`; `false` (and nothing copied) if it was not known.
+    fn remove_edge(&mut self, edge: Edge) -> bool {
+        match edge {
+            Edge::Filler { filler, host } => {
+                self.holds_reverse_edge(filler, host)
+                    && self.reverse_fillers[filler.index()].remove(&host)
+            }
+            Edge::Value { key, host } => self.value_postings.remove(&value_entry(key, host)),
+        }
     }
 
     /// How much of this KB's chunked storage `other` shares, by
     /// allocation identity: the probe experiment E19 and the aliasing
     /// tests read. Counts the chunks of every table that grows with the
     /// individuals — the arena, the name index, the reverse-filler index,
-    /// both sides of the dependency journal, the individual namespace and
-    /// each node's extension.
+    /// the value postings, both sides of the dependency journal, the
+    /// individual namespace and each node's extension.
     #[doc(hidden)]
     pub fn sharing_with(&self, other: &Kb) -> Sharing {
         let mut parts = vec![
             self.inds.sharing_with(&other.inds),
             self.by_name.sharing_with(&other.by_name),
             self.reverse_fillers.sharing_with(&other.reverse_fillers),
+            self.value_postings.sharing_with(&other.value_postings),
             self.schema.symbols.sharing_with(&other.schema.symbols),
         ];
         parts.extend(self.deps.sharing_with(&other.deps));
@@ -823,7 +929,7 @@ impl Kb {
             journal.touch(self, i);
         }
         // Void the old provenance of reset individuals (restored on
-        // rollback), and the reverse-filler edges they host — their role
+        // rollback), and the access-path edges they host — their role
         // fillers are about to be recomputed, and propagation will
         // re-insert the surviving edges.
         journal
@@ -832,18 +938,26 @@ impl Kb {
         // An edge exists only for a filler the host's derived description
         // names, so each reset host's own fillers — read before the reset
         // below wipes them — find every stale edge: the cost is the
-        // cone's, not the index's.
+        // cone's, not the index's. A host loses all its value edges here
+        // and re-planning re-adds one for each value it still holds, so a
+        // key two of its values share is never removed from under a live
+        // one.
         for &host in &reset {
-            let fillers: Vec<IndId> = (self.inds[host.index()].derived.roles.values())
-                .flat_map(|rr| &rr.fillers)
-                .filter_map(|f| match f {
-                    IndRef::Classic(name) => self.find_ind(*name),
-                    IndRef::Host(_) => None,
+            let edges: Vec<Edge> = role_fillers(&self.inds[host.index()].derived)
+                .filter_map(|(r, f)| match f {
+                    IndRef::Classic(name) => Some(Edge::Filler {
+                        filler: self.find_ind(*name)?,
+                        host,
+                    }),
+                    IndRef::Host(v) => Some(Edge::Value {
+                        key: value_key(r, v),
+                        host,
+                    }),
                 })
                 .collect();
-            for filler in fillers {
-                if self.remove_reverse_edge(filler, host) {
-                    journal.reverse_removed.push((filler, host));
+            for edge in edges {
+                if self.remove_edge(edge) {
+                    journal.edges_removed.push(edge);
                 }
             }
         }
@@ -1135,7 +1249,7 @@ impl Kb {
     ///
     /// The free answers are the instances of `cls`'s subsumees, or of the
     /// node equivalent to `nf` (then nothing is left to test). The
-    /// candidates are the smallest of three sources, each a superset of
+    /// candidates are the smallest of four sources, each a superset of
     /// the answers, less the free ones:
     ///
     /// * The extension of the most selective of `cls.parents`: every
@@ -1147,11 +1261,17 @@ impl Kb {
     ///   every CLASSIC filler of a derived form has its reverse edge
     ///   (clause 4 of [`Kb::check_invariants`]). The index records no
     ///   roles, so it may hold more hosts than answers, never fewer.
+    /// * For each host value `v` among `nf`'s top-level fillers of a role
+    ///   `r`, the value posting of `(r, v)`: by the same argument, at the
+    ///   fixed point every host filler of a derived form has its value
+    ///   edge. A posting is keyed by a hash of the pair, so it may also
+    ///   hold the hosts of another pair, never fewer than `(r, v)`'s.
     /// * The CLASSIC members of `nf`'s `ONE-OF`.
     ///
-    /// A filler or member naming no created individual has no host, so
-    /// its source is empty. Host-value fillers have no index and offer no
-    /// source.
+    /// A filler or member naming no created individual, or a value no
+    /// derived form holds, has no host, so its source is empty. A value
+    /// posting is counted only up to the smallest source offered before
+    /// it, and read out only if it wins.
     pub fn candidates(&self, nf: &NormalForm, cls: &Classification) -> (Vec<IndId>, Vec<IndId>) {
         if let Some(eq) = cls.equivalent {
             return (self.sorted_instances(&[eq]), Vec::new());
@@ -1159,6 +1279,7 @@ impl Kb {
         enum Source<'a> {
             Node(NodeId),
             Hosts(Option<&'a ChunkedSet<IndId>>),
+            Values(u32),
             Members(Vec<IndId>),
         }
         let mut best: Option<(usize, Source<'_>)> = None;
@@ -1170,14 +1291,16 @@ impl Kb {
         for &p in &cls.parents {
             offer(self.extension_size_bound(p), Source::Node(p));
         }
-        for rr in nf.roles.values() {
-            for f in &rr.fillers {
-                if let IndRef::Classic(name) = f {
+        let mut values = Vec::new();
+        for (r, f) in role_fillers(nf) {
+            match f {
+                IndRef::Classic(name) => {
                     let hosts = self
                         .find_ind(*name)
                         .and_then(|a| self.reverse_fillers.get(a.index()));
                     offer(hosts.map_or(0, ChunkedSet::len), Source::Hosts(hosts));
                 }
+                IndRef::Host(v) => values.push(value_key(r, v)),
             }
         }
         if let Some(members) = &nf.one_of {
@@ -1191,10 +1314,20 @@ impl Kb {
             ids.sort_unstable();
             offer(ids.len(), Source::Members(ids));
         }
+        // A posting has no stored length: count its range, but no further
+        // than the size it has to beat.
+        for key in values {
+            let least = best.as_ref().map_or(usize::MAX, |(least, _)| *least);
+            let size = self.value_hosts(key).take(least).count();
+            if size < least {
+                best = Some((size, Source::Values(key)));
+            }
+        }
         let mut tested = match best {
             None => Vec::new(),
             Some((_, Source::Node(p))) => self.sorted_instances(&[p]),
             Some((_, Source::Hosts(hosts))) => hosts.map_or_else(Vec::new, |h| h.iter().collect()),
+            Some((_, Source::Values(key))) => self.value_hosts(key).collect(),
             Some((_, Source::Members(ids))) => ids,
         };
         let free = self.sorted_instances(&cls.children);
@@ -1230,7 +1363,11 @@ impl Kb {
     ///    (only support records, which restate the fixed point). A
     ///    scheduler that drops a needed re-enqueue leaves the state open
     ///    and fails this; one that plans too much cannot be wrong, the
-    ///    step being monotone.
+    ///    step being monotone. A missing access-path edge is such a
+    ///    change;
+    /// 5. *no stale value edge*: every entry of the value postings is
+    ///    justified by a host filler of its host's derived form under the
+    ///    entry's key — a refused or retracted write leaves none behind.
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |msg: String| {
             Err(ClassicError::Malformed(format!(
@@ -1301,6 +1438,17 @@ impl Kb {
                 ));
             }
         }
+        for (key, host) in self.value_postings.iter().map(value_entry_parts) {
+            let justified = self.inds.get(host.index()).is_some_and(|ind| {
+                role_fillers(&ind.derived)
+                    .any(|(r, f)| matches!(f, IndRef::Host(v) if value_key(r, v) == key))
+            });
+            if !justified {
+                return fail(format!(
+                    "value posting {key:#x} lists {host:?}, which holds no such value"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -1308,7 +1456,7 @@ impl Kb {
 
     /// Undo the transaction — the only undo there is; returns the
     /// primitive keys it had declared. In order: the primitive
-    /// declarations, the supports and reverse-filler edges, the
+    /// declarations, the supports and access-path edges, the
     /// individuals it created, the ones it touched, and last the one
     /// schema-sized change, which everything before it may mention.
     fn rollback(&mut self, journal: Journal) -> Vec<String> {
@@ -1321,16 +1469,16 @@ impl Kb {
         // (journal.supports is simply dropped); supports *removed* by a
         // failed retraction are restored.
         self.deps.absorb(journal.supports_removed);
-        // Undo reverse-filler edges added during the transaction. This
-        // must run before restoring removed edges: a retraction may
-        // remove an edge and then re-add the same edge during
-        // re-propagation, and the pre-transaction state has the edge.
-        for (filler, host) in journal.reverse_added.into_iter().rev() {
-            self.remove_reverse_edge(filler, host);
+        // Undo access-path edges added during the transaction. This must
+        // run before restoring removed edges: a retraction may remove an
+        // edge and then re-add the same edge during re-propagation, and
+        // the pre-transaction state has the edge.
+        for edge in journal.edges_added.into_iter().rev() {
+            self.remove_edge(edge);
         }
-        // Restore reverse-filler edges removed by a failed retraction.
-        for (filler, host) in journal.reverse_removed {
-            self.add_reverse_edge(filler, host);
+        // Restore access-path edges removed by a failed retraction.
+        for edge in journal.edges_removed {
+            self.add_edge(edge);
         }
         // Remove individuals created during the transaction (arena tail);
         // every edge onto one of them was added, and undone, above.

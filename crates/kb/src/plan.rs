@@ -4,14 +4,15 @@
 //! Every epoch of the fixpoint (see `propagate.rs`) *plans* each
 //! worklist item against the shared epoch-start state (`&Kb`) — the
 //! conjunctions it pushes onto fillers, its `SAME-AS` derivations,
-//! reverse-filler edges, recognition installs, rule firings — and only
-//! then applies the emitted effects, sequentially, through the journal.
+//! reverse-filler and value edges, recognition installs, rule firings —
+//! and only then applies the emitted effects, sequentially, through the
+//! journal.
 //! Planning is a pure function of the epoch-start state, so what is
 //! applied, and in which order, depends only on the sorted batch.
 
 use crate::deps::SupportKind;
 use crate::individual::IndId;
-use crate::kb::Kb;
+use crate::kb::{value_key, Kb};
 use crate::propagate::PathResolution;
 use classic_core::desc::IndRef;
 use classic_core::error::{Clash, ClassicError};
@@ -54,6 +55,10 @@ pub(crate) enum Effect {
     },
     /// `host` holds `filler` as a role filler (idempotent to re-add).
     ReverseEdge { filler: TargetRef, host: IndId },
+    /// `host` holds a host value as a role filler: enter it in the value
+    /// posting of `key` when the epoch's effects are applied (idempotent
+    /// to re-add).
+    ValueEdge { key: u32, host: IndId },
     /// `ind`'s recognition changed: install the recomputed most-specific
     /// frontier.
     Install { ind: IndId, msc: BTreeSet<NodeId> },
@@ -129,6 +134,10 @@ impl Kb {
                         }
                     }
                     IndRef::Host(v) => {
+                        let key = value_key(r, v);
+                        if !self.holds_value_edge(key, id) {
+                            out.push(Effect::ValueEdge { key, host: id });
+                        }
                         if let Some(d) = all {
                             if !self.host_satisfies(v, d) {
                                 out.push(Effect::Abort {

@@ -42,7 +42,7 @@
 
 use crate::deps::{Support, SupportKind};
 use crate::individual::IndId;
-use crate::kb::{Journal, Kb};
+use crate::kb::{value_entry, Edge, Journal, Kb};
 use crate::plan::{Effect, TargetRef};
 use classic_core::desc::{IndRef, Path};
 use classic_core::error::{ClassicError, Result};
@@ -98,7 +98,8 @@ impl Propagation {
     /// sorted, deduplicated batch; each item is *planned* read-only
     /// against the epoch-start state ([`Kb::plan_one`]); the effects are
     /// applied sequentially, in batch order, through the journal-tracked
-    /// mutations of [`Kb::apply_effect`], which re-fill the worklist.
+    /// mutations of [`Kb::apply_effect`], which re-fill the worklist; the
+    /// epoch's value edges go in last, sorted ([`Kb::add_value_edges`]).
     /// The closure being computed is a least fixed point of a monotone
     /// step, so the schedule cannot change it; the apply order is
     /// `(source id, emission index)`, so state, journal, arena layout
@@ -133,6 +134,7 @@ impl Propagation {
             for effect in effects.drain(..) {
                 kb.apply_effect(effect, journal)?;
             }
+            kb.add_value_edges(journal);
         }
         classic_obs::event("steps", steps);
         Ok(())
@@ -193,10 +195,12 @@ impl Kb {
         match effect {
             Effect::Abort { error } => Err(error),
             Effect::ReverseEdge { filler, host } => {
-                let fid = self.resolve_target(filler, journal)?;
-                if self.add_reverse_edge(fid, host) {
-                    journal.push_reverse(fid, host);
-                }
+                let filler = self.resolve_target(filler, journal)?;
+                journal.add_edge(self, Edge::Filler { filler, host });
+                Ok(())
+            }
+            Effect::ValueEdge { key, host } => {
+                journal.value_edges.push(value_entry(key, host));
                 Ok(())
             }
             Effect::Support {

@@ -13,6 +13,7 @@
 //!   and classified retrieval agrees exactly with the naive scan.
 
 use classic_core::desc::{Concept, IndRef};
+use classic_core::host::HostValue;
 use classic_core::normal::NormalForm;
 use classic_core::symbol::RoleId;
 use classic_core::taxonomy::NodeId;
@@ -22,6 +23,23 @@ use std::collections::BTreeSet;
 
 const N_ROLES: usize = 3;
 const N_INDS: usize = 5;
+/// Host values told as fillers: `host_value(0..N_VALUES)`.
+const N_VALUES: usize = 6;
+
+/// The host values the oracle tells and asks for: three pairs that must
+/// stay distinct — `1` and `1.0`, `"a"` and `'a`, `0.0` and `-0.0` — and,
+/// at `N_VALUES`, one that is never told.
+fn host_value(v: usize) -> HostValue {
+    match v {
+        0 => HostValue::Int(1),
+        1 => HostValue::float(1.0),
+        2 => HostValue::Str("a".into()),
+        3 => HostValue::Sym("a".into()),
+        4 => HostValue::float(0.0),
+        5 => HostValue::float(-0.0),
+        _ => HostValue::Int(7),
+    }
+}
 
 fn schema_kb() -> Kb {
     let mut kb = Kb::new();
@@ -66,6 +84,8 @@ enum Step {
     AtLeast(usize, usize, u32),
     AtMost(usize, usize, u32),
     Fills(usize, usize, usize),
+    /// `(FILLS r v)` with the host value `host_value(v)`.
+    Value(usize, usize, usize),
     Close(usize, usize),
     All(usize, usize, &'static str),
 }
@@ -109,6 +129,10 @@ fn step_concept(kb: &mut Kb, step: &Step) -> (String, Concept) {
                 Concept::Fills(RoleId::from_index(*r), vec![f]),
             )
         }
+        Step::Value(i, r, v) => (
+            format!("x{i}"),
+            Concept::Fills(RoleId::from_index(*r), vec![IndRef::Host(host_value(*v))]),
+        ),
         Step::Close(i, r) => (format!("x{i}"), Concept::Close(RoleId::from_index(*r))),
         Step::All(i, r, n) => {
             let inner = cname(kb, n);
@@ -132,6 +156,8 @@ enum Ask {
     Ghost(usize),
     /// `(ONE-OF xj xk)`.
     OneOf(usize, usize),
+    /// `(FILLS r v)` with the host value `host_value(v)`, told or not.
+    Value(usize, usize),
 }
 
 fn ask_strategy() -> impl Strategy<Value = Ask> {
@@ -143,6 +169,7 @@ fn ask_strategy() -> impl Strategy<Value = Ask> {
             .prop_map(|(r, j, s, k)| Ask::TwoFills(r, j, s, k)),
         1 => (0..N_ROLES).prop_map(Ask::Ghost),
         1 => (0..N_INDS, 0..N_INDS).prop_map(|(j, k)| Ask::OneOf(j, k)),
+        2 => (0..N_ROLES, 0..=N_VALUES).prop_map(|(r, v)| Ask::Value(r, v)),
     ]
 }
 
@@ -161,6 +188,7 @@ fn ask_concept(kb: &mut Kb, ask: &Ask) -> Concept {
         ]),
         Ask::Ghost(r) => Concept::Fills(role(r), vec![ind("ghost".into())]),
         Ask::OneOf(j, k) => Concept::OneOf(vec![ind(format!("x{j}")), ind(format!("x{k}"))]),
+        Ask::Value(r, v) => Concept::Fills(role(r), vec![IndRef::Host(host_value(v))]),
     }
 }
 
@@ -326,8 +354,10 @@ proptest! {
         steps in proptest::collection::vec(prop_oneof![
             2 => (0..N_INDS, 0..N_ROLES, 0..N_INDS).prop_map(|(i, r, j)| Step::Fills(i, r, j)),
             3 => step_strategy(),
+            2 => (0..N_INDS, 0..N_ROLES, 0..N_VALUES).prop_map(|(i, r, v)| Step::Value(i, r, v)),
         ], 1..16),
         retracts in proptest::collection::vec(0usize..16, 0..3),
+        refused in (0..N_INDS, 0..N_ROLES, 0..N_VALUES),
         ask in ask_strategy(),
         under_p0 in 0u8..2,
     ) {
@@ -336,15 +366,35 @@ proptest! {
             let (name, c) = step_concept(&mut kb, step);
             let _ = kb.assert_ind(&name, &c);
         }
-        // Retracting told fillers leaves the reverse-filler index with
-        // edges removed (and hosts re-derived) under the query.
+        // Retracting told fillers leaves the reverse-filler index and the
+        // value postings with edges removed (and hosts re-derived) under
+        // the query.
         for ix in &retracts {
             let step = &steps[ix % steps.len()];
-            if let Step::Fills(..) = step {
+            if let Step::Fills(..) | Step::Value(..) = step {
                 let (name, c) = step_concept(&mut kb, step);
                 let _ = kb.retract_ind(&name, &c);
             }
         }
+        // A write that AT-MOST refuses one epoch after its host filler's
+        // edge went in: xi's value edge is entered when the first epoch
+        // ends; the second pushes a filler of r1 through y onto z, which
+        // may have none.
+        let (i, r, v) = refused;
+        let [r1, r2] = [1, 2].map(RoleId::from_index);
+        let [y, z] = ["y", "z"].map(|n| IndRef::Classic(kb.schema_mut().symbols.individual(n)));
+        kb.create_ind("z").unwrap();
+        kb.assert_ind("z", &Concept::AtMost(0, r1)).unwrap();
+        kb.create_ind("y").unwrap();
+        kb.assert_ind("y", &Concept::Fills(r2, vec![z])).unwrap();
+        let value = |r| Concept::Fills(r, vec![IndRef::Host(host_value(v))]);
+        let cascade = Concept::and([
+            value(RoleId::from_index(r)),
+            Concept::Fills(r2, vec![y]),
+            Concept::all(r2, Concept::all(r2, value(r1))),
+        ]);
+        prop_assert!(kb.assert_ind(&format!("x{i}"), &cascade).is_err());
+        kb.check_invariants().expect("a refused write leaves no edge behind");
         let asked = ask_concept(&mut kb, &ask);
         let q = if under_p0 == 1 || matches!(ask, Ask::AtLeast(..)) {
             let p0 = Concept::Name(kb.schema().symbols.find_concept("P0").unwrap());

@@ -9,11 +9,12 @@
 //!   parent concepts are tested individually … all instances of schema
 //!   concepts that are subsumed by the query are known to satisfy the
 //!   query and are therefore not explicitly tested." The tested
-//!   candidates come from the smallest of three supersets of the answer
+//!   candidates come from the smallest of four supersets of the answer
 //!   ([`Kb::candidates`]): the most selective parent's extension, the
 //!   hosts of an individual the query names as a role filler (the
-//!   reverse-filler index: a role as an access path), and the query's
-//!   `ONE-OF` members. The answer is built by merging sorted runs, so a
+//!   reverse-filler index: a role as an access path), the hosts of a host
+//!   value it names as a role filler (the value postings), and the
+//!   query's `ONE-OF` members. The answer is built by merging sorted runs, so a
 //!   read costs the answer and its candidates, not the database.
 //!   [`retrieve_naive`] is the unpruned baseline (experiments E3/E8).
 //! * **Open-world answer modes** — "sets of individuals that are *known*
@@ -84,9 +85,9 @@ pub struct QueryStats {
     /// instances of schema concepts subsumed by the query.
     pub free: usize,
     /// Individuals individually tested against the query: the smallest
-    /// of the most selective parent's extension, a named filler's hosts
-    /// and the `ONE-OF` members ([`Kb::candidates`]), less the free
-    /// answers.
+    /// of the most selective parent's extension, a named filler's hosts,
+    /// a named host value's hosts and the `ONE-OF` members
+    /// ([`Kb::candidates`]), less the free answers.
     pub tested: usize,
     /// Subsumption tests spent classifying the query concept.
     pub classify_tests: usize,
@@ -602,6 +603,7 @@ mod tests {
     use super::*;
     use classic_core::desc::Concept;
     use classic_core::error::ClassicError;
+    use classic_core::host::HostValue;
 
     fn retrieve(kb: &Kb, q: &Concept) -> Result<Answers> {
         Ok(Query::concept(q.clone()).run(kb)?.into_known().unwrap())
@@ -730,6 +732,61 @@ mod tests {
         // A filler never created has no hosts: nothing to test.
         let at_ghost = Concept::and([person, Concept::Fills(enrolled, vec![ghost])]);
         let ans = retrieve(&kb, &at_ghost).unwrap();
+        assert!(ans.known.is_empty());
+        assert_eq!(ans.stats.tested, 0);
+    }
+
+    #[test]
+    fn host_value_filler_bounds_the_candidates() {
+        // Forty PERSONs aged 0–3 (ten of each), three more aged 1.0 (a
+        // float, another value); three of the ten aged 1 are AGE-1-EATERs.
+        // Asking for those aged 1 must test the ten hosts of the value
+        // less the free AGE-1-EATERs, not PERSON's extension.
+        let mut kb = kb_with_schema();
+        let age = kb.define_role("age").unwrap();
+        let eat = kb.schema().symbols.find_role("eat").unwrap();
+        let person = Concept::Name(kb.schema_mut().symbols.concept("PERSON"));
+        let aged = |v: HostValue| Concept::Fills(age, vec![IndRef::Host(v)]);
+        let aged_1 = Concept::and([person.clone(), aged(HostValue::Int(1))]);
+        kb.define_concept(
+            "AGE-1-EATER",
+            Concept::and([aged_1.clone(), Concept::AtLeast(1, eat)]),
+        )
+        .unwrap();
+        for i in 0..43 {
+            let name = format!("P{i}");
+            kb.create_ind(&name).unwrap();
+            kb.assert_ind(&name, &person).unwrap();
+            let value = match i {
+                0..40 => HostValue::Int(i % 4),
+                _ => HostValue::float(1.0),
+            };
+            kb.assert_ind(&name, &aged(value)).unwrap();
+            if i % 4 == 1 && i < 12 {
+                kb.assert_ind(&name, &Concept::AtLeast(1, eat)).unwrap();
+            }
+        }
+        let person_node = kb.instances_of(kb.schema().symbols.find_concept("PERSON").unwrap());
+        let parent_extension = person_node.unwrap().len();
+        assert_eq!(parent_extension, 43);
+
+        let ans = retrieve(&kb, &aged_1).unwrap();
+        assert_eq!(ans.known, retrieve_naive(&kb, &aged_1).unwrap().known);
+        assert_eq!(ans.known.len(), 10);
+        assert_eq!(ans.stats.free, 3);
+        assert_eq!(ans.stats.tested, 10 - 3);
+        assert!(ans.stats.tested < parent_extension - ans.stats.free);
+
+        // 1 and 1.0 are two values: neither answer holds a host of the other.
+        let aged_1_0 = Concept::and([person.clone(), aged(HostValue::float(1.0))]);
+        let floats = retrieve(&kb, &aged_1_0).unwrap();
+        assert_eq!(floats.known, retrieve_naive(&kb, &aged_1_0).unwrap().known);
+        assert_eq!((floats.known.len(), floats.stats.tested), (3, 3));
+        assert!(floats.known.iter().all(|id| !ans.known.contains(id)));
+
+        // A value no one was told has no hosts: nothing to test.
+        let aged_99 = Concept::and([person, aged(HostValue::Int(99))]);
+        let ans = retrieve(&kb, &aged_99).unwrap();
         assert!(ans.known.is_empty());
         assert_eq!(ans.stats.tested, 0);
     }
