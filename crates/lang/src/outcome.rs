@@ -1,11 +1,14 @@
 //! What evaluating a command yields: data first, rendering second.
 //!
 //! [`Outcome`] has two renderers shared by the REPL and the wire protocol
-//! — [`Outcome::render_text`] and [`Outcome::render_json`] — both total
-//! over every variant, so the two surfaces can never drift.
+//! — [`Outcome::render_text`] and [`Outcome::write_json`] (with
+//! [`Outcome::render_json`] its wrapper) — both total over every variant,
+//! so the two surfaces can never drift.
+
+use std::fmt::Write as _;
 
 use classic_kb::{AssertReport, BulkReport, RetractReport};
-use classic_obs::json_string;
+use classic_obs::write_json_string;
 
 /// One structured static-analysis finding, mirroring
 /// [`classic_analyze::Diagnostic`] as plain serializable data (the span is
@@ -222,104 +225,126 @@ impl Outcome {
     /// Render as a single-line JSON object: `{"type": …, …}`. This is the
     /// wire form the server sends; the REPL's `render_text` reads the
     /// same data, so protocol and shell can never disagree about what an
-    /// outcome *is*.
+    /// outcome *is*. A wrapper around [`Outcome::write_json`].
     pub fn render_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the [`Outcome::render_json`] form to `out`, so a server can
+    /// write a reply's envelope and its outcome into the one buffer the
+    /// socket sends. Reserves the rendered length first, plus a few bytes
+    /// for the caller's envelope to close and end its line, so a large
+    /// answer is not copied while it grows.
+    pub fn write_json(&self, out: &mut String) {
+        out.reserve(self.json_len() + TAIL);
         match self {
-            Outcome::Ok => r#"{"type":"ok"}"#.to_owned(),
+            Outcome::Ok => out.push_str(r#"{"type":"ok"}"#),
             Outcome::RuleAsserted(ix) => {
-                format!(r#"{{"type":"rule-asserted","id":{ix}}}"#)
+                let _ = write!(out, r#"{{"type":"rule-asserted","id":{ix}}}"#);
             }
-            Outcome::Asserted(r) => format!(
-                concat!(
-                    r#"{{"type":"asserted","steps":{},"fills":{},"corefs":{},"#,
-                    r#""rules":{},"reclassified":{},"created":{}}}"#
-                ),
-                r.steps,
-                r.fills_propagated,
-                r.corefs_derived,
-                r.rules_fired,
-                r.reclassified,
-                r.inds_created
-            ),
-            Outcome::Retracted(r) => format!(
-                r#"{{"type":"retracted","reset":{},"requeued":{},"steps":{},"reclassified":{}}}"#,
-                r.reset, r.requeued, r.steps, r.reclassified
-            ),
+            Outcome::Asserted(r) => {
+                let _ = write!(
+                    out,
+                    concat!(
+                        r#"{{"type":"asserted","steps":{},"fills":{},"corefs":{},"#,
+                        r#""rules":{},"reclassified":{},"created":{}}}"#
+                    ),
+                    r.steps,
+                    r.fills_propagated,
+                    r.corefs_derived,
+                    r.rules_fired,
+                    r.reclassified,
+                    r.inds_created
+                );
+            }
+            Outcome::Retracted(r) => {
+                let _ = write!(
+                    out,
+                    r#"{{"type":"retracted","reset":{},"requeued":{},"steps":{},"reclassified":{}}}"#,
+                    r.reset, r.requeued, r.steps, r.reclassified
+                );
+            }
             Outcome::Individuals(names) => {
-                format!(r#"{{"type":"individuals","names":{}}}"#, json_array(names))
+                out.push_str(r#"{"type":"individuals","names":"#);
+                write_json_array(out, names);
+                out.push('}');
             }
-            Outcome::Bool(b) => format!(r#"{{"type":"bool","value":{b}}}"#),
+            Outcome::Bool(b) => {
+                let _ = write!(out, r#"{{"type":"bool","value":{b}}}"#);
+            }
             Outcome::Description(d) => {
-                format!(r#"{{"type":"description","text":{}}}"#, json_string(d))
+                out.push_str(r#"{"type":"description","text":"#);
+                write_json_string(out, d);
+                out.push('}');
             }
             Outcome::Concepts(names) => {
-                format!(r#"{{"type":"concepts","names":{}}}"#, json_array(names))
+                out.push_str(r#"{"type":"concepts","names":"#);
+                write_json_array(out, names);
+                out.push('}');
             }
             Outcome::Aspect(a) => {
-                let value = match a {
-                    AspectValue::None => r#"{"kind":"none"}"#.to_owned(),
-                    AspectValue::Bound(n) => format!(r#"{{"kind":"bound","n":{n}}}"#),
+                out.push_str(r#"{"type":"aspect","value":"#);
+                match a {
+                    AspectValue::None => out.push_str(r#"{"kind":"none"}"#),
+                    AspectValue::Bound(n) => {
+                        let _ = write!(out, r#"{{"kind":"bound","n":{n}}}"#);
+                    }
                     AspectValue::Closed(b) => {
-                        format!(r#"{{"kind":"closed","value":{b}}}"#)
+                        let _ = write!(out, r#"{{"kind":"closed","value":{b}}}"#);
                     }
                     AspectValue::Values(v) => {
-                        format!(r#"{{"kind":"values","values":{}}}"#, json_array(v))
+                        out.push_str(r#"{"kind":"values","values":"#);
+                        write_json_array(out, v);
+                        out.push('}');
                     }
                     AspectValue::Restriction(c) => {
-                        format!(r#"{{"kind":"restriction","concept":{}}}"#, json_string(c))
+                        out.push_str(r#"{"kind":"restriction","concept":"#);
+                        write_json_string(out, c);
+                        out.push('}');
                     }
-                };
-                format!(r#"{{"type":"aspect","value":{value}}}"#)
+                }
+                out.push('}');
             }
             Outcome::Lint(report) => {
-                let diags: Vec<String> = report
-                    .diagnostics
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            concat!(
-                                r#"{{"code":{},"severity":{},"subject":{},"#,
-                                r#""message":{},"provenance":{}}}"#
-                            ),
-                            json_string(&d.code),
-                            json_string(d.severity.as_str()),
-                            json_string(&d.subject),
-                            json_string(&d.message),
-                            json_array(&d.provenance),
-                        )
-                    })
-                    .collect();
-                format!(
+                let _ = write!(
+                    out,
                     concat!(
                         r#"{{"type":"lint","errors":{},"warnings":{},"concepts_checked":{},"#,
-                        r#""rules_checked":{},"inds_checked":{},"diagnostics":[{}]}}"#
+                        r#""rules_checked":{},"inds_checked":{},"diagnostics":["#
                     ),
                     report.errors(),
                     report.warnings(),
                     report.concepts_checked,
                     report.rules_checked,
                     report.inds_checked,
-                    diags.join(",")
-                )
+                );
+                for (ix, d) in report.diagnostics.iter().enumerate() {
+                    if ix > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(r#"{"code":"#);
+                    write_json_string(out, &d.code);
+                    out.push_str(r#","severity":"#);
+                    write_json_string(out, d.severity.as_str());
+                    out.push_str(r#","subject":"#);
+                    write_json_string(out, &d.subject);
+                    out.push_str(r#","message":"#);
+                    write_json_string(out, &d.message);
+                    out.push_str(r#","provenance":"#);
+                    write_json_array(out, &d.provenance);
+                    out.push('}');
+                }
+                out.push_str("]}");
             }
             Outcome::BulkLoaded(r) => {
-                let rejections: Vec<String> = r
-                    .rejections
-                    .iter()
-                    .map(|rej| {
-                        format!(
-                            r#"{{"row":{},"name":{},"error":{}}}"#,
-                            rej.row,
-                            json_string(&rej.name),
-                            json_string(&rej.error)
-                        )
-                    })
-                    .collect();
-                format!(
+                let _ = write!(
+                    out,
                     concat!(
                         r#"{{"type":"bulk-loaded","rows":{},"accepted":{},"rejected":{},"#,
                         r#""created":{},"steps":{},"rules":{},"reclassified":{},"chunks":{},"#,
-                        r#""fallbacks":{},"rejections":[{}]}}"#
+                        r#""fallbacks":{},"rejections":["#
                     ),
                     r.rows,
                     r.accepted,
@@ -330,14 +355,212 @@ impl Outcome {
                     r.reclassified,
                     r.chunks,
                     r.sequential_fallbacks,
-                    rejections.join(",")
-                )
+                );
+                for (ix, rej) in r.rejections.iter().enumerate() {
+                    if ix > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, r#"{{"row":{},"name":"#, rej.row);
+                    write_json_string(out, &rej.name);
+                    out.push_str(r#","error":"#);
+                    write_json_string(out, &rej.error);
+                    out.push('}');
+                }
+                out.push_str("]}");
             }
         }
     }
+
+    /// The length [`Outcome::write_json`] writes when no string in the
+    /// outcome needs an escape: exact for the strings, generous for the
+    /// fixed text and the numbers around them.
+    fn json_len(&self) -> usize {
+        let strings = |items: &[String]| -> usize { items.iter().map(|s| s.len() + 3).sum() };
+        FIXED
+            + match self {
+                Outcome::Individuals(v)
+                | Outcome::Concepts(v)
+                | Outcome::Aspect(AspectValue::Values(v)) => strings(v),
+                Outcome::Description(s) | Outcome::Aspect(AspectValue::Restriction(s)) => {
+                    s.len() + 2
+                }
+                Outcome::Lint(report) => report
+                    .diagnostics
+                    .iter()
+                    .map(|d| {
+                        FIXED
+                            + d.code.len()
+                            + d.subject.len()
+                            + d.message.len()
+                            + strings(&d.provenance)
+                    })
+                    .sum(),
+                Outcome::BulkLoaded(r) => r
+                    .rejections
+                    .iter()
+                    .map(|rej| FIXED + rej.name.len() + rej.error.len())
+                    .sum(),
+                _ => 0,
+            }
+    }
 }
 
-fn json_array(items: &[String]) -> String {
-    let parts: Vec<String> = items.iter().map(|s| json_string(s)).collect();
-    format!("[{}]", parts.join(","))
+/// Room [`Outcome::json_len`] allows for an object's fixed text and
+/// numbers: the longest, `bulk-loaded`'s, is 138 bytes and one more per
+/// digit of its nine counts.
+const FIXED: usize = 256;
+
+/// Bytes [`Outcome::write_json`] reserves past the outcome, for the
+/// envelope's closing brace and the line's newline.
+const TAIL: usize = 8;
+
+/// Append `items` to `out` as a JSON array of strings.
+fn write_json_array(out: &mut String, items: &[String]) {
+    out.push('[');
+    for (ix, item) in items.iter().enumerate() {
+        if ix > 0 {
+            out.push(',');
+        }
+        write_json_string(out, item);
+    }
+    out.push(']');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One of every variant, every aspect kind, an empty and a full
+    /// list, and strings holding everything the escaper tells apart.
+    fn golden_cases() -> Vec<Outcome> {
+        use classic_analyze::Severity;
+        use classic_kb::{AssertReport, BulkRejection, BulkReport, RetractReport};
+        let nasty = "q\"b\\s\nt\tr\r\u{1}\u{1f}\u{7f}é\u{2028}𝄞";
+        vec![
+            Outcome::Ok,
+            Outcome::RuleAsserted(7),
+            Outcome::Asserted(AssertReport {
+                steps: 1,
+                fills_propagated: 2,
+                corefs_derived: 3,
+                rules_fired: 4,
+                reclassified: 5,
+                inds_created: 6,
+            }),
+            Outcome::Retracted(RetractReport {
+                reset: 1,
+                requeued: 2,
+                steps: 3,
+                reclassified: 4,
+            }),
+            Outcome::Individuals(Vec::new()),
+            Outcome::Individuals(vec!["Rocky".to_owned(), "42".to_owned(), nasty.to_owned()]),
+            Outcome::Bool(true),
+            Outcome::Bool(false),
+            Outcome::Description(format!("(AND PERSON (FILLS name \"{nasty}\"))")),
+            Outcome::Concepts(Vec::new()),
+            Outcome::Concepts(vec!["PERSON".to_owned(), "THING".to_owned()]),
+            Outcome::Aspect(AspectValue::None),
+            Outcome::Aspect(AspectValue::Bound(3)),
+            Outcome::Aspect(AspectValue::Closed(true)),
+            Outcome::Aspect(AspectValue::Values(Vec::new())),
+            Outcome::Aspect(AspectValue::Values(vec!["a".to_owned(), nasty.to_owned()])),
+            Outcome::Aspect(AspectValue::Restriction("(AT-LEAST 1 child)".to_owned())),
+            Outcome::Lint(LintReport::default()),
+            Outcome::Lint(LintReport {
+                diagnostics: vec![
+                    LintDiagnostic {
+                        code: "A001".to_owned(),
+                        severity: Severity::Error,
+                        subject: "concept BAD".to_owned(),
+                        message: format!("never satisfiable: {nasty}"),
+                        provenance: vec!["BAD < A".to_owned(), "A disjoint \"B\"".to_owned()],
+                    },
+                    LintDiagnostic {
+                        code: "A004".to_owned(),
+                        severity: Severity::Warning,
+                        subject: "rule #2 (on STUDENT)".to_owned(),
+                        message: "shadowed".to_owned(),
+                        provenance: Vec::new(),
+                    },
+                    LintDiagnostic {
+                        code: "A008".to_owned(),
+                        severity: Severity::Info,
+                        subject: "schema".to_owned(),
+                        message: String::new(),
+                        provenance: vec![String::new()],
+                    },
+                ],
+                concepts_checked: 4,
+                rules_checked: 2,
+                inds_checked: 9,
+            }),
+            Outcome::BulkLoaded(BulkReport::default()),
+            Outcome::BulkLoaded(BulkReport {
+                rows: 5,
+                accepted: 3,
+                rejected: 2,
+                inds_created: 8,
+                steps: 13,
+                fills_propagated: 1,
+                corefs_derived: 1,
+                rules_fired: 2,
+                reclassified: 4,
+                chunks: 1,
+                sequential_fallbacks: 1,
+                row_accepted: vec![true, false, true, true, false],
+                rejections: vec![
+                    BulkRejection {
+                        row: 1,
+                        name: "r-1".to_owned(),
+                        error: "clash: (AT-MOST 1 loc)".to_owned(),
+                    },
+                    BulkRejection {
+                        row: 4,
+                        name: nasty.to_owned(),
+                        error: format!("bad value \"{nasty}\""),
+                    },
+                ],
+            }),
+        ]
+    }
+
+    /// What `render_json` wrote for `golden_cases()` before it became a
+    /// wrapper around `write_json`, byte for byte.
+    const GOLDEN: [&str; 21] = [
+            "{\"type\":\"ok\"}",
+            "{\"type\":\"rule-asserted\",\"id\":7}",
+            "{\"type\":\"asserted\",\"steps\":1,\"fills\":2,\"corefs\":3,\"rules\":4,\"reclassified\":5,\"created\":6}",
+            "{\"type\":\"retracted\",\"reset\":1,\"requeued\":2,\"steps\":3,\"reclassified\":4}",
+            "{\"type\":\"individuals\",\"names\":[]}",
+            "{\"type\":\"individuals\",\"names\":[\"Rocky\",\"42\",\"q\\\"b\\\\s\\nt\\tr\\r\\u0001\\u001f\u{7f}é\u{2028}𝄞\"]}",
+            "{\"type\":\"bool\",\"value\":true}",
+            "{\"type\":\"bool\",\"value\":false}",
+            "{\"type\":\"description\",\"text\":\"(AND PERSON (FILLS name \\\"q\\\"b\\\\s\\nt\\tr\\r\\u0001\\u001f\u{7f}é\u{2028}𝄞\\\"))\"}",
+            "{\"type\":\"concepts\",\"names\":[]}",
+            "{\"type\":\"concepts\",\"names\":[\"PERSON\",\"THING\"]}",
+            "{\"type\":\"aspect\",\"value\":{\"kind\":\"none\"}}",
+            "{\"type\":\"aspect\",\"value\":{\"kind\":\"bound\",\"n\":3}}",
+            "{\"type\":\"aspect\",\"value\":{\"kind\":\"closed\",\"value\":true}}",
+            "{\"type\":\"aspect\",\"value\":{\"kind\":\"values\",\"values\":[]}}",
+            "{\"type\":\"aspect\",\"value\":{\"kind\":\"values\",\"values\":[\"a\",\"q\\\"b\\\\s\\nt\\tr\\r\\u0001\\u001f\u{7f}é\u{2028}𝄞\"]}}",
+            "{\"type\":\"aspect\",\"value\":{\"kind\":\"restriction\",\"concept\":\"(AT-LEAST 1 child)\"}}",
+            "{\"type\":\"lint\",\"errors\":0,\"warnings\":0,\"concepts_checked\":0,\"rules_checked\":0,\"inds_checked\":0,\"diagnostics\":[]}",
+            "{\"type\":\"lint\",\"errors\":1,\"warnings\":1,\"concepts_checked\":4,\"rules_checked\":2,\"inds_checked\":9,\"diagnostics\":[{\"code\":\"A001\",\"severity\":\"error\",\"subject\":\"concept BAD\",\"message\":\"never satisfiable: q\\\"b\\\\s\\nt\\tr\\r\\u0001\\u001f\u{7f}é\u{2028}𝄞\",\"provenance\":[\"BAD < A\",\"A disjoint \\\"B\\\"\"]},{\"code\":\"A004\",\"severity\":\"warning\",\"subject\":\"rule #2 (on STUDENT)\",\"message\":\"shadowed\",\"provenance\":[]},{\"code\":\"A008\",\"severity\":\"info\",\"subject\":\"schema\",\"message\":\"\",\"provenance\":[\"\"]}]}",
+            "{\"type\":\"bulk-loaded\",\"rows\":0,\"accepted\":0,\"rejected\":0,\"created\":0,\"steps\":0,\"rules\":0,\"reclassified\":0,\"chunks\":0,\"fallbacks\":0,\"rejections\":[]}",
+            "{\"type\":\"bulk-loaded\",\"rows\":5,\"accepted\":3,\"rejected\":2,\"created\":8,\"steps\":13,\"rules\":2,\"reclassified\":4,\"chunks\":1,\"fallbacks\":1,\"rejections\":[{\"row\":1,\"name\":\"r-1\",\"error\":\"clash: (AT-MOST 1 loc)\"},{\"row\":4,\"name\":\"q\\\"b\\\\s\\nt\\tr\\r\\u0001\\u001f\u{7f}é\u{2028}𝄞\",\"error\":\"bad value \\\"q\\\"b\\\\s\\nt\\tr\\r\\u0001\\u001f\u{7f}é\u{2028}𝄞\\\"\"}]}",
+    ];
+
+    #[test]
+    fn every_outcome_renders_as_it_did_before_the_one_buffer_writer() {
+        let cases = golden_cases();
+        assert_eq!(cases.len(), GOLDEN.len());
+        for (outcome, golden) in cases.iter().zip(GOLDEN) {
+            assert_eq!(outcome.render_json(), golden, "{outcome:?}");
+            let mut appended = String::from("{\"ok\":true,\"result\":");
+            outcome.write_json(&mut appended);
+            assert_eq!(appended[20..], *golden);
+            classic_obs::Json::parse(golden).expect("golden replies are JSON");
+        }
+    }
 }

@@ -286,21 +286,44 @@ pub fn render_prometheus_labeled(s: &MetricsSnapshot, labels: &[(&str, &str)]) -
 /// other hand-rolled JSON emitters in the workspace (`Outcome::render_json`,
 /// the server's `/stats` endpoint) share one escaper.
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut out = String::new();
+    write_json_string(&mut out, s);
     out
+}
+
+/// Append `s` to `out` as a JSON string literal (quoted, escaped) — the
+/// escaper behind [`json_string`], for renderers that build a whole reply
+/// in one buffer. Each run of bytes that needs no escape is copied whole;
+/// only `"`, `\` and the control characters U+0000–U+001F are escaped
+/// (`\n`, `\t`, `\r` by name, the rest as `\u00xx`). Everything else,
+/// U+007F and U+2028 included, is copied as it is.
+pub fn write_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (ix, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every byte escaped is ASCII, so `ix` is a char boundary.
+        out.push_str(&s[run..ix]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = ix + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 fn json_histogram(h: &HistogramSnapshot) -> String {
@@ -365,6 +388,62 @@ pub fn render_json(s: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The escaper `json_string` was before it wrote into a caller's
+    /// buffer, one `char` at a time: the oracle for the run-copying one.
+    fn chars_escaper(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Strings thick with what the escaper tells apart: quotes,
+    /// backslashes, every control character, DEL, U+2028, and multi-byte
+    /// characters of every width.
+    fn nasty_strings() -> impl Strategy<Value = String> {
+        let c = prop_oneof![
+            3 => '\0'..'\u{20}',
+            2 => Just('"'),
+            2 => Just('\\'),
+            1 => Just('\u{7f}'),
+            1 => Just('\u{2028}'),
+            3 => ' '..'\u{7f}',
+            1 => '\u{80}'..'\u{800}',
+            1 => '\u{800}'..'\u{10000}',
+            1 => '\u{10000}'..char::MAX,
+        ];
+        proptest::collection::vec(c, 0..24).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The appending escaper writes what the `char` escaper wrote,
+        /// after whatever the buffer already held, and the result parses
+        /// back to the input under the strict grammar.
+        #[test]
+        fn the_appending_escaper_matches_the_chars_escaper(s in nasty_strings()) {
+            let mut out = String::from("[");
+            write_json_string(&mut out, &s);
+            prop_assert_eq!(&out[1..], chars_escaper(&s));
+            prop_assert_eq!(json_string(&s), chars_escaper(&s));
+            let parsed = crate::Json::parse(&out[1..]).expect("the escaper writes valid JSON");
+            prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+        }
+    }
 
     #[test]
     fn prometheus_text_has_type_lines_and_samples() {

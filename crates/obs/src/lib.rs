@@ -56,7 +56,7 @@ pub use context::{
 pub use expo::{
     json_string, render_all_json, render_all_prometheus, render_all_prometheus_exemplars,
     render_json, render_prometheus, render_prometheus_exemplars, render_prometheus_labeled,
-    snapshot_all, Exemplar, ExemplarStore,
+    snapshot_all, write_json_string, Exemplar, ExemplarStore,
 };
 pub use flight::{all_traces, find_trace, FlightRecorder, SpanRecord, Trace, TraceEvent};
 pub use json::{Json, JsonError};

@@ -50,6 +50,7 @@ use std::sync::Arc;
 use classic_obs::{json_string, RequestCtx, TraceId};
 
 use crate::server::Shared;
+use crate::session::{write_err, write_ok};
 use crate::tenant::TenantStats;
 
 /// Cap on the request head (start line + headers): 1 MiB.
@@ -93,12 +94,9 @@ pub fn serve_http(
         ),
         ("GET", "/trace") => match trace_dump(shared, &req) {
             Ok(json) => respond(&mut stream, 200, "application/json", &json),
-            Err((status, msg)) => respond(
-                &mut stream,
-                status,
-                "application/json",
-                &format!("{{\"ok\":false,\"error\":{}}}\n", json_string(&msg)),
-            ),
+            Err((status, msg)) => {
+                respond(&mut stream, status, "application/json", &error_body(&msg))
+            }
         },
         ("GET", "/slowlog") => {
             let n = req
@@ -117,12 +115,7 @@ pub fn serve_http(
             let cone = matches!(req.query_param("cone"), Some("1" | "true"));
             match lint_tenant(shared, tenant_name, cone) {
                 Ok(json) => respond(&mut stream, 200, "application/json", &json),
-                Err(msg) => respond(
-                    &mut stream,
-                    400,
-                    "application/json",
-                    &format!("{{\"ok\":false,\"error\":{}}}\n", json_string(&msg)),
-                ),
+                Err(msg) => respond(&mut stream, 400, "application/json", &error_body(&msg)),
             }
         }
         ("POST", "/eval") => {
@@ -137,10 +130,7 @@ pub fn serve_http(
                             &mut stream,
                             400,
                             "application/json",
-                            &format!(
-                                "{{\"ok\":false,\"error\":{}}}\n",
-                                json_string(&format!("X-Classic-Trace: {e}"))
-                            ),
+                            &error_body(&format!("X-Classic-Trace: {e}")),
                         )
                     }
                 },
@@ -150,12 +140,7 @@ pub fn serve_http(
             let body = match eval_body(shared, tenant_name, &req.body, trace_id) {
                 Ok(json) => json,
                 Err(msg) => {
-                    return respond(
-                        &mut stream,
-                        400,
-                        "application/json",
-                        &format!("{{\"ok\":false,\"error\":{}}}\n", json_string(&msg)),
-                    )
+                    return respond(&mut stream, 400, "application/json", &error_body(&msg))
                 }
             };
             respond_traced(&mut stream, 200, "application/json", &body, Some(&id_hex))
@@ -164,12 +149,7 @@ pub fn serve_http(
             let tenant_name = req.query_param("tenant").unwrap_or("default");
             match ingest_body(shared, tenant_name, &req) {
                 Ok(json) => respond(&mut stream, 200, "application/json", &json),
-                Err(msg) => respond(
-                    &mut stream,
-                    400,
-                    "application/json",
-                    &format!("{{\"ok\":false,\"error\":{}}}\n", json_string(&msg)),
-                ),
+                Err(msg) => respond(&mut stream, 400, "application/json", &error_body(&msg)),
             }
         }
         ("GET" | "POST", _) => {
@@ -212,16 +192,23 @@ fn read_request(
 ) -> Result<Option<Request>, (u16, String)> {
     let bad = |msg: &str| (400, msg.to_owned());
     let mut tmp = [0u8; 4096];
+    // Bytes already searched for the blank line, and found without one.
+    let mut searched: usize = 0;
     let header_end = loop {
         // The blank line that ends first, whichever way it is spelled:
         // the one a reader that saw the bytes arrive one at a time would
         // have stopped at, so the request does not depend on how the
-        // peer's writes were cut into segments.
-        let crlf = find(buf, b"\r\n\r\n").map(|ix| ix + 4);
-        let lf = find(buf, b"\n\n").map(|ix| ix + 2);
+        // peer's writes were cut into segments. Neither spelling lies
+        // wholly inside the bytes searched before, so the search resumes
+        // three bytes back from where it stopped: the head costs time
+        // linear in its length, however many reads it takes.
+        let from = searched.saturating_sub(3);
+        let crlf = find(&buf[from..], b"\r\n\r\n").map(|ix| from + ix + 4);
+        let lf = find(&buf[from..], b"\n\n").map(|ix| from + ix + 2);
         if let Some(end) = crlf.into_iter().chain(lf).min() {
             break end;
         }
+        searched = buf.len();
         if buf.len() > MAX_REQUEST {
             return Err((431, "request headers too large".to_owned()));
         }
@@ -336,7 +323,10 @@ fn lint_tenant(shared: &Arc<Shared>, tenant_name: &str, cone: bool) -> Result<St
             shared.metrics.errors.bump();
             e.to_string()
         })?;
-    Ok(format!("{}\n", outcome.render_json()))
+    let mut body = String::new();
+    outcome.write_json(&mut body);
+    body.push('\n');
+    Ok(body)
 }
 
 /// Execute the forms in `body` against `tenant_name`, in order,
@@ -359,25 +349,36 @@ fn eval_body(
         session: classic_obs::next_session_id(),
         kind: "http.eval",
     };
-    let results = shared.request(tenant.recorder(), ctx, || {
-        let mut results = Vec::with_capacity(commands.len());
-        for cmd in &commands {
+    let body = shared.request(tenant.recorder(), ctx, || {
+        let mut body = String::from("[");
+        let mut failed = false;
+        for (ix, cmd) in commands.iter().enumerate() {
+            if ix > 0 {
+                body.push(',');
+            }
             shared.metrics.requests.bump();
             tenant.count_request();
             match tenant.execute(cmd) {
-                Ok(o) => results.push(format!("{{\"ok\":true,\"result\":{}}}", o.render_json())),
+                Ok(o) => write_ok(&mut body, &o, None),
                 Err(e) => {
-                    results.push(format!(
-                        "{{\"ok\":false,\"error\":{}}}",
-                        json_string(&e.message)
-                    ));
-                    return (results, true);
+                    write_err(&mut body, &e.message);
+                    failed = true;
+                    break;
                 }
             }
         }
-        (results, false)
+        body.push_str("]\n");
+        (body, failed)
     });
-    Ok(format!("[{}]\n", results.join(",")))
+    Ok(body)
+}
+
+/// A JSON error body: `{"ok":false,"error":…}` and a newline.
+fn error_body(message: &str) -> String {
+    let mut body = String::new();
+    write_err(&mut body, message);
+    body.push('\n');
+    body
 }
 
 /// Answer `POST /ingest`: plan the bulk load from the raw body, then

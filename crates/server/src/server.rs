@@ -10,7 +10,9 @@
 //! may span lines (exactly as in `.classic` script files), several
 //! forms may share a line, and `;` comments and `"..."` strings are
 //! honored while counting. Each complete form yields exactly one JSON
-//! reply line, in order.
+//! reply line, in order, sent in one write. The framer keeps its scan
+//! state across reads, so framing costs time linear in the bytes
+//! received.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -29,7 +31,7 @@ use classic_obs::{
 };
 
 use crate::http;
-use crate::session::{Control, WireSession};
+use crate::session::{self, Control, WireSession};
 use crate::tenant::{Tenant, TenantStats};
 
 /// How long a worker blocks in `read` before re-checking shutdown.
@@ -487,45 +489,44 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Res
     let mut session = match WireSession::new(Arc::clone(shared)) {
         Ok(s) => s,
         Err(e) => {
-            let line = format!(
-                "{{\"ok\":false,\"error\":{}}}\n",
-                classic_obs::json_string(&e.to_string())
-            );
+            let mut line = session::err(&e.to_string());
+            line.push('\n');
             let _ = stream.write_all(line.as_bytes());
             return Ok(());
         }
     };
+    let mut framer = Framer::new(buf);
     loop {
         // Drain every complete form currently buffered.
         loop {
-            let (form, end) = match next_form(&buf) {
-                Ok(Some(next)) => next,
+            let form = match framer.next_form() {
+                Ok(Some(form)) => form,
                 Ok(None) => break,
                 Err(violation) => {
                     // No way to resync the stream past a hostile frame:
                     // answer once and close.
                     shared.metrics.errors.bump();
-                    let line = format!(
-                        "{{\"ok\":false,\"error\":{}}}\n",
-                        classic_obs::json_string(violation)
-                    );
+                    let mut line = session::err(violation);
+                    line.push('\n');
                     let _ = stream.write_all(line.as_bytes());
                     return Ok(());
                 }
             };
             // Timing, tracing, slowlog, and exemplar recording all live
             // in handle_form, which owns the request context.
-            let (reply, control) = session.handle_form(&form);
+            let (mut reply, control) = session.handle_form(&form);
+            // The line goes out in one write: under NODELAY a second
+            // write for the newline would be a second segment. The reply
+            // was sized with room for it.
+            reply.push('\n');
             stream.write_all(reply.as_bytes())?;
-            stream.write_all(b"\n")?;
-            buf.drain(..end);
             if control == Control::Quit {
                 return Ok(());
             }
         }
         match stream.read(&mut tmp) {
             Ok(0) => return Ok(()),
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
+            Ok(n) => framer.extend(&tmp[..n]),
             Err(e) if timed_out(&e) => {
                 if shared.shutting_down() {
                     return Ok(());
@@ -563,90 +564,139 @@ pub(crate) fn timed_out(e: &std::io::Error) -> bool {
 /// never closing a paren: 16 MiB.
 const MAX_FORM_BYTES: usize = 16 << 20;
 
-/// Extract the next complete top-level form from `buf`, if any.
-///
-/// Skips leading whitespace and `;` comments. A form is either a
-/// balanced `( ... )` group (strings and comments honored while
-/// counting) or, for anything else at top level, a run up to the next
-/// newline — handed to the parser verbatim so the client gets a real
-/// parse error instead of a hung connection. Returns the form text and
-/// the buffer offset one past its end; `Ok(None)` means the frame is
-/// still incomplete. `Err` is a fatal framing violation — nesting past
-/// the language's own limit ([`MAX_NESTING`], docs/PROTOCOL.md §2.1: the
-/// framer only stops buffering a form the reader is certain to refuse),
-/// or [`MAX_FORM_BYTES`] buffered without a complete frame — after
-/// which the connection cannot be resynced and must close.
-fn next_form(buf: &[u8]) -> std::result::Result<Option<(String, usize)>, &'static str> {
-    let incomplete = if buf.len() > MAX_FORM_BYTES {
-        Err("frame exceeds the 16 MiB limit without completing a form")
-    } else {
+/// The line protocol's framer: the bytes a connection has sent that no
+/// frame has taken yet, and where the scan for the next frame stopped.
+/// Each call resumes that scan, so every byte is examined once however
+/// the peer's writes were cut into reads, and framing costs time linear
+/// in the bytes received.
+#[derive(Debug, Default)]
+struct Framer {
+    /// Received bytes; a frame is drained from the front as it completes.
+    buf: Vec<u8>,
+    /// How many bytes of `buf` the scan has examined.
+    scanned: usize,
+    /// Where the frame begins, once the whitespace and comments before it
+    /// are skipped: a form at a `(`, a line anywhere else.
+    start: Option<usize>,
+    /// Parens the form has open.
+    depth: usize,
+    /// Inside a `"…"` string of the form.
+    in_string: bool,
+    /// Just past a `\` inside that string.
+    escaped: bool,
+    /// Inside a `;` comment, within the form or before it.
+    in_comment: bool,
+    /// Bytes examined since the framer was made: what the linear-framing
+    /// gate counts.
+    #[cfg(test)]
+    examined: usize,
+}
+
+impl Framer {
+    /// A framer holding the bytes the protocol sniff already read.
+    fn new(buf: Vec<u8>) -> Framer {
+        Framer {
+            buf,
+            ..Framer::default()
+        }
+    }
+
+    /// Bytes just read from the connection.
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete top-level frame, if the bytes hold one; it is
+    /// drained from the buffer.
+    ///
+    /// Skips leading whitespace and `;` comments. A frame is either a
+    /// balanced `( ... )` form (strings and comments honored while
+    /// counting) or, for anything else at top level, a run up to the next
+    /// newline — handed to the parser verbatim so the client gets a real
+    /// parse error instead of a hung connection. `Ok(None)` means the frame
+    /// is still incomplete. `Err` is a fatal framing violation — nesting
+    /// past the language's own limit ([`MAX_NESTING`], docs/PROTOCOL.md
+    /// §2.1: the framer only stops buffering a form the reader is certain
+    /// to refuse), or [`MAX_FORM_BYTES`] buffered without a complete frame
+    /// — after which the connection cannot be resynced and must close.
+    fn next_form(&mut self) -> std::result::Result<Option<String>, &'static str> {
+        while self.scanned < self.buf.len() {
+            let ix = self.scanned;
+            let b = self.buf[ix];
+            self.scanned += 1;
+            #[cfg(test)]
+            {
+                self.examined += 1;
+            }
+            let Some(start) = self.start else {
+                // Top-level whitespace and comments before the frame.
+                if self.in_comment {
+                    self.in_comment = b != b'\n';
+                } else if b == b';' {
+                    self.in_comment = true;
+                } else if !matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
+                    self.start = Some(ix);
+                    if b == b'(' {
+                        self.open()?;
+                    }
+                }
+                continue;
+            };
+            if self.buf[start] != b'(' {
+                // Not a form; take the line and let the parser complain.
+                if b == b'\n' {
+                    return Ok(Some(self.take(start, ix)));
+                }
+            } else if self.in_comment {
+                self.in_comment = b != b'\n';
+            } else if self.in_string {
+                if self.escaped {
+                    self.escaped = false;
+                } else if b == b'\\' {
+                    self.escaped = true;
+                } else if b == b'"' {
+                    self.in_string = false;
+                }
+            } else {
+                match b {
+                    b'"' => self.in_string = true,
+                    b';' => self.in_comment = true,
+                    b'(' => self.open()?,
+                    b')' => {
+                        self.depth -= 1;
+                        if self.depth == 0 {
+                            return Ok(Some(self.take(start, ix + 1)));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        if self.buf.len() > MAX_FORM_BYTES {
+            return Err("frame exceeds the 16 MiB limit without completing a form");
+        }
         Ok(None)
-    };
-    let mut ix = 0;
-    // Skip top-level whitespace and comments.
-    while ix < buf.len() {
-        match buf[ix] {
-            b' ' | b'\t' | b'\r' | b'\n' => ix += 1,
-            b';' => match buf[ix..].iter().position(|&b| b == b'\n') {
-                Some(off) => ix += off + 1,
-                None => return incomplete, // comment still streaming in
-            },
-            _ => break,
+    }
+
+    /// One more open paren, refused past the language's nesting limit.
+    fn open(&mut self) -> std::result::Result<(), &'static str> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(TOO_DEEP);
         }
+        Ok(())
     }
-    if ix >= buf.len() {
-        return incomplete;
+
+    /// The frame `buf[start..end]` as text. It is drained from the buffer
+    /// with what precedes it and the byte that ended it, and the scan
+    /// starts over at the front of what is left.
+    fn take(&mut self, start: usize, end: usize) -> String {
+        let text = String::from_utf8_lossy(&self.buf[start..end]).into_owned();
+        self.buf.drain(..self.scanned);
+        self.scanned = 0;
+        self.start = None;
+        text
     }
-    let start = ix;
-    if buf[ix] != b'(' {
-        // Not a form; take the line and let the parser complain.
-        let Some(end) = buf[ix..].iter().position(|&b| b == b'\n').map(|o| ix + o) else {
-            return incomplete;
-        };
-        let text = String::from_utf8_lossy(&buf[start..end]).into_owned();
-        return Ok(Some((text, end + 1)));
-    }
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut in_comment = false;
-    while ix < buf.len() {
-        let b = buf[ix];
-        if in_comment {
-            if b == b'\n' {
-                in_comment = false;
-            }
-        } else if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-        } else {
-            match b {
-                b'"' => in_string = true,
-                b';' => in_comment = true,
-                b'(' => {
-                    depth += 1;
-                    if depth > MAX_NESTING {
-                        return Err(TOO_DEEP);
-                    }
-                }
-                b')' => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        let text = String::from_utf8_lossy(&buf[start..=ix]).into_owned();
-                        return Ok(Some((text, ix + 1)));
-                    }
-                }
-                _ => {}
-            }
-        }
-        ix += 1;
-    }
-    incomplete // form incomplete; wait for more bytes
 }
 
 #[cfg(test)]
@@ -654,22 +704,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Every frame `bytes` holds — drained the way `serve_connection`
-    /// drains its buffer, first after `cut` bytes have arrived and again
-    /// after the rest — then the violation that ended the connection, if
-    /// one did. Checks each offset on the way.
-    fn frames(bytes: &[u8], cut: usize) -> (Vec<String>, Option<&'static str>) {
-        let mut buf = Vec::new();
+    /// Every frame `bytes` holds, fed to one framer in segments cut at
+    /// the ascending offsets `cuts` and drained after each segment the way
+    /// `serve_connection` drains it, then the violation that ended the
+    /// connection, if one did.
+    fn frames(bytes: &[u8], cuts: &[usize]) -> (Vec<String>, Option<&'static str>) {
+        let mut framer = Framer::default();
         let mut out = Vec::new();
-        for segment in [&bytes[..cut], &bytes[cut..]] {
-            buf.extend_from_slice(segment);
+        let mut from = 0;
+        for &to in cuts.iter().chain([&bytes.len()]) {
+            framer.extend(&bytes[from..to]);
+            from = to;
             loop {
-                match next_form(&buf) {
-                    Ok(Some((form, end))) => {
-                        assert!(0 < end && end <= buf.len(), "offset {end} of {}", buf.len());
-                        out.push(form);
-                        buf.drain(..end);
-                    }
+                match framer.next_form() {
+                    Ok(Some(form)) => out.push(form),
                     Ok(None) => break,
                     Err(violation) => return (out, Some(violation)),
                 }
@@ -704,20 +752,101 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Whatever a peer sends: no panic, every frame ends inside the
-        /// buffer and past its start, and neither the frames, nor the
-        /// violation, nor which protocol the connection is taken to
-        /// speak depend on where the bytes were cut into segments.
+        /// Whatever a peer sends: no panic, and neither the frames, nor
+        /// the violation, nor which protocol the connection is taken to
+        /// speak depend on where the bytes were cut into segments — at
+        /// any one offset, at every offset (one byte a read, which cuts
+        /// inside every `\"`, every `;` comment and every CR LF), or at
+        /// any few offsets, one framer carrying its scan across them all.
         #[test]
-        fn framing_does_not_depend_on_how_the_bytes_were_cut(bytes in frame_bytes()) {
-            let whole = frames(&bytes, bytes.len());
+        fn framing_does_not_depend_on_how_the_bytes_were_cut(
+            (bytes, picks) in (frame_bytes(), proptest::collection::vec(0usize..4096, 0..8))
+        ) {
+            let whole = frames(&bytes, &[]);
             let protocol = speaks_http(&bytes);
             for cut in 0..bytes.len() {
-                prop_assert_eq!(&frames(&bytes, cut), &whole, "cut at {}", cut);
+                prop_assert_eq!(&frames(&bytes, &[cut]), &whole, "cut at {}", cut);
                 let early = speaks_http(&bytes[..cut]);
                 prop_assert!(early.is_none() || early == protocol, "cut at {}", cut);
             }
+            let every: Vec<usize> = (1..bytes.len()).collect();
+            prop_assert_eq!(&frames(&bytes, &every), &whole, "one byte a read");
+            let mut cuts: Vec<usize> = picks.iter().map(|p| p % (bytes.len() + 1)).collect();
+            cuts.sort_unstable();
+            prop_assert_eq!(&frames(&bytes, &cuts), &whole, "cuts at {:?}", cuts);
         }
+    }
+
+    /// The three places a scan that resumes could lose its state: inside
+    /// a string's `\"`, inside a `;` comment, between a line's CR and LF.
+    #[test]
+    fn a_frame_cut_inside_an_escape_a_comment_or_a_line_end_is_one_frame() {
+        let bytes = b"(describe \"a \\\" ) b\") ; c ( ) \r\n(ping ; )\r\n)\r\nbad line\r\n";
+        let want = vec![
+            "(describe \"a \\\" ) b\")".to_owned(),
+            "(ping ; )\r\n)".to_owned(),
+            "bad line\r".to_owned(),
+        ];
+        assert_eq!(frames(bytes, &[]), (want.clone(), None));
+        let at = |needle: &[u8], skip: usize| {
+            bytes
+                .windows(needle.len())
+                .position(|w| w == needle)
+                .expect("needle in the bytes")
+                + skip
+        };
+        let escape = at(b"\\\"", 1);
+        let comment = at(b"; c", 2);
+        let form_comment = at(b"; )", 1);
+        let crlf = at(b"\r\n", 1);
+        let line = at(b"line\r\n", 5);
+        for cuts in [
+            vec![escape],
+            vec![comment],
+            vec![form_comment],
+            vec![crlf],
+            vec![line],
+            vec![escape, comment, crlf, form_comment, line],
+        ] {
+            assert_eq!(
+                frames(bytes, &cuts),
+                (want.clone(), None),
+                "cuts at {cuts:?}"
+            );
+        }
+    }
+
+    /// CI gate, an exact count rather than a wall time: framing is linear
+    /// in the bytes received. A 4 MiB `bulk-load` form arriving in 4 KiB
+    /// reads is examined at most once a byte, plus one byte a read.
+    #[test]
+    fn a_large_form_is_examined_once_however_many_reads_it_takes() {
+        use std::fmt::Write as _;
+        let mut form = String::from("(bulk-load (into FUNCTION) (roles loc doc)");
+        for row in 0.. {
+            if form.len() >= 4 << 20 {
+                break;
+            }
+            let _ = write!(form, " (row f-{row} {row} \"a (\\\"{row}\\\" ; b\")");
+        }
+        form.push(')');
+        let mut framer = Framer::default();
+        let (mut received, mut reads) = (0, 0);
+        let mut framed = Vec::new();
+        for segment in form.as_bytes().chunks(4096) {
+            framer.extend(segment);
+            received += segment.len();
+            reads += 1;
+            while let Some(frame) = framer.next_form().expect("a well-formed form") {
+                framed.push(frame);
+            }
+            assert!(
+                framer.examined <= received + reads,
+                "{} bytes examined for {received} received in {reads} reads",
+                framer.examined
+            );
+        }
+        assert_eq!(framed, [form]);
     }
 
     /// `POST` alone is four bytes of a method that takes five to tell:
@@ -734,7 +863,7 @@ mod tests {
     }
 
     fn forms(input: &str) -> Vec<String> {
-        let (forms, violation) = frames(input.as_bytes(), input.len());
+        let (forms, violation) = frames(input.as_bytes(), &[]);
         assert_eq!(violation, None, "well-framed input");
         forms
     }
@@ -775,16 +904,16 @@ mod tests {
     fn hostile_frames_are_rejected_not_buffered() {
         // Nesting past the language's limit: refused, not buffered.
         let deep = "(".repeat(MAX_NESTING + 1);
-        assert!(next_form(deep.as_bytes()).is_err());
+        assert!(Framer::new(deep.into_bytes()).next_form().is_err());
         // A frame that outgrows the byte cap without ever completing —
         // here an unterminated string — must be rejected, not buffered.
         let mut huge = b"(describe \"".to_vec();
         huge.resize(MAX_FORM_BYTES + 2, b'a');
-        assert!(next_form(&huge).is_err());
+        assert!(Framer::new(huge).next_form().is_err());
         // At the cap boundary with a complete form, everything is fine.
         assert_eq!(
-            next_form(b"(ping)").expect("framed"),
-            Some(("(ping)".to_owned(), 6))
+            Framer::new(b"(ping)".to_vec()).next_form().expect("framed"),
+            Some("(ping)".to_owned())
         );
     }
 

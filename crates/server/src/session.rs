@@ -46,8 +46,8 @@
 
 use std::sync::Arc;
 
-use classic_lang::Command;
-use classic_obs::{json_string, RequestCtx, TraceId};
+use classic_lang::{Command, LintReport, Outcome};
+use classic_obs::{json_string, write_json_string, RequestCtx, TraceId};
 
 use crate::server::Shared;
 use crate::tenant::Tenant;
@@ -92,8 +92,33 @@ fn ok(result_json: &str) -> String {
     format!("{{\"ok\":true,\"result\":{result_json}}}")
 }
 
-fn err(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json_string(message))
+/// The `{"ok":false,"error":…}` reply line (no trailing newline).
+pub(crate) fn err(message: &str) -> String {
+    let mut out = String::new();
+    write_err(&mut out, message);
+    out
+}
+
+/// Append the `{"ok":true,"result":…}` envelope around `outcome` to
+/// `out`, followed by the cone diagnostics a lint-on-write mutation
+/// carries. The outcome is written in place: the envelope, the outcome
+/// and the lint report share one buffer, which [`Outcome::write_json`]
+/// sizes for the whole reply and the newline that ends its line.
+pub(crate) fn write_ok(out: &mut String, outcome: &Outcome, lint: Option<LintReport>) {
+    out.push_str(r#"{"ok":true,"result":"#);
+    outcome.write_json(out);
+    if let Some(lint) = lint {
+        out.push_str(r#","lint":"#);
+        Outcome::Lint(lint).write_json(out);
+    }
+    out.push('}');
+}
+
+/// Append the `{"ok":false,"error":…}` envelope to `out`.
+pub(crate) fn write_err(out: &mut String, message: &str) {
+    out.push_str(r#"{"ok":false,"error":"#);
+    write_json_string(out, message);
+    out.push('}');
 }
 
 impl WireSession {
@@ -179,20 +204,12 @@ impl WireSession {
             }
             None => self.tenant.execute_with_lint(&cmd).map_err(|e| e.message),
         };
+        let mut reply = String::new();
         match outcome {
-            Ok((o, None)) => (ok(&o.render_json()), Control::Continue),
-            Ok((o, Some(lint))) => {
-                let lint_json = classic_lang::Outcome::Lint(lint).render_json();
-                (
-                    format!(
-                        "{{\"ok\":true,\"result\":{},\"lint\":{lint_json}}}",
-                        o.render_json()
-                    ),
-                    Control::Continue,
-                )
-            }
-            Err(message) => (err(&message), Control::Continue),
+            Ok((o, lint)) => write_ok(&mut reply, &o, lint),
+            Err(message) => write_err(&mut reply, &message),
         }
+        (reply, Control::Continue)
     }
 
     /// Operator-floor gating for the global observability switches: a
