@@ -47,7 +47,7 @@ pub fn run() -> String {
         let schema = generate_schema(&cfg);
         // Pruned build (the production path), timed.
         let (kb, elapsed) = time(|| schema.build_kb());
-        let pruned_tests = kb.taxonomy().tests_total();
+        let pruned_tests = kb.kernel_stats().subsume_tests;
         // Brute cost: replay the same definitions, classifying each
         // against the growing taxonomy by comparing against every node in
         // both directions (what a system without traversal pruning pays).

@@ -10,11 +10,13 @@
 //!   from an interned id);
 //! * [`ChunkedSet<T>`] — a sorted set of small `Copy` keys.
 //!
-//! Cloning either copies a spine of pointers and no sealed entry.
-//! Writing to a version whose chunks are shared copies the one chunk
+//! Cloning either copies a spine of pointers and no entry: the last,
+//! partial chunk is shared like every full one. Writing to a version
+//! whose chunks are shared — appending included — copies the one chunk
 //! written to and leaves every other chunk shared with the versions
 //! cloned before; a chunk nobody else holds is written in place, so a
-//! table that was never cloned pays a reference-count check per write.
+//! table that was never cloned, or whose clones are gone, pays a
+//! reference-count check per write.
 //!
 //! Entries sit in their chunk by value, not behind a pointer each: a
 //! scan in index order — retrieval testing its candidates, a reply
@@ -44,21 +46,18 @@ const fn chunk_len<T>() -> usize {
 
 /// A growable table keyed by a dense index; see the module docs.
 ///
-/// Full chunks are sealed behind `Arc`s; the last, partial one is owned
-/// outright, so appending costs what `Vec::push` does and a clone copies
-/// less than a chunk of entries besides the spine.
+/// Every chunk, the last and partial one too, sits behind an `Arc` and
+/// holds at least one entry; all but the last are full. A clone copies
+/// the spine of pointers and no entry; appending writes the last chunk
+/// in place unless another version shares it.
 #[derive(Debug, Clone)]
 pub struct Chunked<T> {
-    sealed: Vec<Arc<[T]>>,
-    tail: Vec<T>,
+    chunks: Vec<Arc<Vec<T>>>,
 }
 
 impl<T> Default for Chunked<T> {
     fn default() -> Self {
-        Chunked {
-            sealed: Vec::new(),
-            tail: Vec::new(),
-        }
+        Chunked { chunks: Vec::new() }
     }
 }
 
@@ -67,62 +66,66 @@ impl<T> Chunked<T> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.sealed.len() * Self::CHUNK + self.tail.len()
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * Self::CHUNK + last.len())
     }
 
     /// Whether the table holds no entry.
     pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
+        self.chunks.is_empty()
     }
 
     /// The entry at `ix`, if the table reaches that far.
     pub fn get(&self, ix: usize) -> Option<&T> {
-        match self.sealed.get(ix / Self::CHUNK) {
-            Some(chunk) => Some(&chunk[ix % Self::CHUNK]),
-            None => self.tail.get(ix - self.sealed.len() * Self::CHUNK),
-        }
+        self.chunks.get(ix / Self::CHUNK)?.get(ix % Self::CHUNK)
     }
 
     /// Every entry, in index order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.sealed
-            .iter()
-            .flat_map(|chunk| chunk.iter())
-            .chain(&self.tail)
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
     }
 
-    /// How many of this table's sealed chunks `other` holds too (the
-    /// same allocation at the same place), and how many there are.
+    /// How many of this table's chunks `other` holds too (the same
+    /// allocation at the same place), and how many there are.
     #[doc(hidden)]
     pub fn sharing_with(&self, other: &Chunked<T>) -> (usize, usize) {
-        let pairs = self.sealed.iter().zip(&other.sealed);
+        let pairs = self.chunks.iter().zip(&other.chunks);
         let shared = pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count();
-        (shared, self.sealed.len())
+        (shared, self.chunks.len())
     }
 }
 
 impl<T: Clone> Chunked<T> {
     /// Append an entry.
     pub fn push(&mut self, value: T) {
-        self.tail.push(value);
-        if self.tail.len() == Self::CHUNK {
-            self.sealed.push(self.tail.drain(..).collect());
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < Self::CHUNK => Arc::make_mut(last).push(value),
+            _ => self.chunks.push(Arc::new(vec![value])),
         }
     }
 
     /// Remove and return the last entry.
     pub fn pop(&mut self) -> Option<T> {
-        if self.tail.is_empty() {
-            let chunk = self.sealed.pop()?;
-            self.tail.extend(chunk.iter().cloned());
-        }
-        self.tail.pop()
+        let value = Arc::make_mut(self.chunks.last_mut()?).pop();
+        self.chunks.pop_if(|last| last.is_empty());
+        value
     }
 
-    /// Drop every entry from index `len` on.
+    /// Drop every entry from index `len` on. A shared last chunk is
+    /// replaced by a copy of the entries kept, never of the ones dropped.
     pub fn truncate(&mut self, len: usize) {
-        while self.len() > len {
-            self.pop();
+        self.chunks.truncate(len.div_ceil(Self::CHUNK));
+        let kept = self.chunks.len().saturating_sub(1) * Self::CHUNK;
+        let Some(last) = self.chunks.last_mut() else {
+            return;
+        };
+        let keep = len - kept;
+        if keep < last.len() {
+            match Arc::get_mut(last) {
+                Some(chunk) => chunk.truncate(keep),
+                None => *last = Arc::new(last[..keep].to_vec()),
+            }
         }
     }
 
@@ -151,12 +154,7 @@ impl<T: Clone> IndexMut<usize> for Chunked<T> {
     /// The write side of copy-on-write: a chunk another version shares is
     /// copied first.
     fn index_mut(&mut self, ix: usize) -> &mut T {
-        let sealed = self.sealed.len() * Self::CHUNK;
-        if ix < sealed {
-            &mut Arc::make_mut(&mut self.sealed[ix / Self::CHUNK])[ix % Self::CHUNK]
-        } else {
-            &mut self.tail[ix - sealed]
-        }
+        &mut Arc::make_mut(&mut self.chunks[ix / Self::CHUNK])[ix % Self::CHUNK]
     }
 }
 
@@ -305,7 +303,8 @@ mod tests {
         table[CHUNK] = 7;
         table[3 * CHUNK + 1] = 9;
         assert_eq!((table[CHUNK], table[3 * CHUNK + 1]), (7, 9));
-        // Popping reopens a sealed chunk; pushing seals it again.
+        // Popping goes on into the full chunk below; pushing fills it
+        // again and starts the next.
         table.truncate(2 * CHUNK);
         assert_eq!(table.pop(), Some(2 * CHUNK - 1));
         table.push(1);
@@ -328,13 +327,99 @@ mod tests {
         table[5 * CHUNK + 3] = 0;
         table[5 * CHUNK + 4] = 0;
         table.push(0);
-        assert_eq!(table.sharing_with(&pinned), (9, 10));
+        // Counted from the writer's side: the chunk the push started is
+        // its own.
+        assert_eq!(table.sharing_with(&pinned), (9, 11));
         assert!(pinned.iter().copied().eq(0..10 * CHUNK));
         // Dropping the other holder makes the write in-place again.
         drop(pinned);
-        let before = Arc::as_ptr(&table.sealed[2]);
+        let before = Arc::as_ptr(&table.chunks[2]);
         table[2 * CHUNK] = 0;
-        assert_eq!(Arc::as_ptr(&table.sealed[2]), before);
+        assert_eq!(Arc::as_ptr(&table.chunks[2]), before);
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An entry that counts, per thread, how often it is cloned.
+    #[derive(Debug, PartialEq)]
+    struct Counted(usize);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|n| n.set(n.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    /// Entries per chunk of a table of [`Counted`].
+    const COUNTED: usize = chunk_len::<Counted>();
+
+    fn counted(len: usize) -> Chunked<Counted> {
+        let mut table = Chunked::default();
+        (0..len).for_each(|i| table.push(Counted(i)));
+        table
+    }
+
+    /// Clones of entries made since the last call, on this thread.
+    fn clones() -> usize {
+        CLONES.with(|n| n.replace(0))
+    }
+
+    #[test]
+    fn a_clone_copies_no_entry_not_even_of_a_partial_chunk() {
+        let table = counted(3 * COUNTED + 5);
+        clones();
+        let pinned = table.clone();
+        assert_eq!(clones(), 0);
+        assert_eq!(table.sharing_with(&pinned), (4, 4));
+        // The first append after the cut copies the shared partial chunk
+        // once; the next ones write that copy in place.
+        let mut table = table;
+        table.push(Counted(0));
+        assert_eq!(clones(), 5);
+        table.push(Counted(0));
+        assert_eq!((clones(), table.sharing_with(&pinned)), (0, (3, 4)));
+    }
+
+    #[test]
+    fn popping_through_a_shared_chunk_leaves_the_clone_whole() {
+        // The rollback of a refused `create-ind` while a snapshot is
+        // pinned: the arena pops what the write appended.
+        let mut table = counted(2 * COUNTED + 5);
+        let pinned = table.clone();
+        assert_eq!(table.pop(), Some(Counted(2 * COUNTED + 4)));
+        table.truncate(2 * COUNTED + 2);
+        assert_eq!(table.len(), 2 * COUNTED + 2);
+        assert!(table.iter().map(|c| c.0).eq(0..2 * COUNTED + 2));
+        // Into the full chunk below, which the clone shares too: only the
+        // entries kept are copied.
+        table.truncate(COUNTED + 3);
+        clones();
+        table.truncate(COUNTED + 1);
+        assert_eq!(clones(), 0, "the copy was made by the truncate before");
+        let mut shared = counted(2 * COUNTED);
+        let _pin = shared.clone();
+        clones();
+        shared.truncate(COUNTED + 2);
+        assert_eq!(clones(), 2);
+        assert!(shared.iter().map(|c| c.0).eq(0..COUNTED + 2));
+        assert!(table.iter().map(|c| c.0).eq(0..COUNTED + 1));
+        assert_eq!(pinned.len(), 2 * COUNTED + 5);
+        assert!(pinned.iter().map(|c| c.0).eq(0..2 * COUNTED + 5));
+    }
+
+    #[test]
+    fn popping_into_an_unshared_full_chunk_moves_its_entries() {
+        let mut table = counted(2 * COUNTED + 1);
+        clones();
+        assert_eq!(table.pop(), Some(Counted(2 * COUNTED)));
+        assert_eq!(table.pop(), Some(Counted(2 * COUNTED - 1)));
+        table.truncate(COUNTED - 1);
+        table.push(Counted(7));
+        assert_eq!(clones(), 0);
+        assert!(table.iter().map(|c| c.0).eq((0..COUNTED - 1).chain([7])));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::symbol::{ConceptName, PrimId, RoleId, SymbolTable, TestId};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Declaration attached to a role name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +42,7 @@ pub enum TestArg<'a> {
 /// A registered test function. `Arc`, not `Box`: schemas are cloneable
 /// (server read snapshots clone whole KBs) and closures cannot be, so
 /// clones share the registered functions.
-pub(crate) type TestFn = std::sync::Arc<dyn Fn(&TestArg<'_>) -> bool + Send + Sync>;
+pub(crate) type TestFn = Arc<dyn Fn(&TestArg<'_>) -> bool + Send + Sync>;
 
 /// A stored named-concept definition.
 #[derive(Clone)]
@@ -77,12 +78,22 @@ struct PrimInfo {
 
 /// The CLASSIC schema: symbol table, role declarations, named concepts,
 /// primitive atoms and their disjoint groupings, and the test registry.
-/// Cloning is deep except for the test registry, whose `Arc`'d functions
-/// are shared (the identity of a test is its name, not its closure).
+///
+/// Everything but the symbol table sits behind one `Arc` that only DDL —
+/// and the first telling of a new primitive atom — writes, so a clone
+/// (a KB snapshot) copies a pointer and shares the definitions until the
+/// schema changes. The symbol table grows with every `create-ind` and is
+/// chunked instead.
 #[derive(Clone)]
 pub struct Schema {
     /// The interned names of every role, concept, individual and test.
     pub symbols: SymbolTable,
+    defs: Arc<Definitions>,
+}
+
+/// What a [`Schema`] shares between its clones.
+#[derive(Clone, Default)]
+struct Definitions {
     roles: Vec<Option<RoleDecl>>,
     concepts: HashMap<ConceptName, ConceptDef>,
     /// Insertion order of definitions (stable iteration for the taxonomy
@@ -96,10 +107,10 @@ pub struct Schema {
 impl fmt::Debug for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Schema")
-            .field("roles", &self.roles.len())
-            .field("concepts", &self.concepts.len())
-            .field("prims", &self.prims.len())
-            .field("tests", &self.tests.len())
+            .field("roles", &self.defs.roles.len())
+            .field("concepts", &self.defs.concepts.len())
+            .field("prims", &self.defs.prims.len())
+            .field("tests", &self.defs.tests.len())
             .finish()
     }
 }
@@ -115,13 +126,22 @@ impl Schema {
     pub fn new() -> Self {
         Schema {
             symbols: SymbolTable::new(),
-            roles: Vec::new(),
-            concepts: HashMap::new(),
-            concept_order: Vec::new(),
-            prims: Vec::new(),
-            groups: HashMap::new(),
-            tests: Vec::new(),
+            defs: Arc::default(),
         }
+    }
+
+    /// The definitions for writing: copied first if a clone shares them.
+    fn defs_mut(&mut self) -> &mut Definitions {
+        Arc::make_mut(&mut self.defs)
+    }
+
+    /// How many of this schema's symbol-table chunks `other` holds too,
+    /// and whether it holds the definitions, each as `(shared, total)`:
+    /// the probe behind `Kb::sharing_with`.
+    #[doc(hidden)]
+    pub fn sharing_with(&self, other: &Schema) -> [(usize, usize); 2] {
+        let defs = usize::from(Arc::ptr_eq(&self.defs, &other.defs));
+        [self.symbols.sharing_with(&other.symbols), (defs, 1)]
     }
 
     // ---- roles ---------------------------------------------------------
@@ -139,12 +159,13 @@ impl Schema {
 
     fn define_role_inner(&mut self, name: &str, attribute: bool) -> Result<RoleId> {
         let id = self.symbols.role(name);
-        if id.index() >= self.roles.len() {
-            self.roles.resize(id.index() + 1, None);
-        }
-        match &mut self.roles[id.index()] {
-            slot @ None => {
-                *slot = Some(RoleDecl { attribute });
+        match self.role_decl(id) {
+            None => {
+                let roles = &mut self.defs_mut().roles;
+                if id.index() >= roles.len() {
+                    roles.resize(id.index() + 1, None);
+                }
+                roles[id.index()] = Some(RoleDecl { attribute });
                 Ok(id)
             }
             Some(decl) if decl.attribute == attribute => Ok(id),
@@ -159,7 +180,7 @@ impl Schema {
     /// merely interned by a parser is not a declaration — `define-role`
     /// exists precisely so typos are detectable (§3.1 footnote 3).
     pub(crate) fn check_role(&self, role: RoleId) -> Result<()> {
-        match self.roles.get(role.index()) {
+        match self.defs.roles.get(role.index()) {
             Some(Some(_)) => Ok(()),
             _ => Err(ClassicError::UndefinedRole(role)),
         }
@@ -168,19 +189,20 @@ impl Schema {
     /// Is `role` declared single-valued (`define-attribute`)?
     pub(crate) fn is_attribute(&self, role: RoleId) -> bool {
         matches!(
-            self.roles.get(role.index()),
+            self.defs.roles.get(role.index()),
             Some(Some(RoleDecl { attribute: true }))
         )
     }
 
     /// The declaration for `role`, if declared.
     pub fn role_decl(&self, role: RoleId) -> Option<RoleDecl> {
-        self.roles.get(role.index()).copied().flatten()
+        self.defs.roles.get(role.index()).copied().flatten()
     }
 
     /// Any declared role (used to synthesize a ⊥ expression).
     pub(crate) fn any_role(&self) -> Option<RoleId> {
-        self.roles
+        self.defs
+            .roles
             .iter()
             .position(Option::is_some)
             .map(RoleId::from_index)
@@ -197,7 +219,7 @@ impl Schema {
     /// declares nothing.
     pub fn define_concept(&mut self, name: &str, told: Concept) -> Result<ConceptName> {
         let id = self.symbols.concept(name);
-        if self.concepts.contains_key(&id) {
+        if self.defs.concepts.contains_key(&id) {
             return Err(ClassicError::ConceptRedefined(id));
         }
         let mark = self.declare(&told);
@@ -220,16 +242,17 @@ impl Schema {
         };
         // Remember which primitives this definition introduced, so normal
         // forms can be rendered back using the name.
+        let defs = self.defs_mut();
         if let Concept::Primitive { .. } | Concept::DisjointPrimitive { .. } = &told {
             for &p in &nf.prims {
-                let info = &mut self.prims[p.index()];
+                let info = &mut defs.prims[p.index()];
                 if info.introduced_by.is_none() {
                     info.introduced_by = Some(id);
                 }
             }
         }
-        self.concepts.insert(id, ConceptDef { told, nf });
-        self.concept_order.push(id);
+        defs.concepts.insert(id, ConceptDef { told, nf });
+        defs.concept_order.push(id);
         Ok(id)
     }
 
@@ -239,22 +262,26 @@ impl Schema {
     /// takes back the atoms it declared), sound only while nothing stored
     /// mentions the name — on the path that refuses the definition.
     pub fn undefine_concept(&mut self, name: ConceptName) {
-        if self.concepts.remove(&name).is_some() {
-            self.concept_order.pop();
-            for info in &mut self.prims {
-                info.introduced_by.take_if(|by| *by == name);
-            }
+        if !self.is_defined(name) {
+            return;
+        }
+        let defs = self.defs_mut();
+        defs.concepts.remove(&name);
+        defs.concept_order.pop();
+        for info in &mut defs.prims {
+            info.introduced_by.take_if(|by| *by == name);
         }
     }
 
     /// Has `name` been `define-concept`ed?
     pub fn is_defined(&self, name: ConceptName) -> bool {
-        self.concepts.contains_key(&name)
+        self.defs.concepts.contains_key(&name)
     }
 
     /// The normalized meaning of a defined concept.
     pub fn concept_nf(&self, name: ConceptName) -> Result<&NormalForm> {
-        self.concepts
+        self.defs
+            .concepts
             .get(&name)
             .map(|d| &d.nf)
             .ok_or(ClassicError::UndefinedConcept(name))
@@ -262,7 +289,8 @@ impl Schema {
 
     /// The definition exactly as written (`told` information).
     pub fn concept_told(&self, name: ConceptName) -> Result<&Concept> {
-        self.concepts
+        self.defs
+            .concepts
             .get(&name)
             .map(|d| &d.told)
             .ok_or(ClassicError::UndefinedConcept(name))
@@ -270,12 +298,12 @@ impl Schema {
 
     /// Defined concepts in definition order.
     pub fn defined_concepts(&self) -> impl Iterator<Item = ConceptName> + '_ {
-        self.concept_order.iter().copied()
+        self.defs.concept_order.iter().copied()
     }
 
     /// Number of defined concepts.
     pub fn concept_count(&self) -> usize {
-        self.concept_order.len()
+        self.defs.concept_order.len()
     }
 
     // ---- primitives -----------------------------------------------------
@@ -289,8 +317,8 @@ impl Schema {
     /// ([`Schema::undeclare`]) should the telling be refused.
     pub fn declare(&mut self, told: &Concept) -> PrimMark {
         let mark = PrimMark {
-            prims: self.prims.len(),
-            groups: self.groups.len(),
+            prims: self.defs.prims.len(),
+            groups: self.defs.groups.len(),
         };
         self.declare_atoms(told);
         mark
@@ -317,11 +345,12 @@ impl Schema {
             return;
         };
         self.symbols.prim(&key);
+        let defs = self.defs_mut();
         let group = grouping.map(|g| {
-            let next = self.groups.len() as u32;
-            *self.groups.entry(g.to_owned()).or_insert(next)
+            let next = defs.groups.len() as u32;
+            *defs.groups.entry(g.to_owned()).or_insert(next)
         });
-        self.prims.push(PrimInfo {
+        defs.prims.push(PrimInfo {
             group,
             parent,
             introduced_by: None,
@@ -333,8 +362,11 @@ impl Schema {
     /// while nothing stored mentions them — that is, on the path that
     /// refuses the telling they were declared for.
     pub fn undeclare(&mut self, mark: PrimMark) -> Vec<String> {
-        self.prims.truncate(mark.prims);
-        self.groups.retain(|_, g| (*g as usize) < mark.groups);
+        if (self.defs.prims.len(), self.defs.groups.len()) != (mark.prims, mark.groups) {
+            let defs = self.defs_mut();
+            defs.prims.truncate(mark.prims);
+            defs.groups.retain(|_, g| (*g as usize) < mark.groups);
+        }
         self.symbols.prims.truncate(mark.prims)
     }
 
@@ -355,10 +387,10 @@ impl Schema {
                 name: key.into_owned(),
             });
         };
-        let info = &self.prims[id.index()];
+        let info = &self.defs.prims[id.index()];
         let same_group = match grouping {
             None => info.group.is_none(),
-            Some(g) => info.group.is_some() && info.group == self.groups.get(g).copied(),
+            Some(g) => info.group.is_some() && info.group == self.defs.groups.get(g).copied(),
         };
         if same_group && info.parent == *parent {
             Ok(id)
@@ -374,8 +406,8 @@ impl Schema {
             return false;
         }
         match (
-            self.prims.get(a.index()).and_then(|i| i.group),
-            self.prims.get(b.index()).and_then(|i| i.group),
+            self.defs.prims.get(a.index()).and_then(|i| i.group),
+            self.defs.prims.get(b.index()).and_then(|i| i.group),
         ) {
             (Some(ga), Some(gb)) => ga == gb,
             _ => false,
@@ -385,7 +417,7 @@ impl Schema {
     /// A concise concept expression denoting just this primitive atom:
     /// the introducing name when known, else the raw `PRIMITIVE` form.
     pub fn prim_concept(&self, p: PrimId) -> Concept {
-        match self.prims.get(p.index()).and_then(|i| i.introduced_by) {
+        match self.defs.prims.get(p.index()).and_then(|i| i.introduced_by) {
             Some(name) => Concept::Name(name),
             None => {
                 let key = self.symbols.prim_key(p).to_owned();
@@ -407,17 +439,18 @@ impl Schema {
         F: Fn(&TestArg<'_>) -> bool + Send + Sync + 'static,
     {
         let id = self.symbols.test(name);
-        if id.index() == self.tests.len() {
-            self.tests.push(std::sync::Arc::new(f));
+        let tests = &mut self.defs_mut().tests;
+        if id.index() == tests.len() {
+            tests.push(Arc::new(f));
         } else {
-            self.tests[id.index()] = std::sync::Arc::new(f);
+            tests[id.index()] = Arc::new(f);
         }
         id
     }
 
     /// Is `t` a registered test function?
     pub fn check_test(&self, t: TestId) -> Result<()> {
-        if t.index() < self.tests.len() {
+        if t.index() < self.defs.tests.len() {
             Ok(())
         } else {
             Err(ClassicError::UndefinedTest(t))
@@ -427,7 +460,8 @@ impl Schema {
     /// Run a registered test. Tests are pure black boxes; the engine only
     /// interprets the boolean.
     pub fn run_test(&self, t: TestId, arg: &TestArg<'_>) -> Result<bool> {
-        self.tests
+        self.defs
+            .tests
             .get(t.index())
             .map(|f| f(arg))
             .ok_or(ClassicError::UndefinedTest(t))

@@ -265,20 +265,24 @@ impl SymbolTable {
         self.tests.resolve(id.0)
     }
 
-    /// How many chunks of the individual namespace `other` shares (same
+    /// How many chunks of the five namespaces `other` shares (same
     /// allocation), and how many there are: the probe behind
     /// `Kb::sharing_with`.
-    #[doc(hidden)]
-    pub fn sharing_with(&self, other: &SymbolTable) -> (usize, usize) {
-        let names = self
-            .individuals
-            .names
-            .sharing_with(&other.individuals.names);
-        let slots = self
-            .individuals
-            .slots
-            .sharing_with(&other.individuals.slots);
-        (names.0 + slots.0, names.1 + slots.1)
+    pub(crate) fn sharing_with(&self, other: &SymbolTable) -> (usize, usize) {
+        let pairs = [
+            (&self.roles, &other.roles),
+            (&self.concepts, &other.concepts),
+            (&self.individuals, &other.individuals),
+            (&self.prims, &other.prims),
+            (&self.tests, &other.tests),
+        ];
+        let parts = pairs.into_iter().flat_map(|(mine, theirs)| {
+            [
+                mine.names.sharing_with(&theirs.names),
+                mine.slots.sharing_with(&theirs.slots),
+            ]
+        });
+        parts.fold((0, 0), |(s, t), (shared, total)| (s + shared, t + total))
     }
 
     /// Number of interned role names.

@@ -253,14 +253,13 @@ impl Closure {
 }
 
 /// The IS-A hierarchy over named (and transiently, query) concepts.
+///
+/// The diagram and its closure sit behind one `Arc`: only DDL —
+/// [`Taxonomy::insert`] and its inverse — writes them, so every clone
+/// (a KB snapshot) shares them until the schema changes.
 #[derive(Debug, Clone)]
 pub struct Taxonomy {
-    nodes: Vec<Node>,
-    by_name: HashMap<ConceptName, NodeId>,
-    /// Cumulative subsumption-test counter across all operations.
-    tests_total: u64,
-    /// Transitive-closure reachability index, parallel to `nodes`.
-    closure: Closure,
+    graph: Arc<Graph>,
     /// Where classification spans land (shared with the owning `Kb`'s
     /// flight recorder when built via [`Taxonomy::with_obs`]).
     recorder: Arc<FlightRecorder>,
@@ -272,6 +271,15 @@ pub struct Taxonomy {
     subsume_tests: Counter,
     /// Closure bitset re-layouts (registry counter).
     closure_rebuilds: Counter,
+}
+
+/// The part of a [`Taxonomy`] that grows with the schema.
+#[derive(Debug, Clone)]
+struct Graph {
+    nodes: Vec<Node>,
+    by_name: HashMap<ConceptName, NodeId>,
+    /// Transitive-closure reachability index, parallel to `nodes`.
+    closure: Closure,
 }
 
 impl Default for Taxonomy {
@@ -346,10 +354,11 @@ impl Taxonomy {
         closure.push(&BTreeSet::new(), &BTreeSet::new());
         closure.push(&BTreeSet::from([NodeId::TOP]), &BTreeSet::new());
         Taxonomy {
-            nodes: vec![top, bottom],
-            by_name: HashMap::new(),
-            tests_total: 0,
-            closure,
+            graph: Arc::new(Graph {
+                nodes: vec![top, bottom],
+                by_name: HashMap::new(),
+                closure,
+            }),
             recorder,
             classify_total,
             classify_ns,
@@ -360,12 +369,12 @@ impl Taxonomy {
 
     /// The node stored at `id`.
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+        &self.graph.nodes[id.index()]
     }
 
     /// Total nodes, including `TOP` and `BOTTOM`.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.graph.nodes.len()
     }
 
     /// Never empty: `TOP` and `BOTTOM` are always present.
@@ -375,12 +384,7 @@ impl Taxonomy {
 
     /// The node a schema name was classified into, if any.
     pub fn node_of(&self, name: ConceptName) -> Option<NodeId> {
-        self.by_name.get(&name).copied()
-    }
-
-    /// Total subsumption tests performed so far (E2 instrumentation).
-    pub fn tests_total(&self) -> u64 {
-        self.tests_total
+        self.graph.by_name.get(&name).copied()
     }
 
     /// Snapshot of the classification counters: subsumption tests and
@@ -389,7 +393,7 @@ impl Taxonomy {
         let tests = self.subsume_tests.get();
         KernelStats {
             subsume_tests: tests,
-            interned: self.nodes.len() as u64,
+            interned: self.graph.nodes.len() as u64,
             intern_hits: 0,
             memo_hits: 0,
             memo_misses: tests,
@@ -397,9 +401,17 @@ impl Taxonomy {
         }
     }
 
+    /// Whether `other` holds this taxonomy's diagram and closure too (the
+    /// same allocation), as `(shared, 1)`: the probe behind
+    /// `Kb::sharing_with`.
+    #[doc(hidden)]
+    pub fn sharing_with(&self, other: &Taxonomy) -> (usize, usize) {
+        (usize::from(Arc::ptr_eq(&self.graph, &other.graph)), 1)
+    }
+
     /// All node ids except TOP/BOTTOM, in insertion order.
     pub fn interior_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (2..self.nodes.len()).map(|i| NodeId(i as u32))
+        (2..self.graph.nodes.len()).map(|i| NodeId(i as u32))
     }
 
     /// Classify `nf` against the current taxonomy without inserting it.
@@ -448,13 +460,13 @@ impl Taxonomy {
     /// already present) plus the classification report.
     pub fn insert(&mut self, name: ConceptName, nf: NormalForm) -> (NodeId, Classification) {
         let report = self.classify(&nf);
-        self.tests_total += report.tests as u64;
+        let graph = Arc::make_mut(&mut self.graph);
         if let Some(eq) = report.equivalent {
-            self.nodes[eq.index()].names.push(name);
-            self.by_name.insert(name, eq);
+            graph.nodes[eq.index()].names.push(name);
+            graph.by_name.insert(name, eq);
             return (eq, report);
         }
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId(graph.nodes.len() as u32);
         let parents: BTreeSet<NodeId> = report.parents.iter().copied().collect();
         let children: BTreeSet<NodeId> = if report.children.is_empty() {
             BTreeSet::from([NodeId::BOTTOM])
@@ -466,26 +478,26 @@ impl Taxonomy {
         // clearing — only the new node's add-only update below.)
         for &p in &parents {
             for &c in &children {
-                self.nodes[p.index()].children.remove(&c);
-                self.nodes[c.index()].parents.remove(&p);
+                graph.nodes[p.index()].children.remove(&c);
+                graph.nodes[c.index()].parents.remove(&p);
             }
         }
         for &p in &parents {
-            self.nodes[p.index()].children.insert(id);
+            graph.nodes[p.index()].children.insert(id);
         }
         for &c in &children {
-            self.nodes[c.index()].parents.insert(id);
+            graph.nodes[c.index()].parents.insert(id);
         }
-        if self.closure.push(&parents, &children) {
+        if graph.closure.push(&parents, &children) {
             self.closure_rebuilds.bump();
         }
-        self.nodes.push(Node {
+        graph.nodes.push(Node {
             nf,
             names: vec![name],
             parents,
             children,
         });
-        self.by_name.insert(name, id);
+        graph.by_name.insert(name, id);
         (id, report)
     }
 
@@ -496,27 +508,29 @@ impl Taxonomy {
     /// still mediates it — exactly the edges a Hasse diagram of what
     /// remains has.
     pub fn uninsert(&mut self, name: ConceptName) {
-        let Some(id) = self.by_name.remove(&name) else {
+        let Some(&id) = self.graph.by_name.get(&name) else {
             return;
         };
-        let names = &mut self.nodes[id.index()].names;
+        let graph = Arc::make_mut(&mut self.graph);
+        graph.by_name.remove(&name);
+        let names = &mut graph.nodes[id.index()].names;
         names.pop();
         if !names.is_empty() || id == NodeId::TOP || id == NodeId::BOTTOM {
             return; // a further name for a node that was already there
         }
-        let node = self.nodes.pop().expect("the inserted node is the last");
-        self.closure.pop();
+        let node = graph.nodes.pop().expect("the inserted node is the last");
+        graph.closure.pop();
         for &p in &node.parents {
-            self.nodes[p.index()].children.remove(&id);
+            graph.nodes[p.index()].children.remove(&id);
         }
         for &c in &node.children {
-            self.nodes[c.index()].parents.remove(&id);
+            graph.nodes[c.index()].parents.remove(&id);
         }
         for &p in &node.parents {
             for &c in &node.children {
-                if !self.closure.mediated(p.index(), c.index()) {
-                    self.nodes[p.index()].children.insert(c);
-                    self.nodes[c.index()].parents.insert(p);
+                if !graph.closure.mediated(p.index(), c.index()) {
+                    graph.nodes[p.index()].children.insert(c);
+                    graph.nodes[c.index()].parents.insert(p);
                 }
             }
         }
@@ -571,7 +585,7 @@ impl Taxonomy {
         let set: BTreeSet<NodeId> = frontier.iter().copied().collect();
         frontier.retain(|&n| {
             !set.iter()
-                .any(|&d| d != n && self.closure.has_descendant(n.index(), d.index()))
+                .any(|&d| d != n && self.graph.closure.has_descendant(n.index(), d.index()))
         });
         frontier.sort();
         frontier.dedup();
@@ -587,11 +601,11 @@ impl Taxonomy {
         parents: &[NodeId],
         tests: &mut usize,
     ) -> Vec<NodeId> {
-        let words = self.closure.words;
+        let words = self.graph.closure.words;
         let mut common = vec![u64::MAX; words];
         for &p in parents {
             for (w, slot) in common.iter_mut().enumerate() {
-                *slot &= self.closure.desc_row(p.index())[w];
+                *slot &= self.graph.closure.desc_row(p.index())[w];
             }
         }
         if parents.is_empty() {
@@ -602,7 +616,7 @@ impl Taxonomy {
             if m == NodeId::BOTTOM.index() {
                 continue;
             }
-            if self.test(nf, &self.nodes[m].nf, tests) {
+            if self.test(nf, &self.graph.nodes[m].nf, tests) {
                 selected.insert(NodeId(m as u32));
             }
         }
@@ -613,7 +627,7 @@ impl Taxonomy {
             .filter(|&m| {
                 !selected
                     .iter()
-                    .any(|&a| a != m && self.closure.has_ancestor(m.index(), a.index()))
+                    .any(|&a| a != m && self.graph.closure.has_ancestor(m.index(), a.index()))
             })
             .collect()
     }
@@ -621,7 +635,7 @@ impl Taxonomy {
     /// All nodes strictly below `id` (descendants, excluding `id`).
     /// Served from the closure bitset index in `O(words + |result|)`.
     pub fn strict_descendants(&self, id: NodeId) -> BTreeSet<NodeId> {
-        iter_bits(self.closure.desc_row(id.index()))
+        iter_bits(self.graph.closure.desc_row(id.index()))
             .map(|i| NodeId(i as u32))
             .collect()
     }
@@ -629,14 +643,14 @@ impl Taxonomy {
     /// All nodes strictly above `id` (ancestors, excluding `id`).
     /// Served from the closure bitset index in `O(words + |result|)`.
     pub fn strict_ancestors(&self, id: NodeId) -> BTreeSet<NodeId> {
-        iter_bits(self.closure.anc_row(id.index()))
+        iter_bits(self.graph.closure.anc_row(id.index()))
             .map(|i| NodeId(i as u32))
             .collect()
     }
 
     /// Is `anc` strictly above `id`? `O(1)` closure probe.
     pub fn is_strict_ancestor(&self, anc: NodeId, id: NodeId) -> bool {
-        self.closure.has_ancestor(id.index(), anc.index())
+        self.graph.closure.has_ancestor(id.index(), anc.index())
     }
 
     /// Edge-walking reachability, independent of the closure index. Used
@@ -678,7 +692,7 @@ impl Taxonomy {
         let mut above = Vec::new();
         let mut below = Vec::new();
         let mut equivalent = None;
-        for i in 0..self.nodes.len() {
+        for i in 0..self.graph.nodes.len() {
             let id = NodeId(i as u32);
             if id == NodeId::BOTTOM {
                 continue;

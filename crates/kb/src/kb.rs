@@ -15,10 +15,10 @@
 //! undone by `Kb::rollback`, the only undo there is.
 //!
 //! Everything here that grows with the number of individuals is held in
-//! the copy-on-write tables of [`classic_core::chunked`], so [`Kb::clone`]
-//! — a read snapshot, a sandbox, a staged bulk load — shares it, and a
-//! write after a clone copies the chunks it touches (DESIGN.md,
-//! "Versions share structure").
+//! the copy-on-write tables of [`classic_core::chunked`], and the TBox
+//! behind `Arc`s only DDL writes, so [`Kb::clone`] — a read snapshot, a
+//! sandbox, a staged bulk load — shares both, and a write after a clone
+//! copies the chunks it touches (DESIGN.md, "Versions share structure").
 
 use crate::deps::{DependencyJournal, RetractReport, Support, SupportKind};
 use crate::individual::{IndId, Individual};
@@ -51,10 +51,20 @@ pub struct Rule {
     /// instance.
     pub consequent: Concept,
     /// Whether the rule has been retracted. Retired rules stay in the
-    /// vector so the `usize` indices stored in `fired_rules` and
-    /// `rules_by_node` remain stable; every consumer must filter them
+    /// table so the `usize` indices stored in `fired_rules` and
+    /// `Rules::by_node` remain stable; every consumer must filter them
     /// (use [`Kb::active_rules`]).
     pub retired: bool,
+}
+
+/// The rule table: schema-sized, written only by `assert-rule` and
+/// `retract-rule`, so a KB holds it behind an `Arc` its clones share.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Rules {
+    /// Every rule in assertion order, retired ones included.
+    pub(crate) table: Vec<Rule>,
+    /// The live rules' ids by antecedent node, ascending.
+    pub(crate) by_node: HashMap<NodeId, Vec<usize>>,
 }
 
 /// Cumulative instrumentation counters (experiments E3/E4/E6).
@@ -166,6 +176,11 @@ pub struct Sharing {
     pub chunks_shared: usize,
     /// Chunks the KB asked holds.
     pub chunks_total: usize,
+    /// Of the shared chunks, the TBox's: the schema's definitions, the
+    /// taxonomy and the rule table, one each.
+    pub tbox_shared: usize,
+    /// Of all the chunks, the TBox's (3).
+    pub tbox_total: usize,
 }
 
 /// One update transaction: what [`Kb::rollback`] needs to undo it, the
@@ -303,14 +318,16 @@ impl Journal {
 ///
 /// [`Kb::clone`] is a second, independent version of the logical state,
 /// and how a version is pinned: a server read snapshot, a sandbox, a
-/// staged bulk load. Its cost does not grow with the individuals: the
-/// schema-sized parts (schema, taxonomy, rules) are copied, while the
-/// arena, the name index, the extensions, the reverse-filler index, the
-/// value postings, the dependency journal and the individual namespace
-/// are chunked tables whose chunks both versions go on sharing until one
-/// of them writes there — a clone copies their spines (a pointer per
-/// chunk: thirty-two individuals, or hundreds of the smaller entries)
-/// and each table's unsealed tail. Neither version ever sees the other's later writes.
+/// staged bulk load. It copies pointers and no entry. The TBox — the
+/// schema's definitions, the taxonomy and the rules — sits behind
+/// `Arc`s that only DDL writes, so the versions share it until one of
+/// them changes the schema. The arena, the name index, the extensions,
+/// the reverse-filler index, the value postings, the dependency journal
+/// and the symbol table are chunked tables whose chunks, the last and
+/// partial ones too, both versions go on sharing until one of them
+/// writes there — a clone copies their spines (a pointer per chunk:
+/// thirty-two individuals, or hundreds of the smaller entries). Neither
+/// version ever sees the other's later writes.
 ///
 /// The observability handles are *shared* outright: the metric registry,
 /// flight recorder, and duration histograms are `Arc`'d, so a clone's
@@ -331,9 +348,8 @@ pub struct Kb {
     /// Direct extensions: for each taxonomy node, the individuals whose
     /// *most specific* concepts include it. Instances of a node = direct
     /// extensions of the node and all its descendants.
-    pub(crate) extensions: Vec<ChunkedSet<IndId>>,
-    pub(crate) rules: Vec<Rule>,
-    pub(crate) rules_by_node: HashMap<NodeId, Vec<usize>>,
+    pub(crate) extensions: Chunked<ChunkedSet<IndId>>,
+    pub(crate) rules: Arc<Rules>,
     /// filler → individuals having it as a role filler (the reclassification
     /// cascade of §5 walks this).
     /// Keyed by the filler's id; see [`Kb::hosts_of`]. Each entry is a
@@ -405,15 +421,15 @@ impl Kb {
             "classic_propagate_fixpoint_ns",
             "propagation fixpoint wall time (ns)",
         );
-        let extensions = vec![ChunkedSet::default(); taxonomy.len()];
+        let mut extensions = Chunked::default();
+        (0..taxonomy.len()).for_each(|_| extensions.push(ChunkedSet::default()));
         Kb {
             schema: Schema::new(),
             taxonomy,
             inds: Chunked::default(),
             by_name: Chunked::default(),
             extensions,
-            rules: Vec::new(),
-            rules_by_node: HashMap::new(),
+            rules: Arc::default(),
             reverse_fillers: Chunked::default(),
             value_postings: ChunkedSet::default(),
             value_hosts_below: 0,
@@ -565,39 +581,54 @@ impl Kb {
         }
     }
 
-    /// How much of this KB's chunked storage `other` shares, by
-    /// allocation identity: the probe experiment E19 and the aliasing
-    /// tests read. Counts the chunks of every table that grows with the
-    /// individuals — the arena, the name index, the reverse-filler index,
-    /// the value postings, both sides of the dependency journal, the
-    /// individual namespace and each node's extension.
+    /// How much of this KB's storage `other` shares, by allocation
+    /// identity: the probe experiment E19 and the aliasing tests read.
+    /// Counts every chunk of every table — the arena, the name index, the
+    /// reverse-filler index, the value postings, both sides of the
+    /// dependency journal, the symbol table, the extension table and each
+    /// node's extension — and the three parts of the TBox, one each.
     #[doc(hidden)]
     pub fn sharing_with(&self, other: &Kb) -> Sharing {
+        let [symbols, definitions] = self.schema.sharing_with(&other.schema);
+        let rules = usize::from(Arc::ptr_eq(&self.rules, &other.rules));
+        let tbox = [
+            definitions,
+            self.taxonomy.sharing_with(&other.taxonomy),
+            (rules, 1),
+        ];
         let mut parts = vec![
             self.inds.sharing_with(&other.inds),
             self.by_name.sharing_with(&other.by_name),
             self.reverse_fillers.sharing_with(&other.reverse_fillers),
             self.value_postings.sharing_with(&other.value_postings),
-            self.schema.symbols.sharing_with(&other.schema.symbols),
+            symbols,
+            self.extensions.sharing_with(&other.extensions),
         ];
         parts.extend(self.deps.sharing_with(&other.deps));
-        let extensions = self.extensions.iter().zip(&other.extensions);
+        let extensions = self.extensions.iter().zip(other.extensions.iter());
         parts.extend(extensions.map(|(mine, theirs)| mine.sharing_with(theirs)));
+        parts.extend(tbox);
         Sharing {
             chunks_shared: parts.iter().map(|(shared, _)| shared).sum(),
             chunks_total: parts.iter().map(|(_, total)| total).sum(),
+            tbox_shared: tbox.iter().map(|(shared, _)| shared).sum(),
+            tbox_total: tbox.len(),
         }
     }
 
     /// The forward-chaining rules, in assertion order. Includes retired
     /// (retracted) rules so indices stay stable; see [`Kb::active_rules`].
     pub fn rules(&self) -> &[Rule] {
-        &self.rules
+        &self.rules.table
     }
 
     /// The live (non-retired) rules, with their stable indices.
     pub fn active_rules(&self) -> impl Iterator<Item = (usize, &Rule)> {
-        self.rules.iter().enumerate().filter(|(_, r)| !r.retired)
+        self.rules
+            .table
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.retired)
     }
 
     /// The committed dependency records (why each individual's derived
@@ -645,8 +676,9 @@ impl Kb {
             journal.ddl = Some(Ddl::Defined(cname));
             let nf = kb.schema.concept_nf(cname)?.clone();
             let (node, placed) = kb.taxonomy.insert(cname, nf);
-            kb.extensions
-                .resize_with(kb.taxonomy.len(), ChunkedSet::default);
+            while kb.extensions.len() < kb.taxonomy.len() {
+                kb.extensions.push(ChunkedSet::default());
+            }
             // A second name for a node changes nobody's recognition. A
             // new node can only hold individuals already recognized under
             // every one of its parents (it has at least `THING`).
@@ -698,7 +730,8 @@ impl Kb {
         self.stats.realizations.bump();
         let (qualifying, msc) = guard_recognizers(|| self.compute_recognition(id))?;
         let live_rules = |n| {
-            self.rules_by_node
+            self.rules
+                .by_node
                 .get(n)
                 .is_some_and(|live| !live.is_empty())
         };
@@ -1024,14 +1057,15 @@ impl Kb {
             journal.declared = Some(kb.schema.declare(&consequent));
             // Validate the consequent normalizes at all.
             kb.normalize(&consequent)?;
-            let rule_ix = kb.rules.len();
-            kb.rules.push(Rule {
+            let rules = Arc::make_mut(&mut kb.rules);
+            let rule_ix = rules.table.len();
+            rules.table.push(Rule {
                 antecedent: cname,
                 node,
                 consequent,
                 retired: false,
             });
-            kb.rules_by_node.entry(node).or_default().push(rule_ix);
+            rules.by_node.entry(node).or_default().push(rule_ix);
             journal.ddl = Some(Ddl::RulePushed);
             kb.for_each_instance(node, |id| journal.work.push_back(id));
             Ok(rule_ix)
@@ -1053,6 +1087,7 @@ impl Kb {
         let cname = self.schema.symbols.concept(antecedent);
         let Some(rule_ix) = self
             .rules
+            .table
             .iter()
             .rposition(|r| !r.retired && r.antecedent == cname && r.consequent == *consequent)
         else {
@@ -1078,10 +1113,10 @@ impl Kb {
             antecedent: format!("#{rule_ix}"),
             suggestion: Some(hint),
         };
-        match self.rules.get(rule_ix) {
+        match self.rules.table.get(rule_ix) {
             None => Err(no_such(format!(
                 "rule ids range over 0..{} (see list-rules)",
-                self.rules.len()
+                self.rules.table.len()
             ))),
             Some(rule) if rule.retired => Err(no_such("that rule was already retracted".into())),
             Some(rule) => Ok(rule),
@@ -1097,12 +1132,11 @@ impl Kb {
     fn retract_rule_at(&mut self, rule_ix: usize) -> Result<RetractReport> {
         let _span = classic_obs::span_timed(&self.recorder, "kb.retract_rule", &self.retract_ns);
         self.retract(|kb, journal| {
-            let node = kb.rules[rule_ix].node;
-            kb.rules[rule_ix].retired = true;
-            kb.rules_by_node
-                .entry(node)
-                .or_default()
-                .retain(|&r| r != rule_ix);
+            let rules = Arc::make_mut(&mut kb.rules);
+            let rule = &mut rules.table[rule_ix];
+            rule.retired = true;
+            let live = rules.by_node.entry(rule.node).or_default();
+            live.retain(|&r| r != rule_ix);
             journal.ddl = Some(Ddl::RuleRetired(rule_ix));
             kb.ind_ids()
                 .filter(|i| kb.inds[i.index()].fired_rules.contains(&rule_ix))
@@ -1116,7 +1150,7 @@ impl Kb {
     /// (typo), or a note that the antecedent's live rules carry different
     /// consequents.
     fn no_such_rule(&self, antecedent: &str, cname: ConceptName) -> ClassicError {
-        let live: Vec<&Rule> = self.rules.iter().filter(|r| !r.retired).collect();
+        let live: Vec<&Rule> = self.active_rules().map(|(_, r)| r).collect();
         let with_antecedent = live.iter().filter(|r| r.antecedent == cname).count();
         let suggestion = if with_antecedent > 0 {
             Some(format!(
@@ -1510,13 +1544,15 @@ impl Kb {
                 self.schema.undefine_concept(cname);
             }
             Some(Ddl::RulePushed) => {
-                let rule = self.rules.pop().expect("pushed rule present");
-                self.rules_by_node.entry(rule.node).or_default().pop();
+                let rules = Arc::make_mut(&mut self.rules);
+                let rule = rules.table.pop().expect("pushed rule present");
+                rules.by_node.entry(rule.node).or_default().pop();
             }
             Some(Ddl::RuleRetired(rule_ix)) => {
-                let rule = &mut self.rules[rule_ix];
+                let rules = Arc::make_mut(&mut self.rules);
+                let rule = &mut rules.table[rule_ix];
                 rule.retired = false;
-                let live = self.rules_by_node.entry(rule.node).or_default();
+                let live = rules.by_node.entry(rule.node).or_default();
                 live.insert(live.partition_point(|&r| r < rule_ix), rule_ix);
             }
         }

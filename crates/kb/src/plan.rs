@@ -219,7 +219,7 @@ impl Kb {
         let (qualifying, msc) = self.compute_recognition(id);
         let due: Vec<usize> = qualifying
             .iter()
-            .filter_map(|n| self.rules_by_node.get(n))
+            .filter_map(|n| self.rules.by_node.get(n))
             .flatten()
             .copied()
             .filter(|ix| !ind.fired_rules.contains(ix))

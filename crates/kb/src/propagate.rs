@@ -298,7 +298,7 @@ impl Kb {
             return Ok(());
         }
         journal.touch(self, id);
-        let consequent = self.rules[rule_ix].consequent.clone();
+        let consequent = self.rules.table[rule_ix].consequent.clone();
         self.ensure_referenced_inds(&consequent, journal)?;
         let ind = &mut self.inds[id.index()];
         ind.fired_rules.insert(rule_ix);

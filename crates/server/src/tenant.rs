@@ -4,15 +4,19 @@
 //! Each lives in its own directory under the server data root and is
 //! wrapped in a [`Tenant`], which arbitrates two access paths:
 //!
-//! - **Mutations** take the primary store lock, run through
-//!   [`DurableKb::eval_durable`] (so every write hits the fsynced
-//!   operation log), then bump the tenant *version* and invalidate the
-//!   cached snapshot.
+//! - **Mutations** drop the cached snapshot, take the primary store
+//!   lock, run through [`DurableKb::eval_durable`] (so every write hits
+//!   the fsynced operation log), then bump the tenant *version* and
+//!   invalidate the cache again. Dropping it first matters: a snapshot
+//!   shares every chunk with the primary, the partial last chunk of each
+//!   table included, so a write while one is cached copies each chunk it
+//!   lands in; with no reader pinning it, the write finds them unshared
+//!   and copies nothing.
 //! - **Reads** run against an [`Arc<Snapshot>`] — the KB as it stood at
 //!   a specific version: a `Kb::clone`, which shares the primary's
-//!   storage chunk for chunk, so cutting one costs what the writes since
-//!   the last cut dirtied and the write that drops one frees only that.
-//!   A read borrows
+//!   storage chunk for chunk and its TBox whole, so cutting one copies a
+//!   pointer per chunk and no entry, and dropping one frees only what
+//!   writes made while it was pinned copied. A read borrows
 //!   ([`classic_lang::eval_read`] takes `&Kb`), so the snapshot holds its
 //!   KB bare: any number of readers of one version run at once, and a
 //!   reader holds its `Arc` for as long as it likes, so a concurrent
@@ -24,15 +28,24 @@
 //!   nothing durable but need the primary: a trial asserts and rolls
 //!   back, the lint reads the analysis state that tracks the primary.
 //!   Both run under the store lock, log nothing, bump no version, and
-//!   leave the cached snapshot in place.
+//!   leave the cached snapshot in place — so a trial made while it is
+//!   cached copies the chunks it touches, and its rollback writes back
+//!   into those copies.
 //!
-//! Lock order is `primary` → `snap` never held together from the write
-//! path (the writer drops the primary guard before touching the cache),
-//! and the read path takes `snap` → `primary` only when the cache is
-//! cold. Since no thread ever waits on `snap` while holding `primary`,
-//! the pair cannot deadlock. A lock poisoned by a panicking request is
-//! not recovered in place: [`Tenant::is_poisoned`] tells the tenant table
-//! to drop the tenant and reopen it from its log.
+//! # Lock order
+//!
+//! The one order is `snap` → `primary` → `analysis`: a thread holding
+//! one of them acquires only locks to its right. The read path takes
+//! `snap` and, when the cache is cold or stale, `primary` under it to
+//! cut a new snapshot. The write path holds `snap` only for the moment
+//! it takes to empty the cache, before it locks `primary` and again
+//! after it has released it; it and the lint path hold `primary` →
+//! `analysis`. Since no thread waits on a lock to the left of one it
+//! holds, the three cannot deadlock.
+//!
+//! A lock poisoned by a panicking request is not recovered in place:
+//! [`Tenant::is_poisoned`] tells the tenant table to drop the tenant and
+//! reopen it from its log.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -132,10 +145,9 @@ impl Snapshot {
 
 /// A named durable KB hosted by the server.
 ///
-/// Lock order: `primary` → `analysis` (the lint path holds both — the
-/// analysis state tracks the *primary* KB, so it refreshes under the
-/// store lock); never acquire `primary` while holding `analysis` or
-/// `snap`.
+/// Its three locks are taken in the order the module docs give (`snap`
+/// → `primary` → `analysis`); the analysis state tracks the *primary*
+/// KB, so it refreshes under the store lock.
 pub struct Tenant {
     name: String,
     version: AtomicU64,
@@ -324,6 +336,9 @@ impl Tenant {
         if !mutation && !matches!(cmd, Command::LintKb { .. } | Command::WhatIf(..)) {
             return Ok((self.snapshot()?.eval(cmd)?, None));
         }
+        if mutation {
+            self.drop_snapshot()?;
+        }
         let result = {
             let mut store = self.lock_primary()?;
             let mut analysis = self.lock_analysis()?;
@@ -347,12 +362,22 @@ impl Tenant {
             self.version.fetch_add(1, Ordering::AcqRel);
             (outcome, lint)
         };
-        // Invalidate after releasing the store lock; a racing reader
-        // that re-caches the old version loses only freshness until the
-        // *next* version check, never consistency (the stale snapshot is
-        // still one version).
-        self.lock_snap()?.take();
+        // Invalidate again after releasing the store lock: a reader that
+        // cut the old version while the write waited for the primary
+        // loses only freshness until the *next* version check, never
+        // consistency (the stale snapshot is still one version).
+        self.drop_snapshot()?;
         Ok(result)
+    }
+
+    /// Empty the snapshot cache, freeing the snapshot outside the lock
+    /// if no reader holds it. A writer calls this before it locks the
+    /// primary — a snapshot no one pins then shares no chunk the write
+    /// lands in — and again after.
+    fn drop_snapshot(&self) -> Result<()> {
+        let stale = self.lock_snap()?.take();
+        drop(stale);
+        Ok(())
     }
 
     /// Bulk-load a prepared ingest plan through the store's segment
@@ -364,12 +389,14 @@ impl Tenant {
     /// resets its incremental analysis state — the next `(lint-kb)`
     /// recomputes from scratch, which is the honest cost of a batch
     /// write. The version bumps once per ingest (it counts mutation
-    /// *requests*, not rows) and the snapshot cache is invalidated
-    /// after the primary lock is released, same as [`Self::execute`].
+    /// *requests*, not rows) and the snapshot cache is emptied before
+    /// the primary lock is taken and after it is released, same as
+    /// [`Self::execute`].
     pub fn ingest(
         &self,
         plan: &classic_ingest::IngestPlan,
     ) -> std::result::Result<classic_store::BulkLoadReport, NamedError> {
+        self.drop_snapshot()?;
         let out = {
             let mut store = self.lock_primary()?;
             let mut analysis = self.lock_analysis()?;
@@ -379,7 +406,7 @@ impl Tenant {
             self.version.fetch_add(1, Ordering::AcqRel);
             out
         };
-        self.lock_snap()?.take();
+        self.drop_snapshot()?;
         Ok(out)
     }
 

@@ -251,6 +251,53 @@ fn a_snapshot_shares_all_but_what_one_write_touched_with_the_one_before_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A write empties the snapshot cache before it takes the primary, so
+/// even a refused one releases the cached snapshot: the next read cuts a
+/// new one at the same version that answers alike. A snapshot pinned
+/// across a write — the refused one, whose rollback pops the individual
+/// it created through chunks the snapshot shares, and an accepted one —
+/// goes on answering its own version.
+#[test]
+fn a_refused_write_releases_the_cached_snapshot_and_a_pinned_one_stands() {
+    let dir = tmpdir("refused");
+    let handle = start(&dir);
+    let tenant = handle.shared().tenant("f").unwrap();
+    for form in SCHEMA {
+        tenant.execute(&cmd(form)).unwrap();
+    }
+    let reads = [
+        "(retrieve EATER)",
+        "(describe Rocky)",
+        "(retrieve (FILLS eat Pizza-1))",
+        "(retrieve THING)",
+    ]
+    .map(cmd);
+    let answers = |s: &Snapshot| reads.iter().map(|r| s.eval(r)).collect::<Vec<_>>();
+    let cached = tenant.snapshot().unwrap();
+    assert!(Arc::ptr_eq(&cached, &tenant.snapshot().unwrap()));
+    let before = answers(&cached);
+
+    let refused = "(assert-ind Rocky (AND (FILLS eat Pizza-9) (AT-MOST 0 eat)))";
+    assert!(tenant.execute(&cmd(refused)).is_err());
+    assert_eq!(tenant.version(), cached.version, "nothing was accepted");
+    let recut = tenant.snapshot().unwrap();
+    assert!(!Arc::ptr_eq(&cached, &recut), "the cache was released");
+    assert_eq!(recut.version, cached.version);
+    assert_eq!(answers(&recut), before);
+    assert_eq!(answers(&cached), before);
+
+    let accepted = "(assert-ind Rocky (FILLS eat Pizza-2))";
+    tenant.execute(&cmd(accepted)).unwrap();
+    let fresh = tenant.snapshot().unwrap();
+    assert_eq!(fresh.version, recut.version + 1);
+    assert_ne!(answers(&fresh), before);
+    assert_eq!(answers(&recut), before);
+    assert_eq!(answers(&cached), before);
+    drop((cached, recut, fresh, tenant));
+    handle.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `what-if` on a tenant is a write that is always rolled back: it runs
 /// on the primary, which it leaves as it found it — unlogged, the version
 /// and the cached snapshot untouched — and its verdicts read as ever.
