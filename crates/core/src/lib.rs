@@ -39,6 +39,7 @@ pub mod schema;
 pub mod subsume;
 pub mod symbol;
 pub mod taxonomy;
+mod vec_set;
 
 pub use desc::{Concept, IndRef, Path};
 pub use error::{Clash, ClassicError, Result};
@@ -48,3 +49,4 @@ pub use schema::{PrimMark, Schema, TestArg};
 pub use subsume::{disjoint, equivalent, subsumes};
 pub use symbol::{ConceptName, IndName, PrimId, RoleId, SymbolTable, TestId};
 pub use taxonomy::{KernelStats, NodeId, Taxonomy};
+pub use vec_set::{VecMap, VecSet};

@@ -24,7 +24,7 @@ use crate::host::Layer;
 use crate::same_as::SameAs;
 use crate::schema::Schema;
 use crate::symbol::{PrimId, RoleId, SymbolTable, TestId};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::vec_set::{VecMap, VecSet};
 use std::fmt;
 
 /// Canonical description of everything a concept says about one role.
@@ -39,7 +39,7 @@ pub struct RoleRestriction {
     pub at_most: Option<u32>,
     /// Known fillers from `FILLS` (unique-name assumption: distinct names
     /// denote distinct individuals, so `|fillers|` is a hard lower bound).
-    pub fillers: BTreeSet<IndRef>,
+    pub fillers: VecSet<IndRef>,
     /// Whether the role is closed: no fillers beyond `fillers` exist.
     /// Canonical invariant: `closed ⇔ at_most == Some(fillers.len())`
     /// (the paper's §3.3 deduction — an `AT-MOST` reached by known fillers
@@ -84,13 +84,13 @@ pub struct NormalForm {
     pub layer: Layer,
     /// Primitive atoms this concept is committed to (necessary conditions
     /// with unspecified differentia).
-    pub prims: BTreeSet<PrimId>,
+    pub prims: VecSet<PrimId>,
     /// `TEST` atoms — procedural black boxes, identity-only (§2.1.4).
-    pub tests: BTreeSet<TestId>,
+    pub tests: VecSet<TestId>,
     /// Enumerated extent, if any (`ONE-OF`); intersected under `AND`.
-    pub one_of: Option<BTreeSet<IndRef>>,
+    pub one_of: Option<VecSet<IndRef>>,
     /// Per-role restrictions; roles with trivial restrictions are absent.
-    pub roles: BTreeMap<RoleId, RoleRestriction>,
+    pub roles: VecMap<RoleId, RoleRestriction>,
     /// Co-reference constraints over attribute chains (`SAME-AS`).
     pub same_as: SameAs,
 }
@@ -254,25 +254,28 @@ impl NormalForm {
                 return;
             }
         }
-        self.prims.extend(other.prims.iter().copied());
-        self.tests.extend(other.tests.iter().copied());
+        self.prims.union_with(&other.prims);
+        self.tests.union_with(&other.tests);
         // Enumerations intersect.
         self.one_of = match (self.one_of.take(), &other.one_of) {
             (None, None) => None,
             (Some(s), None) => Some(s),
             (None, Some(s)) => Some(s.clone()),
-            (Some(a), Some(b)) => Some(a.intersection(b).cloned().collect()),
+            (Some(mut a), Some(b)) => {
+                a.intersect_with(b);
+                Some(a)
+            }
         };
         // Role restrictions merge pointwise.
         for (&r, rr) in &other.roles {
-            let mine = self.roles.entry(r).or_default();
+            let mine = self.roles.entry_or_default(r);
             mine.at_least = mine.at_least.max(rr.at_least);
             mine.at_most = match (mine.at_most, rr.at_most) {
                 (None, m) => m,
                 (m, None) => m,
                 (Some(a), Some(b)) => Some(a.min(b)),
             };
-            mine.fillers.extend(rr.fillers.iter().cloned());
+            mine.fillers.union_with(&rr.fillers);
             mine.closed |= rr.closed;
             match (&mut mine.all, &rr.all) {
                 (_, None) => {}
@@ -490,7 +493,7 @@ impl NormalForm {
         let Some((&first, rest)) = path.split_first() else {
             return;
         };
-        let rr = self.roles.entry(first).or_default();
+        let rr = self.roles.entry_or_default(first);
         rr.at_least = rr.at_least.max(1);
         // Single-valuedness along the chain (§5's restriction, enforced as
         // a derived constraint rather than a declaration requirement).
@@ -545,7 +548,7 @@ impl NormalForm {
     fn ensure_path(&mut self, path: &[RoleId]) -> &mut NormalForm {
         let mut cur = self;
         for r in path {
-            let rr = cur.roles.entry(*r).or_default();
+            let rr = cur.roles.entry_or_default(*r);
             cur = rr.all.get_or_insert_with(|| Box::new(NormalForm::top()));
         }
         cur
@@ -580,7 +583,7 @@ impl NormalForm {
         // Individual lists are rendered in *name* order so the output is
         // canonical across symbol tables (interned ids are not stable
         // under snapshot/replay).
-        let by_name = |inds: &BTreeSet<IndRef>| -> Vec<IndRef> {
+        let by_name = |inds: &VecSet<IndRef>| -> Vec<IndRef> {
             let mut v: Vec<IndRef> = inds.iter().cloned().collect();
             v.sort_by_key(|i| match i {
                 IndRef::Classic(n) => (0u8, schema.symbols.individual_name(*n).to_owned()),
@@ -835,7 +838,7 @@ fn build(c: &Concept, schema: &Schema, nf: &mut NormalForm) -> Result<()> {
             nf.merge_raw(&parent_nf);
         }
         Concept::OneOf(inds) => {
-            let set: BTreeSet<IndRef> = inds.iter().cloned().collect();
+            let set: VecSet<IndRef> = inds.iter().cloned().collect();
             let mut other = NormalForm::top();
             other.one_of = Some(set);
             nf.merge_raw(&other);

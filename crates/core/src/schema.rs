@@ -539,8 +539,18 @@ mod tests {
             .unwrap();
         let m = s.concept_nf(male).unwrap().clone();
         let fe = s.concept_nf(female).unwrap().clone();
-        let mp: Vec<_> = m.prims.difference(&fe.prims).copied().collect();
-        let fp: Vec<_> = fe.prims.difference(&m.prims).copied().collect();
+        let mp: Vec<_> = m
+            .prims
+            .iter()
+            .filter(|p| !fe.prims.contains(p))
+            .copied()
+            .collect();
+        let fp: Vec<_> = fe
+            .prims
+            .iter()
+            .filter(|p| !m.prims.contains(p))
+            .copied()
+            .collect();
         assert_eq!(mp.len(), 1);
         assert_eq!(fp.len(), 1);
         assert!(s.prims_disjoint(mp[0], fp[0]));

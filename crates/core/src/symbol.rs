@@ -295,6 +295,18 @@ impl SymbolTable {
         self.concepts.len()
     }
 
+    /// Number of interned individual names.
+    pub fn individual_count(&self) -> usize {
+        self.individuals.len()
+    }
+
+    /// Forget every individual name interned after the first `len`. Sound
+    /// only while nothing stored mentions them — that is, on the path
+    /// that refuses the write they were interned for.
+    pub fn forget_individuals(&mut self, len: usize) {
+        self.individuals.truncate(len);
+    }
+
     /// Iterate over all interned concept names.
     pub fn concepts(&self) -> impl Iterator<Item = (ConceptName, &str)> {
         self.concepts.iter().map(|(i, n)| (ConceptName(i), n))

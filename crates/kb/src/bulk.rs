@@ -183,6 +183,9 @@ impl Kb {
     /// equals the sequential `create-ind` + `assert-ind` replay (see
     /// the module docs for the argument and the caveats).
     pub fn bulk_assert_chunked(&mut self, rows: &[BulkRow], chunk_size: usize) -> BulkReport {
+        // A batch is accepted row by row, and its rows' names were
+        // resolved before the first: a refused row forgets none of them.
+        self.names_mark = None;
         let chunk_size = chunk_size.max(1);
         let metrics = self.metrics().clone();
         let bulk_ns = metrics

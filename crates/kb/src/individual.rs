@@ -12,7 +12,7 @@ use classic_core::normal::NormalForm;
 use classic_core::symbol::IndName;
 use classic_core::taxonomy::NodeId;
 use classic_core::Concept;
-use std::collections::BTreeSet;
+use classic_core::VecSet;
 
 /// Dense handle for an individual stored in the knowledge base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,10 +53,10 @@ pub struct Individual {
     /// ancestor follows from the taxonomy (see [`Kb::is_instance_of`]).
     ///
     /// [`Kb::is_instance_of`]: crate::Kb::is_instance_of
-    pub(crate) msc: BTreeSet<NodeId>,
+    pub(crate) msc: VecSet<NodeId>,
     /// Rules already fired on this individual (each rule fires at most
     /// once per individual, giving the §5 fixpoint bound).
-    pub(crate) fired_rules: BTreeSet<usize>,
+    pub(crate) fired_rules: VecSet<usize>,
 }
 
 impl Individual {
@@ -67,8 +67,8 @@ impl Individual {
             name,
             derived,
             told: Vec::new(),
-            msc: BTreeSet::new(),
-            fired_rules: BTreeSet::new(),
+            msc: VecSet::default(),
+            fired_rules: VecSet::default(),
         }
     }
 
@@ -99,13 +99,12 @@ impl Individual {
         self.fired_rules.contains(&rule)
     }
 
-    /// The known fillers of `role`, if any are recorded.
-    pub fn fillers(&self, role: classic_core::RoleId) -> Vec<classic_core::IndRef> {
+    /// The known fillers of `role`, ascending; empty if none are recorded.
+    pub fn fillers(&self, role: classic_core::RoleId) -> &[classic_core::IndRef] {
         self.derived
             .roles
             .get(&role)
-            .map(|rr| rr.fillers.iter().cloned().collect())
-            .unwrap_or_default()
+            .map_or(&[], |rr| rr.fillers.as_slice())
     }
 
     /// Is `role` closed for this individual?

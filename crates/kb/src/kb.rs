@@ -212,11 +212,25 @@ pub(crate) struct Journal {
     /// The schema-sized change of a `define-concept`, an `assert-rule` or
     /// a `retract-rule` — a transaction makes at most one.
     ddl: Option<Ddl>,
+    /// How many individual names were interned before the write's own;
+    /// rollback truncates back (see [`Kb::schema_for_write`]).
+    names: Option<usize>,
     /// Individuals waiting to be planned: the write's roots, then
     /// whatever applying an epoch's effects enqueues.
     pub(crate) work: VecDeque<IndId>,
     /// What the transaction has derived so far.
     pub(crate) report: AssertReport,
+}
+
+/// The individual an error is about, if it names one.
+fn named_individual(e: &ClassicError) -> Option<IndName> {
+    match e {
+        ClassicError::Inconsistent { individual, .. } => *individual,
+        ClassicError::UnknownIndividual(name)
+        | ClassicError::IndividualExists(name)
+        | ClassicError::NotAsserted(name) => Some(*name),
+        _ => None,
+    }
 }
 
 /// An access path from a role filler to the individuals holding it:
@@ -369,6 +383,12 @@ pub struct Kb {
     /// load, every newcomer told its first facts — is looked up in no
     /// run.
     value_hosts_below: u32,
+    /// How many individual names were interned before the names of the
+    /// write now under way: set by [`Kb::schema_for_write`] and
+    /// [`Kb::create_ind`], cleared by [`Kb::schema_mut`] and a bulk load,
+    /// taken by the next transaction, and truncated back to if that
+    /// transaction is refused.
+    pub(crate) names_mark: Option<usize>,
     /// Committed dependency records: why each individual's derived state
     /// is what it is. Consulted by retraction and `explain_provenance`.
     pub(crate) deps: DependencyJournal,
@@ -433,6 +453,7 @@ impl Kb {
             reverse_fillers: Chunked::default(),
             value_postings: ChunkedSet::default(),
             value_hosts_below: 0,
+            names_mark: None,
             deps: DependencyJournal::default(),
             stats,
             obs,
@@ -451,8 +472,25 @@ impl Kb {
     }
 
     /// Mutable schema access (interning names for ad-hoc expressions).
+    /// Individual names interned through it belong to the caller and are
+    /// kept whatever becomes of the next write.
     pub fn schema_mut(&mut self) -> &mut Schema {
+        self.names_mark = None;
         &mut self.schema
+    }
+
+    /// Mutable schema access for resolving the names of the write about
+    /// to be applied: an individual name interned through it belongs to
+    /// that write, and is forgotten again if the write is refused.
+    pub fn schema_for_write(&mut self) -> &mut Schema {
+        self.mark_names();
+        &mut self.schema
+    }
+
+    /// Names interned from here on belong to the next transaction.
+    fn mark_names(&mut self) {
+        let count = self.schema.symbols.individual_count();
+        self.names_mark.get_or_insert(count);
     }
 
     /// The IS-A hierarchy over the defined concepts.
@@ -705,6 +743,7 @@ impl Kb {
     /// individual satisfies fires on it, and a `TEST` recognizer that
     /// panics on it leaves no trace of it.
     pub fn create_ind(&mut self, name: &str) -> Result<IndId> {
+        self.mark_names();
         let iname = self.schema.symbols.individual(name);
         if self.find_ind(iname).is_some() {
             return Err(ClassicError::IndividualExists(iname));
@@ -753,9 +792,19 @@ impl Kb {
         keep: bool,
         stage: impl FnOnce(&mut Kb, &mut Journal) -> Result<T>,
     ) -> Result<(T, AssertReport)> {
-        let mut journal = Journal::default();
+        let mut journal = Journal {
+            names: self.names_mark.take(),
+            ..Journal::default()
+        };
         let staged = stage(self, &mut journal)
             .and_then(|staged| Propagation::run(self, &mut journal).map(|()| staged));
+        // A refusal that names an individual keeps that name, so the
+        // error still reads as it did.
+        if let (Some(len), Err(e)) = (&mut journal.names, &staged) {
+            if let Some(name) = named_individual(e) {
+                *len = (*len).max(name.index() + 1);
+            }
+        }
         let mut report = std::mem::take(&mut journal.report);
         let created = journal.first_created;
         report.inds_created = created.map_or(0, |first| (self.inds.len() - first.index()) as u64);
@@ -1429,7 +1478,7 @@ impl Kb {
                 }
             }
             // Upward closure of msc == the nodes recognition qualifies.
-            let mut closure: BTreeSet<NodeId> = ind.msc.clone();
+            let mut closure: BTreeSet<NodeId> = ind.msc.iter().copied().collect();
             for &node in &ind.msc {
                 closure.extend(self.taxonomy.strict_ancestors(node));
             }
@@ -1491,8 +1540,9 @@ impl Kb {
     /// Undo the transaction — the only undo there is; returns the
     /// primitive keys it had declared. In order: the primitive
     /// declarations, the supports and access-path edges, the
-    /// individuals it created, the ones it touched, and last the one
-    /// schema-sized change, which everything before it may mention.
+    /// individuals it created, the ones it touched, the one
+    /// schema-sized change, which everything before it may mention, and
+    /// last the individual names the write interned.
     fn rollback(&mut self, journal: Journal) -> Vec<String> {
         // Nothing restored below mentions the primitives the refused
         // descriptions declared.
@@ -1554,6 +1604,14 @@ impl Kb {
                 rule.retired = false;
                 let live = rules.by_node.entry(rule.node).or_default();
                 live.insert(live.partition_point(|&r| r < rule_ix), rule_ix);
+            }
+        }
+        // Last, the names the refused write interned: nothing restored
+        // above mentions them, and every individual they named is gone.
+        if let Some(len) = journal.names {
+            self.schema.symbols.forget_individuals(len);
+            if self.by_name.len() > len {
+                self.by_name.truncate(len);
             }
         }
         undeclared

@@ -20,7 +20,7 @@ use classic_core::normal::{NormalForm, RoleRestriction};
 use classic_core::subsume::subsumes;
 use classic_core::symbol::{IndName, RoleId};
 use classic_core::taxonomy::NodeId;
-use std::collections::BTreeSet;
+use classic_core::VecSet;
 
 /// Where an effect lands: an individual that existed at epoch start, or
 /// one referenced by name that the apply phase must create (effects
@@ -61,7 +61,7 @@ pub(crate) enum Effect {
     ValueEdge { key: u32, host: IndId },
     /// `ind`'s recognition changed: install the recomputed most-specific
     /// frontier.
-    Install { ind: IndId, msc: BTreeSet<NodeId> },
+    Install { ind: IndId, msc: VecSet<NodeId> },
     /// Rule `rule_ix` is due on `ind` (recognized under the antecedent,
     /// not yet fired).
     FireRule { ind: IndId, rule_ix: usize },
@@ -193,7 +193,7 @@ impl Kb {
                     fills.roles.insert(
                         last,
                         RoleRestriction {
-                            fillers: BTreeSet::from([v.clone()]),
+                            fillers: VecSet::from_iter([v.clone()]),
                             ..RoleRestriction::default()
                         },
                     );

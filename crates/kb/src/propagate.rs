@@ -52,6 +52,7 @@ use classic_core::schema::TestArg;
 use classic_core::subsume::subsumes;
 use classic_core::symbol::RoleId;
 use classic_core::taxonomy::NodeId;
+use classic_core::VecSet;
 use std::collections::{BTreeSet, VecDeque};
 
 /// How a `SAME-AS` path resolves against the current state.
@@ -397,7 +398,7 @@ impl Kb {
 
     /// Replace `id`'s most-specific frontier, keeping the extension index
     /// in step.
-    pub(crate) fn install_recognition(&mut self, id: IndId, msc: BTreeSet<NodeId>) {
+    pub(crate) fn install_recognition(&mut self, id: IndId, msc: VecSet<NodeId>) {
         let ind = &mut self.inds[id.index()];
         for n in &ind.msc {
             self.extensions[n.index()].remove(&id);
@@ -415,10 +416,10 @@ impl Kb {
     ///
     /// Read-only (`&self`) by construction: it runs in the planning half
     /// of the step.
-    pub(crate) fn compute_recognition(&self, id: IndId) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
+    pub(crate) fn compute_recognition(&self, id: IndId) -> (BTreeSet<NodeId>, VecSet<NodeId>) {
         let mut qualifying: BTreeSet<NodeId> = BTreeSet::new();
         let mut failed: BTreeSet<NodeId> = BTreeSet::new();
-        let mut msc: BTreeSet<NodeId> = BTreeSet::new();
+        let mut msc: Vec<NodeId> = Vec::new();
         let mut queue: VecDeque<NodeId> = VecDeque::from([NodeId::TOP]);
         qualifying.insert(NodeId::TOP);
         let mut visited: BTreeSet<NodeId> = BTreeSet::new();
@@ -452,13 +453,12 @@ impl Kb {
                 }
             }
             if !any_child {
-                msc.insert(n);
+                msc.push(n);
             }
         }
         // Frontier minimality across multiple paths.
-        let msc: BTreeSet<NodeId> = msc
-            .iter()
-            .copied()
+        let msc: VecSet<NodeId> = msc
+            .into_iter()
             .filter(|&n| {
                 !self
                     .taxonomy

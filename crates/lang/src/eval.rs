@@ -67,13 +67,13 @@ fn suggest(mut msg: String, near: Option<&str>) -> String {
 /// — asserted, reported, and rolled back whatever the verdict; anything
 /// else is a *read*, answered by [`eval_read`] from a borrow.
 pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
-    if let Some(write) = cmd.to_write(kb.schema_mut())? {
+    if let Some(write) = cmd.to_write(kb.schema_for_write())? {
         return write.apply(kb);
     }
     let Command::WhatIf(name, c) = cmd else {
         return eval_read(kb, cmd);
     };
-    let c = c.resolve(kb.schema_mut())?;
+    let c = c.resolve(kb.schema_for_write())?;
     match kb.what_if(name, &c) {
         Ok(report) => Ok(Outcome::Description(format!(
             "would be ACCEPTED (steps={} fills={} corefs={} rules={} reclassified={}); nothing was changed",

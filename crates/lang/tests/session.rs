@@ -224,3 +224,47 @@ fn obs_commands_expose_and_reset_metrics() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+#[test]
+fn a_refused_write_leaves_no_interned_name() {
+    use classic_kb::Kb;
+    use classic_lang::{eval, parse_one};
+    let mut kb = Kb::new();
+    let run = |kb: &mut Kb, form: &str| {
+        let cmd = parse_one(form).expect("form parses");
+        eval(kb, &cmd).map_err(|e| e.display(&kb.schema().symbols).to_string())
+    };
+    for form in [
+        "(define-role eat)",
+        "(create-ind Rocky)",
+        "(create-ind Pizza-1)",
+    ] {
+        run(&mut kb, form).expect("setup");
+    }
+    let names = kb.schema().symbols.individual_count();
+    let before = run(&mut kb, "(describe Pizza-9)");
+    assert!(before.is_err(), "Pizza-9 is no individual: {before:?}");
+
+    // Refused: the told filler contradicts the told bound.
+    let refused = run(
+        &mut kb,
+        "(assert-ind Rocky (AND (FILLS eat Pizza-9) (AT-MOST 0 eat)))",
+    );
+    assert!(refused.is_err(), "{refused:?}");
+    assert_eq!(run(&mut kb, "(describe Pizza-9)"), before);
+    assert_eq!(kb.schema().symbols.individual_count(), names);
+
+    // A trial interns nothing either, accepted or refused.
+    run(&mut kb, "(what-if? Rocky (FILLS eat Pizza-8))").expect("trial");
+    run(
+        &mut kb,
+        "(what-if? Rocky (AND (FILLS eat Pizza-7) (AT-MOST 0 eat)))",
+    )
+    .expect("trial");
+    assert_eq!(kb.schema().symbols.individual_count(), names);
+
+    // An accepted write keeps the names it brought.
+    run(&mut kb, "(assert-ind Rocky (FILLS eat Pizza-9))").expect("accepted");
+    assert!(run(&mut kb, "(describe Pizza-9)").is_ok());
+    assert_eq!(kb.schema().symbols.individual_count(), names + 1);
+}

@@ -153,7 +153,7 @@ fn extend(
                     if !bind(s, &sref, &mut nb) {
                         continue;
                     }
-                    if !bind(o, &filler, &mut nb) {
+                    if !bind(o, filler, &mut nb) {
                         continue;
                     }
                     out.push(nb);

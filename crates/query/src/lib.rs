@@ -516,7 +516,7 @@ fn ask_necessary_set_impl(kb: &Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
         for x in frontier {
             if let IndRef::Classic(n) = x {
                 if let Ok(id) = kb.ind_id(n) {
-                    next.extend(kb.ind(id).fillers(role));
+                    next.extend(kb.ind(id).fillers(role).iter().cloned());
                 }
             }
         }

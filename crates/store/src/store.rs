@@ -302,6 +302,9 @@ pub struct DurableKb {
     /// after an eager open or `hydrate_all`).
     pending: Vec<LazySegment>,
     compactor: Option<CompactorHandle>,
+    /// Why the auto-compaction after the last append could not start;
+    /// the next write reports it before it applies anything.
+    compaction_error: Option<ClassicError>,
     auto_compact_after: Option<u64>,
     segment_budget: usize,
     last_compaction: Option<CompactionReport>,
@@ -435,6 +438,7 @@ impl DurableKb {
             manifest,
             pending,
             compactor: None,
+            compaction_error: None,
             auto_compact_after: None,
             segment_budget: DEFAULT_SEGMENT_BUDGET,
             last_compaction: None,
@@ -786,29 +790,43 @@ impl DurableKb {
         // vanish in a power loss.
         self.log.get_ref().sync_data().map_err(io)?;
         self.ops_since_compact += 1;
-        self.after_append()
+        self.after_append();
+        Ok(())
     }
 
-    /// Housekeeping after a successful append: reap a finished
-    /// background compaction (surfacing its error, if it failed, at the
-    /// next durable call) and trigger the auto-compaction policy.
-    fn after_append(&mut self) -> Result<()> {
-        self.poll_compaction()?;
+    /// Housekeeping after a successful append: trigger the
+    /// auto-compaction policy. The write is durable by now, so nothing
+    /// here may fail it; a compaction that cannot start is kept for the
+    /// next write to report.
+    fn after_append(&mut self) {
         if let Some(threshold) = self.auto_compact_after {
             if self.ops_since_compact >= threshold && self.compactor.is_none() {
-                self.compact_in_background()?;
+                if let Err(e) = self.compact_in_background() {
+                    self.compaction_error = Some(e);
+                }
             }
         }
-        Ok(())
+    }
+
+    /// Report what compaction has to report before a write changes
+    /// anything: a failed start kept by [`Self::after_append`], or a
+    /// background compaction that has finished and failed. An error from
+    /// a write is therefore never one about a write already applied.
+    fn reap_before_write(&mut self) -> Result<()> {
+        if let Some(e) = self.compaction_error.take() {
+            return Err(e);
+        }
+        self.poll_compaction().map(drop)
     }
 
     // ---- logged operators -------------------------------------------------
 
-    /// The one durable write path: hydrate what the write touches,
-    /// render its record — which refuses, before anything changes, a
-    /// write the reader could not read back — apply it, and only if it
-    /// was accepted append the record and fsync.
+    /// The one durable write path: reap a finished compaction, hydrate
+    /// what the write touches, render its record — which refuses, before
+    /// anything changes, a write the reader could not read back — apply
+    /// it, and only if it was accepted append the record and fsync.
     fn commit(&mut self, write: Write<'_>) -> Result<Outcome> {
+        self.reap_before_write()?;
         self.hydrate(write.touches())?;
         let line = write.record(&self.kb)?;
         let outcome = write.apply(&mut self.kb)?;
@@ -931,7 +949,7 @@ impl DurableKb {
     /// against the hydrated KB. This is the server's single entry point
     /// per request, and no write can reach the KB around the log.
     pub fn eval_durable(&mut self, cmd: &Command) -> Result<Outcome> {
-        match cmd.to_write(self.kb.schema_mut())? {
+        match cmd.to_write(self.kb.schema_for_write())? {
             Some(write) => self.commit(write),
             None => {
                 self.hydrate_all()?;
@@ -969,6 +987,7 @@ impl DurableKb {
         );
         // One writer at a time: a background compaction holds the fold
         // log this load's rollback story depends on.
+        self.reap_before_write()?;
         self.wait_for_compaction()?;
         self.hydrate_all()?;
 
@@ -1043,7 +1062,7 @@ impl DurableKb {
     /// compactor thread; see `docs/FORMAT.md` §8 for the ordering
     /// invariants at each step. Completion is observed by
     /// [`poll_compaction`](DurableKb::poll_compaction) (also called
-    /// opportunistically after every append) or
+    /// before every write applies anything) or
     /// [`wait_for_compaction`](DurableKb::wait_for_compaction).
     pub fn compact_in_background(&mut self) -> Result<bool> {
         self.poll_compaction()?;
@@ -1488,6 +1507,57 @@ mod tests {
             store.create_ind(&name).unwrap();
             store.assert_ind(&name, &Concept::Name(person)).unwrap();
         }
+    }
+
+    #[test]
+    fn a_failed_compaction_refuses_the_next_write_before_it_applies() {
+        let dir = tmpdir("failed-compactor");
+        let path = dir.join("kb.log");
+        let mut store = DurableKb::open(&path, |_| {}).unwrap();
+        populate(&mut store);
+        let failed = ClassicError::Malformed("compaction failed".into());
+        let thread = std::thread::spawn(move || Err(failed));
+        while !thread.is_finished() {
+            std::thread::yield_now();
+        }
+        let report = CompactionReport {
+            generation: 1,
+            folded_ops: 0,
+            segments_total: 0,
+            segments_written: 0,
+            segments_reused: 0,
+            bytes_written: 0,
+        };
+        store.compactor = Some(CompactorHandle {
+            thread,
+            manifest: Manifest {
+                generation: 1,
+                entries: Vec::new(),
+            },
+            report,
+        });
+        let log = store.log_path.clone();
+        let (logged, state) = (
+            std::fs::read(&log).unwrap(),
+            snapshot_to_string(store.kb().unwrap()),
+        );
+
+        // Refused with nothing applied and nothing logged...
+        let refused = store.create_ind("Late");
+        assert!(
+            matches!(refused, Err(ClassicError::Malformed(_))),
+            "{refused:?}"
+        );
+        assert_eq!(std::fs::read(&log).unwrap(), logged);
+        assert_eq!(snapshot_to_string(store.kb().unwrap()), state);
+
+        // ...and the error is reported once: the next write is accepted
+        // and logged.
+        store.create_ind("Late").unwrap();
+        drop(store);
+        let reopened = DurableKb::open(&path, |_| {}).unwrap();
+        let kb = reopened.kb().unwrap();
+        assert!(kb.schema().symbols.find_individual("Late").is_some());
     }
 
     #[test]
