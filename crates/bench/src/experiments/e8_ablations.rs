@@ -296,12 +296,11 @@ fn retrieve_taxonomy_candidates(kb: &Kb, nf: &NormalForm) -> (Vec<IndId>, usize)
 fn retrieve_without_extension_index(kb: &Kb, nf: &NormalForm) -> usize {
     let cls = kb.taxonomy().classify(nf);
     let mut free: std::collections::BTreeSet<classic_kb::IndId> = Default::default();
-    if let Some(eq) = cls.equivalent {
-        free.extend(kb.instances_of_node(eq));
-        // Even with an exact match, the ablation re-tests everyone else.
-    }
-    for &c in &cls.children {
-        free.extend(kb.instances_of_node(c));
+    // Even with an exact match, the ablation re-tests everyone else.
+    for node in cls.equivalent.iter().chain(&cls.children) {
+        kb.for_each_instance(*node, |id| {
+            free.insert(id);
+        });
     }
     let mut tested = 0usize;
     for id in kb.ind_ids() {

@@ -28,7 +28,14 @@ use std::path::{Path, PathBuf};
 /// went 79 → 80 for `Kb::schema_for_write`, through which `classic-lang`
 /// and `classic-store` resolve a write's names so that they go if it is
 /// refused.
-const LIMITS: [(&str, usize); 2] = [("crates/core/src", 191), ("crates/kb/src", 80)];
+///
+/// `classic-core` went 191 → 192 for `Taxonomy::walk_down`, the one
+/// top-down walk: classification calls it with a subsumption test and
+/// `classic-kb`'s recognition with `Kb::known_instance`, where each had
+/// its own copy. `classic-kb` went 80 → 79 when `Kb::instances_of_node`
+/// was deleted: `instances_of` and `for_each_instance` list a node's
+/// instances.
+const LIMITS: [(&str, usize); 2] = [("crates/core/src", 192), ("crates/kb/src", 79)];
 
 const KINDS: [&str; 8] = [
     "fn", "struct", "enum", "mod", "const", "trait", "type", "static",

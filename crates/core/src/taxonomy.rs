@@ -15,7 +15,9 @@
 //! itself subsumes the candidate), then a bottom-up search for the most
 //! general subsumees among the common descendants. The same traversal
 //! classifies *query* concepts without inserting them, which is what makes
-//! query answering cheap (§5; experiments E2/E3).
+//! query answering cheap (§5; experiments E2/E3), and its top-down half,
+//! [`Taxonomy::walk_down`], realizes individuals too, given a different
+//! node test.
 //!
 //! A transitive-closure bitset index accelerates the traversal beyond the
 //! seed algorithm: each node keeps its full ancestor and descendant sets
@@ -165,12 +167,6 @@ impl Closure {
     fn has_ancestor(&self, id: usize, anc: usize) -> bool {
         let (w, b) = Self::bit(anc);
         self.anc_row(id)[w] & b != 0
-    }
-
-    /// Is `desc` a strict descendant of `id`?
-    fn has_descendant(&self, id: usize, desc: usize) -> bool {
-        let (w, b) = Self::bit(desc);
-        self.desc_row(id)[w] & b != 0
     }
 
     /// Append a row for node `self.len` with the given immediate
@@ -432,7 +428,7 @@ impl Taxonomy {
                 tests,
             };
         }
-        let parents = self.most_specific_subsumers(nf, &mut tests);
+        let (_, parents) = self.walk_down(|node| self.test(node, nf, &mut tests));
         // Equivalence: a parent that is also subsumed by nf.
         let mut equivalent = None;
         for &p in &parents {
@@ -544,52 +540,47 @@ impl Taxonomy {
         subsumes(big, small)
     }
 
-    /// Top-down search for the most specific subsumers of `nf`. A node's
-    /// children are examined only when the node itself subsumes the
-    /// query; the node joins the frontier when none of its children do.
-    fn most_specific_subsumers(&self, nf: &NormalForm, tests: &mut usize) -> Vec<NodeId> {
-        let mut cache: HashMap<NodeId, bool> = HashMap::new();
-        cache.insert(NodeId::TOP, true);
-        let mut frontier = Vec::new();
-        let mut visited: BTreeSet<NodeId> = BTreeSet::new();
+    /// The pruned top-down walk that places a description under its
+    /// most specific subsumers (§5): classification and recognition both
+    /// make it, each with its own node test. `holds` is asked of a node's
+    /// form at most once, and only after one of the node's parents held
+    /// (`THING` holds unasked); nothing below a node that fails is asked,
+    /// which is sound when `holds` is monotone down the hierarchy.
+    ///
+    /// Returns the nodes that held, `THING` included, and the minimal
+    /// ones among them — those with no other holding node below — both
+    /// ascending. Minimality is one closure-row probe per holding node;
+    /// the walk allocates two bit rows and its queue, nothing per visited
+    /// node.
+    pub fn walk_down(
+        &self,
+        mut holds: impl FnMut(&NormalForm) -> bool,
+    ) -> (Vec<NodeId>, Vec<NodeId>) {
+        let closure = &self.graph.closure;
+        let (mut asked, mut held) = (vec![0u64; closure.words], vec![0u64; closure.words]);
+        let (w, b) = Closure::bit(NodeId::TOP.index());
+        (asked[w], held[w]) = (b, b);
         let mut queue = VecDeque::from([NodeId::TOP]);
         while let Some(n) = queue.pop_front() {
-            if !visited.insert(n) {
-                continue;
-            }
-            let mut has_subsuming_child = false;
             for &c in &self.node(n).children {
-                if c == NodeId::BOTTOM {
+                let (w, b) = Closure::bit(c.index());
+                if c == NodeId::BOTTOM || asked[w] & b != 0 {
                     continue;
                 }
-                let v = match cache.get(&c) {
-                    Some(&v) => v,
-                    None => {
-                        let v = self.test(&self.node(c).nf, nf, tests);
-                        cache.insert(c, v);
-                        v
-                    }
-                };
-                if v {
-                    has_subsuming_child = true;
+                asked[w] |= b;
+                if holds(&self.node(c).nf) {
+                    held[w] |= b;
                     queue.push_back(c);
                 }
             }
-            if !has_subsuming_child {
-                frontier.push(n);
-            }
         }
-        // The frontier may contain non-minimal nodes reached along
-        // different paths; keep only nodes with no *other* frontier node
-        // strictly below them (an O(words) bitset probe each).
-        let set: BTreeSet<NodeId> = frontier.iter().copied().collect();
-        frontier.retain(|&n| {
-            !set.iter()
-                .any(|&d| d != n && self.graph.closure.has_descendant(n.index(), d.index()))
-        });
-        frontier.sort();
-        frontier.dedup();
-        frontier
+        let held_nodes: Vec<NodeId> = iter_bits(&held).map(|n| NodeId(n as u32)).collect();
+        let below = |n: &NodeId| {
+            let row = closure.desc_row(n.index());
+            row.iter().zip(&held).any(|(d, h)| d & h != 0)
+        };
+        let minimal = held_nodes.iter().copied().filter(|n| !below(n)).collect();
+        (held_nodes, minimal)
     }
 
     /// Bottom-up search for the most general subsumees: candidates come

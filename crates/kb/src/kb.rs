@@ -718,16 +718,13 @@ impl Kb {
                 kb.extensions.push(ChunkedSet::default());
             }
             // A second name for a node changes nobody's recognition. A
-            // new node can only hold individuals already recognized under
-            // every one of its parents (it has at least `THING`).
+            // new node holds the answers to its definition read as a
+            // query. The free ones already sit below it, where it holds
+            // them without a new `msc`, and no rule names it yet: only the
+            // candidates a retrieval would test are re-planned.
             if placed.equivalent.is_none() {
-                let mut parents =
-                    (kb.taxonomy.node(node).parents.iter()).map(|&p| kb.instances_of_node(p));
-                let mut candidates = parents.next().unwrap_or_default();
-                for instances in parents {
-                    candidates.retain(|id| instances.contains(id));
-                }
-                journal.work.extend(candidates);
+                let (_, tested) = kb.candidates(&kb.taxonomy.node(node).nf, &placed);
+                journal.work.extend(tested);
             }
             Ok(cname)
         });
@@ -1222,14 +1219,6 @@ impl Kb {
 
     // ---- extensions -----------------------------------------------------------
 
-    /// All individuals recognized as instances of a taxonomy node (its
-    /// direct extension plus those of every descendant).
-    pub fn instances_of_node(&self, node: NodeId) -> BTreeSet<IndId> {
-        // Built in one go from the sorted ids, where inserting id by id
-        // would walk the tree once for each.
-        self.sorted_instances(&[node]).into_iter().collect()
-    }
-
     /// The instances of `nodes`, ascending and without duplicates
     /// (`BOTTOM` has none).
     ///
@@ -1426,7 +1415,9 @@ impl Kb {
             .taxonomy
             .node_of(name)
             .ok_or(ClassicError::UndefinedConcept(name))?;
-        Ok(self.instances_of_node(node))
+        // Built in one go from the sorted ids, where inserting id by id
+        // would walk the tree once for each.
+        Ok(self.sorted_instances(&[node]).into_iter().collect())
     }
 
     // ---- diagnostics ------------------------------------------------------------
@@ -1488,7 +1479,7 @@ impl Kb {
                 Ok((qualifying, _)) => qualifying,
                 Err(e) => return fail(format!("recognizing {:?} failed: {e}", ind.name)),
             };
-            if closure != qualifying {
+            if !closure.iter().eq(&qualifying) {
                 return fail(format!(
                     "instance set of {:?} is not the closure of its msc",
                     ind.name
@@ -1830,11 +1821,11 @@ mod tests {
         assert!(kb.extensions[busy_node.index()].contains(&id));
         assert!(!kb.extensions[person_node.index()].contains(&id));
         assert!(kb.is_instance_of(id, person).unwrap());
-        assert!(kb.instances_of_node(person_node).contains(&id));
+        assert!(kb.sorted_instances(&[person_node]).contains(&id));
     }
 
     #[test]
-    fn for_each_instance_covers_instances_of_node() {
+    fn for_each_instance_covers_sorted_instances() {
         let mut kb = kb_with_person();
         let person = kb.schema().symbols.find_concept("PERSON").unwrap();
         for i in 0..5 {
@@ -1843,11 +1834,11 @@ mod tests {
             kb.assert_ind(&name, &Concept::Name(person)).unwrap();
         }
         let node = kb.taxonomy().node_of(person).unwrap();
-        let set = kb.instances_of_node(node);
-        let mut visited = std::collections::BTreeSet::new();
-        kb.for_each_instance(node, |id| {
-            visited.insert(id);
-        });
+        let set = kb.sorted_instances(&[node]);
+        let mut visited = Vec::new();
+        kb.for_each_instance(node, |id| visited.push(id));
+        visited.sort();
+        visited.dedup();
         assert_eq!(set, visited);
         assert!(kb.extension_size_bound(node) >= set.len());
     }

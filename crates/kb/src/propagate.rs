@@ -33,8 +33,8 @@
 //!
 //! The worklist belongs to a transaction. Every write operator —
 //! `create-ind`, `assert-ind`, `what-if`, `retract-ind`, `define-concept`
-//! (its roots: the individuals recognized under every parent of the new
-//! node), `assert-rule` (the antecedent's instances), `retract-rule`
+//! (its roots: the candidates `Kb::candidates` tests for the new node's
+//! form), `assert-rule` (the antecedent's instances), `retract-rule`
 //! (the reset cone), a bulk chunk, a bulk row — stages its roots in
 //! `Kb::transact`, which alone calls [`Propagation::run`] and alone
 //! commits or rolls back; recognition is installed nowhere else, but
@@ -53,7 +53,6 @@ use classic_core::subsume::subsumes;
 use classic_core::symbol::RoleId;
 use classic_core::taxonomy::NodeId;
 use classic_core::VecSet;
-use std::collections::{BTreeSet, VecDeque};
 
 /// How a `SAME-AS` path resolves against the current state.
 pub(crate) enum PathResolution {
@@ -409,65 +408,20 @@ impl Kb {
         ind.msc = msc;
     }
 
-    /// Pruned top-down recognition sweep: a node's children are only
-    /// examined when the node itself is satisfied (instance checking is
-    /// monotone along subsumption, so nothing below a failed node can
-    /// succeed).
+    /// Recognition (§5): the taxonomy's one top-down walk
+    /// ([`Taxonomy::walk_down`](classic_core::taxonomy::Taxonomy::walk_down)),
+    /// testing each node it reaches with [`Kb::known_instance`]. Returns
+    /// the nodes `id` is recognized under, `THING` included, ascending,
+    /// and the most specific of them.
     ///
     /// Read-only (`&self`) by construction: it runs in the planning half
     /// of the step.
-    pub(crate) fn compute_recognition(&self, id: IndId) -> (BTreeSet<NodeId>, VecSet<NodeId>) {
-        let mut qualifying: BTreeSet<NodeId> = BTreeSet::new();
-        let mut failed: BTreeSet<NodeId> = BTreeSet::new();
-        let mut msc: Vec<NodeId> = Vec::new();
-        let mut queue: VecDeque<NodeId> = VecDeque::from([NodeId::TOP]);
-        qualifying.insert(NodeId::TOP);
-        let mut visited: BTreeSet<NodeId> = BTreeSet::new();
-        while let Some(n) = queue.pop_front() {
-            if !visited.insert(n) {
-                continue;
-            }
-            let mut any_child = false;
-            let children: Vec<NodeId> = self.taxonomy.node(n).children.iter().copied().collect();
-            for c in children {
-                if c == NodeId::BOTTOM {
-                    continue;
-                }
-                let ok = if qualifying.contains(&c) {
-                    true
-                } else if failed.contains(&c) {
-                    false
-                } else {
-                    self.stats.instance_tests.bump();
-                    let ok = self.known_instance(id, &self.taxonomy.node(c).nf);
-                    if ok {
-                        qualifying.insert(c);
-                    } else {
-                        failed.insert(c);
-                    }
-                    ok
-                };
-                if ok {
-                    any_child = true;
-                    queue.push_back(c);
-                }
-            }
-            if !any_child {
-                msc.push(n);
-            }
-        }
-        // Frontier minimality across multiple paths.
-        let msc: VecSet<NodeId> = msc
-            .into_iter()
-            .filter(|&n| {
-                !self
-                    .taxonomy
-                    .strict_descendants(n)
-                    .iter()
-                    .any(|d| qualifying.contains(d))
-            })
-            .collect();
-        (qualifying, msc)
+    pub(crate) fn compute_recognition(&self, id: IndId) -> (Vec<NodeId>, VecSet<NodeId>) {
+        let (qualifying, msc) = self.taxonomy.walk_down(|nf| {
+            self.stats.instance_tests.bump();
+            self.known_instance(id, nf)
+        });
+        (qualifying, msc.into_iter().collect())
     }
 
     // ---- instance checking ------------------------------------------------

@@ -466,3 +466,71 @@ fn wide_cascades_are_deterministic_across_repeats() {
         );
     }
 }
+
+// ---- a definition after the data: its roots are its candidates ----------
+
+/// Roles and the primitives `A` and `B`, then — when `define_first` —
+/// the definitions [`define_late`] makes, then 2 000 hosts: host `h{i}`
+/// fills `r` with `y{i mod 50}`, is an `A` when `i` is even and a `B`
+/// when `i` is a multiple of 5.
+fn hosts_of_fifty(define_first: bool) -> Kb {
+    let mut kb = Kb::new();
+    let r = kb.define_role("r").unwrap();
+    for p in ["a", "b"] {
+        let prim = Concept::primitive(Concept::thing(), p);
+        kb.define_concept(&p.to_uppercase(), prim).unwrap();
+    }
+    if define_first {
+        define_late(&mut kb);
+    }
+    let [a, b] = ["A", "B"].map(|c| Concept::Name(kb.schema().symbols.find_concept(c).unwrap()));
+    for i in 0..2_000 {
+        let host = format!("h{i}");
+        kb.create_ind(&host).unwrap();
+        let y = IndRef::Classic(kb.schema_mut().symbols.individual(&format!("y{}", i % 50)));
+        let mut told = vec![Concept::Fills(r, vec![y])];
+        told.extend((i % 2 == 0).then(|| a.clone()));
+        told.extend((i % 5 == 0).then(|| b.clone()));
+        kb.assert_ind(&host, &Concept::and(told)).unwrap();
+    }
+    kb
+}
+
+/// `HOSTS-Y7 = (FILLS r y7)` under `THING`, and `A-AND-B = (AND A B)`
+/// under both primitives; returns the propagation steps each took.
+fn define_late(kb: &mut Kb) -> [u64; 2] {
+    let r = kb.schema().symbols.find_role("r").unwrap();
+    let y7 = IndRef::Classic(kb.schema_mut().symbols.individual("y7"));
+    let [a, b] = ["A", "B"].map(|c| Concept::Name(kb.schema().symbols.find_concept(c).unwrap()));
+    let defs = [
+        ("HOSTS-Y7", Concept::Fills(r, vec![y7])),
+        ("A-AND-B", Concept::and([a, b])),
+    ];
+    defs.map(|(name, def)| {
+        let before = kb.stats.propagation_steps.get();
+        kb.define_concept(name, def).unwrap();
+        kb.stats.propagation_steps.get() - before
+    })
+}
+
+#[test]
+fn a_definition_after_the_data_re_plans_its_tested_candidates() {
+    let mut late = hosts_of_fifty(false);
+    assert_eq!(late.ind_count(), 2_050);
+    // `y7`'s 40 hosts, not the 2 050 instances of `THING`; then `B`'s 400
+    // instances, the smaller parent extension (`A` has 1 000), where the
+    // parents' intersection was 200.
+    assert_eq!(define_late(&mut late), [40, 400]);
+    late.check_invariants().unwrap();
+    let early = hosts_of_fifty(true);
+    for (concept, size) in [("HOSTS-Y7", 40), ("A-AND-B", 200)] {
+        let names = |kb: &Kb| -> Vec<String> {
+            let c = kb.schema().symbols.find_concept(concept).unwrap();
+            let ids = kb.instances_of(c).unwrap();
+            let name = |id: &IndId| kb.schema().symbols.individual_name(kb.ind(*id).name);
+            ids.iter().map(|id| name(id).to_owned()).collect()
+        };
+        assert_eq!(names(&late).len(), size, "{concept}");
+        assert_eq!(names(&late), names(&early), "{concept}");
+    }
+}

@@ -203,6 +203,15 @@ fn memberships(kb: &Kb, id: IndId) -> BTreeSet<NodeId> {
         .collect()
 }
 
+/// A node's instances, read through the extension index.
+fn instances(kb: &Kb, node: NodeId) -> BTreeSet<IndId> {
+    let mut ids = BTreeSet::new();
+    kb.for_each_instance(node, |id| {
+        ids.insert(id);
+    });
+    ids
+}
+
 /// A complete, comparable fingerprint of database state.
 fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
     kb.ind_ids()
@@ -281,16 +290,33 @@ proptest! {
         for id in kb.ind_ids() {
             for node in memberships(&kb, id) {
                 prop_assert!(
-                    kb.instances_of_node(node).contains(&id),
+                    instances(&kb, node).contains(&id),
                     "extension index missing {id:?} at node {node:?}"
                 );
             }
         }
         for node in kb.taxonomy().interior_nodes() {
-            for id in kb.instances_of_node(node) {
+            for id in instances(&kb, node) {
                 prop_assert!(
                     memberships(&kb, id).contains(&node),
                     "extension index has phantom {id:?} at node {node:?}"
+                );
+            }
+        }
+        // Recognition agrees with a scan that walks nothing: membership
+        // at every node is `known_instance` against that node's form
+        // (recognition's `classify_brute`, where `check_invariants`
+        // recomputes it with the walk it checks).
+        for id in kb.ind_ids() {
+            let members = memberships(&kb, id);
+            for node in kb.taxonomy().interior_nodes() {
+                let scanned = kb.known_instance(id, &kb.taxonomy().node(node).nf);
+                prop_assert_eq!(
+                    members.contains(&node),
+                    scanned,
+                    "recognition of {:?} at node {:?} disagrees with the scan",
+                    id,
+                    node
                 );
             }
         }

@@ -93,6 +93,22 @@ impl Command {
             _ => return Ok(None),
         }))
     }
+
+    /// What [`Write::touches`] says of this command's write, read before
+    /// its names are resolved: a store hydrates it first, so that
+    /// replaying a segment never runs between resolving a write's names
+    /// and applying the write.
+    pub fn touches(&self) -> Touches<'_> {
+        match self {
+            Command::AssertInd(name, _) => Touches::Individual(name),
+            Command::AssertRule(..)
+            | Command::RetractInd(..)
+            | Command::RetractRule(..)
+            | Command::RetractRuleById(_)
+            | Command::BulkLoad(_) => Touches::Everything,
+            _ => Touches::Nothing,
+        }
+    }
 }
 
 impl BulkSpec {
@@ -330,6 +346,18 @@ mod tests {
             cmd = next(&c);
         }
         assert_eq!((seen, writes), (34, 10));
+    }
+
+    #[test]
+    fn a_command_touches_what_its_write_touches() {
+        let mut schema = Schema::new();
+        let mut cmd = Some(Command::DefineRole("N".into()));
+        while let Some(c) = cmd {
+            let write = c.to_write(&mut schema).unwrap();
+            let touches = write.as_ref().map_or(Touches::Nothing, Write::touches);
+            assert_eq!(c.touches(), touches, "{c:?}");
+            cmd = next(&c);
+        }
     }
 
     #[test]

@@ -828,6 +828,12 @@ impl DurableKb {
     fn commit(&mut self, write: Write<'_>) -> Result<Outcome> {
         self.reap_before_write()?;
         self.hydrate(write.touches())?;
+        self.commit_hydrated(write)
+    }
+
+    /// [`Self::commit`] once compaction is reaped and what the write
+    /// touches is in memory.
+    fn commit_hydrated(&mut self, write: Write<'_>) -> Result<Outcome> {
         let line = write.record(&self.kb)?;
         let outcome = write.apply(&mut self.kb)?;
         let line = match (&outcome, write) {
@@ -949,13 +955,17 @@ impl DurableKb {
     /// against the hydrated KB. This is the server's single entry point
     /// per request, and no write can reach the KB around the log.
     pub fn eval_durable(&mut self, cmd: &Command) -> Result<Outcome> {
-        match cmd.to_write(self.kb.schema_for_write())? {
-            Some(write) => self.commit(write),
-            None => {
-                self.hydrate_all()?;
-                classic_lang::eval(&mut self.kb, cmd)
-            }
+        if !cmd.is_mutation() {
+            self.hydrate_all()?;
+            return classic_lang::eval(&mut self.kb, cmd);
         }
+        // Hydrated before its names are resolved: a segment replays in
+        // transactions of its own, and the first would take the mark
+        // with which a refused write forgets the names it interned.
+        self.reap_before_write()?;
+        self.hydrate(cmd.touches())?;
+        let write = cmd.to_write(self.kb.schema_for_write())?;
+        self.commit_hydrated(write.expect("a mutation resolves to a write"))
     }
 
     // ---- bulk ingest -------------------------------------------------------

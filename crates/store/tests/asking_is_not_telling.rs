@@ -169,3 +169,44 @@ fn a_read_introduces_no_names() {
     assert_eq!(counts(&store), before);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_refused_write_that_hydrates_a_segment_forgets_its_names() {
+    let dir = tmpdir("paged-names");
+    let path = dir.join("kb.log");
+    let mut store = DurableKb::open(&path, |_| {}).unwrap();
+    store.set_segment_budget(2);
+    run(&mut store, "(define-role r)").unwrap();
+    run(
+        &mut store,
+        "(define-concept PERSON (PRIMITIVE THING person))",
+    )
+    .unwrap();
+    for name in ["x", "u", "v", "w"] {
+        run(&mut store, &format!("(create-ind {name})")).unwrap();
+        run(&mut store, &format!("(assert-ind {name} PERSON)")).unwrap();
+    }
+    store.compact().unwrap();
+    drop(store);
+    let names = |store: &mut DurableKb| {
+        let symbols = &store.kb_hydrated().unwrap().schema().symbols;
+        (
+            symbols.individual_count(),
+            symbols.find_individual("fresh-1"),
+        )
+    };
+    let before = names(&mut DurableKb::open_paged(&path, |_| {}).unwrap());
+
+    let mut paged = DurableKb::open_paged(&path, |_| {}).unwrap();
+    let parked = paged.pending_segments();
+    let logged = std::fs::read(&path).unwrap();
+    // Replaying x's segment runs transactions of its own before this
+    // write's: the write's names must still go with its refusal.
+    let refused = parse_one("(assert-ind x (AND (FILLS r fresh-1) (AT-MOST 0 r)))").unwrap();
+    assert!(paged.eval_durable(&refused).is_err());
+    assert_eq!(paged.pending_segments(), parked - 1, "x's segment hydrated");
+    assert_eq!(std::fs::read(&path).unwrap(), logged);
+    assert_eq!(names(&mut paged), before);
+    assert_eq!(before.1, None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
