@@ -11,12 +11,15 @@
 //!   `(len, retired-flags)` signature recomputes the rule tier *and*
 //!   marks every individual dirty (rule assertion/retraction re-derives
 //!   instances).
-//! * **individuals** — the expensive tier. A mutation's caller marks the
-//!   dirty cone ([`Kb::analysis_cone`] over the mutation seeds); refresh
-//!   fingerprints the cone, re-lints only the members whose committed
+//! * **individuals** — the expensive tier. Nobody reports a write: the
+//!   state keeps the `Kb` clone it last refreshed against (a copy of
+//!   pointers), and a refresh takes as its dirty cone what
+//!   [`Kb::changed_since`] finds by comparing the two versions' chunks.
+//!   It fingerprints the cone, re-lints only the members whose committed
 //!   state actually changed (plus any A009 *hosts* that consulted a
 //!   changed candidate), and maintains per-rule compatibility counts so
-//!   A012 re-renders in O(rules) without an ABox scan.
+//!   A012 re-renders in O(rules) without an ABox scan. A state that was
+//!   never refreshed holds no clone, so it pins no chunk.
 //!
 //! The full analyzer is the same machine primed from empty
 //! ([`crate::analyze`] constructs a fresh state and refreshes it), so
@@ -34,8 +37,14 @@ use std::hash::{Hash, Hasher};
 /// the E16 experiment.
 #[derive(Debug, Clone, Default)]
 pub struct Refresh {
-    /// Individuals in the marked dirty cone (before fingerprint pruning).
+    /// Individuals in the dirty cone (before fingerprint pruning): those
+    /// in a chunk that differs from the last refresh's, or every
+    /// individual at the first refresh, after a rule-base change or a
+    /// new definition.
     pub cone_size: usize,
+    /// Arena and dependency-record chunks that differ from the last
+    /// refresh's; 0 when the refresh did not compare versions.
+    pub chunks_differ: usize,
     /// Individuals actually re-linted (changed fingerprints plus consulted
     /// hosts).
     pub relinted: usize,
@@ -68,13 +77,20 @@ pub struct AnalysisState {
     /// individual → rule indices it is compatible with.
     compat: HashMap<IndId, BTreeSet<usize>>,
     seen_inds: usize,
-    dirty_inds: BTreeSet<IndId>,
+    /// The KB as it stood at the last refresh, shared chunk for chunk
+    /// with the live one.
+    last: Option<Kb>,
 }
 
 /// Committed-state fingerprint of one individual: everything the ABox
 /// checks read from it. `DefaultHasher` is keyed with fixed constants, so
 /// fingerprints are stable across calls within a process (they are never
 /// persisted).
+///
+/// Every input lives in the individual arena or the dependency records,
+/// the two tables [`Kb::changed_since`] compares: an individual whose
+/// fingerprint could move is always in the dirty cone. A new input must
+/// live there too, or the cone must learn to find it.
 fn fingerprint(kb: &Kb, id: IndId) -> u64 {
     let ind = kb.ind(id);
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -98,23 +114,13 @@ impl AnalysisState {
         AnalysisState::default()
     }
 
-    /// Mark the analysis cone of `seeds` dirty — call with the mutation's
-    /// seed individuals (the asserted/retracted individual) against the
-    /// KB state that still contains the relevant dependency edges (post-op
-    /// for assertions, pre-op for retractions).
-    pub fn mark_dirty(&mut self, kb: &Kb, seeds: &BTreeSet<IndId>) {
-        let cone = kb.analysis_cone(seeds);
-        // Attaches to the enclosing request span (if any), so slowlog
-        // entries for mutations can report how much they dirtied.
-        classic_obs::event("dirty_cone", cone.len() as u64);
-        self.dirty_inds.extend(cone);
-    }
-
     /// Bring every cache up to date with `kb`, re-checking only dirty
-    /// entities, and report what was done. New concepts, rule-base
-    /// changes, and new individuals are detected without marking; told
-    /// assert/retract cones must have been marked via
-    /// [`Self::mark_dirty`].
+    /// entities, and report what was done. Nothing needs marking: new
+    /// concepts and rule-base changes are seen in the TBox, and changed
+    /// individuals by comparing `kb` with the version the last refresh
+    /// saw, which must be an ancestor or descendant of `kb` by clone for
+    /// the comparison to be cheap (any other `Kb` differs in every chunk,
+    /// and is re-fingerprinted whole).
     pub fn refresh(&mut self, kb: &Kb) -> Refresh {
         let registry = kb.metrics().clone();
         let recorder = kb.flight_recorder().clone();
@@ -167,19 +173,16 @@ impl AnalysisState {
         // concepts re-fingerprint the whole ABox like a rule-base change;
         // Phase A prunes the members that did not actually move.
         let ind_count = kb.ind_count();
-        let all_inds = rules_dirty || new_concepts;
-        let mut marked: BTreeSet<IndId> = if all_inds {
-            self.dirty_inds.clear();
-            kb.ind_ids().collect()
-        } else {
-            std::mem::take(&mut self.dirty_inds)
+        let (marked, chunks_differ) = match &self.last {
+            Some(last) if !rules_dirty && !new_concepts => kb.changed_since(last),
+            _ => (kb.ind_ids().collect(), 0),
         };
-        for ix in self.seen_inds..ind_count {
-            marked.insert(IndId::from_index(ix));
-        }
-        marked.retain(|id| id.index() < ind_count);
         self.seen_inds = ind_count;
         let cone_size = marked.len();
+        // Attaches to the enclosing request span (if any), so slowlog
+        // entries for lint-on-write writes and `(lint-kb)` report how
+        // much the refresh had to look at.
+        classic_obs::event("dirty_cone", cone_size as u64);
 
         // Phase A: fingerprint the cone; only genuinely-changed members
         // (and brand-new ones) proceed.
@@ -243,7 +246,7 @@ impl AnalysisState {
         // just the compatibility half for the pruned members.
         if rules_dirty {
             for &id in &marked {
-                if id.index() >= ind_count || recheck.contains(&id) {
+                if recheck.contains(&id) {
                     continue;
                 }
                 let new_compat = abox::compat_rules(kb, id, &self.rule_infos);
@@ -275,8 +278,10 @@ impl AnalysisState {
 
         crate::sort_diagnostics(&mut cone_out);
         self.record_metrics(&registry, cone_size, &cone_out);
+        self.last = Some(kb.clone());
         Refresh {
             cone_size,
+            chunks_differ,
             relinted,
             cone: cone_out,
         }

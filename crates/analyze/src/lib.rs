@@ -23,8 +23,9 @@
 //! derived fillers.
 //!
 //! Analysis is **incremental**: [`AnalysisState`] keeps per-entity
-//! diagnostic caches and re-lints only the dirty cone of each mutation
-//! ([`classic_kb::Kb::analysis_cone`]); [`analyze`] is the same machine
+//! diagnostic caches and re-lints only what changed since its last
+//! refresh, found by comparing the two KB versions
+//! ([`classic_kb::Kb::changed_since`]); [`analyze`] is the same machine
 //! primed from empty, which is what keeps the two in exact agreement.
 //!
 //! Diagnostics are structured ([`Diagnostic`]) and surfaced four ways:

@@ -7,7 +7,6 @@
 use classic_analyze::{analyze, AnalysisState, Code, Severity};
 use classic_core::desc::{Concept, IndRef};
 use classic_kb::Kb;
-use std::collections::BTreeSet;
 
 fn base_kb() -> Kb {
     let mut kb = Kb::new();
@@ -279,8 +278,6 @@ fn incremental_refresh_tracks_mutations() {
     // New individual with an orphan finding.
     kb.create_ind("x").unwrap();
     kb.assert_ind("x", &Concept::AtLeast(1, r)).unwrap();
-    let id = kb.ind_ids().last().unwrap();
-    state.mark_dirty(&kb, &BTreeSet::from([id]));
     let refresh = state.refresh(&kb);
     assert!(refresh.relinted >= 1);
     assert!(refresh
@@ -291,7 +288,6 @@ fn incremental_refresh_tracks_mutations() {
 
     // Clearing the orphan through another assert re-lints the cone only.
     kb.assert_ind("x", &named(&kb, "PERSON")).unwrap();
-    state.mark_dirty(&kb, &BTreeSet::from([id]));
     state.refresh(&kb);
     let incr = state.report(&kb);
     assert!(!incr
@@ -299,4 +295,79 @@ fn incremental_refresh_tracks_mutations() {
         .iter()
         .any(|d| d.code == Code::OrphanIndividual));
     assert_eq!(incr, analyze(&kb.clone()));
+}
+
+/// Nobody tells the state about a write: the next refresh finds it by
+/// comparing the KB with the version the previous refresh saw. An
+/// orphan (A013) among many individuals is cleared by an assertion made
+/// between two refreshes, and only the chunk it sits in is looked at.
+#[test]
+fn a_write_nobody_reported_is_linted_at_the_next_refresh() {
+    let mut kb = base_kb();
+    let r = kb.schema().symbols.find_role("r").unwrap();
+    for i in 0..500 {
+        kb.create_ind(&format!("p{i}")).unwrap();
+        kb.assert_ind(&format!("p{i}"), &named(&kb, "PERSON"))
+            .unwrap();
+    }
+    kb.create_ind("x").unwrap();
+    kb.assert_ind("x", &Concept::AtLeast(1, r)).unwrap();
+    let orphans = |report: &classic_analyze::Report| {
+        report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == Code::OrphanIndividual)
+            .count()
+    };
+    let mut state = AnalysisState::new();
+    state.refresh(&kb);
+    assert_eq!(orphans(&state.report(&kb)), 1);
+
+    kb.assert_ind("x", &named(&kb, "PERSON")).unwrap();
+    let refresh = state.refresh(&kb);
+    let report = state.report(&kb);
+    assert_eq!(orphans(&report), 0, "stale A013 served: {report:?}");
+    assert_eq!(report, analyze(&kb.clone()));
+    assert_eq!(refresh.relinted, 1);
+    assert!(
+        refresh.cone_size < kb.ind_count() / 4,
+        "the cone is the chunks the write landed in, not the KB: {}",
+        refresh.cone_size
+    );
+}
+
+/// A refresh records the size of its cone as a `dirty_cone` event on the
+/// request it runs under, which is where the slowlog's `dirty_cone`
+/// field reads it for a `(lint-kb)` or a write with lint-on-write on.
+#[test]
+fn a_refresh_records_its_cone_on_the_request_trace() {
+    let mut kb = base_kb();
+    let r = kb.schema().symbols.find_role("r").unwrap();
+    kb.create_ind("x").unwrap();
+    let mut state = AnalysisState::new();
+    state.refresh(&kb);
+    kb.assert_ind("x", &Concept::AtLeast(1, r)).unwrap();
+
+    let prev = classic_obs::set_level(classic_obs::ObsLevel::Full);
+    let ctx = classic_obs::RequestCtx {
+        trace_id: classic_obs::TraceId::parse("c0ffee").unwrap(),
+        tenant: "t".to_owned(),
+        session: 0,
+        kind: "lint-kb",
+    };
+    let request = classic_obs::request_span(kb.flight_recorder(), "server.request", ctx);
+    let refresh = state.refresh(&kb);
+    let trace = request.finish();
+    classic_obs::set_level(prev);
+
+    let trace = trace.expect("a sampled request captures its trace");
+    let cones: Vec<u64> = trace
+        .spans
+        .iter()
+        .flat_map(|s| s.events.iter())
+        .filter(|e| e.name == "dirty_cone")
+        .map(|e| e.value)
+        .collect();
+    assert!(refresh.cone_size >= 1);
+    assert_eq!(cones, [refresh.cone_size as u64]);
 }

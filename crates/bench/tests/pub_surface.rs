@@ -1,5 +1,6 @@
-//! `pub`-surface ratchet: the number of `pub` items in `classic-core` and
-//! `classic-kb` may fall, never rise. rustc's `dead_code` lint cannot see
+//! `pub`-surface ratchet: the number of `pub` items in `classic-core`,
+//! `classic-kb`, `classic-lang`, `classic-analyze` and `classic-store` may
+//! fall, never rise. rustc's `dead_code` lint cannot see
 //! a `pub` item, so an item nothing outside its crate calls stays `pub`
 //! until someone notices; this test makes adding one a visible decision.
 //! When a change removes items, lower the limit below to the new count.
@@ -35,7 +36,23 @@ use std::path::{Path, PathBuf};
 /// its own copy. `classic-kb` went 80 → 79 when `Kb::instances_of_node`
 /// was deleted: `instances_of` and `for_each_instance` list a node's
 /// instances.
-const LIMITS: [(&str, usize); 2] = [("crates/core/src", 192), ("crates/kb/src", 79)];
+///
+/// `classic-core` went 192 → 193 for `Chunked::diff_chunks`, the one walk
+/// over two versions' chunk spines; `classic-kb` stayed at 79 because
+/// `Kb::changed_since`, which the incremental analyzer reads it through,
+/// replaced `Kb::analysis_cone`. `classic-lang` entered at 57 (59 before
+/// `eval_monitored` and `eval_monitored_in` were deleted: the analyzer
+/// finds what a write changed by itself); `classic-analyze` at 24 (25
+/// before `AnalysisState::mark_dirty` went, for the same reason); and
+/// `classic-store` at 57 (58 before `DurableKb::set_auto_compact_after`
+/// went: nothing outside one unit test turned auto-compaction on).
+const LIMITS: [(&str, usize); 5] = [
+    ("crates/core/src", 193),
+    ("crates/kb/src", 79),
+    ("crates/lang/src", 57),
+    ("crates/analyze/src", 24),
+    ("crates/store/src", 57),
+];
 
 const KINDS: [&str; 8] = [
     "fn", "struct", "enum", "mod", "const", "trait", "type", "static",

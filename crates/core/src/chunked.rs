@@ -94,6 +94,32 @@ impl<T> Chunked<T> {
         let shared = pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count();
         (shared, self.chunks.len())
     }
+
+    /// Walk the chunks this table does not share with `old`, a version
+    /// it was cloned from or to: at each place where the two spines hold
+    /// different allocations, or only one holds a chunk, `f` gets the
+    /// index of the place's first entry and the entries each version
+    /// holds there (empty where it holds none). Returns how many places
+    /// differ.
+    ///
+    /// While `old` is alive a write to a chunk it shares copies the chunk
+    /// first, so the places skipped hold the same entries in both.
+    pub fn diff_chunks(&self, old: &Chunked<T>, mut f: impl FnMut(usize, &[T], &[T])) -> usize {
+        let places = self.chunks.len().max(old.chunks.len());
+        let mut differ = 0;
+        for at in 0..places {
+            let (mine, theirs) = (self.chunks.get(at), old.chunks.get(at));
+            if let (Some(a), Some(b)) = (mine, theirs) {
+                if Arc::ptr_eq(a, b) {
+                    continue;
+                }
+            }
+            differ += 1;
+            let mine = mine.map_or(&[][..], |c| c.as_slice());
+            f(at * Self::CHUNK, mine, theirs.map_or(&[], |c| c.as_slice()));
+        }
+        differ
+    }
 }
 
 impl<T: Clone> Chunked<T> {
@@ -336,6 +362,38 @@ mod tests {
         let before = Arc::as_ptr(&table.chunks[2]);
         table[2 * CHUNK] = 0;
         assert_eq!(Arc::as_ptr(&table.chunks[2]), before);
+    }
+
+    #[test]
+    fn a_diff_visits_the_chunks_written_since_the_clone_and_only_those() {
+        let mut table: Chunked<usize> = Chunked::default();
+        for i in 0..4 * CHUNK {
+            table.push(i);
+        }
+        let old = table.clone();
+        // The places visited, as (first index, entries here, entries
+        // there), and how many the walk said differ.
+        let diff = |new: &Chunked<usize>, old: &Chunked<usize>| {
+            let mut seen = Vec::new();
+            let differ = new.diff_chunks(old, |at, mine, theirs| {
+                seen.push((at, mine.len(), theirs.len()));
+            });
+            assert_eq!(differ, seen.len());
+            seen
+        };
+        assert_eq!(diff(&table, &old), []);
+        table[CHUNK + 1] = 0;
+        table.push(0);
+        assert_eq!(
+            diff(&table, &old),
+            [(CHUNK, CHUNK, CHUNK), (4 * CHUNK, 1, 0)]
+        );
+        // Seen from the other side, a chunk only the newer version holds
+        // has no entries in the older one.
+        assert_eq!(
+            diff(&old, &table),
+            [(CHUNK, CHUNK, CHUNK), (4 * CHUNK, 0, 1)]
+        );
     }
 
     thread_local! {

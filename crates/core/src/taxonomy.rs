@@ -623,20 +623,17 @@ impl Taxonomy {
             .collect()
     }
 
-    /// All nodes strictly below `id` (descendants, excluding `id`).
-    /// Served from the closure bitset index in `O(words + |result|)`.
-    pub fn strict_descendants(&self, id: NodeId) -> BTreeSet<NodeId> {
-        iter_bits(self.graph.closure.desc_row(id.index()))
-            .map(|i| NodeId(i as u32))
-            .collect()
+    /// All nodes strictly below `id` (descendants, excluding `id`),
+    /// ascending: the bits of its closure row, read in place in
+    /// `O(words + |result|)`.
+    pub fn strict_descendants(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        iter_bits(self.graph.closure.desc_row(id.index())).map(|i| NodeId(i as u32))
     }
 
-    /// All nodes strictly above `id` (ancestors, excluding `id`).
-    /// Served from the closure bitset index in `O(words + |result|)`.
-    pub fn strict_ancestors(&self, id: NodeId) -> BTreeSet<NodeId> {
-        iter_bits(self.graph.closure.anc_row(id.index()))
-            .map(|i| NodeId(i as u32))
-            .collect()
+    /// All nodes strictly above `id` (ancestors, excluding `id`),
+    /// ascending, read in place like [`Self::strict_descendants`].
+    pub fn strict_ancestors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        iter_bits(self.graph.closure.anc_row(id.index())).map(|i| NodeId(i as u32))
     }
 
     /// Is `anc` strictly above `id`? `O(1)` closure probe.
@@ -775,14 +772,7 @@ mod tests {
         assert_eq!(f.taxo.len(), 2);
         assert!(f.taxo.node(NodeId::TOP).children.contains(&NodeId::BOTTOM));
         assert!(f.taxo.node(NodeId::BOTTOM).parents.contains(&NodeId::TOP));
-        assert!(f
-            .taxo
-            .strict_descendants(NodeId::TOP)
-            .contains(&NodeId::BOTTOM));
-        assert!(f
-            .taxo
-            .strict_ancestors(NodeId::BOTTOM)
-            .contains(&NodeId::TOP));
+        assert!(f.taxo.is_strict_ancestor(NodeId::TOP, NodeId::BOTTOM));
     }
 
     #[test]
@@ -929,11 +919,11 @@ mod tests {
         let car = define(&mut f, "CAR", Concept::primitive(Concept::thing(), "car"));
         let c = named(&mut f, "CAR");
         let sports = define(&mut f, "SPORTS-CAR", Concept::primitive(c, "sc"));
-        let anc = f.taxo.strict_ancestors(sports);
+        let anc: BTreeSet<_> = f.taxo.strict_ancestors(sports).collect();
         assert!(anc.contains(&car));
         assert!(anc.contains(&NodeId::TOP));
         assert!(!anc.contains(&sports));
-        let desc = f.taxo.strict_descendants(car);
+        let desc: BTreeSet<_> = f.taxo.strict_descendants(car).collect();
         assert!(desc.contains(&sports));
         assert!(desc.contains(&NodeId::BOTTOM));
         assert!(f.taxo.is_strict_ancestor(car, sports));
@@ -966,12 +956,12 @@ mod tests {
         for i in 0..f.taxo.len() {
             let id = NodeId(i as u32);
             assert_eq!(
-                f.taxo.strict_descendants(id),
+                f.taxo.strict_descendants(id).collect::<BTreeSet<_>>(),
                 f.taxo.reachable_walk(id, false),
                 "desc rows diverge at node {i}"
             );
             assert_eq!(
-                f.taxo.strict_ancestors(id),
+                f.taxo.strict_ancestors(id).collect::<BTreeSet<_>>(),
                 f.taxo.reachable_walk(id, true),
                 "anc rows diverge at node {i}"
             );
@@ -1004,7 +994,8 @@ mod tests {
             .map(|i| {
                 let id = NodeId(i as u32);
                 let n = t.node(id);
-                let (up, down) = (t.strict_ancestors(id), t.strict_descendants(id));
+                let up: Vec<_> = t.strict_ancestors(id).collect();
+                let down: Vec<_> = t.strict_descendants(id).collect();
                 format!(
                     "{:?} {:?} {:?} {up:?} {down:?}",
                     n.names, n.parents, n.children

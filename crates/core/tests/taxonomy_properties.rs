@@ -10,6 +10,7 @@ use classic_core::subsume::subsumes;
 use classic_core::symbol::RoleId;
 use classic_core::taxonomy::{NodeId, Taxonomy};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const N_ROLES: usize = 3;
 
@@ -153,7 +154,7 @@ proptest! {
         let (_, taxo, _) = build(&recipes);
         let nodes: Vec<NodeId> = taxo.interior_nodes().collect();
         for &a in &nodes {
-            let descendants = taxo.strict_descendants(a);
+            let descendants: BTreeSet<_> = taxo.strict_descendants(a).collect();
             for &b in &nodes {
                 if a == b {
                     continue;

@@ -141,8 +141,7 @@ impl DependencyJournal {
     /// Always includes the seeds themselves.
     ///
     /// Walks the maintained source→targets index, so the cost is
-    /// O(edges inside the closure), not O(journal) — this is what keeps
-    /// incremental re-analysis proportional to the dirty cone.
+    /// O(edges inside the closure), not O(journal).
     pub fn affected_from(&self, seeds: &BTreeSet<IndId>) -> BTreeSet<IndId> {
         let mut closed: BTreeSet<IndId> = seeds.clone();
         let mut work: VecDeque<IndId> = seeds.iter().copied().collect();
@@ -164,6 +163,24 @@ impl DependencyJournal {
             self.records.sharing_with(&other.records),
             self.by_source.sharing_with(&other.by_source),
         ]
+    }
+
+    /// Call `changed` with the index of every target whose records differ
+    /// from `old`'s, a version cloned from or to this one, comparing the
+    /// record chunks the two do not share; returns how many differ.
+    pub(crate) fn diff_records(
+        &self,
+        old: &DependencyJournal,
+        mut changed: impl FnMut(usize),
+    ) -> usize {
+        let none = BTreeSet::new();
+        self.records.diff_chunks(&old.records, |at, mine, theirs| {
+            for j in 0..mine.len().max(theirs.len()) {
+                if mine.get(j).unwrap_or(&none) != theirs.get(j).unwrap_or(&none) {
+                    changed(at + j);
+                }
+            }
+        })
     }
 
     /// Remove and return every record whose *target* is in `set` (those

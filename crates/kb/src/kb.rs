@@ -1074,15 +1074,26 @@ impl Kb {
         cone
     }
 
-    /// The *analysis cone* of a set of seed individuals: everyone whose
-    /// derived state (and therefore whose ABox diagnostics) may differ
-    /// after a mutation touching the seeds. This is the same region
-    /// retraction re-derivation walks — the forward
-    /// dependency closure plus its transitive reverse-filler hosts —
-    /// computed read-only for the incremental analyzer. Cost is
-    /// proportional to the cone, not the KB.
-    pub fn analysis_cone(&self, seeds: &BTreeSet<IndId>) -> BTreeSet<IndId> {
-        self.with_hosts(self.deps.affected_from(seeds))
+    /// The individuals of this KB whose state may differ from `old`'s, a
+    /// version cloned from or to it, and how many chunks differ: those in
+    /// an arena chunk `old` does not share, and those whose dependency
+    /// records differ. A superset of the individuals that changed (a
+    /// chunk holds several), found in one walk of the two tables' spines
+    /// and the record chunks that differ: it costs what was written since
+    /// `old`, not the KB.
+    pub fn changed_since(&self, old: &Kb) -> (BTreeSet<IndId>, usize) {
+        let count = self.ind_count();
+        let mut changed = BTreeSet::new();
+        let mut mark = |ix: usize| {
+            if ix < count {
+                changed.insert(IndId::from_index(ix));
+            }
+        };
+        let mut differ = self.inds.diff_chunks(&old.inds, |at, mine, _| {
+            (at..at + mine.len()).for_each(&mut mark)
+        });
+        differ += self.deps.diff_records(&old.deps, &mut mark);
+        (changed, differ)
     }
 
     // ---- rules --------------------------------------------------------------
@@ -1463,7 +1474,7 @@ impl Kb {
                 }
                 // msc is an antichain: no msc member strictly above another.
                 for &other in &ind.msc {
-                    if other != node && self.taxonomy.strict_ancestors(other).contains(&node) {
+                    if other != node && self.taxonomy.is_strict_ancestor(node, other) {
                         return fail(format!("msc of {:?} is not an antichain", ind.name));
                     }
                 }

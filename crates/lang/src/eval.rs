@@ -4,9 +4,7 @@
 //! against its schema, the operator runs, and the result comes back as an
 //! [`Outcome`]. The ten operators that write are resolved, and applied,
 //! by [`crate::Write`]; `what-if` is tried and rolled back; the rest only
-//! ask, and [`eval_read`] answers them from a `&Kb`. [`eval_monitored`]
-//! additionally keeps an incremental analysis state in step with the
-//! writes.
+//! ask, and [`eval_read`] answers them from a `&Kb`.
 
 use crate::command::Command;
 use crate::outcome::{AspectValue, LintReport, Outcome};
@@ -383,103 +381,21 @@ fn read(kb: &Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Outc
         }
         Command::LintKb { .. } => {
             // One-shot evaluation holds no analysis state, so the full
-            // report and the first cone coincide; `eval_monitored` (and
-            // the server's per-tenant state) serve true cone deltas.
+            // report and the first cone coincide; a kept
+            // `classic_analyze::AnalysisState` (the server keeps one per
+            // tenant) serves true cone deltas.
             let report = classic_analyze::analyze(kb);
             Ok(Outcome::Lint(LintReport::from(&report)))
         }
     }
 }
 
-/// Evaluate `cmd` while maintaining an incremental
-/// [`classic_analyze::AnalysisState`] alongside the KB:
-///
-/// * `retract-ind` marks its analysis cone **before** evaluation (the
-///   retraction removes the very dependency edges that define the cone);
-/// * `assert-ind` and `bulk-load` mark their targets' cones **after**
-///   evaluation (so fresh edges and propagation targets are inside them);
-/// * concept/rule changes and brand-new individuals are detected by the
-///   state itself on the next refresh;
-/// * `(lint-kb)` is answered from the state — refreshed in O(cone), full
-///   report assembled from the caches; `(lint-kb cone)` returns only the
-///   diagnostics the refresh re-derived, with `inds_checked` reporting
-///   how many individuals were actually re-linted.
-pub fn eval_monitored(
-    kb: &mut Kb,
-    cmd: &Command,
-    state: &mut classic_analyze::AnalysisState,
-) -> Result<Outcome> {
-    fn itself(kb: &Kb) -> Result<&Kb> {
-        Ok(kb)
-    }
-    eval_monitored_in(kb, cmd, state, itself, eval)
-}
-
-/// [`eval_monitored`] for a KB that lives inside a `host` which has to do
-/// the evaluating itself — the server's durable store, whose writes go
-/// through its log: `kb_of` views the KB in the host, `eval_in` evaluates
-/// a command against the host. The marking discipline is the same one,
-/// because it is this one.
-pub fn eval_monitored_in<H>(
-    host: &mut H,
-    cmd: &Command,
-    state: &mut classic_analyze::AnalysisState,
-    kb_of: impl Fn(&H) -> Result<&Kb>,
-    eval_in: impl FnOnce(&mut H, &Command) -> Result<Outcome>,
-) -> Result<Outcome> {
-    if let Command::LintKb { cone } = cmd {
-        let kb = kb_of(host)?;
-        let refresh = state.refresh(kb);
-        return Ok(Outcome::Lint(if *cone {
-            LintReport::from_refresh(&refresh)
-        } else {
-            LintReport::from(&state.report(kb))
-        }));
-    }
-    if let Command::RetractInd(name, _) = cmd {
-        mark_individual_dirty(kb_of(host)?, state, name);
-    }
-    let out = eval_in(host, cmd)?;
-    match cmd {
-        Command::AssertInd(name, _) => mark_individual_dirty(kb_of(host)?, state, name),
-        // Every row target, as one cone (brand-new individuals are
-        // detected by the state itself, but rows may extend pre-existing
-        // ones).
-        Command::BulkLoad(spec) => mark_dirty(
-            kb_of(host)?,
-            state,
-            spec.rows.iter().map(|row| row.name.as_str()),
-        ),
-        _ => {}
-    }
-    Ok(out)
-}
-
-/// Mark the named individual's analysis cone dirty in `state`, if the
-/// individual exists. Call *before* a retraction (the retraction removes
-/// the dependency edges the cone is computed from) and *after* an
-/// assertion (so fresh edges and propagation targets are inside it) —
-/// [`eval_monitored`] and [`eval_monitored_in`] do both; this is the
-/// single step, for callers that time or drive it themselves.
-pub fn mark_individual_dirty(kb: &Kb, state: &mut classic_analyze::AnalysisState, name: &str) {
-    mark_dirty(kb, state, [name]);
-}
-
-/// Mark the joint analysis cone of those of `names` that exist.
-fn mark_dirty<'n>(
-    kb: &Kb,
-    state: &mut classic_analyze::AnalysisState,
-    names: impl IntoIterator<Item = &'n str>,
-) {
-    let symbols = &kb.schema().symbols;
-    let seeds: std::collections::BTreeSet<_> = names
-        .into_iter()
-        .filter_map(|name| kb.ind_id(symbols.find_individual(name)?).ok())
-        .collect();
-    if !seeds.is_empty() {
-        state.mark_dirty(kb, &seeds);
-    }
-}
+/// Does nothing. An [`classic_analyze::AnalysisState`] finds the
+/// individuals a write changed by comparing KB versions at its next
+/// refresh, so no write is reported to it. Kept, with its signature, only
+/// because the benchmark (`benchmark/src/trace.rs`) still times a call to
+/// it.
+pub fn mark_individual_dirty(_kb: &Kb, _state: &mut classic_analyze::AnalysisState, _name: &str) {}
 
 fn no_traces_hint() -> String {
     format!(

@@ -52,9 +52,7 @@ mod write;
 
 pub use ast::{Expr, IndLit, QueryExpr};
 pub use command::{BulkRowSpec, BulkSpec, Command};
-pub use eval::{
-    eval, eval_monitored, eval_monitored_in, eval_read, mark_individual_dirty, run_script,
-};
+pub use eval::{eval, eval_read, mark_individual_dirty, run_script};
 pub use outcome::{AspectValue, LintDiagnostic, LintReport, Outcome};
 pub use parser::{
     parse, parse_concept, parse_expr, parse_one, parse_query, parse_query_expr, MAX_NESTING,

@@ -5,20 +5,23 @@
 //! from-scratch [`classic_analyze::analyze`] reports on the same KB —
 //! same codes, same spans, same provenance, same order.
 //!
-//! Operations are driven through [`classic_lang::eval_monitored`], the
-//! same entry point `classic-server` uses, so the marking discipline
-//! (retract cones pre-op, assert cones post-op, everything else
-//! auto-detected) is what's actually under test. Rejected updates are
-//! kept in the stream on purpose: a rolled-back assertion must leave the
-//! analysis state consistent too.
+//! Operations are driven through [`classic_lang::eval`], which tells the
+//! state nothing: the state is refreshed once before the operations, at
+//! each `Lint` step and at the end, so one refresh spans several writes,
+//! refusals and rollbacks, and what it re-checks is only what its
+//! comparison of two KB versions finds. Rejected updates are kept in the
+//! stream on purpose: a rolled-back assertion must leave the analysis
+//! state consistent too.
 
 use classic_analyze::AnalysisState;
 use classic_kb::Kb;
-use classic_lang::{eval_monitored, parse_one, Outcome};
+use classic_lang::{eval, parse_one, Outcome};
 use proptest::prelude::*;
 
 const N_ROLES: usize = 3;
 const N_INDS: usize = 4;
+/// Untold individuals created before each `x`.
+const PAD: usize = 45;
 
 /// One conjunct of a generated description, rendered to surface syntax.
 #[derive(Debug, Clone)]
@@ -97,7 +100,7 @@ enum Op {
     Rule(u8, Vec<Part>),
     RetractTold(u8),
     RetractRule(u8),
-    Lint(bool),
+    Lint,
 }
 
 fn arb_parts() -> impl Strategy<Value = Vec<Part>> {
@@ -111,7 +114,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         2 => (0u8..8, arb_parts()).prop_map(|(j, p)| Op::Rule(j, p)),
         2 => (0u8..8).prop_map(Op::RetractTold),
         1 => (0u8..8).prop_map(Op::RetractRule),
-        1 => (0u8..2).prop_map(|b| Op::Lint(b == 1)),
+        1 => Just(Op::Lint),
     ]
 }
 
@@ -135,9 +138,16 @@ proptest! {
         for i in 0..2 {
             kb.define_attribute(&format!("a{i}")).unwrap();
         }
+        // Each `x` comes after individuals nothing is told about, so
+        // that the four sit inside different arena chunks, at neither
+        // end, and a refresh's comparison of versions has chunks to skip.
         for j in 0..N_INDS {
+            for k in 0..PAD {
+                kb.create_ind(&format!("pad{j}-{k}")).unwrap();
+            }
             kb.create_ind(&format!("x{j}")).unwrap();
         }
+        state.refresh(&kb);
 
         let mut ndefs = 0usize;
         let mut rules = 0usize;
@@ -181,15 +191,22 @@ proptest! {
                         Some(format!("(retract-rule {})", *t as usize % rules))
                     }
                 }
-                Op::Lint(cone) => Some(if *cone {
-                    "(lint-kb cone)".to_owned()
-                } else {
-                    "(lint-kb)".to_owned()
-                }),
+                Op::Lint => {
+                    state.refresh(&kb);
+                    let incremental = state.report(&kb);
+                    let full = classic_analyze::analyze(&kb.clone());
+                    prop_assert_eq!(
+                        &incremental,
+                        &full,
+                        "incremental/full divergence at a lint after {:?}",
+                        ops
+                    );
+                    None
+                }
             };
             let Some(text) = text else { continue };
             let cmd = parse_one(&text).unwrap();
-            match eval_monitored(&mut kb, &cmd, &mut state) {
+            match eval(&mut kb, &cmd) {
                 Ok(Outcome::Ok) => {
                     if let Op::Define(_) = op {
                         ndefs += 1;
@@ -207,16 +224,15 @@ proptest! {
                 _ => {}
             }
 
-            state.refresh(&kb);
-            let incremental = state.report(&kb);
-            let full = classic_analyze::analyze(&kb.clone());
-            prop_assert_eq!(
-                &incremental,
-                &full,
-                "incremental/full divergence after {:?} (op {:?})",
-                text,
-                op
-            );
         }
+        state.refresh(&kb);
+        let incremental = state.report(&kb);
+        let full = classic_analyze::analyze(&kb.clone());
+        prop_assert_eq!(
+            &incremental,
+            &full,
+            "incremental/full divergence at the end of {:?}",
+            ops
+        );
     }
 }

@@ -34,8 +34,9 @@ pub struct SlowOp {
 
 impl SlowOp {
     /// The largest `dirty_cone` event recorded anywhere in the span
-    /// tree — the size of the analysis cone a mutation dirtied — or
-    /// `None` for reads and untraced requests.
+    /// tree — the size of the cone an analysis refresh looked at, in a
+    /// `(lint-kb)` or a write with lint-on-write on — or `None` for
+    /// requests that refreshed nothing and untraced ones.
     pub fn dirty_cone(&self) -> Option<u64> {
         let t = self.trace.as_ref()?;
         t.spans

@@ -26,11 +26,18 @@
 //!   each query sees one consistent version, pinned for its duration.
 //! - **Trials and lints** — `(what-if …)` and `(lint-kb)` — change
 //!   nothing durable but need the primary: a trial asserts and rolls
-//!   back, the lint reads the analysis state that tracks the primary.
+//!   back, the lint refreshes the analysis state against the primary.
 //!   Both run under the store lock, log nothing, bump no version, and
 //!   leave the cached snapshot in place — so a trial made while it is
 //!   cached copies the chunks it touches, and its rollback writes back
 //!   into those copies.
+//!
+//! A write tells the analysis state nothing. The state keeps the KB
+//! version it last refreshed against, and a refresh compares it with the
+//! primary to find what changed ([`AnalysisState::refresh`]). So a
+//! tenant nobody lints never touches its analysis state, and one linted
+//! at least once pins the chunks of the version it was last linted at:
+//! a write copies each chunk it lands in that the two still share.
 //!
 //! # Lock order
 //!
@@ -39,9 +46,12 @@
 //! `snap` and, when the cache is cold or stale, `primary` under it to
 //! cut a new snapshot. The write path holds `snap` only for the moment
 //! it takes to empty the cache, before it locks `primary` and again
-//! after it has released it; it and the lint path hold `primary` →
-//! `analysis`. Since no thread waits on a lock to the left of one it
-//! holds, the three cannot deadlock.
+//! after it has released it. Under `primary`, `(lint-kb)` takes
+//! `analysis`, and so does a write with lint-on-write on, after it has
+//! applied; a write with lint-on-write off, a trial and an ingest never
+//! take it. Since no thread waits on a lock to the left of one it holds,
+//! the three cannot deadlock. The state refreshes only under `primary`,
+//! so the version it keeps only moves forward.
 //!
 //! A lock poisoned by a panicking request is not recovered in place:
 //! [`Tenant::is_poisoned`] tells the tenant table to drop the tenant and
@@ -146,15 +156,17 @@ impl Snapshot {
 /// A named durable KB hosted by the server.
 ///
 /// Its three locks are taken in the order the module docs give (`snap`
-/// → `primary` → `analysis`); the analysis state tracks the *primary*
-/// KB, so it refreshes under the store lock.
+/// → `primary` → `analysis`); the analysis state is refreshed against
+/// the *primary* KB, so only under the store lock, and only by a lint: a
+/// write takes the analysis lock only with lint-on-write on.
 pub struct Tenant {
     name: String,
     version: AtomicU64,
     primary: Mutex<DurableKb>,
     snap: Mutex<Option<Arc<Snapshot>>>,
-    /// Incrementally-maintained analysis over the primary KB: mutation
-    /// cones are marked as writes land, `(lint-kb)` refreshes in O(cone).
+    /// Incrementally-maintained analysis over the primary KB: `(lint-kb)`
+    /// refreshes it in O(what changed since the last lint), found by
+    /// comparing the version it kept with the primary.
     analysis: Mutex<AnalysisState>,
     /// When set, every mutation reply carries the cone diagnostics its
     /// write re-derived (`(lint-on-write on)`).
@@ -316,18 +328,17 @@ impl Tenant {
     /// the write re-derived when lint-on-write is enabled.
     ///
     /// Three kinds of command leave the plain read path, and all run
-    /// through [`classic_lang::eval_monitored_in`] under the store lock,
-    /// so the tenant's incremental [`AnalysisState`] — which tracks the
-    /// *primary* KB — is kept by the same discipline as anywhere else:
+    /// under the store lock:
     ///
-    /// * `(lint-kb [cone])` is a read, but it is answered from that
-    ///   state, refreshed in O(cone), not O(KB), instead of evaluating
-    ///   against a snapshot.
+    /// * `(lint-kb [cone])` is a read, but it is answered from the
+    ///   tenant's incremental [`AnalysisState`], refreshed against the
+    ///   *primary* KB in O(what changed), not O(KB), instead of
+    ///   evaluating against a snapshot.
     /// * `(what-if …)` is a write that is always rolled back: it waits
     ///   for the writer like one, and is neither logged nor counted.
-    /// * Mutations mark their analysis cone as they land; with
-    ///   lint-on-write on they also refresh and return the cone's
-    ///   diagnostics.
+    /// * Mutations go through [`DurableKb::eval_durable`]; with
+    ///   lint-on-write on they then refresh the analysis state and
+    ///   return the cone's diagnostics.
     pub fn execute_with_lint(
         &self,
         cmd: &Command,
@@ -341,20 +352,23 @@ impl Tenant {
         }
         let result = {
             let mut store = self.lock_primary()?;
-            let mut analysis = self.lock_analysis()?;
-            let outcome = classic_lang::eval_monitored_in(
-                &mut *store,
-                cmd,
-                &mut analysis,
-                DurableKb::kb,
-                DurableKb::eval_durable,
-            )
-            .map_err(|e| named_in(&store, e))?;
+            if let Command::LintKb { cone } = cmd {
+                let mut analysis = self.lock_analysis()?;
+                let kb = store.kb()?;
+                let refresh = analysis.refresh(kb);
+                let report = if *cone {
+                    LintReport::from_refresh(&refresh)
+                } else {
+                    LintReport::from(&analysis.report(kb))
+                };
+                return Ok((Outcome::Lint(report), None));
+            }
+            let outcome = store.eval_durable(cmd).map_err(|e| named_in(&store, e))?;
             if !mutation {
                 return Ok((outcome, None));
             }
             let lint = if self.lint_on_write() {
-                let refresh = analysis.refresh(store.kb()?);
+                let refresh = self.lock_analysis()?.refresh(store.kb()?);
                 Some(LintReport::from_refresh(&refresh))
             } else {
                 None
@@ -384,14 +398,12 @@ impl Tenant {
     /// tier ([`DurableKb::bulk_load`]): one compaction, no per-row log
     /// appends, manifest rename as the commit point.
     ///
-    /// A bulk load can add roles, concepts, and thousands of
-    /// individuals at once, so instead of marking cones the tenant
-    /// resets its incremental analysis state — the next `(lint-kb)`
-    /// recomputes from scratch, which is the honest cost of a batch
-    /// write. The version bumps once per ingest (it counts mutation
-    /// *requests*, not rows) and the snapshot cache is emptied before
-    /// the primary lock is taken and after it is released, same as
-    /// [`Self::execute`].
+    /// Like any write it leaves the analysis state alone: the next
+    /// `(lint-kb)` finds what the load changed by comparing versions, as
+    /// it does after a single write. The version bumps once per ingest
+    /// (it counts mutation *requests*, not rows) and the snapshot cache
+    /// is emptied before the primary lock is taken and after it is
+    /// released, same as [`Self::execute`].
     pub fn ingest(
         &self,
         plan: &classic_ingest::IngestPlan,
@@ -399,10 +411,8 @@ impl Tenant {
         self.drop_snapshot()?;
         let out = {
             let mut store = self.lock_primary()?;
-            let mut analysis = self.lock_analysis()?;
             let out =
                 classic_ingest::run_durable(&mut store, plan).map_err(|e| named_in(&store, e))?;
-            *analysis = AnalysisState::new();
             self.version.fetch_add(1, Ordering::AcqRel);
             out
         };

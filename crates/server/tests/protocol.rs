@@ -1163,9 +1163,10 @@ fn diag_subjects(report: &Json) -> Vec<String> {
 }
 
 /// A wire `(bulk-load …)` whose rows extend individuals the tenant has
-/// already linted marks them dirty like any other write — the tenant's
-/// write path and `classic_lang::eval_monitored` are one function — so
-/// the next `(lint-kb)` does not serve x's stale orphan finding.
+/// already linted is found by the next `(lint-kb)` like any other write
+/// — the refresh compares the primary with the version it last linted,
+/// and no write has to report itself — so it does not serve x's stale
+/// orphan finding.
 #[test]
 fn bulk_load_rows_dirty_the_tenant_analysis() {
     let dir = tmpdir("lint-bulk");

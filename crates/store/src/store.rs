@@ -302,10 +302,6 @@ pub struct DurableKb {
     /// after an eager open or `hydrate_all`).
     pending: Vec<LazySegment>,
     compactor: Option<CompactorHandle>,
-    /// Why the auto-compaction after the last append could not start;
-    /// the next write reports it before it applies anything.
-    compaction_error: Option<ClassicError>,
-    auto_compact_after: Option<u64>,
     segment_budget: usize,
     last_compaction: Option<CompactionReport>,
     obs: StoreObs,
@@ -438,8 +434,6 @@ impl DurableKb {
             manifest,
             pending,
             compactor: None,
-            compaction_error: None,
-            auto_compact_after: None,
             segment_budget: DEFAULT_SEGMENT_BUDGET,
             last_compaction: None,
             obs,
@@ -532,13 +526,6 @@ impl DurableKb {
     /// compactions (default [`DEFAULT_SEGMENT_BUDGET`]).
     pub fn set_segment_budget(&mut self, budget: usize) {
         self.segment_budget = budget.max(1);
-    }
-
-    /// Start a background compaction automatically whenever the pending
-    /// operation count reaches `threshold` (`None` disables — the
-    /// default).
-    pub fn set_auto_compact_after(&mut self, threshold: Option<u64>) {
-        self.auto_compact_after = threshold;
     }
 
     // ---- hydration ---------------------------------------------------------
@@ -790,33 +777,7 @@ impl DurableKb {
         // vanish in a power loss.
         self.log.get_ref().sync_data().map_err(io)?;
         self.ops_since_compact += 1;
-        self.after_append();
         Ok(())
-    }
-
-    /// Housekeeping after a successful append: trigger the
-    /// auto-compaction policy. The write is durable by now, so nothing
-    /// here may fail it; a compaction that cannot start is kept for the
-    /// next write to report.
-    fn after_append(&mut self) {
-        if let Some(threshold) = self.auto_compact_after {
-            if self.ops_since_compact >= threshold && self.compactor.is_none() {
-                if let Err(e) = self.compact_in_background() {
-                    self.compaction_error = Some(e);
-                }
-            }
-        }
-    }
-
-    /// Report what compaction has to report before a write changes
-    /// anything: a failed start kept by [`Self::after_append`], or a
-    /// background compaction that has finished and failed. An error from
-    /// a write is therefore never one about a write already applied.
-    fn reap_before_write(&mut self) -> Result<()> {
-        if let Some(e) = self.compaction_error.take() {
-            return Err(e);
-        }
-        self.poll_compaction().map(drop)
     }
 
     // ---- logged operators -------------------------------------------------
@@ -826,7 +787,7 @@ impl DurableKb {
     /// anything changes, a write the reader could not read back — apply
     /// it, and only if it was accepted append the record and fsync.
     fn commit(&mut self, write: Write<'_>) -> Result<Outcome> {
-        self.reap_before_write()?;
+        self.poll_compaction()?;
         self.hydrate(write.touches())?;
         self.commit_hydrated(write)
     }
@@ -962,7 +923,7 @@ impl DurableKb {
         // Hydrated before its names are resolved: a segment replays in
         // transactions of its own, and the first would take the mark
         // with which a refused write forgets the names it interned.
-        self.reap_before_write()?;
+        self.poll_compaction()?;
         self.hydrate(cmd.touches())?;
         let write = cmd.to_write(self.kb.schema_for_write())?;
         self.commit_hydrated(write.expect("a mutation resolves to a write"))
@@ -997,7 +958,6 @@ impl DurableKb {
         );
         // One writer at a time: a background compaction holds the fold
         // log this load's rollback story depends on.
-        self.reap_before_write()?;
         self.wait_for_compaction()?;
         self.hydrate_all()?;
 
@@ -1104,7 +1064,9 @@ impl DurableKb {
     /// report when it completed *since the last poll*, `None` if idle or
     /// still running; a failed compaction surfaces its error here (the
     /// store remains usable — the un-deleted fold log still carries the
-    /// history, and the next successful compaction supersedes it).
+    /// history, and the next successful compaction supersedes it). Every
+    /// write polls before it changes anything, so an error from a write
+    /// is never one about a write already applied.
     pub fn poll_compaction(&mut self) -> Result<Option<CompactionReport>> {
         if self
             .compactor
@@ -2217,25 +2179,6 @@ mod tests {
         let report = store.wait_for_compaction().unwrap().unwrap();
         assert!(report.generation >= 1);
         assert_eq!(store.generation(), report.generation);
-        let before = snapshot_to_string(store.kb().unwrap());
-        drop(store);
-        let reopened = DurableKb::open(&path, |_| {}).unwrap();
-        assert_eq!(before, snapshot_to_string(reopened.kb().unwrap()));
-    }
-
-    #[test]
-    fn auto_compaction_triggers_on_threshold() {
-        let dir = tmpdir("auto");
-        let path = dir.join("kb.log");
-        let mut store = DurableKb::open(&path, |_| {}).unwrap();
-        store.set_auto_compact_after(Some(5));
-        populate(&mut store); // 7 ops ⇒ a compaction has started
-        store.wait_for_compaction().unwrap();
-        assert!(
-            store.last_compaction().is_some(),
-            "threshold crossing must have started a compaction"
-        );
-        assert!(manifest_path(&path).exists());
         let before = snapshot_to_string(store.kb().unwrap());
         drop(store);
         let reopened = DurableKb::open(&path, |_| {}).unwrap();
