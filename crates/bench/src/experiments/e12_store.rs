@@ -17,7 +17,7 @@
 //! * **equivalence** — eager open, paged open (after full hydration) and
 //!   the monolithic replay all reach the same state (`same_state`
 //!   oracle, asserted inline).
-//! * **crash safety** — the compactor killed at every [`CrashPoint`]
+//! * **crash safety** — compaction cut short at every [`CrashPoint`]
 //!   leaves a directory that reopens to exactly the no-crash state
 //!   (asserted inline; the full matrix also runs as a test suite,
 //!   `crates/store/tests/crash_matrix.rs`).
@@ -289,7 +289,7 @@ pub fn run() -> String {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Crash matrix: the compactor killed at every crash point converges
+    // Crash matrix: compaction cut short at every crash point converges
     // to the no-crash oracle on reopen.
     let n_crash = if smoke() { 64 } else { 256 };
     let oracle_dir = tmpdir("crash-oracle");

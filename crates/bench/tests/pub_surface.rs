@@ -1,6 +1,6 @@
 //! `pub`-surface ratchet: the number of `pub` items in `classic-core`,
-//! `classic-kb`, `classic-lang`, `classic-analyze` and `classic-store` may
-//! fall, never rise. rustc's `dead_code` lint cannot see
+//! `classic-kb`, `classic-lang`, `classic-analyze`, `classic-store` and
+//! `classic-server` may fall, never rise. rustc's `dead_code` lint cannot see
 //! a `pub` item, so an item nothing outside its crate calls stays `pub`
 //! until someone notices; this test makes adding one a visible decision.
 //! When a change removes items, lower the limit below to the new count.
@@ -46,12 +46,18 @@ use std::path::{Path, PathBuf};
 /// before `AnalysisState::mark_dirty` went, for the same reason); and
 /// `classic-store` at 57 (58 before `DurableKb::set_auto_compact_after`
 /// went: nothing outside one unit test turned auto-compaction on).
-const LIMITS: [(&str, usize); 5] = [
+///
+/// `classic-store` went 57 → 56 when `DurableKb::poll_compaction` went:
+/// compaction runs on the caller's thread, so there is nothing to poll.
+/// `classic-server` entered at 51, unchanged by that deletion
+/// (`Tenant::quiesce`, which it also deleted, was `pub(crate)`).
+const LIMITS: [(&str, usize); 6] = [
     ("crates/core/src", 193),
     ("crates/kb/src", 79),
     ("crates/lang/src", 57),
     ("crates/analyze/src", 24),
-    ("crates/store/src", 57),
+    ("crates/store/src", 56),
+    ("crates/server/src", 51),
 ];
 
 const KINDS: [&str; 8] = [

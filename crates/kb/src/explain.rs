@@ -12,6 +12,7 @@
 
 use crate::individual::IndId;
 use crate::kb::Kb;
+use crate::propagate::guard_recognizers;
 use classic_core::desc::IndRef;
 use classic_core::error::Result;
 use classic_core::normal::NormalForm;
@@ -62,9 +63,14 @@ impl Explanation {
 
 impl Kb {
     /// Explain membership of `id` in the named concept.
+    ///
+    /// # Errors
+    ///
+    /// [`ClassicError::RecognizerPanicked`](classic_core::ClassicError::RecognizerPanicked)
+    /// if a `TEST` recognizer the explanation runs panics.
     pub fn explain_membership(&self, id: IndId, concept: ConceptName) -> Result<Explanation> {
-        let nf = self.schema().concept_nf(concept)?.clone();
-        Ok(self.explain_instance(id, &nf))
+        let nf = self.schema().concept_nf(concept)?;
+        guard_recognizers(|| self.explain_instance(id, nf))
     }
 
     /// Decompose `nf` into requirements and evaluate each against the

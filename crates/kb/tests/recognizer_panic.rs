@@ -197,6 +197,22 @@ fn panicking_recognizer_cannot_leave_a_half_created_individual() {
     kb.create_ind("Direct").unwrap();
 }
 
+/// `(why? IND C)` runs the `TEST`s of `C` on `IND`: a panic in one is an
+/// error reply through either evaluator, not an unwind.
+#[test]
+fn why_reports_a_panicking_recognizer_as_an_error() {
+    let (mut kb, armed) = fragile_kb();
+    let tracked = Concept::Name(kb.schema().symbols.find_concept("TRACKED").unwrap());
+    kb.assert_ind("Loner", &tracked).unwrap();
+    let before = kb.clone();
+    armed.store(true, Ordering::SeqCst);
+
+    let why = classic_lang::parse_one("(why? Loner SUSPECT)").unwrap();
+    assert_recognizer_panicked(&classic_lang::eval_read(&kb, &why).unwrap_err());
+    assert_recognizer_panicked(&classic_lang::eval(&mut kb, &why).unwrap_err());
+    assert_same_state(&before, &kb, "why?");
+}
+
 /// What the refusals below are made of.
 struct Parts {
     member: RoleId,

@@ -239,6 +239,7 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_respects_extremes() {
+        let _l = crate::lock_globals();
         let id = TraceId::parse("abc123").unwrap();
         let prev = set_sample_rate(1.0);
         assert!(sampled(id));
@@ -254,6 +255,7 @@ mod tests {
 
     #[test]
     fn sample_rate_clamps() {
+        let _l = crate::lock_globals();
         let prev = set_sample_rate(7.5);
         assert_eq!(sample_rate(), 1.0);
         set_sample_rate(-3.0);
@@ -263,6 +265,7 @@ mod tests {
 
     #[test]
     fn half_rate_samples_roughly_half() {
+        let _l = crate::lock_globals();
         let prev = set_sample_rate(0.5);
         let n = 2000;
         let hits = (0..n).filter(|_| sampled(TraceId::mint())).count();

@@ -67,3 +67,12 @@ pub use metrics::{
 };
 pub use slowlog::{global_slowlog, SlowLog, SlowOp, DEFAULT_SLOWLOG_CAP};
 pub use trace::{event, request_span, span, span_timed, RequestGuard, SpanGuard};
+
+/// Serializes the tests, in any module of this crate, that change the
+/// process-global level or sample rate.
+#[cfg(test)]
+pub(crate) fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

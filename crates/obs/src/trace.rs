@@ -253,14 +253,10 @@ pub fn request_span(
 mod tests {
     use super::*;
     use crate::level::{set_level, ObsLevel};
-    use std::sync::Mutex;
-
-    /// Tests that flip the global level serialize on this.
-    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn nested_spans_build_one_trace_with_parents() {
-        let _l = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Full);
         let fr = Arc::new(FlightRecorder::new());
         {
@@ -297,7 +293,7 @@ mod tests {
 
     #[test]
     fn spans_are_inert_when_off() {
-        let _l = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Counters);
         let fr = Arc::new(FlightRecorder::new());
         {
@@ -319,7 +315,7 @@ mod tests {
 
     #[test]
     fn request_span_attaches_ctx_and_captures_the_trace() {
-        let _l = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Full);
         let fr = Arc::new(FlightRecorder::new());
         let c = ctx("assert-ind");
@@ -342,7 +338,7 @@ mod tests {
 
     #[test]
     fn unsampled_request_suppresses_all_spans() {
-        let _l = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Full);
         let prev_rate = crate::context::set_sample_rate(0.0);
         let fr = Arc::new(FlightRecorder::new());
@@ -363,7 +359,7 @@ mod tests {
 
     #[test]
     fn span_timed_feeds_the_histogram_at_full() {
-        let _l = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Full);
         let r = crate::Registry::new();
         let h = r.duration_histogram("span_test_ns", "").unwrap();

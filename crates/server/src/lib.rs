@@ -17,7 +17,7 @@
 //!   bypass durability.
 //! - **Snapshot-isolated reads** ([`Snapshot`]): queries run against a
 //!   cloned KB pinned at one (version, generation) pair, so concurrent
-//!   writers and background compaction never move the ground under an
+//!   writers and an ingest's compaction never move the ground under an
 //!   in-flight query.
 //! - **Sessions** ([`WireSession`]): per-connection tenant binding and
 //!   `what-if` **sandboxes** — a private KB copy whose mutations can be

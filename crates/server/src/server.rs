@@ -206,10 +206,8 @@ impl Shared {
             .tenants
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match map.get(name) {
-            Some(t) if !t.is_poisoned() => return Ok(Arc::clone(t)),
-            Some(t) => t.quiesce(),
-            None => {}
+        if let Some(t) = map.get(name).filter(|t| !t.is_poisoned()) {
+            return Ok(Arc::clone(t));
         }
         let tenant = Arc::new(Tenant::open(name, &self.data_dir.join(name))?);
         map.insert(name.to_owned(), Arc::clone(&tenant));
@@ -332,8 +330,7 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, let workers finish their
-    /// current form, then flush every tenant's log and land any
-    /// background compaction.
+    /// current form, then flush every tenant's log.
     pub fn shutdown(mut self) -> Result<()> {
         self.shared.shutdown.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection.

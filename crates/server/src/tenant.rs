@@ -20,7 +20,7 @@
 //!   ([`classic_lang::eval_read`] takes `&Kb`), so the snapshot holds its
 //!   KB bare: any number of readers of one version run at once, and a
 //!   reader holds its `Arc` for as long as it likes, so a concurrent
-//!   writer (or background compaction changing the store generation)
+//!   writer (or an ingest's compaction changing the store generation)
 //!   never shifts the ground under an in-flight query. That is
 //!   snapshot isolation in the only sense a structural KB needs:
 //!   each query sees one consistent version, pinned for its duration.
@@ -278,18 +278,6 @@ impl Tenant {
         self.primary.is_poisoned() || self.snap.is_poisoned() || self.analysis.is_poisoned()
     }
 
-    /// Land the background compaction of a tenant about to be replaced, so
-    /// the store that reopens its directory is the only one publishing
-    /// there. Takes the primary whether or not it is poisoned: joining
-    /// the compactor reads none of the state a panic may have torn.
-    pub(crate) fn quiesce(&self) {
-        let mut store = self
-            .primary
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = store.wait_for_compaction();
-    }
-
     fn lock_primary(&self) -> Result<MutexGuard<'_, DurableKb>> {
         self.primary
             .lock()
@@ -396,7 +384,9 @@ impl Tenant {
 
     /// Bulk-load a prepared ingest plan through the store's segment
     /// tier ([`DurableKb::bulk_load`]): one compaction, no per-row log
-    /// appends, manifest rename as the commit point.
+    /// appends, manifest rename as the commit point. The compaction runs
+    /// on this request's thread, so a publish that fails is this ingest's
+    /// error reply. The server compacts a tenant nowhere else.
     ///
     /// Like any write it leaves the analysis state alone: the next
     /// `(lint-kb)` finds what the load changed by comparing versions, as
@@ -452,12 +442,7 @@ impl Tenant {
 
     /// Flush the operation log to disk (used by graceful shutdown).
     pub fn flush(&self) -> Result<()> {
-        self.with_store(|s| {
-            // Land any background compaction first so the manifest and
-            // log agree, then sync the log tail.
-            s.wait_for_compaction()?;
-            s.flush()
-        })?
+        self.with_store(DurableKb::flush)?
     }
 
     /// Summarize the tenant for `/stats`.

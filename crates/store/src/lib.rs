@@ -1,7 +1,8 @@
 //! # classic-store
 //!
 //! Persistence for the CLASSIC reproduction: a write-ahead operation log
-//! and a **segmented snapshot store** with background compaction, both
+//! and a **segmented snapshot store** that compaction folds the log into
+//! on the caller's thread, both
 //! serialized in the CLASSIC surface syntax itself (the paper's "single
 //! language, multiple roles" design carried to storage). See
 //! [`DurableKb`], [`snapshot`], [`segment`], and [`manifest`]; the

@@ -91,7 +91,7 @@ pub(crate) fn storage_err(
     }
 }
 
-/// A rendered, not-yet-written segment: the in-memory form the compactor
+/// A rendered, not-yet-written segment: the in-memory form compaction
 /// produces before deciding whether the bytes must hit the disk at all
 /// (an unchanged body hash means the previous generation's file is
 /// reused).

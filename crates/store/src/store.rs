@@ -1,5 +1,5 @@
-//! Durable storage: a write-ahead operation log plus a segmented,
-//! background-compacted snapshot.
+//! Durable storage: a write-ahead operation log plus a segmented
+//! snapshot.
 //!
 //! The paper frames the database as "a cache for persistent information of
 //! limited complexity" (§1) and names secondary storage as the major open
@@ -15,12 +15,12 @@
 //! making `open()` cost track the log suffix rather than the database
 //! size.
 //!
-//! Compaction runs on a background thread owned by the store
-//! ([`DurableKb::compact_in_background`]): the caller's thread renders
-//! the segments in memory and rotates the log (microseconds of work),
-//! and every fsync/rename of the publish pipeline happens off-thread, so
-//! neither readers nor appenders wait on compaction I/O. The
-//! crash-ordering invariants at each rename point are specified in
+//! Compaction ([`DurableKb::compact`]) runs on the caller's thread in two
+//! halves: render the segments in memory and rotate the log, then
+//! publish — segment writes, fsyncs, the manifest rename, cleanup. A
+//! publish that fails is the error of the call that compacted; the store
+//! stays usable and the next compaction folds what the failed one left.
+//! The crash-ordering invariants at each rename point are specified in
 //! `docs/FORMAT.md` §8 and exercised by [`DurableKb::compact_crashing_at`].
 //!
 //! Rejected updates are never logged — the log records exactly the
@@ -41,12 +41,11 @@ use classic_core::schema::TestArg;
 use classic_core::symbol::{ConceptName, RoleId, TestId};
 use classic_kb::{AssertReport, BulkReport, IndId, Kb, RetractReport};
 use classic_lang::{BulkSpec, Command, Outcome, Touches, Write};
-use classic_obs::{Counter, FlightRecorder, Gauge, Histogram};
+use classic_obs::{Counter, Gauge, Histogram};
 use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Header line carrying the log generation. Written as the first line of
 /// every log file; a log whose generation is *older* than the manifest's
@@ -66,7 +65,7 @@ fn parse_gen(text: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Where the compactor's publish pipeline is cut short, for crash-ordering
+/// Where compaction's publish pipeline is cut short, for crash-ordering
 /// tests and the E12 crash matrix. Each point corresponds to one ordering
 /// invariant of `docs/FORMAT.md` §8: replay from the on-disk state left
 /// behind at *any* of these points must converge to the no-crash state.
@@ -109,7 +108,7 @@ impl CrashPoint {
     ];
 }
 
-/// What one compaction did, returned by [`DurableKb::poll_compaction`] /
+/// What one compaction did, returned by
 /// [`DurableKb::wait_for_compaction`] and kept as
 /// [`DurableKb::last_compaction`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,29 +147,15 @@ struct LazySegment {
     hydrated: bool,
 }
 
-/// An in-flight background compaction.
-struct CompactorHandle {
-    thread: std::thread::JoinHandle<Result<()>>,
-    manifest: Manifest,
-    report: CompactionReport,
-}
-
-/// Everything the publish pipeline needs, fully rendered — the plan owns
-/// only strings, paths, and observability handles, so it can move to the
-/// compactor thread and run without touching the `Kb`.
+/// A compaction rendered, with the log already rotated: the new
+/// generation's segments and manifest, and the files its publication
+/// supersedes. Publishing it touches the disk only, never the `Kb`.
 struct CompactionPlan {
-    dir: PathBuf,
-    generation: u64,
     segments: Vec<PlannedSegment>,
     manifest: Manifest,
-    manifest_file: PathBuf,
     stale_logs: Vec<PathBuf>,
     stale_segments: Vec<PathBuf>,
     report: CompactionReport,
-    /// Flight recorder of the owning KB — the publish pipeline opens its
-    /// own root trace on the compactor thread.
-    recorder: Arc<FlightRecorder>,
-    publish_ns: Histogram,
 }
 
 /// Handles into the owning KB's metric registry for the storage-layer
@@ -235,13 +220,13 @@ impl StoreObs {
             render_ns: m
                 .get_or_duration_histogram(
                     "classic_store_compact_render_ns",
-                    "compaction render + log rotation wall time, caller thread (ns)",
+                    "compaction render + log rotation wall time (ns)",
                 )
                 .expect("store metric registration"),
             publish_ns: m
                 .get_or_duration_histogram(
                     "classic_store_compact_publish_ns",
-                    "compaction publish pipeline wall time, compactor thread (ns)",
+                    "compaction publish pipeline wall time (ns)",
                 )
                 .expect("store metric registration"),
             bulk_rows: c(
@@ -301,7 +286,9 @@ pub struct DurableKb {
     /// Individual segments not yet replayed (paged open only; empty
     /// after an eager open or `hydrate_all`).
     pending: Vec<LazySegment>,
-    compactor: Option<CompactorHandle>,
+    /// A compaction [parked](DurableKb::compact_in_background): rendered
+    /// and rotated, not yet published.
+    parked: Option<CompactionPlan>,
     segment_budget: usize,
     last_compaction: Option<CompactionReport>,
     obs: StoreObs,
@@ -433,7 +420,7 @@ impl DurableKb {
             published_gen,
             manifest,
             pending,
-            compactor: None,
+            parked: None,
             segment_budget: DEFAULT_SEGMENT_BUDGET,
             last_compaction: None,
             obs,
@@ -782,18 +769,16 @@ impl DurableKb {
 
     // ---- logged operators -------------------------------------------------
 
-    /// The one durable write path: reap a finished compaction, hydrate
-    /// what the write touches, render its record — which refuses, before
-    /// anything changes, a write the reader could not read back — apply
-    /// it, and only if it was accepted append the record and fsync.
+    /// The one durable write path: hydrate what the write touches, render
+    /// its record — which refuses, before anything changes, a write the
+    /// reader could not read back — apply it, and only if it was accepted
+    /// append the record and fsync.
     fn commit(&mut self, write: Write<'_>) -> Result<Outcome> {
-        self.poll_compaction()?;
         self.hydrate(write.touches())?;
         self.commit_hydrated(write)
     }
 
-    /// [`Self::commit`] once compaction is reaped and what the write
-    /// touches is in memory.
+    /// [`Self::commit`] once what the write touches is in memory.
     fn commit_hydrated(&mut self, write: Write<'_>) -> Result<Outcome> {
         let line = write.record(&self.kb)?;
         let outcome = write.apply(&mut self.kb)?;
@@ -923,7 +908,6 @@ impl DurableKb {
         // Hydrated before its names are resolved: a segment replays in
         // transactions of its own, and the first would take the mark
         // with which a refused write forgets the names it interned.
-        self.poll_compaction()?;
         self.hydrate(cmd.touches())?;
         let write = cmd.to_write(self.kb.schema_for_write())?;
         self.commit_hydrated(write.expect("a mutation resolves to a write"))
@@ -956,8 +940,9 @@ impl DurableKb {
             "store.bulk_load",
             &self.obs.bulk_load_ns,
         );
-        // One writer at a time: a background compaction holds the fold
-        // log this load's rollback story depends on.
+        // A parked compaction publishes before the load applies: the
+        // load's own compaction must be the newest generation, and if the
+        // parked one cannot publish, the load is refused untouched.
         self.wait_for_compaction()?;
         self.hydrate_all()?;
 
@@ -1009,120 +994,85 @@ impl DurableKb {
 
     // ---- compaction --------------------------------------------------------
 
-    /// Fold the pending log into fresh segments synchronously: start a
-    /// background compaction and wait for it. Equivalent to
-    /// [`compact_in_background`](DurableKb::compact_in_background)
-    /// followed by [`wait_for_compaction`](DurableKb::wait_for_compaction).
+    /// Fold the pending log into fresh segments: render them and rotate
+    /// the log, then publish them, both on the calling thread. A
+    /// compaction [parked](DurableKb::compact_in_background) earlier
+    /// publishes first.
+    ///
+    /// # Errors
+    ///
+    /// A publish that fails is this call's error. The store stays usable
+    /// and its directory recoverable (`docs/FORMAT.md` §7): the
+    /// published generation stays where it was, the fold log still
+    /// carries the history, and the next compaction folds it.
     pub fn compact(&mut self) -> Result<()> {
         self.wait_for_compaction()?;
-        let started = self.compact_in_background()?;
-        debug_assert!(started, "no compaction can be in flight here");
-        self.wait_for_compaction()?;
+        let plan = self.begin_compaction()?;
+        self.publish(plan)?;
         Ok(())
     }
 
-    /// Start a background compaction, returning `false` (without doing
-    /// anything) if one is already in flight.
+    /// The first half of [`compact`](DurableKb::compact) alone: render
+    /// the new segments and rotate the log — the active log is parked as
+    /// a *fold log* and a fresh one (next generation) takes its place —
+    /// then park the plan unpublished. Returns `false`, doing nothing, if
+    /// a plan is already parked. Writes made before
+    /// [`wait_for_compaction`](DurableKb::wait_for_compaction) publishes
+    /// it append to the fresh log. Nothing runs in the background: a plan
+    /// never published leaves the on-disk state of
+    /// [`CrashPoint::AfterLogRotation`], which open recovers.
     ///
-    /// The caller's thread renders the new segments in memory and
-    /// rotates the log — the active log is parked as a *fold log* and a
-    /// fresh one (next generation) takes its place, so appends continue
-    /// immediately. All disk work of the publish pipeline (segment
-    /// writes, fsyncs, the manifest rename, cleanup) happens on the
-    /// compactor thread; see `docs/FORMAT.md` §8 for the ordering
-    /// invariants at each step. Completion is observed by
-    /// [`poll_compaction`](DurableKb::poll_compaction) (also called
-    /// before every write applies anything) or
-    /// [`wait_for_compaction`](DurableKb::wait_for_compaction).
+    /// Kept apart from [`compact`](DurableKb::compact) only because the
+    /// benchmark (`benchmark/src/trace.rs`) times the two halves
+    /// separately.
     pub fn compact_in_background(&mut self) -> Result<bool> {
-        self.poll_compaction()?;
-        if self.compactor.is_some() {
+        if self.parked.is_some() {
             return Ok(false);
         }
-        let plan = self.begin_compaction()?;
-        let manifest = plan.manifest.clone();
-        let report = plan.report;
-        let thread = std::thread::Builder::new()
-            .name("classic-store-compactor".into())
-            .spawn(move || publish_plan(&plan, None))
-            .map_err(|e| {
-                storage_err(
-                    &self.log_path,
-                    Some(self.log_gen),
-                    format!("spawning compactor: {e}"),
-                )
-            })?;
-        self.compactor = Some(CompactorHandle {
-            thread,
-            manifest,
-            report,
-        });
+        self.parked = Some(self.begin_compaction()?);
         Ok(true)
     }
 
-    /// Reap the background compaction if it has finished. Returns its
-    /// report when it completed *since the last poll*, `None` if idle or
-    /// still running; a failed compaction surfaces its error here (the
-    /// store remains usable — the un-deleted fold log still carries the
-    /// history, and the next successful compaction supersedes it). Every
-    /// write polls before it changes anything, so an error from a write
-    /// is never one about a write already applied.
-    pub fn poll_compaction(&mut self) -> Result<Option<CompactionReport>> {
-        if self
-            .compactor
-            .as_ref()
-            .is_some_and(|h| h.thread.is_finished())
-        {
-            return self.reap_compactor();
-        }
-        Ok(None)
-    }
-
-    /// Block until any in-flight background compaction completes and
-    /// reap it. Returns `None` if none was in flight.
+    /// The second half of [`compact`](DurableKb::compact): publish the
+    /// plan [`compact_in_background`](DurableKb::compact_in_background)
+    /// parked, on the calling thread, and return its report; `None` if
+    /// none is parked. A publish error is returned here, as from
+    /// `compact`. Kept, with its signature, for the benchmark.
     pub fn wait_for_compaction(&mut self) -> Result<Option<CompactionReport>> {
-        if self.compactor.is_some() {
-            return self.reap_compactor();
-        }
-        Ok(None)
-    }
-
-    fn reap_compactor(&mut self) -> Result<Option<CompactionReport>> {
-        let Some(handle) = self.compactor.take() else {
-            return Ok(None);
-        };
-        match handle.thread.join() {
-            Ok(Ok(())) => {
-                self.published_gen = handle.manifest.generation;
-                self.manifest = Some(handle.manifest);
-                // Everything the manifest references is already in
-                // memory (compaction hydrates fully), so no segment is
-                // pending.
-                self.pending.clear();
-                self.last_compaction = Some(handle.report);
-                self.obs.compactions.bump();
-                self.obs
-                    .segments_written
-                    .add(handle.report.segments_written as u64);
-                self.obs
-                    .segments_reused
-                    .add(handle.report.segments_reused as u64);
-                self.obs.compact_bytes.add(handle.report.bytes_written);
-                self.obs.generation.set(handle.report.generation);
-                Ok(Some(handle.report))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(storage_err(
-                &self.log_path,
-                Some(self.log_gen),
-                "compactor thread panicked",
-            )),
+        match self.parked.take() {
+            Some(plan) => self.publish(plan).map(Some),
+            None => Ok(None),
         }
     }
 
-    /// Run the compaction pipeline synchronously but stop dead at
-    /// `point`, leaving the on-disk state a crash at that instant would
-    /// leave. Test/experiment instrumentation for the crash matrix
+    /// Publish `plan` and adopt its manifest. On an error the published
+    /// generation stays where it was, and the operations the plan would
+    /// have folded count as pending again: the next compaction folds
+    /// them.
+    fn publish(&mut self, plan: CompactionPlan) -> Result<CompactionReport> {
+        let report = plan.report;
+        if let Err(e) = self.publish_plan(&plan, None) {
+            self.ops_since_compact += report.folded_ops;
+            return Err(e);
+        }
+        self.published_gen = report.generation;
+        self.manifest = Some(plan.manifest);
+        // Everything the manifest references is already in memory
+        // (compaction hydrates fully), so no segment is pending.
+        self.pending.clear();
+        self.last_compaction = Some(report);
+        self.obs.compactions.bump();
+        self.obs
+            .segments_written
+            .add(report.segments_written as u64);
+        self.obs.segments_reused.add(report.segments_reused as u64);
+        self.obs.compact_bytes.add(report.bytes_written);
+        self.obs.generation.set(report.generation);
+        Ok(report)
+    }
+
+    /// Run the compaction pipeline but stop dead at `point`, leaving the
+    /// on-disk state a crash at that instant would leave. Test/experiment instrumentation for the crash matrix
     /// (`docs/FORMAT.md` §8): after this returns, drop the store without
     /// further operations and reopen from the path to observe recovery.
     pub fn compact_crashing_at(&mut self, point: CrashPoint) -> Result<()> {
@@ -1131,12 +1081,11 @@ impl DurableKb {
         if point == CrashPoint::AfterLogRotation {
             return Ok(());
         }
-        publish_plan(&plan, Some(point))
+        self.publish_plan(&plan, Some(point))
     }
 
-    /// Render the new generation and rotate the log. Everything returned
-    /// is owned data — the publish pipeline needs no further access to
-    /// the store.
+    /// Render the new generation and rotate the log: the first half of
+    /// compaction.
     fn begin_compaction(&mut self) -> Result<CompactionPlan> {
         let _span = classic_obs::span_timed(
             self.kb.flight_recorder(),
@@ -1251,92 +1200,80 @@ impl DurableKb {
         classic_obs::event("segments_written", written as u64);
         classic_obs::event("segments_reused", reused as u64);
         Ok(CompactionPlan {
-            dir: self.dir.clone(),
-            generation: next_gen,
             segments,
             manifest,
-            manifest_file: manifest_path(&self.log_path),
             stale_logs,
             stale_segments,
             report,
-            recorder: Arc::clone(self.kb.flight_recorder()),
-            publish_ns: self.obs.publish_ns.clone(),
         })
     }
-}
 
-impl Drop for DurableKb {
-    fn drop(&mut self) {
-        // Never leave a half-published generation behind: the publish
-        // pipeline is crash-safe, but joining is free and makes `drop;
-        // reopen` deterministic for callers.
-        let _ = self.wait_for_compaction();
-    }
-}
-
-/// The disk half of compaction, run on the compactor thread (or inline
-/// for crash-matrix tests, stopping at `crash`). Ordering is normative —
-/// `docs/FORMAT.md` §8:
-///
-/// 1. every fresh segment: tmp write → fsync → rename;
-/// 2. directory fsync (segments durable before anything references them);
-/// 3. manifest: tmp write → fsync → rename (**the publication point**);
-/// 4. directory fsync (the new generation is now crash-durable);
-/// 5. cleanup: delete stale fold logs and unreferenced segments;
-///    directory fsync.
-fn publish_plan(plan: &CompactionPlan, crash: Option<CrashPoint>) -> Result<()> {
-    debug_assert!(crash != Some(CrashPoint::AfterLogRotation));
-    // Root trace on whichever thread runs the pipeline (the compactor
-    // thread in production); per-phase child spans time each rename
-    // point of the crash-ordering pipeline.
-    let _span = classic_obs::span_timed(&plan.recorder, "store.compact.publish", &plan.publish_ns);
-    {
-        let _phase = classic_obs::span(&plan.recorder, "store.publish.segments");
-        let mut first_published = false;
-        for seg in &plan.segments {
-            if seg.reuse || plan.dir.join(&seg.file).exists() {
-                continue;
-            }
-            segment::write_segment(&plan.dir, &seg.file, &seg.rendered, plan.generation)?;
-            if !first_published {
-                first_published = true;
-                if crash == Some(CrashPoint::AfterFirstSegmentPublish) {
-                    return Ok(());
+    /// The disk half of compaction, stopping at `crash` for the crash
+    /// matrix. Ordering is normative — `docs/FORMAT.md` §8:
+    ///
+    /// 1. every fresh segment: tmp write → fsync → rename;
+    /// 2. directory fsync (segments durable before anything references them);
+    /// 3. manifest: tmp write → fsync → rename (**the publication point**);
+    /// 4. directory fsync (the new generation is now crash-durable);
+    /// 5. cleanup: delete stale fold logs and unreferenced segments;
+    ///    directory fsync.
+    fn publish_plan(&self, plan: &CompactionPlan, crash: Option<CrashPoint>) -> Result<()> {
+        debug_assert!(crash != Some(CrashPoint::AfterLogRotation));
+        let recorder = self.kb.flight_recorder();
+        let generation = plan.manifest.generation;
+        let manifest_file = manifest_path(&self.log_path);
+        // Per-phase child spans time each rename point of the
+        // crash-ordering pipeline.
+        let _span =
+            classic_obs::span_timed(recorder, "store.compact.publish", &self.obs.publish_ns);
+        {
+            let _phase = classic_obs::span(recorder, "store.publish.segments");
+            let mut first_published = false;
+            for seg in &plan.segments {
+                if seg.reuse || self.dir.join(&seg.file).exists() {
+                    continue;
+                }
+                segment::write_segment(&self.dir, &seg.file, &seg.rendered, generation)?;
+                if !first_published {
+                    first_published = true;
+                    if crash == Some(CrashPoint::AfterFirstSegmentPublish) {
+                        return Ok(());
+                    }
                 }
             }
-        }
-        // Crash point still honored when every segment was reused.
-        if crash == Some(CrashPoint::AfterFirstSegmentPublish) {
-            return Ok(());
-        }
-        sync_dir(&plan.manifest_file)?;
-    }
-    if crash == Some(CrashPoint::BeforeManifestRename) {
-        return Ok(());
-    }
-    {
-        let _phase = classic_obs::span(&plan.recorder, "store.publish.manifest");
-        plan.manifest.write_atomic(&plan.manifest_file)?;
-        if crash == Some(CrashPoint::AfterManifestRename) {
-            return Ok(());
-        }
-        sync_dir(&plan.manifest_file)?;
-    }
-    if crash == Some(CrashPoint::BeforeCleanup) {
-        return Ok(());
-    }
-    {
-        let _phase = classic_obs::span(&plan.recorder, "store.publish.cleanup");
-        for path in plan.stale_logs.iter().chain(&plan.stale_segments) {
-            match std::fs::remove_file(path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(storage_err(path, Some(plan.generation), e)),
+            // Crash point still honored when every segment was reused.
+            if crash == Some(CrashPoint::AfterFirstSegmentPublish) {
+                return Ok(());
             }
+            sync_dir(&manifest_file)?;
         }
-        sync_dir(&plan.manifest_file)?;
+        if crash == Some(CrashPoint::BeforeManifestRename) {
+            return Ok(());
+        }
+        {
+            let _phase = classic_obs::span(recorder, "store.publish.manifest");
+            plan.manifest.write_atomic(&manifest_file)?;
+            if crash == Some(CrashPoint::AfterManifestRename) {
+                return Ok(());
+            }
+            sync_dir(&manifest_file)?;
+        }
+        if crash == Some(CrashPoint::BeforeCleanup) {
+            return Ok(());
+        }
+        {
+            let _phase = classic_obs::span(recorder, "store.publish.cleanup");
+            for path in plan.stale_logs.iter().chain(&plan.stale_segments) {
+                match std::fs::remove_file(path) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(storage_err(path, Some(generation), e)),
+                }
+            }
+            sync_dir(&manifest_file)?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Truncate the log and start it with the given generation header,
@@ -1481,55 +1418,59 @@ mod tests {
         }
     }
 
+    /// Fold logs left in `dir` by rotations no published manifest folds.
+    fn fold_logs(dir: &Path) -> usize {
+        let names = std::fs::read_dir(dir).unwrap().flatten();
+        let fold = |e: &std::fs::DirEntry| parse_fold_gen(&e.file_name().to_string_lossy(), "kb");
+        names.filter(|e| fold(e).is_some()).count()
+    }
+
+    /// A publish that fails is the error of the call that publishes, and
+    /// of no other: the next write is accepted and logged, the directory
+    /// reopens at the old generation with that write, and a later
+    /// compaction folds what the failed ones left.
     #[test]
-    fn a_failed_compaction_refuses_the_next_write_before_it_applies() {
-        let dir = tmpdir("failed-compactor");
+    fn a_failed_publish_is_its_callers_error_and_the_next_write_is_accepted() {
+        let dir = tmpdir("failed-publish");
         let path = dir.join("kb.log");
         let mut store = DurableKb::open(&path, |_| {}).unwrap();
         populate(&mut store);
-        let failed = ClassicError::Malformed("compaction failed".into());
-        let thread = std::thread::spawn(move || Err(failed));
-        while !thread.is_finished() {
-            std::thread::yield_now();
-        }
-        let report = CompactionReport {
-            generation: 1,
-            folded_ops: 0,
-            segments_total: 0,
-            segments_written: 0,
-            segments_reused: 0,
-            bytes_written: 0,
-        };
-        store.compactor = Some(CompactorHandle {
-            thread,
-            manifest: Manifest {
-                generation: 1,
-                entries: Vec::new(),
-            },
-            report,
-        });
-        let log = store.log_path.clone();
-        let (logged, state) = (
-            std::fs::read(&log).unwrap(),
-            snapshot_to_string(store.kb().unwrap()),
-        );
+        store.compact().unwrap();
+        let old_gen = store.generation();
+        populate_many(&mut store, 0, 3);
 
-        // Refused with nothing applied and nothing logged...
-        let refused = store.create_ind("Late");
-        assert!(
-            matches!(refused, Err(ClassicError::Malformed(_))),
-            "{refused:?}"
-        );
-        assert_eq!(std::fs::read(&log).unwrap(), logged);
-        assert_eq!(snapshot_to_string(store.kb().unwrap()), state);
+        // A directory where the manifest's tmp file goes: every segment
+        // publishes, the manifest cannot.
+        let blocker = tmp_path(&manifest_path(&path));
+        std::fs::create_dir(&blocker).unwrap();
+        let pending = store.pending_ops();
+        assert!(store.compact_in_background().unwrap());
+        let err = store.wait_for_compaction().unwrap_err();
+        assert!(matches!(err, ClassicError::Storage { .. }), "{err:?}");
+        let err = store.compact().unwrap_err();
+        assert!(matches!(err, ClassicError::Storage { .. }), "{err:?}");
+        assert_eq!(store.generation(), old_gen);
+        assert_eq!(store.pending_ops(), pending, "nothing was folded");
 
-        // ...and the error is reported once: the next write is accepted
-        // and logged.
         store.create_ind("Late").unwrap();
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("(create-ind Late)"));
+        let state = snapshot_to_string(store.kb().unwrap());
         drop(store);
+
+        let mut reopened = DurableKb::open(&path, |_| {}).unwrap();
+        assert_eq!(reopened.generation(), old_gen);
+        assert_eq!(snapshot_to_string(reopened.kb().unwrap()), state);
+        assert!(fold_logs(&dir) > 0);
+
+        std::fs::remove_dir(&blocker).unwrap();
+        reopened.compact().unwrap();
+        assert!(reopened.generation() > old_gen);
+        assert_eq!(fold_logs(&dir), 0);
+        drop(reopened);
         let reopened = DurableKb::open(&path, |_| {}).unwrap();
-        let kb = reopened.kb().unwrap();
-        assert!(kb.schema().symbols.find_individual("Late").is_some());
+        assert_eq!(snapshot_to_string(reopened.kb().unwrap()), state);
     }
 
     #[test]
@@ -2167,14 +2108,14 @@ mod tests {
     }
 
     #[test]
-    fn background_compaction_does_not_block_appends() {
+    fn a_parked_compaction_does_not_block_appends() {
         let dir = tmpdir("bg");
         let path = dir.join("kb.log");
         let mut store = DurableKb::open(&path, |_| {}).unwrap();
         populate(&mut store);
         assert!(store.compact_in_background().unwrap());
-        // Appends proceed immediately against the rotated log while the
-        // compactor publishes.
+        // Appends proceed against the rotated log while the plan is
+        // parked.
         store.create_ind("Bullwinkle").unwrap();
         let report = store.wait_for_compaction().unwrap().unwrap();
         assert!(report.generation >= 1);
@@ -2188,7 +2129,7 @@ mod tests {
     #[test]
     fn panicking_recognizer_rejects_the_write_without_logging_or_poisoning() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex;
+        use std::sync::{Arc, Mutex};
         let dir = tmpdir("fragile");
         let path = dir.join("kb.log");
         let armed = Arc::new(AtomicBool::new(false));

@@ -3,7 +3,7 @@
 //! `docs/FORMAT.md` §8 specifies the publish pipeline's ordering
 //! invariants: whichever rename the process dies around, reopening the
 //! directory must converge to exactly the state of a store that never
-//! crashed. This suite kills the compactor at every [`CrashPoint`],
+//! crashed. This suite cuts compaction short at every [`CrashPoint`],
 //! reopens (eagerly and paged), and compares against a no-crash oracle —
 //! then compacts again and re-checks, proving the wreckage is also fully
 //! recoverable, not merely readable.
