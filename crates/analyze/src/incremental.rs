@@ -123,7 +123,6 @@ impl AnalysisState {
     /// and is re-fingerprinted whole).
     pub fn refresh(&mut self, kb: &Kb) -> Refresh {
         let registry = kb.metrics().clone();
-        let recorder = kb.flight_recorder().clone();
         let dur = registry
             .get_or_duration_histogram(
                 "classic_analyze_incremental_ns",
@@ -132,7 +131,7 @@ impl AnalysisState {
             .ok();
         let _span = dur
             .as_ref()
-            .map(|h| classic_obs::span_timed(&recorder, "analyze.incremental", h));
+            .map(|h| classic_obs::span_timed("analyze.incremental", h));
 
         let mut cone_out: Vec<Diagnostic> = Vec::new();
 

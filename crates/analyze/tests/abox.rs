@@ -355,7 +355,7 @@ fn a_refresh_records_its_cone_on_the_request_trace() {
         session: 0,
         kind: "lint-kb",
     };
-    let request = classic_obs::request_span(kb.flight_recorder(), "server.request", ctx);
+    let request = classic_obs::request_span("server.request", ctx);
     let refresh = state.refresh(&kb);
     let trace = request.finish();
     classic_obs::set_level(prev);

@@ -14,10 +14,10 @@
 //! `<path>.json`.
 //!
 //! `--trace-out <path>` raises observability to Full for the run and
-//! afterwards dumps every retained span tree — including those of KBs
-//! the experiments already dropped (their recorders bury traces in a
-//! process graveyard) — as Chrome trace-event JSON. Load the file in
-//! Perfetto or `chrome://tracing`.
+//! afterwards dumps every span tree the process-wide flight recorder
+//! retains (the 256 most recent and 16 slowest, KBs the experiments
+//! already dropped included) as Chrome trace-event JSON. Load the file
+//! in Perfetto or `chrome://tracing`.
 
 use classic_bench::experiments;
 

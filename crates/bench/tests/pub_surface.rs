@@ -1,6 +1,6 @@
-//! `pub`-surface ratchet: the number of `pub` items in `classic-core`,
-//! `classic-kb`, `classic-lang`, `classic-analyze`, `classic-store` and
-//! `classic-server` may fall, never rise. rustc's `dead_code` lint cannot see
+//! `pub`-surface ratchet: the number of `pub` items in `classic-obs`,
+//! `classic-core`, `classic-kb`, `classic-lang`, `classic-analyze`,
+//! `classic-store` and `classic-server` may fall, never rise. rustc's `dead_code` lint cannot see
 //! a `pub` item, so an item nothing outside its crate calls stays `pub`
 //! until someone notices; this test makes adding one a visible decision.
 //! When a change removes items, lower the limit below to the new count.
@@ -51,13 +51,22 @@ use std::path::{Path, PathBuf};
 /// compaction runs on the caller's thread, so there is nothing to poll.
 /// `classic-server` entered at 51, unchanged by that deletion
 /// (`Tenant::quiesce`, which it also deleted, was `pub(crate)`).
-const LIMITS: [(&str, usize); 6] = [
+///
+/// `classic-obs` entered at 123. It had 137 before every finished trace
+/// went to one process-wide ring: `FlightRecorder`, its 13 `pub` methods
+/// and its 2 capacity constants went (16 items), and the ring's readers
+/// `traces_for` and `trace_ops` came in as free functions (2 items).
+/// `classic-kb` went 79 → 78 when `Kb::flight_recorder` went, and
+/// `classic-server` 51 → 50 when `Tenant::recorder` went: no knowledge
+/// base or tenant holds a recorder.
+const LIMITS: [(&str, usize); 7] = [
+    ("crates/obs/src", 123),
     ("crates/core/src", 193),
-    ("crates/kb/src", 79),
+    ("crates/kb/src", 78),
     ("crates/lang/src", 57),
     ("crates/analyze/src", 24),
     ("crates/store/src", 56),
-    ("crates/server/src", 51),
+    ("crates/server/src", 50),
 ];
 
 const KINDS: [&str; 8] = [

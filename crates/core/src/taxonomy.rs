@@ -34,7 +34,7 @@
 use crate::normal::NormalForm;
 use crate::subsume::subsumes;
 use crate::symbol::ConceptName;
-use classic_obs::{Counter, FlightRecorder, Histogram, Registry};
+use classic_obs::{Counter, Histogram, Registry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -256,9 +256,6 @@ impl Closure {
 #[derive(Debug, Clone)]
 pub struct Taxonomy {
     graph: Arc<Graph>,
-    /// Where classification spans land (shared with the owning `Kb`'s
-    /// flight recorder when built via [`Taxonomy::with_obs`]).
-    recorder: Arc<FlightRecorder>,
     /// Classifications performed (registry counter).
     classify_total: Counter,
     /// Classification latency, nanoseconds (fills at `ObsLevel::Full`).
@@ -289,7 +286,6 @@ impl Taxonomy {
     /// detached (registry-less) instrumentation.
     pub fn new() -> Self {
         Self::build(
-            Arc::new(FlightRecorder::new()),
             Counter::detached("classic_classify_total"),
             Histogram::detached("classic_classify_ns", true),
             Counter::detached("classic_subsume_tests_total"),
@@ -298,17 +294,15 @@ impl Taxonomy {
     }
 
     /// A taxonomy whose classification metrics are registered in
-    /// `registry`, and whose classification spans land in `recorder`.
-    /// The owning `Kb` calls this so `KernelStats` and the metrics
-    /// exposition read the same atomics.
-    pub fn with_obs(registry: &Registry, recorder: Arc<FlightRecorder>) -> Self {
+    /// `registry`. The owning `Kb` calls this so `KernelStats` and the
+    /// metrics exposition read the same atomics.
+    pub fn with_obs(registry: &Registry) -> Self {
         let counter = |name: &str, help: &str| {
             registry
                 .counter(name, help)
                 .expect("taxonomy metric registration")
         };
         Self::build(
-            recorder,
             counter(
                 "classic_classify_total",
                 "taxonomy classifications performed",
@@ -328,7 +322,6 @@ impl Taxonomy {
     }
 
     fn build(
-        recorder: Arc<FlightRecorder>,
         classify_total: Counter,
         classify_ns: Histogram,
         subsume_tests: Counter,
@@ -355,7 +348,6 @@ impl Taxonomy {
                 by_name: HashMap::new(),
                 closure,
             }),
-            recorder,
             classify_total,
             classify_ns,
             subsume_tests,
@@ -417,7 +409,7 @@ impl Taxonomy {
     /// closure bitsets. Takes no lock and writes nothing but its counters
     /// and span.
     pub fn classify(&self, nf: &NormalForm) -> Classification {
-        let _span = classic_obs::span_timed(&self.recorder, "taxonomy.classify", &self.classify_ns);
+        let _span = classic_obs::span_timed("taxonomy.classify", &self.classify_ns);
         self.classify_total.bump();
         let mut tests = 0usize;
         if nf.is_incoherent() {

@@ -193,7 +193,7 @@ impl Kb {
             .ok();
         let _span = bulk_ns
             .as_ref()
-            .map(|h| classic_obs::span_timed(self.flight_recorder(), "kb.bulk_assert", h));
+            .map(|h| classic_obs::span_timed("kb.bulk_assert", h));
 
         let mut report = BulkReport {
             rows: rows.len(),

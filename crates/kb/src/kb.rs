@@ -32,7 +32,7 @@ use classic_core::normal::{conjoin_expression, NormalForm};
 use classic_core::schema::{PrimMark, Schema, TestArg};
 use classic_core::symbol::{ConceptName, IndName, RoleId, TestId};
 use classic_core::taxonomy::{Classification, NodeId, Taxonomy};
-use classic_obs::{Counter, FlightRecorder, Histogram, Registry};
+use classic_obs::{Counter, Histogram, Registry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
@@ -343,8 +343,8 @@ impl Journal {
 /// thirty-two individuals, or hundreds of the smaller entries). Neither
 /// version ever sees the other's later writes.
 ///
-/// The observability handles are *shared* outright: the metric registry,
-/// flight recorder, and duration histograms are `Arc`'d, so a clone's
+/// The observability handles are *shared* outright: the metric registry
+/// and duration histograms are `Arc`'d, so a clone's
 /// operations keep counting against the original KB's series. This is
 /// exactly what a server read snapshot wants — queries against the
 /// snapshot show up in the tenant's metrics — and it avoids enrolling
@@ -400,9 +400,6 @@ pub struct Kb {
     /// registry is also enrolled in the process-global roll-up that
     /// `--metrics` dumps.
     pub(crate) obs: Arc<Registry>,
-    /// Ring buffer of recent and slowest operation traces, populated
-    /// only at [`classic_obs::ObsLevel::Full`].
-    pub(crate) recorder: Arc<FlightRecorder>,
     /// Duration histograms for the top-level operations (Full only).
     assert_ns: Histogram,
     retract_ns: Histogram,
@@ -418,15 +415,12 @@ impl Default for Kb {
 impl Kb {
     /// An empty knowledge base (schema, taxonomy and data all empty).
     ///
-    /// Each `Kb` owns a fresh metric [`Registry`] and a
-    /// [`FlightRecorder`]; see [`Kb::metrics`] and
-    /// [`Kb::flight_recorder`].
+    /// Each `Kb` owns a fresh metric [`Registry`]; see [`Kb::metrics`].
+    /// Its operations' traces go to the process-wide flight recorder
+    /// ([`classic_obs::all_traces`]).
     pub fn new() -> Kb {
         let obs = Registry::new();
-        // Enrolled in the process-global roll-up so `--trace-out` dumps
-        // can collect traces from every KB in the process.
-        let recorder = FlightRecorder::new_shared();
-        let taxonomy = Taxonomy::with_obs(&obs, Arc::clone(&recorder));
+        let taxonomy = Taxonomy::with_obs(&obs);
         let stats = KbStats::register(&obs);
         let dh = |name: &str, help: &str| {
             obs.duration_histogram(name, help)
@@ -457,7 +451,6 @@ impl Kb {
             deps: DependencyJournal::default(),
             stats,
             obs,
-            recorder,
             assert_ns,
             retract_ns,
             propagate_ns,
@@ -513,13 +506,6 @@ impl Kb {
     /// stack.
     pub fn metrics(&self) -> &Arc<Registry> {
         &self.obs
-    }
-
-    /// The flight recorder holding the N most recent and slowest
-    /// operation traces. Only populated at
-    /// [`classic_obs::ObsLevel::Full`]; empty (but valid) otherwise.
-    pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
     }
 
     /// The individual stored at `id`.
@@ -852,7 +838,7 @@ impl Kb {
 
     /// `assert-ind` addressed by handle.
     pub(crate) fn assert_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<AssertReport> {
-        let _span = classic_obs::span_timed(&self.recorder, "kb.assert", &self.assert_ns);
+        let _span = classic_obs::span_timed("kb.assert", &self.assert_ns);
         let ((), report) = self.transact(true, |kb, journal| kb.stage_told(id, desc, journal))?;
         self.stats.assertions.bump();
         Ok(report)
@@ -957,7 +943,7 @@ impl Kb {
 
     /// `retract-ind` addressed by handle.
     pub(crate) fn retract_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<RetractReport> {
-        let _span = classic_obs::span_timed(&self.recorder, "kb.retract", &self.retract_ns);
+        let _span = classic_obs::span_timed("kb.retract", &self.retract_ns);
         let Some(pos) = self.inds[id.index()].told.iter().rposition(|t| t == desc) else {
             return Err(ClassicError::NotAsserted(self.inds[id.index()].name));
         };
@@ -1187,7 +1173,7 @@ impl Kb {
     /// firing can outlive the recognition it rested on"), and such a
     /// host is no longer an instance yet still holds the consequent.
     fn retract_rule_at(&mut self, rule_ix: usize) -> Result<RetractReport> {
-        let _span = classic_obs::span_timed(&self.recorder, "kb.retract_rule", &self.retract_ns);
+        let _span = classic_obs::span_timed("kb.retract_rule", &self.retract_ns);
         self.retract(|kb, journal| {
             let rules = Arc::make_mut(&mut kb.rules);
             let rule = &mut rules.table[rule_ix];

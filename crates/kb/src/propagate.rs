@@ -72,9 +72,9 @@ pub(crate) enum PathResolution {
 /// `classic-query`'s instance tests (on its worker threads too).
 ///
 /// `AssertUnwindSafe` is sound here: `f` only reads the KB. What it
-/// writes — atomic counters, and spans whose flight-recorder lock is not
-/// held while a recognizer runs — a panicking recognizer cannot leave
-/// mid-update.
+/// writes — atomic counters, and spans, which take the flight recorder's
+/// lock only when a root span closes, never while a recognizer runs — a
+/// panicking recognizer cannot leave mid-update.
 pub fn guard_recognizers<T>(f: impl FnOnce() -> T) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         let msg = payload
@@ -110,7 +110,7 @@ impl Propagation {
         if journal.work.is_empty() {
             return Ok(());
         }
-        let _span = classic_obs::span_timed(&kb.recorder, "propagate.fixpoint", &kb.propagate_ns);
+        let _span = classic_obs::span_timed("propagate.fixpoint", &kb.propagate_ns);
         let mut steps = 0u64;
         let mut effects: Vec<Effect> = Vec::new();
         loop {

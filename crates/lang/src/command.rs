@@ -66,12 +66,15 @@ pub enum Command {
         /// Render JSON instead of Prometheus text.
         json: bool,
     },
-    /// `(obs-trace op)`: render the flight recorder's retained traces
-    /// whose root span matches `op` (e.g. `kb.assert`,
-    /// `query.retrieve`); `(obs-trace *)` lists the retained ops.
+    /// `(obs-trace op)`: render the process-wide flight recorder's
+    /// retained traces whose root span matches `op` (e.g. `kb.assert`,
+    /// `query.retrieve`), whatever knowledge base or tenant recorded
+    /// them, as `(obs-slowlog)` does; `(obs-trace *)` lists the retained
+    /// ops.
     ObsTrace(String),
-    /// `(obs-reset)`: zero every metric series and clear the flight
-    /// recorder.
+    /// `(obs-reset)`: zero every metric series of this KB. Retained
+    /// traces are process-wide and stay: one tenant cannot clear
+    /// another's.
     ObsReset,
     /// `(obs-level off|counters|full)`: set the process-wide
     /// observability level (`full` enables span tracing for

@@ -157,21 +157,18 @@ fn read(kb: &Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Outc
             }))
         }
         Command::ObsTrace(op) => {
-            let recorder = kb.flight_recorder();
             if op == "*" {
-                let mut lines: Vec<String> = recorder
-                    .ops()
+                let lines: Vec<String> = classic_obs::trace_ops()
                     .into_iter()
                     .map(|(name, n)| format!("{name}: {n} trace(s) retained"))
                     .collect();
-                lines.sort();
                 return Ok(Outcome::Description(if lines.is_empty() {
                     no_traces_hint()
                 } else {
                     lines.join("\n")
                 }));
             }
-            let traces = recorder.traces_for(op);
+            let traces = classic_obs::traces_for(op);
             if traces.is_empty() {
                 return Ok(Outcome::Description(no_traces_hint()));
             }
@@ -185,7 +182,6 @@ fn read(kb: &Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Outc
         }
         Command::ObsReset => {
             kb.metrics().reset();
-            kb.flight_recorder().clear();
             Ok(Outcome::Ok)
         }
         Command::ObsLevel(level) => {

@@ -18,15 +18,14 @@
 //!   duplicates and anything outside `[a-z0-9_]` are rejected with a
 //!   positioned [`ObsError`], so exposition can never emit colliding
 //!   series. Rendered as Prometheus text or JSON ([`expo`]).
-//! - **[`span`] / [`event`] / [`FlightRecorder`]** — RAII spans with
+//! - **[`span`] / [`event`] / [`all_traces`]** — RAII spans with
 //!   parent/child ids and monotonic nanosecond timings, assembled into
-//!   per-operation traces; a fixed-capacity ring buffer retains the most
-//!   recent and the slowest traces for `(obs-trace <op>)`-style
-//!   postmortems.
+//!   per-operation traces; one process-wide fixed-capacity ring
+//!   ([`flight`]) retains the most recent and the slowest traces for
+//!   `(obs-trace <op>)`-style postmortems.
 //!
 //! ```
-//! use classic_obs::{Registry, FlightRecorder, ObsLevel};
-//! use std::sync::Arc;
+//! use classic_obs::Registry;
 //!
 //! let registry = Registry::new();
 //! let tests = registry.counter("demo_subsumption_tests_total",
@@ -58,7 +57,7 @@ pub use expo::{
     render_json, render_prometheus, render_prometheus_exemplars, render_prometheus_labeled,
     snapshot_all, write_json_string, Exemplar, ExemplarStore,
 };
-pub use flight::{all_traces, find_trace, FlightRecorder, SpanRecord, Trace, TraceEvent};
+pub use flight::{all_traces, find_trace, trace_ops, traces_for, SpanRecord, Trace, TraceEvent};
 pub use json::{Json, JsonError};
 pub use level::{counters_enabled, level, set_level, tracing_enabled, ObsLevel};
 pub use metrics::{

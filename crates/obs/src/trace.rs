@@ -1,12 +1,12 @@
 //! The span layer: RAII guards over a thread-local trace builder. A root
 //! span opening starts a trace; the root closing hands the finished
-//! trace to the operation's [`FlightRecorder`].
+//! trace to the process-wide flight recorder ([`crate::flight`]).
 //!
 //! Spans cost nothing below [`crate::ObsLevel::Full`]: `span()` does one
 //! relaxed atomic load and returns an inert guard.
 
 use crate::context::RequestCtx;
-use crate::flight::{FlightRecorder, SpanRecord, Trace, TraceEvent};
+use crate::flight::{SpanRecord, Trace, TraceEvent};
 use crate::level::tracing_enabled;
 use crate::metrics::Histogram;
 use std::cell::{Cell, RefCell};
@@ -14,13 +14,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Where a request root span deposits its finished trace: the request
-/// layer reads it back after the guard drops (reading the recorder would
-/// race with other workers on the same tenant).
+/// layer reads it back after the guard drops (reading the flight recorder
+/// would race with other requests).
 type TraceSlot = Arc<Mutex<Option<Arc<Trace>>>>;
 
 struct TraceBuilder {
     clock: Instant,
-    recorder: Arc<FlightRecorder>,
     spans: Vec<SpanRecord>,
     /// Open span ids, innermost last; parallel vec of open Instants.
     open: Vec<u32>,
@@ -51,8 +50,8 @@ pub struct SpanGuard {
 
 /// Open a span named `target` under the current trace, or start a new
 /// trace rooted at `target` if none is active on this thread. The trace
-/// lands in `recorder` when the root closes.
-pub fn span(recorder: &Arc<FlightRecorder>, target: &'static str) -> SpanGuard {
+/// lands in the flight recorder when the root closes.
+pub fn span(target: &'static str) -> SpanGuard {
     if !tracing_enabled() || SUPPRESS.with(|s| s.get()) {
         return SpanGuard {
             active: false,
@@ -64,7 +63,6 @@ pub fn span(recorder: &Arc<FlightRecorder>, target: &'static str) -> SpanGuard {
         let mut slot = a.borrow_mut();
         let b = slot.get_or_insert_with(|| TraceBuilder {
             clock: Instant::now(),
-            recorder: recorder.clone(),
             spans: Vec::new(),
             open: Vec::new(),
             open_at: Vec::new(),
@@ -94,12 +92,8 @@ pub fn span(recorder: &Arc<FlightRecorder>, target: &'static str) -> SpanGuard {
 
 /// Like [`span`], additionally recording the span's duration into
 /// `histogram` when it closes.
-pub fn span_timed(
-    recorder: &Arc<FlightRecorder>,
-    target: &'static str,
-    histogram: &Histogram,
-) -> SpanGuard {
-    let mut g = span(recorder, target);
+pub fn span_timed(target: &'static str, histogram: &Histogram) -> SpanGuard {
+    let mut g = span(target);
     if g.active {
         g.histogram = Some(histogram.clone());
     }
@@ -130,7 +124,7 @@ impl Drop for SpanGuard {
         if !self.active {
             return;
         }
-        let finished: Option<(Arc<FlightRecorder>, Trace, Option<TraceSlot>)> = ACTIVE.with(|a| {
+        let finished: Option<(Trace, Option<TraceSlot>)> = ACTIVE.with(|a| {
             let mut slot = a.borrow_mut();
             let b = slot.as_mut()?;
             let id = b.open.pop()?;
@@ -145,7 +139,6 @@ impl Drop for SpanGuard {
                 let root = b.spans[0].target;
                 let total_ns = b.spans[0].dur_ns;
                 Some((
-                    b.recorder,
                     Trace {
                         root,
                         total_ns,
@@ -158,9 +151,9 @@ impl Drop for SpanGuard {
                 None
             }
         });
-        if let Some((recorder, trace, capture)) = finished {
+        if let Some((trace, capture)) = finished {
             let t = Arc::new(trace);
-            recorder.record_arc(t.clone());
+            crate::flight::record(t.clone());
             if let Some(c) = capture {
                 *c.lock().unwrap_or_else(|e| e.into_inner()) = Some(t);
             }
@@ -210,11 +203,7 @@ impl Drop for RequestGuard {
 /// If a trace is somehow already active on this thread, the span nests
 /// under it and no context is attached (the outer request owns the
 /// trace).
-pub fn request_span(
-    recorder: &Arc<FlightRecorder>,
-    target: &'static str,
-    ctx: RequestCtx,
-) -> RequestGuard {
+pub fn request_span(target: &'static str, ctx: RequestCtx) -> RequestGuard {
     let inert = |suppressing| RequestGuard {
         guard: None,
         slot: None,
@@ -228,7 +217,7 @@ pub fn request_span(
         SUPPRESS.with(|s| s.set(true));
         return inert(true);
     }
-    let g = span(recorder, target);
+    let g = span(target);
     let capture: TraceSlot = Arc::new(Mutex::new(None));
     let is_root = ACTIVE.with(|a| {
         let mut slot = a.borrow_mut();
@@ -252,26 +241,29 @@ pub fn request_span(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::traces_for;
     use crate::level::{set_level, ObsLevel};
+
+    // The flight recorder is process-wide, so each test roots its traces
+    // at a target of its own and reads back only those.
 
     #[test]
     fn nested_spans_build_one_trace_with_parents() {
         let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Full);
-        let fr = Arc::new(FlightRecorder::new());
         {
-            let _root = span(&fr, "outer");
+            let _root = span("trace.test.nested");
             event("top", 1);
             {
-                let _child = span(&fr, "inner");
+                let _child = span("inner");
                 event("deep", 2);
             }
         }
         set_level(prev);
-        let traces = fr.recent();
+        let traces = traces_for("trace.test.nested");
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
-        assert_eq!(t.root, "outer");
+        assert_eq!(t.root, "trace.test.nested");
         assert_eq!(t.spans.len(), 2);
         assert_eq!(t.spans[1].parent, Some(0));
         assert_eq!(
@@ -295,13 +287,12 @@ mod tests {
     fn spans_are_inert_when_off() {
         let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Counters);
-        let fr = Arc::new(FlightRecorder::new());
         {
-            let _g = span(&fr, "op");
+            let _g = span("trace.test.inert");
             event("never", 1);
         }
         set_level(prev);
-        assert!(fr.is_empty());
+        assert!(traces_for("trace.test.inert").is_empty());
     }
 
     fn ctx(kind: &'static str) -> RequestCtx {
@@ -317,21 +308,20 @@ mod tests {
     fn request_span_attaches_ctx_and_captures_the_trace() {
         let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Full);
-        let fr = Arc::new(FlightRecorder::new());
         let c = ctx("assert-ind");
-        let g = request_span(&fr, "server.request", c.clone());
+        let g = request_span("trace.test.request", c.clone());
         {
-            let _child = span(&fr, "kb.assert");
+            let _child = span("kb.assert");
         }
         let t = g.finish().expect("sampled request captures its trace");
         set_level(prev);
-        assert_eq!(t.root, "server.request");
+        assert_eq!(t.root, "trace.test.request");
         assert_eq!(t.ctx.as_ref(), Some(&c));
         assert_eq!(t.spans.len(), 2);
         assert_eq!(t.spans[1].target, "kb.assert");
         assert_eq!(t.spans[1].parent, Some(0));
-        // The recorder got the same trace.
-        let recorded = fr.recent();
+        // The flight recorder got the same trace.
+        let recorded = traces_for("trace.test.request");
         assert_eq!(recorded.len(), 1);
         assert!(Arc::ptr_eq(&recorded[0], &t));
     }
@@ -341,20 +331,24 @@ mod tests {
         let _l = crate::lock_globals();
         let prev = set_level(ObsLevel::Full);
         let prev_rate = crate::context::set_sample_rate(0.0);
-        let fr = Arc::new(FlightRecorder::new());
-        let g = request_span(&fr, "server.request", ctx("retrieve"));
+        let g = request_span("trace.test.unsampled", ctx("retrieve"));
         {
-            let _child = span(&fr, "query.retrieve");
+            let _child = span("trace.test.unsampled_child");
         }
         assert!(g.finish().is_none());
         crate::context::set_sample_rate(prev_rate);
         // Suppression must be cleared once the guard is gone.
         {
-            let _g = span(&fr, "after");
+            let _g = span("trace.test.after");
         }
         set_level(prev);
-        assert_eq!(fr.len(), 1, "only the post-request span recorded");
-        assert_eq!(fr.recent()[0].root, "after");
+        assert!(traces_for("trace.test.unsampled").is_empty());
+        assert!(traces_for("trace.test.unsampled_child").is_empty());
+        assert_eq!(
+            traces_for("trace.test.after").len(),
+            1,
+            "only the post-request span recorded"
+        );
     }
 
     #[test]
@@ -363,9 +357,8 @@ mod tests {
         let prev = set_level(ObsLevel::Full);
         let r = crate::Registry::new();
         let h = r.duration_histogram("span_test_ns", "").unwrap();
-        let fr = Arc::new(FlightRecorder::new());
         {
-            let _g = span_timed(&fr, "op", &h);
+            let _g = span_timed("trace.test.timed", &h);
         }
         set_level(prev);
         assert_eq!(h.count(), 1);

@@ -316,7 +316,7 @@ fn retrieve_impl(kb: &Kb, query: &Concept) -> Result<Answers> {
 /// at the retrieval boundary instead of aborting the process.
 pub fn retrieve_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
     let obs = QueryObs::attach(kb);
-    let _span = classic_obs::span_timed(kb.flight_recorder(), "query.retrieve", &obs.retrieve_ns);
+    let _span = classic_obs::span_timed("query.retrieve", &obs.retrieve_ns);
     obs.retrieves.bump();
     let mut stats = QueryStats::default();
     if nf.is_incoherent() {
@@ -441,14 +441,13 @@ fn test_candidates(kb: &Kb, nf: &NormalForm, candidates: &[IndId]) -> Result<Vec
         let handles: Vec<_> = candidates
             .chunks(chunk)
             .map(|part| {
-                let recorder = std::sync::Arc::clone(kb.flight_recorder());
                 s.spawn(move || {
                     // Catch inside the worker so the panic becomes data;
                     // `scope` still joins every thread before returning.
                     guard_recognizers(|| {
                         // Worker threads have no open parent span, so each
-                        // batch becomes its own root trace in the recorder.
-                        let _span = classic_obs::span(&recorder, "query.worker_batch");
+                        // batch becomes its own root trace, with no tenant.
+                        let _span = classic_obs::span("query.worker_batch");
                         classic_obs::event("batch_size", part.len() as u64);
                         part.iter()
                             .copied()

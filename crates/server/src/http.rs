@@ -11,9 +11,9 @@
 //! |                        | per-tenant labeled sections and exemplars   |
 //! | `GET /stats`           | per-tenant JSON (version, generation, size) |
 //! | `GET /lint?tenant=T`   | tenant diagnostics (`&cone=1` for the cone) |
-//! | `GET /trace?tenant=T`  | tenant's retained traces as Chrome          |
-//! |                        | trace-event JSON (`&id=HEX` for one trace,  |
-//! |                        | no params for every recorder's traces)      |
+//! | `GET /trace?tenant=T`  | retained traces of T's requests as Chrome   |
+//! |                        | trace-event JSON (`?id=HEX` for one trace,  |
+//! |                        | no params for every retained trace)         |
 //! | `GET /slowlog?n=K`     | the K slowest requests with span trees      |
 //! | `POST /eval?tenant=T`  | body = s-expr forms; JSON array of results  |
 //! | `POST /ingest?tenant=T`| body = raw CSV/JSON rows; bulk-load report  |
@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use classic_obs::{json_string, RequestCtx, TraceId};
 
-use crate::server::Shared;
+use crate::server::{validate_tenant_name, Shared};
 use crate::session::{write_err, write_ok};
 use crate::tenant::TenantStats;
 
@@ -92,7 +92,7 @@ pub fn serve_http(
             "application/json",
             &stats_json(&shared.all_stats()),
         ),
-        ("GET", "/trace") => match trace_dump(shared, &req) {
+        ("GET", "/trace") => match trace_dump(&req) {
             Ok(json) => respond(&mut stream, 200, "application/json", &json),
             Err((status, msg)) => {
                 respond(&mut stream, status, "application/json", &error_body(&msg))
@@ -287,11 +287,13 @@ fn read_request(
     }))
 }
 
-/// Answer `GET /trace`: Chrome trace-event JSON (Perfetto-loadable).
-/// `?id=HEX` exports one trace from any recorder; `?tenant=T` exports
-/// everything the tenant's flight recorder retains; no parameters
-/// exports every enrolled recorder's traces.
-fn trace_dump(shared: &Arc<Shared>, req: &Request) -> Result<String, (u16, String)> {
+/// Answer `GET /trace`: Chrome trace-event JSON (Perfetto-loadable),
+/// from the process-wide flight recorder. `?id=HEX` exports one trace;
+/// `?tenant=T` exports the traces of T's wire requests, without opening
+/// T (traces rooted outside a request, such as query worker batches,
+/// have no tenant and are not among them); no parameters exports every
+/// retained trace.
+fn trace_dump(req: &Request) -> Result<String, (u16, String)> {
     if let Some(id) = req.query_param("id") {
         let full = TraceId::parse(id)
             .map_err(|e| (400, e.to_string()))?
@@ -301,14 +303,11 @@ fn trace_dump(shared: &Arc<Shared>, req: &Request) -> Result<String, (u16, Strin
             None => Err((404, format!("no retained trace with id {full}"))),
         };
     }
-    let traces = match req.query_param("tenant") {
-        Some(name) => shared
-            .tenant(name)
-            .map_err(|e| (400, e.to_string()))?
-            .recorder()
-            .traces(),
-        None => classic_obs::all_traces(),
-    };
+    let mut traces = classic_obs::all_traces();
+    if let Some(name) = req.query_param("tenant") {
+        validate_tenant_name(name).map_err(|e| (400, e.to_string()))?;
+        traces.retain(|t| t.ctx.as_ref().is_some_and(|c| c.tenant == name));
+    }
     Ok(classic_obs::render_chrome_trace(&traces))
 }
 
@@ -349,7 +348,7 @@ fn eval_body(
         session: classic_obs::next_session_id(),
         kind: "http.eval",
     };
-    let body = shared.request(tenant.recorder(), ctx, || {
+    let body = shared.request(ctx, || {
         let mut body = String::from("[");
         let mut failed = false;
         for (ix, cmd) in commands.iter().enumerate() {

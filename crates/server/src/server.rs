@@ -26,9 +26,7 @@ use std::time::{Duration, Instant};
 
 use classic_core::{ClassicError, Result};
 use classic_lang::{MAX_NESTING, TOO_DEEP};
-use classic_obs::{
-    Counter, ExemplarStore, FlightRecorder, Histogram, ObsLevel, Registry, RequestCtx,
-};
+use classic_obs::{Counter, ExemplarStore, Histogram, ObsLevel, Registry, RequestCtx};
 
 use crate::http;
 use crate::session::{self, Control, WireSession};
@@ -158,19 +156,15 @@ impl Shared {
     }
 
     /// Run one wire request — a line-protocol form or an HTTP eval body —
-    /// under its `server.request` root span on the tenant's `recorder`,
-    /// and account for it: the wall time lands in
+    /// under its `server.request` root span, whose trace carries `ctx`
+    /// (and so its tenant) into the process-wide flight recorder, and
+    /// account for it: the wall time lands in
     /// `classic_server_request_ns` (with the trace id as an exemplar) and
     /// the process slowlog, and a failed request bumps the error counter.
     /// `serve` returns its reply and whether that reply is an error.
-    pub(crate) fn request<T>(
-        &self,
-        recorder: &Arc<FlightRecorder>,
-        ctx: RequestCtx,
-        serve: impl FnOnce() -> (T, bool),
-    ) -> T {
+    pub(crate) fn request<T>(&self, ctx: RequestCtx, serve: impl FnOnce() -> (T, bool)) -> T {
         let started = Instant::now();
-        let guard = classic_obs::request_span(recorder, "server.request", ctx.clone());
+        let guard = classic_obs::request_span("server.request", ctx.clone());
         let (reply, failed) = serve();
         let dur_ns = started.elapsed().as_nanos() as u64;
         let trace = guard.finish();
@@ -283,7 +277,7 @@ impl Shared {
 
 /// Tenant names become directory names and JSON payloads; keep them
 /// boring: `[A-Za-z0-9_-]`, 1–64 chars.
-fn validate_tenant_name(name: &str) -> Result<()> {
+pub(crate) fn validate_tenant_name(name: &str) -> Result<()> {
     let ok = !name.is_empty()
         && name.len() <= 64
         && name

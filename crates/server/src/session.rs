@@ -23,9 +23,9 @@
 //!
 //! Every form is a *request*: the session mints a fresh
 //! [`classic_obs::TraceId`] (or takes the one a preceding `(trace-id)`
-//! form adopted), opens a `server.request` root span on the bound
-//! tenant's flight recorder so every span the evaluation opens nests
-//! under it, and on completion feeds the wall time to the server's
+//! form adopted), opens a `server.request` root span labelled with the
+//! bound tenant so every span the evaluation opens nests under it, and
+//! on completion feeds the wall time to the server's
 //! request histogram (with the trace id as an OpenMetrics exemplar) and
 //! the process slowlog. A malformed or oversize client id is answered
 //! with a positioned error and **not** adopted — the next form gets a
@@ -173,8 +173,7 @@ impl WireSession {
             kind,
         };
         let shared = Arc::clone(&self.shared);
-        let recorder = Arc::clone(self.tenant.recorder());
-        shared.request(&recorder, ctx, || {
+        shared.request(ctx, || {
             let (reply, control) = self.dispatch(parsed);
             let failed = reply.starts_with("{\"ok\":false");
             ((reply, control), failed)

@@ -65,7 +65,7 @@ use classic_analyze::AnalysisState;
 use classic_core::{ClassicError, Result};
 use classic_kb::Kb;
 use classic_lang::{Command, LintReport, Outcome};
-use classic_obs::{Counter, FlightRecorder, Registry};
+use classic_obs::{Counter, Registry};
 use classic_store::DurableKb;
 
 /// A poisoned tenant lock means some earlier evaluation panicked while
@@ -176,10 +176,6 @@ pub struct Tenant {
     /// `Kb::clone` shares this `Arc`, so snapshot and sandbox evals
     /// land in the same registry.
     registry: Arc<Registry>,
-    /// The tenant KB's flight recorder, cached for the same reason:
-    /// request root spans and `GET /trace?tenant=…` both need it
-    /// without waiting behind a writer.
-    recorder: Arc<FlightRecorder>,
     /// Wire requests routed to this tenant (line protocol and HTTP),
     /// registered in the tenant's own registry so the roll-up sums it
     /// and the labeled section attributes it.
@@ -219,10 +215,7 @@ impl Tenant {
             detail: format!("creating tenant directory: {e}"),
         })?;
         let store = DurableKb::open(dir.join("kb.log"), |_| {})?;
-        let (registry, recorder) = {
-            let kb = store.kb()?;
-            (Arc::clone(kb.metrics()), Arc::clone(kb.flight_recorder()))
-        };
+        let registry = Arc::clone(store.kb()?.metrics());
         let requests = registry
             .counter(
                 "classic_tenant_requests_total",
@@ -237,7 +230,6 @@ impl Tenant {
             analysis: Mutex::new(AnalysisState::new()),
             lint_on_write: AtomicBool::new(false),
             registry,
-            recorder,
             requests,
         })
     }
@@ -256,12 +248,6 @@ impl Tenant {
     /// it); `/metrics` renders its series under a `tenant="…"` label.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// The tenant KB's flight recorder: every request root span for
-    /// this tenant records here, and `GET /trace?tenant=…` reads it.
-    pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
     }
 
     /// Count one wire request (line-protocol form or HTTP eval) routed

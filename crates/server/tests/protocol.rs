@@ -484,6 +484,51 @@ fn http_headers(handle: &ServerHandle, request: &str) -> (u16, String, String) {
     (status, head, body)
 }
 
+/// `GET /trace?tenant=T` filters the process-wide traces by the tenant
+/// their request carried, and opens nothing: a tenant no request used
+/// gets a valid dump and no directory under the data root. A bad name
+/// is still refused.
+#[test]
+fn trace_dump_for_a_tenant_filters_and_creates_nothing() {
+    let dir = tmpdir("trace-tenant");
+    let handle = start(&dir);
+    // Only ever raise the process-global level (see the test below).
+    classic_obs::set_level(classic_obs::ObsLevel::Full);
+    let mut c = Client::connect(&handle);
+    c.ok("(tenant trace-seen)");
+    c.ok("(define-role r)");
+
+    let tenants = |body: &str| -> Vec<String> {
+        let dump = Json::parse(body.trim()).expect("strict parser accepts the dump");
+        let events = dump
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents");
+        events
+            .iter()
+            .filter_map(|e| e.get("args")?.get("tenant")?.as_str().map(str::to_owned))
+            .collect()
+    };
+    let (status, body) = http(&handle, "GET", "/trace?tenant=trace-seen", "");
+    assert_eq!(status, 200, "{body}");
+    let seen = tenants(&body);
+    assert!(
+        !seen.is_empty(),
+        "the tenant's request is in its dump: {body}"
+    );
+    assert!(seen.iter().all(|t| t == "trace-seen"), "{seen:?}");
+
+    let (status, body) = http(&handle, "GET", "/trace?tenant=never-used", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(tenants(&body).is_empty(), "{body}");
+    assert!(!dir.join("never-used").exists(), "a GET created a tenant");
+
+    let (status, body) = http(&handle, "GET", "/trace?tenant=bad/name", "");
+    assert_eq!(status, 400, "{body}");
+    drop(c);
+    handle.shutdown().expect("clean shutdown");
+}
+
 /// The tentpole end to end on the line protocol: a client-adopted trace
 /// id flows through the session into the span layer, the resulting span
 /// tree roots at `server.request` with tenant/session/kind attribution,

@@ -748,11 +748,7 @@ impl DurableKb {
     }
 
     fn append(&mut self, line: &str) -> Result<()> {
-        let _span = classic_obs::span_timed(
-            self.kb.flight_recorder(),
-            "store.append",
-            &self.obs.append_ns,
-        );
+        let _span = classic_obs::span_timed("store.append", &self.obs.append_ns);
         self.obs.appends.bump();
         self.obs.append_bytes.add(line.len() as u64 + 1);
         let io = |e: std::io::Error| storage_err(&self.log_path, Some(self.log_gen), e);
@@ -926,32 +922,39 @@ impl DurableKb {
     /// snapshot. There is no partial-ingest state on disk, ever.
     ///
     /// `ddl` must contain only writes (`define-role`, `define-concept`,
-    /// `assert-rule`, …). A failing DDL command — or anything in the
-    /// load that could not be written to a segment and read back —
-    /// aborts the whole load with the KB untouched (a load with DDL is
-    /// staged on a `Kb::clone`, which shares the pre-ingest storage and
-    /// copies what the load writes, and replaces the KB only once
-    /// everything applied). Row-level clashes do
+    /// `assert-rule`, …). A failing DDL command, anything in the load
+    /// that could not be written to a segment and read back, or a
+    /// publish that fails aborts the whole load with the KB and its
+    /// pending-operation count as they were before it (the load keeps
+    /// the pre-ingest version, a `Kb::clone` that shares its storage,
+    /// and restores it on any error). Row-level clashes do
     /// **not** abort: they are per-row rejections in the returned
     /// report, and only accepted rows reach the snapshot.
     pub fn bulk_load(&mut self, ddl: &[Command], spec: &BulkSpec) -> Result<BulkLoadReport> {
-        let _span = classic_obs::span_timed(
-            self.kb.flight_recorder(),
-            "store.bulk_load",
-            &self.obs.bulk_load_ns,
-        );
+        let _span = classic_obs::span_timed("store.bulk_load", &self.obs.bulk_load_ns);
         // A parked compaction publishes before the load applies: the
         // load's own compaction must be the newest generation, and if the
         // parked one cannot publish, the load is refused untouched.
         self.wait_for_compaction()?;
         self.hydrate_all()?;
 
-        // Stage on a clone so a failing DDL command leaves the store
-        // exactly as it was. The clone shares the pre-ingest KB's
-        // storage (and its obs registry and test closures); the load
+        // The cut is a pointer copy: while `before` is alive, the load
         // copies only the chunks it writes to.
-        let mut staged = (!ddl.is_empty()).then(|| self.kb.clone());
-        let kb = staged.as_mut().unwrap_or(&mut self.kb);
+        let before = self.kb.clone();
+        let pending_before = self.ops_since_compact;
+        let loaded = self.apply_bulk(ddl, spec);
+        if loaded.is_err() {
+            self.kb = before;
+            self.ops_since_compact = pending_before;
+        }
+        loaded
+    }
+
+    /// Apply `ddl` and `spec` to the KB and publish the result: the body
+    /// of [`bulk_load`](DurableKb::bulk_load), which undoes it on an
+    /// error.
+    fn apply_bulk(&mut self, ddl: &[Command], spec: &BulkSpec) -> Result<BulkLoadReport> {
+        let kb = &mut self.kb;
         for cmd in ddl {
             let write = resolve_write(kb, cmd)?;
             write.record(kb)?;
@@ -965,16 +968,13 @@ impl DurableKb {
         let Outcome::BulkLoaded(report) = rows.apply(kb)? else {
             unreachable!("a bulk-load yields its report");
         };
-        if let Some(staged) = staged {
-            self.kb = staged;
-        }
-        self.obs.bulk_rows.add(report.accepted as u64);
         // The in-memory state now leads the disk; fold it into segments
         // under a generation bump. This is the only call site where the
         // log does *not* carry the operations being published — the
         // compaction IS the durability.
         self.ops_since_compact += ddl.len() as u64 + report.accepted as u64;
         self.compact()?;
+        self.obs.bulk_rows.add(report.accepted as u64);
         Ok(BulkLoadReport {
             report,
             ddl_applied: ddl.len(),
@@ -1087,11 +1087,7 @@ impl DurableKb {
     /// Render the new generation and rotate the log: the first half of
     /// compaction.
     fn begin_compaction(&mut self) -> Result<CompactionPlan> {
-        let _span = classic_obs::span_timed(
-            self.kb.flight_recorder(),
-            "store.compact.render",
-            &self.obs.render_ns,
-        );
+        let _span = classic_obs::span_timed("store.compact.render", &self.obs.render_ns);
         // Rendering requires the complete database.
         self.hydrate_all()?;
         let next_gen = self.log_gen + 1;
@@ -1219,15 +1215,13 @@ impl DurableKb {
     ///    directory fsync.
     fn publish_plan(&self, plan: &CompactionPlan, crash: Option<CrashPoint>) -> Result<()> {
         debug_assert!(crash != Some(CrashPoint::AfterLogRotation));
-        let recorder = self.kb.flight_recorder();
         let generation = plan.manifest.generation;
         let manifest_file = manifest_path(&self.log_path);
         // Per-phase child spans time each rename point of the
         // crash-ordering pipeline.
-        let _span =
-            classic_obs::span_timed(recorder, "store.compact.publish", &self.obs.publish_ns);
+        let _span = classic_obs::span_timed("store.compact.publish", &self.obs.publish_ns);
         {
-            let _phase = classic_obs::span(recorder, "store.publish.segments");
+            let _phase = classic_obs::span("store.publish.segments");
             let mut first_published = false;
             for seg in &plan.segments {
                 if seg.reuse || self.dir.join(&seg.file).exists() {
@@ -1251,7 +1245,7 @@ impl DurableKb {
             return Ok(());
         }
         {
-            let _phase = classic_obs::span(recorder, "store.publish.manifest");
+            let _phase = classic_obs::span("store.publish.manifest");
             plan.manifest.write_atomic(&manifest_file)?;
             if crash == Some(CrashPoint::AfterManifestRename) {
                 return Ok(());
@@ -1262,7 +1256,7 @@ impl DurableKb {
             return Ok(());
         }
         {
-            let _phase = classic_obs::span(recorder, "store.publish.cleanup");
+            let _phase = classic_obs::span("store.publish.cleanup");
             for path in plan.stale_logs.iter().chain(&plan.stale_segments) {
                 match std::fs::remove_file(path) {
                     Ok(()) => {}
@@ -1471,6 +1465,43 @@ mod tests {
         drop(reopened);
         let reopened = DurableKb::open(&path, |_| {}).unwrap();
         assert_eq!(snapshot_to_string(reopened.kb().unwrap()), state);
+    }
+
+    /// A bulk load whose publish fails leaves nothing of itself: not in
+    /// memory, where its rows would be served until restart and then
+    /// lost, and not in the pending-operation count.
+    #[test]
+    fn a_bulk_load_whose_publish_fails_keeps_none_of_its_rows() {
+        let dir = tmpdir("bulk-failed-publish");
+        let path = dir.join("kb.log");
+        let mut store = DurableKb::open(&path, |_| {}).unwrap();
+        populate(&mut store);
+        let inds = store.kb.ind_count();
+        let pending = store.pending_ops();
+
+        let blocker = tmp_path(&manifest_path(&path));
+        std::fs::create_dir(&blocker).unwrap();
+        let (_, spec) =
+            parse_bulk("(bulk-load (into PERSON) (roles enrolled-at) (row p1 _) (row p2 _))");
+        let err = store.bulk_load(&[], &spec).unwrap_err();
+        assert!(matches!(err, ClassicError::Storage { .. }), "{err:?}");
+        assert_eq!(store.kb.ind_count(), inds, "the rows are not in memory");
+        assert_eq!(store.pending_ops(), pending);
+        store.create_ind("Late").unwrap();
+
+        std::fs::remove_dir(&blocker).unwrap();
+        drop(store);
+        let reopened = DurableKb::open(&path, |_| {}).unwrap();
+        let kb = reopened.kb().unwrap();
+        let has = |name: &str| {
+            kb.schema()
+                .symbols
+                .find_individual(name)
+                .is_some_and(|n| kb.ind_id(n).is_ok())
+        };
+        assert!(has("Rocky") && has("Late"));
+        assert!(!has("p1") && !has("p2"));
+        assert_eq!(kb.ind_count(), inds + 1);
     }
 
     #[test]
