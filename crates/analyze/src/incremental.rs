@@ -30,7 +30,7 @@
 use crate::{abox, checks, Diagnostic, Report};
 use classic_core::symbol::ConceptName;
 use classic_kb::{IndId, Kb};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// What one [`AnalysisState::refresh`] did, for lint-on-write replies and
@@ -122,9 +122,9 @@ impl AnalysisState {
     /// the comparison to be cheap (any other `Kb` differs in every chunk,
     /// and is re-fingerprinted whole).
     pub fn refresh(&mut self, kb: &Kb) -> Refresh {
-        let registry = kb.metrics().clone();
+        let registry = kb.metrics();
         let dur = registry
-            .get_or_duration_histogram(
+            .duration_histogram(
                 "classic_analyze_incremental_ns",
                 "Incremental re-analysis latency per refresh",
             )
@@ -276,7 +276,7 @@ impl AnalysisState {
         self.inert = inert_new;
 
         crate::sort_diagnostics(&mut cone_out);
-        self.record_metrics(&registry, cone_size, &cone_out);
+        self.record_metrics(registry, cone_size, &cone_out);
         self.last = Some(kb.clone());
         Refresh {
             cone_size,
@@ -292,19 +292,21 @@ impl AnalysisState {
         cone_size: usize,
         cone: &[Diagnostic],
     ) {
-        if let Ok(h) = registry.get_or_histogram(
+        if let Ok(h) = registry.histogram(
             "classic_analyze_cone_size",
             "Individuals in the dirty cone per incremental refresh",
         ) {
             h.record(cone_size as u64);
         }
+        // One lookup per distinct code, not one per diagnostic.
+        let mut by_code: BTreeMap<&str, u64> = BTreeMap::new();
         for d in cone {
-            let name = format!(
-                "classic_analyze_diag_{}_total",
-                d.code.as_str().to_ascii_lowercase()
-            );
-            if let Ok(c) = registry.get_or_counter(&name, "Diagnostics emitted by re-analysis") {
-                c.bump();
+            *by_code.entry(d.code.as_str()).or_default() += 1;
+        }
+        for (code, n) in by_code {
+            let name = format!("classic_analyze_diag_{}_total", code.to_ascii_lowercase());
+            if let Ok(c) = registry.counter(&name, "Diagnostics emitted by re-analysis") {
+                c.add(n);
             }
         }
     }

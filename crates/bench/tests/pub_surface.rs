@@ -1,6 +1,7 @@
 //! `pub`-surface ratchet: the number of `pub` items in `classic-obs`,
-//! `classic-core`, `classic-kb`, `classic-lang`, `classic-analyze`,
-//! `classic-store` and `classic-server` may fall, never rise. rustc's `dead_code` lint cannot see
+//! `classic-core`, `classic-kb`, `classic-query`, `classic-lang`,
+//! `classic-analyze`, `classic-store` and `classic-server` may fall,
+//! never rise. rustc's `dead_code` lint cannot see
 //! a `pub` item, so an item nothing outside its crate calls stays `pub`
 //! until someone notices; this test makes adding one a visible decision.
 //! When a change removes items, lower the limit below to the new count.
@@ -59,10 +60,23 @@ use std::path::{Path, PathBuf};
 /// `classic-kb` went 79 → 78 when `Kb::flight_recorder` went, and
 /// `classic-server` 51 → 50 when `Tenant::recorder` went: no knowledge
 /// base or tenant holds a recorder.
-const LIMITS: [(&str, usize); 7] = [
-    ("crates/obs/src", 123),
+///
+/// `classic-obs` went 123 → 112 when a series came to be registered once
+/// and written once: the four `Registry::get_or_*` verbs (the plain
+/// verbs get or register), the three `detached` constructors,
+/// `Registry::render_prometheus` and `Registry::render_json` (render a
+/// snapshot instead), and `render_prometheus_exemplars`,
+/// `render_prometheus_labeled` and `render_all_prometheus_exemplars`
+/// went (12 items); `render_prometheus_by_tenant`, the one writer of
+/// `/metrics`, came in (1). `classic-kb` stayed at 78: the retrieval and
+/// bulk series it took over are fields of `KbStats`, which do not count.
+/// `classic-query` entered at 30, its count when `QueryObs` (private)
+/// went: `retrieve_nf` bumps the series `Kb::new` registered.
+const LIMITS: [(&str, usize); 8] = [
+    ("crates/obs/src", 112),
     ("crates/core/src", 193),
     ("crates/kb/src", 78),
+    ("crates/query/src", 30),
     ("crates/lang/src", 57),
     ("crates/analyze/src", 24),
     ("crates/store/src", 56),

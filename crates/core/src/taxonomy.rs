@@ -282,15 +282,10 @@ impl Default for Taxonomy {
 }
 
 impl Taxonomy {
-    /// A taxonomy containing only `THING` and the empty concept, with
-    /// detached (registry-less) instrumentation.
+    /// A taxonomy containing only `THING` and the empty concept, its
+    /// classification metrics registered in a registry of its own.
     pub fn new() -> Self {
-        Self::build(
-            Counter::detached("classic_classify_total"),
-            Histogram::detached("classic_classify_ns", true),
-            Counter::detached("classic_subsume_tests_total"),
-            Counter::detached("classic_closure_rebuilds_total"),
-        )
+        Self::with_obs(&Registry::new())
     }
 
     /// A taxonomy whose classification metrics are registered in
@@ -302,31 +297,21 @@ impl Taxonomy {
                 .counter(name, help)
                 .expect("taxonomy metric registration")
         };
-        Self::build(
-            counter(
-                "classic_classify_total",
-                "taxonomy classifications performed",
-            ),
-            registry
-                .duration_histogram("classic_classify_ns", "classification latency, nanoseconds")
-                .expect("taxonomy metric registration"),
-            counter(
-                "classic_subsume_tests_total",
-                "subsumption tests made by classification",
-            ),
-            counter(
-                "classic_closure_rebuilds_total",
-                "taxonomy closure bitset re-layouts",
-            ),
-        )
-    }
-
-    fn build(
-        classify_total: Counter,
-        classify_ns: Histogram,
-        subsume_tests: Counter,
-        closure_rebuilds: Counter,
-    ) -> Self {
+        let classify_total = counter(
+            "classic_classify_total",
+            "taxonomy classifications performed",
+        );
+        let classify_ns = registry
+            .duration_histogram("classic_classify_ns", "classification latency, nanoseconds")
+            .expect("taxonomy metric registration");
+        let subsume_tests = counter(
+            "classic_subsume_tests_total",
+            "subsumption tests made by classification",
+        );
+        let closure_rebuilds = counter(
+            "classic_closure_rebuilds_total",
+            "taxonomy closure bitset re-layouts",
+        );
         let top = Node {
             nf: NormalForm::top(),
             names: Vec::new(),

@@ -187,13 +187,7 @@ impl Kb {
         // resolved before the first: a refused row forgets none of them.
         self.names_mark = None;
         let chunk_size = chunk_size.max(1);
-        let metrics = self.metrics().clone();
-        let bulk_ns = metrics
-            .get_or_duration_histogram("classic_bulk_assert_ns", "bulk_assert wall time (ns)")
-            .ok();
-        let _span = bulk_ns
-            .as_ref()
-            .map(|h| classic_obs::span_timed("kb.bulk_assert", h));
+        let _span = classic_obs::span_timed("kb.bulk_assert", &self.stats.bulk_ns);
 
         let mut report = BulkReport {
             rows: rows.len(),
@@ -218,38 +212,12 @@ impl Kb {
             ix = end;
         }
 
-        let bump = |name: &str, help: &str, n: u64| {
-            if n > 0 {
-                if let Ok(c) = metrics.get_or_counter(name, help) {
-                    c.add(n);
-                }
-            }
-        };
-        bump(
-            "classic_bulk_rows_total",
-            "rows offered to bulk_assert",
-            report.rows as u64,
-        );
-        bump(
-            "classic_bulk_rows_accepted_total",
-            "bulk rows accepted",
-            report.accepted as u64,
-        );
-        bump(
-            "classic_bulk_rows_rejected_total",
-            "bulk rows rejected",
-            report.rejected as u64,
-        );
-        bump(
-            "classic_bulk_chunks_total",
-            "batched fixpoints run by bulk_assert",
-            report.chunks,
-        );
-        bump(
-            "classic_bulk_sequential_fallbacks_total",
-            "bulk chunks replayed row-by-row after a combined clash",
-            report.sequential_fallbacks,
-        );
+        let stats = &self.stats;
+        stats.bulk_rows.add(report.rows as u64);
+        stats.bulk_rows_accepted.add(report.accepted as u64);
+        stats.bulk_rows_rejected.add(report.rejected as u64);
+        stats.bulk_chunks.add(report.chunks);
+        stats.bulk_fallbacks.add(report.sequential_fallbacks);
         report
     }
 

@@ -67,17 +67,18 @@ pub(crate) struct Rules {
     pub(crate) by_node: HashMap<NodeId, Vec<usize>>,
 }
 
-/// Cumulative instrumentation counters (experiments E3/E4/E6).
+/// The KB's metric series: cumulative instrumentation counters
+/// (experiments E3/E4/E6) and the duration histograms of its operations.
 ///
-/// Since the observability migration each field is a handle onto a
-/// [`classic_obs`] registry series: [`Kb::new`] registers them in the
-/// KB's own [`Registry`] so the `(obs-stats)` and `--metrics`
-/// expositions read the same atomics the engine bumps.
-/// `KbStats::default()` yields detached stand-ins (tests, ad-hoc use).
+/// Each field is a handle onto a series of the KB's own [`Registry`],
+/// registered once by [`Kb::new`], so the `(obs-stats)` and `--metrics`
+/// expositions read the same atomics the engine bumps, and no read or
+/// write looks a series up by name. A `Kb` holds them behind one `Arc`
+/// that its clones share.
 ///
 /// Classification counters (subsumption tests, closure rebuilds) live
 /// with the taxonomy; snapshot them via [`Kb::kernel_stats`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct KbStats {
     /// Top-level `assert-ind` calls accepted.
     pub assertions: Counter,
@@ -93,29 +94,44 @@ pub struct KbStats {
     pub realizations: Counter,
     /// Node-level instance tests performed during realization/queries.
     pub instance_tests: Counter,
-}
-
-impl Default for KbStats {
-    fn default() -> Self {
-        KbStats {
-            assertions: Counter::detached("classic_assertions_total"),
-            propagation_steps: Counter::detached("classic_propagation_steps_total"),
-            fills_propagations: Counter::detached("classic_fills_propagations_total"),
-            coref_propagations: Counter::detached("classic_coref_propagations_total"),
-            rules_fired: Counter::detached("classic_rules_fired_total"),
-            realizations: Counter::detached("classic_realizations_total"),
-            instance_tests: Counter::detached("classic_instance_tests_total"),
-        }
-    }
+    /// `retrieve` queries answered (bumped by `classic-query`).
+    pub retrieves: Counter,
+    /// Answers taken from subsumed extensions without a test.
+    pub retrieve_free: Counter,
+    /// Candidates individually instance-tested by `retrieve`.
+    pub retrieve_tested: Counter,
+    /// Candidates tested per retrieval.
+    pub retrieve_candidates: Histogram,
+    /// `retrieve` wall time, nanoseconds (Full only).
+    pub retrieve_ns: Histogram,
+    // `bulk_assert`'s series, then the operations' wall times (Full only).
+    pub(crate) bulk_rows: Counter,
+    pub(crate) bulk_rows_accepted: Counter,
+    pub(crate) bulk_rows_rejected: Counter,
+    pub(crate) bulk_chunks: Counter,
+    pub(crate) bulk_fallbacks: Counter,
+    pub(crate) bulk_ns: Histogram,
+    pub(crate) assert_ns: Histogram,
+    pub(crate) retract_ns: Histogram,
+    pub(crate) propagate_ns: Histogram,
 }
 
 impl KbStats {
-    /// Register the ABox series in `registry`. Panics on a name collision
-    /// — a registry hosts exactly one `Kb`.
+    /// Register the KB's series in `registry`.
     pub(crate) fn register(registry: &Registry) -> KbStats {
         let c = |name: &str, help: &str| {
             registry
                 .counter(name, help)
+                .expect("kb metric registration")
+        };
+        let h = |name: &str, help: &str| {
+            registry
+                .histogram(name, help)
+                .expect("kb metric registration")
+        };
+        let dh = |name: &str, help: &str| {
+            registry
+                .duration_histogram(name, help)
                 .expect("kb metric registration")
         };
         KbStats {
@@ -143,6 +159,41 @@ impl KbStats {
             instance_tests: c(
                 "classic_instance_tests_total",
                 "node-level instance tests during realization/queries",
+            ),
+            retrieves: c("classic_retrieve_total", "retrieve queries answered"),
+            retrieve_free: c(
+                "classic_retrieve_free_total",
+                "answers taken from subsumed extensions without a test",
+            ),
+            retrieve_tested: c(
+                "classic_retrieve_tested_total",
+                "candidates individually instance-tested",
+            ),
+            retrieve_candidates: h(
+                "classic_retrieve_candidates",
+                "candidates tested per retrieval",
+            ),
+            retrieve_ns: dh("classic_retrieve_ns", "retrieve wall time (ns)"),
+            bulk_rows: c("classic_bulk_rows_total", "rows offered to bulk_assert"),
+            bulk_rows_accepted: c("classic_bulk_rows_accepted_total", "bulk rows accepted"),
+            bulk_rows_rejected: c("classic_bulk_rows_rejected_total", "bulk rows rejected"),
+            bulk_chunks: c(
+                "classic_bulk_chunks_total",
+                "batched fixpoints run by bulk_assert",
+            ),
+            bulk_fallbacks: c(
+                "classic_bulk_sequential_fallbacks_total",
+                "bulk chunks replayed row-by-row after a combined clash",
+            ),
+            bulk_ns: dh("classic_bulk_assert_ns", "bulk_assert wall time (ns)"),
+            assert_ns: dh("classic_assert_ns", "assert-ind wall time (ns)"),
+            retract_ns: dh(
+                "classic_retract_ns",
+                "retract-ind/retract-rule wall time (ns)",
+            ),
+            propagate_ns: dh(
+                "classic_propagate_fixpoint_ns",
+                "propagation fixpoint wall time (ns)",
             ),
         }
     }
@@ -344,7 +395,7 @@ impl Journal {
 /// version ever sees the other's later writes.
 ///
 /// The observability handles are *shared* outright: the metric registry
-/// and duration histograms are `Arc`'d, so a clone's
+/// and the series (`stats`) are `Arc`'d, so a clone's
 /// operations keep counting against the original KB's series. This is
 /// exactly what a server read snapshot wants — queries against the
 /// snapshot show up in the tenant's metrics — and it avoids enrolling
@@ -392,18 +443,13 @@ pub struct Kb {
     /// Committed dependency records: why each individual's derived state
     /// is what it is. Consulted by retraction and `explain_provenance`.
     pub(crate) deps: DependencyJournal,
-    /// Cumulative instrumentation counters.
-    pub stats: KbStats,
+    /// The KB's metric series, shared with its clones.
+    pub stats: Arc<KbStats>,
     /// This KB's metric registry. Every series the engine bumps
-    /// (`stats`, the classification counters, per-op duration histograms, and
-    /// anything a wrapper such as `DurableKb` registers) lives here; the
-    /// registry is also enrolled in the process-global roll-up that
-    /// `--metrics` dumps.
+    /// (`stats`, the classification counters, and anything a wrapper
+    /// such as `DurableKb` registers) lives here; the registry is also
+    /// enrolled in the process-global roll-up that `--metrics` dumps.
     pub(crate) obs: Arc<Registry>,
-    /// Duration histograms for the top-level operations (Full only).
-    assert_ns: Histogram,
-    retract_ns: Histogram,
-    pub(crate) propagate_ns: Histogram,
 }
 
 impl Default for Kb {
@@ -421,20 +467,7 @@ impl Kb {
     pub fn new() -> Kb {
         let obs = Registry::new();
         let taxonomy = Taxonomy::with_obs(&obs);
-        let stats = KbStats::register(&obs);
-        let dh = |name: &str, help: &str| {
-            obs.duration_histogram(name, help)
-                .expect("kb metric registration")
-        };
-        let assert_ns = dh("classic_assert_ns", "assert-ind wall time (ns)");
-        let retract_ns = dh(
-            "classic_retract_ns",
-            "retract-ind/retract-rule wall time (ns)",
-        );
-        let propagate_ns = dh(
-            "classic_propagate_fixpoint_ns",
-            "propagation fixpoint wall time (ns)",
-        );
+        let stats = Arc::new(KbStats::register(&obs));
         let mut extensions = Chunked::default();
         (0..taxonomy.len()).for_each(|_| extensions.push(ChunkedSet::default()));
         Kb {
@@ -451,9 +484,6 @@ impl Kb {
             deps: DependencyJournal::default(),
             stats,
             obs,
-            assert_ns,
-            retract_ns,
-            propagate_ns,
         }
     }
 
@@ -838,7 +868,7 @@ impl Kb {
 
     /// `assert-ind` addressed by handle.
     pub(crate) fn assert_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<AssertReport> {
-        let _span = classic_obs::span_timed("kb.assert", &self.assert_ns);
+        let _span = classic_obs::span_timed("kb.assert", &self.stats.assert_ns);
         let ((), report) = self.transact(true, |kb, journal| kb.stage_told(id, desc, journal))?;
         self.stats.assertions.bump();
         Ok(report)
@@ -943,7 +973,7 @@ impl Kb {
 
     /// `retract-ind` addressed by handle.
     pub(crate) fn retract_ind_by_id(&mut self, id: IndId, desc: &Concept) -> Result<RetractReport> {
-        let _span = classic_obs::span_timed("kb.retract", &self.retract_ns);
+        let _span = classic_obs::span_timed("kb.retract", &self.stats.retract_ns);
         let Some(pos) = self.inds[id.index()].told.iter().rposition(|t| t == desc) else {
             return Err(ClassicError::NotAsserted(self.inds[id.index()].name));
         };
@@ -1173,7 +1203,7 @@ impl Kb {
     /// firing can outlive the recognition it rested on"), and such a
     /// host is no longer an instance yet still holds the consequent.
     fn retract_rule_at(&mut self, rule_ix: usize) -> Result<RetractReport> {
-        let _span = classic_obs::span_timed("kb.retract_rule", &self.retract_ns);
+        let _span = classic_obs::span_timed("kb.retract_rule", &self.stats.retract_ns);
         self.retract(|kb, journal| {
             let rules = Arc::make_mut(&mut kb.rules);
             let rule = &mut rules.table[rule_ix];
@@ -1666,7 +1696,7 @@ mod tests {
     #[test]
     fn counters_lose_no_increments_under_concurrent_bumps() {
         loom::model(|| {
-            let stats = loom::sync::Arc::new(KbStats::default());
+            let stats = loom::sync::Arc::new(KbStats::register(&Registry::new()));
             let handles: Vec<_> = (0..3)
                 .map(|_| {
                     let stats = loom::sync::Arc::clone(&stats);

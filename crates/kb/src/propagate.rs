@@ -110,7 +110,7 @@ impl Propagation {
         if journal.work.is_empty() {
             return Ok(());
         }
-        let _span = classic_obs::span_timed("propagate.fixpoint", &kb.propagate_ns);
+        let _span = classic_obs::span_timed("propagate.fixpoint", &kb.stats.propagate_ns);
         let mut steps = 0u64;
         let mut effects: Vec<Effect> = Vec::new();
         loop {

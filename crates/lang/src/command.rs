@@ -72,9 +72,9 @@ pub enum Command {
     /// them, as `(obs-slowlog)` does; `(obs-trace *)` lists the retained
     /// ops.
     ObsTrace(String),
-    /// `(obs-reset)`: zero every metric series of this KB. Retained
-    /// traces are process-wide and stay: one tenant cannot clear
-    /// another's.
+    /// `(obs-reset)`: zero this KB's counters and histograms; its
+    /// gauges are levels and keep their values. Retained traces are
+    /// process-wide and stay: one tenant cannot clear another's.
     ObsReset,
     /// `(obs-level off|counters|full)`: set the process-wide
     /// observability level (`full` enables span tracing for

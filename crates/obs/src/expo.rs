@@ -1,41 +1,43 @@
-//! Exposition: Prometheus text format and JSON, over one registry or the
-//! process-global roll-up of every registry created so far. Also the
-//! OpenMetrics exemplar store ([`ExemplarStore`]) that attaches recent
-//! trace ids to histogram buckets, and the labeled renderer the server
-//! uses for per-tenant sections of `/metrics`.
+//! Exposition: Prometheus text format and JSON, over one snapshot or the
+//! process-global roll-up of every registry created so far. One writer
+//! ([`render_prometheus_by_tenant`]) emits each family once, with the
+//! OpenMetrics exemplars of the [`ExemplarStore`] and the server's
+//! per-tenant samples inside it.
 
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot, Registry, HISTOGRAM_BUCKETS};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, Weak};
 
-fn global() -> &'static Mutex<Vec<Weak<Registry>>> {
-    static G: OnceLock<Mutex<Vec<Weak<Registry>>>> = OnceLock::new();
-    G.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// Every registry created and not yet dropped.
+static LIVE: Mutex<Vec<Weak<Registry>>> = Mutex::new(Vec::new());
+
+/// Final counts of dropped registries, merged. Without this, a CLI
+/// `--metrics` dump taken after the knowledge bases it measured were
+/// dropped would read all zeros.
+static GRAVEYARD: Mutex<MetricsSnapshot> = Mutex::new(MetricsSnapshot {
+    counters: BTreeMap::new(),
+    gauges: BTreeMap::new(),
+    histograms: BTreeMap::new(),
+});
 
 /// Enroll a registry in the process-global roll-up (called by
 /// [`Registry::new`]). Holds only a `Weak`, so dropped registries fall
 /// out of the live list (their final state moves to the graveyard).
 pub(crate) fn enroll(r: &Arc<Registry>) {
-    let mut g = global().lock().unwrap_or_else(|e| e.into_inner());
+    let mut g = LIVE.lock().unwrap_or_else(|e| e.into_inner());
     g.retain(|w| w.strong_count() > 0);
     g.push(Arc::downgrade(r));
 }
 
-/// Final snapshots of dropped registries, merged. Without this, a CLI
-/// `--metrics` dump taken after the knowledge bases it measured were
-/// dropped would read all zeros.
-fn graveyard() -> &'static Mutex<MetricsSnapshot> {
-    static G: OnceLock<Mutex<MetricsSnapshot>> = OnceLock::new();
-    G.get_or_init(|| Mutex::new(MetricsSnapshot::default()))
-}
-
-/// Fold a dropped registry's final state into the roll-up (called by
-/// `Registry`'s `Drop`).
-pub(crate) fn bury(final_state: &MetricsSnapshot) {
-    graveyard()
+/// Fold a dropped registry's final counts into the roll-up (called by
+/// `Registry`'s `Drop`). Its gauges are not folded: a gauge is a level
+/// of the thing that held it, and that thing is gone.
+pub(crate) fn bury(mut final_state: MetricsSnapshot) {
+    final_state.gauges.clear();
+    GRAVEYARD
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .merge(final_state);
+        .merge(&final_state);
 }
 
 /// A merged snapshot of every registry the process has created — the
@@ -45,13 +47,10 @@ pub(crate) fn bury(final_state: &MetricsSnapshot) {
 /// and the operator wants the totals.
 pub fn snapshot_all() -> MetricsSnapshot {
     let regs: Vec<Arc<Registry>> = {
-        let g = global().lock().unwrap_or_else(|e| e.into_inner());
+        let g = LIVE.lock().unwrap_or_else(|e| e.into_inner());
         g.iter().filter_map(|w| w.upgrade()).collect()
     };
-    let mut merged = graveyard()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
+    let mut merged = GRAVEYARD.lock().unwrap_or_else(|e| e.into_inner()).clone();
     for r in regs {
         merged.merge(&r.snapshot());
     }
@@ -61,13 +60,6 @@ pub fn snapshot_all() -> MetricsSnapshot {
 /// Render the process-global roll-up in Prometheus text format.
 pub fn render_all_prometheus() -> String {
     render_prometheus(&snapshot_all())
-}
-
-/// Render the process-global roll-up with OpenMetrics exemplars attached
-/// to the named histograms' bucket lines (the server uses this to tag
-/// `classic_server_request_ns` with recent trace ids).
-pub fn render_all_prometheus_exemplars(exemplars: &[(&str, Vec<Option<Exemplar>>)]) -> String {
-    render_prometheus_exemplars(&snapshot_all(), exemplars)
 }
 
 /// Render the process-global roll-up as JSON.
@@ -90,7 +82,7 @@ fn le_of(bucket: usize) -> String {
 /// (`# HELP` / `# TYPE` comments, one sample per line; histograms emit
 /// cumulative `_bucket{le=...}` samples plus `_sum` and `_count`).
 pub fn render_prometheus(s: &MetricsSnapshot) -> String {
-    render_prometheus_exemplars(s, &[])
+    render_prometheus_by_tenant(s, &[], &[])
 }
 
 /// One OpenMetrics exemplar: the trace id of a recent observation that
@@ -164,13 +156,39 @@ impl Default for ExemplarStore {
     }
 }
 
-fn render_histogram_lines(
+/// Append one sample line: `name{labels} value`, or `name value` when
+/// `labels` is empty.
+fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
+    if labels.is_empty() {
+        out.push_str(&format!("{name} {value}\n"));
+    } else {
+        out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+    }
+}
+
+/// Append a histogram's samples under `labels` (a label-set body, or
+/// empty): cumulative `_bucket` lines, each with its exemplar if
+/// `exemplars` holds one, then `_sum` and `_count`.
+fn histogram_samples(
     out: &mut String,
     name: &str,
-    label_prefix: &str,
+    labels: &str,
     h: &HistogramSnapshot,
-    exemplars: Option<&[Option<Exemplar>]>,
+    exemplars: &[Option<Exemplar>],
 ) {
+    let le_prefix = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{labels},")
+    };
+    let mut bucket = |le: &str, cum: u64, ex: Option<&Exemplar>| {
+        out.push_str(&format!("{name}_bucket{{{le_prefix}le=\"{le}\"}} {cum}"));
+        if let Some(ex) = ex {
+            out.push(' ');
+            out.push_str(&ex.render());
+        }
+        out.push('\n');
+    };
     // Emit buckets up to the highest nonempty one, then +Inf; cumulative
     // counts stay exact and the output stays short.
     let top = h
@@ -182,102 +200,87 @@ fn render_histogram_lines(
     let mut cum = 0u64;
     for b in 0..=top {
         cum += h.buckets[b];
-        out.push_str(&format!(
-            "{name}_bucket{{{label_prefix}le=\"{}\"}} {cum}",
-            le_of(b)
-        ));
-        if let Some(ex) = exemplars.and_then(|e| e.get(b)).and_then(|e| e.as_ref()) {
-            out.push(' ');
-            out.push_str(&ex.render());
-        }
-        out.push('\n');
+        bucket(&le_of(b), cum, exemplars.get(b).and_then(Option::as_ref));
     }
-    out.push_str(&format!(
-        "{name}_bucket{{{label_prefix}le=\"+Inf\"}} {}",
-        h.count
-    ));
     // An exemplar above the last rendered bucket attaches to +Inf.
-    if let Some(ex) = exemplars
-        .into_iter()
-        .flatten()
-        .skip(top + 1)
-        .flatten()
-        .next()
-    {
-        out.push(' ');
-        out.push_str(&ex.render());
-    }
-    out.push('\n');
-    if label_prefix.is_empty() {
-        out.push_str(&format!("{name}_sum {}\n", h.sum));
-        out.push_str(&format!("{name}_count {}\n", h.count));
-    } else {
-        let labels = label_prefix.trim_end_matches(',');
-        out.push_str(&format!("{name}_sum{{{labels}}} {}\n", h.sum));
-        out.push_str(&format!("{name}_count{{{labels}}} {}\n", h.count));
-    }
+    let above = exemplars.iter().skip(top + 1).flatten().next();
+    bucket("+Inf", h.count, above);
+    sample(out, &format!("{name}_sum"), labels, h.sum);
+    sample(out, &format!("{name}_count"), labels, h.count);
 }
 
-/// Render a snapshot like [`render_prometheus`], attaching OpenMetrics
-/// exemplars to the bucket lines of the named histograms. `exemplars`
-/// maps a histogram name to its per-bucket exemplar snapshot.
-pub fn render_prometheus_exemplars(
-    s: &MetricsSnapshot,
+/// Escape a label value per the Prometheus text format.
+fn escape_label(v: &str) -> String {
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+}
+
+/// Render `roll_up` in the Prometheus text exposition format, each
+/// family once and whole: its `# HELP` (when the help is not empty) and
+/// `# TYPE` lines, the roll-up's sample (a histogram's bucket lines
+/// carrying the exemplars `exemplars` names for it), then one
+/// `tenant="…"`-labeled sample per entry of `tenants`, in their order.
+/// A family only a tenant holds is typed too, and has no unlabeled
+/// sample. Histograms emit cumulative `_bucket{le=...}` samples plus
+/// `_sum` and `_count`.
+pub fn render_prometheus_by_tenant(
+    roll_up: &MetricsSnapshot,
     exemplars: &[(&str, Vec<Option<Exemplar>>)],
+    tenants: &[(String, MetricsSnapshot)],
 ) -> String {
+    let sections: Vec<(String, &MetricsSnapshot)> = std::iter::once((String::new(), roll_up))
+        .chain(
+            tenants
+                .iter()
+                .map(|(t, s)| (format!("tenant=\"{}\"", escape_label(t)), s)),
+        )
+        .collect();
+    // Every family any section holds, counters then gauges then
+    // histograms, each in name order: (kind, name) → help.
+    let mut families: BTreeMap<(u8, &str), &str> = BTreeMap::new();
+    for (_, s) in &sections {
+        for (name, (help, _)) in &s.counters {
+            families.entry((0, name)).or_insert(help);
+        }
+        for (name, (help, _)) in &s.gauges {
+            families.entry((1, name)).or_insert(help);
+        }
+        for (name, (help, _)) in &s.histograms {
+            families.entry((2, name)).or_insert(help);
+        }
+    }
     let mut out = String::new();
-    for (name, (help, v)) in &s.counters {
+    for ((kind, name), help) in families {
         if !help.is_empty() {
             out.push_str(&format!("# HELP {name} {help}\n"));
         }
-        out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-    }
-    for (name, (help, v)) in &s.gauges {
-        if !help.is_empty() {
-            out.push_str(&format!("# HELP {name} {help}\n"));
+        let type_name = ["counter", "gauge", "histogram"][usize::from(kind)];
+        out.push_str(&format!("# TYPE {name} {type_name}\n"));
+        for (labels, s) in &sections {
+            match kind {
+                0 => {
+                    if let Some((_, v)) = s.counters.get(name) {
+                        sample(&mut out, name, labels, *v);
+                    }
+                }
+                1 => {
+                    if let Some((_, v)) = s.gauges.get(name) {
+                        sample(&mut out, name, labels, *v);
+                    }
+                }
+                _ => {
+                    if let Some((_, h)) = s.histograms.get(name) {
+                        // Exemplars ride on the roll-up's buckets only.
+                        let ex = exemplars
+                            .iter()
+                            .find(|(n, _)| labels.is_empty() && *n == name)
+                            .map_or(&[][..], |(_, e)| e.as_slice());
+                        histogram_samples(&mut out, name, labels, h, ex);
+                    }
+                }
+            }
         }
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-    }
-    for (name, (help, h)) in &s.histograms {
-        if !help.is_empty() {
-            out.push_str(&format!("# HELP {name} {help}\n"));
-        }
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let ex = exemplars
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, e)| e.as_slice());
-        render_histogram_lines(&mut out, name, "", h, ex);
-    }
-    out
-}
-
-/// Render a snapshot with an extra label set on every series, e.g.
-/// `[("tenant", "acme")]` → `name{tenant="acme"} v`. Emits *no*
-/// `# HELP`/`# TYPE` lines: callers append these sections after an
-/// unlabeled roll-up render that already carries the metadata for the
-/// same series names (repeating `# TYPE` would be invalid exposition).
-/// Label values are escaped per the Prometheus text format.
-pub fn render_prometheus_labeled(s: &MetricsSnapshot, labels: &[(&str, &str)]) -> String {
-    let escape = |v: &str| {
-        v.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
-    };
-    let mut prefix = String::new();
-    for (k, v) in labels {
-        prefix.push_str(&format!("{k}=\"{}\",", escape(v)));
-    }
-    let bare = prefix.trim_end_matches(',').to_string();
-    let mut out = String::new();
-    for (name, (_, v)) in &s.counters {
-        out.push_str(&format!("{name}{{{bare}}} {v}\n"));
-    }
-    for (name, (_, v)) in &s.gauges {
-        out.push_str(&format!("{name}{{{bare}}} {v}\n"));
-    }
-    for (name, (_, h)) in &s.histograms {
-        render_histogram_lines(&mut out, name, &prefix, h, None);
     }
     out
 }
@@ -453,7 +456,7 @@ mod tests {
         let h = r.histogram("demo_vals", "a demo histogram").unwrap();
         h.record(3);
         h.record(300);
-        let text = r.render_prometheus();
+        let text = render_prometheus(&r.snapshot());
         assert!(text.contains("# TYPE demo_total counter"));
         assert!(text.contains("demo_total 7"));
         assert!(text.contains("# TYPE demo_vals histogram"));
@@ -467,7 +470,7 @@ mod tests {
         let r = Registry::new();
         r.counter("j_total", "").unwrap().add(1);
         r.gauge("j_gauge", "").unwrap().set(9);
-        let json = r.render_json();
+        let json = render_json(&r.snapshot());
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"j_total\":1"));
         assert!(json.contains("\"j_gauge\":9"));

@@ -14,10 +14,11 @@
 //! - **[`Registry`]** — named counters, gauges, and log2-bucketed
 //!   histograms. Instantiable (each `Kb` owns one, so tests never share
 //!   counts) and enrolled in a process-global roll-up for `--metrics`
-//!   dumps. Names are validated at registration ([`validate_name`]):
-//!   duplicates and anything outside `[a-z0-9_]` are rejected with a
-//!   positioned [`ObsError`], so exposition can never emit colliding
-//!   series. Rendered as Prometheus text or JSON ([`expo`]).
+//!   dumps. One verb per kind gets or registers a series; names are
+//!   validated ([`validate_name`]): a name held by another kind and
+//!   anything outside `[a-z0-9_]` are rejected with a positioned
+//!   [`ObsError`], so exposition can never emit colliding series.
+//!   Snapshots render as Prometheus text or JSON ([`expo`]).
 //! - **[`span`] / [`event`] / [`all_traces`]** — RAII spans with
 //!   parent/child ids and monotonic nanosecond timings, assembled into
 //!   per-operation traces; one process-wide fixed-capacity ring
@@ -32,7 +33,8 @@
 //!                              "structural subsumption tests run").unwrap();
 //! tests.bump(); // relaxed add at the default level (Counters)
 //! assert_eq!(tests.get(), 1);
-//! assert!(registry.render_prometheus().contains("demo_subsumption_tests_total 1"));
+//! let text = classic_obs::render_prometheus(&registry.snapshot());
+//! assert!(text.contains("demo_subsumption_tests_total 1"));
 //! ```
 
 #![deny(missing_docs)]
@@ -53,9 +55,8 @@ pub use context::{
     TraceIdErrorKind, MAX_TRACE_ID_LEN,
 };
 pub use expo::{
-    json_string, render_all_json, render_all_prometheus, render_all_prometheus_exemplars,
-    render_json, render_prometheus, render_prometheus_exemplars, render_prometheus_labeled,
-    snapshot_all, write_json_string, Exemplar, ExemplarStore,
+    json_string, render_all_json, render_all_prometheus, render_json, render_prometheus,
+    render_prometheus_by_tenant, snapshot_all, write_json_string, Exemplar, ExemplarStore,
 };
 pub use flight::{all_traces, find_trace, trace_ops, traces_for, SpanRecord, Trace, TraceEvent};
 pub use json::{Json, JsonError};

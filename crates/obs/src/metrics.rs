@@ -14,7 +14,8 @@ pub enum ObsErrorKind {
     Empty,
     /// A character outside `[a-z0-9_]` (the offending char).
     InvalidChar(char),
-    /// A series with this name already exists in the registry.
+    /// A series of another kind (or histogram flavour) already holds
+    /// this name in the registry.
     Duplicate,
 }
 
@@ -72,28 +73,73 @@ pub fn validate_name(name: &str) -> Result<(), ObsError> {
     Ok(())
 }
 
+/// What a series is. A histogram's duration flavour is part of its
+/// kind: a name registered as one flavour is not the other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram { duration: bool },
+}
+
+/// One registered series, of any kind.
 #[derive(Debug)]
-struct SeriesCore {
+struct Series {
     name: String,
     help: String,
+    kind: Kind,
+    /// A counter's or gauge's value; a histogram's observation count.
     value: AtomicU64,
+    /// A histogram's sum of observed values.
+    sum: AtomicU64,
+    /// A histogram's per-bucket counts; empty for counters and gauges.
+    buckets: Box<[AtomicU64]>,
+}
+
+impl Series {
+    fn new(name: &str, help: &str, kind: Kind) -> Series {
+        let buckets = match kind {
+            Kind::Histogram { .. } => HISTOGRAM_BUCKETS,
+            Kind::Counter | Kind::Gauge => 0,
+        };
+        Series {
+            name: name.to_owned(),
+            help: help.to_owned(),
+            kind,
+            value: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            buckets: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// A histogram's current state.
+    fn histogram(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            sum: self.sum.load(Ordering::Relaxed),
+            count: self.value.load(Ordering::Relaxed),
+        }
+    }
+
+    fn reset(&self) {
+        self.value.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A monotonically increasing counter. Cheap to clone (an `Arc`); bumps
 /// are relaxed atomic adds, suppressed below [`crate::ObsLevel::Counters`].
 #[derive(Debug, Clone)]
-pub struct Counter(Arc<SeriesCore>);
+pub struct Counter(Arc<Series>);
 
 impl Counter {
-    /// A counter not attached to any registry (for tests and defaults).
-    pub fn detached(name: &str) -> Counter {
-        Counter(Arc::new(SeriesCore {
-            name: name.to_owned(),
-            help: String::new(),
-            value: AtomicU64::new(0),
-        }))
-    }
-
     /// Increment by one.
     #[inline]
     pub fn bump(&self) {
@@ -117,26 +163,13 @@ impl Counter {
     pub fn name(&self) -> &str {
         &self.0.name
     }
-
-    fn reset(&self) {
-        self.0.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A gauge: a value that can be set to arbitrary (unsigned) levels.
 #[derive(Debug, Clone)]
-pub struct Gauge(Arc<SeriesCore>);
+pub struct Gauge(Arc<Series>);
 
 impl Gauge {
-    /// A gauge not attached to any registry (for tests and defaults).
-    pub fn detached(name: &str) -> Gauge {
-        Gauge(Arc::new(SeriesCore {
-            name: name.to_owned(),
-            help: String::new(),
-            value: AtomicU64::new(0),
-        }))
-    }
-
     /// Set the gauge.
     #[inline]
     pub fn set(&self, v: u64) {
@@ -154,10 +187,6 @@ impl Gauge {
     pub fn name(&self) -> &str {
         &self.0.name
     }
-
-    fn reset(&self) {
-        self.0.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Number of log2 buckets: values are bucketed by bit length, so bucket
@@ -165,23 +194,13 @@ impl Gauge {
 /// (upper bound `2^b - 1`). 65 buckets cover the full `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-#[derive(Debug)]
-struct HistogramCore {
-    name: String,
-    help: String,
-    /// Whether this histogram records *durations*: duration histograms
-    /// only fill at `ObsLevel::Full` (the caller must run a clock to
-    /// feed them), value histograms fill from `Counters` up.
-    duration: bool,
-    buckets: Vec<AtomicU64>,
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
 /// A log2-bucketed histogram (bit-length buckets, power-of-two upper
-/// bounds). `record` is three relaxed atomic adds.
+/// bounds). `record` is three relaxed atomic adds. A *duration*
+/// histogram ([`Registry::duration_histogram`]) only fills at
+/// `ObsLevel::Full` (the caller must run a clock to feed it); a value
+/// histogram fills from `Counters` up.
 #[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCore>);
+pub struct Histogram(Arc<Series>);
 
 /// A point-in-time copy of one histogram, used by exposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,24 +232,10 @@ pub fn bucket_of(v: u64) -> usize {
 }
 
 impl Histogram {
-    /// A histogram not attached to any registry (for tests and
-    /// defaults). `duration` selects the fill level as in
-    /// [`Registry::duration_histogram`].
-    pub fn detached(name: &str, duration: bool) -> Histogram {
-        Histogram(Arc::new(HistogramCore {
-            name: name.to_owned(),
-            help: String::new(),
-            duration,
-            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }))
-    }
-
     /// Record one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        let on = if self.0.duration {
+        let on = if self.0.kind == (Kind::Histogram { duration: true }) {
             tracing_enabled()
         } else {
             counters_enabled()
@@ -238,13 +243,13 @@ impl Histogram {
         if on {
             self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
             self.0.sum.fetch_add(v, Ordering::Relaxed);
-            self.0.count.fetch_add(1, Ordering::Relaxed);
+            self.0.value.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.value.load(Ordering::Relaxed)
     }
 
     /// Sum of observed values so far.
@@ -259,39 +264,7 @@ impl Histogram {
 
     /// Copy out the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum(),
-            count: self.count(),
-        }
-    }
-
-    fn reset(&self) {
-        for b in &self.0.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.0.sum.store(0, Ordering::Relaxed);
-        self.0.count.store(0, Ordering::Relaxed);
-    }
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    counters: Vec<Counter>,
-    gauges: Vec<Gauge>,
-    histograms: Vec<Histogram>,
-}
-
-impl RegistryInner {
-    fn has(&self, name: &str) -> bool {
-        self.counters.iter().any(|c| c.0.name == name)
-            || self.gauges.iter().any(|g| g.0.name == name)
-            || self.histograms.iter().any(|h| h.0.name == name)
+        self.0.histogram()
     }
 }
 
@@ -342,16 +315,22 @@ impl MetricsSnapshot {
 /// an aggregated snapshot of everything the process did
 /// ([`crate::expo::snapshot_all`]).
 ///
+/// Each kind has one registration verb, which gets or registers: asked
+/// again for a name it holds as the same kind (and duration flavour),
+/// the registry returns the series it has. Owners register their series
+/// when they are built and keep the handles; a lookup takes the
+/// registry's mutex and scans it.
+///
 /// [`Kb`]: https://docs.rs/classic-kb
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
+    series: Mutex<Vec<Arc<Series>>>,
 }
 
 impl Drop for Registry {
     fn drop(&mut self) {
         // Preserve the final state in the process-global roll-up: CLI
         // `--metrics` dumps run after the KBs they measured are gone.
-        crate::expo::bury(&self.snapshot());
+        crate::expo::bury(self.snapshot());
     }
 }
 
@@ -360,230 +339,96 @@ impl Registry {
     /// list.
     pub fn new() -> Arc<Registry> {
         let r = Arc::new(Registry {
-            inner: Mutex::new(RegistryInner::default()),
+            series: Mutex::new(Vec::new()),
         });
         crate::expo::enroll(&r);
         r
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<Series>>> {
+        self.series.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn check_name(&self, name: &str) -> Result<(), ObsError> {
+    /// The series named `name` if it is of `kind`, else a new one. Errs
+    /// if the name is invalid or names a series of another kind.
+    fn register(&self, name: &str, help: &str, kind: Kind) -> Result<Arc<Series>, ObsError> {
         validate_name(name)?;
-        if self.lock().has(name) {
-            return Err(ObsError {
+        let mut series = self.lock();
+        match series.iter().find(|s| s.name == name) {
+            Some(s) if s.kind == kind => Ok(Arc::clone(s)),
+            Some(_) => Err(ObsError {
                 name: name.to_owned(),
                 position: 0,
                 kind: ObsErrorKind::Duplicate,
-            });
+            }),
+            None => {
+                let s = Arc::new(Series::new(name, help, kind));
+                series.push(Arc::clone(&s));
+                Ok(s)
+            }
         }
-        Ok(())
     }
 
-    /// Register a counter. Rejects duplicate and invalid names.
+    /// The counter named `name`, registered if absent.
     pub fn counter(&self, name: &str, help: &str) -> Result<Counter, ObsError> {
-        self.check_name(name)?;
-        let c = Counter(Arc::new(SeriesCore {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            value: AtomicU64::new(0),
-        }));
-        self.lock().counters.push(c.clone());
-        Ok(c)
+        self.register(name, help, Kind::Counter).map(Counter)
     }
 
-    /// Register a gauge. Rejects duplicate and invalid names.
+    /// The gauge named `name`, registered if absent.
     pub fn gauge(&self, name: &str, help: &str) -> Result<Gauge, ObsError> {
-        self.check_name(name)?;
-        let g = Gauge(Arc::new(SeriesCore {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            value: AtomicU64::new(0),
-        }));
-        self.lock().gauges.push(g.clone());
-        Ok(g)
+        self.register(name, help, Kind::Gauge).map(Gauge)
     }
 
-    /// Register a *value* histogram (fills from `ObsLevel::Counters` up).
+    /// The *value* histogram named `name` (fills from `ObsLevel::Counters`
+    /// up), registered if absent.
     pub fn histogram(&self, name: &str, help: &str) -> Result<Histogram, ObsError> {
-        self.histogram_impl(name, help, false)
+        self.register(name, help, Kind::Histogram { duration: false })
+            .map(Histogram)
     }
 
-    /// Register a *duration* histogram (nanoseconds; fills only at
-    /// `ObsLevel::Full`, because feeding it requires running a clock).
+    /// The *duration* histogram named `name` (nanoseconds; fills only at
+    /// `ObsLevel::Full`, because feeding it requires running a clock),
+    /// registered if absent.
     pub fn duration_histogram(&self, name: &str, help: &str) -> Result<Histogram, ObsError> {
-        self.histogram_impl(name, help, true)
-    }
-
-    fn histogram_impl(
-        &self,
-        name: &str,
-        help: &str,
-        duration: bool,
-    ) -> Result<Histogram, ObsError> {
-        self.check_name(name)?;
-        let h = Histogram(Arc::new(HistogramCore {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            duration,
-            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }));
-        self.lock().histograms.push(h.clone());
-        Ok(h)
-    }
-
-    /// Fetch the counter named `name`, registering it if absent. Lets a
-    /// layer that does not own the registry (query, store) attach its
-    /// series idempotently. Errors if the name is invalid or already
-    /// names a series of another kind.
-    pub fn get_or_counter(&self, name: &str, help: &str) -> Result<Counter, ObsError> {
-        validate_name(name)?;
-        let mut inner = self.lock();
-        if let Some(c) = inner.counters.iter().find(|c| c.0.name == name) {
-            return Ok(c.clone());
-        }
-        if inner.has(name) {
-            return Err(ObsError {
-                name: name.to_owned(),
-                position: 0,
-                kind: ObsErrorKind::Duplicate,
-            });
-        }
-        let c = Counter(Arc::new(SeriesCore {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            value: AtomicU64::new(0),
-        }));
-        inner.counters.push(c.clone());
-        Ok(c)
-    }
-
-    /// Fetch the gauge named `name`, registering it if absent (see
-    /// [`Registry::get_or_counter`]).
-    pub fn get_or_gauge(&self, name: &str, help: &str) -> Result<Gauge, ObsError> {
-        validate_name(name)?;
-        let mut inner = self.lock();
-        if let Some(g) = inner.gauges.iter().find(|g| g.0.name == name) {
-            return Ok(g.clone());
-        }
-        if inner.has(name) {
-            return Err(ObsError {
-                name: name.to_owned(),
-                position: 0,
-                kind: ObsErrorKind::Duplicate,
-            });
-        }
-        let g = Gauge(Arc::new(SeriesCore {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            value: AtomicU64::new(0),
-        }));
-        inner.gauges.push(g.clone());
-        Ok(g)
-    }
-
-    /// Fetch the *value* histogram named `name`, registering it if absent
-    /// (see [`Registry::get_or_counter`]). A same-named histogram with the
-    /// other duration flavor counts as a different kind.
-    pub fn get_or_histogram(&self, name: &str, help: &str) -> Result<Histogram, ObsError> {
-        self.get_or_histogram_impl(name, help, false)
-    }
-
-    /// Fetch the *duration* histogram named `name`, registering it if
-    /// absent (see [`Registry::get_or_counter`]).
-    pub fn get_or_duration_histogram(&self, name: &str, help: &str) -> Result<Histogram, ObsError> {
-        self.get_or_histogram_impl(name, help, true)
-    }
-
-    fn get_or_histogram_impl(
-        &self,
-        name: &str,
-        help: &str,
-        duration: bool,
-    ) -> Result<Histogram, ObsError> {
-        validate_name(name)?;
-        let mut inner = self.lock();
-        if let Some(h) = inner
-            .histograms
-            .iter()
-            .find(|h| h.0.name == name && h.0.duration == duration)
-        {
-            return Ok(h.clone());
-        }
-        if inner.has(name) {
-            return Err(ObsError {
-                name: name.to_owned(),
-                position: 0,
-                kind: ObsErrorKind::Duplicate,
-            });
-        }
-        let h = Histogram(Arc::new(HistogramCore {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            duration,
-            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }));
-        inner.histograms.push(h.clone());
-        Ok(h)
+        self.register(name, help, Kind::Histogram { duration: true })
+            .map(Histogram)
     }
 
     /// Copy out every series.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.lock();
-        let mut s = MetricsSnapshot::default();
-        for c in &inner.counters {
-            s.counters
-                .insert(c.0.name.clone(), (c.0.help.clone(), c.get()));
+        let mut snap = MetricsSnapshot::default();
+        for s in self.lock().iter() {
+            let (name, help) = (s.name.clone(), s.help.clone());
+            let value = s.value.load(Ordering::Relaxed);
+            match s.kind {
+                Kind::Counter => {
+                    snap.counters.insert(name, (help, value));
+                }
+                Kind::Gauge => {
+                    snap.gauges.insert(name, (help, value));
+                }
+                Kind::Histogram { .. } => {
+                    snap.histograms.insert(name, (help, s.histogram()));
+                }
+            }
         }
-        for g in &inner.gauges {
-            s.gauges
-                .insert(g.0.name.clone(), (g.0.help.clone(), g.get()));
-        }
-        for h in &inner.histograms {
-            s.histograms
-                .insert(h.0.name.clone(), (h.0.help.clone(), h.snapshot()));
-        }
-        s
+        snap
     }
 
-    /// Zero every series (handles stay valid).
+    /// Zero every counter and histogram (handles stay valid). Gauges are
+    /// levels, not counts, and keep their values: a store's generation
+    /// is what it is whatever was counted before.
     pub fn reset(&self) {
-        let inner = self.lock();
-        for c in &inner.counters {
-            c.reset();
+        for s in self.lock().iter().filter(|s| s.kind != Kind::Gauge) {
+            s.reset();
         }
-        for g in &inner.gauges {
-            g.reset();
-        }
-        for h in &inner.histograms {
-            h.reset();
-        }
-    }
-
-    /// Render this registry alone in Prometheus text format.
-    pub fn render_prometheus(&self) -> String {
-        crate::expo::render_prometheus(&self.snapshot())
-    }
-
-    /// Render this registry alone as JSON.
-    pub fn render_json(&self) -> String {
-        crate::expo::render_json(&self.snapshot())
     }
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
         f.debug_struct("Registry")
-            .field("counters", &inner.counters.len())
-            .field("gauges", &inner.gauges.len())
-            .field("histograms", &inner.histograms.len())
+            .field("series", &self.lock().len())
             .finish()
     }
 }
@@ -620,22 +465,32 @@ mod tests {
     }
 
     #[test]
-    fn get_or_returns_the_same_series_and_rejects_kind_clashes() {
+    fn registering_again_returns_the_same_series_and_rejects_kind_clashes() {
         let r = Registry::new();
-        let a = r.get_or_counter("q_total", "first").unwrap();
-        let b = r.get_or_counter("q_total", "ignored").unwrap();
+        let a = r.counter("q_total", "first").unwrap();
+        let b = r.counter("q_total", "ignored").unwrap();
         a.bump();
         assert_eq!(b.get(), 1, "both handles name the same atomic");
         assert_eq!(
-            r.get_or_gauge("q_total", "").unwrap_err().kind,
+            r.gauge("q_total", "").unwrap_err().kind,
             ObsErrorKind::Duplicate
         );
+        let g = r.gauge("q_level", "").unwrap();
+        g.set(4);
+        assert_eq!(r.gauge("q_level", "").unwrap().get(), 4);
         // Duration flavor is part of the histogram's identity.
-        r.get_or_histogram("h_vals", "").unwrap();
+        r.histogram("h_vals", "").unwrap().record(2);
+        assert_eq!(r.histogram("h_vals", "").unwrap().count(), 1);
         assert_eq!(
-            r.get_or_duration_histogram("h_vals", "").unwrap_err().kind,
+            r.duration_histogram("h_vals", "").unwrap_err().kind,
             ObsErrorKind::Duplicate
         );
+        r.duration_histogram("h_ns", "").unwrap();
+        assert_eq!(
+            r.histogram("h_ns", "").unwrap_err().kind,
+            ObsErrorKind::Duplicate
+        );
+        assert_eq!(r.snapshot().counters.len(), 1, "one series per name");
     }
 
     #[test]
@@ -662,5 +517,17 @@ mod tests {
         r.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn reset_zeroes_counts_and_keeps_levels() {
+        let r = Registry::new();
+        let c = r.counter("c_total", "").unwrap();
+        let g = r.gauge("g_level", "").unwrap();
+        let h = r.duration_histogram("h_ns", "").unwrap();
+        c.add(3);
+        g.set(7);
+        r.reset();
+        assert_eq!((c.get(), g.get(), h.count()), (0, 7, 0));
     }
 }

@@ -1,148 +1,13 @@
-//! A tiny Prometheus text-format checker, used two ways: as a test
-//! oracle here, and mirrored by the CI `--metrics` job (which fails the
-//! build when an experiment's exposition output is empty or
-//! unparseable).
+//! The Prometheus text grammar the exposition writes, pinned by a tiny
+//! checker (`support/prometheus.rs`) that is mirrored by the CI
+//! `--metrics` job (which fails the build when an experiment's
+//! exposition output is empty or unparseable).
 
-use classic_obs::{ExemplarStore, Registry};
+#[path = "support/prometheus.rs"]
+mod prometheus;
 
-/// Validate a label set body (the text between `{` and `}`):
-/// comma-separated `key="value"` pairs with `\"`-escaped values.
-fn check_label_set(body: &str) -> Result<(), String> {
-    let mut rest = body;
-    loop {
-        let Some(eq) = rest.find("=\"") else {
-            return Err(format!("label without =\" in {body:?}"));
-        };
-        let key = &rest[..eq];
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(format!("bad label name {key:?}"));
-        }
-        // Find the closing unescaped quote.
-        let mut ix = eq + 2;
-        let bytes = rest.as_bytes();
-        loop {
-            match bytes.get(ix) {
-                None => return Err(format!("unterminated label value in {body:?}")),
-                Some(b'\\') => ix += 2,
-                Some(b'"') => break,
-                Some(_) => ix += 1,
-            }
-        }
-        rest = &rest[ix + 1..];
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r,
-            None if rest.is_empty() => return Ok(()),
-            None => return Err(format!("junk after label value in {body:?}")),
-        }
-    }
-}
-
-/// Validate an OpenMetrics exemplar suffix (everything after `# ` on a
-/// `_bucket` line): `{trace_id="…"} <value> [<timestamp>]`.
-fn check_exemplar(suffix: &str) -> Result<(), String> {
-    let Some(rest) = suffix.strip_prefix('{') else {
-        return Err(format!("exemplar must start with a label set: {suffix:?}"));
-    };
-    let Some((labels, rest)) = rest.split_once('}') else {
-        return Err(format!("unterminated exemplar label set: {suffix:?}"));
-    };
-    check_label_set(labels)?;
-    if !labels.starts_with("trace_id=\"") {
-        return Err(format!("exemplar must carry trace_id: {suffix:?}"));
-    }
-    let mut parts = rest.trim_start().split(' ');
-    let Some(value) = parts.next() else {
-        return Err(format!("exemplar without value: {suffix:?}"));
-    };
-    if value.parse::<f64>().is_err() {
-        return Err(format!("unparseable exemplar value {value:?}"));
-    }
-    if let Some(ts) = parts.next() {
-        if ts.parse::<f64>().is_err() {
-            return Err(format!("unparseable exemplar timestamp {ts:?}"));
-        }
-    }
-    if parts.next().is_some() {
-        return Err(format!("junk after exemplar timestamp: {suffix:?}"));
-    }
-    Ok(())
-}
-
-/// Validate one exposition document. Returns the number of sample lines,
-/// or an error naming the first offending line.
-fn check_prometheus_text(text: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    let mut typed: Vec<String> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let err = |msg: &str| Err(format!("line {}: {msg}: {line:?}", lineno + 1));
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            if let Some(rest) = rest.strip_prefix("TYPE ") {
-                let mut parts = rest.split_whitespace();
-                let (Some(name), Some(kind)) = (parts.next(), parts.next()) else {
-                    return err("malformed TYPE comment");
-                };
-                if !matches!(kind, "counter" | "gauge" | "histogram") {
-                    return err("unknown metric type");
-                }
-                if typed.contains(&name.to_owned()) {
-                    return err("duplicate TYPE for series");
-                }
-                typed.push(name.to_owned());
-            } else if !rest.starts_with("HELP ") {
-                return err("unknown comment form");
-            }
-            continue;
-        }
-        // Sample: `name value`, `name{labels} value`, optionally followed
-        // by an OpenMetrics exemplar: ` # {trace_id="…"} value ts`.
-        let line = match line.split_once(" # ") {
-            Some((sample_part, exemplar)) => {
-                if !sample_part.contains("_bucket") {
-                    return err("exemplar on a non-bucket line");
-                }
-                if let Err(e) = check_exemplar(exemplar) {
-                    return err(&e);
-                }
-                sample_part
-            }
-            None => line,
-        };
-        let Some((sample, value)) = line.rsplit_once(' ') else {
-            return err("sample line without value");
-        };
-        if value.parse::<f64>().is_err() && value != "+Inf" {
-            return err("unparseable sample value");
-        }
-        let name = match sample.split_once('{') {
-            Some((name, labels)) => {
-                let Some(labels) = labels.strip_suffix('}') else {
-                    return err("malformed label set");
-                };
-                if let Err(e) = check_label_set(labels) {
-                    return err(&e);
-                }
-                name
-            }
-            None => sample,
-        };
-        let base = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .unwrap_or(name);
-        if classic_obs::validate_name(base).is_err() && classic_obs::validate_name(name).is_err() {
-            return err("sample name fails registration-time validation");
-        }
-        samples += 1;
-    }
-    if samples == 0 {
-        return Err("no samples in exposition output".to_owned());
-    }
-    Ok(samples)
-}
+use classic_obs::{render_prometheus, render_prometheus_by_tenant, ExemplarStore, Registry};
+use prometheus::check_prometheus_text;
 
 #[test]
 fn rendered_registry_passes_the_checker() {
@@ -157,7 +22,7 @@ fn rendered_registry_passes_the_checker() {
     h.record(0);
     h.record(7);
     h.record(4096);
-    let text = r.render_prometheus();
+    let text = render_prometheus(&r.snapshot());
     let n = check_prometheus_text(&text).expect("valid exposition");
     assert!(n >= 3, "counter + gauge + histogram samples, got {n}");
 }
@@ -169,7 +34,7 @@ fn histogram_buckets_are_cumulative_and_end_at_inf() {
     for v in [1u64, 1, 2, 900, 3] {
         h.record(v);
     }
-    let text = r.render_prometheus();
+    let text = render_prometheus(&r.snapshot());
     let mut last = 0u64;
     let mut saw_inf = false;
     for line in text.lines() {
@@ -220,10 +85,8 @@ fn exemplar_grammar_is_pinned() {
     let store = ExemplarStore::new();
     store.observe(212, "000000000000000000000000deadbeef");
     store.observe(90_000, "00000000000000000000000000000abc");
-    let text = classic_obs::render_prometheus_exemplars(
-        &r.snapshot(),
-        &[("fmt_exemplar_ns", store.snapshot())],
-    );
+    let text =
+        render_prometheus_by_tenant(&r.snapshot(), &[("fmt_exemplar_ns", store.snapshot())], &[]);
     let n = check_prometheus_text(&text).expect("exemplar exposition is valid");
     assert!(n >= 3);
     // Each observed bucket line carries its exemplar.
@@ -248,29 +111,63 @@ fn tenant_labeled_rendering_passes_the_checker() {
     r.counter("fmt_tenant_requests_total", "").unwrap().add(9);
     let h = r.histogram("fmt_tenant_vals", "").unwrap();
     h.record(5);
-    // Labeled sections carry no TYPE lines; prepend an unlabeled render
-    // (as the server does) so every series is typed exactly once.
-    let text = format!(
-        "{}{}",
-        r.render_prometheus(),
-        classic_obs::render_prometheus_labeled(&r.snapshot(), &[("tenant", "acme-1")])
+    let other = Registry::new();
+    other
+        .counter("fmt_tenant_requests_total", "")
+        .unwrap()
+        .add(2);
+    other.gauge("fmt_tenant_level", "").unwrap().set(1);
+    let text = render_prometheus_by_tenant(
+        &r.snapshot(),
+        &[],
+        &[
+            ("acme-1".to_owned(), r.snapshot()),
+            ("a\"b\\c\nd".to_owned(), other.snapshot()),
+        ],
     );
     check_prometheus_text(&text).expect("labeled exposition is valid");
-    assert!(text.contains("fmt_tenant_requests_total{tenant=\"acme-1\"} 9"));
+    // Each family's lines are one group: the roll-up's sample, then each
+    // tenant's, in the order given.
+    let counter: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("fmt_tenant_requests_total"))
+        .collect();
+    assert_eq!(
+        counter,
+        [
+            "# TYPE fmt_tenant_requests_total counter",
+            "fmt_tenant_requests_total 9",
+            "fmt_tenant_requests_total{tenant=\"acme-1\"} 9",
+            "fmt_tenant_requests_total{tenant=\"a\\\"b\\\\c\\nd\"} 2",
+        ]
+    );
     assert!(text.contains("fmt_tenant_vals_bucket{tenant=\"acme-1\",le=\"7\"} 1"));
     assert!(text.contains("fmt_tenant_vals_count{tenant=\"acme-1\"} 1"));
-    // Escaping: a hostile label value cannot break the line grammar.
-    let hostile =
-        classic_obs::render_prometheus_labeled(&r.snapshot(), &[("tenant", "a\"b\\c\nd")]);
-    check_prometheus_text(&format!("{}{hostile}", r.render_prometheus()))
-        .expect("escaped label value stays parseable");
+    // A family only a tenant holds is typed, with no unlabeled sample.
+    assert!(text.contains("# TYPE fmt_tenant_level gauge\nfmt_tenant_level{tenant=\"a"));
+}
+
+#[test]
+fn split_or_repeated_families_are_rejected() {
+    let ok = "# HELP a_total x\n# TYPE a_total counter\na_total 1\na_total{tenant=\"t\"} 1\n\
+              # TYPE h histogram\nh_bucket{le=\"+Inf\"} 0\nh_sum 0\nh_count 0\n";
+    assert_eq!(check_prometheus_text(ok), Ok(5));
+    let split = "# TYPE a_total counter\na_total 1\n# TYPE b_total counter\nb_total 1\n\
+                 a_total{tenant=\"t\"} 1\n";
+    assert!(check_prometheus_text(split).is_err());
+    let late = "# TYPE a_total counter\na_total 1\n# HELP a_total x\n";
+    assert!(check_prometheus_text(late).is_err());
+    let twice = "# HELP a_total x\n# HELP a_total y\n# TYPE a_total counter\na_total 1\n";
+    assert!(check_prometheus_text(twice).is_err());
+    let split_histogram = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 0\nx 1\nh_sum 0\n";
+    assert!(check_prometheus_text(split_histogram).is_err());
 }
 
 #[test]
 fn json_exposition_of_same_registry_matches_counts() {
     let r = Registry::new();
     r.counter("fmt_json_total", "").unwrap().add(5);
-    let json = r.render_json();
+    let json = classic_obs::render_json(&r.snapshot());
     assert!(json.contains("\"fmt_json_total\":5"));
     // Structural sanity: braces balance.
     let depth = json.chars().fold(0i32, |d, c| match c {

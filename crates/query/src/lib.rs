@@ -315,7 +315,7 @@ fn retrieve_impl(kb: &Kb, query: &Concept) -> Result<Answers> {
 /// `TEST` recognizer panics during an instance test — the panic is caught
 /// at the retrieval boundary instead of aborting the process.
 pub fn retrieve_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
-    let obs = QueryObs::attach(kb);
+    let obs = &kb.stats;
     let _span = classic_obs::span_timed("query.retrieve", &obs.retrieve_ns);
     obs.retrieves.bump();
     let mut stats = QueryStats::default();
@@ -336,9 +336,9 @@ pub fn retrieve_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
     }
     stats.tested = candidates.len();
     let passed = test_candidates(kb, nf, &candidates)?;
-    obs.candidates.record(stats.tested as u64);
-    obs.free_answers.add(stats.free as u64);
-    obs.tested.add(stats.tested as u64);
+    obs.retrieve_candidates.record(stats.tested as u64);
+    obs.retrieve_free.add(stats.free as u64);
+    obs.retrieve_tested.add(stats.tested as u64);
     classic_obs::event("free", stats.free as u64);
     classic_obs::event("tested", stats.tested as u64);
     // Two disjoint ascending runs: the stable sort merges them.
@@ -346,49 +346,6 @@ pub fn retrieve_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
     known.extend(passed);
     known.sort();
     Ok(Answers { known, stats })
-}
-
-/// Handles onto the retrieval series in the KB's metric registry,
-/// attached idempotently per call (one mutex round-trip; retrieval does
-/// orders of magnitude more work than that per query).
-struct QueryObs {
-    retrieves: classic_obs::Counter,
-    free_answers: classic_obs::Counter,
-    tested: classic_obs::Counter,
-    candidates: classic_obs::Histogram,
-    retrieve_ns: classic_obs::Histogram,
-}
-
-impl QueryObs {
-    fn attach(kb: &Kb) -> QueryObs {
-        let m = kb.metrics();
-        QueryObs {
-            retrieves: m
-                .get_or_counter("classic_retrieve_total", "retrieve queries answered")
-                .expect("query metric registration"),
-            free_answers: m
-                .get_or_counter(
-                    "classic_retrieve_free_total",
-                    "answers taken from subsumed extensions without a test",
-                )
-                .expect("query metric registration"),
-            tested: m
-                .get_or_counter(
-                    "classic_retrieve_tested_total",
-                    "candidates individually instance-tested",
-                )
-                .expect("query metric registration"),
-            candidates: m
-                .get_or_histogram(
-                    "classic_retrieve_candidates",
-                    "candidates tested per retrieval",
-                )
-                .expect("query metric registration"),
-            retrieve_ns: m
-                .get_or_duration_histogram("classic_retrieve_ns", "retrieve wall time (ns)")
-                .expect("query metric registration"),
-        }
-    }
 }
 
 /// Candidate sets at least this large are tested on scoped worker

@@ -7,8 +7,8 @@
 //! | route                  | payload                                     |
 //! |------------------------|---------------------------------------------|
 //! | `GET /healthz`         | `ok` once the listener is up                |
-//! | `GET /metrics`         | process-wide Prometheus exposition, plus    |
-//! |                        | per-tenant labeled sections and exemplars   |
+//! | `GET /metrics`         | process-wide Prometheus exposition, each    |
+//! |                        | family with its per-tenant labeled samples  |
 //! | `GET /stats`           | per-tenant JSON (version, generation, size) |
 //! | `GET /lint?tenant=T`   | tenant diagnostics (`&cone=1` for the cone) |
 //! | `GET /trace?tenant=T`  | retained traces of T's requests as Chrome   |
@@ -277,7 +277,10 @@ fn read_request(
             Err(e) => return Err(bad(&format!("read error: {e}"))),
         }
     }
-    let body = String::from_utf8_lossy(&buf[header_end..header_end + content_length]).into_owned();
+    // A body is text: bytes that are not UTF-8 are refused, never
+    // rewritten into U+FFFD and stored.
+    let body = String::from_utf8(buf[header_end..header_end + content_length].to_vec())
+        .map_err(|e| bad(&format!("request body is not UTF-8: {e}")))?;
     Ok(Some(Request {
         method,
         path,

@@ -1,5 +1,5 @@
 //! Background push-gateway export: a std-only thread that POSTs the
-//! full `/metrics` exposition (roll-up, per-tenant labeled sections,
+//! full `/metrics` exposition (roll-up and per-tenant labeled samples,
 //! exemplars) to an HTTP gateway at a fixed interval.
 //!
 //! Enabled by [`crate::ServerConfig::push_gateway`]; the loop wakes in

@@ -26,7 +26,9 @@ use std::time::{Duration, Instant};
 
 use classic_core::{ClassicError, Result};
 use classic_lang::{MAX_NESTING, TOO_DEEP};
-use classic_obs::{Counter, ExemplarStore, Histogram, ObsLevel, Registry, RequestCtx};
+use classic_obs::{
+    Counter, ExemplarStore, Histogram, MetricsSnapshot, ObsLevel, Registry, RequestCtx,
+};
 
 use crate::http;
 use crate::session::{self, Control, WireSession};
@@ -255,23 +257,24 @@ impl Shared {
         out
     }
 
-    /// The full `/metrics` exposition: the process-global roll-up (with
-    /// OpenMetrics exemplars on the request-latency histogram), followed
-    /// by one `tenant="…"`-labeled section per open tenant. The labeled
-    /// sections carry no `# TYPE` metadata — the roll-up ahead of them
-    /// already types every series name exactly once.
+    /// The full `/metrics` exposition: each family once, its
+    /// process-global roll-up sample (with OpenMetrics exemplars on the
+    /// request-latency histogram) followed by one `tenant="…"`-labeled
+    /// sample per open tenant.
     pub fn metrics_exposition(&self) -> String {
-        let mut out = classic_obs::render_all_prometheus_exemplars(&[(
-            "classic_server_request_ns",
-            self.metrics.exemplars.snapshot(),
-        )]);
-        for tenant in self.tenants() {
-            out.push_str(&classic_obs::render_prometheus_labeled(
-                &tenant.registry().snapshot(),
-                &[("tenant", tenant.name())],
-            ));
-        }
-        out
+        let tenants: Vec<(String, MetricsSnapshot)> = self
+            .tenants()
+            .iter()
+            .map(|t| (t.name().to_owned(), t.registry().snapshot()))
+            .collect();
+        classic_obs::render_prometheus_by_tenant(
+            &classic_obs::snapshot_all(),
+            &[(
+                "classic_server_request_ns",
+                self.metrics.exemplars.snapshot(),
+            )],
+            &tenants,
+        )
     }
 }
 
@@ -504,8 +507,17 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Res
                 }
             };
             // Timing, tracing, slowlog, and exemplar recording all live
-            // in handle_form, which owns the request context.
-            let (mut reply, control) = session.handle_form(&form);
+            // in handle_form, which owns the request context. A frame
+            // that is not UTF-8 is refused, not rewritten; it is already
+            // drained, so the connection goes on.
+            let (mut reply, control) = match String::from_utf8(form) {
+                Ok(form) => session.handle_form(&form),
+                Err(e) => {
+                    shared.metrics.errors.bump();
+                    let reply = session::err(&format!("frame is not UTF-8: {}", e.utf8_error()));
+                    (reply, Control::Continue)
+                }
+            };
             // The line goes out in one write: under NODELAY a second
             // write for the newline would be a second segment. The reply
             // was sized with room for it.
@@ -610,7 +622,7 @@ impl Framer {
     /// §2.1: the framer only stops buffering a form the reader is certain
     /// to refuse), or [`MAX_FORM_BYTES`] buffered without a complete frame
     /// — after which the connection cannot be resynced and must close.
-    fn next_form(&mut self) -> std::result::Result<Option<String>, &'static str> {
+    fn next_form(&mut self) -> std::result::Result<Option<Vec<u8>>, &'static str> {
         while self.scanned < self.buf.len() {
             let ix = self.scanned;
             let b = self.buf[ix];
@@ -678,15 +690,15 @@ impl Framer {
         Ok(())
     }
 
-    /// The frame `buf[start..end]` as text. It is drained from the buffer
-    /// with what precedes it and the byte that ended it, and the scan
-    /// starts over at the front of what is left.
-    fn take(&mut self, start: usize, end: usize) -> String {
-        let text = String::from_utf8_lossy(&self.buf[start..end]).into_owned();
+    /// The frame `buf[start..end]`. It is drained from the buffer with
+    /// what precedes it and the byte that ended it, and the scan starts
+    /// over at the front of what is left.
+    fn take(&mut self, start: usize, end: usize) -> Vec<u8> {
+        let frame = self.buf[start..end].to_vec();
         self.buf.drain(..self.scanned);
         self.scanned = 0;
         self.start = None;
-        text
+        frame
     }
 }
 
@@ -708,7 +720,7 @@ mod tests {
             from = to;
             loop {
                 match framer.next_form() {
-                    Ok(Some(form)) => out.push(form),
+                    Ok(Some(form)) => out.push(String::from_utf8_lossy(&form).into_owned()),
                     Ok(None) => break,
                     Err(violation) => return (out, Some(violation)),
                 }
@@ -837,7 +849,7 @@ mod tests {
                 framer.examined
             );
         }
-        assert_eq!(framed, [form]);
+        assert_eq!(framed, [form.into_bytes()]);
     }
 
     /// `POST` alone is four bytes of a method that takes five to tell:
@@ -904,7 +916,7 @@ mod tests {
         // At the cap boundary with a complete form, everything is fine.
         assert_eq!(
             Framer::new(b"(ping)".to_vec()).next_form().expect("framed"),
-            Some("(ping)".to_owned())
+            Some(b"(ping)".to_vec())
         );
     }
 

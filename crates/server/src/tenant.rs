@@ -172,13 +172,13 @@ pub struct Tenant {
     /// write re-derived (`(lint-on-write on)`).
     lint_on_write: AtomicBool,
     /// The tenant KB's metric registry, cached at open so `/metrics`
-    /// can render a tenant-labeled section without the primary lock.
+    /// can render the tenant's labeled samples without the primary lock.
     /// `Kb::clone` shares this `Arc`, so snapshot and sandbox evals
     /// land in the same registry.
     registry: Arc<Registry>,
     /// Wire requests routed to this tenant (line protocol and HTTP),
     /// registered in the tenant's own registry so the roll-up sums it
-    /// and the labeled section attributes it.
+    /// and its labeled sample attributes it.
     requests: Counter,
 }
 

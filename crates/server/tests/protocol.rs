@@ -8,6 +8,9 @@ use std::path::{Path, PathBuf};
 
 use classic_server::{Json, ServerConfig, ServerHandle};
 
+#[path = "../../obs/tests/support/prometheus.rs"]
+mod prometheus;
+
 fn tmpdir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("classic-server-test-{tag}-{}", std::process::id()));
@@ -44,8 +47,14 @@ impl Client {
     }
 
     fn send(&mut self, form: &str) -> Json {
+        self.send_bytes(form.as_bytes())
+    }
+
+    /// Send one frame's bytes, whether or not they are UTF-8, and read
+    /// one JSON reply line.
+    fn send_bytes(&mut self, form: &[u8]) -> Json {
         let stream = self.reader.get_mut();
-        stream.write_all(form.as_bytes()).expect("send form");
+        stream.write_all(form).expect("send form");
         stream.write_all(b"\n").expect("send newline");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read reply");
@@ -768,7 +777,7 @@ fn obs_switches_are_floor_gated_over_the_wire() {
     handle.shutdown().expect("clean shutdown");
 }
 
-/// `/metrics` carries per-tenant labeled sections and an OpenMetrics
+/// `/metrics` carries per-tenant labeled samples and an OpenMetrics
 /// exemplar on the request-latency histogram.
 #[test]
 fn metrics_carry_tenant_labels_and_exemplars() {
@@ -797,6 +806,31 @@ fn metrics_carry_tenant_labels_and_exemplars() {
         "no exemplar on the request histogram: {body}"
     );
 
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// Each metric family is one group of lines on `/metrics`: its `# HELP`
+/// and `# TYPE`, the roll-up's sample, then every tenant's labeled
+/// sample — never the roll-up first and the tenants' samples in later
+/// sections of their own.
+#[test]
+fn metrics_of_two_tenants_group_every_family() {
+    let dir = tmpdir("grouped");
+    let handle = start(&dir);
+    for tenant in ["north", "south"] {
+        let script = "(define-role child)\n(create-ind Mary)\n(assert-ind Mary (AT-LEAST 1 child))";
+        let (status, body) = http(&handle, "POST", &format!("/eval?tenant={tenant}"), script);
+        assert_eq!(status, 200, "eval failed: {body}");
+    }
+    let (status, body) = http(&handle, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    prometheus::check_prometheus_text(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    let steps: Vec<&str> = body
+        .lines()
+        .filter(|l| l.starts_with("classic_propagation_steps_total"))
+        .collect();
+    assert_eq!(steps.len(), 3, "the roll-up and two tenants: {steps:?}");
+    assert!(steps[1].contains("tenant=\"north\"") && steps[2].contains("tenant=\"south\""));
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -1423,4 +1457,48 @@ fn http_ingest_bulk_loads_csv() {
         );
         handle.shutdown().expect("clean shutdown");
     }
+}
+
+/// Wire input is text. An HTTP body or a line-protocol frame that is not
+/// UTF-8 is refused — a 400, an `ok:false` reply — and nothing of it is
+/// stored; the line-protocol connection goes on serving.
+#[test]
+fn input_that_is_not_utf8_is_refused_not_rewritten() {
+    let dir = tmpdir("utf8");
+    let handle = start(&dir);
+    let post = |path: &str, body: &[u8]| {
+        let mut req = format!(
+            "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        req.extend_from_slice(body);
+        http_raw(&handle, &req)
+    };
+    let (status, body) = post("/eval?tenant=bytes", b"(create-ind caf\xe9)");
+    assert_eq!(status, 400, "a Latin-1 eval body was accepted: {body}");
+    let (status, body) = post(
+        "/ingest?tenant=bytes&entity=city&id=id&infer=1",
+        b"id,name\nk1,K\xf6ln\n",
+    );
+    assert_eq!(status, 400, "a Latin-1 CSV was ingested: {body}");
+
+    let mut c = Client::connect(&handle);
+    c.ok("(tenant bytes)");
+    let reply = c.send_bytes(b"(create-ind Z\xfcrich)");
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "a Latin-1 frame was accepted: {reply:?}"
+    );
+    assert_eq!(
+        result_type(&c.ok("(ping)")),
+        "pong",
+        "the connection serves on"
+    );
+    // Nothing of the refused input was stored.
+    let everyone = c.ok("(retrieve THING)");
+    assert_eq!(names_of(&everyone), Vec::<String>::new());
+    assert!(c.err("(retrieve CITY)").contains("CITY"));
+    handle.shutdown().expect("clean shutdown");
 }

@@ -159,8 +159,7 @@ struct CompactionPlan {
 }
 
 /// Handles into the owning KB's metric registry for the storage-layer
-/// series. Registered idempotently ([`get_or_*`](classic_obs::Registry))
-/// so reopening a store against the same registry is harmless.
+/// series, registered when the store is opened.
 struct StoreObs {
     appends: Counter,
     append_bytes: Counter,
@@ -179,10 +178,7 @@ struct StoreObs {
 impl StoreObs {
     fn attach(kb: &Kb) -> StoreObs {
         let m = kb.metrics();
-        let c = |name: &str, help: &str| {
-            m.get_or_counter(name, help)
-                .expect("store metric registration")
-        };
+        let c = |name: &str, help: &str| m.counter(name, help).expect("store metric registration");
         StoreObs {
             appends: c(
                 "classic_store_appends_total",
@@ -206,25 +202,25 @@ impl StoreObs {
                 "segment-body bytes written by compactions",
             ),
             generation: m
-                .get_or_gauge(
+                .gauge(
                     "classic_store_generation",
                     "generation of the last durably published snapshot",
                 )
                 .expect("store metric registration"),
             append_ns: m
-                .get_or_duration_histogram(
+                .duration_histogram(
                     "classic_store_append_ns",
                     "durable log append wall time (ns)",
                 )
                 .expect("store metric registration"),
             render_ns: m
-                .get_or_duration_histogram(
+                .duration_histogram(
                     "classic_store_compact_render_ns",
                     "compaction render + log rotation wall time (ns)",
                 )
                 .expect("store metric registration"),
             publish_ns: m
-                .get_or_duration_histogram(
+                .duration_histogram(
                     "classic_store_compact_publish_ns",
                     "compaction publish pipeline wall time (ns)",
                 )
@@ -234,7 +230,7 @@ impl StoreObs {
                 "rows accepted through the store's bulk-load paths",
             ),
             bulk_load_ns: m
-                .get_or_duration_histogram(
+                .duration_histogram(
                     "classic_store_bulk_load_ns",
                     "segment-tier bulk_load wall time incl. compaction (ns)",
                 )
@@ -2321,6 +2317,22 @@ mod tests {
         assert!(prom.contains("classic_store_appends_total"));
         let json = classic_obs::render_json(&snap);
         assert!(json.contains("classic_store_appends_total"));
+    }
+
+    /// `(obs-reset)` zeroes what the KB counted, not the levels it
+    /// reports: the generation gauge still reads the published
+    /// generation.
+    #[test]
+    fn a_metrics_reset_keeps_the_generation_gauge() {
+        let dir = tmpdir("obsreset");
+        let mut store = DurableKb::open(dir.join("kb.log"), |_| {}).unwrap();
+        populate(&mut store);
+        store.compact().unwrap();
+        let metrics = store.kb().unwrap().metrics();
+        metrics.reset();
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counters["classic_store_appends_total"].1, 0);
+        assert_eq!(snap.gauges["classic_store_generation"].1, 1);
     }
 
     fn parse_bulk(src: &str) -> (Command, BulkSpec) {
