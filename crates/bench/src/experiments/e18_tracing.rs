@@ -352,9 +352,14 @@ pub fn run() -> String {
         full_best.as_secs_f64() <= counters_best.as_secs_f64() * 1.05 + 0.030,
         "full tracing cost {ratio:.3}x the counters wall (budget 1.05x + 30ms)"
     );
+    // The 30 ms slack, as a share of the counters wall: at smoke size it
+    // is most of the budget.
+    let slack = 0.030 / counters_best.as_secs_f64().max(1e-9);
     let _ = writeln!(
         out,
-        "asserted: full/counters wall ratio {ratio:.3} within the 1.05x budget"
+        "asserted: full/counters wall ratio {ratio:.3} within the budget of 1.05x + 30 ms \
+         (30 ms = {slack:.3}x the counters wall, so {:.3}x here)",
+        1.05 + slack
     );
 
     assert_tenant_accounting(&handle, &w, &mut out);

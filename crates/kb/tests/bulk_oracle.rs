@@ -11,14 +11,16 @@
 //! These properties drive random row batches (duplicate targets, new
 //! fillers, clashing restrictions) through both paths at several chunk
 //! sizes — including chunk size 1, which forces the sequential
-//! fallback machinery — and compare fingerprints.
+//! fallback machinery — and compare the final states with the shared
+//! comparison (tests/support/history.rs).
 
 use classic_core::desc::{Concept, IndRef};
-use classic_core::normal::NormalForm;
 use classic_core::symbol::RoleId;
 use classic_kb::{BulkRow, Kb};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+
+#[path = "../../../tests/support/history.rs"]
+mod history;
 
 const N_ROLES: usize = 3;
 const N_TARGETS: usize = 4;
@@ -110,21 +112,6 @@ fn build_row(kb: &mut Kb, target: usize, shapes: &[Shape]) -> BulkRow {
     }
 }
 
-/// A complete, comparable fingerprint: every individual's name, derived
-/// normal form, and most-specific-concept set.
-fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
-    kb.ind_ids()
-        .map(|id| {
-            let ind = kb.ind(id);
-            (
-                kb.schema().symbols.individual_name(ind.name).to_owned(),
-                ind.derived().clone(),
-                ind.msc().map(|n| n.index()).collect(),
-            )
-        })
-        .collect()
-}
-
 /// The sequential oracle: per row, create the target if absent, try the
 /// assertion, and restore the whole-KB snapshot on rejection (so a
 /// rejected row leaves no trace, matching the bulk contract). Returns
@@ -180,14 +167,7 @@ proptest! {
         );
         prop_assert_eq!(report.accepted, oracle_accepted.iter().filter(|a| **a).count());
         prop_assert_eq!(report.rejected, rows.len() - report.accepted);
-        prop_assert_eq!(
-            fingerprint(&kb),
-            fingerprint(&oracle),
-            "final states diverge (chunk={})",
-            chunk
-        );
-        kb.check_invariants().expect("bulk-loaded state");
-        oracle.check_invariants().expect("replayed state");
+        history::assert_same(&kb, &oracle, &format!("final states diverge (chunk={chunk})"));
     }
 
     /// Rejected rows leave no trace even when the row itself introduced

@@ -14,12 +14,14 @@
 
 use classic_core::desc::{Concept, IndRef};
 use classic_core::host::HostValue;
-use classic_core::normal::NormalForm;
 use classic_core::symbol::RoleId;
 use classic_core::taxonomy::NodeId;
 use classic_kb::{IndId, Kb};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+#[path = "../../../tests/support/history.rs"]
+mod history;
 
 const N_ROLES: usize = 3;
 const N_INDS: usize = 5;
@@ -212,20 +214,6 @@ fn instances(kb: &Kb, node: NodeId) -> BTreeSet<IndId> {
     ids
 }
 
-/// A complete, comparable fingerprint of database state.
-fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
-    kb.ind_ids()
-        .map(|id| {
-            let ind = kb.ind(id);
-            (
-                kb.schema().symbols.individual_name(ind.name).to_owned(),
-                ind.derived().clone(),
-                ind.msc().map(|n| n.index()).collect(),
-            )
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -236,7 +224,7 @@ proptest! {
         let mut kb = schema_kb();
         for step in &steps {
             let (name, c) = step_concept(&mut kb, step);
-            let before = fingerprint(&kb);
+            let before = kb.clone();
             let count_before = kb.ind_count();
             match kb.assert_ind(&name, &c) {
                 Ok(_) => {} // accepted; nothing to check here
@@ -244,7 +232,7 @@ proptest! {
                     // Atomicity: identical state, including no leaked
                     // implicitly-created individuals.
                     prop_assert_eq!(kb.ind_count(), count_before);
-                    prop_assert_eq!(fingerprint(&kb), before);
+                    history::assert_same(&kb, &before, "a rejected update");
                 }
             }
         }
@@ -330,19 +318,19 @@ proptest! {
         for step in &steps {
             let (name, c) = step_concept(&mut kb, step);
             // A hypothetical is always rolled back, accepted or not.
-            let before = fingerprint(&kb);
+            let before = kb.clone();
             let _ = kb.what_if(&name, &c);
-            prop_assert_eq!(fingerprint(&kb), before, "what_if mutated state");
+            history::assert_same(&kb, &before, "what_if mutated state");
             kb.check_invariants().expect("invariants after what_if");
             // The real update; rejected ones must also leave the
-            // invariants intact (not just the fingerprint).
+            // invariants intact (not just the same state).
             let _ = kb.assert_ind(&name, &c);
             kb.check_invariants().expect("invariants after assert");
             // Retracting a never-told fact is rejected and harmless.
             let bogus = Concept::AtLeast(9, RoleId::from_index(0));
-            let before = fingerprint(&kb);
+            let before = kb.clone();
             prop_assert!(kb.retract_ind(&name, &bogus).is_err());
-            prop_assert_eq!(fingerprint(&kb), before, "failed retraction mutated state");
+            history::assert_same(&kb, &before, "failed retraction mutated state");
             kb.check_invariants().expect("invariants after failed retraction");
         }
     }
@@ -497,7 +485,6 @@ proptest! {
                 "jointly-consistent set rejected under reordering"
             );
         }
-        prop_assert_eq!(fingerprint(&kb1), fingerprint(&kb2));
-        kb2.check_invariants().expect("invariants hold");
+        history::assert_same(&kb1, &kb2, "reordered");
     }
 }

@@ -42,7 +42,8 @@ pub(crate) fn bury(mut final_state: MetricsSnapshot) {
 
 /// A merged snapshot of every registry the process has created — the
 /// live ones plus the final state of every dropped one — with
-/// same-named series summed. This is what `--metrics <path>` dumps: an
+/// same-named counters and histograms summed and a gauge at the largest
+/// live level (a dropped registry's gauges are not kept). This is what `--metrics <path>` dumps: an
 /// experiment or CLI run may create (and drop) many knowledge bases,
 /// and the operator wants the totals.
 pub fn snapshot_all() -> MetricsSnapshot {

@@ -281,7 +281,10 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merge another snapshot into this one, summing same-named series.
+    /// Merge another snapshot into this one: same-named counters and
+    /// histograms are summed, and a gauge keeps the larger level — a
+    /// gauge is a level, and two stores at generation 1 are not a store
+    /// at generation 2.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, (help, v)) in &other.counters {
             let e = self
@@ -295,7 +298,7 @@ impl MetricsSnapshot {
                 .gauges
                 .entry(name.clone())
                 .or_insert_with(|| (help.clone(), 0));
-            e.1 += v;
+            e.1 = e.1.max(*v);
         }
         for (name, (help, h)) in &other.histograms {
             match self.histograms.get_mut(name) {
