@@ -10,18 +10,19 @@
 //! shares nothing with anything.
 //!
 //! The same histories are the oracle for the transaction every write
-//! runs in: a clone is cut before each step, and a step that is refused
-//! — a clash, a name nothing defines, a redefinition, a `TEST` recognizer
-//! that panics, whichever of the write operators it was — must leave the
-//! primary indistinguishable from it, schema, taxonomy, rule table and
-//! primitive declarations included; and after every step, accepted or
-//! not, the primary is a fixed point of the propagation step.
+//! runs in: the state is kept before each step, and a step that is
+//! refused — a clash, a name nothing defines, a redefinition, a `TEST`
+//! recognizer that panics, whichever of the write operators it was — or
+//! that only reads, tries a `what-if?`, cuts or drops a version, must
+//! leave the primary indistinguishable from it, schema, taxonomy, rule
+//! table and primitive declarations included; and after every step,
+//! accepted or not, the primary is a fixed point of the propagation
+//! step.
 
 use classic_core::desc::Concept;
 use classic_kb::{BulkRow, Kb};
-use classic_lang::{eval_read, parse_one};
 use classic_store::same_state;
-use history::Run;
+use history::{Before, Run};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -51,12 +52,12 @@ proptest! {
         run.versions.push((run.kb.clone(), 0));
         for (at, step) in steps.iter().enumerate() {
             let context = format!("after step {at} ({step:?})");
-            let before = run.kb.clone();
+            let before = Before::of(&run.kb);
             let done = run.step(step);
-            if done.write && !done.accepted {
-                // Refused means untouched, the retired rules included.
-                history::assert_same(&before, &run.kb, &context);
-                assert_eq!(before.rules().len(), run.kb.rules().len(), "{context}");
+            if !(done.write && done.accepted) {
+                // Refused, read, cut or dropped means untouched, the
+                // retired rules included.
+                before.assert_unchanged(&run.kb, &context);
             }
             // Accepted means closed (and refused, still closed).
             run.kb.check_invariants().unwrap_or_else(|e| panic!("{context}: {e}"));
@@ -80,21 +81,6 @@ proptest! {
             check(&mut replays, &kb, &log, cut, "primary gone");
         }
     }
-}
-
-/// The fixed queries' answers, as `a_large_clone…` compares them.
-fn answers(kb: &Kb) -> Vec<String> {
-    let queries = [
-        "P0",
-        "(AT-LEAST 1 r0)",
-        "(AND P0 (AT-LEAST 1 r1))",
-        "SUSPECT",
-        "THING",
-    ];
-    (queries.iter())
-        .map(|q| eval_read(kb, &parse_one(&format!("(retrieve {q})")).unwrap()).unwrap())
-        .map(|answer| answer.render_text())
-        .collect()
 }
 
 /// The base's `P0`.
@@ -121,7 +107,7 @@ fn a_large_clone_shares_all_but_what_the_writes_touched() {
     let whole = pinned.sharing_with(&kb);
     assert_eq!(whole.chunks_shared, whole.chunks_total);
     assert!(whole.chunks_total > 100, "{whole:?}");
-    let before = (answers(&pinned), pinned.ind_count());
+    let before = (history::answers(&pinned), pinned.ind_count());
 
     // Writes at both ends and in the middle of the arena, a refused
     // one, a retraction and a rule over every BUSY individual.
@@ -141,14 +127,14 @@ fn a_large_clone_shares_all_but_what_the_writes_touched() {
     kb.assert_rule("BUSY", Concept::AtMost(9, r1)).unwrap();
     kb.check_invariants().unwrap();
 
-    assert_eq!((answers(&pinned), pinned.ind_count()), before);
+    assert_eq!((history::answers(&pinned), pinned.ind_count()), before);
     pinned.check_invariants().unwrap();
     let mut reference = history::fresh();
     assert_eq!(reference.bulk_assert(&rows).accepted, rows.len());
     assert!(same_state(&pinned, &reference) && same_state(&reference, &pinned));
     // With the primary gone the clone is the only holder, and is whole.
     drop(kb);
-    assert_eq!(answers(&pinned), before.0);
+    assert_eq!(history::answers(&pinned), before.0);
     pinned.check_invariants().unwrap();
 }
 

@@ -224,7 +224,7 @@ proptest! {
         let mut kb = schema_kb();
         for step in &steps {
             let (name, c) = step_concept(&mut kb, step);
-            let before = kb.clone();
+            let before = history::Before::of(&kb);
             let count_before = kb.ind_count();
             match kb.assert_ind(&name, &c) {
                 Ok(_) => {} // accepted; nothing to check here
@@ -232,7 +232,7 @@ proptest! {
                     // Atomicity: identical state, including no leaked
                     // implicitly-created individuals.
                     prop_assert_eq!(kb.ind_count(), count_before);
-                    history::assert_same(&kb, &before, "a rejected update");
+                    before.assert_unchanged(&kb, "a rejected update");
                 }
             }
         }
@@ -318,9 +318,9 @@ proptest! {
         for step in &steps {
             let (name, c) = step_concept(&mut kb, step);
             // A hypothetical is always rolled back, accepted or not.
-            let before = kb.clone();
+            let before = history::Before::of(&kb);
             let _ = kb.what_if(&name, &c);
-            history::assert_same(&kb, &before, "what_if mutated state");
+            before.assert_unchanged(&kb, "what_if mutated state");
             kb.check_invariants().expect("invariants after what_if");
             // The real update; rejected ones must also leave the
             // invariants intact (not just the same state).
@@ -328,9 +328,9 @@ proptest! {
             kb.check_invariants().expect("invariants after assert");
             // Retracting a never-told fact is rejected and harmless.
             let bogus = Concept::AtLeast(9, RoleId::from_index(0));
-            let before = kb.clone();
+            let before = history::Before::of(&kb);
             prop_assert!(kb.retract_ind(&name, &bogus).is_err());
-            history::assert_same(&kb, &before, "failed retraction mutated state");
+            before.assert_unchanged(&kb, "failed retraction mutated state");
             kb.check_invariants().expect("invariants after failed retraction");
         }
     }

@@ -408,30 +408,52 @@ fn close_then_retract_equals_rebuild() {
     );
 }
 
-/// How many cases each suite that runs the shared history draws, and
-/// its longest history.
-const SUITES: [(&str, u32, usize); 5] = [
-    ("retract", 64, 28),
-    ("cow", 48, 40),
-    ("incremental_oracle", 48, 16),
-    ("persistence_properties", 64, 24),
-    ("segmented_properties", 24, 16),
+/// Each suite that runs the shared history, by its test's path, with how
+/// many cases it draws and its longest history.
+const SUITES: [(&str, u64, usize); 5] = [
+    (
+        "retract::retraction_equals_rebuild_from_surviving_told_facts",
+        64,
+        28,
+    ),
+    (
+        "cow::a_clone_is_the_replay_of_what_preceded_its_cut_whatever_follows",
+        48,
+        40,
+    ),
+    (
+        "incremental_oracle::incremental_report_equals_full_analysis",
+        48,
+        16,
+    ),
+    (
+        "persistence_properties::any_accepted_history_replays_identically",
+        64,
+        24,
+    ),
+    (
+        "segmented_properties::segmented_reopen_matches_in_memory_history",
+        24,
+        16,
+    ),
 ];
 
-/// A census of the histories those suites draw: every step kind occurs
-/// both accepted and refused, and cuts, `what-if?`s, `CLOSE`,
-/// retractions and armed steps each occur. Run with `--nocapture` for
-/// the counts.
+/// A census of the very histories those suites draw, seeded as the
+/// `proptest!` runner seeds each case: every step kind occurs both
+/// accepted and refused, and cuts, `what-if?`s, `CLOSE`, retractions,
+/// armed steps and `Hub`'s wide epoch each occur. Run with `--nocapture` for the counts, and for
+/// how many histories each suite's rebuild and snapshot bounds leave
+/// whole.
 #[test]
 fn the_histories_cover_every_kind() {
     let mut counts: std::collections::BTreeMap<String, [usize; 2]> = Default::default();
     let mut count =
         |key: String, accepted: bool| counts.entry(key).or_default()[accepted as usize] += 1;
-    let (mut histories, mut rebuilt_whole) = (0, 0);
-    for (suite, cases, max_len) in SUITES {
-        let name = format!("{suite}::history");
-        for case in 0..u64::from(cases) {
-            let seed = proptest::test_runner::name_seed(&name) ^ case;
+    for (test, cases, max_len) in SUITES {
+        let seed = proptest::test_runner::name_seed(test);
+        let (mut rebuildable, mut snapshottable) = (0, 0);
+        for case in 0..cases {
+            let seed = seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let steps = history::history(max_len)
                 .generate(&mut proptest::test_runner::TestRng::seed_from(seed));
             let mut run = Run::default();
@@ -441,15 +463,19 @@ fn the_histories_cover_every_kind() {
                 if done.armed {
                     count("(armed)".to_owned(), done.accepted);
                 }
-                if done.write && done.form.as_deref().is_some_and(|f| f.contains("(CLOSE ")) {
+                let form = done.form.as_deref().unwrap_or_default();
+                if done.write && form.contains("(CLOSE ") {
                     count("(CLOSE)".to_owned(), done.accepted);
                 }
+                if form.starts_with("(assert-ind Hub ") {
+                    count("(wide epoch)".to_owned(), done.accepted);
+                }
             }
-            histories += 1;
-            rebuilt_whole += usize::from(run.rebuildable_steps() == steps.len());
+            rebuildable += usize::from(run.rebuildable_steps() == steps.len());
+            snapshottable += usize::from(run.snapshot_steps() == steps.len());
         }
+        println!("{test}: {cases} histories, {rebuildable} rebuildable whole, {snapshottable} snapshottable whole");
     }
-    println!("{histories} histories, {rebuilt_whole} rebuildable whole");
     for (kind, [refused, accepted]) in &counts {
         println!("{kind:>18} {accepted:>6} accepted {refused:>6} refused");
     }
@@ -473,7 +499,14 @@ fn the_histories_cover_every_kind() {
             "{kind}: {accepted} accepted, {refused} refused"
         );
     }
-    for kind in ["cut", "drop", "what-if?", "retrieve", "possible"] {
+    for kind in [
+        "cut",
+        "drop",
+        "what-if?",
+        "retrieve",
+        "possible",
+        "(wide epoch)",
+    ] {
         assert!(seen(kind)[1] > 0, "{kind} never answered");
     }
 }

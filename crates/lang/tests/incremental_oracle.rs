@@ -10,13 +10,14 @@
 //! state nothing: the state is refreshed once before the history, at
 //! each read the history makes (a lint) and at the end, so one refresh
 //! spans several writes, refusals and rollbacks, and what it re-checks is
-//! only what its comparison of two KB versions finds. The base's `x`s
-//! sit among `Hub`'s untold members, in different arena chunks, so a
-//! refresh's comparison of versions has chunks to skip.
+//! only what its comparison of two KB versions finds. Each history
+//! starts after `Hub`'s wide epoch, so the arena holds its 70 members
+//! beyond the `x`s, in chunks a refresh's comparison of versions has to
+//! skip.
 
 use classic_analyze::AnalysisState;
 use classic_kb::Kb;
-use history::Run;
+use history::{Run, Step};
 use proptest::prelude::*;
 
 #[path = "../../../tests/support/history.rs"]
@@ -37,7 +38,7 @@ proptest! {
 
     #[test]
     fn incremental_report_equals_full_analysis(steps in history::history(16)) {
-        let mut run = Run::default();
+        let mut run = Run::over(&[Step::HubAll]);
         let mut state = AnalysisState::new();
         state.refresh(&run.kb);
         for (at, step) in steps.iter().enumerate() {

@@ -15,14 +15,16 @@
 //! - the rules and the two-step `(SAME-AS (site) (perpetrator domicile))`
 //!   of the paper's §4 crime schema, and a rule that rests on a closed
 //!   role's `ALL`;
-//! - a wide epoch: `Hub`'s 70 members told `P0` at once;
+//! - a wide epoch: `Hub` given 70 new members and each told `P0` at
+//!   once;
 //! - clone cuts, and versions held and dropped.
 //!
 //! A [`Run`] takes a history through a per-op `Kb` and keeps what the
 //! oracle needs: the accepted writes, the tellings that survive, and the
 //! versions cut along the way. [`replay`] and [`rebuild`] are the
-//! oracle, and [`assert_same`] is the one comparison. Suites include this
-//! file with `#[path]`.
+//! oracle, and [`assert_same`] is the one comparison; [`Before`] makes
+//! it for a step that must change nothing, against a value copy too.
+//! Suites include this file with `#[path]`.
 //!
 //! One exception: a rebuild from the surviving tellings is compared only
 //! over the part of a history before it first retracts a told fact after
@@ -35,6 +37,7 @@
 
 use classic_core::desc::Concept;
 use classic_core::error::ClassicError;
+use classic_core::normal::NormalForm;
 use classic_core::schema::TestArg;
 use classic_kb::{BulkRow, Kb};
 use classic_lang::{eval, eval_read, parse, parse_one, Command, Outcome, Write};
@@ -42,14 +45,17 @@ use classic_store::same_state;
 use proptest::prelude::*;
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// Individuals a history tells about: `x0`…; the first [`BASE_X`] exist
 /// from the start, the rest come into being by a step.
 const N_X: usize = 6;
 const BASE_X: usize = 4;
-/// Fillers of `Hub`'s `member` role: telling `Hub` that every member is
-/// a `P0` is one wide epoch, the width a bulk chunk gives propagation.
+/// Fillers of `Hub`'s `member` role: telling `Hub` its members and that
+/// every member is a `P0` is one wide epoch, the width a bulk chunk
+/// gives propagation. They come into being with that telling, so a
+/// history without it runs on the `x`s and `Hub` alone.
 const N_MEMBERS: usize = 70;
 /// Concept names a history may define (`N0`…), and primitive atoms its
 /// tellings may declare (`q0`…, `d0`…).
@@ -106,7 +112,7 @@ const ATOMS: [&str; 6] = ["q0", "q1", "q2", "refused", "asked", "tried"];
 pub const PROBES: [&str; 2] = ["asked", "tried"];
 
 /// The fixed queries every comparison asks.
-const QUERIES: [&str; 7] = [
+pub const QUERIES: [&str; 7] = [
     "P0",
     "(AT-LEAST 1 r0)",
     "(AND P0 (AT-LEAST 1 r1))",
@@ -153,23 +159,13 @@ pub fn register(kb: &mut Kb) {
     kb.register_test("fragile", fragile);
 }
 
-/// The base as one script: the schema, then `Hub`'s members with the
-/// first `x`s among them, so that they sit in different arena chunks.
+/// The base as one script: the schema, the first `x`s and `Hub`.
 pub fn base_script() -> String {
     let mut script = String::from(SCHEMA);
-    let gap = N_MEMBERS / (BASE_X + 1);
-    for m in 0..N_MEMBERS {
-        script.push_str(&format!("(create-ind m{m})\n"));
-        if m % gap == gap - 1 && m / gap < BASE_X {
-            script.push_str(&format!("(create-ind x{})\n", m / gap));
-        }
+    for i in 0..BASE_X {
+        script.push_str(&format!("(create-ind x{i})\n"));
     }
-    let members: Vec<String> = (0..N_MEMBERS).map(|m| format!("m{m}")).collect();
-    script.push_str(&format!(
-        "(create-ind Hub) (assert-ind Hub (FILLS member {}))\n",
-        members.join(" ")
-    ));
-    script
+    script + "(create-ind Hub)\n"
 }
 
 /// A fresh `Kb` holding the base, sharing nothing with any other: what
@@ -280,7 +276,8 @@ pub enum Step {
     Define(usize, Desc),
     /// `(define-role s{k})`, or `(define-attribute s{k})`.
     DefineRole(usize, bool),
-    /// `(assert-ind Hub (ALL member P0))`: one wide epoch.
+    /// `(assert-ind Hub (AND (FILLS member m0 …) (ALL member P0)))`: one
+    /// wide epoch, over members the first such telling creates.
     HubAll,
     /// A read: `retrieve`, `possible`, a `what-if?` about `x{i}`, and a
     /// `what-if?` and a `retrieve` that mention an atom nothing declares.
@@ -499,8 +496,10 @@ impl Run {
     ///   it fires on every individual a snapshot creates, and so brings
     ///   the named one into being before the snapshot's own `create-ind`
     ///   of it, which is then refused;
-    /// - the retraction of a telling that mentions a primitive atom: the
-    ///   atom stays declared, and the snapshot does not declare it.
+    /// - a retraction that leaves a primitive atom mentioned by no
+    ///   standing telling or definition: the atom stays declared, and
+    ///   the snapshot, which declares only what those mention, does not
+    ///   declare it.
     pub fn snapshot_steps(&self) -> usize {
         self.snapshottable.unwrap_or(self.steps)
     }
@@ -588,7 +587,13 @@ impl Run {
             Step::Define(k, d) => format!("(define-concept N{k} {})", render(d)),
             Step::DefineRole(k, false) => format!("(define-role s{k})"),
             Step::DefineRole(k, true) => format!("(define-attribute s{k})"),
-            Step::HubAll => "(assert-ind Hub (ALL member P0))".to_owned(),
+            Step::HubAll => {
+                let members: Vec<String> = (0..N_MEMBERS).map(|m| format!("m{m}")).collect();
+                format!(
+                    "(assert-ind Hub (AND (FILLS member {}) (ALL member P0)))",
+                    members.join(" ")
+                )
+            }
             Step::Ask(0, _, d) => format!("(retrieve {})", render(d)),
             Step::Ask(1, _, d) => format!("(possible {})", render(d)),
             Step::Ask(2, i, d) => format!("(what-if? {} {})", x(i), render(d)),
@@ -752,10 +757,23 @@ impl Run {
     fn untell(&mut self, which: impl Fn(&Undo) -> bool) {
         let at = self.told.iter().rposition(|t| which(&t.undo));
         let telling = self.told.remove(at.expect("what was taken back was told"));
-        if telling.form.contains("PRIMITIVE ") && self.snapshottable.is_none() {
+        let mut atoms = primitives(&telling.form);
+        if atoms.any(|atom| !self.told.iter().any(|t| t.form.contains(atom)))
+            && self.snapshottable.is_none()
+        {
             self.snapshottable = Some(self.steps);
         }
     }
+}
+
+/// The primitive atoms `form` mentions, each spelled as the log spells
+/// it: `PRIMITIVE THING q0)`, or `PRIMITIVE THING side d0)` for a
+/// disjoint one.
+fn primitives(form: &str) -> impl Iterator<Item = &str> {
+    form.match_indices("PRIMITIVE THING ").map(|(at, _)| {
+        let end = at + form[at..].find(')').expect("a mention closes");
+        &form[at..=end]
+    })
 }
 
 /// Was `outcome` an accepted write (a `bulk-load` that took a row) or
@@ -873,12 +891,25 @@ fn shape(kb: &Kb) -> Shape {
         })
         .collect();
     realized.sort();
+    Shape {
+        concepts: kb.schema().concept_count(),
+        nodes: kb.taxonomy().len(),
+        rules,
+        declared: ATOMS.into_iter().filter(|a| declared(kb, a)).collect(),
+        realized,
+        answers: answers(kb),
+    }
+}
+
+/// The [`QUERIES`]' answers, each sorted, or the error a schema without
+/// the base's names gives.
+pub fn answers(kb: &Kb) -> Vec<Result<Vec<String>, String>> {
     static ASKED: OnceLock<Vec<Command>> = OnceLock::new();
     let queries = ASKED.get_or_init(|| {
         let forms = QUERIES.map(|q| format!("(retrieve {q})"));
         parse(&forms.join(" ")).expect("parses")
     });
-    let answers = (queries.iter())
+    (queries.iter())
         .map(|cmd| match eval_read(kb, cmd) {
             Ok(Outcome::Individuals(mut names)) => {
                 names.sort();
@@ -886,15 +917,7 @@ fn shape(kb: &Kb) -> Shape {
             }
             other => Err(format!("{other:?}")),
         })
-        .collect();
-    Shape {
-        concepts: kb.schema().concept_count(),
-        nodes: kb.taxonomy().len(),
-        rules,
-        declared: ATOMS.into_iter().filter(|a| declared(kb, a)).collect(),
-        realized,
-        answers,
-    }
+        .collect()
 }
 
 /// Is the primitive atom `index` declared?
@@ -906,13 +929,67 @@ pub fn declared(kb: &Kb, index: &str) -> bool {
 /// The one comparison: `same_state` both ways, both closed under the
 /// propagation step, and the same [`Shape`].
 pub fn assert_same(a: &Kb, b: &Kb, context: &str) {
-    assert!(
-        same_state(a, b) && same_state(b, a),
-        "{context}: the states differ"
-    );
     a.check_invariants()
         .unwrap_or_else(|e| panic!("{context}: {e}"));
     b.check_invariants()
         .unwrap_or_else(|e| panic!("{context}: {e}"));
+    assert_equal(a, b, context);
+}
+
+/// `same_state` both ways, and the same [`Shape`].
+fn assert_equal(a: &Kb, b: &Kb, context: &str) {
+    assert!(
+        same_state(a, b) && same_state(b, a),
+        "{context}: the states differ"
+    );
     assert_eq!(shape(a), shape(b), "{context}");
+}
+
+/// Each individual's name, derived normal form and most specific
+/// concepts, in arena order: a value copy of the state, sharing nothing
+/// with the `Kb` it was taken from.
+fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
+    (kb.ind_ids())
+        .map(|id| {
+            let ind = kb.ind(id);
+            (
+                kb.schema().symbols.individual_name(ind.name).to_owned(),
+                ind.derived().clone(),
+                ind.msc().map(|n| n.index()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// A state that a step must leave as it found it, kept two ways: a clone,
+/// which shares its chunks with the `Kb` it was cut from, and a
+/// [`fingerprint`], which shares nothing, so that a rollback writing
+/// through shared storage cannot change both.
+pub struct Before {
+    kb: Kb,
+    copy: Vec<(String, NormalForm, BTreeSet<usize>)>,
+    rules: usize,
+}
+
+impl Before {
+    pub fn of(kb: &Kb) -> Before {
+        Before {
+            kb: kb.clone(),
+            copy: fingerprint(kb),
+            rules: kb.rules().len(),
+        }
+    }
+
+    /// `kb` is the state kept: the same by [`assert_same`], the same
+    /// fingerprint, and the same rule table, retired rules included.
+    /// Closure under the propagation step is a property of a state, not
+    /// of a step, and is left to the caller.
+    pub fn assert_unchanged(&self, kb: &Kb, context: &str) {
+        assert_equal(&self.kb, kb, context);
+        assert!(
+            self.copy == fingerprint(kb),
+            "{context}: the fingerprint differs"
+        );
+        assert_eq!(self.rules, kb.rules().len(), "{context}: the rule table");
+    }
 }
