@@ -72,12 +72,20 @@ use std::path::{Path, PathBuf};
 /// bulk series it took over are fields of `KbStats`, which do not count.
 /// `classic-query` entered at 30, its count when `QueryObs` (private)
 /// went: `retrieve_nf` bumps the series `Kb::new` registered.
+///
+/// `classic-lang` went 57 → 60 for `Answer`, `answer` and
+/// `Answer::write_json`: a read's answer that borrows the KB it was read
+/// from, which `classic-server` writes into the reply while it holds the
+/// snapshot (`eval_read` is `answer`'s answer as an `Outcome`).
+/// `classic-server` stayed at 50: `Tenant::write_reply`, the reply both
+/// fronts send, came in, and `Tenant::execute_with_lint`, which only it
+/// calls, went private.
 const LIMITS: [(&str, usize); 8] = [
     ("crates/obs/src", 112),
     ("crates/core/src", 193),
     ("crates/kb/src", 78),
     ("crates/query/src", 30),
-    ("crates/lang/src", 57),
+    ("crates/lang/src", 60),
     ("crates/analyze/src", 24),
     ("crates/store/src", 56),
     ("crates/server/src", 50),

@@ -4,10 +4,11 @@
 //! against its schema, the operator runs, and the result comes back as an
 //! [`Outcome`]. The ten operators that write are resolved, and applied,
 //! by [`crate::Write`]; `what-if` is tried and rolled back; the rest only
-//! ask, and [`eval_read`] answers them from a `&Kb`.
+//! ask, and [`answer`] answers them from a `&Kb` ([`eval_read`] is its
+//! answer as an [`Outcome`]).
 
 use crate::command::Command;
-use crate::outcome::{AspectValue, LintReport, Outcome};
+use crate::outcome::{Answer, AspectValue, LintReport, Outcome};
 use crate::parser::parse;
 use classic_core::desc::IndRef;
 use classic_core::error::{ClassicError, Result};
@@ -89,11 +90,19 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
     }
 }
 
+/// Answer a read as an [`Outcome`]: [`answer`]'s answer, each name
+/// copied out of the KB.
+pub fn eval_read(kb: &Kb, cmd: &Command) -> Result<Outcome> {
+    answer(kb, cmd).map(Answer::into_outcome)
+}
+
 /// Answer a read: any command that is neither a write nor `what-if`
 /// (those are errors here). Asking is not telling — the KB is borrowed,
 /// and a name it has never seen is resolved in a copy of its symbol
-/// table made at that first miss, so the read introduces none.
-pub fn eval_read(kb: &Kb, cmd: &Command) -> Result<Outcome> {
+/// table made at that first miss, so the read introduces none. The
+/// answer borrows the KB, so the individuals a `retrieve` or `possible`
+/// finds are named only when it is written ([`Answer::write_json`]).
+pub fn answer<'kb>(kb: &'kb Kb, cmd: &Command) -> Result<Answer<'kb>> {
     let symbols = &kb.schema().symbols;
     let mut names = Cow::Borrowed(symbols);
     // An id only the copy knows would mean nothing to the caller, who
@@ -115,7 +124,32 @@ pub fn eval_read(kb: &Kb, cmd: &Command) -> Result<Outcome> {
     })
 }
 
-fn read(kb: &Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Outcome> {
+fn read<'kb>(kb: &'kb Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Answer<'kb>> {
+    let ids = match cmd {
+        // `retrieve` with a `?:` marker is `ask-necessary-set`.
+        Command::Retrieve(q) if q.marker.is_empty() => {
+            let q = q.resolve(names)?;
+            Query::concept(q.concept)
+                .run(kb)?
+                .into_known()
+                .expect("a Known query yields Answer::Known")
+                .known
+        }
+        Command::Possible(c) => {
+            let c = c.resolve(names)?;
+            Query::concept(c)
+                .possible()
+                .run(kb)?
+                .into_possible()
+                .expect("a Possible query yields Answer::Possible")
+        }
+        _ => return read_outcome(kb, cmd, names).map(Answer::from),
+    };
+    Ok(Answer::individuals(kb, ids))
+}
+
+/// Answer a read whose answer is not a set of the KB's individuals.
+fn read_outcome(kb: &Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Outcome> {
     match cmd {
         Command::DefineRole(_)
         | Command::DefineAttribute(_)
@@ -239,30 +273,14 @@ fn read(kb: &Kb, cmd: &Command, names: &mut Cow<'_, SymbolTable>) -> Result<Outc
                 Ok(Outcome::Description(lines.join("\n")))
             }
         }
-        // `retrieve` with a `?:` marker is `ask-necessary-set`.
+        Command::Possible(_) => unreachable!("`read` answers `possible` itself"),
         Command::Retrieve(q) | Command::AskNecessarySet(q) => {
             let q = q.resolve(names)?;
-            if q.marker.is_empty() && matches!(cmd, Command::Retrieve(_)) {
-                let ans = Query::concept(q.concept)
-                    .run(kb)?
-                    .into_known()
-                    .expect("a Known query yields Answer::Known");
-                return Ok(Outcome::Individuals(render_inds(kb, ans.known)));
-            }
             let fillers = Query::marked(q)
                 .run(kb)?
                 .into_necessary_set()
                 .expect("a NecessarySet query yields Answer::NecessarySet");
             Ok(Outcome::Individuals(render_ind_refs(names, &fillers)))
-        }
-        Command::Possible(c) => {
-            let c = c.resolve(names)?;
-            let ids = Query::concept(c)
-                .possible()
-                .run(kb)?
-                .into_possible()
-                .expect("a Possible query yields Answer::Possible");
-            Ok(Outcome::Individuals(render_inds(kb, ids)))
         }
         Command::AskDescription(q) => {
             let q = q.resolve(names)?;
@@ -410,13 +428,6 @@ fn resolve_role(kb: &Kb, role: Option<&str>) -> Result<Option<classic_core::Role
             .map(Some)
             .ok_or_else(|| unknown_role(kb.schema(), r)),
     }
-}
-
-fn render_inds(kb: &Kb, ids: Vec<IndId>) -> Vec<String> {
-    let symbols = &kb.schema().symbols;
-    ids.into_iter()
-        .map(|id| symbols.individual_name(kb.ind(id).name).to_owned())
-        .collect()
 }
 
 fn render_ind_refs(symbols: &SymbolTable, refs: &[IndRef]) -> Vec<String> {

@@ -52,8 +52,8 @@ mod write;
 
 pub use ast::{Expr, IndLit, QueryExpr};
 pub use command::{BulkRowSpec, BulkSpec, Command};
-pub use eval::{eval, eval_read, mark_individual_dirty, run_script};
-pub use outcome::{AspectValue, LintDiagnostic, LintReport, Outcome};
+pub use eval::{answer, eval, eval_read, mark_individual_dirty, run_script};
+pub use outcome::{Answer, AspectValue, LintDiagnostic, LintReport, Outcome};
 pub use parser::{
     parse, parse_concept, parse_expr, parse_one, parse_query, parse_query_expr, MAX_NESTING,
     TOO_DEEP,

@@ -3,11 +3,12 @@
 //! [`Outcome`] has two renderers shared by the REPL and the wire protocol
 //! — [`Outcome::render_text`] and [`Outcome::write_json`] (with
 //! [`Outcome::render_json`] its wrapper) — both total over every variant,
-//! so the two surfaces can never drift.
+//! so the two surfaces can never drift. A read's [`Answer`] is written
+//! by the same writer, from the KB it was read from.
 
 use std::fmt::Write as _;
 
-use classic_kb::{AssertReport, BulkReport, RetractReport};
+use classic_kb::{AssertReport, BulkReport, IndId, Kb, RetractReport};
 use classic_obs::write_json_string;
 
 /// One structured static-analysis finding, mirroring
@@ -267,9 +268,7 @@ impl Outcome {
                 );
             }
             Outcome::Individuals(names) => {
-                out.push_str(r#"{"type":"individuals","names":"#);
-                write_json_array(out, names);
-                out.push('}');
+                write_names(out, "individuals", names.iter().map(String::as_str));
             }
             Outcome::Bool(b) => {
                 let _ = write!(out, r#"{{"type":"bool","value":{b}}}"#);
@@ -280,9 +279,7 @@ impl Outcome {
                 out.push('}');
             }
             Outcome::Concepts(names) => {
-                out.push_str(r#"{"type":"concepts","names":"#);
-                write_json_array(out, names);
-                out.push('}');
+                write_names(out, "concepts", names.iter().map(String::as_str));
             }
             Outcome::Aspect(a) => {
                 out.push_str(r#"{"type":"aspect","value":"#);
@@ -296,7 +293,7 @@ impl Outcome {
                     }
                     AspectValue::Values(v) => {
                         out.push_str(r#"{"kind":"values","values":"#);
-                        write_json_array(out, v);
+                        write_json_array(out, v.iter().map(String::as_str));
                         out.push('}');
                     }
                     AspectValue::Restriction(c) => {
@@ -333,7 +330,7 @@ impl Outcome {
                     out.push_str(r#","message":"#);
                     write_json_string(out, &d.message);
                     out.push_str(r#","provenance":"#);
-                    write_json_array(out, &d.provenance);
+                    write_json_array(out, d.provenance.iter().map(String::as_str));
                     out.push('}');
                 }
                 out.push_str("]}");
@@ -375,7 +372,7 @@ impl Outcome {
     /// outcome needs an escape: exact for the strings, generous for the
     /// fixed text and the numbers around them.
     fn json_len(&self) -> usize {
-        let strings = |items: &[String]| -> usize { items.iter().map(|s| s.len() + 3).sum() };
+        let strings = |items: &[String]| strings_len(items.iter().map(String::as_str));
         FIXED
             + match self {
                 Outcome::Individuals(v)
@@ -414,10 +411,16 @@ const FIXED: usize = 256;
 /// envelope's closing brace and the line's newline.
 const TAIL: usize = 8;
 
+/// What [`write_json_array`] writes for `items` when none needs an
+/// escape, less the brackets: each string, its quotes and a comma.
+fn strings_len<'a>(items: impl Iterator<Item = &'a str>) -> usize {
+    items.map(|s| s.len() + 3).sum()
+}
+
 /// Append `items` to `out` as a JSON array of strings.
-fn write_json_array(out: &mut String, items: &[String]) {
+fn write_json_array<'a>(out: &mut String, items: impl IntoIterator<Item = &'a str>) {
     out.push('[');
-    for (ix, item) in items.iter().enumerate() {
+    for (ix, item) in items.into_iter().enumerate() {
         if ix > 0 {
             out.push(',');
         }
@@ -426,16 +429,89 @@ fn write_json_array(out: &mut String, items: &[String]) {
     out.push(']');
 }
 
+/// Append `{"type":ty,"names":[…]}` to `out`.
+fn write_names<'a>(out: &mut String, ty: &str, names: impl IntoIterator<Item = &'a str>) {
+    out.push_str(r#"{"type":""#);
+    out.push_str(ty);
+    out.push_str(r#"","names":"#);
+    write_json_array(out, names);
+    out.push('}');
+}
+
+/// A read's answer, as it stands in the KB it was read from. A
+/// `retrieve` without a marker and a `possible` hold the individuals'
+/// ids and a borrow of that KB, so the names are looked up in its symbol
+/// table only when the answer is written; every other read holds its
+/// [`Outcome`]. [`Answer::write_json`] writes the bytes
+/// [`Outcome::write_json`] writes for the same answer: both go through
+/// one string-array writer.
+pub struct Answer<'kb>(Held<'kb>);
+
+enum Held<'kb> {
+    Individuals(&'kb Kb, Vec<IndId>),
+    Outcome(Outcome),
+}
+
+impl<'kb> Answer<'kb> {
+    /// The individuals `ids`, which `kb` names.
+    pub(crate) fn individuals(kb: &'kb Kb, ids: Vec<IndId>) -> Answer<'kb> {
+        Answer(Held::Individuals(kb, ids))
+    }
+
+    /// Append the answer's JSON form to `out`, reserving it first, plus
+    /// a few bytes for the caller's envelope, as [`Outcome::write_json`]
+    /// does. Each name is copied once, from the symbol table into `out`.
+    pub fn write_json(&self, out: &mut String) {
+        match &self.0 {
+            Held::Individuals(kb, ids) => {
+                let symbols = &kb.schema().symbols;
+                let names = ids
+                    .iter()
+                    .map(|&id| symbols.individual_name(kb.ind(id).name));
+                out.reserve(FIXED + strings_len(names.clone()) + TAIL);
+                write_names(out, "individuals", names);
+            }
+            Held::Outcome(outcome) => outcome.write_json(out),
+        }
+    }
+
+    /// The answer as an [`Outcome`], each name copied into a `String`.
+    pub(crate) fn into_outcome(self) -> Outcome {
+        match self.0 {
+            Held::Individuals(kb, ids) => {
+                let symbols = &kb.schema().symbols;
+                Outcome::Individuals(
+                    ids.into_iter()
+                        .map(|id| symbols.individual_name(kb.ind(id).name).to_owned())
+                        .collect(),
+                )
+            }
+            Held::Outcome(outcome) => outcome,
+        }
+    }
+}
+
+impl From<Outcome> for Answer<'_> {
+    fn from(outcome: Outcome) -> Self {
+        Answer(Held::Outcome(outcome))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A string holding everything the escaper tells apart: a quote, a
+    /// backslash, the short escapes, control characters, DEL, U+2028 and
+    /// an astral character.
+    const NASTY: &str = "q\"b\\s\nt\tr\r\u{1}\u{1f}\u{7f}é\u{2028}𝄞";
 
     /// One of every variant, every aspect kind, an empty and a full
     /// list, and strings holding everything the escaper tells apart.
     fn golden_cases() -> Vec<Outcome> {
         use classic_analyze::Severity;
         use classic_kb::{AssertReport, BulkRejection, BulkReport, RetractReport};
-        let nasty = "q\"b\\s\nt\tr\r\u{1}\u{1f}\u{7f}é\u{2028}𝄞";
+        let nasty = NASTY;
         vec![
             Outcome::Ok,
             Outcome::RuleAsserted(7),
@@ -561,6 +637,35 @@ mod tests {
             outcome.write_json(&mut appended);
             assert_eq!(appended[20..], *golden);
             classic_obs::Json::parse(golden).expect("golden replies are JSON");
+        }
+    }
+
+    /// The borrowed writer writes the golden bytes of the two
+    /// `individuals` cases, names it looks up in the KB included, and
+    /// what it writes parses back to the names the KB holds.
+    #[test]
+    fn a_borrowed_answer_renders_as_its_outcome_does() {
+        let names = ["Rocky", "42", NASTY];
+        let mut kb = Kb::new();
+        let ids: Vec<IndId> = (names.iter())
+            .map(|n| kb.create_ind(n).expect("a fresh name"))
+            .collect();
+        let cases = [(Vec::new(), GOLDEN[4]), (ids, GOLDEN[5])];
+        for (ids, golden) in cases {
+            let answer = Answer::individuals(&kb, ids);
+            let mut written = String::new();
+            answer.write_json(&mut written);
+            assert_eq!(written, golden);
+            let parsed = classic_obs::Json::parse(&written).expect("the answer is JSON");
+            let Some(classic_obs::Json::Arr(items)) = parsed.get("names") else {
+                panic!("no names in {written}");
+            };
+            let read: Vec<&str> = items.iter().filter_map(classic_obs::Json::as_str).collect();
+            let Outcome::Individuals(owned) = answer.into_outcome() else {
+                panic!("an answer of individuals is an Individuals outcome");
+            };
+            assert_eq!(read, owned);
+            assert_eq!(Outcome::Individuals(owned).render_json(), golden);
         }
     }
 }

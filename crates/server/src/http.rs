@@ -44,13 +44,12 @@
 //! request with 400 before anything is written.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use classic_obs::{json_string, RequestCtx, TraceId};
 
 use crate::server::{validate_tenant_name, Shared};
-use crate::session::{write_err, write_ok};
+use crate::session::write_err;
 use crate::tenant::TenantStats;
 
 /// Cap on the request head (start line + headers): 1 MiB.
@@ -61,7 +60,7 @@ const MAX_BODY: usize = 16 << 20;
 
 /// Serve one HTTP request whose first bytes are already in `buf`.
 pub fn serve_http(
-    mut stream: TcpStream,
+    mut stream: impl Read + Write,
     mut buf: Vec<u8>,
     shared: &Arc<Shared>,
 ) -> std::io::Result<()> {
@@ -360,13 +359,9 @@ fn eval_body(
             }
             shared.metrics.requests.bump();
             tenant.count_request();
-            match tenant.execute(cmd) {
-                Ok(o) => write_ok(&mut body, &o, None),
-                Err(e) => {
-                    write_err(&mut body, &e.message);
-                    failed = true;
-                    break;
-                }
+            if tenant.write_reply(cmd, &mut body) {
+                failed = true;
+                break;
             }
         }
         body.push_str("]\n");
@@ -462,7 +457,7 @@ fn stats_json(stats: &[TenantStats]) -> String {
 }
 
 fn respond(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
@@ -471,9 +466,10 @@ fn respond(
 }
 
 /// Like [`respond`], echoing the trace id in effect for the request in
-/// an `X-Classic-Trace` response header.
+/// an `X-Classic-Trace` response header. The head and the body go out in
+/// one write: under `TCP_NODELAY` two writes are two segments.
 fn respond_traced(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
@@ -493,13 +489,13 @@ fn respond_traced(
         Some(id) => format!("X-Classic-Trace: {id}\r\n"),
         None => String::new(),
     };
-    let head = format!(
+    let mut reply = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
          {trace_header}Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    reply.push_str(body);
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 
@@ -595,6 +591,68 @@ mod tests {
                 prop_assert_eq!(&cut_in_two, &whole, "cut at {}", cut);
             }
         }
+    }
+
+    /// A peer that sends `request` and closes, and counts the calls its
+    /// server makes to `write`.
+    struct Counted<'a> {
+        request: &'a [u8],
+        reply: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.request.read(out)
+        }
+    }
+
+    impl Write for Counted<'_> {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.reply.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_eval_reply_goes_out_in_one_write() {
+        let dir =
+            std::env::temp_dir().join(format!("classic-http-one-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shared = Arc::new(Shared::new(&ServerConfig {
+            data_dir: dir.clone(),
+            ..ServerConfig::default()
+        }));
+        let body = "(create-ind Rocky) (retrieve THING)";
+        let request = format!(
+            "POST /eval?tenant=t HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let mut peer = Counted {
+            request: request.as_bytes(),
+            reply: Vec::new(),
+            writes: 0,
+        };
+        serve_http(&mut peer, Vec::new(), &shared).expect("served");
+        let reply = String::from_utf8(peer.reply).expect("a UTF-8 reply");
+        assert_eq!(peer.writes, 1, "{reply}");
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+        assert!(
+            reply.ends_with(concat!(
+                "\r\n\r\n",
+                r#"[{"ok":true,"result":{"type":"ok"}},"#,
+                r#"{"ok":true,"result":{"type":"individuals","names":["Rocky"]}}]"#,
+                "\n"
+            )),
+            "{reply}"
+        );
+        drop(shared);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

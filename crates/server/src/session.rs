@@ -46,11 +46,11 @@
 
 use std::sync::Arc;
 
-use classic_lang::{Command, LintReport, Outcome};
+use classic_lang::{Answer, Command, LintReport, Outcome};
 use classic_obs::{json_string, write_json_string, RequestCtx, TraceId};
 
 use crate::server::Shared;
-use crate::tenant::Tenant;
+use crate::tenant::{write_read, Tenant};
 
 /// What the connection loop should do after a reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +64,29 @@ pub enum Control {
 struct Sandbox {
     kb: classic_kb::Kb,
     recorded: Vec<Command>,
+}
+
+impl Sandbox {
+    /// Write the reply to `cmd`, evaluated against the sandbox alone:
+    /// `(lint-kb)` here analyzes the sandbox from scratch and never
+    /// touches the tenant's incremental analysis state. A read takes the
+    /// tenant's read path, with the sandbox's KB in place of a snapshot;
+    /// an accepted write is recorded for `commit`.
+    fn write_reply(&mut self, cmd: Command, out: &mut String) {
+        if !cmd.is_mutation() && !matches!(cmd, Command::WhatIf(..)) {
+            write_read(&self.kb, &cmd, out);
+            return;
+        }
+        match classic_lang::eval(&mut self.kb, &cmd) {
+            Ok(outcome) => {
+                write_ok(out, &outcome.into(), None);
+                if cmd.is_mutation() {
+                    self.recorded.push(cmd);
+                }
+            }
+            Err(e) => write_err(out, &e.display(&self.kb.schema().symbols).to_string()),
+        }
+    }
 }
 
 /// How a form classifies before evaluation: the split is computed up
@@ -99,14 +122,14 @@ pub(crate) fn err(message: &str) -> String {
     out
 }
 
-/// Append the `{"ok":true,"result":…}` envelope around `outcome` to
+/// Append the `{"ok":true,"result":…}` envelope around `result` to
 /// `out`, followed by the cone diagnostics a lint-on-write mutation
-/// carries. The outcome is written in place: the envelope, the outcome
-/// and the lint report share one buffer, which [`Outcome::write_json`]
+/// carries. The result is written in place: the envelope, the result
+/// and the lint report share one buffer, which [`Answer::write_json`]
 /// sizes for the whole reply and the newline that ends its line.
-pub(crate) fn write_ok(out: &mut String, outcome: &Outcome, lint: Option<LintReport>) {
+pub(crate) fn write_ok(out: &mut String, result: &Answer<'_>, lint: Option<LintReport>) {
     out.push_str(r#"{"ok":true,"result":"#);
-    outcome.write_json(out);
+    result.write_json(out);
     if let Some(lint) = lint {
         out.push_str(r#","lint":"#);
         Outcome::Lint(lint).write_json(out);
@@ -189,24 +212,12 @@ impl WireSession {
         if let Some(reply) = self.gate_obs_command(&cmd) {
             return (reply, Control::Continue);
         }
-        let outcome = match &mut self.sandbox {
-            Some(sandbox) => {
-                // Sandbox evaluation is fully isolated: `(lint-kb)` here
-                // analyzes the sandbox clone from scratch and never
-                // touches the tenant's incremental analysis state.
-                let r = classic_lang::eval(&mut sandbox.kb, &cmd);
-                if r.is_ok() && cmd.is_mutation() {
-                    sandbox.recorded.push(cmd);
-                }
-                r.map(|o| (o, None))
-                    .map_err(|e| e.display(&sandbox.kb.schema().symbols).to_string())
-            }
-            None => self.tenant.execute_with_lint(&cmd).map_err(|e| e.message),
-        };
         let mut reply = String::new();
-        match outcome {
-            Ok((o, lint)) => write_ok(&mut reply, &o, lint),
-            Err(message) => write_err(&mut reply, &message),
+        match &mut self.sandbox {
+            Some(sandbox) => sandbox.write_reply(cmd, &mut reply),
+            None => {
+                self.tenant.write_reply(&cmd, &mut reply);
+            }
         }
         (reply, Control::Continue)
     }

@@ -17,13 +17,17 @@
 //!   storage chunk for chunk and its TBox whole, so cutting one copies a
 //!   pointer per chunk and no entry, and dropping one frees only what
 //!   writes made while it was pinned copied. A read borrows
-//!   ([`classic_lang::eval_read`] takes `&Kb`), so the snapshot holds its
+//!   ([`classic_lang::answer`] takes `&Kb`), so the snapshot holds its
 //!   KB bare: any number of readers of one version run at once, and a
 //!   reader holds its `Arc` for as long as it likes, so a concurrent
 //!   writer (or an ingest's compaction changing the store generation)
 //!   never shifts the ground under an in-flight query. That is
 //!   snapshot isolation in the only sense a structural KB needs:
 //!   each query sees one consistent version, pinned for its duration.
+//!   [`Tenant::write_reply`] writes a read's reply while it holds the
+//!   snapshot: the answer keeps the individuals' ids and a borrow of the
+//!   snapshot's KB, and each name is copied once, from the snapshot's
+//!   symbol table into the reply buffer.
 //! - **Trials and lints** — `(what-if …)` and `(lint-kb)` — change
 //!   nothing durable but need the primary: a trial asserts and rolls
 //!   back, the lint refreshes the analysis state against the primary.
@@ -67,6 +71,8 @@ use classic_kb::Kb;
 use classic_lang::{Command, LintReport, Outcome};
 use classic_obs::{Counter, Registry};
 use classic_store::DurableKb;
+
+use crate::session::{write_err, write_ok};
 
 /// A poisoned tenant lock means some earlier evaluation panicked while
 /// holding it, so the guarded KB may be mid-mutation. Rather than let
@@ -150,6 +156,29 @@ impl Snapshot {
     /// Answer a read against this snapshot.
     pub fn eval(&self, cmd: &Command) -> std::result::Result<Outcome, NamedError> {
         classic_lang::eval_read(&self.kb, cmd).map_err(|e| NamedError::new(e, &self.kb))
+    }
+}
+
+/// Is `cmd` answered from a snapshot? Everything but a write, a trial
+/// and a lint, which need the primary.
+fn reads_a_snapshot(cmd: &Command) -> bool {
+    !cmd.is_mutation() && !matches!(cmd, Command::LintKb { .. } | Command::WhatIf(..))
+}
+
+/// Write the reply to the read `cmd`, answered from `kb`, into `out`,
+/// and return whether it is an error. The one read path of both fronts,
+/// for a tenant's snapshot and a session's sandbox alike: the answer
+/// borrows `kb` until it is written, and an error is named against it.
+pub(crate) fn write_read(kb: &Kb, cmd: &Command, out: &mut String) -> bool {
+    match classic_lang::answer(kb, cmd) {
+        Ok(answer) => {
+            write_ok(out, &answer, None);
+            false
+        }
+        Err(e) => {
+            write_err(out, &NamedError::new(e, kb).message);
+            true
+        }
     }
 }
 
@@ -298,6 +327,35 @@ impl Tenant {
         self.execute_with_lint(cmd).map(|(outcome, _)| outcome)
     }
 
+    /// Write the whole reply to `cmd` — `{"ok":true,"result":…}`, with
+    /// the cone diagnostics of a write under lint-on-write, or
+    /// `{"ok":false,"error":…}` — into `out`, and return whether it is
+    /// an error. This is what both wire fronts send. A read is written
+    /// while the snapshot it is answered from is held, so no answered
+    /// name is copied anywhere but into `out`; a write, a trial or a lint
+    /// is evaluated as [`Self::execute`] evaluates it.
+    pub fn write_reply(&self, cmd: &Command, out: &mut String) -> bool {
+        if reads_a_snapshot(cmd) {
+            return match self.snapshot() {
+                Ok(snapshot) => write_read(snapshot.kb(), cmd, out),
+                Err(e) => {
+                    write_err(out, &NamedError::from(e).message);
+                    true
+                }
+            };
+        }
+        match self.execute_with_lint(cmd) {
+            Ok((outcome, lint)) => {
+                write_ok(out, &outcome.into(), lint);
+                false
+            }
+            Err(e) => {
+                write_err(out, &e.message);
+                true
+            }
+        }
+    }
+
     /// [`Self::execute`], additionally returning the cone diagnostics
     /// the write re-derived when lint-on-write is enabled.
     ///
@@ -313,14 +371,14 @@ impl Tenant {
     /// * Mutations go through [`DurableKb::eval_durable`]; with
     ///   lint-on-write on they then refresh the analysis state and
     ///   return the cone's diagnostics.
-    pub fn execute_with_lint(
+    fn execute_with_lint(
         &self,
         cmd: &Command,
     ) -> std::result::Result<(Outcome, Option<LintReport>), NamedError> {
-        let mutation = cmd.is_mutation();
-        if !mutation && !matches!(cmd, Command::LintKb { .. } | Command::WhatIf(..)) {
+        if reads_a_snapshot(cmd) {
             return Ok((self.snapshot()?.eval(cmd)?, None));
         }
+        let mutation = cmd.is_mutation();
         if mutation {
             self.drop_snapshot()?;
         }

@@ -1328,6 +1328,20 @@ fn lint_is_tenant_scoped_incremental_and_served_over_http() {
         subjects.iter().all(|s| s == "individual y"),
         "cone reply should cover only the written individual: {subjects:?}"
     );
+    // The setting is the tenant's, so a write over HTTP carries its cone
+    // the same way: both fronts write a reply through one path.
+    let (status, body) = http(&handle, "POST", "/eval?tenant=noisy", "(create-ind w)");
+    assert_eq!(status, 200, "POST /eval failed: {body}");
+    let replies = Json::parse(body.trim_end()).expect("an eval body is JSON");
+    let Json::Arr(replies) = replies else {
+        panic!("an eval body is an array: {body}");
+    };
+    let lint = replies[0]
+        .get("lint")
+        .expect("an HTTP write under lint-on-write carries lint");
+    assert_eq!(result_type(lint), "lint");
+    let subjects = diag_subjects(lint);
+    assert!(subjects.iter().all(|s| s == "individual w"), "{subjects:?}");
 
     // Switching it off stops the attachment.
     a.ok("(lint-on-write off)");

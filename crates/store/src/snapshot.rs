@@ -185,7 +185,9 @@ pub fn roundtrip(kb: &Kb, register_tests: impl FnOnce(&mut Kb)) -> Result<Kb> {
 /// inside every `(AND …)` is an artifact of propagation order (it can
 /// differ between a directly-executed history and a replayed one without
 /// any semantic difference), so AND arguments are sorted recursively.
-/// Text the reader refuses stays text.
+/// The two paths of a `(SAME-AS …)` are put in order too: the pair is
+/// oriented by role ids, which a snapshot renumbers. Text the reader
+/// refuses stays text.
 fn up_to_and_order(text: String) -> std::result::Result<Expr, String> {
     fn sort_ands(e: &mut Expr) {
         match e {
@@ -193,6 +195,7 @@ fn up_to_and_order(text: String) -> std::result::Result<Expr, String> {
                 parts.iter_mut().for_each(sort_ands);
                 parts.sort();
             }
+            Expr::SameAs(p, q) if *q < *p => std::mem::swap(p, q),
             Expr::All(_, inner) => sort_ands(inner),
             Expr::Primitive { parent, .. } | Expr::DisjointPrimitive { parent, .. } => {
                 sort_ands(parent)
@@ -207,8 +210,9 @@ fn up_to_and_order(text: String) -> std::result::Result<Expr, String> {
 
 /// Pretty assertion helper used by tests and examples: do two KBs agree on
 /// schema size, individuals, and every individual's derived description?
-/// Descriptions are compared up to AND-conjunct order (via a recursive
-/// canonicalizer that sorts `AND` arguments); everything else is
+/// Descriptions are compared up to AND-conjunct order and the
+/// orientation of a `SAME-AS` pair (via a recursive canonicalizer that
+/// sorts `AND` arguments and each pair's two paths); everything else is
 /// verbatim.
 pub fn same_state(a: &Kb, b: &Kb) -> bool {
     if a.ind_count() != b.ind_count()
@@ -313,5 +317,39 @@ mod tests {
         let r = classic_core::RoleId::from_index(0);
         a.assert_ind("X", &Concept::AtLeast(1, r)).unwrap();
         assert!(!same_state(&a, &b), "derived descriptions differ");
+    }
+
+    /// A KB whose attributes are defined in `order`, and an individual
+    /// told `(SAME-AS (site) (other))`.
+    fn same_as_kb(order: [&str; 3], other: &str) -> Kb {
+        let mut kb = Kb::new();
+        let mut script: String = order
+            .iter()
+            .map(|a| format!("(define-attribute {a})"))
+            .collect();
+        script.push_str(&format!(
+            "(create-ind C) (assert-ind C (SAME-AS (site) ({other})))"
+        ));
+        classic_lang::run_script(&mut kb, &script).expect("the script is accepted");
+        kb
+    }
+
+    /// A snapshot defines roles in name order, so `domicile` and `site`
+    /// swap ids in the round trip, and the pair a `SAME-AS` renders
+    /// with them.
+    #[test]
+    fn a_same_as_pair_is_compared_in_either_orientation() {
+        let kb = same_as_kb(["site", "domicile", "home"], "domicile");
+        let back = roundtrip(&kb, |_| {}).expect("the snapshot replays");
+        assert!(same_state(&kb, &back));
+        assert!(same_state(&back, &kb));
+    }
+
+    #[test]
+    fn same_as_pairs_that_differ_are_different_states() {
+        let domicile = same_as_kb(["site", "domicile", "home"], "domicile");
+        let home = same_as_kb(["site", "domicile", "home"], "home");
+        assert!(!same_state(&domicile, &home));
+        assert!(!same_state(&home, &domicile));
     }
 }

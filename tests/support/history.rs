@@ -80,8 +80,8 @@ const ANTECEDENTS: [&str; 3] = ["BUSY", "ANY", "N0"];
 /// The schema every history starts from. Rule 0 is `BUSY`'s; `COVERED`
 /// is recognized through a closed role's `ALL`; the crime schema is the
 /// paper's §4, with its heuristic rule. Roles are defined in name order,
-/// as a snapshot defines them: a `SAME-AS` pair is written in role-id
-/// order, and `same_state` compares it as written.
+/// as a snapshot defines them; `same_state` compares a `SAME-AS` pair in
+/// either orientation, so its comparisons do not depend on that order.
 const SCHEMA: &str = r#"
     (define-attribute domicile) (define-role jobs) (define-role member)
     (define-role perpetrator) (define-role r0) (define-role r1)
@@ -901,15 +901,19 @@ fn shape(kb: &Kb) -> Shape {
     }
 }
 
+/// The [`QUERIES`], each a `retrieve`, parsed.
+pub fn queries() -> &'static [Command] {
+    static ASKED: OnceLock<Vec<Command>> = OnceLock::new();
+    ASKED.get_or_init(|| {
+        let forms = QUERIES.map(|q| format!("(retrieve {q})"));
+        parse(&forms.join(" ")).expect("parses")
+    })
+}
+
 /// The [`QUERIES`]' answers, each sorted, or the error a schema without
 /// the base's names gives.
 pub fn answers(kb: &Kb) -> Vec<Result<Vec<String>, String>> {
-    static ASKED: OnceLock<Vec<Command>> = OnceLock::new();
-    let queries = ASKED.get_or_init(|| {
-        let forms = QUERIES.map(|q| format!("(retrieve {q})"));
-        parse(&forms.join(" ")).expect("parses")
-    });
-    (queries.iter())
+    (queries().iter())
         .map(|cmd| match eval_read(kb, cmd) {
             Ok(Outcome::Individuals(mut names)) => {
                 names.sort();
